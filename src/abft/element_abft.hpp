@@ -41,6 +41,17 @@ struct ElementAbft {
                         fault::FaultInjector* inj,
                         fault::Site gemm_site = fault::Site::kGemm1);
 
+  /// Same protected GEMM over pre-widened operands: A (M x K fp32, fp16-
+  /// valued) and B already transposed k-major (K x N) — the staged images
+  /// the fused attention kernels hold.  Bit-identical to gemm_nt over the
+  /// fp16 operands: widening is exact, transposition is pure data movement,
+  /// and every output keeps its ascending-k accumulation order.
+  static Report gemm_nn_widened(const float* A, std::size_t M, std::size_t K,
+                                const float* Bt, std::size_t N,
+                                tensor::MatrixF& C, float relative_threshold,
+                                fault::FaultInjector* inj,
+                                fault::Site gemm_site = fault::Site::kGemm1);
+
   /// Verify + correct an M x N payload given its c1/c2 column-checksum rows
   /// (2 x N, computed through the encoded GEMM).  Exposed separately so tests
   /// and the coverage study can drive it with arbitrary corruption.

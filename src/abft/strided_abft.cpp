@@ -14,8 +14,6 @@ using tensor::MatrixF;
 using tensor::MatrixH;
 
 namespace {
-constexpr float kRelEps = 1e-6f;
-
 bool near_integer(float x, float tol = 0.02f) {
   return std::fabs(x - std::round(x)) < tol;
 }

@@ -1,9 +1,12 @@
 #include "attention/attention.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
 
+#include "attention/kv_stage.hpp"
+#include "numeric/gemm_simd.hpp"
 #include "sim/mma.hpp"
 #include "softmax/softmax.hpp"
 
@@ -14,24 +17,9 @@ using tensor::MatrixF;
 using tensor::MatrixH;
 using tensor::Tensor4F;
 using tensor::Tensor4H;
+using tensor::load_slice;
 
 namespace {
-
-/// Copy one seq x dim fp16 slice into a matrix, optionally pre-scaling by
-/// 1/sqrt(dim) (applied to Q so downstream GEMMs need no epilogue scaling).
-MatrixH load_slice(const Tensor4H& T, std::size_t b, std::size_t h,
-                   float scale = 1.0f) {
-  MatrixH m(T.seq(), T.dim());
-  const auto src = T.slice(b, h);
-  if (scale == 1.0f) {
-    for (std::size_t i = 0; i < src.size(); ++i) m.data()[i] = src[i];
-  } else {
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      m.data()[i] = Half(src[i].to_float() * scale);
-    }
-  }
-  return m;
-}
 
 void store_slice(const MatrixF& m, Tensor4F& T, std::size_t b, std::size_t h) {
   auto dst = T.slice(b, h);
@@ -77,78 +65,78 @@ void flash_attention(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
   const float scale = 1.0f / std::sqrt(static_cast<float>(dim));
   const std::size_t slices = Q.batch() * Q.heads();
 
-#pragma omp parallel for schedule(dynamic)
-  for (std::size_t sl = 0; sl < slices; ++sl) {
-    const std::size_t bb = sl / Q.heads();
-    const std::size_t hh = sl % Q.heads();
-    const MatrixH q = load_slice(Q, bb, hh, scale);
-    const MatrixH k = load_slice(K, bb, hh);
-    const MatrixH v = load_slice(V, bb, hh);
+#pragma omp parallel
+  {
+    // Per-thread staging, reused across this thread's slices: the K/V
+    // images (see kv_stage.hpp), the widened Q row block, and the score /
+    // fp16-rounded probability tiles.
+    KvStage kv;
+    std::vector<float> qf(B * dim), sij(B * B), pf(B * B);
+    std::vector<Half> ph(B * B);
+#pragma omp for schedule(dynamic)
+    for (std::size_t sl = 0; sl < slices; ++sl) {
+      const std::size_t bb = sl / Q.heads();
+      const std::size_t hh = sl % Q.heads();
+      const MatrixH q = load_slice(Q, bb, hh, scale);
+      kv.stage(K.slice(bb, hh).data(), V.slice(bb, hh).data(), seq, dim, B);
 
-    for (std::size_t i = 0; i < nblk; ++i) {
-      const std::size_t r0 = i * B;
-      const std::size_t br = std::min(B, seq - r0);
-      MatrixH qi(br, dim);
-      for (std::size_t r = 0; r < br; ++r) {
-        for (std::size_t c = 0; c < dim; ++c) qi(r, c) = q(r0 + r, c);
-      }
+      for (std::size_t i = 0; i < nblk; ++i) {
+        const std::size_t r0 = i * B;
+        const std::size_t br = std::min(B, seq - r0);
+        numeric::halves_to_floats(q.data() + r0 * dim, qf.data(), br * dim);
 
-      std::vector<float> m(br, -std::numeric_limits<float>::infinity());
-      std::vector<float> l(br, 0.0f);
-      MatrixF oacc(br, dim, 0.0f);
-      MatrixF sij(br, B);
-      MatrixH kj(B, dim), vj(B, dim);
+        std::vector<float> m(br, -std::numeric_limits<float>::infinity());
+        std::vector<float> l(br, 0.0f);
+        MatrixF oacc(br, dim, 0.0f);
 
-      for (std::size_t j = 0; j < nblk; ++j) {
-        const std::size_t c0 = j * B;
-        // Causal: block columns strictly above the diagonal never contribute.
-        if (causal && c0 > r0 + br - 1) break;
-        const std::size_t bc = std::min(B, seq - c0);
-        if (bc != kj.rows()) {
-          kj = MatrixH(bc, dim);
-          vj = MatrixH(bc, dim);
-          sij = MatrixF(br, bc);
-        }
-        for (std::size_t r = 0; r < bc; ++r) {
-          for (std::size_t c = 0; c < dim; ++c) {
-            kj(r, c) = k(c0 + r, c);
-            vj(r, c) = v(c0 + r, c);
-          }
-        }
-        sim::gemm_fp16_nt(qi, kj, sij);
-        if (causal && c0 + bc > r0) {
-          // Mask the diagonal block: column c0+c visible to row r0+r only
-          // when c0+c <= r0+r.
-          for (std::size_t r = 0; r < br; ++r) {
-            for (std::size_t c = 0; c < bc; ++c) {
-              if (c0 + c > r0 + r) {
-                sij(r, c) = -std::numeric_limits<float>::infinity();
+        for (std::size_t j = 0; j < nblk; ++j) {
+          const std::size_t c0 = j * B;
+          // Causal: block columns strictly above the diagonal never
+          // contribute.
+          if (causal && c0 > r0 + br - 1) break;
+          const std::size_t bc = std::min(B, seq - c0);
+          // Score tile, br x bc with row stride bc.
+          numeric::gemm_f32_nn(qf.data(), br, dim, kv.kt(c0), bc, sij.data(),
+                               bc, /*accumulate=*/false);
+          if (causal && c0 + bc > r0) {
+            // Mask the diagonal block: column c0+c visible to row r0+r only
+            // when c0+c <= r0+r.
+            for (std::size_t r = 0; r < br; ++r) {
+              for (std::size_t c = 0; c < bc; ++c) {
+                if (c0 + c > r0 + r) {
+                  sij[r * bc + c] = -std::numeric_limits<float>::infinity();
+                }
               }
             }
           }
+
+          for (std::size_t r = 0; r < br; ++r) {
+            float* srow = sij.data() + r * bc;
+            float bmax = -std::numeric_limits<float>::infinity();
+            for (std::size_t c = 0; c < bc; ++c) bmax = std::max(bmax, srow[c]);
+            const float mnew = std::max(m[r], bmax);
+            const float f = std::exp(m[r] - mnew);  // exp(-inf) == 0 first pass
+            float rowsum = 0.0f;
+            for (std::size_t c = 0; c < bc; ++c) {
+              srow[c] = std::exp(srow[c] - mnew);
+              rowsum += srow[c];
+            }
+            l[r] = f * l[r] + rowsum;
+            for (std::size_t c = 0; c < dim; ++c) oacc(r, c) *= f;
+            m[r] = mnew;
+          }
+          // P rounds through fp16 at the tensor-core boundary, once.
+          numeric::floats_to_halves(sij.data(), ph.data(), br * bc);
+          numeric::halves_to_floats(ph.data(), pf.data(), br * bc);
+          numeric::gemm_f32_nn(pf.data(), br, bc, kv.v(c0), dim, &oacc(0, 0),
+                               dim, /*accumulate=*/true);
         }
 
         for (std::size_t r = 0; r < br; ++r) {
-          float bmax = -std::numeric_limits<float>::infinity();
-          for (std::size_t c = 0; c < bc; ++c) bmax = std::max(bmax, sij(r, c));
-          const float mnew = std::max(m[r], bmax);
-          const float f = std::exp(m[r] - mnew);  // exp(-inf) == 0 first pass
-          float rowsum = 0.0f;
-          for (std::size_t c = 0; c < bc; ++c) {
-            sij(r, c) = std::exp(sij(r, c) - mnew);
-            rowsum += sij(r, c);
+          const float inv = 1.0f / l[r];
+          for (std::size_t c = 0; c < dim; ++c) {
+            O.at(bb, hh, r0 + r, c) = oacc(r, c) * inv;
           }
-          l[r] = f * l[r] + rowsum;
-          for (std::size_t c = 0; c < dim; ++c) oacc(r, c) *= f;
-          m[r] = mnew;
-        }
-        sim::gemm_f32h_nn(sij, vj, oacc, /*accumulate=*/true);
-      }
-
-      for (std::size_t r = 0; r < br; ++r) {
-        const float inv = 1.0f / l[r];
-        for (std::size_t c = 0; c < dim; ++c) {
-          O.at(bb, hh, r0 + r, c) = oacc(r, c) * inv;
         }
       }
     }

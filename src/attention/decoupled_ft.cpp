@@ -10,27 +10,13 @@
 
 namespace ftt::attention {
 
-using numeric::Half;
 using tensor::MatrixF;
 using tensor::MatrixH;
 using tensor::Tensor4F;
 using tensor::Tensor4H;
+using tensor::load_slice;
 
 namespace {
-
-MatrixH load_slice(const Tensor4H& T, std::size_t b, std::size_t h,
-                   float scale = 1.0f) {
-  MatrixH m(T.seq(), T.dim());
-  const auto src = T.slice(b, h);
-  if (scale == 1.0f) {
-    for (std::size_t i = 0; i < src.size(); ++i) m.data()[i] = src[i];
-  } else {
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      m.data()[i] = Half(src[i].to_float() * scale);
-    }
-  }
-  return m;
-}
 
 /// Kernel III building block: element-ABFT-protected O = P * V where P is the
 /// fp32 softmax output (rounded through fp16 at the tensor-core boundary).

@@ -355,23 +355,17 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
 
       // Case-2 product check on the row (log domain, double).  Masked and
       // padded lanes participate in score space — decode's convention for
-      // lanes that were never exponentiated.
+      // lanes that were never exponentiated.  A class's visible lanes are a
+      // prefix of its l-order (columns jc + l*s ascend), so the product form
+      // covers lanes [0, nvis) and the masked remainder adds after it.
       for (std::size_t jc = 0; jc < su; ++jc) {
         ++rep.exp_check.checks;
-        double lhs = 0.0;
-        bool bad = false;
-        for (std::size_t ll = 0; ll < L; ++ll) {
-          const std::size_t col = jc + ll * su;
-          if (col >= vis) {
-            lhs += static_cast<double>(spre(r, col)) - mnew;
-            continue;
-          }
-          const float pv = S(r, col);
-          if (!(pv > 0.0f) || !std::isfinite(pv)) {
-            bad = true;
-            break;
-          }
-          lhs += std::log(static_cast<double>(pv));
+        const std::size_t nvis = vis > jc ? (vis - jc + su - 1) / su : 0;
+        const auto lg = softmax::log_product(&S(r, jc), su, nvis);
+        const bool bad = !lg;
+        double lhs = bad ? 0.0 : *lg;
+        for (std::size_t ll = nvis; ll < L && !bad; ++ll) {
+          lhs += static_cast<double>(spre(r, jc + ll * su)) - mnew;
         }
         const double rhs =
             static_cast<double>(schk1(r, jc)) - static_cast<double>(L) * mnew;

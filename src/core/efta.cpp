@@ -1,5 +1,6 @@
 #include "core/efta.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -9,7 +10,9 @@
 
 #include "abft/element_abft.hpp"
 #include "abft/strided_abft.hpp"
+#include "attention/kv_stage.hpp"
 #include "numeric/fp16.hpp"
+#include "numeric/gemm_simd.hpp"
 #include "sim/mma.hpp"
 #include "softmax/snvr.hpp"
 
@@ -25,30 +28,6 @@ using tensor::Tensor4H;
 
 namespace {
 
-constexpr float kRelEps = 1e-6f;
-
-MatrixH load_slice(const Tensor4H& T, std::size_t b, std::size_t h,
-                   float scale = 1.0f) {
-  MatrixH m(T.seq(), T.dim());
-  const auto src = T.slice(b, h);
-  if (scale == 1.0f) {
-    for (std::size_t i = 0; i < src.size(); ++i) m.data()[i] = src[i];
-  } else {
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      m.data()[i] = Half(src[i].to_float() * scale);
-    }
-  }
-  return m;
-}
-
-MatrixH row_block(const MatrixH& X, std::size_t r0, std::size_t rows) {
-  MatrixH out(rows, X.cols());
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < X.cols(); ++c) out(r, c) = X(r0 + r, c);
-  }
-  return out;
-}
-
 bool near_integer(double x, double tol = 0.05) {
   return std::fabs(x - std::round(x)) < tol;
 }
@@ -58,7 +37,9 @@ bool near_integer(double x, double tol = 0.05) {
 /// subtract-max, witnesses the EXP output multiplicatively:
 ///     prod_l P[r][jc+s*l]  ==  exp(Schk1[r][jc] - L * m_r).
 /// Evaluated in the log domain (double) to avoid fp32 underflow of 8-term
-/// products; the log-residual of the weighted checksum locates the column.
+/// products, in product form (softmax::log_product: one multiply per
+/// element, one log per residue class).  Only a flagged class pays for the
+/// weighted log-residual that locates the column.
 /// `Spre` is the register-resident pre-EXP score block used for recovery:
 /// checksum-correctable flips repair Spre then re-exponentiate, EXP-unit
 /// flips are recomputed from Spre.
@@ -68,26 +49,16 @@ abft::Report verify_exp_block(MatrixF& P, MatrixF& Spre, const MatrixF& Schk1,
                               float exp_log_threshold) {
   abft::Report rep;
   const std::size_t R = P.rows(), C = P.cols();
-  const std::size_t L = C / static_cast<std::size_t>(s);
+  const auto su = static_cast<std::size_t>(s);
+  const std::size_t L = C / su;
   const double w2sum = static_cast<double>(L) * (L + 1) / 2.0;
 
   for (std::size_t r = 0; r < R; ++r) {
     const double m = mnew[r];
-    for (std::size_t jc = 0; jc < static_cast<std::size_t>(s); ++jc) {
+    for (std::size_t jc = 0; jc < su; ++jc) {
       ++rep.checks;
-      bool bad_value = false;
-      double lhs1 = 0.0, lhs2 = 0.0;
-      for (std::size_t l = 0; l < L; ++l) {
-        const float p = P(r, jc + l * s);
-        if (!(p > 0.0f) || !std::isfinite(p)) {
-          bad_value = true;
-          break;
-        }
-        const double lg = std::log(static_cast<double>(p));
-        lhs1 += lg;
-        lhs2 += static_cast<double>(l + 1) * lg;
-      }
-      if (bad_value) {
+      const auto lhs1 = softmax::log_product(&P(r, jc), su, L);
+      if (!lhs1) {
         // exp output must be a positive finite value: a sign/exponent flip
         // in the EXP unit — or a non-finite score that propagated through.
         ++rep.flagged;
@@ -118,12 +89,17 @@ abft::Report verify_exp_block(MatrixF& P, MatrixF& Spre, const MatrixF& Schk1,
                           static_cast<double>(L) * m;
       // The log-domain residual equals the score-space perturbation, so an
       // absolute threshold directly bounds the undetected error magnitude.
-      const double d1 = lhs1 - rhs1;
+      const double d1 = *lhs1 - rhs1;
       if (std::fabs(d1) <= exp_log_threshold) {
         continue;
       }
       ++rep.flagged;
 
+      double lhs2 = 0.0;
+      for (std::size_t l = 0; l < L; ++l) {
+        lhs2 += static_cast<double>(l + 1) *
+                std::log(static_cast<double>(P(r, jc + l * s)));
+      }
       const double rhs2 =
           static_cast<double>(Schk2(r, jc)) - w2sum * m;
       const double d2 = lhs2 - rhs2;
@@ -211,11 +187,58 @@ std::size_t dmr_exp_block(MatrixF& S, const std::vector<float>& mnew,
   return recomputes;
 }
 
-FtReport efta_slice(const MatrixH& q, const MatrixH& k, const MatrixH& v,
-                    Tensor4F& O, std::size_t bb, std::size_t hh,
-                    const EftaOptions& opt, fault::FaultInjector* inj) {
+/// Per-thread staging for efta_slice, reused across the slices one thread
+/// runs.
+struct SliceStage {
+  attention::KvStage kv;  ///< K^T blocks + widened V, once per slice
+  /// Widened checksum operands per KV block: Kc^T k-major (dim x s, block j
+  /// at j*dim*s) and Vc row-major (B x s, block j at j*B*s).  Clean runs
+  /// hold every block's; injected runs re-encode into block 0's slots.
+  std::vector<float> kc1t, kc2t, vc1, vc2;
+  std::vector<float> enc_tmp;  ///< s x dim widen scratch for the transposes
+  std::vector<float> qf;       ///< current Q row block, widened
+  std::vector<Half> ph;        ///< P rounded to fp16 ...
+  std::vector<float> pf;       ///< ... and widened back: GEMM II's A operand
+};
+
+/// Derive one KV block's four strided encodings from its stored fp16 rows —
+/// hooks fire in kc1, kc2, vc1, vc2 order — and widen them into the GEMM
+/// operand layouts.
+void encode_block(const Half* kb, const Half* vb, std::size_t B,
+                  std::size_t dim, int s, fault::FaultInjector* inj,
+                  SliceStage& st, std::size_t slot) {
+  using Enc = abft::StridedAbft;
+  const auto su = static_cast<std::size_t>(s);
+  const MatrixH k1 = Enc::encode_rows_strided_h(kb, B, dim, s, false, inj);
+  const MatrixH k2 = Enc::encode_rows_strided_h(kb, B, dim, s, true, inj);
+  const MatrixH v1 = Enc::encode_cols_strided_h(vb, B, dim, s, false, inj);
+  const MatrixH v2 = Enc::encode_cols_strided_h(vb, B, dim, s, true, inj);
+  st.enc_tmp.resize(su * dim);
+  numeric::halves_to_floats(k1.data(), st.enc_tmp.data(), su * dim);
+  numeric::transpose_f32(st.enc_tmp.data(), su, dim,
+                         st.kc1t.data() + slot * dim * su);
+  numeric::halves_to_floats(k2.data(), st.enc_tmp.data(), su * dim);
+  numeric::transpose_f32(st.enc_tmp.data(), su, dim,
+                         st.kc2t.data() + slot * dim * su);
+  numeric::halves_to_floats(v1.data(), st.vc1.data() + slot * B * su, B * su);
+  numeric::halves_to_floats(v2.data(), st.vc2.data() + slot * B * su, B * su);
+}
+
+/// One (batch, head) slice.  The slice is staged once: K/V images via
+/// attention::KvStage, each Q row block widened once per row block, and —
+/// on clean runs — each KV block's checksum encodings derived once instead
+/// of once per (row-block, column-block) pair.  An armed (or call-counting)
+/// injector must observe the encode hooks of every pair, so injected runs
+/// re-encode per pair, keeping campaign call indices unchanged.  Every GEMM
+/// runs over the fp32 images through numeric::gemm_f32_nn in ascending-k
+/// order, and P rounds to fp16 once per pair for all of GEMM II's products,
+/// so the output is bit-identical to per-pair gemm_fp16_nt / gemm_f32h_nn.
+FtReport efta_slice(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
+                    Tensor4F& O, std::size_t bb, std::size_t hh, float scale,
+                    const EftaOptions& opt, SliceStage& st,
+                    fault::FaultInjector* inj) {
   FtReport rep;
-  const std::size_t seq = q.rows(), dim = q.cols();
+  const std::size_t seq = Q.seq(), dim = Q.dim();
   const std::size_t B = std::min(opt.block, seq);
   const std::size_t nblk = seq / B;
   const int s = opt.stride;
@@ -224,16 +247,48 @@ FtReport efta_slice(const MatrixH& q, const MatrixH& k, const MatrixH& v,
   const bool snvr = opt.softmax == SoftmaxProtect::kSNVR;
   const auto su = static_cast<std::size_t>(s);
 
+  const MatrixH q = tensor::load_slice(Q, bb, hh, scale);
+  const Half* k = K.slice(bb, hh).data();
+  const Half* v = V.slice(bb, hh).data();
+  st.kv.stage(k, v, seq, dim, B);
+  const bool memo = strided && inj == nullptr;
+  if (strided) {
+    const std::size_t slots = memo ? nblk : 1;
+    st.kc1t.resize(slots * dim * su);
+    st.kc2t.resize(slots * dim * su);
+    st.vc1.resize(slots * B * su);
+    st.vc2.resize(slots * B * su);
+    for (std::size_t j = 0; memo && j < nblk; ++j) {
+      encode_block(k + j * B * dim, v + j * B * dim, B, dim, s, nullptr, st,
+                   j);
+    }
+  }
+  st.qf.resize(B * dim);
+  st.ph.resize(B * B);
+  st.pf.resize(B * B);
+  const float* qf = st.qf.data();
+  const float* pf = st.pf.data();
+
+  std::vector<float> m(B), mnew(B), l(B), f(B);
+  MatrixF oacc(B, dim), oc1(B, su), oc2(B, su);
+  MatrixF blockmax(B, nblk);  // per-row history of block maxima (SNVR)
+  MatrixF S(B, B), schk1(B, su), schk2(B, su), spre;
+  MatrixF t, col_chk, p_chk;  // element-ABFT GEMM II scratch
+  if (element) {
+    t = MatrixF(B, dim);
+    col_chk = MatrixF(2, dim);
+    p_chk = MatrixF(2, B);
+  }
+
   for (std::size_t i = 0; i < nblk; ++i) {
     const std::size_t r0 = i * B;
-    const MatrixH qi = row_block(q, r0, B);
+    numeric::halves_to_floats(q.data() + r0 * dim, st.qf.data(), B * dim);
 
-    std::vector<float> m(B, -std::numeric_limits<float>::infinity());
-    std::vector<float> mnew(B);
-    std::vector<float> l(B, 0.0f);
-    MatrixF oacc(B, dim, 0.0f);
-    MatrixF oc1(B, su, 0.0f), oc2(B, su, 0.0f);
-    MatrixF blockmax(B, nblk);  // per-row history of block maxima (SNVR)
+    std::fill(m.begin(), m.end(), -std::numeric_limits<float>::infinity());
+    std::fill(l.begin(), l.end(), 0.0f);
+    oacc.fill(0.0f);
+    oc1.fill(0.0f);
+    oc2.fill(0.0f);
 
     std::size_t processed = 0;
     for (std::size_t j = 0; j < nblk; ++j) {
@@ -241,22 +296,28 @@ FtReport efta_slice(const MatrixH& q, const MatrixH& k, const MatrixH& v,
       if (opt.causal && c0 > r0 + B - 1) break;  // strictly above the diagonal
       const bool diagonal = opt.causal && j == i;
       ++processed;
-      const MatrixH kj = row_block(k, c0, B);
-      const MatrixH vj = row_block(v, c0, B);
+      const float* vj = st.kv.v(c0);
 
       // ---- CCG + GEMM I (+ immediate verify in non-unified mode) ----
-      MatrixF S(B, B);
-      MatrixF schk1(B, su), schk2(B, su);
-      MatrixH vc1, vc2;
+      const float *kc1t = nullptr, *kc2t = nullptr;
+      const float *vc1 = nullptr, *vc2 = nullptr;
       if (strided) {
-        const MatrixH kc1 =
-            abft::StridedAbft::encode_rows_strided(kj, s, false, inj);
-        const MatrixH kc2 =
-            abft::StridedAbft::encode_rows_strided(kj, s, true, inj);
-        vc1 = abft::StridedAbft::encode_cols_strided(vj, s, false, inj);
-        vc2 = abft::StridedAbft::encode_cols_strided(vj, s, true, inj);
-
-        sim::gemm_fp16_nt(qi, kj, S);
+        std::size_t slot = j;
+        if (!memo) {
+          encode_block(k + c0 * dim, v + c0 * dim, B, dim, s, inj, st, 0);
+          slot = 0;
+        }
+        kc1t = st.kc1t.data() + slot * dim * su;
+        kc2t = st.kc2t.data() + slot * dim * su;
+        vc1 = st.vc1.data() + slot * B * su;
+        vc2 = st.vc2.data() + slot * B * su;
+      }
+      if (element) {
+        rep.gemm1 += abft::ElementAbft::gemm_nn_widened(
+            qf, B, dim, st.kv.kt(c0), B, S, opt.abft_rel_threshold, inj,
+            fault::Site::kGemm1);
+      } else {
+        sim::gemm_f32_nn(qf, B, dim, st.kv.kt(c0), B, S);
         if (inj) {
           for (std::size_t r = 0; r < B; ++r) {
             for (std::size_t c = 0; c < B; ++c) {
@@ -264,8 +325,10 @@ FtReport efta_slice(const MatrixH& q, const MatrixH& k, const MatrixH& v,
             }
           }
         }
-        sim::gemm_fp16_nt(qi, kc1, schk1);
-        sim::gemm_fp16_nt(qi, kc2, schk2);
+      }
+      if (strided) {
+        sim::gemm_f32_nn(qf, B, dim, kc1t, su, schk1);
+        sim::gemm_f32_nn(qf, B, dim, kc2t, su, schk2);
         if (inj) {
           for (std::size_t r = 0; r < B; ++r) {
             for (std::size_t c = 0; c < su; ++c) {
@@ -288,8 +351,8 @@ FtReport efta_slice(const MatrixH& q, const MatrixH& k, const MatrixH& v,
           bool out_of_range = false;
           for (std::size_t r = 0; r < B && !out_of_range; ++r) {
             for (std::size_t c = 0; c < B; ++c) {
-              const float v = S(r, c);
-              if (!std::isfinite(v) || std::fabs(v) > opt.score_bound) {
+              const float sv = S(r, c);
+              if (!std::isfinite(sv) || std::fabs(sv) > opt.score_bound) {
                 out_of_range = true;
                 break;
               }
@@ -298,18 +361,6 @@ FtReport efta_slice(const MatrixH& q, const MatrixH& k, const MatrixH& v,
           if (out_of_range) {
             rep.gemm1 += abft::StridedAbft::verify_correct(
                 S, schk1, schk2, s, opt.abft_rel_threshold);
-          }
-        }
-      } else if (element) {
-        rep.gemm1 += abft::ElementAbft::gemm_nt(
-            qi, kj, S, opt.abft_rel_threshold, inj, fault::Site::kGemm1);
-      } else {
-        sim::gemm_fp16_nt(qi, kj, S);
-        if (inj) {
-          for (std::size_t r = 0; r < B; ++r) {
-            for (std::size_t c = 0; c < B; ++c) {
-              S(r, c) = inj->corrupt(fault::Site::kGemm1, S(r, c));
-            }
           }
         }
       }
@@ -334,7 +385,6 @@ FtReport efta_slice(const MatrixH& q, const MatrixH& k, const MatrixH& v,
       }
 
       // ---- EXP (with SNVR checksum reuse or DMR replication) ----
-      MatrixF spre;
       const bool keep_spre = strided && snvr && !diagonal;
       if (keep_spre) spre = S;
 
@@ -354,7 +404,6 @@ FtReport efta_slice(const MatrixH& q, const MatrixH& k, const MatrixH& v,
       }
 
       // ---- rescale + reduce-sum ----
-      std::vector<float> f(B);
       for (std::size_t r = 0; r < B; ++r) {
         f[r] = std::exp(m[r] - mnew[r]);  // exp(-inf) == 0 on first block
         for (std::size_t c = 0; c < dim; ++c) {
@@ -377,22 +426,24 @@ FtReport efta_slice(const MatrixH& q, const MatrixH& k, const MatrixH& v,
       }
 
       // ---- GEMM II ----
+      // P rounds through fp16 at the tensor-core boundary once per pair;
+      // the payload and both checksum products share the rounded operand.
+      numeric::floats_to_halves(&S(0, 0), st.ph.data(), B * B);
+      numeric::halves_to_floats(st.ph.data(), st.pf.data(), B * B);
       if (element) {
         // Classic checksums cannot ride the per-row rescale, so traditional
         // ABFT must verify each product P_ij V_j before accumulation.
-        MatrixF t(B, dim);
-        MatrixF p_chk(2, B);
         for (std::size_t kk = 0; kk < B; ++kk) {
           float s1 = 0.0f, s2 = 0.0f;
           for (std::size_t r = 0; r < B; ++r) {
-            const float pv = numeric::round_to_half(S(r, kk));
+            const float pv = pf[r * B + kk];
             s1 += pv;
             s2 += static_cast<float>(r + 1) * pv;
           }
           p_chk(0, kk) = fault::corrupt(inj, fault::Site::kChecksum, s1);
           p_chk(1, kk) = fault::corrupt(inj, fault::Site::kChecksum, s2);
         }
-        sim::gemm_f32h_nn(S, vj, t);
+        sim::gemm_f32_nn(pf, B, B, vj, dim, t);
         if (inj) {
           for (std::size_t r = 0; r < B; ++r) {
             for (std::size_t c = 0; c < dim; ++c) {
@@ -400,15 +451,18 @@ FtReport efta_slice(const MatrixH& q, const MatrixH& k, const MatrixH& v,
             }
           }
         }
-        MatrixF col_chk(2, dim);
-        sim::gemm_f32h_nn(p_chk, vj, col_chk);
+        // The checksum rows enter the tensor core as fp16 operands too.
+        for (std::size_t kk = 0; kk < 2 * B; ++kk) {
+          p_chk.data()[kk] = numeric::round_to_half(p_chk.data()[kk]);
+        }
+        sim::gemm_f32_nn(p_chk.data(), 2, B, vj, dim, col_chk);
         rep.gemm2 += abft::ElementAbft::verify_correct(t, col_chk,
                                                        opt.abft_rel_threshold);
         for (std::size_t r = 0; r < B; ++r) {
           for (std::size_t c = 0; c < dim; ++c) oacc(r, c) += t(r, c);
         }
       } else {
-        sim::gemm_f32h_nn(S, vj, oacc, /*accumulate=*/true);
+        sim::gemm_f32_nn(pf, B, B, vj, dim, oacc, /*accumulate=*/true);
         if (inj) {
           for (std::size_t r = 0; r < B; ++r) {
             for (std::size_t c = 0; c < dim; ++c) {
@@ -417,8 +471,8 @@ FtReport efta_slice(const MatrixH& q, const MatrixH& k, const MatrixH& v,
           }
         }
         if (strided) {
-          sim::gemm_f32h_nn(S, vc1, oc1, /*accumulate=*/true);
-          sim::gemm_f32h_nn(S, vc2, oc2, /*accumulate=*/true);
+          sim::gemm_f32_nn(pf, B, B, vc1, su, oc1, /*accumulate=*/true);
+          sim::gemm_f32_nn(pf, B, B, vc2, su, oc2, /*accumulate=*/true);
           if (inj) {
             for (std::size_t r = 0; r < B; ++r) {
               for (std::size_t jc = 0; jc < su; ++jc) {
@@ -515,10 +569,10 @@ FtReport efta_attention(const Tensor4H& Q, const Tensor4H& K,
     // consecutive calls sharing one injector (e.g. Model::forward summing
     // per-block reports) must merge without double counting.
     const std::size_t before = inj->injected();
+    SliceStage st;
     for (std::size_t sl = 0; sl < slices; ++sl) {
-      const std::size_t b = sl / Q.heads(), h = sl % Q.heads();
-      total += efta_slice(load_slice(Q, b, h, scale), load_slice(K, b, h),
-                          load_slice(V, b, h), O, b, h, opt, inj);
+      total += efta_slice(Q, K, V, O, sl / Q.heads(), sl % Q.heads(), scale,
+                          opt, st, inj);
     }
     total.faults_injected = inj->injected() - before;
     return total;
@@ -526,12 +580,12 @@ FtReport efta_attention(const Tensor4H& Q, const Tensor4H& K,
 
 #pragma omp parallel
   {
+    SliceStage st;
     FtReport local;
 #pragma omp for schedule(dynamic) nowait
     for (std::size_t sl = 0; sl < slices; ++sl) {
-      const std::size_t b = sl / Q.heads(), h = sl % Q.heads();
-      local += efta_slice(load_slice(Q, b, h, scale), load_slice(K, b, h),
-                          load_slice(V, b, h), O, b, h, opt, nullptr);
+      local += efta_slice(Q, K, V, O, sl / Q.heads(), sl % Q.heads(), scale,
+                          opt, st, nullptr);
     }
 #pragma omp critical
     total += local;
@@ -609,8 +663,8 @@ EftaOverheadByTarget efta_overhead_by_target(const AttnShape& shape,
       // residue-class products, one exp per class for the checksum side,
       // and s compares per row.  This is what makes SNVR far cheaper than
       // DMR's full EXP replica.  (The host implementation evaluates the
-      // same relation in the log domain for numerical robustness; the op
-      // count modeled here is the paper's product scheme.)
+      // same product scheme, closing each class with one log in double
+      // instead of one exp: softmax::log_product.)
       v.fp32_flops += slices * pairs * (B * B + 2.0 * B * s);
       v.sfu_ops += slices * pairs * B * s;
       v.syncs += slices * pairs;

@@ -113,57 +113,74 @@ __attribute__((target("avx2,fma"))) void axpy_avx2(float a, const float* x,
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
-/// One M-row of the axpy-form GEMM: panel accumulators held in registers
-/// across the whole K loop (4 x 8 = 32 columns per panel, then one 8-wide
-/// vector, then a scalar tail).  Each accumulator lane sums its column's
-/// k-terms in ascending order.
-__attribute__((target("avx2,fma"))) void gemm_row_avx2(
-    const float* arow, std::size_t K, const float* B, std::size_t N,
-    float* crow, bool accumulate) noexcept {
+/// Register tile of R rows x P 8-column panels, accumulators held in
+/// registers across the whole K loop: each k step loads the P B-vectors once
+/// and broadcasts one A element per row, giving R*P independent FMA chains.
+/// A single row of an 8-column output (the s-wide checksum GEMMs) would
+/// serialize on one accumulator's FMA latency; stacking rows overlaps them.
+/// Each accumulator lane still sums its own output's k-terms in ascending
+/// order, so the tile shape never changes a result bit.
+template <int R, int P>
+__attribute__((target("avx2,fma"))) inline void tile_avx2(
+    const float* A, std::size_t K, const float* B, std::size_t N, float* C,
+    std::size_t ldc, bool accumulate) noexcept {
+  __m256 c[R][P];
+  for (int r = 0; r < R; ++r) {
+    for (int p = 0; p < P; ++p) {
+      c[r][p] = accumulate ? _mm256_loadu_ps(C + r * ldc + 8 * p)
+                           : _mm256_setzero_ps();
+    }
+  }
+  for (std::size_t k = 0; k < K; ++k) {
+    __m256 b[P];
+    for (int p = 0; p < P; ++p) b[p] = _mm256_loadu_ps(B + k * N + 8 * p);
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_set1_ps(A[r * K + k]);
+      for (int p = 0; p < P; ++p) c[r][p] = _mm256_fmadd_ps(av, b[p], c[r][p]);
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int p = 0; p < P; ++p) _mm256_storeu_ps(C + r * ldc + 8 * p, c[r][p]);
+  }
+}
+
+/// Rows [m, m + R) of the axpy-form GEMM: 32-column panels (as 2-row
+/// tiles), then 8-column panels (one R-row tile), then a scalar tail.
+template <int R>
+__attribute__((target("avx2,fma"))) void gemm_rows_avx2(
+    const float* A, std::size_t K, const float* B, std::size_t N, float* C,
+    std::size_t ldc, bool accumulate) noexcept {
+  constexpr int kWideRows = R < 2 ? R : 2;
   std::size_t n0 = 0;
   for (; n0 + 32 <= N; n0 += 32) {
-    __m256 c0, c1, c2, c3;
-    if (accumulate) {
-      c0 = _mm256_loadu_ps(crow + n0);
-      c1 = _mm256_loadu_ps(crow + n0 + 8);
-      c2 = _mm256_loadu_ps(crow + n0 + 16);
-      c3 = _mm256_loadu_ps(crow + n0 + 24);
-    } else {
-      c0 = c1 = c2 = c3 = _mm256_setzero_ps();
+    for (int r = 0; r < R; r += kWideRows) {
+      tile_avx2<kWideRows, 4>(A + r * K, K, B + n0, N, C + r * ldc + n0, ldc,
+                              accumulate);
     }
-    for (std::size_t k = 0; k < K; ++k) {
-      const __m256 av = _mm256_set1_ps(arow[k]);
-      const float* brow = B + k * N + n0;
-      c0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow), c0);
-      c1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 8), c1);
-      c2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 16), c2);
-      c3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 24), c3);
-    }
-    _mm256_storeu_ps(crow + n0, c0);
-    _mm256_storeu_ps(crow + n0 + 8, c1);
-    _mm256_storeu_ps(crow + n0 + 16, c2);
-    _mm256_storeu_ps(crow + n0 + 24, c3);
   }
   for (; n0 + 8 <= N; n0 += 8) {
-    __m256 c0 = accumulate ? _mm256_loadu_ps(crow + n0) : _mm256_setzero_ps();
-    for (std::size_t k = 0; k < K; ++k) {
-      c0 = _mm256_fmadd_ps(_mm256_set1_ps(arow[k]),
-                           _mm256_loadu_ps(B + k * N + n0), c0);
-    }
-    _mm256_storeu_ps(crow + n0, c0);
+    tile_avx2<R, 1>(A, K, B + n0, N, C + n0, ldc, accumulate);
   }
-  for (; n0 < N; ++n0) {
-    float acc = accumulate ? crow[n0] : 0.0f;
-    for (std::size_t k = 0; k < K; ++k) acc += arow[k] * B[k * N + n0];
-    crow[n0] = acc;
+  for (int r = 0; r < R; ++r) {
+    const float* arow = A + r * K;
+    float* crow = C + r * ldc;
+    for (std::size_t n = n0; n < N; ++n) {
+      float acc = accumulate ? crow[n] : 0.0f;
+      for (std::size_t k = 0; k < K; ++k) acc += arow[k] * B[k * N + n];
+      crow[n] = acc;
+    }
   }
 }
 
 __attribute__((target("avx2,fma"))) void gemm_avx2(
     const float* A, std::size_t M, std::size_t K, const float* B,
     std::size_t N, float* C, std::size_t ldc, bool accumulate) noexcept {
-  for (std::size_t m = 0; m < M; ++m) {
-    gemm_row_avx2(A + m * K, K, B, N, C + m * ldc, accumulate);
+  std::size_t m = 0;
+  for (; m + 4 <= M; m += 4) {
+    gemm_rows_avx2<4>(A + m * K, K, B, N, C + m * ldc, ldc, accumulate);
+  }
+  for (; m < M; ++m) {
+    gemm_rows_avx2<1>(A + m * K, K, B, N, C + m * ldc, ldc, accumulate);
   }
 }
 

@@ -1,6 +1,8 @@
 #include "softmax/snvr.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace ftt::softmax {
 
@@ -27,6 +29,34 @@ SnvrRangeResult snvr_check_rowsum(float rowsum,
     res.corrected_value = rowsum;
   }
   return res;
+}
+
+std::optional<double> log_product(const float* p, std::size_t stride,
+                                  std::size_t n) noexcept {
+  constexpr double kLn2 = 0.69314718055994530942;
+  // Fold the running significand product back into [1, 2) every 512 lanes:
+  // 512 factors in [1, 2) stay below 2^512, far inside double range.
+  constexpr std::size_t kFold = 512;
+  double mprod = 1.0, sub = 0.0;
+  long esum = 0;
+  for (std::size_t l = 0; l < n; ++l) {
+    const auto bits = std::bit_cast<std::uint32_t>(p[l * stride]);
+    const std::uint32_t e = bits >> 23;  // sign bit set -> e >= 256
+    if (e - 1u >= 0xFEu) {
+      // Zero, subnormal, negative, infinite or NaN.
+      if (bits == 0u || e >= 0xFFu) return std::nullopt;
+      sub += std::log(static_cast<double>(p[l * stride]));
+      continue;
+    }
+    mprod *= std::bit_cast<float>((bits & 0x7FFFFFu) | 0x3F800000u);
+    esum += static_cast<long>(e) - 127;
+    if ((l + 1) % kFold == 0) {
+      int fe = 0;
+      mprod = std::frexp(mprod, &fe);
+      esum += fe;
+    }
+  }
+  return std::log(mprod) + static_cast<double>(esum) * kLn2 + sub;
 }
 
 }  // namespace ftt::softmax

@@ -14,6 +14,7 @@
 // concentrates at the per-block maxima.
 
 #include <cstddef>
+#include <optional>
 #include <span>
 
 namespace ftt::softmax {
@@ -35,5 +36,16 @@ SnvrRangeResult snvr_check_rowsum(float rowsum,
                                   std::span<const float> block_maxes,
                                   float global_max, std::size_t seq_len,
                                   float slack = 1e-3f);
+
+/// Σ_l ln(p[l·stride]) over `n` lanes — the log side of the Case-2 EXP
+/// product check (§3.4), evaluated in the paper's product form: the lanes'
+/// significands multiply in double and their binary exponents add, so a
+/// residue class costs one multiply per lane and a single log instead of one
+/// log per lane.  A subnormal lane (no implicit leading bit) adds its own
+/// log instead.  Returns nullopt when a lane is not a positive finite value
+/// — an EXP output never is, so the caller's repair path takes over.  Agrees
+/// with the direct sum of logs within 1e-12, far below any check threshold.
+std::optional<double> log_product(const float* p, std::size_t stride,
+                                  std::size_t n) noexcept;
 
 }  // namespace ftt::softmax

@@ -24,6 +24,20 @@ void widen(MatrixHView src, float* dst) {
   }
 }
 
+MatrixH load_slice(const Tensor4H& T, std::size_t b, std::size_t h,
+                   float scale) {
+  MatrixH m(T.seq(), T.dim());
+  const auto src = T.slice(b, h);
+  if (scale == 1.0f) {
+    for (std::size_t i = 0; i < src.size(); ++i) m.data()[i] = src[i];
+  } else {
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      m.data()[i] = numeric::Half(src[i].to_float() * scale);
+    }
+  }
+  return m;
+}
+
 void narrow(const MatrixF& src, std::span<numeric::Half> dst) {
   if (src.size() != dst.size()) {
     throw std::invalid_argument("narrow: size mismatch");

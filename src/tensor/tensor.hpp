@@ -165,6 +165,11 @@ void widen(std::span<const numeric::Half> src, MatrixF& dst);
 /// one contiguous pass when the view is densely packed, per-row otherwise).
 /// `dst` must hold rows * cols floats.
 void widen(MatrixHView src, float* dst);
+/// Copy one seq x dim fp16 slice into a matrix, optionally pre-scaling by
+/// `scale` and rounding back to fp16 (applied to Q with 1/sqrt(dim), so the
+/// attention kernels' GEMMs need no epilogue scaling).
+MatrixH load_slice(const Tensor4H& T, std::size_t b, std::size_t h,
+                   float scale = 1.0f);
 /// Round an fp32 matrix through fp16 into a Half slice.
 void narrow(const MatrixF& src, std::span<numeric::Half> dst);
 

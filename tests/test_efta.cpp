@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "attention/attention.hpp"
 #include "core/efta.hpp"
@@ -141,6 +143,42 @@ TEST(Efta, SmallSeqEqualsBlock) {
   fa::standard_attention(Q, K, V, Os);
   fc::efta_attention(Q, K, V, Oe, {});
   EXPECT_LT(max_diff(Os, Oe), 2e-3f);
+}
+
+TEST(Efta, CleanRunIsBitwiseFlash) {
+  // Contract-chain link: with no fault and no detection, protection only
+  // observes — every option combination computes exactly flash attention's
+  // arithmetic (same GEMM order, same EXP, same fp16 rounding of P), so the
+  // outputs are memcmp-equal, not merely close.
+  auto [Q, K, V] = make(1, 2, 256, 64, 11);
+  ft::Tensor4F Of(1, 2, 256, 64), Oe(1, 2, 256, 64);
+  for (const bool causal : {false, true}) {
+    fa::flash_attention(Q, K, V, Of, 64, causal);
+    for (const auto gemm :
+         {fc::GemmProtect::kNone, fc::GemmProtect::kStrided}) {
+      for (const auto softmax :
+           {fc::SoftmaxProtect::kNone, fc::SoftmaxProtect::kSNVR,
+            fc::SoftmaxProtect::kDMR}) {
+        for (const bool unified : {false, true}) {
+          fc::EftaOptions opt;
+          opt.causal = causal;
+          opt.gemm = gemm;
+          opt.softmax = softmax;
+          opt.unified_verification = unified;
+          const auto rep = fc::efta_attention(Q, K, V, Oe, opt);
+          const std::string tag =
+              "causal=" + std::to_string(causal) +
+              " gemm=" + std::to_string(static_cast<int>(gemm)) +
+              " softmax=" + std::to_string(static_cast<int>(softmax)) +
+              " unified=" + std::to_string(unified);
+          EXPECT_EQ(rep.total_detected(), 0u) << tag;
+          EXPECT_EQ(0, std::memcmp(Of.data(), Oe.data(),
+                                   Of.size() * sizeof(float)))
+              << tag;
+        }
+      }
+    }
+  }
 }
 
 TEST(EftaCosts, ProtectionIsSmallFractionOfTotal) {

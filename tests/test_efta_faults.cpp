@@ -64,6 +64,26 @@ fc::EftaOptions mode(bool unified) {
 
 class EftaFaultModes : public ::testing::TestWithParam<bool> {};
 
+TEST_P(EftaFaultModes, ProbeCallCountsPinned) {
+  // The campaign indices below (e.g. the checksum calls {10, 600, 1500},
+  // GEMM II call 3333) address per-site hook ordinals.  Pin the ordinal
+  // space an unarmed probe observes for Env's shape, so a kernel change
+  // that fires fewer hooks cannot quietly push a campaign out of range
+  // (an index past calls() injects nothing).  Per (row-block, column-block)
+  // pair of the 2 x 2 grid: a 64 x 64 score tile (GEMM I, EXP), a 64 x 64
+  // output update (GEMM II), and 5120 checksum values — the four per-pair
+  // encodes (2 x 8 x 64 + 2 x 64 x 8), the two S checksum tiles, the O
+  // checksum rescale and the O checksum GEMM (64 x 8 x 2 each).
+  Env env;
+  ff::FaultInjector probe;
+  env.run(mode(GetParam()), &probe);
+  EXPECT_EQ(probe.calls(ff::Site::kGemm1), 16384u);
+  EXPECT_EQ(probe.calls(ff::Site::kExp), 16384u);
+  EXPECT_EQ(probe.calls(ff::Site::kGemm2), 16384u);
+  EXPECT_EQ(probe.calls(ff::Site::kChecksum), 20480u);
+  EXPECT_EQ(probe.injected(), 0u);
+}
+
 TEST_P(EftaFaultModes, Gemm1HighBitCorrected) {
   Env env;
   auto inj = ff::FaultInjector::single(ff::Site::kGemm1, 2077, 30);

@@ -71,14 +71,16 @@ TEST(GemmSimd, AxpyMatchesScalarBitwiseOnRaggedLengths) {
 TEST(GemmSimd, GemmMatchesScalarBitwiseOnRandomizedShapes) {
   // Shapes cover the panel structure: N crossing the 32-column AVX2 panel,
   // the 64-column AVX-512 panel, the single-vector loops and the scalar
-  // tail; K covers tiny and non-power-of-two depths.
+  // tail; M covers the 4-row register tiles plus a remainder of single
+  // rows; K covers tiny and non-power-of-two depths.
   struct Shape {
     std::size_t M, K, N;
   };
   const Shape shapes[] = {{1, 64, 64},  {1, 64, 8},   {3, 16, 33},
                           {2, 1, 1},    {5, 7, 31},   {4, 64, 65},
                           {1, 48, 127}, {8, 13, 96},  {2, 100, 40},
-                          {1, 8, 200},  {7, 21, 17}};
+                          {1, 8, 200},  {7, 21, 17},  {64, 64, 8},
+                          {64, 64, 64}, {6, 17, 72},  {9, 33, 41}};
   std::uint64_t seed = 1;
   for (const auto& sh : shapes) {
     for (const bool accumulate : {false, true}) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <random>
 #include <vector>
 
 #include "softmax/snvr.hpp"
@@ -107,4 +109,108 @@ TEST(SnvrCase1, MaxErrorsCancelInStreamingSoftmax) {
   const double corrupted_low = run(-2.0f);   // max flipped downward
   EXPECT_NEAR(correct, corrupted_high, 1e-5);
   EXPECT_NEAR(correct, corrupted_low, 1e-5);
+}
+
+// --- product-form EXP check (§3.4 Case 2) ---
+
+namespace {
+
+/// The direct evaluation the product form replaces: one log per lane.
+double sum_of_logs(const float* p, std::size_t stride, std::size_t n) {
+  double s = 0.0;
+  for (std::size_t l = 0; l < n; ++l) {
+    s += std::log(static_cast<double>(p[l * stride]));
+  }
+  return s;
+}
+
+/// A row of softmax weights exp(score - max) as the EXP unit emits them.
+std::vector<float> softmax_row(std::size_t n, std::uint64_t seed,
+                               float spread = 8.0f) {
+  std::mt19937_64 rng(seed);
+  std::normal_distribution<float> score(0.0f, spread);
+  std::vector<float> s(n);
+  float m = -std::numeric_limits<float>::infinity();
+  for (float& v : s) {
+    v = score(rng);
+    m = std::max(m, v);
+  }
+  for (float& v : s) v = std::exp(v - m);
+  return s;
+}
+
+}  // namespace
+
+TEST(SnvrLogProduct, AgreesWithSumOfLogsOnRandomRows) {
+  // Every residue class of a 64-lane row at the paper's stride 8.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const auto row = softmax_row(64, seed);
+    for (std::size_t jc = 0; jc < 8; ++jc) {
+      const auto lp = fm::log_product(row.data() + jc, 8, 8);
+      ASSERT_TRUE(lp.has_value()) << seed;
+      EXPECT_NEAR(*lp, sum_of_logs(row.data() + jc, 8, 8), 1e-12) << seed;
+    }
+  }
+}
+
+TEST(SnvrLogProduct, StrideOneFullRow) {
+  // L = 64 lanes at stride 1: the longest product a 64-wide block forms.
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    const auto row = softmax_row(64, seed, 3.0f);
+    const auto lp = fm::log_product(row.data(), 1, 64);
+    ASSERT_TRUE(lp.has_value());
+    EXPECT_NEAR(*lp, sum_of_logs(row.data(), 1, 64), 1e-12) << seed;
+  }
+}
+
+TEST(SnvrLogProduct, LanesEqualToOne) {
+  // exp(0) == 1 at each row's max: significand 1, exponent 0.
+  std::vector<float> row(16, 1.0f);
+  EXPECT_EQ(*fm::log_product(row.data(), 2, 8), 0.0);
+  row[6] = 0.25f;
+  EXPECT_NEAR(*fm::log_product(row.data(), 2, 8), std::log(0.25), 1e-15);
+}
+
+TEST(SnvrLogProduct, SubnormalLanesFallBackToPerLaneLog) {
+  auto row = softmax_row(64, 7);
+  row[3] = std::numeric_limits<float>::denorm_min();
+  row[19] = 1e-40f;  // subnormal in fp32
+  row[35] = std::numeric_limits<float>::min();  // smallest normal
+  for (std::size_t jc = 0; jc < 8; ++jc) {
+    const auto lp = fm::log_product(row.data() + jc, 8, 8);
+    ASSERT_TRUE(lp.has_value());
+    EXPECT_NEAR(*lp, sum_of_logs(row.data() + jc, 8, 8), 1e-12) << jc;
+  }
+}
+
+TEST(SnvrLogProduct, MaskedLanesAreNeverRead) {
+  // Decode zeroes the lanes past a row's causal horizon and feeds the
+  // product form only the visible prefix of each class: the zeros (which
+  // a full-class product would reject) must stay out of it.
+  auto row = softmax_row(64, 9);
+  const std::size_t vis = 29;
+  for (std::size_t c = vis; c < 64; ++c) row[c] = 0.0f;
+  for (std::size_t jc = 0; jc < 8; ++jc) {
+    const std::size_t nvis = (vis - jc + 7) / 8;
+    const auto lp = fm::log_product(row.data() + jc, 8, nvis);
+    ASSERT_TRUE(lp.has_value()) << jc;
+    EXPECT_NEAR(*lp, sum_of_logs(row.data() + jc, 8, nvis), 1e-12) << jc;
+    EXPECT_FALSE(fm::log_product(row.data() + jc, 8, 8).has_value()) << jc;
+  }
+  EXPECT_EQ(*fm::log_product(row.data(), 8, 0), 0.0);
+}
+
+TEST(SnvrLogProduct, RejectsImpossibleExpOutputs) {
+  // An EXP output is positive and finite; anything else hands the class to
+  // the repair path.
+  for (const float bad : {0.0f, -0.0f, -0.5f,
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN(),
+                          -std::numeric_limits<float>::denorm_min()}) {
+    auto row = softmax_row(64, 11);
+    row[42] = bad;
+    EXPECT_FALSE(fm::log_product(row.data() + 2, 8, 8).has_value()) << bad;
+    EXPECT_TRUE(fm::log_product(row.data() + 3, 8, 8).has_value()) << bad;
+  }
 }
