@@ -232,8 +232,8 @@ int main() {
   if (!spec_ok) std::printf("WARNING: speculation diverged or never fired.\n");
 
   // 6. Shard-parallel engine + replica router.  Heads split across worker
-  //    threads, outputs recombined in fixed shard order — the default
-  //    column-parallel combine has no float reduction at all, so the
+  //    threads, outputs recombined in fixed shard order — the
+  //    column-parallel split has no float reduction at all, so the
   //    sharded run (and the routed run: placement never changes compute)
   //    must match the solo engine bit for bit.
   const tensor::MatrixF fleet[3] = {prompt(90, cfg.hidden, 31),

@@ -1,7 +1,9 @@
 #include "abft/strided_abft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "numeric/gemm_simd.hpp"
@@ -172,20 +174,22 @@ MatrixH StridedAbft::encode_cols_strided(const MatrixH& X, int s, bool weighted,
   return encode_cols_strided(tensor::view(X), s, weighted, inj);
 }
 
-Report StridedAbft::verify_correct(MatrixF& S, const MatrixF& chk1,
-                                   const MatrixF& chk2, int s,
-                                   float relative_threshold, std::size_t col0,
-                                   std::size_t cols) {
+namespace {
+
+/// verify_correct's body over raw checksum rows: chk1 row i starts at
+/// c1 + i * ld1, chk2 row i at c2 + i * ld2.  Callers validate shapes.
+Report verify_rows(MatrixF& S, const float* c1, std::size_t ld1,
+                   const float* c2, std::size_t ld2, std::size_t s,
+                   float relative_threshold, std::size_t col0,
+                   std::size_t cols) {
   Report rep;
   const std::size_t R = S.rows();
-  if (cols == 0) cols = S.cols() - col0;
-  if (cols % static_cast<std::size_t>(s) != 0) {
-    throw std::invalid_argument("verify_correct: cols % stride != 0");
-  }
-  const std::size_t loops = cols / static_cast<std::size_t>(s);
+  const std::size_t loops = cols / s;
 
   for (std::size_t i = 0; i < R; ++i) {
-    for (std::size_t jc = 0; jc < static_cast<std::size_t>(s); ++jc) {
+    for (std::size_t jc = 0; jc < s; ++jc) {
+      const float k1 = c1[i * ld1 + jc];
+      const float k2 = c2[i * ld2 + jc];
       float sum1 = 0.0f, sum2 = 0.0f, norm = 0.0f;
       for (std::size_t l = 0; l < loops; ++l) {
         const float v = S(i, col0 + jc + l * s);
@@ -211,8 +215,8 @@ Report StridedAbft::verify_correct(MatrixF& S, const MatrixF& chk1,
             others += v;
           }
         }
-        if (bad_count == 1 && std::isfinite(chk1(i, jc))) {
-          S(i, col0 + jc + bad * s) = chk1(i, jc) - others;
+        if (bad_count == 1 && std::isfinite(k1)) {
+          S(i, col0 + jc + bad * s) = k1 - others;
           ++rep.corrected;
         } else {
           ++rep.uncorrectable;
@@ -224,12 +228,12 @@ Report StridedAbft::verify_correct(MatrixF& S, const MatrixF& chk1,
       // the plain sum and scale-invariant, so the check works equally on
       // raw scores and on normalized (small-magnitude) outputs.  The tiny
       // absolute floor mutes all-zero classes.
-      const float d1 = chk1(i, jc) - sum1;
+      const float d1 = k1 - sum1;
       const float rel = std::fabs(d1) / (norm + 1e-4f);
       if (rel <= relative_threshold || std::fabs(d1) < 1e-6f) continue;
       ++rep.flagged;
 
-      const float d2 = chk2(i, jc) - sum2;
+      const float d2 = k2 - sum2;
       const float ratio = d2 / d1;  // = l* + 1 for a single payload error
       const float lstar = ratio - 1.0f;
       if (std::isfinite(lstar) && near_integer(lstar, 0.1f) &&
@@ -242,7 +246,7 @@ Report StridedAbft::verify_correct(MatrixF& S, const MatrixF& chk1,
           if (l != lbad) others += S(i, col0 + jc + l * s);
         }
         const float old = S(i, col0 + jc + lbad * s);
-        S(i, col0 + jc + lbad * s) = chk1(i, jc) - others;
+        S(i, col0 + jc + lbad * s) = k1 - others;
         // Reconstruction forces the c1 residual to zero, so validate the
         // repair against the *weighted* checksum: a mislocated correction
         // leaves the c2 residual large, and we revert.
@@ -254,7 +258,7 @@ Report StridedAbft::verify_correct(MatrixF& S, const MatrixF& chk1,
         }
         // Accept only if the c2 residual collapsed to rounding scale: a
         // mislocated repair leaves it comparable to the error magnitude.
-        if (std::fabs(chk2(i, jc) - sum2_new) <=
+        if (std::fabs(k2 - sum2_new) <=
             0.02f * std::fabs(d1) + 2.0f * numeric::kHalfEps * norm2 + 1e-3f) {
           ++rep.corrected;
         } else {
@@ -277,7 +281,7 @@ Report StridedAbft::verify_correct(MatrixF& S, const MatrixF& chk1,
           for (std::size_t l = 0; l < loops; ++l) {
             if (l != bad) others += S(i, col0 + jc + l * s);
           }
-          S(i, col0 + jc + bad * s) = chk1(i, jc) - others;
+          S(i, col0 + jc + bad * s) = k1 - others;
           ++rep.corrected;
         } else {
           ++rep.uncorrectable;
@@ -296,52 +300,198 @@ Report StridedAbft::verify_correct(MatrixF& S, const MatrixF& chk1,
   return rep;
 }
 
-Report StridedAbft::gemm_nt(const MatrixH& A, const MatrixH& B, MatrixF& C,
-                            int s, float relative_threshold,
-                            fault::FaultInjector* inj, fault::Site gemm_site) {
-  const std::size_t M = A.rows(), N = B.rows();
+}  // namespace
+
+Report StridedAbft::verify_correct(MatrixF& S, const MatrixF& chk1,
+                                   const MatrixF& chk2, int s,
+                                   float relative_threshold, std::size_t col0,
+                                   std::size_t cols) {
+  if (s <= 0) throw std::invalid_argument("verify_correct: stride <= 0");
+  const auto su = static_cast<std::size_t>(s);
+  if (col0 > S.cols()) {
+    throw std::invalid_argument("verify_correct: col0 past the payload");
+  }
+  if (cols == 0) cols = S.cols() - col0;
+  if (col0 + cols > S.cols()) {
+    throw std::invalid_argument("verify_correct: col0 + cols > S.cols()");
+  }
+  if (cols % su != 0) {
+    throw std::invalid_argument("verify_correct: cols % stride != 0");
+  }
+  if (chk1.rows() < S.rows() || chk1.cols() < su || chk2.rows() < S.rows() ||
+      chk2.cols() < su) {
+    throw std::invalid_argument(
+        "verify_correct: checksums must be at least S.rows() x stride");
+  }
+  return verify_rows(S, chk1.data(), chk1.cols(), chk2.data(), chk2.cols(),
+                     su, relative_threshold, col0, cols);
+}
+
+namespace {
+
+/// fp32 strided sums of tile t of a k-major image X^T (K x N), written
+/// k-major as [c1 | c2] rows of 2s: sums[k * 2s + jc] = sum_l
+/// X^T(k, t * kTile + jc + s * l) and sums[k * 2s + s + jc] the same with
+/// weights l + 1.  At fixed (k, l) the s residue classes are contiguous, so
+/// the inner loop runs across them over one widened 64-wide tile row, and
+/// every sum accumulates in ascending l from zero — exactly
+/// encode_rows_strided over the tile's rows of X, so the rounded checksums
+/// are bit-identical.
+void tile_sums(const MatrixH& image, std::size_t t, std::size_t s,
+               float* sums) {
+  constexpr auto kTile = static_cast<std::size_t>(StridedAbft::kTile);
+  const std::size_t K = image.rows(), N = image.cols(), loops = kTile / s;
+  float row[kTile];
+  for (std::size_t k = 0; k < K; ++k) {
+    numeric::halves_to_floats(image.data() + k * N + t * kTile, row, kTile);
+    float* a1 = sums + k * 2 * s;
+    float* a2 = a1 + s;
+    std::fill_n(a1, 2 * s, 0.0f);
+    for (std::size_t l = 0; l < loops; ++l) {
+      const float wl = static_cast<float>(l + 1);
+      const float* v = row + l * s;
+      for (std::size_t jc = 0; jc < s; ++jc) {
+        a1[jc] += v[jc];
+        a2[jc] += wl * v[jc];
+      }
+    }
+  }
+}
+
+}  // namespace
+
+StridedAbft::Sealed StridedAbft::seal(const MatrixH& B, int s) {
+  const std::size_t N = B.rows(), K = B.cols();
   if (N % kTile != 0) {
-    throw std::invalid_argument("StridedAbft::gemm_nt: N must be a multiple "
-                                "of the 64-row tile");
+    throw std::invalid_argument(
+        "StridedAbft::seal: N must be a multiple of the 64-row tile");
+  }
+  if (s <= 0 || kTile % s != 0) {
+    throw std::invalid_argument(
+        "StridedAbft::seal: the 64-row tile must be a multiple of the stride");
+  }
+  const auto su = static_cast<std::size_t>(s);
+  const std::size_t w = 2 * su, tiles = N / kTile;
+  Sealed out{MatrixH(K, N), MatrixH(K, tiles * w), s};
+  numeric::transpose_h(B.data(), N, K, out.image.data());
+  // Each tile's two encodings exactly as the per-call path derives them
+  // (long ascending-l accumulations over the tile's rows), stored k-major.
+  for (std::size_t t = 0; t < tiles; ++t) {
+    const Half* rows = B.data() + t * kTile * K;
+    const MatrixH c1 = encode_rows_strided_h(rows, kTile, K, s, false, nullptr);
+    const MatrixH c2 = encode_rows_strided_h(rows, kTile, K, s, true, nullptr);
+    for (std::size_t k = 0; k < K; ++k) {
+      Half* dst = &out.checksums(k, t * w);
+      for (std::size_t jc = 0; jc < su; ++jc) {
+        dst[jc] = c1(jc, k);
+        dst[su + jc] = c2(jc, k);
+      }
+    }
+  }
+  return out;
+}
+
+StridedAbft::Sealed StridedAbft::slice(const Sealed& B, std::size_t n0,
+                                       std::size_t n) {
+  const std::size_t K = B.image.rows(), N = B.image.cols();
+  if (n0 % kTile != 0 || n % kTile != 0 || n0 + n > N) {
+    throw std::invalid_argument(
+        "StridedAbft::slice: column range must be 64-tile aligned and "
+        "within N");
+  }
+  const std::size_t w = 2 * static_cast<std::size_t>(B.s);
+  const std::size_t cw = B.checksums.cols(), sw = n / kTile * w;
+  Sealed out{MatrixH(K, n), MatrixH(K, sw), B.s};
+  for (std::size_t k = 0; k < K; ++k) {
+    std::copy_n(B.image.data() + k * N + n0, n, out.image.data() + k * n);
+    std::copy_n(B.checksums.data() + k * cw + n0 / kTile * w, sw,
+                out.checksums.data() + k * sw);
+  }
+  return out;
+}
+
+Report StridedAbft::apply(const float* A, std::size_t M, const Sealed& B,
+                          MatrixF& C, float relative_threshold,
+                          fault::FaultInjector* inj, fault::Site gemm_site) {
+  const std::size_t K = B.image.rows(), N = B.image.cols();
+  if (C.rows() != M || C.cols() != N) {
+    throw std::invalid_argument("StridedAbft::apply: C must be M x N");
   }
 
   // Payload GEMM with per-output fault hooks.
-  sim::gemm_fp16_nt(A, B, C, /*accumulate=*/false);
+  sim::gemm_f32_nnh(A, M, K, B.image.data(), N, C);
   if (inj) {
-    for (std::size_t i = 0; i < M; ++i) {
-      for (std::size_t j = 0; j < N; ++j) {
-        C(i, j) = inj->corrupt(gemm_site, C(i, j));
-      }
+    for (std::size_t i = 0; i < C.size(); ++i) {
+      C.data()[i] = inj->corrupt(gemm_site, C.data()[i]);
     }
   }
 
-  Report rep;
-  const std::size_t tiles = N / kTile;
-  for (std::size_t t = 0; t < tiles; ++t) {
-    // Slice tile rows of B (columns of C).
-    MatrixH Bt(kTile, B.cols());
-    for (std::size_t r = 0; r < kTile; ++r) {
-      for (std::size_t c = 0; c < B.cols(); ++c) Bt(r, c) = B(t * kTile + r, c);
-    }
-    const MatrixH bc1 = encode_rows_strided(Bt, s, /*weighted=*/false, inj);
-    const MatrixH bc2 = encode_rows_strided(Bt, s, /*weighted=*/true, inj);
+  // One checksum GEMM over every tile's sealed columns.  thread_local
+  // scratch: linears run inside shard workers.
+  const auto s = static_cast<std::size_t>(B.s);
+  const std::size_t w = 2 * s, tiles = N / kTile, ld = tiles * w;
+  thread_local std::vector<float> chk;
+  if (chk.size() < M * ld) chk.resize(M * ld);
+  numeric::gemm_f32_nnh(A, M, K, B.checksums.data(), ld, chk.data(), ld,
+                        /*accumulate=*/false);
 
-    MatrixF chk1(M, static_cast<std::size_t>(s)),
-        chk2(M, static_cast<std::size_t>(s));
-    sim::gemm_fp16_nt(A, bc1, chk1, /*accumulate=*/false);
-    sim::gemm_fp16_nt(A, bc2, chk2, /*accumulate=*/false);
+  // Under an injector, re-derive each tile's two encodings from the image
+  // so the checksum-pipeline hooks fire per call, in the per-call order (c1
+  // then c2, each jc-major over k), then the tile's checksum-GEMM hooks.
+  // Unflipped encodings equal the sealed columns, and so does their GEMM;
+  // a flip that lands in them recomputes the tile's GEMM from them.
+  std::vector<float> sums(inj ? K * w : 0), tile;
+  std::vector<Half> enc;
+  Report rep;
+  for (std::size_t t = 0; t < tiles; ++t) {
+    float* ct = chk.data() + t * w;
+    std::size_t ldt = ld;
     if (inj) {
+      tile_sums(B.image, t, s, sums.data());
+      const std::size_t flips = inj->injected();
+      for (std::size_t col = 0; col < w; ++col) {
+        for (std::size_t k = 0; k < K; ++k) {
+          float& v = sums[k * w + col];
+          v = inj->corrupt(fault::Site::kChecksum, v);
+        }
+      }
+      if (inj->injected() != flips) {
+        enc.resize(K * w);
+        tile.resize(M * w);
+        numeric::floats_to_halves(sums.data(), enc.data(), K * w);
+        numeric::gemm_f32_nnh(A, M, K, enc.data(), w, tile.data(), w,
+                              /*accumulate=*/false);
+        ct = tile.data();
+        ldt = w;
+      }
       for (std::size_t i = 0; i < M; ++i) {
-        for (std::size_t j = 0; j < static_cast<std::size_t>(s); ++j) {
-          chk1(i, j) = inj->corrupt(fault::Site::kChecksum, chk1(i, j));
-          chk2(i, j) = inj->corrupt(fault::Site::kChecksum, chk2(i, j));
+        float* row = ct + i * ldt;
+        for (std::size_t j = 0; j < s; ++j) {
+          row[j] = inj->corrupt(fault::Site::kChecksum, row[j]);
+          row[s + j] = inj->corrupt(fault::Site::kChecksum, row[s + j]);
         }
       }
     }
-    rep += verify_correct(C, chk1, chk2, s, relative_threshold, t * kTile,
-                          kTile);
+    rep += verify_rows(C, ct, ldt, ct + s, ldt, s, relative_threshold,
+                       t * kTile, kTile);
   }
   return rep;
+}
+
+Report StridedAbft::gemm_nt(const MatrixH& A, const MatrixH& B, MatrixF& C,
+                            int s, float relative_threshold,
+                            fault::FaultInjector* inj, fault::Site gemm_site) {
+  if (A.cols() != B.cols()) {
+    throw std::invalid_argument("StridedAbft::gemm_nt: A and B must share K");
+  }
+  if (C.rows() != A.rows() || C.cols() != B.rows()) {
+    throw std::invalid_argument("StridedAbft::gemm_nt: C must be M x N");
+  }
+  const Sealed sealed = seal(B, s);
+  std::vector<float> a(A.size());
+  numeric::halves_to_floats(A.data(), a.data(), a.size());
+  return apply(a.data(), A.rows(), sealed, C, relative_threshold, inj,
+               gemm_site);
 }
 
 sim::CostBreakdown StridedAbft::costs(double m, double n, double k, int s) {

@@ -83,19 +83,52 @@ struct StridedAbft {
                                                fault::FaultInjector* inj);
 
   /// Verify an R x C payload S against its two strided checksums chk1/chk2
-  /// (each R x s): for every (row, residue class jc) compare chk1 with the
-  /// recomputed strided sum; locate the column offset l* from the c2/c1
-  /// residual ratio and correct in place.  `col0` offsets the check into a
-  /// wider matrix (for per-tile verification of a big GEMM).
+  /// (each at least R x s): for every (row, residue class jc) compare chk1
+  /// with the recomputed strided sum; locate the column offset l* from the
+  /// c2/c1 residual ratio and correct in place.  `col0` offsets the check
+  /// into a wider matrix (for per-tile verification of a big GEMM).  Shape
+  /// mismatches throw std::invalid_argument.
   static Report verify_correct(tensor::MatrixF& S, const tensor::MatrixF& chk1,
                                const tensor::MatrixF& chk2, int s,
                                float relative_threshold, std::size_t col0 = 0,
                                std::size_t cols = 0);
 
-  /// Fully protected C = A * B^T (A: M x K fp16, B: N x K fp16, C: M x N).
-  /// B's rows are tiled by kTile; each tile contributes an s-wide tensor
-  /// checksum verified independently.  This is the building block for EFTA's
-  /// GEMM I and for strided-ABFT feed-forward layers.
+  /// An N x K GEMM operand B sealed once for repeated protected products
+  /// C = A * B^T, the way TilePool seals KV tiles: the k-major fp16 image
+  /// B^T (K x N, the layout gemm_f32_nnh streams) and, for every 64-column
+  /// tile t, the k-major strided checksum columns [c1^T | c2^T] (K x 2s)
+  /// side by side in one K x (N / kTile * 2s) image — 2s / kTile = 0.25x
+  /// the image bytes at the default stride.
+  struct Sealed {
+    tensor::MatrixH image;      ///< K x N
+    tensor::MatrixH checksums;  ///< K x (N / kTile * 2s)
+    int s = kDefaultStride;
+  };
+
+  /// Seal B (N x K): cache-blocked transpose into the image, and each
+  /// tile's encode_rows_strided pair stored k-major.
+  static Sealed seal(const tensor::MatrixH& B, int s);
+  /// The sealed operand of output columns [n0, n0 + n) — both 64-tile
+  /// aligned, so the slice's checksum columns are a subset of B's.
+  static Sealed slice(const Sealed& B, std::size_t n0, std::size_t n);
+
+  /// Fully protected C = A * B^T over a sealed B.  A is M x K fp32 holding
+  /// fp16 values (the widened tensor-core operand, dense); C must be M x N.
+  /// One GEMM over the image, `gemm_site` hooks on every output, one GEMM
+  /// over the sealed checksum columns, then a per-tile verify.  Under any
+  /// injector (armed or a probe) each tile's two encodings are re-derived
+  /// from the image so the kChecksum hooks fire per call, in the per-call
+  /// order (tile; c1 then c2; jc; k; then the tile's checksum outputs).
+  static Report apply(const float* A, std::size_t M, const Sealed& B,
+                      tensor::MatrixF& C, float relative_threshold,
+                      fault::FaultInjector* inj, fault::Site gemm_site);
+
+  /// Fully protected C = A * B^T (A: M x K fp16, B: N x K fp16, C: M x N):
+  /// seal B, then apply.  B's rows are tiled by kTile; each tile contributes
+  /// an s-wide tensor checksum verified independently.  This is the
+  /// building block for EFTA's GEMM I and for strided-ABFT feed-forward
+  /// layers.  Mismatched K or a C that is not M x N throws
+  /// std::invalid_argument.
   static Report gemm_nt(const tensor::MatrixH& A, const tensor::MatrixH& B,
                         tensor::MatrixF& C, int s, float relative_threshold,
                         fault::FaultInjector* inj,

@@ -98,5 +98,9 @@ void gemm_f32_nnh_scalar(const float* A, std::size_t M, std::size_t K,
 /// the memoized k-major fp32 tile images at seal time.
 void transpose_f32(const float* in, std::size_t rows, std::size_t cols,
                    float* out) noexcept;
+/// Same at half width: seals a Linear's N x K weights into the k-major
+/// image gemm_f32_nnh streams.
+void transpose_h(const Half* in, std::size_t rows, std::size_t cols,
+                 Half* out) noexcept;
 
 }  // namespace ftt::numeric

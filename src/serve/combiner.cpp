@@ -1,61 +1,6 @@
 #include "serve/combiner.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 namespace ftt::serve {
-
-DeterministicCombiner::DeterministicCombiner(std::size_t chunk_values)
-    : chunk_(chunk_values) {
-  if (chunk_ == 0) {
-    throw std::invalid_argument(
-        "DeterministicCombiner: chunk_values must be >= 1");
-  }
-}
-
-void DeterministicCombiner::reduce(
-    std::span<const std::span<const float>> partials,
-    std::span<float> out) const {
-  const std::size_t n = partials.size();
-  if (n == 0) {
-    throw std::invalid_argument("DeterministicCombiner: no partials");
-  }
-  for (const auto& p : partials) {
-    if (p.size() != out.size()) {
-      throw std::invalid_argument(
-          "DeterministicCombiner: partial size mismatch");
-    }
-  }
-  const std::size_t total = out.size();
-  for (std::size_t c0 = 0, chunk = 0; c0 < total; c0 += chunk_, ++chunk) {
-    const std::size_t len = std::min(chunk_, total - c0);
-    // Fixed rotated shard order for this chunk — a pure function of
-    // (chunk index, shard count), independent of thread scheduling.
-    const std::size_t start = chunk % n;
-    const float* first = partials[start].data() + c0;
-    std::copy_n(first, len, out.data() + c0);
-    for (std::size_t s = 1; s < n; ++s) {
-      const float* p = partials[(start + s) % n].data() + c0;
-      float* dst = out.data() + c0;
-      for (std::size_t i = 0; i < len; ++i) dst[i] += p[i];
-    }
-  }
-}
-
-void DeterministicCombiner::reduce(
-    std::span<const tensor::MatrixF* const> partials,
-    tensor::MatrixF& out) const {
-  std::vector<std::span<const float>> views;
-  views.reserve(partials.size());
-  for (const tensor::MatrixF* m : partials) {
-    if (m == nullptr || m->rows() != out.rows() || m->cols() != out.cols()) {
-      throw std::invalid_argument(
-          "DeterministicCombiner: partial shape mismatch");
-    }
-    views.emplace_back(m->data(), m->size());
-  }
-  reduce(views, {out.data(), out.size()});
-}
 
 attention::FtReport DeterministicCombiner::merge(
     std::span<const attention::FtReport> per_shard) noexcept {

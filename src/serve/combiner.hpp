@@ -1,60 +1,27 @@
 #pragma once
 // Deterministic combine layer for shard-parallel serving.
 //
-// Shard workers produce three kinds of partial results: float tensors
-// (row-parallel partial sums of an output projection), fault-tolerance
-// reports (per-shard attention::FtReport / abft::Report), and per-tick
-// StepStats.  The combiner reduces all of them in FIXED SHARD ORDER —
-// never in thread-completion order — so a sharded tick is a deterministic
-// function of its inputs and the shard count, regardless of how the OS
-// schedules the workers.
-//
-// Float reduction follows the ring-allreduce idiom: the flattened tensor is
-// cut into fixed-size chunks and chunk c is accumulated starting from shard
-// (c % nshards), walking the ring (start, start+1, ..., wrapping) — the
-// same rotation a bucketed ring all-reduce performs, where each rank owns
-// the reduction of its bucket.  The start rotation balances which shard
-// "leads" each chunk while keeping the order a pure function of (chunk,
-// nshards).  Float addition is not associative, so this combined value is
-// NOT bitwise-equal to a flat solo GEMM — which is why the engine's
-// default output-projection mode is column-parallel (disjoint 64-tile
-// column ranges, no combine, bit-identical to solo) and the ring reduction
-// backs the opt-in row-parallel mode.  With one shard the reduction is an
-// exact copy.
-//
-// Report and StepStats merges are integer-counter sums (order-insensitive
-// by construction) but run in the same fixed shard order anyway: one
+// Shard workers write disjoint column ranges of every float tensor (the
+// column-parallel split in serve/shard.hpp), so no float reduction exists
+// anywhere in a sharded tick.  What they do produce per shard are
+// fault-tolerance reports (attention::FtReport / abft::Report) and per-tick
+// StepStats.  The combiner merges those in FIXED SHARD ORDER — never in
+// thread-completion order — so a sharded tick is a deterministic function
+// of its inputs and the shard count, regardless of how the OS schedules the
+// workers.  The merges are integer-counter sums (order-insensitive by
+// construction) but run in the same fixed shard order anyway: one
 // discipline for every combine.
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 #include "abft/report.hpp"
 #include "attention/ft_report.hpp"
 #include "serve/step_stats.hpp"
-#include "tensor/tensor.hpp"
 
 namespace ftt::serve {
 
 class DeterministicCombiner {
  public:
-  /// `chunk_values` is the ring-chunk granularity in floats (a bucketed
-  /// ring all-reduce's bucket size).  Must be >= 1.
-  explicit DeterministicCombiner(std::size_t chunk_values = 256);
-
-  [[nodiscard]] std::size_t chunk_values() const noexcept { return chunk_; }
-
-  /// out[i] = sum over shards of partials[s][i], accumulated ring-style:
-  /// chunk c of the flattened array sums shards in the fixed rotated order
-  /// (c % n, c % n + 1, ..., wrapping).  Every partial must have out's
-  /// size.  partials must be non-empty; with one shard this is a copy.
-  void reduce(std::span<const std::span<const float>> partials,
-              std::span<float> out) const;
-  /// Convenience over whole matrices (same shape required).
-  void reduce(std::span<const tensor::MatrixF* const> partials,
-              tensor::MatrixF& out) const;
-
   /// Merge per-shard reports in fixed shard order (index 0 first).
   [[nodiscard]] static attention::FtReport merge(
       std::span<const attention::FtReport> per_shard) noexcept;
@@ -62,9 +29,6 @@ class DeterministicCombiner {
       std::span<const abft::Report> per_shard) noexcept;
   [[nodiscard]] static StepStats merge(
       std::span<const StepStats> per_shard) noexcept;
-
- private:
-  std::size_t chunk_;
 };
 
 }  // namespace ftt::serve

@@ -84,8 +84,7 @@ DecodeEngine::DecodeEngine(const transformer::Model& model, EngineOptions opt)
   }
   if (opt_.shards > 1) {
     // Throws if head_dim is not 64-tile aligned for head-column slicing.
-    sharded_ = std::make_unique<ShardedEngine>(model, opt_.shards,
-                                               opt_.combine);
+    sharded_ = std::make_unique<ShardedEngine>(model, opt_.shards);
   }
   // head -> owning shard, the attribution map for per-shard fault reports.
   // Built for shards == 1 too, so attribution code has one shape.
@@ -826,8 +825,7 @@ void DecodeEngine::rebuild_shard_executor() {
   }
   degraded_.reset();  // join the old degraded workers before respawning
   if (healthy_.size() < opt_.shards) {
-    degraded_ = std::make_unique<ShardedEngine>(*model_, healthy_.size(),
-                                                opt_.combine);
+    degraded_ = std::make_unique<ShardedEngine>(*model_, healthy_.size());
   }
 }
 

@@ -173,11 +173,6 @@ struct EngineOptions {
   /// slicing would move the faults), so injected runs stay bit-comparable
   /// with solo engines.
   std::size_t shards = 1;
-  /// Output-projection combine for shards > 1.  kColumnParallel (default)
-  /// is bit-identical to solo; kRingReduce exercises the row-parallel
-  /// partial-sum path through the DeterministicCombiner — deterministic
-  /// for a fixed shard count, not solo-bitwise.
-  CombineMode combine = CombineMode::kColumnParallel;
   /// Serving-layer fault recovery (serve/recovery.hpp): tick retry, shard
   /// quarantine and KV scrubbing knobs.  All rungs default off — a
   /// default-constructed policy reproduces the pre-recovery engine bit for
@@ -420,9 +415,9 @@ class DecodeEngine {
   /// Physical ids of the non-quarantined shards, ascending.
   std::vector<std::size_t> healthy_;
   /// Non-null while any shard is quarantined: the executor over the healthy
-  /// workers the tick dispatches into instead of sharded_ (column-parallel
-  /// combine is bitwise for any worker count, so degraded ticks stay
-  /// bit-identical to solo; ring mode stays deterministic, not bitwise).
+  /// workers the tick dispatches into instead of sharded_ (the
+  /// column-parallel split is bitwise for any worker count, so degraded
+  /// ticks stay bit-identical to solo).
   std::unique_ptr<ShardedEngine> degraded_;
   std::shared_ptr<TokenProposer> proposer_;  // non-null iff spec_tokens > 0
   std::vector<Request> requests_;

@@ -96,20 +96,6 @@ I8TileLayout i8_tile_layout(std::size_t dim, int s) noexcept {
   return L;
 }
 
-namespace {
-
-// Half transpose (pure data movement, like numeric::transpose_f32): packs
-// the K-side henc blocks k-major at seal time so decode widens them
-// straight into the checksum GEMM operand, no per-tile pack.
-void transpose_h(const Half* in, std::size_t rows, std::size_t cols,
-                 Half* out) noexcept {
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) out[c * rows + r] = in[r * cols + c];
-  }
-}
-
-}  // namespace
-
 std::size_t f16t_image_halves(std::size_t dim, int s) noexcept {
   constexpr std::size_t kRows = KvCache::kTileRows;
   const auto su = static_cast<std::size_t>(s);
@@ -127,9 +113,9 @@ void build_f16t_image(const Half* k_tile, const Half* enc_block,
   Half* kt = out;                 // K^T, dim x kRows
   Half* kc1t = out + dim * kRows; // Kc1^T, dim x su
   Half* kc2t = kc1t + dim * su;   // Kc2^T, dim x su
-  transpose_h(k_tile, kRows, dim, kt);
-  transpose_h(enc_block, su, dim, kc1t);
-  transpose_h(enc_block + kcn, su, dim, kc2t);
+  numeric::transpose_h(k_tile, kRows, dim, kt);
+  numeric::transpose_h(enc_block, su, dim, kc1t);
+  numeric::transpose_h(enc_block + kcn, su, dim, kc2t);
 }
 
 void quantize_sealed_tile(const Half* k_tile, const Half* v_tile,
@@ -173,8 +159,8 @@ void quantize_sealed_tile(const Half* k_tile, const Half* v_tile,
       vf.data(), kRows, dim, s, true, nullptr);
   Half* he = i8_henc(block, L);
   const auto su = static_cast<std::size_t>(s);
-  transpose_h(kc1.data(), su, dim, he);
-  transpose_h(kc2.data(), su, dim, he + L.kcn);
+  numeric::transpose_h(kc1.data(), su, dim, he);
+  numeric::transpose_h(kc2.data(), su, dim, he + L.kcn);
   std::memcpy(he + 2 * L.kcn, vc1.data(), L.vcn * sizeof(Half));
   std::memcpy(he + 2 * L.kcn + L.vcn, vc2.data(), L.vcn * sizeof(Half));
   // Exact int32 checksums of the payload *as stored* (K's run over the
@@ -260,8 +246,8 @@ I8ScrubResult scrub_i8_tile(std::uint8_t* block, std::size_t dim, int s) {
   const MatrixH vc2 = abft::StridedAbft::encode_cols_strided_widened(
       vf.data(), kRows, dim, s, true, nullptr);
   std::vector<Half> fresh(2 * L.kcn + 2 * L.vcn);
-  transpose_h(kc1.data(), su, dim, fresh.data());
-  transpose_h(kc2.data(), su, dim, fresh.data() + L.kcn);
+  numeric::transpose_h(kc1.data(), su, dim, fresh.data());
+  numeric::transpose_h(kc2.data(), su, dim, fresh.data() + L.kcn);
   std::memcpy(fresh.data() + 2 * L.kcn, vc1.data(), L.vcn * sizeof(Half));
   std::memcpy(fresh.data() + 2 * L.kcn + L.vcn, vc2.data(),
               L.vcn * sizeof(Half));

@@ -15,8 +15,8 @@
 // run produces.  Under the paper's single-event-upset assumption — at most
 // one transient flip per detection/correction cycle — a retried tick's
 // second attempt is clean, a quarantined shard's head range recomputes
-// bitwise on the remaining workers (column-parallel combine is bitwise for
-// ANY shard count), and a drained replica's requests replay bitwise on a
+// bitwise on the remaining workers (the column-parallel split is bitwise
+// for ANY shard count), and a drained replica's requests replay bitwise on a
 // healthy replica.  RetryTrigger::kAnyDetection is the mode that carries
 // the full guarantee: ABFT *correction* is approximate (checksum
 // reconstruction, not bit-exact replay), so only a committed attempt with
@@ -73,10 +73,9 @@ struct RecoveryPolicy {
   /// (attributed by head ownership, the shard_reports() map).  A shard
   /// whose detections over the last `shard_window_ticks` ticks exceed
   /// `shard_quarantine_threshold` is quarantined: its head range is
-  /// remapped over the remaining healthy workers (column-parallel combine
+  /// remapped over the remaining healthy workers (the column-parallel split
   /// is bitwise for any shard count, so degraded mode stays bit-identical
-  /// to solo; ring-reduce mode stays deterministic but changes bits with
-  /// the worker count).  The last healthy shard is never quarantined.
+  /// to solo).  The last healthy shard is never quarantined.
   /// threshold 0 = quarantine off.
   std::size_t shard_window_ticks = 16;
   std::size_t shard_quarantine_threshold = 0;

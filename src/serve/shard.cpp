@@ -122,8 +122,8 @@ TickResult run_tick_solo(const transformer::Model& model,
 // ---------------------------------------------------------------------------
 
 ShardWorker::ShardWorker(const transformer::Model& model, std::size_t shard,
-                         std::size_t nshards, CombineMode combine)
-    : shard_(shard), nshards_(nshards), hidden_(model.config().hidden) {
+                         std::size_t nshards)
+    : shard_(shard), nshards_(nshards) {
   const auto& cfg = model.config();
   const std::size_t dim = cfg.head_dim();
   spec_ = core::ShardSpec::for_shard(shard, nshards, cfg.heads);
@@ -145,11 +145,7 @@ ShardWorker::ShardWorker(const transformer::Model& model, std::size_t shard,
                   blk.wo().slice_out(hid_col0_, hid_cols),
                   blk.ffn().w1().slice_out(inner_col0_, inner_cols),
                   blk.ffn().w2().slice_out(hid_col0_, hid_cols),
-                  blk.ffn().act(),
-                  std::nullopt};
-    if (combine == CombineMode::kRingReduce && !spec_.empty()) {
-      s.wo_rows = blk.wo().slice_in(qkv_col0_, qkv_cols_);
-    }
+                  blk.ffn().act()};
     layers_.push_back(std::move(s));
   }
 }
@@ -210,24 +206,6 @@ void ShardWorker::project_wo_cols(std::size_t layer, const MatrixF& attn,
   project_cols(layers_.at(layer).wo_cols, hid_col0_, attn, proj, mode);
 }
 
-void ShardWorker::project_wo_partial(std::size_t layer, const MatrixF& attn,
-                                     LinearProtect mode) {
-  const LayerSlices& s = layers_.at(layer);
-  if (!s.wo_rows.has_value()) {  // no heads: zero contribution
-    partial_ = MatrixF(attn.rows(), hidden_);
-    return;
-  }
-  // Gather this shard's head columns into a dense input for the
-  // row-parallel slice: wo_rows is in_features = qkv_cols_ wide.
-  if (xslice_.rows() != attn.rows() || xslice_.cols() != qkv_cols_) {
-    xslice_ = MatrixF(attn.rows(), qkv_cols_);
-  }
-  for (std::size_t r = 0; r < attn.rows(); ++r) {
-    std::copy_n(&attn(r, qkv_col0_), qkv_cols_, &xslice_(r, 0));
-  }
-  linear_ += s.wo_rows->forward(xslice_, partial_, mode, nullptr);
-}
-
 void ShardWorker::residual_ln_rows(MatrixF& X, const MatrixF& add,
                                    MatrixF& h2,
                                    const transformer::LayerNorm& ln2) const {
@@ -274,8 +252,8 @@ void ShardWorker::residual_rows(MatrixF& X, const MatrixF& add) const {
 // ---------------------------------------------------------------------------
 
 ShardedEngine::ShardedEngine(const transformer::Model& model,
-                             std::size_t shards, CombineMode combine)
-    : model_(&model), combine_(combine) {
+                             std::size_t shards)
+    : model_(&model) {
   if (shards == 0) {
     throw std::invalid_argument("ShardedEngine: shards must be >= 1");
   }
@@ -290,7 +268,7 @@ ShardedEngine::ShardedEngine(const transformer::Model& model,
   }
   workers_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    workers_.emplace_back(model, s, shards, combine);
+    workers_.emplace_back(model, s, shards);
   }
   errors_.resize(shards);
   if (shards > 1) {
@@ -414,28 +392,9 @@ TickResult ShardedEngine::run_tick(std::span<const ShardTickEntry> entries,
     for (std::size_t i = 0; i < layer_item.size(); ++i) {
       per_item[i] += layer_item[i];
     }
-    if (combine_ == CombineMode::kColumnParallel) {
-      run_phase([&](std::size_t s) {
-        workers_[s].project_wo_cols(layer, attn, proj, mode);
-      });
-    } else {
-      run_phase([&](std::size_t s) {
-        workers_[s].project_wo_partial(layer, attn, mode);
-      });
-      // Ring-reduce the partial sums in fixed shard order, then add the
-      // layer bias exactly once.
-      std::vector<const MatrixF*> parts;
-      parts.reserve(workers_.size());
-      for (const ShardWorker& w : workers_) parts.push_back(&w.partial());
-      combiner_.reduce(parts, proj);
-      const std::span<const float> bias = blk.wo().bias();
-      if (!bias.empty()) {
-        for (std::size_t r = 0; r < T; ++r) {
-          float* row = &proj(r, 0);
-          for (std::size_t c = 0; c < hidden; ++c) row[c] += bias[c];
-        }
-      }
-    }
+    run_phase([&](std::size_t s) {
+      workers_[s].project_wo_cols(layer, attn, proj, mode);
+    });
     // --- feed-forward sub-block (h doubles as the ln2 output) ---
     run_phase([&](std::size_t s) {
       workers_[s].residual_ln_rows(X, proj, h, blk.ln2());

@@ -24,15 +24,6 @@
 //     commit stay on the coordinator thread between phases — the paged
 //     TilePool and the injector-ordering invariants are untouched.
 //
-// CombineMode::kRingReduce swaps the output projection for the
-// row-parallel (Megatron-style) split: each shard multiplies its head
-// columns of the attention output against the matching input columns of
-// wo (Linear::slice_in) into a full-width partial sum, and the
-// DeterministicCombiner reduces the partials ring-style in fixed shard
-// order.  That reduction re-associates float addition, so ring mode is
-// deterministic for a fixed shard count but not bitwise-equal to solo —
-// which is why column-parallel is the default and the parity tests pin it.
-//
 // Fault injection: a FaultInjector is stateful and call-order-dependent, so
 // the engine never routes an injected tick through the parallel path — it
 // runs run_tick_solo (the extracted solo body, exact solo call order) and
@@ -47,7 +38,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -59,12 +49,6 @@
 #include "transformer/model.hpp"
 
 namespace ftt::serve {
-
-/// How shard workers combine the output projection (see file header).
-enum class CombineMode {
-  kColumnParallel,  ///< disjoint 64-tile column ranges; bit-identical to solo
-  kRingReduce,      ///< row-parallel partial sums, ring-reduced in shard order
-};
 
 /// One tick entry's compute view: where its rows sit in the stacked matrix
 /// and which paged cache its K/V rows append to.  The engine keeps the
@@ -106,7 +90,7 @@ TickResult run_tick_solo(const transformer::Model& model,
 class ShardWorker {
  public:
   ShardWorker(const transformer::Model& model, std::size_t shard,
-              std::size_t nshards, CombineMode combine);
+              std::size_t nshards);
 
   [[nodiscard]] const core::ShardSpec& head_range() const noexcept {
     return spec_;
@@ -130,16 +114,9 @@ class ShardWorker {
               std::span<const std::size_t> item_heads,
               const core::EftaOptions& efta,
               std::span<attention::FtReport> per_item);
-  /// Output projection, column-parallel tile range (default mode).
+  /// Output projection, column-parallel tile range.
   void project_wo_cols(std::size_t layer, const tensor::MatrixF& attn,
                        tensor::MatrixF& proj, transformer::LinearProtect mode);
-  /// Output projection, row-parallel partial sum (ring mode); the partial
-  /// is readable via partial() until the next tick.
-  void project_wo_partial(std::size_t layer, const tensor::MatrixF& attn,
-                          transformer::LinearProtect mode);
-  [[nodiscard]] const tensor::MatrixF& partial() const noexcept {
-    return partial_;
-  }
   /// X rows += add rows; h2 rows = X rows; ln2 over the rows.
   void residual_ln_rows(tensor::MatrixF& X, const tensor::MatrixF& add,
                         tensor::MatrixF& h2,
@@ -168,7 +145,6 @@ class ShardWorker {
     transformer::Linear wo_cols;             ///< 64-tile column slice
     transformer::Linear w1, w2;              ///< FFN 64-tile column slices
     transformer::RangeRestrictedGelu act;    ///< block's GELU (per-slice)
-    std::optional<transformer::Linear> wo_rows;  ///< ring-mode input slice
   };
 
   /// forward the slice into scratch_, scatter into full columns
@@ -178,7 +154,6 @@ class ShardWorker {
                     transformer::LinearProtect mode);
 
   std::size_t shard_ = 0, nshards_ = 1;
-  std::size_t hidden_ = 0;
   core::ShardSpec spec_;       ///< attention-head range
   std::size_t qkv_col0_ = 0;   ///< begin_head * head_dim
   std::size_t qkv_cols_ = 0;   ///< heads() * head_dim
@@ -187,8 +162,6 @@ class ShardWorker {
   std::vector<LayerSlices> layers_;
   std::size_t row0_ = 0, row1_ = 0;  ///< this tick's row range
   tensor::MatrixF scratch_;    ///< dense column-slice output
-  tensor::MatrixF xslice_;     ///< ring mode: gathered input columns
-  tensor::MatrixF partial_;    ///< ring mode: full-width partial sum
   abft::Report linear_;
   std::size_t clipped_ = 0;
 };
@@ -197,18 +170,16 @@ class ShardWorker {
 /// threads (the caller is shard 0), and steps them phase by phase through
 /// run_tick.  Every phase is the same function applied to every shard;
 /// consecutive phases are separated by a full barrier, and everything
-/// order-sensitive (cache appends, ring reduction, report merges) runs on
-/// the coordinator between phases, in fixed shard order.
+/// order-sensitive (cache appends, report merges) runs on the coordinator
+/// between phases, in fixed shard order.
 class ShardedEngine {
  public:
-  ShardedEngine(const transformer::Model& model, std::size_t shards,
-                CombineMode combine = CombineMode::kColumnParallel);
+  ShardedEngine(const transformer::Model& model, std::size_t shards);
   ~ShardedEngine();
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
   [[nodiscard]] std::size_t shards() const noexcept { return workers_.size(); }
-  [[nodiscard]] CombineMode combine() const noexcept { return combine_; }
   [[nodiscard]] const ShardWorker& worker(std::size_t s) const {
     return workers_.at(s);
   }
@@ -216,9 +187,8 @@ class ShardedEngine {
   /// The sharded tick body: same contract as run_tick_solo (per_item holds
   /// entries * heads zeroed reports, X is the residual stream, y gets the
   /// final-LN output), minus the injector — injected ticks must run solo.
-  /// In the default column-parallel mode the outputs, per-item reports and
-  /// merged TickResult are bit-identical to run_tick_solo for any shard
-  /// count.
+  /// The outputs, per-item reports and merged TickResult are bit-identical
+  /// to run_tick_solo for any shard count.
   TickResult run_tick(std::span<const ShardTickEntry> entries,
                       tensor::MatrixF& X, tensor::MatrixF& y,
                       std::span<attention::FtReport> per_item,
@@ -232,8 +202,6 @@ class ShardedEngine {
   void worker_loop(std::size_t shard);
 
   const transformer::Model* model_;
-  CombineMode combine_;
-  DeterministicCombiner combiner_;
   std::vector<ShardWorker> workers_;
   std::vector<std::thread> threads_;
   std::unique_ptr<std::barrier<>> start_, done_;

@@ -2,6 +2,7 @@
 
 #include <omp.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "numeric/gemm_simd.hpp"
@@ -139,6 +140,12 @@ void gemm_f32_nnh(const float* A, std::size_t M, std::size_t K,
 void gemm_fp16_nt(const tensor::MatrixH& A, tensor::MatrixHView B,
                   tensor::MatrixF& C, bool accumulate) {
   const std::size_t M = A.rows(), K = A.cols(), N = B.rows;
+  if (B.cols != K) {
+    throw std::invalid_argument("gemm_fp16_nt: A and B must share K");
+  }
+  if (C.rows() != M || C.cols() != N) {
+    throw std::invalid_argument("gemm_fp16_nt: C must be M x N");
+  }
   // Widen once (bulk SIMD conversion): fp16 -> fp32 is exact, so arithmetic
   // below is bit-identical to fp16-operand / fp32-accumulate MMA with a
   // sequential K loop.

@@ -84,7 +84,8 @@ struct TiledMma64x16x16 {
 /// Blocked GEMM over fp16 inputs with fp32 accumulation, bit-faithful to a
 /// chain of SM80 MMA atoms with a sequential K loop.  C (rows x cols) += or =
 /// A (rows x K) * B^T (cols x K)   -- i.e. computes A * B^T, the layout used
-/// by Q * K^T.  Set `accumulate` to add into C.
+/// by Q * K^T.  Set `accumulate` to add into C.  A and B must share K and C
+/// must be rows x cols, else std::invalid_argument.
 void gemm_fp16_nt(const tensor::MatrixH& A, const tensor::MatrixH& B,
                   tensor::MatrixF& C, bool accumulate = false);
 

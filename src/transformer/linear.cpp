@@ -1,12 +1,11 @@
 #include "transformer/linear.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <random>
 #include <stdexcept>
 #include <utility>
 
-#include "abft/strided_abft.hpp"
+#include "numeric/fp16.hpp"
 #include "sim/mma.hpp"
 
 namespace ftt::transformer {
@@ -16,77 +15,67 @@ using tensor::MatrixF;
 using tensor::MatrixH;
 
 Linear::Linear(std::size_t in_features, std::size_t out_features,
-               std::uint64_t seed, bool bias)
-    : in_(in_features), out_(out_features), w_(out_features, in_features) {
-  if (out_ % abft::StridedAbft::kTile != 0) {
+               std::uint64_t seed, bool bias) {
+  if (out_features % abft::StridedAbft::kTile != 0) {
     throw std::invalid_argument(
         "Linear: out_features must be a multiple of the 64-row ABFT tile");
   }
-  // Scaled-normal init, typical of trained transformer projections.
+  // Scaled-normal init, typical of trained transformer projections, drawn
+  // in out x in order and then sealed k-major.
   std::mt19937_64 rng(seed);
   std::normal_distribution<float> dist(
-      0.0f, 1.0f / std::sqrt(static_cast<float>(in_)));
-  for (std::size_t i = 0; i < w_.size(); ++i) w_.data()[i] = Half(dist(rng));
+      0.0f, 1.0f / std::sqrt(static_cast<float>(in_features)));
+  MatrixH w(out_features, in_features);
+  for (std::size_t i = 0; i < w.size(); ++i) w.data()[i] = Half(dist(rng));
+  w_ = abft::StridedAbft::seal(w, abft::StridedAbft::kDefaultStride);
   if (bias) {
-    bias_.assign(out_, 0.0f);
+    bias_.assign(out_features, 0.0f);
     std::normal_distribution<float> bdist(0.0f, 0.02f);
     for (auto& b : bias_) b = bdist(rng);
   }
 }
 
-Linear::Linear(std::size_t in_features, MatrixH w, std::vector<float> bias)
-    : in_(in_features), out_(w.rows()), w_(std::move(w)),
-      bias_(std::move(bias)) {}
+Linear::Linear(abft::StridedAbft::Sealed w, std::vector<float> bias)
+    : w_(std::move(w)), bias_(std::move(bias)) {}
 
 Linear Linear::slice_out(std::size_t col0, std::size_t cols) const {
-  constexpr std::size_t kTile = abft::StridedAbft::kTile;
-  if (col0 % kTile != 0 || cols % kTile != 0 || col0 + cols > out_) {
-    throw std::invalid_argument(
-        "Linear::slice_out: column range must be 64-tile aligned and within "
-        "out_features");
-  }
-  // Weight rows [col0, col0 + cols) are contiguous (w_ is out x in).
-  MatrixH w(cols, in_);
-  std::copy_n(w_.data() + col0 * in_, cols * in_, w.data());
+  // slice() rejects ranges that are not 64-tile aligned or within out.
+  abft::StridedAbft::Sealed w = abft::StridedAbft::slice(w_, col0, cols);
   std::vector<float> b;
   if (!bias_.empty()) {
     b.assign(bias_.begin() + static_cast<std::ptrdiff_t>(col0),
              bias_.begin() + static_cast<std::ptrdiff_t>(col0 + cols));
   }
-  return Linear(in_, std::move(w), std::move(b));
-}
-
-Linear Linear::slice_in(std::size_t col0, std::size_t cols) const {
-  if (col0 + cols > in_ || cols == 0) {
-    throw std::invalid_argument(
-        "Linear::slice_in: column range must be non-empty and within "
-        "in_features");
-  }
-  MatrixH w(out_, cols);
-  for (std::size_t r = 0; r < out_; ++r) {
-    std::copy_n(w_.data() + r * in_ + col0, cols, w.data() + r * cols);
-  }
-  return Linear(cols, std::move(w), {});
+  return Linear(std::move(w), std::move(b));
 }
 
 abft::Report Linear::forward(const MatrixF& x, MatrixF& y,
                              LinearProtect protect, fault::FaultInjector* inj,
                              float rel_threshold) const {
-  if (x.cols() != in_) throw std::invalid_argument("Linear: in_features");
+  const std::size_t in = in_features(), out = out_features();
+  if (x.cols() != in) throw std::invalid_argument("Linear: in_features");
   const std::size_t M = x.rows();
-  if (y.rows() != M || y.cols() != out_) y = MatrixF(M, out_);
-  if (out_ == 0) return {};  // empty slice_out shard: nothing to compute
+  if (y.rows() != M || y.cols() != out) y = MatrixF(M, out);
+  if (out == 0) return {};  // empty slice_out shard: nothing to compute
 
-  // Round activations to fp16 once (the tensor-core operand).
-  MatrixH xh(M, in_);
-  for (std::size_t i = 0; i < x.size(); ++i) xh.data()[i] = Half(x.data()[i]);
+  // Round activations to fp16 once (the tensor-core operand), held widened
+  // for the fp32-accumulate GEMMs.  thread_local scratch: linears run inside
+  // shard workers.
+  thread_local std::vector<Half> xh;
+  thread_local std::vector<float> xa;
+  if (xa.size() < x.size()) {
+    xh.resize(x.size());
+    xa.resize(x.size());
+  }
+  numeric::floats_to_halves(x.data(), xh.data(), x.size());
+  numeric::halves_to_floats(xh.data(), xa.data(), x.size());
 
   abft::Report rep;
   if (protect == LinearProtect::kStridedAbft) {
-    rep = abft::StridedAbft::gemm_nt(xh, w_, y, abft::StridedAbft::kDefaultStride,
-                                     rel_threshold, inj, fault::Site::kLinear);
+    rep = abft::StridedAbft::apply(xa.data(), M, w_, y, rel_threshold, inj,
+                                   fault::Site::kLinear);
   } else {
-    sim::gemm_fp16_nt(xh, w_, y);
+    sim::gemm_f32_nnh(xa.data(), M, in, w_.image.data(), out, y);
     if (inj) {
       for (std::size_t i = 0; i < y.size(); ++i) {
         y.data()[i] = inj->corrupt(fault::Site::kLinear, y.data()[i]);
@@ -97,7 +86,7 @@ abft::Report Linear::forward(const MatrixF& x, MatrixF& y,
   if (!bias_.empty()) {
     for (std::size_t r = 0; r < M; ++r) {
       float* row = &y(r, 0);
-      for (std::size_t c = 0; c < out_; ++c) row[c] += bias_[c];
+      for (std::size_t c = 0; c < out; ++c) row[c] += bias_[c];
     }
   }
   return rep;
@@ -105,19 +94,17 @@ abft::Report Linear::forward(const MatrixF& x, MatrixF& y,
 
 sim::CostBreakdown Linear::costs(double m) const {
   sim::CostBreakdown b;
-  b[sim::Phase::kGemm].tc_flops =
-      2.0 * m * static_cast<double>(out_) * static_cast<double>(in_);
-  b[sim::Phase::kMemory].hbm_bytes =
-      (m * static_cast<double>(in_) + m * static_cast<double>(out_) +
-       static_cast<double>(in_) * static_cast<double>(out_)) *
-      2.0;
-  b[sim::Phase::kRescale].fp32_flops = m * static_cast<double>(out_);  // bias
+  const auto in = static_cast<double>(in_features());
+  const auto out = static_cast<double>(out_features());
+  b[sim::Phase::kGemm].tc_flops = 2.0 * m * out * in;
+  b[sim::Phase::kMemory].hbm_bytes = (m * in + m * out + in * out) * 2.0;
+  b[sim::Phase::kRescale].fp32_flops = m * out;  // bias
   return b;
 }
 
 sim::CostBreakdown Linear::protection_costs(double m) const {
-  return abft::StridedAbft::costs(m, static_cast<double>(out_),
-                                  static_cast<double>(in_),
+  return abft::StridedAbft::costs(m, static_cast<double>(out_features()),
+                                  static_cast<double>(in_features()),
                                   abft::StridedAbft::kDefaultStride);
 }
 

@@ -1,14 +1,24 @@
 // Protected linear layers (feed-forward substrate).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
+#include "abft/strided_abft.hpp"
+#include "sim/mma.hpp"
 #include "tensor/random.hpp"
+#include "transformer/layers.hpp"
 #include "transformer/linear.hpp"
 
+namespace fb = ftt::abft;
 namespace ftx = ftt::transformer;
 namespace ft = ftt::tensor;
 namespace ff = ftt::fault;
+namespace fs = ftt::sim;
+using ftt::numeric::Half;
 
 TEST(Linear, ShapeAndDeterminism) {
   ftx::Linear l(128, 256, 42);
@@ -25,6 +35,7 @@ TEST(Linear, RejectsMisalignedOut) {
 }
 
 TEST(Linear, MatchesReference) {
+  // weight() is the sealed k-major image W^T (in x out).
   ftx::Linear l(64, 64, 7);
   ft::MatrixF x(8, 64);
   ft::fill_normal(x, 8);
@@ -36,7 +47,7 @@ TEST(Linear, MatchesReference) {
       float acc = 0.0f;
       for (std::size_t k = 0; k < 64; ++k) {
         acc += ftt::numeric::round_to_half(x(r, k)) *
-               l.weight()(c, k).to_float();
+               l.weight()(k, c).to_float();
       }
       EXPECT_NEAR(y(r, c), acc, 0.1f) << r << "," << c;  // reference omits the bias
     }
@@ -100,4 +111,228 @@ TEST(LinearCosts, ScaleWithShape) {
   // Protection is a small fraction of the payload.
   EXPECT_LT(big.protection_costs(128).total().tc_flops,
             big.costs(128).total().tc_flops);
+}
+
+// ---------------------------------------------------------------------------
+// Sealed-operand parity: the sealed Linear against the per-call strided ABFT
+// rebuilt from the library's per-call primitives (gemm_fp16_nt,
+// encode_rows_strided, verify_correct) — outputs bitwise, Reports and
+// per-site hook counts equal, clean and under every injector kind.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr std::size_t kTile = 64;
+constexpr int kS = 8;
+
+/// Re-widen, re-encode and verify on every call, firing the hooks in the
+/// per-call order: payload outputs, then per tile c1's and c2's encode
+/// (jc-major over k), then the tile's checksum GEMM outputs.
+fb::Report reference_forward(const ftx::Linear& l, const ft::MatrixF& x,
+                             ft::MatrixF& y, bool protect,
+                             ff::FaultInjector* inj) {
+  const std::size_t in = l.in_features(), out = l.out_features();
+  const std::size_t M = x.rows();
+  ft::MatrixH w(out, in);  // W (out x in) from the sealed W^T image
+  for (std::size_t k = 0; k < in; ++k) {
+    for (std::size_t n = 0; n < out; ++n) w(n, k) = l.weight()(k, n);
+  }
+  ft::MatrixH xh(M, in);
+  for (std::size_t i = 0; i < x.size(); ++i) xh.data()[i] = Half(x.data()[i]);
+  y = ft::MatrixF(M, out);
+  fs::gemm_fp16_nt(xh, w, y);
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    y.data()[i] = ff::corrupt(inj, ff::Site::kLinear, y.data()[i]);
+  }
+  fb::Report rep;
+  for (std::size_t t = 0; protect && t < out / kTile; ++t) {
+    ft::MatrixH bt(kTile, in);
+    std::copy_n(w.data() + t * kTile * in, kTile * in, bt.data());
+    const ft::MatrixH c1 =
+        fb::StridedAbft::encode_rows_strided(bt, kS, false, inj);
+    const ft::MatrixH c2 =
+        fb::StridedAbft::encode_rows_strided(bt, kS, true, inj);
+    ft::MatrixF chk1(M, kS), chk2(M, kS);
+    fs::gemm_fp16_nt(xh, c1, chk1);
+    fs::gemm_fp16_nt(xh, c2, chk2);
+    for (std::size_t i = 0; i < M; ++i) {
+      for (std::size_t j = 0; j < static_cast<std::size_t>(kS); ++j) {
+        chk1(i, j) = ff::corrupt(inj, ff::Site::kChecksum, chk1(i, j));
+        chk2(i, j) = ff::corrupt(inj, ff::Site::kChecksum, chk2(i, j));
+      }
+    }
+    rep += fb::StridedAbft::verify_correct(y, chk1, chk2, kS, 0.02f,
+                                           t * kTile, kTile);
+  }
+  const auto bias = l.bias();
+  for (std::size_t r = 0; r < M && !bias.empty(); ++r) {
+    for (std::size_t c = 0; c < out; ++c) y(r, c) += bias[c];
+  }
+  return rep;
+}
+
+bool bitwise_equal(const ft::MatrixF& a, const ft::MatrixF& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+void expect_same_report(const fb::Report& a, const fb::Report& b,
+                        const char* what) {
+  EXPECT_EQ(a.checks, b.checks) << what;
+  EXPECT_EQ(a.flagged, b.flagged) << what;
+  EXPECT_EQ(a.corrected, b.corrected) << what;
+  EXPECT_EQ(a.checksum_repairs, b.checksum_repairs) << what;
+  EXPECT_EQ(a.uncorrectable, b.uncorrectable) << what;
+}
+
+void expect_same_calls(const ff::FaultInjector& a, const ff::FaultInjector& b,
+                       const char* what) {
+  for (std::size_t s = 0; s < ff::kSiteCount; ++s) {
+    const auto site = static_cast<ff::Site>(s);
+    EXPECT_EQ(a.calls(site), b.calls(site)) << what << " site " << s;
+  }
+  EXPECT_EQ(a.injected(), b.injected()) << what;
+}
+
+/// One forward through the sealed layer and one through the reference,
+/// each under its own copy of `inj` (nullptr = clean), compared exactly.
+void expect_parity(const ftx::Linear& l, const ft::MatrixF& x, bool protect,
+                   const ff::FaultInjector* inj, const std::string& what) {
+  ff::FaultInjector a = inj ? *inj : ff::FaultInjector();
+  ff::FaultInjector b = a;
+  ft::MatrixF ys, yr;
+  const auto mode = protect ? ftx::LinearProtect::kStridedAbft
+                            : ftx::LinearProtect::kNone;
+  const fb::Report rs = l.forward(x, ys, mode, inj ? &a : nullptr);
+  const fb::Report rr = reference_forward(l, x, yr, protect, inj ? &b : nullptr);
+  EXPECT_TRUE(bitwise_equal(ys, yr)) << what;
+  expect_same_report(rs, rr, what.c_str());
+  expect_same_calls(a, b, what.c_str());
+}
+
+}  // namespace
+
+TEST(SealedLinear, MatchesPerCallStridedAbftAcrossInjectors) {
+  const std::size_t shapes[][2] = {{128, 128}, {128, 256}, {256, 128},
+                                   {64, 192}};
+  for (const auto& sh : shapes) {
+    const ftx::Linear l(sh[0], sh[1], 100 + sh[0] + sh[1]);
+    for (const std::size_t M : {0u, 1u, 5u, 64u, 130u}) {
+      ft::MatrixF x(M, sh[0]);
+      ft::fill_normal(x, 7 + M);
+      for (const bool protect : {false, true}) {
+        const std::string base = std::to_string(sh[0]) + "x" +
+                                 std::to_string(sh[1]) + " M" +
+                                 std::to_string(M) +
+                                 (protect ? " protected" : " plain");
+        expect_parity(l, x, protect, nullptr, base + " clean");
+        ff::FaultInjector probe;
+        expect_parity(l, x, protect, &probe, base + " probe");
+        // Size the single-flip campaign from the probe's hook counts.
+        ft::MatrixF y;
+        l.forward(x, y,
+                  protect ? ftx::LinearProtect::kStridedAbft
+                          : ftx::LinearProtect::kNone,
+                  &probe);
+        for (const ff::Site site : {ff::Site::kLinear, ff::Site::kChecksum}) {
+          const std::uint64_t n = probe.calls(site);
+          for (std::uint64_t j = 0; n > 0 && j < 11; ++j) {
+            const std::uint64_t idx = (n * j / 11 + j) % n;
+            for (const unsigned bit : {30u, 27u, 3u, 31u}) {
+              const auto inj = ff::FaultInjector::single(site, idx, bit);
+              expect_parity(l, x, protect, &inj,
+                            base + " single site " +
+                                std::to_string(static_cast<int>(site)) +
+                                " idx " + std::to_string(idx) + " bit " +
+                                std::to_string(bit));
+            }
+          }
+        }
+        for (const double p : {1e-3, 1e-2}) {
+          const auto inj = ff::FaultInjector::bernoulli(p, 99 + M);
+          expect_parity(l, x, protect, &inj,
+                        base + " bernoulli " + std::to_string(p));
+        }
+      }
+    }
+  }
+}
+
+TEST(SealedLinear, FeedForwardMatchesPerCallUnderBernoulli) {
+  const ftx::FeedForward ffn(128, 512, 77);
+  for (const std::size_t M : {0u, 1u, 5u, 64u, 130u}) {
+    ft::MatrixF x(M, 128);
+    ft::fill_normal(x, 300 + M);
+    for (const bool protect : {false, true}) {
+      auto a = ff::FaultInjector::bernoulli(1e-2, 11 + M);
+      auto b = a;
+      ft::MatrixF ys(M, 128);
+      const auto res = ffn.forward(x, ys, protect, &a);
+      // Reference: the same Linear -> GELU(+restriction) -> Linear chain
+      // over the per-call strided ABFT.
+      ft::MatrixF h, yr;
+      fb::Report rr = reference_forward(ffn.w1(), x, h, protect, &b);
+      ftx::RangeRestrictedGelu act = ffn.act();
+      act.restrict_range = protect;
+      const std::size_t clipped = act.forward(h, &b);
+      rr += reference_forward(ffn.w2(), h, yr, protect, &b);
+      const std::string what = "ffn M" + std::to_string(M);
+      EXPECT_TRUE(bitwise_equal(ys, yr)) << what;
+      EXPECT_EQ(res.activations_clipped, clipped) << what;
+      expect_same_report(res.abft, rr, what.c_str());
+      expect_same_calls(a, b, what.c_str());
+    }
+  }
+}
+
+TEST(SealedLinear, SliceOutShardsMatchFullLayerColumns) {
+  const ftx::Linear l(128, 256, 21);
+  ft::MatrixF x(37, 128);
+  ft::fill_normal(x, 22);
+  for (const bool protect : {false, true}) {
+    const auto mode = protect ? ftx::LinearProtect::kStridedAbft
+                              : ftx::LinearProtect::kNone;
+    ft::MatrixF full;
+    const fb::Report rfull = l.forward(x, full, mode);
+    fb::Report rsum;
+    for (std::size_t c0 = 0; c0 < 256; c0 += 128) {
+      const ftx::Linear shard = l.slice_out(c0, 128);
+      ft::MatrixF y;
+      rsum += shard.forward(x, y, mode);
+      for (std::size_t r = 0; r < x.rows(); ++r) {
+        EXPECT_EQ(0, std::memcmp(&y(r, 0), &full(r, c0), 128 * sizeof(float)))
+            << "clean shard c0 " << c0 << " row " << r;
+      }
+      // Injected: the shard is the per-call reference over its own columns.
+      const auto inj = ff::FaultInjector::bernoulli(5e-3, 5 + c0);
+      expect_parity(shard, x, protect, &inj,
+                    "injected shard c0 " + std::to_string(c0));
+    }
+    expect_same_report(rsum, rfull, "shard reports sum to the full layer's");
+  }
+  const ftx::Linear empty = l.slice_out(64, 0);
+  ft::MatrixF y;
+  EXPECT_EQ(empty.forward(x, y, ftx::LinearProtect::kStridedAbft).checks, 0u);
+  EXPECT_EQ(y.cols(), 0u);
+  EXPECT_THROW((void)l.slice_out(32, 64), std::invalid_argument);
+  EXPECT_THROW((void)l.slice_out(192, 128), std::invalid_argument);
+}
+
+TEST(SealedLinear, ProbeCallCountsPinned) {
+  // An unarmed probe sees every hook the per-call encode fired: 5 x 256
+  // payload outputs, and per 64-column tile 2 x 8 x 128 encode values plus
+  // 2 x 5 x 8 checksum-GEMM outputs.  Campaign indices keep their meaning.
+  const ftx::Linear l(128, 256, 31);
+  ft::MatrixF x(5, 128);
+  ft::fill_normal(x, 32);
+  ft::MatrixF y;
+  ff::FaultInjector probe;
+  l.forward(x, y, ftx::LinearProtect::kStridedAbft, &probe);
+  EXPECT_EQ(probe.calls(ff::Site::kLinear), 1280u);
+  EXPECT_EQ(probe.calls(ff::Site::kChecksum), 8512u);
+  ff::FaultInjector plain;
+  l.forward(x, y, ftx::LinearProtect::kNone, &plain);
+  EXPECT_EQ(plain.calls(ff::Site::kLinear), 1280u);
+  EXPECT_EQ(plain.calls(ff::Site::kChecksum), 0u);
 }

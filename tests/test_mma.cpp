@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "sim/mma.hpp"
 #include "tensor/random.hpp"
@@ -192,6 +193,18 @@ TEST(GemmFp16, AccumulateFlag) {
   for (std::size_t i = 0; i < C.size(); ++i) {
     EXPECT_FLOAT_EQ(C2.data()[i], 2.0f * C.data()[i]);
   }
+}
+
+TEST(GemmFp16, RejectsMismatchedK) {
+  ft::MatrixH A(4, 64), B(64, 128);
+  ft::MatrixF C(4, 64);
+  EXPECT_THROW(fs::gemm_fp16_nt(A, B, C), std::invalid_argument);
+}
+
+TEST(GemmFp16, RejectsWrongOutputShape) {
+  ft::MatrixH A(4, 64), B(64, 64);
+  ft::MatrixF C(2, 8);
+  EXPECT_THROW(fs::gemm_fp16_nt(A, B, C), std::invalid_argument);
 }
 
 TEST(GemmF32H, RoundsLeftOperandThroughHalf) {

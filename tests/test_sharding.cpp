@@ -5,7 +5,6 @@
 // identical injected faults, and with per-shard fault attribution.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <random>
 #include <vector>
 
@@ -297,52 +296,6 @@ TEST(Sharding, HeadRangeBatchUnionMatchesFullBatch) {
 // DeterministicCombiner
 // ---------------------------------------------------------------------------
 
-TEST(Combiner, SingleShardReduceIsExactCopy) {
-  const fs::DeterministicCombiner comb(8);
-  ft::MatrixF a(3, 10);
-  ft::fill_normal(a, 1);
-  ft::MatrixF out(3, 10);
-  const ft::MatrixF* parts[] = {&a};
-  comb.reduce(parts, out);
-  EXPECT_EQ(out, a);
-}
-
-TEST(Combiner, ReduceIsFixedOrderDeterministicAndCorrect) {
-  const std::size_t n = 4, len = 1000;
-  std::vector<std::vector<float>> parts(n, std::vector<float>(len));
-  std::mt19937_64 rng(99);
-  std::normal_distribution<float> dist(0.0f, 1.0f);
-  for (auto& p : parts) {
-    for (auto& x : p) x = dist(rng);
-  }
-  std::vector<std::span<const float>> views(parts.begin(), parts.end());
-
-  const fs::DeterministicCombiner comb(64);
-  std::vector<float> out1(len), out2(len);
-  comb.reduce(views, out1);
-  comb.reduce(views, out2);
-  EXPECT_EQ(out1, out2);  // bit-deterministic across calls
-
-  // Values match the mathematical sum to float tolerance.
-  for (std::size_t i = 0; i < len; i += 97) {
-    double exact = 0.0;
-    for (const auto& p : parts) exact += p[i];
-    EXPECT_NEAR(out1[i], static_cast<float>(exact), 1e-4);
-  }
-
-  // Pin the ring rotation: chunk c accumulates starting at shard c % n, so
-  // element 64 (first of chunk 1) must equal the float sum taken in the
-  // exact order 1, 2, 3, 0.
-  float expect0 = parts[1][64];
-  for (std::size_t s = 2; s <= n; ++s) expect0 += parts[s % n][64];
-  EXPECT_EQ(out1[64], expect0);
-
-  EXPECT_THROW(comb.reduce(std::span<const std::span<const float>>{},
-                           std::span<float>{}),
-               std::invalid_argument);
-  EXPECT_THROW(fs::DeterministicCombiner(0), std::invalid_argument);
-}
-
 TEST(Combiner, MergesReportsAndStatsInShardOrder) {
   std::vector<fa::FtReport> reps(3);
   reps[0].gemm1.checks = 5;
@@ -508,36 +461,6 @@ TEST(ShardedEngine, PoisonedShardFaultIsAttributedToThatShardOnly) {
     EXPECT_LE(reports[0].total_detected(), slack);
   }
   EXPECT_TRUE(found) << "no scanned flip index hit shard 1";
-}
-
-TEST(ShardedEngine, RingReduceModeIsDeterministicAndClose) {
-  const fx::Model model(serving_config(), 0x419);
-  const std::size_t hidden = model.config().hidden;
-  const ft::MatrixF prompt = random_prompt(40, hidden, 0x5151);
-
-  auto run_ring = [&] {
-    fs::EngineOptions opt;
-    opt.shards = 2;
-    opt.combine = fs::CombineMode::kRingReduce;
-    fs::DecodeEngine engine(model, opt);
-    const auto id = engine.submit(prompt, 6);
-    engine.run_until_idle(nullptr, 10000);
-    return std::vector<float>(engine.hidden(id).begin(),
-                              engine.hidden(id).end());
-  };
-  const auto a = run_ring();
-  const auto b = run_ring();
-  EXPECT_EQ(a, b);  // deterministic for a fixed shard count
-
-  fs::DecodeEngine solo(model);
-  const auto id = solo.submit(prompt, 6);
-  solo.run_until_idle(nullptr, 10000);
-  const auto hs = solo.hidden(id);
-  ASSERT_EQ(a.size(), hs.size());
-  // Ring reduction re-associates float adds: close, not necessarily equal.
-  for (std::size_t c = 0; c < a.size(); ++c) {
-    EXPECT_NEAR(a[c], hs[c], 1e-3f + 1e-3f * std::fabs(hs[c])) << "c " << c;
-  }
 }
 
 TEST(ShardedEngine, RejectsUnshardableConfigurations) {

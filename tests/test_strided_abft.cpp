@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "abft/element_abft.hpp"
 #include "abft/strided_abft.hpp"
@@ -214,4 +216,104 @@ TEST(StridedAbft, NarrowerStrideCheaperButWeaker) {
   const auto c4 = fb::StridedAbft::costs(64, 64, 64, 4);
   const auto c8 = fb::StridedAbft::costs(64, 64, 64, 8);
   EXPECT_LT(c4[fs::Phase::kGemm].tc_flops, c8[fs::Phase::kGemm].tc_flops);
+}
+
+TEST(StridedAbftSeal, LayoutIsTransposeAndEncodedColumns) {
+  // The sealed operand holds B^T plus, per 64-column tile, the k-major
+  // [c1^T | c2^T] columns — exactly the per-call encodings, at 0.25x the
+  // image bytes for s = 8.
+  ft::MatrixH B(128, 48);
+  ft::fill_normal(B, 40);
+  const auto sealed = fb::StridedAbft::seal(B, kS);
+  ASSERT_EQ(sealed.image.rows(), 48u);
+  ASSERT_EQ(sealed.image.cols(), 128u);
+  ASSERT_EQ(sealed.checksums.rows(), 48u);
+  ASSERT_EQ(sealed.checksums.cols(), 2u * 2u * kS);
+  EXPECT_EQ(4 * sealed.checksums.size(), sealed.image.size());
+  for (std::size_t k = 0; k < 48; ++k) {
+    for (std::size_t n = 0; n < 128; ++n) {
+      EXPECT_EQ(sealed.image(k, n).bits(), B(n, k).bits());
+    }
+  }
+  for (std::size_t t = 0; t < 2; ++t) {
+    ft::MatrixH bt(64, 48);
+    for (std::size_t r = 0; r < 64; ++r) {
+      for (std::size_t k = 0; k < 48; ++k) bt(r, k) = B(t * 64 + r, k);
+    }
+    const auto c1 = fb::StridedAbft::encode_rows_strided(bt, kS, false, nullptr);
+    const auto c2 = fb::StridedAbft::encode_rows_strided(bt, kS, true, nullptr);
+    for (std::size_t k = 0; k < 48; ++k) {
+      for (std::size_t jc = 0; jc < kS; ++jc) {
+        EXPECT_EQ(sealed.checksums(k, t * 16 + jc).bits(), c1(jc, k).bits());
+        EXPECT_EQ(sealed.checksums(k, t * 16 + kS + jc).bits(),
+                  c2(jc, k).bits());
+      }
+    }
+  }
+  // A slice is the matching columns of both images.
+  const auto sl = fb::StridedAbft::slice(sealed, 64, 64);
+  for (std::size_t k = 0; k < 48; ++k) {
+    for (std::size_t n = 0; n < 64; ++n) {
+      EXPECT_EQ(sl.image(k, n).bits(), sealed.image(k, 64 + n).bits());
+    }
+    for (std::size_t c = 0; c < 16; ++c) {
+      EXPECT_EQ(sl.checksums(k, c).bits(), sealed.checksums(k, 16 + c).bits());
+    }
+  }
+  EXPECT_THROW((void)fb::StridedAbft::slice(sealed, 32, 64),
+               std::invalid_argument);
+  EXPECT_THROW((void)fb::StridedAbft::seal(ft::MatrixH(96, 8), kS),
+               std::invalid_argument);
+  EXPECT_THROW((void)fb::StridedAbft::seal(B, 3), std::invalid_argument);
+}
+
+// Misuse of the strided-ABFT entry points is a typed error, never an
+// out-of-bounds access.
+
+TEST(StridedAbftMisuse, GemmRejectsMismatchedK) {
+  ft::MatrixH A(4, 64), B(64, 128);
+  ft::MatrixF C(4, 64);
+  EXPECT_THROW(fb::StridedAbft::gemm_nt(A, B, C, kS, kThr, nullptr),
+               std::invalid_argument);
+}
+
+TEST(StridedAbftMisuse, GemmRejectsWrongOutputShape) {
+  ft::MatrixH A(4, 64), B(64, 64);
+  ft::MatrixF C(2, 8);
+  EXPECT_THROW(fb::StridedAbft::gemm_nt(A, B, C, kS, kThr, nullptr),
+               std::invalid_argument);
+}
+
+TEST(StridedAbftMisuse, ApplyRejectsWrongOutputShape) {
+  ft::MatrixH B(64, 32);
+  const auto sealed = fb::StridedAbft::seal(B, kS);
+  std::vector<float> a(4 * 32, 0.0f);
+  ft::MatrixF C(4, 32);
+  EXPECT_THROW(fb::StridedAbft::apply(a.data(), 4, sealed, C, kThr, nullptr,
+                                      ff::Site::kLinear),
+               std::invalid_argument);
+}
+
+TEST(StridedAbftMisuse, VerifyRejectsShortChecksumRows) {
+  ft::MatrixF S(4, 64), chk1(3, 8), chk2(4, 8);
+  EXPECT_THROW(fb::StridedAbft::verify_correct(S, chk1, chk2, kS, kThr),
+               std::invalid_argument);
+  EXPECT_THROW(fb::StridedAbft::verify_correct(S, chk2, chk1, kS, kThr),
+               std::invalid_argument);
+}
+
+TEST(StridedAbftMisuse, VerifyRejectsNarrowChecksums) {
+  ft::MatrixF S(4, 64), chk1(4, 4), chk2(4, 8);
+  EXPECT_THROW(fb::StridedAbft::verify_correct(S, chk1, chk2, kS, kThr),
+               std::invalid_argument);
+  EXPECT_THROW(fb::StridedAbft::verify_correct(S, chk2, chk1, kS, kThr),
+               std::invalid_argument);
+}
+
+TEST(StridedAbftMisuse, VerifyRejectsColumnRangePastPayload) {
+  ft::MatrixF S(4, 64), chk1(4, 8), chk2(4, 8);
+  EXPECT_THROW(fb::StridedAbft::verify_correct(S, chk1, chk2, kS, kThr, 32, 64),
+               std::invalid_argument);
+  EXPECT_THROW(fb::StridedAbft::verify_correct(S, chk1, chk2, kS, kThr, 72),
+               std::invalid_argument);
 }
