@@ -41,6 +41,12 @@ trajectory telemetry, not gates, so losing one should be visible in the log
 and the step summary without turning hardware-dependent reporting into a
 red build.
 
+The script adds one gauge of its own to the merged set: src_kloc, the
+non-blank lines under the repository's src/ in thousands.  src/ is found
+relative to this script, so CI and local runs count the same tree from any
+working directory.  It tracks code size in the history next to the speed
+gauges; the baseline lists it as informational.
+
 "informational" gauges are never value-gated: the measured value is only
 reported.  This is the tier for gauges whose value is honest but
 meaningless on CI hardware — e.g. the shard/replica parallel speedups,
@@ -77,6 +83,20 @@ import sys
 # Rolling cap on --history entries: enough for every push of a long PR
 # stack, small enough that the artifact stays a quick download.
 HISTORY_MAX_ENTRIES = 500
+
+SRC_DIR = os.path.normpath(
+    os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+
+def src_kloc(root=SRC_DIR):
+    """Non-blank lines of every file under `root`, in thousands."""
+    lines = 0
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            with open(os.path.join(dirpath, name), encoding="utf-8",
+                      errors="replace") as f:
+                lines += sum(1 for line in f if line.strip())
+    return lines / 1000.0
 
 
 def git_sha():
@@ -226,6 +246,7 @@ def main():
     args = ap.parse_args()
 
     merged = merge(args.fragments)
+    merged["gauges"]["src_kloc"] = src_kloc()
     with open(args.out, "w") as f:
         json.dump(merged, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -80,9 +80,15 @@ void validate_item(const DecodeWorkItem& it, const EftaOptions& opt) {
 /// which is bit-identical to the former memcpy-and-convert-per-GEMM path
 /// because fp16 -> fp32 widening is exact and the MAC order is unchanged.
 /// When the slice carries memoized per-tile checksum encodings (serve::
-/// KvCache seals them once per full tile), clean runs consume those instead
+/// TilePool seals them once per full tile), clean runs consume those instead
 /// of re-deriving all four encodings per call, dropping the per-token encode
 /// cost from O(context) to O(tail).
+///
+/// Three tiers per tile, fastest first: a sealed int8 tile streams its
+/// quantized payload through the fused dequantizing kernels; a sealed fp16
+/// tile with an f16t image streams Half operands through the fused
+/// fp16-operand kernels; everything else (the ragged tail, an armed
+/// injector, a memo built at another stride) widens the tile per call.
 FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
                      fault::FaultInjector* inj) {
   const std::size_t n = it.kv.n, d = it.kv.d, R = it.q_len;
@@ -153,11 +159,7 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
     // hint — no semantic effect, so every bit-identity contract holds.
     if (opt.prefetch && j + 1 < nblk) {
       const std::size_t jn = j + 1;
-      if (cache_ok && it.kv.f32 != nullptr && it.kv.f32[jn] != nullptr) {
-        __builtin_prefetch(it.kv.f32[jn], 0, 3);
-        __builtin_prefetch(it.kv.f32[jn] + d * B, 0, 3);
-      } else if (cache_ok && it.kv.f16t != nullptr &&
-                 it.kv.f16t[jn] != nullptr) {
+      if (cache_ok && it.kv.f16t != nullptr && it.kv.f16t[jn] != nullptr) {
         __builtin_prefetch(it.kv.f16t[jn], 0, 3);
         __builtin_prefetch(it.kv.v_tiles[jn], 0, 3);
       } else if (it.kv.fmt != nullptr && it.kv.fmt[jn] == TileFmt::kI8) {
@@ -169,22 +171,11 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
       }
     }
 #endif
-    // Fastest tier: the sealed tile carries a memoized fp32 image with every
-    // GEMM operand pre-widened and pre-packed (K-side blocks k-major), so a
-    // clean tick does no fp16 conversion and no packing for this tile at
-    // all — the score GEMMs and GEMM II run straight over the image.
-    // Consuming it is bit-identical to the widen-per-block tiers below:
-    // widening is exact, transposition is pure data movement, and every GEMM
-    // keeps the same per-output ascending-k accumulation order.
-    const float* img = (cache_ok && full && it.kv.f32 != nullptr)
-                           ? it.kv.f32[j]
-                           : nullptr;
-    // The fp16 analogue (kF16T policy): K-side operands pre-transposed at
-    // seal but kept at half width; the fused fp16-operand kernels widen
-    // them in registers.  V-side operands need no image — the slab's V tile
-    // and sealed column checksums are already row-major axpy streams.
-    const Half* himg = (img == nullptr && cache_ok && full &&
-                        it.kv.f16t != nullptr)
+    // The kF16T image: K-side operands pre-transposed at seal but kept at
+    // half width; the fused fp16-operand kernels widen them in registers.
+    // V-side operands need no image — the slab's V tile and sealed column
+    // checksums are already row-major axpy streams.
+    const Half* himg = (cache_ok && full && it.kv.f16t != nullptr)
                            ? it.kv.f16t[j]
                            : nullptr;
     const float* vsrc = nullptr;   // GEMM II operand, B x d row-major fp32
@@ -200,7 +191,7 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
     const std::int8_t* vsrc8 = nullptr;
     float vscale = 1.0f;
     if (is_i8 && cache_ok && it.kv.k_c1[j] != nullptr) {
-      // Int8 fast path — the quantized analogue of the fp32-image tier.
+      // Int8 fast path — the quantized analogue of the f16t-image tier.
       // The stored payload is already k-major on the K side and the Half
       // encodings' K blocks are stored transposed, so nothing is packed
       // and nothing dequantizes to scratch: the fused kernels widen the
@@ -218,21 +209,10 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
       vscale = it.kv.v_scale[j];
       vc1src = vc1f.data();
       vc2src = vc2f.data();
-    } else if (img != nullptr) {
-      const float* ktimg = img;               // K^T, d x B
-      vsrc = img + d * B;                     // V, B x d
-      const float* kc1t = img + 2 * d * B;    // Kc1^T, d x su
-      const float* kc2t = kc1t + d * su;      // Kc2^T, d x su
-      vc1src = kc2t + d * su;                 // Vc1, B x su
-      vc2src = vc1src + B * su;               // Vc2, B x su
-      sim::gemm_f32_nn(qf.data(), R, d, ktimg, B, S);
-      sim::gemm_f32_nn(qf.data(), R, d, kc1t, su, schk1);
-      sim::gemm_f32_nn(qf.data(), R, d, kc2t, su, schk2);
     } else if (himg != nullptr) {
       // kF16T fast tier: the score GEMMs stream the pre-transposed Half
-      // image (half the bytes of the fp32 image), widening in registers —
-      // exact, ascending-k order unchanged, so bit-identical to the fp32
-      // image tier and to the widen-per-block tier below.  GEMM II and the
+      // image, widening in registers — exact, ascending-k order unchanged,
+      // so bit-identical to the widen-per-block tier below.  GEMM II and the
       // output checksums stream the slab's own fp16 V operands the same way
       // — no fp32 staging for this tile at all.
       const Half* ktimg = himg;                // K^T, d x B halves

@@ -125,21 +125,19 @@ struct EngineOptions {
   ///   * kF16T (default) — a pre-transposed fp16 image per sealed tile:
   ///     clean decode ticks stream Half operands straight through the
   ///     fp16-operand fused microkernels (widened 8 lanes at a time in
-  ///     register), at ~0.5x extra KV tile memory (~1.5x total with the
-  ///     fp16 slab) and roughly half the memory traffic of kF32.
-  ///   * kF32 — the PR 7 widened-fp32 image: pure fp32 vector FMAs with
-  ///     zero widening, at 2x extra memory (3x total).
+  ///     register), at 0.5x extra KV tile memory (1.5x total with the
+  ///     fp16 slab).
   ///   * kNone — no image; decode widens/packs per tile per call, which
   ///     maximizes context capacity.
-  /// All three decode bit-identically — widening is exact and the
-  /// accumulation order is pinned.  Requires the encoding memo
-  /// (auto-forced to kNone without it).
+  /// Both decode bit-identically — widening is exact and the accumulation
+  /// order is pinned.  Requires the encoding memo (auto-forced to kNone
+  /// without it).
   core::ImagePolicy images = core::ImagePolicy::kF16T;
   /// Default sealed-tile storage format for submit(): true stores every
   /// sealed KV tile int8-quantized (core::TileFmt::kI8 — per-tile
   /// power-of-two scales, exact integer checksums at rest, fp16-derived
-  /// decode memo; see docs/QUANTIZATION.md), roughly 3x less sealed-tile
-  /// memory than the fp16 + fp32-image configuration.  Per-request
+  /// decode memo; see docs/QUANTIZATION.md), 1.5x less sealed-tile memory
+  /// than the default fp16 + f16t-image configuration.  Per-request
   /// override: submit_with_format().  Both formats share the one pool —
   /// sealed-tile images apply only to fp16 tiles — and fp16 requests stay
   /// bit-identical to a pure-fp16 run.  Requires the encoding memo

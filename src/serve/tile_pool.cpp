@@ -5,11 +5,228 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "serve/kv_cache.hpp"
+#include "abft/int8_checksums.hpp"
+#include "numeric/gemm_simd.hpp"
+#include "numeric/int8_simd.hpp"
+#include "tensor/tensor.hpp"
 
 namespace ftt::serve {
 
 using numeric::Half;
+using tensor::MatrixH;
+using tensor::MatrixHView;
+
+namespace detail {
+
+void encode_sealed_tile(const Half* k_tile, const Half* v_tile,
+                        std::size_t dim, int s, Half* out) {
+  constexpr std::size_t kRows = TilePool::kTileRows;
+  const auto su = static_cast<std::size_t>(s);
+  const std::size_t kcn = su * dim;     // one K row-checksum block
+  const std::size_t vcn = kRows * su;   // one V column-checksum block
+  // Single-pass seal: the fp16-operand encoders widen 8 lanes at a time in
+  // register, so the 2x fp32 staging copies the old path materialised are
+  // gone.  Bit-identical: fp16 -> fp32 widening is exact and the per-class
+  // accumulation order (ascending l) is unchanged.
+  const MatrixH kc1 = abft::StridedAbft::encode_rows_strided_h(
+      k_tile, kRows, dim, s, false, nullptr);
+  const MatrixH kc2 = abft::StridedAbft::encode_rows_strided_h(
+      k_tile, kRows, dim, s, true, nullptr);
+  const MatrixH vc1 = abft::StridedAbft::encode_cols_strided_h(
+      v_tile, kRows, dim, s, false, nullptr);
+  const MatrixH vc2 = abft::StridedAbft::encode_cols_strided_h(
+      v_tile, kRows, dim, s, true, nullptr);
+  std::memcpy(out, kc1.data(), kcn * sizeof(Half));
+  std::memcpy(out + kcn, kc2.data(), kcn * sizeof(Half));
+  std::memcpy(out + 2 * kcn, vc1.data(), vcn * sizeof(Half));
+  std::memcpy(out + 2 * kcn + vcn, vc2.data(), vcn * sizeof(Half));
+}
+
+I8TileLayout i8_tile_layout(std::size_t dim, int s) noexcept {
+  constexpr std::size_t kRows = TilePool::kTileRows;
+  const auto su = static_cast<std::size_t>(s);
+  I8TileLayout L;
+  L.dim = dim;
+  L.s = su;
+  L.payload = kRows * dim;
+  L.kcn = su * dim;        // henc K block: s x dim logical, stored dim x s
+  L.kcni = su * kRows;     // ienc K block: row encode of the stored K^T
+  L.vcn = kRows * su;
+  const std::size_t ienc_n = 2 * L.kcni + 2 * L.vcn;
+  const std::size_t henc_n = 2 * L.kcn + 2 * L.vcn;
+  L.scale_off = 0;
+  L.ienc_off = L.scale_off + 6 * sizeof(float);
+  L.k_off = L.ienc_off + ienc_n * sizeof(std::int32_t);
+  L.v_off = L.k_off + L.payload;
+  L.henc_off = L.v_off + L.payload;  // even: payload offsets differ by 2*64*dim
+  L.bytes = (L.henc_off + henc_n * sizeof(numeric::Half) + 3) & ~std::size_t{3};
+  return L;
+}
+
+std::size_t f16t_image_halves(std::size_t dim, int s) noexcept {
+  constexpr std::size_t kRows = TilePool::kTileRows;
+  const auto su = static_cast<std::size_t>(s);
+  return kRows * dim + 2 * su * dim;
+}
+
+void build_f16t_image(const Half* k_tile, const Half* enc_block,
+                      std::size_t dim, int s, Half* out) {
+  constexpr std::size_t kRows = TilePool::kTileRows;
+  const auto su = static_cast<std::size_t>(s);
+  const std::size_t kcn = su * dim;
+  // Pure Half-bit transposes: the stored K rows land k-major for the fused
+  // score GEMM, the sealed K checksum blocks land k-major for the checksum
+  // GEMMs.  No arithmetic, so the image carries exactly the slab's bits.
+  Half* kt = out;                 // K^T, dim x kRows
+  Half* kc1t = out + dim * kRows; // Kc1^T, dim x su
+  Half* kc2t = kc1t + dim * su;   // Kc2^T, dim x su
+  numeric::transpose_h(k_tile, kRows, dim, kt);
+  numeric::transpose_h(enc_block, su, dim, kc1t);
+  numeric::transpose_h(enc_block + kcn, su, dim, kc2t);
+}
+
+void quantize_sealed_tile(const Half* k_tile, const Half* v_tile,
+                          std::size_t dim, int s, std::uint8_t* block) {
+  constexpr std::size_t kRows = TilePool::kTileRows;
+  const I8TileLayout L = i8_tile_layout(dim, s);
+  const std::size_t n = kRows * dim;
+  std::vector<float> kf(n), vf(n), ktf(n);
+  tensor::widen(MatrixHView{k_tile, kRows, dim, dim}, kf.data());
+  tensor::widen(MatrixHView{v_tile, kRows, dim, dim}, vf.data());
+  const numeric::I8Scale ks = numeric::choose_i8_scale(
+      numeric::amax_f32(kf.data(), n));
+  const numeric::I8Scale vs = numeric::choose_i8_scale(
+      numeric::amax_f32(vf.data(), n));
+  // K quantizes through its k-major (transposed) image: the stored payload
+  // is K^T, the layout the fused score GEMM streams directly.  V stays
+  // row-major for GEMM II's axpy.
+  std::int8_t* kq = i8_k(block, L);
+  std::int8_t* vq = i8_v(block, L);
+  numeric::transpose_f32(kf.data(), kRows, dim, ktf.data());
+  numeric::quantize_f32_to_i8(ktf.data(), kq, n, ks.inv_scale);
+  numeric::quantize_f32_to_i8(vf.data(), vq, n, vs.inv_scale);
+  // The exactly-dequantized image — the fp32 operands every decode call
+  // over this tile will reconstruct (scale is a power of two: exponent
+  // shift only, no rounding).  kf is rebuilt row-major (logical K) for the
+  // encoders below.
+  numeric::dequantize_i8_to_f32(kq, ktf.data(), n, ks.scale);
+  numeric::transpose_f32(ktf.data(), dim, kRows, kf.data());
+  numeric::dequantize_i8_to_f32(vq, vf.data(), n, vs.scale);
+  // Half encodings of that image: bit-equal to the fresh per-call encode,
+  // so the decode kernel's memo path and injector-forced fresh path agree
+  // bit for bit, exactly as they do for fp16 tiles.  The K-side blocks are
+  // stored transposed (dim x s) like the f16t image's Kc^T blocks.
+  const MatrixH kc1 = abft::StridedAbft::encode_rows_strided_widened(
+      kf.data(), kRows, dim, s, false, nullptr);
+  const MatrixH kc2 = abft::StridedAbft::encode_rows_strided_widened(
+      kf.data(), kRows, dim, s, true, nullptr);
+  const MatrixH vc1 = abft::StridedAbft::encode_cols_strided_widened(
+      vf.data(), kRows, dim, s, false, nullptr);
+  const MatrixH vc2 = abft::StridedAbft::encode_cols_strided_widened(
+      vf.data(), kRows, dim, s, true, nullptr);
+  Half* he = i8_henc(block, L);
+  const auto su = static_cast<std::size_t>(s);
+  numeric::transpose_h(kc1.data(), su, dim, he);
+  numeric::transpose_h(kc2.data(), su, dim, he + L.kcn);
+  std::memcpy(he + 2 * L.kcn, vc1.data(), L.vcn * sizeof(Half));
+  std::memcpy(he + 2 * L.kcn + L.vcn, vc2.data(), L.vcn * sizeof(Half));
+  // Exact int32 checksums of the payload *as stored* (K's run over the
+  // k-major array) — the at-rest redundancy the scrubber verifies by
+  // equality.
+  std::int32_t* ie = i8_ienc(block, L);
+  abft::encode_rows_i8(kq, dim, kRows, s, false, ie);
+  abft::encode_rows_i8(kq, dim, kRows, s, true, ie + L.kcni);
+  abft::encode_cols_i8(vq, kRows, dim, s, false, ie + 2 * L.kcni);
+  abft::encode_cols_i8(vq, kRows, dim, s, true, ie + 2 * L.kcni + L.vcn);
+  float* sc = i8_scales(block, L);
+  sc[0] = sc[1] = sc[2] = ks.scale;
+  sc[3] = sc[4] = sc[5] = vs.scale;
+}
+
+namespace {
+
+// Bitwise 2-of-3 majority vote over one operand's TMR scale copies.
+// Returns false on a three-way disagreement (>= 2 scale faults).
+bool vote_scale(float* sc, bool& repaired) noexcept {
+  std::uint32_t b[3];
+  std::memcpy(&b[0], &sc[0], sizeof(float));
+  std::memcpy(&b[1], &sc[1], sizeof(float));
+  std::memcpy(&b[2], &sc[2], sizeof(float));
+  std::uint32_t win;
+  if (b[0] == b[1] || b[0] == b[2]) {
+    win = b[0];
+  } else if (b[1] == b[2]) {
+    win = b[1];
+  } else {
+    return false;
+  }
+  for (int i = 0; i < 3; ++i) {
+    if (b[i] != win) {
+      std::memcpy(&sc[i], &win, sizeof(float));
+      repaired = true;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+I8ScrubResult scrub_i8_tile(std::uint8_t* block, std::size_t dim, int s) {
+  constexpr std::size_t kRows = TilePool::kTileRows;
+  const I8TileLayout L = i8_tile_layout(dim, s);
+  bool repaired = false;
+  // 1. Scales first: everything downstream (the Half-encoding recompute)
+  //    reads them, and they sit outside both checksum families.
+  float* sc = i8_scales(block, L);
+  if (!vote_scale(sc, repaired) || !vote_scale(sc + 3, repaired)) {
+    return I8ScrubResult::kUnrepairable;
+  }
+  // 2. Exact integer verify/correct of both payloads against the int32
+  //    encodings — equality, zero threshold, exact single-fault repair.
+  std::int8_t* kq = i8_k(block, L);
+  std::int8_t* vq = i8_v(block, L);
+  std::int32_t* ie = i8_ienc(block, L);
+  const abft::I8VerifyReport kr = abft::verify_correct_rows_i8(
+      kq, dim, kRows, s, ie, ie + L.kcni);
+  const abft::I8VerifyReport vr = abft::verify_correct_cols_i8(
+      vq, kRows, dim, s, ie + 2 * L.kcni, ie + 2 * L.kcni + L.vcn);
+  if (kr.unrepairable || vr.unrepairable) return I8ScrubResult::kUnrepairable;
+  repaired = repaired || !kr.clean() || !vr.clean();
+  // 3. The Half encodings are derived state: recompute them from the (now
+  //    verified) payload and scales, and rewrite on any mismatch — this
+  //    catches flips in the henc region itself and completes payload/scale
+  //    repairs in one pass.  The stored K payload is k-major, so it
+  //    transposes back to logical rows for the encoders, and the fresh
+  //    K-side blocks transpose into the stored (dim x s) orientation.
+  const std::size_t n = kRows * dim;
+  const auto su = static_cast<std::size_t>(s);
+  std::vector<float> kf(n), vf(n), ktf(n);
+  numeric::dequantize_i8_to_f32(kq, ktf.data(), n, sc[0]);
+  numeric::transpose_f32(ktf.data(), dim, kRows, kf.data());
+  numeric::dequantize_i8_to_f32(vq, vf.data(), n, sc[3]);
+  const MatrixH kc1 = abft::StridedAbft::encode_rows_strided_widened(
+      kf.data(), kRows, dim, s, false, nullptr);
+  const MatrixH kc2 = abft::StridedAbft::encode_rows_strided_widened(
+      kf.data(), kRows, dim, s, true, nullptr);
+  const MatrixH vc1 = abft::StridedAbft::encode_cols_strided_widened(
+      vf.data(), kRows, dim, s, false, nullptr);
+  const MatrixH vc2 = abft::StridedAbft::encode_cols_strided_widened(
+      vf.data(), kRows, dim, s, true, nullptr);
+  std::vector<Half> fresh(2 * L.kcn + 2 * L.vcn);
+  numeric::transpose_h(kc1.data(), su, dim, fresh.data());
+  numeric::transpose_h(kc2.data(), su, dim, fresh.data() + L.kcn);
+  std::memcpy(fresh.data() + 2 * L.kcn, vc1.data(), L.vcn * sizeof(Half));
+  std::memcpy(fresh.data() + 2 * L.kcn + L.vcn, vc2.data(),
+              L.vcn * sizeof(Half));
+  Half* he = i8_henc(block, L);
+  if (std::memcmp(fresh.data(), he, fresh.size() * sizeof(Half)) != 0) {
+    std::memcpy(he, fresh.data(), fresh.size() * sizeof(Half));
+    repaired = true;
+  }
+  return repaired ? I8ScrubResult::kRepaired : I8ScrubResult::kClean;
+}
+
+}  // namespace detail
 
 ChainKey chain_extend(const ChainKey& parent, const void* data,
                       std::size_t bytes) noexcept {
@@ -42,13 +259,13 @@ TilePool::TilePool(TilePoolOptions opt)
     throw std::invalid_argument(
         "TilePool: layers, heads and dim must be positive");
   }
-  // Same memoization gate as KvCache: a stride that cannot tile the
-  // checksum footprint disables the memo instead of rejecting the pool.
+  // A stride that cannot tile the checksum footprint disables the memo
+  // instead of rejecting the pool.
   if (enc_stride_ <= 0 ||
       kTileRows % static_cast<std::size_t>(enc_stride_) != 0 ||
       dim_ % static_cast<std::size_t>(enc_stride_) != 0) {
     enc_stride_ = 0;
-    // Both image layouts embed the sealed checksum blocks.
+    // The image layout embeds the sealed checksum blocks.
     images_ = core::ImagePolicy::kNone;
   }
   const auto su = static_cast<std::size_t>(enc_stride_);
@@ -101,23 +318,9 @@ const Half* TilePool::enc_block(TileId id, std::size_t layer,
   const Half* v = v_tile(id, layer, head);
   return v == nullptr ? nullptr : v + kTileRows * dim_;
 }
-float* TilePool::f32_image(TileId id, std::size_t layer,
-                           std::size_t head) noexcept {
-  // Null for kI8 tiles (no fslab): the image is the fp16 fast path.
-  float* fslab = tiles_[id].fslab.get();
-  if (images_ != core::ImagePolicy::kF32 || fslab == nullptr) return nullptr;
-  // The image of one (layer, head) holds exactly per_lh_halves_ floats
-  // (every half widened once), so the slab offsets coincide.
-  return fslab + offset(layer, head);
-}
-const float* TilePool::f32_image(TileId id, std::size_t layer,
-                                 std::size_t head) const noexcept {
-  const float* fslab = tiles_[id].fslab.get();
-  if (images_ != core::ImagePolicy::kF32 || fslab == nullptr) return nullptr;
-  return fslab + offset(layer, head);
-}
 Half* TilePool::f16t_image(TileId id, std::size_t layer,
                            std::size_t head) noexcept {
+  // Null for kI8 tiles (no hslab): the image is the fp16 fast path.
   Half* hslab = tiles_[id].hslab.get();
   if (images_ != core::ImagePolicy::kF16T || hslab == nullptr) return nullptr;
   return hslab +
@@ -172,7 +375,6 @@ void TilePool::recycle(TileId id, core::TileFmt fmt) {
   // image and i8 slabs are never zeroed — both are fully written at seal
   // time and never read before.
   if (fmt == core::TileFmt::kI8) {
-    t.fslab.reset();
     t.hslab.reset();
     if (t.qslab == nullptr) {
       t.qslab = std::unique_ptr<std::uint8_t[]>(
@@ -180,9 +382,6 @@ void TilePool::recycle(TileId id, core::TileFmt fmt) {
     }
   } else {
     t.qslab.reset();
-    if (images_ == core::ImagePolicy::kF32 && t.fslab == nullptr) {
-      t.fslab = std::unique_ptr<float[]>(new float[slab_halves_]);
-    }
     if (images_ == core::ImagePolicy::kF16T && t.hslab == nullptr) {
       t.hslab = std::unique_ptr<Half[]>(
           new Half[layers_ * heads_ *
@@ -205,11 +404,10 @@ enum class ScrubOutcome { kClean, kRepaired, kUnrepairable };
 
 // Re-verify one (layer, head) block of a sealed tile and repair in place
 // where the single-fault classification allows it (see TilePool::scrub docs).
-// `enc_fresh` / `img_fresh` / `himg_fresh` are caller-provided scratch.
+// `enc_fresh` / `himg_fresh` are caller-provided scratch.
 ScrubOutcome scrub_block(TilePool& pool, TilePool::TileId id,
                          std::size_t layer, std::size_t head,
                          std::vector<Half>& enc_fresh,
-                         std::vector<float>& img_fresh,
                          std::vector<Half>& himg_fresh) {
   const std::size_t dim = pool.dim();
   const int s = pool.enc_stride();
@@ -237,21 +435,11 @@ ScrubOutcome scrub_block(TilePool& pool, TilePool::TileId id,
     if (enc_fresh[i].bits() != enc[i].bits()) ++mismatches;
   }
 
-  float* img = pool.f32_image(id, layer, head);
   Half* himg = pool.f16t_image(id, layer, head);
   if (mismatches == 0) {
     // Payload and encodings agree bit for bit.  Cross-check the optional
     // image; the fp16 slab is authoritative, so a disagreeing image is
-    // rebuilt from it (both builds are deterministic: exact widening for
-    // kF32, pure bit transposes for kF16T).
-    if (img != nullptr) {
-      detail::widen_sealed_tile(k, v, enc, dim, s, img_fresh.data());
-      if (std::memcmp(img_fresh.data(), img,
-                      img_fresh.size() * sizeof(float)) != 0) {
-        std::memcpy(img, img_fresh.data(), img_fresh.size() * sizeof(float));
-        return ScrubOutcome::kRepaired;
-      }
-    }
+    // rebuilt from it (pure bit transposes, deterministic).
     if (himg != nullptr) {
       detail::build_f16t_image(k, enc, dim, s, himg_fresh.data());
       if (std::memcmp(himg_fresh.data(), himg,
@@ -268,51 +456,34 @@ ScrubOutcome scrub_block(TilePool& pool, TilePool::TileId id,
     // feeds at least a plain and a weighted sum); a single disagreement is
     // checksum-class corruption, and the fresh encode is the repair.
     std::memcpy(enc, enc_fresh.data(), enc_halves * sizeof(Half));
-    if (img != nullptr) detail::widen_sealed_tile(k, v, enc, dim, s, img);
     if (himg != nullptr) detail::build_f16t_image(k, enc, dim, s, himg);
     return ScrubOutcome::kRepaired;
   }
-  // Payload-class corruption: restore from the second copy the image
-  // carries.  kF32 images cover K and V (narrowing the exactly-widened
-  // image restores the sealed fp16 bits); kF16T images cover K only — the
-  // de-transpose restores its Half bits verbatim, but a corrupt V payload
-  // re-verifies dirty below and the tile drops (the durability trade for
-  // the 2x image saving).  Without an image there is no second copy at all.
-  if (img != nullptr) {
-    // Image layout: [K^T (dim x 64) | V (64 x dim) | ...checksums].
-    const float* img_kt = img;
-    const float* img_v = img + TilePool::kTileRows * dim;
-    for (std::size_t r = 0; r < TilePool::kTileRows; ++r) {
-      for (std::size_t c = 0; c < dim; ++c) {
-        k[r * dim + c] = Half(img_kt[c * TilePool::kTileRows + r]);
-        v[r * dim + c] = Half(img_v[r * dim + c]);
-      }
+  // Payload-class corruption: the f16t image is the only second copy, and
+  // it covers K alone — the de-transpose restores K's Half bits verbatim,
+  // but a corrupt V payload re-verifies dirty below and the tile drops (the
+  // durability trade for carrying no V image).  Without an image there is
+  // no second copy at all.
+  if (himg == nullptr) return ScrubOutcome::kUnrepairable;
+  // Image layout: [K^T (dim x 64) | Kc1^T | Kc2^T] halves.
+  for (std::size_t r = 0; r < TilePool::kTileRows; ++r) {
+    for (std::size_t c = 0; c < dim; ++c) {
+      k[r * dim + c] = himg[c * TilePool::kTileRows + r];
     }
-  } else if (himg != nullptr) {
-    // Image layout: [K^T (dim x 64) | Kc1^T | Kc2^T] halves.
-    const Half* img_kt = himg;
-    for (std::size_t r = 0; r < TilePool::kTileRows; ++r) {
-      for (std::size_t c = 0; c < dim; ++c) {
-        k[r * dim + c] = img_kt[c * TilePool::kTileRows + r];
-      }
-    }
-  } else {
-    return ScrubOutcome::kUnrepairable;
   }
   // Re-verify: the restored payload must reproduce the stored encodings
   // (clean under the single-fault assumption).  A residual mismatch means
-  // the corruption was outside what the image covers (V under kF16T) or
-  // the image was corrupt too — either way beyond repair.
+  // the corruption was in V or the image was corrupt too — either way
+  // beyond repair.
   detail::encode_sealed_tile(k, v, dim, s, enc_fresh.data());
   for (std::size_t i = 0; i < enc_halves; ++i) {
     if (enc_fresh[i].bits() != enc[i].bits()) {
       return ScrubOutcome::kUnrepairable;
     }
   }
-  // Refresh the image from the restored payload so all copies are coherent
+  // Refresh the image from the restored payload so both copies are coherent
   // again (no-op bits when the image was clean, as assumed).
-  if (img != nullptr) detail::widen_sealed_tile(k, v, enc, dim, s, img);
-  if (himg != nullptr) detail::build_f16t_image(k, enc, dim, s, himg);
+  detail::build_f16t_image(k, enc, dim, s, himg);
   return ScrubOutcome::kRepaired;
 }
 
@@ -322,11 +493,8 @@ ScrubReport TilePool::scrub(std::size_t max_tiles) {
   ScrubReport rep;
   if (enc_stride_ == 0 || max_tiles == 0 || tiles_.empty()) return rep;
   std::vector<Half> enc_fresh(enc_halves_);
-  std::vector<float> img_fresh;
   std::vector<Half> himg_fresh;
-  if (images_ == core::ImagePolicy::kF32) {
-    img_fresh.resize(detail::f32_image_floats(dim_, enc_stride_));
-  } else if (images_ == core::ImagePolicy::kF16T) {
+  if (images_ == core::ImagePolicy::kF16T) {
     himg_fresh.resize(detail::f16t_image_halves(dim_, enc_stride_));
   }
   const std::size_t n = tiles_.size();
@@ -340,8 +508,7 @@ ScrubReport TilePool::scrub(std::size_t max_tiles) {
     bool unrepairable = false;
     for (std::size_t l = 0; l < layers_ && !unrepairable; ++l) {
       for (std::size_t h = 0; h < heads_ && !unrepairable; ++h) {
-        switch (scrub_block(*this, id, l, h, enc_fresh, img_fresh,
-                            himg_fresh)) {
+        switch (scrub_block(*this, id, l, h, enc_fresh, himg_fresh)) {
           case ScrubOutcome::kClean:
             break;
           case ScrubOutcome::kRepaired:
@@ -388,28 +555,23 @@ void flip_slab_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
     throw std::out_of_range("flip_slab_bit: half_index out of block");
   }
   Half* block = pool.k_tile(id, layer, head);  // [K | V | enc] contiguous
+  if (block == nullptr) {
+    throw std::logic_error(
+        "flip_slab_bit: tile holds no fp16 slab (a sealed kI8 tile freed it)");
+  }
   Half& h = block[half_index];
   h = Half::from_bits(
       static_cast<std::uint16_t>(h.bits() ^ (1u << (bit & 15u))));
-}
-
-void flip_image_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
-                    std::size_t head, std::size_t float_index, unsigned bit) {
-  float* img = pool.f32_image(id, layer, head);
-  if (img == nullptr) {
-    throw std::logic_error("flip_image_bit: pool holds no fp32 images");
-  }
-  std::uint32_t b;
-  std::memcpy(&b, &img[float_index], sizeof(b));
-  b ^= 1u << (bit & 31u);
-  std::memcpy(&img[float_index], &b, sizeof(b));
 }
 
 void flip_f16t_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
                    std::size_t head, std::size_t half_index, unsigned bit) {
   Half* img = pool.f16t_image(id, layer, head);
   if (img == nullptr) {
-    throw std::logic_error("flip_f16t_bit: pool holds no f16t images");
+    throw std::logic_error("flip_f16t_bit: tile holds no f16t image");
+  }
+  if (half_index >= detail::f16t_image_halves(pool.dim(), pool.enc_stride())) {
+    throw std::out_of_range("flip_f16t_bit: half_index out of block");
   }
   Half& h = img[half_index];
   h = Half::from_bits(
@@ -453,11 +615,9 @@ TilePool::TileId TilePool::acquire(core::TileFmt fmt) {
     t.format = fmt;
     if (fmt == core::TileFmt::kI8) {
       // No value-init: fully written at seal time, never read before (the
-      // i8 pointers are published only on seal).  Same for fslab below.
+      // i8 pointers are published only on seal).  Same for hslab below.
       t.qslab = std::unique_ptr<std::uint8_t[]>(
           new std::uint8_t[layers_ * heads_ * i8_block_bytes_]);
-    } else if (images_ == core::ImagePolicy::kF32) {
-      t.fslab = std::unique_ptr<float[]>(new float[slab_halves_]);
     } else if (images_ == core::ImagePolicy::kF16T) {
       t.hslab = std::unique_ptr<Half[]>(
           new Half[layers_ * heads_ *
@@ -560,7 +720,6 @@ std::size_t tile_footprint(const TileT& t, std::size_t slab_halves,
                            std::size_t hslab_halves) noexcept {
   std::size_t b = 0;
   if (t.slab != nullptr) b += slab_halves * sizeof(Half);
-  if (t.fslab != nullptr) b += slab_halves * sizeof(float);
   if (t.hslab != nullptr) b += hslab_halves * sizeof(Half);
   if (t.qslab != nullptr) b += qslab_bytes;
   return b;
@@ -601,9 +760,7 @@ std::size_t TilePool::tile_bytes(core::TileFmt fmt) const noexcept {
     return layers_ * heads_ * i8_block_bytes_;
   }
   std::size_t b = slab_halves_ * sizeof(Half);
-  if (images_ == core::ImagePolicy::kF32) {
-    b += slab_halves_ * sizeof(float);
-  } else if (images_ == core::ImagePolicy::kF16T) {
+  if (images_ == core::ImagePolicy::kF16T) {
     b += layers_ * heads_ * detail::f16t_image_halves(dim_, enc_stride_) *
          sizeof(Half);
   }
@@ -687,10 +844,6 @@ void PagedKvCache::push_tile_ptrs(TilePool::TileId id, bool with_enc) {
       // Sealed shared tiles arrive with their image already built (the
       // sealing request wrote it); fresh tiles get theirs at seal time.
       // Null for kI8 tiles — the image is the fp16-only fast path.
-      hp.f32.push_back(with_enc
-                           ? static_cast<const float*>(
-                                 pool_->f32_image(id, l, h))
-                           : nullptr);
       hp.f16t.push_back(with_enc
                             ? static_cast<const Half*>(
                                   pool_->f16t_image(id, l, h))
@@ -785,12 +938,6 @@ void PagedKvCache::seal_layer_tile(std::size_t layer, std::size_t tile_index) {
       hp.kc2[tile_index] = enc + kcn;
       hp.vc1[tile_index] = enc + 2 * kcn;
       hp.vc2[tile_index] = enc + 2 * kcn + vcn;
-      if (float* img = pool_->f32_image(id, layer, h)) {
-        detail::widen_sealed_tile(pool_->k_tile(id, layer, h),
-                                  pool_->v_tile(id, layer, h), enc, dim, s,
-                                  img);
-        hp.f32[tile_index] = img;
-      }
       if (Half* himg = pool_->f16t_image(id, layer, h)) {
         detail::build_f16t_image(pool_->k_tile(id, layer, h), enc, dim, s,
                                  himg);
@@ -844,7 +991,7 @@ void PagedKvCache::append_chunk(std::size_t layer,
   }
   layer_len_[layer] = len + rows;
   // Seal every tile this chunk filled for this layer.  Slab encoding space
-  // is preallocated, so — unlike KvCache — sealing cannot fail mid-append.
+  // is preallocated, so sealing cannot fail mid-append.
   // Speculative appends defer: a tile filled by rows that may be rejected
   // must stay open until truncate() commits the accepted prefix.
   if (!defer_seal) {
@@ -902,7 +1049,6 @@ void PagedKvCache::truncate(std::size_t tokens) {
       hp.kc2.pop_back();
       hp.vc1.pop_back();
       hp.vc2.pop_back();
-      hp.f32.pop_back();
       hp.f16t.pop_back();
       hp.kq.pop_back();
       hp.vq.pop_back();
@@ -925,13 +1071,12 @@ core::KvSlice PagedKvCache::slice(std::size_t layer, std::size_t head) const {
     throw std::out_of_range("PagedKvCache: layer/head out of range");
   }
   const HeadPtrs& hp = ptrs_[layer * pool_->heads() + head];
+  // f16t entries are null unless the pool's policy is kF16T and the tile
+  // sealed, so exposing the array unconditionally is policy-correct.
   core::KvSlice s{hp.k.data(),   hp.v.data(),   layer_len_[layer],
                   pool_->dim(),  hp.kc1.data(), hp.kc2.data(),
                   hp.vc1.data(), hp.vc2.data(), pool_->enc_stride(),
-                  hp.f32.data()};
-  // Entries are null unless the pool's policy is kF16T and the tile sealed,
-  // so exposing the array unconditionally is policy-correct.
-  s.f16t = hp.f16t.data();
+                  hp.f16t.data()};
   // The i8 views are exposed only for kI8 requests: an fp16 request's
   // slices are bit-for-bit what a pure-fp16 pool would hand out, even when
   // the pool also holds i8 tiles.
@@ -971,7 +1116,6 @@ void PagedKvCache::release_all() {
     hp.kc2.clear();
     hp.vc1.clear();
     hp.vc2.clear();
-    hp.f32.clear();
     hp.f16t.clear();
     hp.kq.clear();
     hp.vq.clear();

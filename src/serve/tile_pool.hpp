@@ -36,6 +36,12 @@
 // independent 64-bit FNV-1a chains) so an accidental collision — which
 // would silently splice the wrong KV into a context — is out of reach for
 // any realistic pool lifetime; lookups compare the full key.
+//
+// Full tiles are immutable once written, so sealing memoizes their four
+// strided checksum encodings (K row checksums c1/c2, V column checksums
+// c1/c2) once, ever: clean decode steps consume the sealed encodings
+// instead of re-deriving all four per token, dropping the per-token encode
+// cost from O(context) to O(tail).
 
 #include <cstddef>
 #include <cstdint>
@@ -50,6 +56,143 @@
 #include "numeric/fp16.hpp"
 
 namespace ftt::serve {
+
+namespace detail {
+/// Encode the four sealed-tile checksum blocks of one 64 x dim K/V tile
+/// pair into `out`, laid out [kc1 (s x dim) | kc2 (s x dim) | vc1 (64 x s)
+/// | vc2 (64 x s)] — 2*s*dim + 2*64*s halves.  Exactly the encodes the
+/// decode kernel would run per call (no injector: memos are built outside
+/// any fault campaign), so the sealed bits equal a fresh encode bit for
+/// bit.
+void encode_sealed_tile(const numeric::Half* k_tile,
+                        const numeric::Half* v_tile, std::size_t dim, int s,
+                        numeric::Half* out);
+
+/// Number of halves in one sealed tile's pre-transposed fp16 image (the
+/// core::ImagePolicy::kF16T layout): only the K-side operands need
+/// re-laying-out, and they stay at half width —
+///   [K^T (dim x 64) | Kc1^T (dim x s) | Kc2^T (dim x s)]
+/// == 64*dim + 2*s*dim halves (0.5x the tile pair).  The V operands have
+/// no image: the slab's V tile (64 x dim) and sealed column checksums
+/// (64 x s) are already row-major streams for the fused fp16-operand axpy.
+[[nodiscard]] std::size_t f16t_image_halves(std::size_t dim, int s) noexcept;
+
+/// Build the kF16T image of one sealed tile from its fp16 K storage and its
+/// sealed encoding block (encode_sealed_tile layout) into `out`
+/// (f16t_image_halves(dim, s) halves).  Pure data movement — transposition
+/// of stored Half bits — so decode over the image (which widens in
+/// registers, exactly) is bit-identical to the widen-per-call path.
+void build_f16t_image(const numeric::Half* k_tile,
+                      const numeric::Half* enc_block, std::size_t dim, int s,
+                      numeric::Half* out);
+
+/// Byte layout of one (layer, head) block of an int8-format KV tile — the
+/// second, coexisting tile format (core::TileFmt::kI8).  One block packs
+/// everything the decode kernel and the scrubber need:
+///
+///   [ scales: 6 floats (K, then V, 3 TMR copies each)
+///   | ienc:  int32 [kc1 (s x 64, over K^T) | kc2 | vc1 (64 x s) | vc2]
+///   | K^T payload: dim x 64 int8 | V payload: 64 x dim int8
+///   | henc:  Half  [Kc1^T (dim x s) | Kc2^T | Vc1 (64 x s) | Vc2] ]
+///
+/// K-side operands are stored *k-major* (pre-transposed): the score GEMMs
+/// consume them in exactly this layout, so the fused dequantizing kernels
+/// (numeric::gemm_f32_nn_i8) stream the int8 payload directly with zero
+/// per-tile pack or dequantize-to-scratch pass — the int8 analogue of the
+/// fp16 format's f16t image.  V stays row-major because GEMM II's axpy
+/// walks V rows.
+///
+/// The int32 encodings are the at-rest redundancy: integer sums of the int8
+/// payload as stored (abft/int8_checksums.hpp; K's run over the k-major
+/// array), verified by EQUALITY — exact fault location and repair with zero
+/// threshold.  The Half encodings are the decode-time memo: the fp16
+/// strided encodings of the exactly-dequantized payload, bit-equal to the
+/// fresh encode the kernel would compute (K-side stored transposed, like
+/// the f16t image's Kc^T blocks), so a clean tick streams payload + henc
+/// and never touches the int32 block.  The per-operand scale is a power of
+/// two (numeric::choose_i8_scale), so dequantization is exact and both
+/// encoding families describe the same tile; the scales themselves are
+/// outside both checksum families, hence the 3-copy TMR.  Alignment: the
+/// float/int32 regions lead and `bytes` is rounded to a multiple of 4, so
+/// an array of blocks keeps every region naturally aligned.
+struct I8TileLayout {
+  std::size_t dim = 0;
+  std::size_t s = 0;        ///< checksum stride the encodings use
+  std::size_t payload = 0;  ///< int8 elements per operand (64 * dim)
+  std::size_t kcn = 0;      ///< Halfs in one K henc block (s * dim)
+  std::size_t kcni = 0;     ///< int32s in one K ienc block (s * 64, over K^T)
+  std::size_t vcn = 0;      ///< elements in one V checksum block (64 * s)
+  std::size_t scale_off = 0, ienc_off = 0, k_off = 0, v_off = 0, henc_off = 0;
+  std::size_t bytes = 0;  ///< total block bytes (multiple of 4)
+};
+[[nodiscard]] I8TileLayout i8_tile_layout(std::size_t dim, int s) noexcept;
+
+// Typed region accessors over one block (const and mutable).
+[[nodiscard]] inline float* i8_scales(std::uint8_t* b,
+                                      const I8TileLayout& L) noexcept {
+  return reinterpret_cast<float*>(b + L.scale_off);
+}
+[[nodiscard]] inline const float* i8_scales(const std::uint8_t* b,
+                                            const I8TileLayout& L) noexcept {
+  return reinterpret_cast<const float*>(b + L.scale_off);
+}
+[[nodiscard]] inline std::int32_t* i8_ienc(std::uint8_t* b,
+                                           const I8TileLayout& L) noexcept {
+  return reinterpret_cast<std::int32_t*>(b + L.ienc_off);
+}
+[[nodiscard]] inline const std::int32_t* i8_ienc(
+    const std::uint8_t* b, const I8TileLayout& L) noexcept {
+  return reinterpret_cast<const std::int32_t*>(b + L.ienc_off);
+}
+[[nodiscard]] inline std::int8_t* i8_k(std::uint8_t* b,
+                                       const I8TileLayout& L) noexcept {
+  return reinterpret_cast<std::int8_t*>(b + L.k_off);
+}
+[[nodiscard]] inline const std::int8_t* i8_k(const std::uint8_t* b,
+                                             const I8TileLayout& L) noexcept {
+  return reinterpret_cast<const std::int8_t*>(b + L.k_off);
+}
+[[nodiscard]] inline std::int8_t* i8_v(std::uint8_t* b,
+                                       const I8TileLayout& L) noexcept {
+  return reinterpret_cast<std::int8_t*>(b + L.v_off);
+}
+[[nodiscard]] inline const std::int8_t* i8_v(const std::uint8_t* b,
+                                             const I8TileLayout& L) noexcept {
+  return reinterpret_cast<const std::int8_t*>(b + L.v_off);
+}
+[[nodiscard]] inline numeric::Half* i8_henc(std::uint8_t* b,
+                                            const I8TileLayout& L) noexcept {
+  return reinterpret_cast<numeric::Half*>(b + L.henc_off);
+}
+[[nodiscard]] inline const numeric::Half* i8_henc(
+    const std::uint8_t* b, const I8TileLayout& L) noexcept {
+  return reinterpret_cast<const numeric::Half*>(b + L.henc_off);
+}
+
+/// Quantize one sealed 64 x dim fp16 K/V tile pair into an i8 block:
+/// choose the per-operand power-of-two scales, quantize the payload, then
+/// derive BOTH encoding families from the result — the Half encodings from
+/// the exactly-dequantized image (bit-equal to the fresh encode a decode
+/// call would run over that image) and the int32 encodings from the int8
+/// payload — and write the TMR scale copies.  The block is fully
+/// overwritten; no zeroing is required beforehand.
+void quantize_sealed_tile(const numeric::Half* k_tile,
+                          const numeric::Half* v_tile, std::size_t dim, int s,
+                          std::uint8_t* block);
+
+/// Outcome of verifying one i8 block against its own redundancy.
+enum class I8ScrubResult { kClean, kRepaired, kUnrepairable };
+
+/// The i8 arm of the KV scrubber: majority-vote the TMR scale copies, run
+/// the exact integer verify/correct over both payloads (equality, zero
+/// threshold — abft::verify_correct_*_i8), then recompute the Half
+/// encodings from the repaired, dequantized payload and rewrite them on
+/// mismatch.  Repairs happen in place; kUnrepairable means >= 2 faults in
+/// one residue class (or a three-way scale disagreement) and the caller
+/// must drop the tile.
+[[nodiscard]] I8ScrubResult scrub_i8_tile(std::uint8_t* block,
+                                          std::size_t dim, int s);
+}  // namespace detail
 
 /// 128-bit prefix-chain key.  Value-initialized = the empty-chain root.
 struct ChainKey {
@@ -72,20 +215,19 @@ struct TilePoolOptions {
   /// the pool grows on demand and eviction only recycles dead/cached tiles
   /// that already exist.
   std::size_t capacity_tiles = 0;
-  /// Checksum stride for the sealed-tile encodings; invalid strides disable
-  /// memoization exactly like serve::KvCache (enc_stride() reports 0).
+  /// Checksum stride for the sealed-tile encodings.  A stride that does not
+  /// divide both the 64-row tile and `dim` — or a value <= 0 — disables
+  /// memoization instead of rejecting the pool (enc_stride() reports 0);
+  /// decode then encodes fresh per call.
   int enc_stride = abft::StridedAbft::kDefaultStride;
   /// Sealed-tile image policy (core::ImagePolicy):
-  ///   * kF32  — widened-fp32 image per sealed (layer, head) tile
-  ///     (detail::widen_sealed_tile layout): 2x the tile memory, zero
-  ///     per-tile widening/packing on clean decode ticks.
   ///   * kF16T — pre-transposed fp16 image (detail::build_f16t_image
-  ///     layout, [K^T | Kc1^T | Kc2^T] halves): ~0.5x extra memory, zero
+  ///     layout, [K^T | Kc1^T | Kc2^T] halves): 0.5x extra memory, zero
   ///     per-tile packing, operands widened 8 lanes at a time inside the
-  ///     fp16-operand microkernels.  Same decoded bits as kF32/kNone.
+  ///     fp16-operand microkernels.  Same decoded bits as kNone.
   ///   * kNone — no image; decode widens/packs per call.
-  /// Either image requires the encoding memo; forced to kNone when
-  /// enc_stride is disabled.
+  /// The image embeds the sealed checksum blocks, so it requires the
+  /// encoding memo; forced to kNone when enc_stride is disabled.
   core::ImagePolicy images = core::ImagePolicy::kNone;
 };
 
@@ -112,23 +254,19 @@ class TilePool {
   /// head) block's in-slab strided-ABFT encodings against its fp16
   /// payload, bit for bit.
   ///
-  ///   * payload and encodings consistent, but the optional image (fp32 or
-  ///     f16t) disagrees -> the image is rebuilt from the (authoritative)
-  ///     fp16 slab (`repaired`);
+  ///   * payload and encodings consistent, but the f16t image disagrees ->
+  ///     the image is rebuilt from the (authoritative) fp16 slab
+  ///     (`repaired`);
   ///   * exactly one encoding element disagrees with a fresh encode ->
   ///     checksum-class corruption, the sealed encodings (and image) are
   ///     rewritten in place (`repaired`);
-  ///   * two or more disagree -> payload-class corruption: with kF32
-  ///     images, the fp16 payload is reconstructed by exact narrowing of
-  ///     the image (widening was exact, so the round trip restores the
-  ///     sealed bits) and re-verified (`repaired`); with kF16T images the
-  ///     K payload is restored by de-transposing the image's Half bits
-  ///     verbatim and re-verified — but the f16t image carries no V copy,
-  ///     so V-payload corruption is unrepairable there (the memory-
-  ///     durability trade for the 2x image saving); without images (or on
-  ///     a failed re-verify) the tile is unrepairable — it is unpublished,
-  ///     unsealed and reported in `dropped` (refcount-0 tiles go straight
-  ///     to the dead list).
+  ///   * two or more disagree -> payload-class corruption: with kF16T
+  ///     images the K payload is restored by de-transposing the image's
+  ///     Half bits verbatim and re-verified (`repaired`).  The f16t image
+  ///     carries no V copy, so V-payload corruption is unrepairable; so is
+  ///     any payload corruption without an image, or a failed re-verify.
+  ///     An unrepairable tile is unpublished, unsealed and reported in
+  ///     `dropped` (refcount-0 tiles go straight to the dead list).
   ///
   /// Classification is exact under a single-fault assumption per tile;
   /// sub-threshold low-order payload flips that cancel in every checksum
@@ -196,13 +334,6 @@ class TilePool {
                                             std::size_t head) const noexcept;
   [[nodiscard]] const numeric::Half* enc_block(TileId id, std::size_t layer,
                                                std::size_t head) const noexcept;
-  /// The widened-fp32 image of one (layer, head) tile (f32_image_floats
-  /// floats, written at seal time), or nullptr when the option is off.
-  /// Contents are only meaningful once the tile's layer sealed.
-  [[nodiscard]] float* f32_image(TileId id, std::size_t layer,
-                                 std::size_t head) noexcept;
-  [[nodiscard]] const float* f32_image(TileId id, std::size_t layer,
-                                       std::size_t head) const noexcept;
   /// The pre-transposed fp16 image of one (layer, head) tile
   /// (f16t_image_halves halves, written at seal time), or nullptr when the
   /// policy is not kF16T.  Contents are only meaningful once the tile's
@@ -264,13 +395,13 @@ class TilePool {
   }
   /// Bytes held by *referenced* tiles (what live requests pin).  Format-
   /// aware: sums each tile's actual current slabs — fp16 staging (freed
-  /// when a kI8 tile seals), fp32 image, i8 — so a mixed-format pool
+  /// when a kI8 tile seals), f16t image, i8 — so a mixed-format pool
   /// reports the real mixed footprint.
   [[nodiscard]] std::size_t bytes_in_use() const noexcept;
   /// Bytes of every materialized slab, cached/dead tiles included.
   [[nodiscard]] std::size_t bytes_allocated() const noexcept;
   /// Steady-state bytes of one sealed tile of `fmt` in this pool's
-  /// configuration (kF16: fp16 slab + optional fp32 image; kI8: the i8
+  /// configuration (kF16: fp16 slab + optional f16t image; kI8: the i8
   /// slab alone — its staging slab is freed at seal).  The byte-capacity
   /// planning hook for benches and the capacity gauges.
   [[nodiscard]] std::size_t tile_bytes(core::TileFmt fmt) const noexcept;
@@ -287,13 +418,9 @@ class TilePool {
     /// area for kI8 tiles (freed when a kI8 tile seals, reallocated on
     /// recycle).
     std::unique_ptr<numeric::Half[]> slab;
-    /// fp32 image slab (kF32 policy, kF16 tiles only): one f32_image_floats
-    /// block per (layer, head), same indexing as `slab`.  Not zeroed on
-    /// recycle — the image is fully overwritten at seal time and never read
-    /// before.
-    std::unique_ptr<float[]> fslab;
     /// Pre-transposed fp16 image slab (kF16T policy, kF16 tiles only): one
-    /// f16t_image_halves block per (layer, head).  Same recycle rule.
+    /// f16t_image_halves block per (layer, head).  Not zeroed on recycle —
+    /// the image is fully overwritten at seal time and never read before.
     std::unique_ptr<numeric::Half[]> hslab;
     /// i8 slab (kI8 tiles only): one detail::I8TileLayout block per
     /// (layer, head).  Not zeroed on recycle for the same reason.
@@ -340,13 +467,13 @@ namespace testing {
 /// (KV storage is assumed ECC-protected), so these exist purely to exercise
 /// TilePool::scrub()'s classification/repair paths — never a serving API.
 /// `half_index` addresses the (layer, head) block's contiguous
-/// [K | V | encodings] halves; `float_index` addresses its fp32 image.
+/// [K | V | encodings] halves.  Every hook validates its target: an index
+/// past the block throws std::out_of_range, a tile without the addressed
+/// slab throws std::logic_error.
 void flip_slab_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
                    std::size_t head, std::size_t half_index, unsigned bit);
-void flip_image_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
-                    std::size_t head, std::size_t float_index, unsigned bit);
-/// kF16T counterpart of flip_image_bit: flip one bit of one half of a
-/// sealed tile's pre-transposed fp16 image block.
+/// Flip one bit of one half of a sealed tile's pre-transposed fp16 image
+/// block (kF16T pools; `half_index` < detail::f16t_image_halves).
 void flip_f16t_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
                    std::size_t head, std::size_t half_index, unsigned bit);
 /// i8-tile counterpart: flip one bit of one byte of a kI8 tile's
@@ -376,8 +503,7 @@ void flip_i8_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
 /// and failure is the preemption signal), then append_chunk() lands the same
 /// rows layer by layer and never allocates.  Per-layer lengths track the
 /// mid-tick state where layer L has appended this tick's rows but layer L+1
-/// has not; slice(layer, head) reads the per-layer length, exactly like the
-/// per-layer KvCache objects this class replaces.
+/// has not; slice(layer, head) reads the per-layer length.
 ///
 /// When a (layer, head) tile fills, its four checksum encodings are sealed
 /// into the tile slab (same bits as a fresh per-call encode — the shared
@@ -411,8 +537,9 @@ class PagedKvCache {
   /// backs off.
   [[nodiscard]] bool ensure_capacity(std::size_t tokens);
 
-  /// Append `rows` tokens' K/V for one layer (head-major rows of heads*dim
-  /// halves, the KvCache::append_chunk layout).  Capacity must already be
+  /// Append `rows` tokens' K/V for one layer (stacked head-major rows of
+  /// heads*dim halves each — the split-heads layout of a projected
+  /// rows x hidden block).  Capacity must already be
   /// ensured; throws std::logic_error otherwise — the engine's memory phase
   /// is the only allocation site by design.
   ///
@@ -467,11 +594,8 @@ class PagedKvCache {
  private:
   struct HeadPtrs {
     std::vector<const numeric::Half*> k, v, kc1, kc2, vc1, vc2;
-    // Per-tile fp32 image pointers (null until the layer tile seals, and
-    // always null when the pool doesn't hold kF32 images).
-    std::vector<const float*> f32;
-    // Per-tile pre-transposed fp16 image pointers (kF16T policy), same
-    // null-until-sealed rule.
+    // Per-tile pre-transposed fp16 image pointers (null until the layer
+    // tile seals, and always null when the pool's policy is not kF16T).
     std::vector<const numeric::Half*> f16t;
     // Per-tile i8 payload pointers and power-of-two scales (kI8 caches
     // only; null/0 until the layer tile quantizes).

@@ -103,10 +103,11 @@ void gemm_fp16_nt(const tensor::MatrixH& A, tensor::MatrixHView B,
 void gemm_f32_nt(const float* A, std::size_t M, std::size_t K, const float* B,
                  std::size_t N, tensor::MatrixF& C, bool accumulate = false);
 
-/// Same contract with B already k-major (K x N) — the memoized fp32 tile
-/// images store K^T pre-transposed so a clean decode tick skips the per-call
-/// pack entirely.  Bit-identical to gemm_f32_nt over B^T (pure layout
-/// change; per-output accumulation order is unchanged).
+/// Same contract with B already k-major (K x N) — a staged attention slice
+/// and a sealed int8 tile's Kc^T checksum blocks are laid out k-major once,
+/// so the GEMMs over them skip the per-call pack entirely.  Bit-identical to
+/// gemm_f32_nt over B^T (pure layout change; per-output accumulation order
+/// is unchanged).
 void gemm_f32_nn(const float* A, std::size_t M, std::size_t K, const float* B,
                  std::size_t N, tensor::MatrixF& C, bool accumulate = false);
 

@@ -1,7 +1,7 @@
 // Int8 quantized KV tiles: SIMD/scalar kernel bit-identity, EXACT integer
 // checksum verification (equality, zero threshold), the sealed-encoding
-// exactness lemma, KvCache/TilePool/engine integration and the mixed-format
-// pool invariants.
+// exactness lemma, PagedKvCache/TilePool/engine integration and the
+// mixed-format pool invariants.
 //
 // The load-bearing property is the power-of-two scale: dequantization is an
 // exponent shift (exact), so the dequantized tile's fp16 strided encodings
@@ -24,8 +24,8 @@
 #include "core/decode.hpp"
 #include "numeric/fp16.hpp"
 #include "numeric/int8_simd.hpp"
+#include "paged_kv_fixture.hpp"
 #include "serve/engine.hpp"
-#include "serve/kv_cache.hpp"
 #include "serve/tile_pool.hpp"
 #include "tensor/random.hpp"
 #include "tensor/tensor.hpp"
@@ -38,10 +38,12 @@ namespace fs = ftt::serve;
 namespace ft = ftt::tensor;
 namespace fx = ftt::transformer;
 using ftt::numeric::Half;
+using ftt::testing::fill_random;
+using ftt::testing::PagedKv;
 
 namespace {
 
-constexpr std::size_t kRows = fs::KvCache::kTileRows;  // 64
+constexpr std::size_t kRows = fs::TilePool::kTileRows;  // 64
 constexpr int kStride = fa::StridedAbft::kDefaultStride;
 
 std::vector<float> random_floats(std::size_t n, std::uint64_t seed,
@@ -499,29 +501,15 @@ TEST(I8Tile, ScrubDoubleClassFaultUnrepairable) {
 }
 
 // ---------------------------------------------------------------------------
-// serve::KvCache with kv_quant: format bookkeeping and decode bit-identity
-// against a manually dequantized fp16 twin.
+// Paged int8 tiles (PagedKv fixture): format bookkeeping and decode
+// bit-identity against a manually dequantized fp16 twin.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 constexpr std::size_t kHeads = 2, kDim = 64;
 
-void fill_cache(fs::KvCache& cache, std::size_t tokens, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::normal_distribution<float> dist(0.0f, 1.0f);
-  const std::size_t w = cache.heads() * cache.dim();
-  std::vector<Half> k(w), v(w);
-  for (std::size_t t = 0; t < tokens; ++t) {
-    for (std::size_t i = 0; i < w; ++i) {
-      k[i] = Half(dist(rng));
-      v[i] = Half(dist(rng));
-    }
-    cache.append(k, v);
-  }
-}
-
-std::vector<float> decode_all_heads(const fs::KvCache& cache,
+std::vector<float> decode_all_heads(const PagedKv& cache,
                                     std::span<const Half> q) {
   std::vector<float> out(cache.heads() * cache.dim());
   for (std::size_t h = 0; h < cache.heads(); ++h) {
@@ -535,50 +523,40 @@ std::vector<float> decode_all_heads(const fs::KvCache& cache,
 
 }  // namespace
 
-TEST(KvCacheQuant, RejectsImagePlusQuantCombination) {
-  EXPECT_THROW(fs::KvCache(kHeads, kDim, kStride, fc::ImagePolicy::kF32,
-                           /*kv_quant=*/true),
-               std::invalid_argument);
-  EXPECT_THROW(fs::KvCache(kHeads, kDim, kStride, fc::ImagePolicy::kF16T,
-                           /*kv_quant=*/true),
-               std::invalid_argument);
-}
-
-TEST(KvCacheQuant, SealedTilesFlipToI8AndTailStaysF16) {
-  fs::KvCache cache(kHeads, kDim, kStride, fc::ImagePolicy::kNone, true);
-  EXPECT_TRUE(cache.kv_quant());
-  fill_cache(cache, 2 * kRows + 10, 21);
+TEST(PagedKvQuant, SealedTilesFlipToI8AndTailStaysF16) {
+  PagedKv cache(kHeads, kDim, fc::TileFmt::kI8);
+  EXPECT_EQ(cache.cache().format(), fc::TileFmt::kI8);
+  fill_random(cache, 2 * kRows + 10, 21);
   ASSERT_EQ(cache.tiles(), 3u);
-  EXPECT_EQ(cache.tile_format(0), fc::TileFmt::kI8);
-  EXPECT_EQ(cache.tile_format(1), fc::TileFmt::kI8);
-  EXPECT_EQ(cache.tile_format(2), fc::TileFmt::kF16);
   const fc::KvSlice s = cache.slice(0);
   ASSERT_NE(s.fmt, nullptr);
   EXPECT_EQ(s.fmt[0], fc::TileFmt::kI8);
+  EXPECT_EQ(s.fmt[1], fc::TileFmt::kI8);
   EXPECT_EQ(s.fmt[2], fc::TileFmt::kF16);
   ASSERT_NE(s.k_i8, nullptr);
   EXPECT_NE(s.k_i8[0], nullptr);
   EXPECT_EQ(s.k_i8[2], nullptr);  // open tail stays fp16
   EXPECT_NE(s.k_scale[0], 0.0f);
-  // Truncation into a sealed tile re-opens it as fp16, losslessly.
-  cache.truncate(kRows + 5);
-  EXPECT_EQ(cache.tile_format(1), fc::TileFmt::kF16);
+  // A sealed kI8 tile freed its fp16 staging slab; the tail still stages.
+  EXPECT_EQ(s.k_tiles[0], nullptr);
+  EXPECT_NE(s.k_tiles[2], nullptr);
 }
 
-TEST(KvCacheQuant, DecodeBitIdenticalToDequantizedF16Twin) {
+TEST(PagedKvQuant, DecodeBitIdenticalToDequantizedF16Twin) {
   // The decode kernel widens a kI8 tile by exact dequantization; a fp16
   // cache holding Half(dequantized payload) — exact, <= 7-bit significands —
   // must therefore decode bit-identically.
-  fs::KvCache quant(kHeads, kDim, kStride, fc::ImagePolicy::kNone, true);
-  fill_cache(quant, 2 * kRows + 17, 22);
+  PagedKv quant(kHeads, kDim, fc::TileFmt::kI8);
+  fill_random(quant, 2 * kRows + 17, 22);
 
-  fs::KvCache ref(kHeads, kDim, kStride, fc::ImagePolicy::kNone, false);
+  PagedKv ref(kHeads, kDim, fc::TileFmt::kF16);
   std::mt19937_64 rng(22);
   std::normal_distribution<float> dist(0.0f, 1.0f);
   // Rebuild the reference stream: sealed-tile rows take the dequantized
   // values read back from the quantized cache, tail rows the raw values.
   std::vector<std::vector<const std::int8_t*>> kq(kHeads), vq(kHeads);
   std::vector<std::vector<float>> ks(kHeads), vs(kHeads);
+  const fc::TileFmt* fmt = quant.slice(0).fmt;  // shared by every head
   for (std::size_t h = 0; h < kHeads; ++h) {
     const fc::KvSlice s = quant.slice(h);
     for (std::size_t t = 0; t < s.tiles(); ++t) {
@@ -595,7 +573,7 @@ TEST(KvCacheQuant, DecodeBitIdenticalToDequantizedF16Twin) {
     for (std::size_t h = 0; h < kHeads; ++h) {
       for (std::size_t c = 0; c < kDim; ++c) {
         const float kraw = dist(rng), vraw = dist(rng);
-        if (quant.tile_format(tile) == fc::TileFmt::kI8) {
+        if (fmt[tile] == fc::TileFmt::kI8) {
           // K is stored k-major (K^T, dim x 64): logical (row, c) lives at
           // c * 64 + row.  V stays row-major.
           k[h * kDim + c] =
@@ -622,11 +600,11 @@ TEST(KvCacheQuant, DecodeBitIdenticalToDequantizedF16Twin) {
   }
 }
 
-TEST(KvCacheQuant, DecodeDeterministicAndWithinQuantTolerance) {
-  fs::KvCache quant(kHeads, kDim, kStride, fc::ImagePolicy::kNone, true);
-  fs::KvCache exact(kHeads, kDim, kStride, fc::ImagePolicy::kNone, false);
-  fill_cache(quant, 3 * kRows, 24);
-  fill_cache(exact, 3 * kRows, 24);
+TEST(PagedKvQuant, DecodeDeterministicAndWithinQuantTolerance) {
+  PagedKv quant(kHeads, kDim, fc::TileFmt::kI8);
+  PagedKv exact(kHeads, kDim, fc::TileFmt::kF16);
+  fill_random(quant, 3 * kRows, 24);
+  fill_random(exact, 3 * kRows, 24);
 
   const std::vector<Half> q = random_halves(kHeads * kDim, 25);
   const std::vector<float> a = decode_all_heads(quant, q);
@@ -660,7 +638,7 @@ fs::TilePoolOptions pool_options(std::size_t capacity = 0,
   o.dim = kDim;
   o.capacity_tiles = capacity;
   o.enc_stride = kStride;
-  o.images = images ? fc::ImagePolicy::kF32 : fc::ImagePolicy::kNone;
+  o.images = images ? fc::ImagePolicy::kF16T : fc::ImagePolicy::kNone;
   return o;
 }
 
@@ -694,13 +672,26 @@ TEST(TilePoolQuant, I8FormatRequiresEncodingMemo) {
 }
 
 TEST(TilePoolQuant, SealedI8TileFreesStagingSlabAndShrinksFootprint) {
+  // kF16T images on: the engine default the int8 format displaces.
   fs::TilePool pool(pool_options(0, /*images=*/true));
-  const std::size_t f16_bytes = pool.tile_bytes(fc::TileFmt::kF16);
+  // Exact sealed bytes of one (layer, head) block at dim 64, stride 8: the
+  // fp16 slab (K, V and the four encodings) 20,480 B, or 30,720 B with the
+  // f16t image; the int8 block 20,504 B — 1.5x smaller than the default
+  // format, and about the size of a bare fp16 slab.
+  const auto su = static_cast<std::size_t>(kStride);
+  const std::size_t slab_block =
+      (2 * kRows * kDim + 2 * su * kDim + 2 * kRows * su) * sizeof(Half);
+  const std::size_t image_block =
+      fs::detail::f16t_image_halves(kDim, kStride) * sizeof(Half);
+  const std::size_t i8_block = fs::detail::i8_tile_layout(kDim, kStride).bytes;
+  EXPECT_EQ(slab_block, 20480u);
+  EXPECT_EQ(slab_block + image_block, 30720u);
+  EXPECT_EQ(i8_block, 20504u);
+  const std::size_t blocks = pool.layers() * pool.heads();
   const std::size_t i8_bytes = pool.tile_bytes(fc::TileFmt::kI8);
-  // The capacity win the gauges pin: >= 2.9x at dim 64, stride 8, with
-  // fp32 images on (the engine default the int8 format displaces).
-  EXPECT_GE(static_cast<double>(f16_bytes) / static_cast<double>(i8_bytes),
-            2.9);
+  EXPECT_EQ(pool.tile_bytes(fc::TileFmt::kF16),
+            blocks * (slab_block + image_block));
+  EXPECT_EQ(i8_bytes, blocks * i8_block);
 
   fs::PagedKvCache cache(pool, fc::TileFmt::kI8);
   fill_paged(cache, pool.layers(), kRows, 31);  // exactly one sealed tile
@@ -711,9 +702,21 @@ TEST(TilePoolQuant, SealedI8TileFreesStagingSlabAndShrinksFootprint) {
   // Staging slab freed: fp16 accessors null out, i8 block present.
   EXPECT_EQ(pool.k_tile(id, 0, 0), nullptr);
   EXPECT_EQ(pool.enc_block(id, 0, 0), nullptr);
-  EXPECT_EQ(pool.f32_image(id, 0, 0), nullptr);
+  EXPECT_EQ(pool.f16t_image(id, 0, 0), nullptr);
   EXPECT_NE(pool.i8_block(id, 0, 0), nullptr);
   EXPECT_EQ(pool.bytes_in_use(), i8_bytes);
+}
+
+TEST(TilePoolQuant, FlipSlabBitRejectsSealedI8Tile) {
+  // A sealed kI8 tile has no fp16 slab left to corrupt: the hook must say
+  // so instead of indexing the null staging pointer.
+  fs::TilePool pool(pool_options());
+  fs::PagedKvCache cache(pool, fc::TileFmt::kI8);
+  fill_paged(cache, pool.layers(), kRows, 40);
+  const auto id = cache.block_table()[0];
+  ASSERT_TRUE(pool.sealed(id));
+  EXPECT_THROW(fs::testing::flip_slab_bit(pool, id, 0, 0, 0, 3),
+               std::logic_error);
 }
 
 TEST(TilePoolQuant, MixedFormatBytesAccountingIsPerTile) {

@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "core/decode.hpp"
+#include "paged_kv_fixture.hpp"
 #include "serve/engine.hpp"
-#include "serve/kv_cache.hpp"
 #include "tensor/random.hpp"
 #include "transformer/model.hpp"
 
@@ -24,6 +24,8 @@ namespace fs = ftt::serve;
 namespace ft = ftt::tensor;
 namespace fx = ftt::transformer;
 using ftt::numeric::Half;
+using ftt::testing::fill_random;
+using ftt::testing::PagedKv;
 
 // This suite *forces* multi-thread OpenMP teams via omp_set_num_threads,
 // which defeats the TSan leg's OMP_NUM_THREADS=1 guard: libgomp is not
@@ -57,20 +59,6 @@ fx::ModelConfig serving_config() {
   return cfg;
 }
 
-void fill_cache(fs::KvCache& cache, std::size_t tokens, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::normal_distribution<float> dist(0.0f, 1.0f);
-  const std::size_t w = cache.heads() * cache.dim();
-  std::vector<Half> k(w), v(w);
-  for (std::size_t t = 0; t < tokens; ++t) {
-    for (std::size_t i = 0; i < w; ++i) {
-      k[i] = Half(dist(rng));
-      v[i] = Half(dist(rng));
-    }
-    cache.append(k, v);
-  }
-}
-
 /// Restore the ambient thread count after each test so suites stay
 /// independent of execution order.
 class OmpGuard {
@@ -89,10 +77,10 @@ TEST(OmpInvariance, DecodeBatchBitIdenticalAcrossThreadCounts) {
   OmpGuard guard;
   const std::size_t lengths[] = {200, 65, 64, 1, 130};
   constexpr std::size_t kHeads = 4, kDim = 32;
-  std::vector<fs::KvCache> caches;
+  std::vector<PagedKv> caches;
   for (std::size_t i = 0; i < std::size(lengths); ++i) {
-    caches.emplace_back(kHeads, kDim);
-    fill_cache(caches.back(), lengths[i], 900 + i);
+    caches.emplace_back(kHeads, kDim, fc::TileFmt::kF16);
+    fill_random(caches.back(), lengths[i], 900 + i);
   }
   const std::size_t items_n = caches.size() * kHeads;
   std::vector<std::vector<Half>> queries(items_n, std::vector<Half>(kDim));

@@ -10,9 +10,9 @@
 
 #include "core/decode.hpp"
 #include "fault/fault.hpp"
+#include "paged_kv_fixture.hpp"
 #include "serve/combiner.hpp"
 #include "serve/engine.hpp"
-#include "serve/kv_cache.hpp"
 #include "serve/shard.hpp"
 #include "tensor/random.hpp"
 #include "transformer/model.hpp"
@@ -24,6 +24,9 @@ namespace fs = ftt::serve;
 namespace ft = ftt::tensor;
 namespace fx = ftt::transformer;
 using ftt::numeric::Half;
+using ftt::testing::expect_same_report;
+using ftt::testing::fill_random;
+using ftt::testing::PagedKv;
 
 namespace {
 
@@ -55,32 +58,6 @@ fx::Model make_spec_model() {
   return model;
 }
 
-void fill_cache(fs::KvCache& cache, std::size_t tokens, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::normal_distribution<float> dist(0.0f, 1.0f);
-  const std::size_t w = cache.heads() * cache.dim();
-  std::vector<Half> k(w), v(w);
-  for (std::size_t t = 0; t < tokens; ++t) {
-    for (std::size_t i = 0; i < w; ++i) {
-      k[i] = Half(dist(rng));
-      v[i] = Half(dist(rng));
-    }
-    cache.append(k, v);
-  }
-}
-
-void expect_reports_equal(const fa::FtReport& a, const fa::FtReport& b,
-                          const char* what) {
-  EXPECT_EQ(a.gemm1.checks, b.gemm1.checks) << what;
-  EXPECT_EQ(a.gemm1.flagged, b.gemm1.flagged) << what;
-  EXPECT_EQ(a.exp_check.checks, b.exp_check.checks) << what;
-  EXPECT_EQ(a.gemm2.checks, b.gemm2.checks) << what;
-  EXPECT_EQ(a.range_corrections, b.range_corrections) << what;
-  EXPECT_EQ(a.total_detected(), b.total_detected()) << what;
-  EXPECT_EQ(a.total_corrected(), b.total_corrected()) << what;
-  EXPECT_EQ(a.faults_injected, b.faults_injected) << what;
-}
-
 void expect_stats_equal(const fs::StepStats& a, const fs::StepStats& b) {
   EXPECT_EQ(a.active, b.active);
   EXPECT_EQ(a.admitted, b.admitted);
@@ -97,7 +74,7 @@ void expect_stats_equal(const fs::StepStats& a, const fs::StepStats& b) {
   EXPECT_EQ(a.activations_clipped, b.activations_clipped);
   EXPECT_EQ(a.linear.checks, b.linear.checks);
   EXPECT_EQ(a.linear.flagged, b.linear.flagged);
-  expect_reports_equal(a.attention, b.attention, "stats.attention");
+  expect_same_report(a.attention, b.attention, "stats.attention");
 }
 
 /// The mixed workload every engine-parity test drives: a prefix-shared
@@ -212,10 +189,10 @@ TEST(ShardSpec, MoreShardsThanHeadsYieldsEmptyShards) {
 TEST(Sharding, HeadRangeBatchUnionMatchesFullBatch) {
   const std::size_t lengths[] = {33, 100, 1};
   constexpr std::size_t kHeads = 3, kDim = 32;
-  std::vector<fs::KvCache> caches;
+  std::vector<PagedKv> caches;
   for (std::size_t i = 0; i < std::size(lengths); ++i) {
-    caches.emplace_back(kHeads, kDim);
-    fill_cache(caches.back(), lengths[i], 4000 + i);
+    caches.emplace_back(kHeads, kDim, fc::TileFmt::kF16);
+    fill_random(caches.back(), lengths[i], 4000 + i);
   }
 
   const std::size_t items_n = caches.size() * kHeads;
@@ -272,7 +249,7 @@ TEST(Sharding, HeadRangeBatchUnionMatchesFullBatch) {
       EXPECT_EQ(per_item[i].gemm1.checks, full_item[i].gemm1.checks);
       EXPECT_EQ(per_item[i].gemm2.checks, full_item[i].gemm2.checks);
     }
-    expect_reports_equal(merged, full, "merged shard reports");
+    expect_same_report(merged, full, "merged shard reports");
   }
 
   // An empty shard runs nothing and reports nothing.
@@ -351,14 +328,14 @@ TEST(ShardedEngine, BitIdenticalToSoloOnMixedWorkload) {
         EXPECT_EQ(hh[c], hs[c])
             << shards << " shards, request " << i << " c " << c;
       }
-      expect_reports_equal(sharded.report(ids[i]), solo.report(solo_ids[i]),
-                           "per-request report");
+      expect_same_report(sharded.report(ids[i]), solo.report(solo_ids[i]),
+                         "per-request report");
     }
     // Per-shard attention reports merge to the engine lifetime total.
     fa::FtReport merged;
     for (const auto& r : sharded.shard_reports()) merged += r;
-    expect_reports_equal(merged, sharded.lifetime().attention,
-                         "shard_reports sum");
+    expect_same_report(merged, sharded.lifetime().attention,
+                       "shard_reports sum");
   }
 }
 
@@ -419,7 +396,7 @@ TEST(ShardedEngine, FaultParityWithSoloUnderIdenticalInjection) {
   const auto sharded = run(2);
   EXPECT_GT(solo.injected, 0u);  // the campaign actually placed flips
   EXPECT_EQ(sharded.injected, solo.injected);
-  expect_reports_equal(sharded.report, solo.report, "injected report");
+  expect_same_report(sharded.report, solo.report, "injected report");
   ASSERT_EQ(sharded.hidden.size(), solo.hidden.size());
   for (std::size_t c = 0; c < solo.hidden.size(); ++c) {
     EXPECT_EQ(sharded.hidden[c], solo.hidden[c]) << "c " << c;

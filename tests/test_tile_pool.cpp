@@ -1,5 +1,6 @@
 // Paged KV tile pool: refcounting, LRU eviction and prefix-registry unit
-// tests; PagedKvCache bit-parity with the per-request KvCache; and the
+// tests; PagedKvCache decode bit-parity with contiguous token-by-token
+// decode (the bottom of the contract chain); and the
 // randomized engine stress test the acceptance criteria name — refcounts
 // never underflow, evicted tiles are never reachable from a live block
 // table, shared-prefix decode is bit-identical to unshared decode, and a
@@ -9,18 +10,21 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <utility>
 #include <vector>
 
+#include "abft/strided_abft.hpp"
 #include "core/decode.hpp"
 #include "fault/fault.hpp"
+#include "paged_kv_fixture.hpp"
 #include "serve/engine.hpp"
-#include "serve/kv_cache.hpp"
 #include "serve/tile_pool.hpp"
 #include "tensor/random.hpp"
 #include "transformer/model.hpp"
 
 namespace fc = ftt::core;
 namespace fs = ftt::serve;
+using Abft = ftt::abft::StridedAbft;
 namespace ft = ftt::tensor;
 namespace fx = ftt::transformer;
 using ftt::numeric::Half;
@@ -173,69 +177,97 @@ TEST(TilePool, PrefixRegistryLruEvictionAndRescue) {
   EXPECT_EQ(pool.acquire(), fs::TilePool::kNoTile);  // all referenced again
 }
 
-TEST(PagedKvCache, BitIdenticalToPerRequestKvCache) {
+TEST(PagedKvCache, DecodesLikeContiguousTokenByTokenKernel) {
   constexpr std::size_t kLayers = 2, kHeads = 2, kDim = 32, kTokens = 150;
+  constexpr std::size_t kHidden = kHeads * kDim;
   fs::TilePool pool(pool_opts(kLayers, kHeads, kDim, 0));
-  // Explicit fp16: this test pins the pooled fp16 storage bit-identical to
-  // the per-request KvCache, so it must not follow the FTT_KV_QUANT
-  // default (a sealed kI8 tile frees the fp16 slab the comparison reads).
+  // Explicit fp16: this test pins the pooled fp16 path bit-identical to
+  // the contiguous kernel, so it must not follow the FTT_KV_QUANT default.
   fs::PagedKvCache paged(pool, fc::TileFmt::kF16);
 
-  // Reference caches, one per layer, fed identical tokens.
-  std::vector<fs::KvCache> ref;
-  for (std::size_t l = 0; l < kLayers; ++l) ref.emplace_back(kHeads, kDim);
+  // The same rows, contiguous per (layer, head): the reference operands of
+  // efta_decode_step's MatrixH overload, which encodes every tile fresh.
+  std::vector<ft::MatrixH> k_ref, v_ref;
+  for (std::size_t i = 0; i < kLayers * kHeads; ++i) {
+    k_ref.emplace_back(kTokens, kDim);
+    v_ref.emplace_back(kTokens, kDim);
+  }
 
-  // Mixed chunk schedule crossing tile boundaries, like real ticks.
+  // Mixed chunk schedule crossing tile boundaries, like real ticks.  After
+  // every chunk, each (layer, head) slice — sealed tiles with memoized
+  // encodings, plus the open ragged tail — decodes one step.
   const std::size_t chunks[] = {64, 50, 1, 35};
   std::size_t base = 0;
   for (const std::size_t rows : chunks) {
     ASSERT_TRUE(paged.ensure_capacity(base + rows));
     for (std::size_t l = 0; l < kLayers; ++l) {
-      const auto k = random_halves(rows * kHeads * kDim, 100 + base * 7 + l);
-      const auto v = random_halves(rows * kHeads * kDim, 900 + base * 7 + l);
+      const auto k = random_halves(rows * kHidden, 100 + base * 7 + l);
+      const auto v = random_halves(rows * kHidden, 900 + base * 7 + l);
       paged.append_chunk(l, k, v, rows);
-      ref[l].append_chunk(k, v, rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t h = 0; h < kHeads; ++h) {
+          for (std::size_t c = 0; c < kDim; ++c) {
+            k_ref[l * kHeads + h](base + r, c) = k[r * kHidden + h * kDim + c];
+            v_ref[l * kHeads + h](base + r, c) = v[r * kHidden + h * kDim + c];
+          }
+        }
+      }
     }
     base += rows;
+
+    for (std::size_t l = 0; l < kLayers; ++l) {
+      for (std::size_t h = 0; h < kHeads; ++h) {
+        ft::MatrixH kc(base, kDim), vc(base, kDim);
+        std::copy_n(k_ref[l * kHeads + h].data(), base * kDim, kc.data());
+        std::copy_n(v_ref[l * kHeads + h].data(), base * kDim, vc.data());
+        const auto q = random_halves(kDim, 5000 + base * 7 + l * kHeads + h);
+        std::vector<float> out_paged(kDim), out_ref(kDim);
+        const auto rep_paged =
+            fc::efta_decode_step(paged.slice(l, h), q, out_paged);
+        const auto rep_ref = fc::efta_decode_step(kc, vc, q, out_ref);
+        for (std::size_t c = 0; c < kDim; ++c) {
+          ASSERT_EQ(out_paged[c], out_ref[c])
+              << "ctx " << base << " layer " << l << " head " << h;
+        }
+        ftt::testing::expect_same_report(rep_paged, rep_ref, "paged decode");
+
+        // Every sealed tile's memoized encodings are the fresh encodes of
+        // its rows, bit for bit (a low-order memo error would pass the ABFT
+        // thresholds unseen, so the decode check alone cannot pin it).
+        const fc::KvSlice sl = paged.slice(l, h);
+        const int s = sl.enc_stride;
+        for (std::size_t tile = 0; tile < base / fs::TilePool::kTileRows;
+             ++tile) {
+          const std::size_t r0 = tile * fs::TilePool::kTileRows;
+          const ft::MatrixHView kt{&kc(r0, 0), fs::TilePool::kTileRows, kDim,
+                                   kDim};
+          const ft::MatrixHView vt{&vc(r0, 0), fs::TilePool::kTileRows, kDim,
+                                   kDim};
+          const std::pair<const Half*, ft::MatrixH> memo[] = {
+              {sl.k_c1[tile], Abft::encode_rows_strided(kt, s, false, nullptr)},
+              {sl.k_c2[tile], Abft::encode_rows_strided(kt, s, true, nullptr)},
+              {sl.v_c1[tile], Abft::encode_cols_strided(vt, s, false, nullptr)},
+              {sl.v_c2[tile], Abft::encode_cols_strided(vt, s, true, nullptr)}};
+          for (const auto& [sealed, fresh] : memo) {
+            ASSERT_NE(sealed, nullptr) << "tile " << tile;
+            for (std::size_t i = 0; i < fresh.size(); ++i) {
+              ASSERT_EQ(sealed[i].bits(), fresh.data()[i].bits())
+                  << "tile " << tile << " layer " << l << " head " << h;
+            }
+          }
+        }
+      }
+    }
   }
   ASSERT_EQ(base, kTokens);
   EXPECT_EQ(paged.length(), kTokens);
   EXPECT_EQ(paged.block_table().size(), 3u);
   EXPECT_EQ(paged.shared_tiles(), 0u);
 
-  // Tiles, lengths and sealed encodings all match the per-request cache bit
-  // for bit — the paged path is the same computation over pooled storage.
-  for (std::size_t l = 0; l < kLayers; ++l) {
-    for (std::size_t h = 0; h < kHeads; ++h) {
-      const fc::KvSlice a = ref[l].slice(h);
-      const fc::KvSlice b = paged.slice(l, h);
-      ASSERT_EQ(a.n, b.n);
-      ASSERT_EQ(a.enc_stride, b.enc_stride);
-      for (std::size_t t = 0; t < a.tiles(); ++t) {
-        for (std::size_t i = 0; i < fs::KvCache::kTileRows * kDim; ++i) {
-          ASSERT_EQ(a.k_tiles[t][i].bits(), b.k_tiles[t][i].bits());
-          ASSERT_EQ(a.v_tiles[t][i].bits(), b.v_tiles[t][i].bits());
-        }
-        ASSERT_EQ(a.k_c1[t] == nullptr, b.k_c1[t] == nullptr) << t;
-        if (a.k_c1[t] != nullptr) {
-          const auto su = static_cast<std::size_t>(a.enc_stride);
-          for (std::size_t i = 0; i < su * kDim; ++i) {
-            ASSERT_EQ(a.k_c1[t][i].bits(), b.k_c1[t][i].bits());
-            ASSERT_EQ(a.k_c2[t][i].bits(), b.k_c2[t][i].bits());
-          }
-          for (std::size_t i = 0; i < fs::KvCache::kTileRows * su; ++i) {
-            ASSERT_EQ(a.v_c1[t][i].bits(), b.v_c1[t][i].bits());
-            ASSERT_EQ(a.v_c2[t][i].bits(), b.v_c2[t][i].bits());
-          }
-        }
-      }
-    }
-  }
-
   // Appending beyond ensured capacity is a protocol violation, not an
   // implicit allocation — the engine's memory phase is the only allocator.
   const auto k1 = random_halves(kHeads * kDim, 77);
-  EXPECT_THROW(paged.append_chunk(0, k1, k1, fs::KvCache::kTileRows),
+  EXPECT_THROW(paged.append_chunk(0, k1, k1, fs::TilePool::kTileRows),
                std::logic_error);
 
   // Full tiles sealed through the pool are attachable by another cache and
