@@ -94,8 +94,8 @@ int main(int argc, char** argv) {
 
   // --- fp16-operand tier: halve the B-operand memory stream --------------
   // The decode hot loop streams sealed KV payload (Half) through
-  // gemm_f32_nnh / axpy_f32_h instead of widening it to an fp32 image
-  // first.  On streaming shapes — a query row against a B far larger than
+  // gemm_f32_nnh instead of widening it to an fp32 image first.  On
+  // streaming shapes — a query row against a B far larger than
   // cache, the long-context decode regime — the kernel is bandwidth-bound
   // and reading half-width B approaches a 2x win.  The gauge is the WORST
   // fp16-vs-fp32-dispatch speedup across the streaming shapes, gated at

@@ -171,19 +171,6 @@ int main(int argc, char** argv) {
               kLongBatch, long_toks, long_items.size(),
               tlong / kLongBatch * 1e3);
 
-  // Same fleet with software prefetch disabled: isolates the per-tile-loop
-  // prefetch hint (informational gauge — the delta is trajectory-tracked,
-  // not gated, because it is hardware- and load-dependent).
-  fc::EftaOptions no_pf;
-  no_pf.prefetch = false;
-  const double tlong_nopf = bench::time_best(
-      [&] { fc::efta_decode_batch(long_items, no_pf); }, 5);
-  const double prefetch_speedup = tlong_nopf / tlong;
-  std::printf("  batch %zu @ ctx ~2048 (no prefetch) %10.1f tok/s  "
-              "prefetch delta %.3fx\n",
-              kLongBatch, static_cast<double>(kLongBatch) / tlong_nopf,
-              prefetch_speedup);
-
   // Int8-quantized KV at the same long-context config: sealed tiles store
   // the payload as int8 (+ exact int32 checksums) instead of fp16 + f16t
   // image, so the decode loop streams about half the bytes per tile and
@@ -263,8 +250,6 @@ int main(int argc, char** argv) {
     w.kv("single_request_tokens_per_s", tok1);
     w.kv("long_context_batch", kLongBatch);
     w.kv("long_context_tokens_per_s", long_toks);
-    w.kv("long_context_tokens_per_s_no_prefetch",
-         static_cast<double>(kLongBatch) / tlong_nopf);
     w.kv("long_context_tokens_per_s_int8", longq_toks);
     w.kv("int8_tile_bytes", i8_tile_bytes);
     w.kv("f16_tile_bytes", f16_float_copy_bytes);
@@ -302,8 +287,6 @@ int main(int argc, char** argv) {
     // Gated (upper limit): the default image policy's sealed-tile bytes
     // over the bare fp16 slab must stay under the 1.7x acceptance ceiling.
     w.kv("kv_image_bytes_ratio", image_bytes_ratio);
-    // Informational: hardware-dependent deltas, trajectory-tracked.
-    w.kv("decode_prefetch_ctx2048_speedup", prefetch_speedup);
     w.end_object();
     w.end_object();
     json_ok = w.write_file(json_path);

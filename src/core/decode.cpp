@@ -64,14 +64,22 @@ void validate_item(const DecodeWorkItem& it, const EftaOptions& opt) {
 /// Core causal query block over one tiled KV slice.  The block sits at the
 /// end of the context: query row r (global position p = base + r with
 /// base = n - q_len) attends rows [0, p] of the cache.  The loop structure
-/// runs every row through the same GEMM routine, the same valid-lane
-/// masking, the same scalar GEMM II accumulation order and the same fault
-/// hooks on the visible lanes — so each output row is bit-identical to
-/// efta_decode_step over a context of p+1 tokens, whether the block is a
+/// runs every row through the same GEMM routines, the same valid-lane
+/// masking, the same GEMM II grouping and accumulation order and the same
+/// fault hooks on the visible lanes — so each output row is bit-identical
+/// to efta_decode_step over a context of p+1 tokens, whether the block is a
 /// 1-row decode step, a speculative draft block or a 64-row prefill chunk.
 /// The block's win is amortization: K/V tiles are loaded, widened and
 /// checksum-encoded once per block instead of once per token, and the score
-/// GEMM covers all rows at once.
+/// GEMMs and GEMM II each cover all rows of a tile in one call.
+///
+/// Per tile, the rows visiting it run in three phases: the per-row softmax
+/// and rescale, one GEMM II over their fp16-rounded weights (P·V, P·Vc1,
+/// P·Vc2), then the adds into the running outputs.  Each hook site fires in
+/// row-major order.  Across sites, a tile's rescale hooks all fire before
+/// its GEMM II hooks, so a multi-row block interleaves sites differently
+/// from running its rows one at a time — visible only to a multi-site
+/// Bernoulli campaign, whose sites share one RNG.
 ///
 /// Hot-path layout: full 64-row tiles are consumed zero-copy straight from
 /// the cache storage (only the ragged tail is pad-and-copied into scratch),
@@ -137,11 +145,12 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
   // K^T payload dequantizes here, then transposes to logical rows in kf.
   std::vector<float> ktf;
   std::vector<float> kc1f(su * d), kc2f(su * d), vc1f(B * su), vc2f(B * su);
-  // Per-row fp16-rounded softmax weights (GEMM II's A operand).
-  std::vector<Half> ph(B);
-  std::vector<float> pf(B);
-  std::vector<float> acc2(d);
-  std::vector<float> tchk1(su), tchk2(su);
+  // GEMM II scratch for one tile: the fp16-rounded softmax weights of the
+  // rows visiting it (the A operand), their P·V and P·Vc products.
+  std::vector<Half> ph(R * B);
+  std::vector<float> pf(R * B);
+  std::vector<float> acc2(R * d);
+  std::vector<float> tchk1(R * su), tchk2(R * su);
   MatrixH ek1, ek2, ev1, ev2;  // fresh encodes when the memo can't serve
   for (std::size_t j = 0; j < nblk; ++j) {
     // Rows of this tile holding real context; the remainder is zero padding,
@@ -151,43 +160,23 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
     const bool is_i8 = it.kv.fmt != nullptr && it.kv.fmt[j] == TileFmt::kI8;
     const Half* kt = is_i8 ? nullptr : it.kv.k_tiles[j];
     const Half* vt = is_i8 ? nullptr : it.kv.v_tiles[j];
-#if defined(__GNUC__) || defined(__clang__)
-    // Software prefetch of the next tile's payload stream: the batched path
-    // is memory-bound (each tile is consumed once per block), so issuing the
-    // first touch a full tile of compute ahead hides the leading miss.  The
-    // hardware prefetcher follows the contiguous stream from there.  Pure
-    // hint — no semantic effect, so every bit-identity contract holds.
-    if (opt.prefetch && j + 1 < nblk) {
-      const std::size_t jn = j + 1;
-      if (cache_ok && it.kv.f16t != nullptr && it.kv.f16t[jn] != nullptr) {
-        __builtin_prefetch(it.kv.f16t[jn], 0, 3);
-        __builtin_prefetch(it.kv.v_tiles[jn], 0, 3);
-      } else if (it.kv.fmt != nullptr && it.kv.fmt[jn] == TileFmt::kI8) {
-        __builtin_prefetch(it.kv.k_i8[jn], 0, 3);
-        __builtin_prefetch(it.kv.v_i8[jn], 0, 3);
-      } else {
-        __builtin_prefetch(it.kv.k_tiles[jn], 0, 3);
-        __builtin_prefetch(it.kv.v_tiles[jn], 0, 3);
-      }
-    }
-#endif
     // The kF16T image: K-side operands pre-transposed at seal but kept at
     // half width; the fused fp16-operand kernels widen them in registers.
     // V-side operands need no image — the slab's V tile and sealed column
-    // checksums are already row-major axpy streams.
+    // checksums are already the k-major B operands GEMM II streams.
     const Half* himg = (cache_ok && full && it.kv.f16t != nullptr)
                            ? it.kv.f16t[j]
                            : nullptr;
     const float* vsrc = nullptr;   // GEMM II operand, B x d row-major fp32
     const float* vc1src = nullptr; // V column checksums, B x su fp32
     const float* vc2src = nullptr;
-    // Half GEMM II operands (kF16T fused path): when set, the axpy loops
-    // below stream the stored fp16 rows directly instead of vsrc/vc*src.
+    // Half GEMM II operands (kF16T fused path): when set, GEMM II streams
+    // the stored fp16 rows directly instead of vsrc/vc*src.
     const Half* vsrcH = nullptr;
     const Half* vc1H = nullptr;
     const Half* vc2H = nullptr;
-    // Int8 GEMM II operand (fused path): when set, the axpy loop below
-    // streams the quantized V rows directly instead of vsrc.
+    // Int8 GEMM II operand (fused path): when set, GEMM II streams the
+    // quantized V rows directly instead of vsrc.
     const std::int8_t* vsrc8 = nullptr;
     float vscale = 1.0f;
     if (is_i8 && cache_ok && it.kv.k_c1[j] != nullptr) {
@@ -292,15 +281,18 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
       vc1src = vc1f.data();
       vc2src = vc2f.data();
     }
-    for (std::size_t r = 0; r < R; ++r) {
-      // Visible lanes of row r in this tile: its causal prefix, clipped to
-      // the tile.  A block never starts past the cache end, so visibility is
-      // a per-row prefix of lanes and a per-row prefix of tiles.
-      const std::size_t p = base + r;
-      if (p < j * B) continue;  // row's causal prefix ends before this tile
-      const std::size_t vis = std::min(B, p + 1 - j * B);
-      if (inj) {
-        for (std::size_t c = 0; c < vis; ++c) {
+    // Rows [r0, R) visit this tile: row r (global position p = base + r)
+    // sees lanes [0, min(B, p + 1 - jB)) of it once its causal prefix
+    // reaches it.  A block never starts past the cache end, so visibility is
+    // a per-row prefix of lanes and a per-row prefix of tiles.
+    const std::size_t r0 = j * B > base ? j * B - base : 0;
+    const std::size_t rows = R - r0;
+    const auto visible = [&](std::size_t r) {
+      return std::min(B, base + r + 1 - j * B);
+    };
+    if (inj) {
+      for (std::size_t r = r0; r < R; ++r) {
+        for (std::size_t c = 0; c < visible(r); ++c) {
           S(r, c) = inj->corrupt(fault::Site::kGemm1, S(r, c));
         }
       }
@@ -311,10 +303,8 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
     rep.gemm1 += abft::StridedAbft::verify_correct(S, schk1, schk2, s,
                                                    opt.abft_rel_threshold);
 
-    for (std::size_t r = 0; r < R; ++r) {
-      const std::size_t p = base + r;
-      if (p < j * B) continue;
-      const std::size_t vis = std::min(B, p + 1 - j * B);
+    for (std::size_t r = r0; r < R; ++r) {
+      const std::size_t vis = visible(r);
 
       // Streaming softmax update, the single-row decode loop verbatim:
       // the running max sees only the row's visible lanes.
@@ -385,60 +375,49 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
       }
       l[r] = f * l[r] + rowsum;
       m[r] = mnew;
+    }
 
-      // GEMM II (1 x B times B x d) + checksums, decode's scalar
-      // accumulation order.  Masked lanes contribute exact zeros: P is
-      // exactly 0.0f there, and 0 * v adds a signed zero that cannot change
-      // the accumulator.  The row's softmax weights are rounded to fp16
-      // once (bulk) instead of once per output column, and the loop runs
-      // r2-outer axpy over contiguous V rows — each acc2[c] still sums r2
-      // in the same sequential order (and the vector FMA form is
-      // bit-identical under the exact-product precondition: fp16 weights
-      // against fp16-valued V), so the result is unchanged.
-      numeric::floats_to_halves(&S(r, 0), ph.data(), B);
-      numeric::halves_to_floats(ph.data(), pf.data(), B);
-      std::fill(acc2.begin(), acc2.end(), 0.0f);
-      if (vsrc8 != nullptr) {
-        // Fused int8 V stream: axpy_f32_i8 widens each quantized row in
-        // registers — bit-identical to axpy_f32 over the dequantized row.
-        for (std::size_t r2 = 0; r2 < B; ++r2) {
-          numeric::axpy_f32_i8(pf[r2], vsrc8 + r2 * d, vscale, acc2.data(),
-                               d);
-        }
-      } else if (vsrcH != nullptr) {
-        // Fused fp16 V stream (kF16T tier): axpy_f32_h widens each stored
-        // row in registers — bit-identical to axpy_f32 over the widened row.
-        for (std::size_t r2 = 0; r2 < B; ++r2) {
-          numeric::axpy_f32_h(pf[r2], vsrcH + r2 * d, acc2.data(), d);
-        }
-      } else {
-        for (std::size_t r2 = 0; r2 < B; ++r2) {
-          numeric::axpy_f32(pf[r2], vsrc + r2 * d, acc2.data(), d);
-        }
-      }
+    // GEMM II over the whole tile: P (the visiting rows' softmax weights,
+    // rounded to fp16 once) times V and both V checksum blocks, each
+    // product summed from zero and added once into the running outputs
+    // below — decode's per-row grouping.  Every output still sums its r2
+    // terms in ascending order (the vector FMA form is bit-identical under
+    // the exact-product precondition: fp16 weights against fp16-valued or
+    // exactly dequantized V), and masked lanes contribute exact zeros: P is
+    // exactly 0.0f there, and 0 * v adds a signed zero that cannot change
+    // the accumulator.  Only the operand kernel differs per tier.
+    numeric::floats_to_halves(&S(r0, 0), ph.data(), rows * B);
+    numeric::halves_to_floats(ph.data(), pf.data(), rows * B);
+    if (vsrc8 != nullptr) {
+      numeric::gemm_f32_nn_i8(pf.data(), rows, B, vsrc8, d, vscale,
+                              acc2.data(), d, false);
+    } else if (vsrcH != nullptr) {
+      numeric::gemm_f32_nnh(pf.data(), rows, B, vsrcH, d, acc2.data(), d,
+                            false);
+    } else {
+      numeric::gemm_f32_nn(pf.data(), rows, B, vsrc, d, acc2.data(), d,
+                           false);
+    }
+    if (vc1H != nullptr) {
+      numeric::gemm_f32_nnh(pf.data(), rows, B, vc1H, su, tchk1.data(), su,
+                            false);
+      numeric::gemm_f32_nnh(pf.data(), rows, B, vc2H, su, tchk2.data(), su,
+                            false);
+    } else {
+      numeric::gemm_f32_nn(pf.data(), rows, B, vc1src, su, tchk1.data(), su,
+                           false);
+      numeric::gemm_f32_nn(pf.data(), rows, B, vc2src, su, tchk2.data(), su,
+                           false);
+    }
+    for (std::size_t r = r0; r < R; ++r) {
+      const std::size_t t = r - r0;
       for (std::size_t c = 0; c < d; ++c) {
-        oacc(r, c) =
-            fault::corrupt(inj, fault::Site::kGemm2, oacc(r, c) + acc2[c]);
-      }
-      // Output checksum rows: accumulate the s-wide tile contribution r2-
-      // ascending into scratch, then add once into the running checksums —
-      // the same compute-then-add order as the scalar per-jc loops.
-      std::fill(tchk1.begin(), tchk1.end(), 0.0f);
-      std::fill(tchk2.begin(), tchk2.end(), 0.0f);
-      if (vc1H != nullptr) {
-        for (std::size_t r2 = 0; r2 < B; ++r2) {
-          numeric::axpy_f32_h(pf[r2], vc1H + r2 * su, tchk1.data(), su);
-          numeric::axpy_f32_h(pf[r2], vc2H + r2 * su, tchk2.data(), su);
-        }
-      } else {
-        for (std::size_t r2 = 0; r2 < B; ++r2) {
-          numeric::axpy_f32(pf[r2], vc1src + r2 * su, tchk1.data(), su);
-          numeric::axpy_f32(pf[r2], vc2src + r2 * su, tchk2.data(), su);
-        }
+        oacc(r, c) = fault::corrupt(inj, fault::Site::kGemm2,
+                                    oacc(r, c) + acc2[t * d + c]);
       }
       for (std::size_t jc = 0; jc < su; ++jc) {
-        oc1(r, jc) += tchk1[jc];
-        oc2(r, jc) += tchk2[jc];
+        oc1(r, jc) += tchk1[t * su + jc];
+        oc2(r, jc) += tchk2[t * su + jc];
       }
     }
   }

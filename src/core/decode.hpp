@@ -62,7 +62,8 @@ enum class TileFmt : std::uint8_t { kF16 = 0, kI8 = 1 };
 ///           Kc2^T d x s] halves.  The K side lands in the fused fp16-operand
 ///           kernels' native k-major layout at half width (1.5x the bare
 ///           slab); the V side needs no image at all — V and its column
-///           checksums are already row-major streams for axpy_f32_h.
+///           checksums are already the k-major B operands GEMM II
+///           streams through gemm_f32_nnh.
 /// The image is pure data movement and the fused kernels widen exactly, so
 /// both policies are bit-identical in decode output.
 enum class ImagePolicy : std::uint8_t { kNone = 0, kF16T = 1 };
@@ -109,9 +110,9 @@ struct KvSlice {
   /// with s == enc_stride.  The fused fp16-operand kernels widen these in
   /// registers (exact), so consuming the image is bit-identical to per-call
   /// widening; the V operands stream straight from v_tiles / v_c1 / v_c2,
-  /// which are already in axpy-native row-major layout.  Same gating as the
-  /// encodings: entries for unsealed tiles are null and an armed injector
-  /// bypasses the memo.
+  /// whose row-major layout is already GEMM II's k-major B operand.  Same
+  /// gating as the encodings: entries for unsealed tiles are null and an
+  /// armed injector bypasses the memo.
   const numeric::Half* const* f16t = nullptr;
 
   /// Optional per-tile storage formats (null == every tile is kF16, the
@@ -121,7 +122,7 @@ struct KvSlice {
   /// power-of-two scales, so q * scale is exact and the decode GEMMs keep
   /// every bit-identity contract.  Layouts are GEMM-native: k_i8[j] is the
   /// *k-major* K^T (d x 64) the fused score GEMM consumes directly, v_i8[j]
-  /// is row-major V (64 x d) for GEMM II's axpy, and the tile's k_c1/k_c2
+  /// is row-major V (64 x d) for GEMM II, and the tile's k_c1/k_c2
   /// memo entries point at *transposed* (d x enc_stride) fp16 blocks —
   /// mirroring the f16t image's Kc^T blocks — while v_c1/v_c2 keep the
   /// row-major shape above.  The sealed encodings of an int8 tile are the

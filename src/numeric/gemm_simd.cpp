@@ -2,12 +2,14 @@
 //
 // Kernel shape: axpy-form register blocking.  The inner loops broadcast one
 // A element and FMA it against a contiguous row of the k-major B operand,
-// holding a panel of output columns in vector accumulators across the whole
-// K loop.  Lanes span output columns, so every output element still
-// receives its k-term additions in ascending-k order — the property that
-// keeps all three variants (scalar, AVX2, AVX-512) bit-identical and keeps
-// the repo's chunk/batch/spec/shard bit-identity proofs intact (see the
-// header for the exact-product precondition the FMA equivalence rests on).
+// holding a tile of output rows x column panels in vector accumulators
+// across the whole K loop (the AVX2 tiers stack rows so that each B row,
+// loaded or widened once per k step, serves several of them).  Lanes span
+// output columns, so every output element still receives its k-term
+// additions in ascending-k order — the property that keeps all three
+// variants (scalar, AVX2, AVX-512) bit-identical and keeps the repo's
+// chunk/batch/spec/shard bit-identity proofs intact (see the header for the
+// exact-product precondition the FMA equivalence rests on).
 //
 // The TU compiles with the project's default architecture; only the
 // attributed functions get AVX2/AVX-512 codegen, and the binary still runs
@@ -162,14 +164,14 @@ __attribute__((target("avx2,fma"))) inline void tile_avx2(
   }
 }
 
-/// Rows [m, m + R) of the axpy-form GEMM: 32-column panels (as 2-row
-/// tiles), then 8-column panels (one R-row tile), then a scalar tail.
+/// Rows [m, m + R) of the axpy-form GEMM over output columns [n0, N):
+/// 32-column panels (as 2-row tiles), then 8-column panels (one R-row
+/// tile), then a scalar tail.
 template <int R>
 __attribute__((target("avx2,fma"))) void gemm_rows_avx2(
     const float* A, std::size_t K, const float* B, std::size_t N, float* C,
-    std::size_t ldc, bool accumulate) noexcept {
+    std::size_t ldc, bool accumulate, std::size_t n0) noexcept {
   constexpr int kWideRows = R < 2 ? R : 2;
-  std::size_t n0 = 0;
   for (; n0 + 32 <= N; n0 += 32) {
     for (int r = 0; r < R; r += kWideRows) {
       tile_avx2<kWideRows, 4>(A + r * K, K, B + n0, N, C + r * ldc + n0, ldc,
@@ -190,15 +192,18 @@ __attribute__((target("avx2,fma"))) void gemm_rows_avx2(
   }
 }
 
+/// Output columns [n0, N) of C: 4-row tiles, then single rows.  The
+/// AVX-512 tier hands its sub-16-column remainder here.
 __attribute__((target("avx2,fma"))) void gemm_avx2(
     const float* A, std::size_t M, std::size_t K, const float* B,
-    std::size_t N, float* C, std::size_t ldc, bool accumulate) noexcept {
+    std::size_t N, float* C, std::size_t ldc, bool accumulate,
+    std::size_t n0 = 0) noexcept {
   std::size_t m = 0;
   for (; m + 4 <= M; m += 4) {
-    gemm_rows_avx2<4>(A + m * K, K, B, N, C + m * ldc, ldc, accumulate);
+    gemm_rows_avx2<4>(A + m * K, K, B, N, C + m * ldc, ldc, accumulate, n0);
   }
   for (; m < M; ++m) {
-    gemm_rows_avx2<1>(A + m * K, K, B, N, C + m * ldc, ldc, accumulate);
+    gemm_rows_avx2<1>(A + m * K, K, B, N, C + m * ldc, ldc, accumulate, n0);
   }
 }
 
@@ -224,58 +229,70 @@ __attribute__((target("avx2,fma,f16c"))) void axpy_h_avx2(
   for (; i < n; ++i) y[i] += a * half_bits_to_float(x[i].bits());
 }
 
-/// One M-row of the fused fp16-operand GEMM: same axpy-form register
-/// blocking as gemm_row_avx2, with the B loads replaced by the in-register
-/// widen.  Lanes span output columns, so each output element's k-terms
-/// still accumulate in ascending order.
-__attribute__((target("avx2,fma,f16c"))) void gemm_row_h_avx2(
-    const float* arow, std::size_t K, const Half* B, std::size_t N,
-    float* crow, bool accumulate) noexcept {
-  std::size_t n0 = 0;
+/// tile_avx2 over a Half B operand: each k step widens the P B-vectors once
+/// in registers and the R stacked rows share them.
+template <int R, int P>
+__attribute__((target("avx2,fma,f16c"))) inline void tile_h_avx2(
+    const float* A, std::size_t K, const Half* B, std::size_t N, float* C,
+    std::size_t ldc, bool accumulate) noexcept {
+  __m256 c[R][P];
+  for (int r = 0; r < R; ++r) {
+    for (int p = 0; p < P; ++p) {
+      c[r][p] = accumulate ? _mm256_loadu_ps(C + r * ldc + 8 * p)
+                           : _mm256_setzero_ps();
+    }
+  }
+  for (std::size_t k = 0; k < K; ++k) {
+    __m256 b[P];
+    for (int p = 0; p < P; ++p) b[p] = wh8(B + k * N + 8 * p);
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_set1_ps(A[r * K + k]);
+      for (int p = 0; p < P; ++p) c[r][p] = _mm256_fmadd_ps(av, b[p], c[r][p]);
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int p = 0; p < P; ++p) _mm256_storeu_ps(C + r * ldc + 8 * p, c[r][p]);
+  }
+}
+
+/// gemm_rows_avx2 with the B loads replaced by the in-register widen.
+template <int R>
+__attribute__((target("avx2,fma,f16c"))) void gemm_rows_h_avx2(
+    const float* A, std::size_t K, const Half* B, std::size_t N, float* C,
+    std::size_t ldc, bool accumulate, std::size_t n0) noexcept {
+  constexpr int kWideRows = R < 2 ? R : 2;
   for (; n0 + 32 <= N; n0 += 32) {
-    __m256 c0, c1, c2, c3;
-    if (accumulate) {
-      c0 = _mm256_loadu_ps(crow + n0);
-      c1 = _mm256_loadu_ps(crow + n0 + 8);
-      c2 = _mm256_loadu_ps(crow + n0 + 16);
-      c3 = _mm256_loadu_ps(crow + n0 + 24);
-    } else {
-      c0 = c1 = c2 = c3 = _mm256_setzero_ps();
+    for (int r = 0; r < R; r += kWideRows) {
+      tile_h_avx2<kWideRows, 4>(A + r * K, K, B + n0, N, C + r * ldc + n0,
+                                ldc, accumulate);
     }
-    for (std::size_t k = 0; k < K; ++k) {
-      const __m256 av = _mm256_set1_ps(arow[k]);
-      const Half* brow = B + k * N + n0;
-      c0 = _mm256_fmadd_ps(av, wh8(brow), c0);
-      c1 = _mm256_fmadd_ps(av, wh8(brow + 8), c1);
-      c2 = _mm256_fmadd_ps(av, wh8(brow + 16), c2);
-      c3 = _mm256_fmadd_ps(av, wh8(brow + 24), c3);
-    }
-    _mm256_storeu_ps(crow + n0, c0);
-    _mm256_storeu_ps(crow + n0 + 8, c1);
-    _mm256_storeu_ps(crow + n0 + 16, c2);
-    _mm256_storeu_ps(crow + n0 + 24, c3);
   }
   for (; n0 + 8 <= N; n0 += 8) {
-    __m256 c0 = accumulate ? _mm256_loadu_ps(crow + n0) : _mm256_setzero_ps();
-    for (std::size_t k = 0; k < K; ++k) {
-      c0 = _mm256_fmadd_ps(_mm256_set1_ps(arow[k]), wh8(B + k * N + n0), c0);
-    }
-    _mm256_storeu_ps(crow + n0, c0);
+    tile_h_avx2<R, 1>(A, K, B + n0, N, C + n0, ldc, accumulate);
   }
-  for (; n0 < N; ++n0) {
-    float acc = accumulate ? crow[n0] : 0.0f;
-    for (std::size_t k = 0; k < K; ++k) {
-      acc += arow[k] * half_bits_to_float(B[k * N + n0].bits());
+  for (int r = 0; r < R; ++r) {
+    const float* arow = A + r * K;
+    float* crow = C + r * ldc;
+    for (std::size_t n = n0; n < N; ++n) {
+      float acc = accumulate ? crow[n] : 0.0f;
+      for (std::size_t k = 0; k < K; ++k) {
+        acc += arow[k] * half_bits_to_float(B[k * N + n].bits());
+      }
+      crow[n] = acc;
     }
-    crow[n0] = acc;
   }
 }
 
 __attribute__((target("avx2,fma,f16c"))) void gemm_h_avx2(
     const float* A, std::size_t M, std::size_t K, const Half* B,
-    std::size_t N, float* C, std::size_t ldc, bool accumulate) noexcept {
-  for (std::size_t m = 0; m < M; ++m) {
-    gemm_row_h_avx2(A + m * K, K, B, N, C + m * ldc, accumulate);
+    std::size_t N, float* C, std::size_t ldc, bool accumulate,
+    std::size_t n0 = 0) noexcept {
+  std::size_t m = 0;
+  for (; m + 4 <= M; m += 4) {
+    gemm_rows_h_avx2<4>(A + m * K, K, B, N, C + m * ldc, ldc, accumulate, n0);
+  }
+  for (; m < M; ++m) {
+    gemm_rows_h_avx2<1>(A + m * K, K, B, N, C + m * ldc, ldc, accumulate, n0);
   }
 }
 
@@ -309,6 +326,8 @@ __attribute__((target("avx512f"))) void axpy_avx512(float a, const float* x,
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
+/// Columns [0, N - N % 16) of one output row; gemm_avx512 hands the rest
+/// to the AVX2 tiles.
 __attribute__((target("avx512f"))) void gemm_row_avx512(
     const float* arow, std::size_t K, const float* B, std::size_t N,
     float* crow, bool accumulate) noexcept {
@@ -344,11 +363,6 @@ __attribute__((target("avx512f"))) void gemm_row_avx512(
     }
     _mm512_storeu_ps(crow + n0, c0);
   }
-  for (; n0 < N; ++n0) {
-    float acc = accumulate ? crow[n0] : 0.0f;
-    for (std::size_t k = 0; k < K; ++k) acc += arow[k] * B[k * N + n0];
-    crow[n0] = acc;
-  }
 }
 
 __attribute__((target("avx512f"))) void gemm_avx512(
@@ -357,13 +371,19 @@ __attribute__((target("avx512f"))) void gemm_avx512(
   for (std::size_t m = 0; m < M; ++m) {
     gemm_row_avx512(A + m * K, K, B, N, C + m * ldc, accumulate);
   }
+  // Under 16 columns left (the s = 8 checksum outputs, say): the AVX2 tiles
+  // stack rows over them instead of a scalar tail.
+  const std::size_t n16 = N - N % 16;
+  if (n16 < N) gemm_avx2(A, M, K, B, N, C, ldc, accumulate, n16);
 }
 
 // 16-half widen: vcvtph2ps zmm comes with AVX512F itself, no extra feature
-// bit beyond the fp32 tier's.
+// bit beyond the fp32 tier's.  The all-ones zero-masked form gives the same
+// lanes as _mm512_cvtph_ps, whose _mm512_undefined_ps() passthrough trips
+// GCC 12's -Wmaybe-uninitialized under -Werror.
 __attribute__((target("avx512f"))) inline __m512 wh16(const Half* p) noexcept {
-  return _mm512_cvtph_ps(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+  return _mm512_maskz_cvtph_ps(
+      0xFFFF, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
 }
 
 __attribute__((target("avx512f"))) void axpy_h_avx512(
@@ -378,6 +398,7 @@ __attribute__((target("avx512f"))) void axpy_h_avx512(
   for (; i < n; ++i) y[i] += a * half_bits_to_float(x[i].bits());
 }
 
+/// gemm_row_avx512 over a Half B operand.
 __attribute__((target("avx512f"))) void gemm_row_h_avx512(
     const float* arow, std::size_t K, const Half* B, std::size_t N,
     float* crow, bool accumulate) noexcept {
@@ -412,13 +433,6 @@ __attribute__((target("avx512f"))) void gemm_row_h_avx512(
     }
     _mm512_storeu_ps(crow + n0, c0);
   }
-  for (; n0 < N; ++n0) {
-    float acc = accumulate ? crow[n0] : 0.0f;
-    for (std::size_t k = 0; k < K; ++k) {
-      acc += arow[k] * half_bits_to_float(B[k * N + n0].bits());
-    }
-    crow[n0] = acc;
-  }
 }
 
 __attribute__((target("avx512f"))) void gemm_h_avx512(
@@ -427,6 +441,8 @@ __attribute__((target("avx512f"))) void gemm_h_avx512(
   for (std::size_t m = 0; m < M; ++m) {
     gemm_row_h_avx512(A + m * K, K, B, N, C + m * ldc, accumulate);
   }
+  const std::size_t n16 = N - N % 16;
+  if (n16 < N) gemm_h_avx2(A, M, K, B, N, C, ldc, accumulate, n16);
 }
 
 bool cpu_has_avx512f() noexcept { return __builtin_cpu_supports("avx512f"); }
@@ -438,7 +454,9 @@ bool cpu_has_avx512f() noexcept { return __builtin_cpu_supports("avx512f"); }
 
 bool simd_gemm_avx512_active() noexcept {
 #ifdef FTT_SIMD_GEMM_AVX512
-  static const bool active = cpu_has_avx512f();
+  // The AVX-512 tier hands column remainders to the AVX2 tiles, so it also
+  // needs the AVX2 tier's feature bits (every AVX-512F CPU has them).
+  static const bool active = cpu_has_avx512f() && avx2_f16c_active();
   return active;
 #else
   return false;

@@ -46,9 +46,9 @@ bool simd_gemm_avx512_active() noexcept;
 /// AVX-512F tier gets vcvtph2ps from AVX512F itself).
 bool simd_gemm_f16c_active() noexcept;
 
-/// y[i] += a * x[i] for i ascending — the GEMM-II / checksum-encode
-/// primitive.  Dispatching entry point and scalar reference; bit-identical
-/// under the exact-product precondition above.
+/// y[i] += a * x[i] for i ascending — the checksum-encode primitive.
+/// Dispatching entry point and scalar reference; bit-identical under the
+/// exact-product precondition above.
 void axpy_f32(float a, const float* x, float* y, std::size_t n) noexcept;
 void axpy_f32_scalar(float a, const float* x, float* y,
                      std::size_t n) noexcept;

@@ -83,8 +83,8 @@ __attribute__((target("avx2,fma"))) inline __m256 dq8(
   return _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b)), vscale);
 }
 
-/// One M-row of the fused dequantizing GEMM: same axpy-form register
-/// blocking as numeric/gemm_simd.cpp's gemm_row_avx2, with the B loads
+/// One M-row of the fused dequantizing GEMM: the axpy-form register
+/// blocking of one row of numeric/gemm_simd.cpp's tiles, with the B loads
 /// replaced by in-register widen + exact scale.  Lanes span output columns,
 /// so each output element's k-terms still accumulate in ascending order and
 /// the kernel is bit-identical to gemm_f32_nn over a dequantized image.
@@ -140,20 +140,6 @@ __attribute__((target("avx2,fma"))) void gemm_i8_avx2(
   for (std::size_t m = 0; m < M; ++m) {
     gemm_row_i8_avx2(A + m * K, K, B8, N, scale, C + m * ldc, accumulate);
   }
-}
-
-__attribute__((target("avx2,fma"))) void axpy_i8_avx2(
-    float a, const std::int8_t* x8, float scale, float* y,
-    std::size_t n) noexcept {
-  const __m256 av = _mm256_set1_ps(a);
-  const __m256 vs = _mm256_set1_ps(scale);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 acc =
-        _mm256_fmadd_ps(av, dq8(x8 + i, vs), _mm256_loadu_ps(y + i));
-    _mm256_storeu_ps(y + i, acc);
-  }
-  for (; i < n; ++i) y[i] += a * (scale * static_cast<float>(x8[i]));
 }
 
 bool cpu_has_avx2() noexcept { return __builtin_cpu_supports("avx2"); }
@@ -267,13 +253,6 @@ void gemm_f32_nn_i8_scalar(const float* A, std::size_t M, std::size_t K,
   }
 }
 
-void axpy_f32_i8_scalar(float a, const std::int8_t* x8, float scale, float* y,
-                        std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    y[i] += a * (scale * static_cast<float>(x8[i]));
-  }
-}
-
 void gemm_f32_nn_i8(const float* A, std::size_t M, std::size_t K,
                     const std::int8_t* B8, std::size_t N, float scale,
                     float* C, std::size_t ldc, bool accumulate) noexcept {
@@ -284,17 +263,6 @@ void gemm_f32_nn_i8(const float* A, std::size_t M, std::size_t K,
   }
 #endif
   gemm_f32_nn_i8_scalar(A, M, K, B8, N, scale, C, ldc, accumulate);
-}
-
-void axpy_f32_i8(float a, const std::int8_t* x8, float scale, float* y,
-                 std::size_t n) noexcept {
-#ifdef FTT_SIMD_INT8
-  if (avx2_fma_active()) {
-    axpy_i8_avx2(a, x8, scale, y, n);
-    return;
-  }
-#endif
-  axpy_f32_i8_scalar(a, x8, scale, y, n);
 }
 
 }  // namespace ftt::numeric

@@ -74,7 +74,8 @@ void dequantize_i8_to_f32(const std::int8_t* src, float* dst, std::size_t n,
 /// row-major) * dequant(B8) where B8 is the K x N *k-major* int8 operand
 /// (i.e. the pre-transposed layout gemm_f32_nn consumes) and every element
 /// dequantizes as scale * float(b8) — exact for the power-of-two scales
-/// choose_i8_scale produces.  This is the int8 KV fast path: the kernel
+/// choose_i8_scale produces.  This is the int8 KV fast path (the decode
+/// block kernel's score GEMM and GEMM II): the kernel
 /// streams the quantized payload directly (1 byte/element) with no
 /// dequantize-to-scratch pass and no pack, widening in registers via
 /// _mm256_cvtepi8_epi32 + _mm256_cvtepi32_ps.  Accumulation order per
@@ -89,15 +90,6 @@ void gemm_f32_nn_i8_scalar(const float* A, std::size_t M, std::size_t K,
                            const std::int8_t* B8, std::size_t N, float scale,
                            float* C, std::size_t ldc,
                            bool accumulate) noexcept;
-
-/// Fused dequantizing axpy: y[i] += a * (scale * float(x8[i])) for i
-/// ascending — GEMM II's V-row primitive on int8 tiles, bit-identical to
-/// axpy_f32 over the dequantized row (same exact-product argument as
-/// gemm_f32_nn_i8).
-void axpy_f32_i8(float a, const std::int8_t* x8, float scale, float* y,
-                 std::size_t n) noexcept;
-void axpy_f32_i8_scalar(float a, const std::int8_t* x8, float scale, float* y,
-                        std::size_t n) noexcept;
 
 /// Scalar reference paths, always available; the dispatching entry points
 /// above must match them bit for bit (tests/test_int8_quant.cpp sweeps

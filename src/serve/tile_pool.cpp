@@ -99,7 +99,7 @@ void quantize_sealed_tile(const Half* k_tile, const Half* v_tile,
       numeric::amax_f32(vf.data(), n));
   // K quantizes through its k-major (transposed) image: the stored payload
   // is K^T, the layout the fused score GEMM streams directly.  V stays
-  // row-major for GEMM II's axpy.
+  // row-major: that is already GEMM II's k-major B operand.
   std::int8_t* kq = i8_k(block, L);
   std::int8_t* vq = i8_v(block, L);
   numeric::transpose_f32(kf.data(), kRows, dim, ktf.data());

@@ -74,7 +74,8 @@ void encode_sealed_tile(const numeric::Half* k_tile,
 ///   [K^T (dim x 64) | Kc1^T (dim x s) | Kc2^T (dim x s)]
 /// == 64*dim + 2*s*dim halves (0.5x the tile pair).  The V operands have
 /// no image: the slab's V tile (64 x dim) and sealed column checksums
-/// (64 x s) are already row-major streams for the fused fp16-operand axpy.
+/// (64 x s) are already the k-major B operands of the fused fp16-operand
+/// GEMM II.
 [[nodiscard]] std::size_t f16t_image_halves(std::size_t dim, int s) noexcept;
 
 /// Build the kF16T image of one sealed tile from its fp16 K storage and its
@@ -99,8 +100,8 @@ void build_f16t_image(const numeric::Half* k_tile,
 /// consume them in exactly this layout, so the fused dequantizing kernels
 /// (numeric::gemm_f32_nn_i8) stream the int8 payload directly with zero
 /// per-tile pack or dequantize-to-scratch pass — the int8 analogue of the
-/// fp16 format's f16t image.  V stays row-major because GEMM II's axpy
-/// walks V rows.
+/// fp16 format's f16t image.  V stays row-major because that is already
+/// GEMM II's k-major B operand.
 ///
 /// The int32 encodings are the at-rest redundancy: integer sums of the int8
 /// payload as stored (abft/int8_checksums.hpp; K's run over the k-major

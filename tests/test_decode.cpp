@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <random>
+#include <vector>
 
 #include "attention/attention.hpp"
 #include "core/decode.hpp"
@@ -225,5 +229,78 @@ TEST(Decode, GrowingCacheStaysConsistent) {
       EXPECT_GE(out[c], lo - 1e-3f);
       EXPECT_LE(out[c], hi + 1e-3f);
     }
+  }
+}
+
+TEST(Decode, ProbeCallCountsPinned) {
+  // Campaign indices address per-site hook ordinals.  Pin the ordinal space
+  // an unarmed probe observes, and the value two single flips land on, so a
+  // kernel change that fires fewer hooks, or reorders them within a site,
+  // cannot quietly re-aim a campaign.  n = 200 is 3 full tiles plus an
+  // 8-row tail; a 64-row block starts at row 136, so only rows 56..63
+  // (global 192..199) reach tile 3.
+  constexpr std::size_t kN = 200, kD = 64, kRows = 64;
+  constexpr std::size_t kB = fc::KvSlice::kTileRows;
+  ft::MatrixH K(kN, kD), V(kN, kD);
+  ft::fill_normal(K, 81);
+  ft::fill_normal(V, 82);
+  std::vector<Half> q(kRows * kD);
+  std::mt19937_64 rng(83);
+  std::normal_distribution<float> dist(0.0f, 1.0f);
+  for (auto& v : q) v = Half(dist(rng));
+  std::vector<const Half*> kt, vt;
+  for (std::size_t r = 0; r < kN; r += kB) {
+    kt.push_back(K.data() + r * kD);
+    vt.push_back(V.data() + r * kD);
+  }
+  const fc::KvSlice kv{kt.data(), vt.data(), kN, kD};
+  std::vector<float> out(kRows * kD);
+  const auto run = [&](std::size_t rows, ff::FaultInjector& inj) {
+    const Half* qrows = q.data() + (kRows - rows) * kD;
+    fc::efta_decode_block(fc::DecodeWorkItem{kv, qrows, out.data(), rows},
+                          {}, &inj);
+  };
+
+  struct Pinned {
+    std::size_t rows;
+    std::uint64_t gemm1, reduce_max, exp, reduce_sum, rescale, gemm2,
+        checksum;
+  };
+  // Block: 64 rows x 3 tiles + 8 rows x tile 3 = 200 (row, tile) visits,
+  // 10784 visible score lanes.  Step: row 199 visits all 4 tiles.  Both
+  // encode all four checksums of each tile fresh under any injector.
+  for (const Pinned& p :
+       {Pinned{64, 10784, 200, 10784, 200, 12800, 12800, 8192},
+        Pinned{1, 200, 4, 200, 4, 256, 256, 8192}}) {
+    ff::FaultInjector probe;
+    run(p.rows, probe);
+    EXPECT_EQ(probe.calls(ff::Site::kGemm1), p.gemm1) << p.rows;
+    EXPECT_EQ(probe.calls(ff::Site::kReduceMax), p.reduce_max) << p.rows;
+    EXPECT_EQ(probe.calls(ff::Site::kExp), p.exp) << p.rows;
+    EXPECT_EQ(probe.calls(ff::Site::kReduceSum), p.reduce_sum) << p.rows;
+    EXPECT_EQ(probe.calls(ff::Site::kRescale), p.rescale) << p.rows;
+    EXPECT_EQ(probe.calls(ff::Site::kGemm2), p.gemm2) << p.rows;
+    EXPECT_EQ(probe.calls(ff::Site::kChecksum), p.checksum) << p.rows;
+    EXPECT_EQ(probe.calls(ff::Site::kLinear), 0u) << p.rows;
+    EXPECT_EQ(probe.injected(), 0u) << p.rows;
+  }
+
+  // Tiles 0..2 each take 64 x 64 rescale and GEMM II hooks, so tile 3's
+  // (rows 56..63) start at ordinal 12288.
+  struct Flip {
+    ff::Site site;
+    std::uint64_t index;
+    std::uint32_t before_bits;
+  };
+  for (const Flip& f :
+       {Flip{ff::Site::kGemm2, 12288 + 3 * kD + 5, 0x3f499505u},
+        Flip{ff::Site::kRescale, 12288 + 100, 0x4014b617u}}) {
+    auto inj = ff::FaultInjector::single(f.site, f.index, 30);
+    run(kRows, inj);
+    ASSERT_EQ(inj.injected(), 1u) << ff::site_name(f.site);
+    EXPECT_EQ(inj.events()[0].call_index, f.index) << ff::site_name(f.site);
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &inj.events()[0].before, sizeof(bits));
+    EXPECT_EQ(bits, f.before_bits) << ff::site_name(f.site);
   }
 }

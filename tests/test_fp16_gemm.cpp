@@ -18,17 +18,24 @@
 //
 // The single-pass sealed-tile encodes (abft::StridedAbft::*_strided_h) sit
 // on the same axpy_f32_h order, so their parity with the widened-image
-// encodes is proved here too.
+// encodes is proved here too.  The int8 tier's fused dequantizing GEMM
+// (numeric::gemm_f32_nn_i8), which carries the block kernel's GEMM II on
+// int8 tiles, gets the scalar and widen-then-dispatch checks at the block
+// kernel's shapes.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <random>
 #include <vector>
 
 #include "abft/strided_abft.hpp"
 #include "numeric/fp16.hpp"
 #include "numeric/gemm_simd.hpp"
+#include "numeric/int8_simd.hpp"
 #include "tensor/tensor.hpp"
 
 namespace fn = ftt::numeric;
@@ -54,6 +61,31 @@ std::vector<Half> random_halves(std::size_t n, std::uint64_t seed) {
   std::vector<Half> h(n);
   for (auto& x : h) x = Half(dist(rng));
   return h;
+}
+
+/// Random int8 payload over the full quantized range [-127, 127].
+std::vector<std::int8_t> random_i8(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> dist(-127, 127);
+  std::vector<std::int8_t> q(n);
+  for (auto& x : q) x = static_cast<std::int8_t>(dist(rng));
+  return q;
+}
+
+struct Shape {
+  std::size_t M, K, N;
+};
+
+/// The decode block kernel's GEMM shapes: K = 64 softmax weights against
+/// the 8-wide checksum blocks, the 64-wide payload and a 72-wide operand
+/// (two 32-column panels plus one 8-column panel), at row counts around
+/// the 4-row tile.
+std::vector<Shape> decode_shapes(std::initializer_list<std::size_t> rows) {
+  std::vector<Shape> out;
+  for (const std::size_t m : rows) {
+    for (const std::size_t n : {8, 64, 72}) out.push_back({m, 64, n});
+  }
+  return out;
 }
 
 bool bits_equal(const MatrixH& a, const MatrixH& b) {
@@ -116,16 +148,17 @@ TEST(Fp16Gemm, AxpyHalfMatchesScalarBitwiseOnRaggedLengths) {
 }
 
 TEST(Fp16Gemm, GemmHalfMatchesScalarBitwiseOnRaggedShapes) {
-  // Shapes cover the panel structure of the fused kernel: N crossing the
-  // vector panels and their scalar tails, K tiny and non-power-of-two,
-  // both fresh and accumulating outputs.
-  struct Shape {
-    std::size_t M, K, N;
-  };
-  const Shape shapes[] = {{1, 64, 64},  {1, 64, 8},   {3, 16, 33},
-                          {2, 1, 1},    {5, 7, 31},   {4, 64, 65},
-                          {1, 48, 127}, {8, 13, 96},  {2, 100, 40},
-                          {1, 8, 200},  {7, 21, 17}};
+  // Shapes cover the tile structure of the fused kernel: M crossing the
+  // 4-row tiles and their single-row remainder, N crossing the vector
+  // panels and their scalar tails, K tiny and non-power-of-two, both fresh
+  // and accumulating outputs — plus the block kernel's decode shapes.
+  std::vector<Shape> shapes = {{1, 64, 64},  {1, 64, 8},  {3, 16, 33},
+                               {2, 1, 1},    {5, 7, 31},  {4, 64, 65},
+                               {1, 48, 127}, {8, 13, 96}, {2, 100, 40},
+                               {1, 8, 200},  {7, 21, 17}};
+  for (const Shape& sh : decode_shapes({2, 4, 5, 63, 64, 65})) {
+    shapes.push_back(sh);
+  }
   std::uint64_t seed = 1;
   for (const auto& sh : shapes) {
     for (const bool accumulate : {false, true}) {
@@ -143,25 +176,58 @@ TEST(Fp16Gemm, GemmHalfMatchesScalarBitwiseOnRaggedShapes) {
           << " K=" << sh.K << " N=" << sh.N << " acc=" << accumulate;
     }
   }
+  // The int8 tier's fused dequantizing GEMM carries the block kernel's
+  // GEMM II on int8 tiles: the same decode shapes at one row and a full
+  // 64-row block, against its scalar reference.
+  const float scale = std::ldexp(1.0f, -6);
+  for (const Shape& sh : decode_shapes({1, 64})) {
+    for (const bool accumulate : {false, true}) {
+      const auto A = random_fp16_values(sh.M * sh.K, seed++);
+      const auto B8 = random_i8(sh.K * sh.N, seed++);
+      const auto C0 = random_fp16_values(sh.M * sh.N, seed++);
+      std::vector<float> c_simd = C0, c_ref = C0;
+      fn::gemm_f32_nn_i8(A.data(), sh.M, sh.K, B8.data(), sh.N, scale,
+                         c_simd.data(), sh.N, accumulate);
+      fn::gemm_f32_nn_i8_scalar(A.data(), sh.M, sh.K, B8.data(), sh.N, scale,
+                                c_ref.data(), sh.N, accumulate);
+      ASSERT_EQ(0, std::memcmp(c_simd.data(), c_ref.data(),
+                               sh.M * sh.N * sizeof(float)))
+          << "gemm_f32_nn_i8 diverged from scalar at M=" << sh.M
+          << " N=" << sh.N << " acc=" << accumulate;
+    }
+  }
 }
 
 TEST(Fp16Gemm, GemmHalfHonorsOutputStride) {
   // ldc > N: the fused kernel must leave the gutter columns untouched and
-  // match the scalar reference on the written ones.
-  constexpr std::size_t M = 5, K = 37, N = 29, ldc = 40;
-  const auto A = random_fp16_values(M * K, 7001);
-  const auto B = random_halves(K * N, 7002);
-  const auto C0 = random_fp16_values(M * ldc, 7003);
-  std::vector<float> c_simd = C0, c_ref = C0;
-  fn::gemm_f32_nnh(A.data(), M, K, B.data(), N, c_simd.data(), ldc, true);
-  fn::gemm_f32_nnh_scalar(A.data(), M, K, B.data(), N, c_ref.data(), ldc,
-                          true);
-  ASSERT_EQ(0, std::memcmp(c_simd.data(), c_ref.data(),
-                           M * ldc * sizeof(float)));
-  for (std::size_t r = 0; r < M; ++r) {
-    for (std::size_t c = N; c < ldc; ++c) {
-      ASSERT_EQ(C0[r * ldc + c], c_ref[r * ldc + c])
-          << "gutter column written at (" << r << ", " << c << ")";
+  // match the scalar reference on the written ones.  M = 6 runs one 4-row
+  // tile plus two single rows over the strided output.
+  struct StridedShape {
+    std::size_t M, K, N, ldc;
+  };
+  std::uint64_t seed = 7001;
+  for (const auto& sh :
+       {StridedShape{5, 37, 29, 40}, StridedShape{6, 64, 72, 80},
+        StridedShape{6, 64, 8, 12}}) {
+    for (const bool accumulate : {false, true}) {
+      const auto A = random_fp16_values(sh.M * sh.K, seed++);
+      const auto B = random_halves(sh.K * sh.N, seed++);
+      const auto C0 = random_fp16_values(sh.M * sh.ldc, seed++);
+      std::vector<float> c_simd = C0, c_ref = C0;
+      fn::gemm_f32_nnh(A.data(), sh.M, sh.K, B.data(), sh.N, c_simd.data(),
+                       sh.ldc, accumulate);
+      fn::gemm_f32_nnh_scalar(A.data(), sh.M, sh.K, B.data(), sh.N,
+                              c_ref.data(), sh.ldc, accumulate);
+      ASSERT_EQ(0, std::memcmp(c_simd.data(), c_ref.data(),
+                               sh.M * sh.ldc * sizeof(float)))
+          << "strided gemm_f32_nnh diverged at M=" << sh.M << " N=" << sh.N
+          << " acc=" << accumulate;
+      for (std::size_t r = 0; r < sh.M; ++r) {
+        for (std::size_t c = sh.N; c < sh.ldc; ++c) {
+          ASSERT_EQ(C0[r * sh.ldc + c], c_ref[r * sh.ldc + c])
+              << "gutter column written at (" << r << ", " << c << ")";
+        }
+      }
     }
   }
 }
@@ -171,25 +237,51 @@ TEST(Fp16Gemm, FusedMatchesWidenThenDispatchBitwise) {
   // kernel produces the same bits as widening it to an fp32 image first and
   // running the fp32 dispatch — the fp32 image holds exactly representable
   // values, the widen is exact, and both kernels fix ascending-k order.
-  struct Shape {
-    std::size_t M, K, N;
-  };
-  const Shape shapes[] = {{1, 64, 64}, {4, 64, 65}, {3, 16, 33}, {1, 8, 200}};
+  std::vector<Shape> shapes = {
+      {1, 64, 64}, {4, 64, 65}, {3, 16, 33}, {1, 8, 200}};
+  for (const Shape& sh : decode_shapes({2, 4, 5, 63, 64, 65})) {
+    shapes.push_back(sh);
+  }
   std::uint64_t seed = 9000;
   for (const auto& sh : shapes) {
-    const auto A = random_fp16_values(sh.M * sh.K, seed++);
-    const auto B = random_halves(sh.K * sh.N, seed++);
-    std::vector<float> Bf(sh.K * sh.N);
-    fn::halves_to_floats(B.data(), Bf.data(), Bf.size());
-    std::vector<float> c_fused(sh.M * sh.N, 0.0f), c_image(sh.M * sh.N, 0.0f);
-    fn::gemm_f32_nnh(A.data(), sh.M, sh.K, B.data(), sh.N, c_fused.data(),
-                     sh.N, false);
-    fn::gemm_f32_nn(A.data(), sh.M, sh.K, Bf.data(), sh.N, c_image.data(),
-                    sh.N, false);
-    ASSERT_EQ(0, std::memcmp(c_fused.data(), c_image.data(),
-                             sh.M * sh.N * sizeof(float)))
-        << "fused kernel diverged from widen-then-gemm at M=" << sh.M
-        << " K=" << sh.K << " N=" << sh.N;
+    for (const bool accumulate : {false, true}) {
+      const auto A = random_fp16_values(sh.M * sh.K, seed++);
+      const auto B = random_halves(sh.K * sh.N, seed++);
+      std::vector<float> Bf(sh.K * sh.N);
+      fn::halves_to_floats(B.data(), Bf.data(), Bf.size());
+      const auto C0 = random_fp16_values(sh.M * sh.N, seed++);
+      std::vector<float> c_fused = C0, c_image = C0;
+      fn::gemm_f32_nnh(A.data(), sh.M, sh.K, B.data(), sh.N, c_fused.data(),
+                       sh.N, accumulate);
+      fn::gemm_f32_nn(A.data(), sh.M, sh.K, Bf.data(), sh.N, c_image.data(),
+                      sh.N, accumulate);
+      ASSERT_EQ(0, std::memcmp(c_fused.data(), c_image.data(),
+                               sh.M * sh.N * sizeof(float)))
+          << "fused kernel diverged from widen-then-gemm at M=" << sh.M
+          << " K=" << sh.K << " N=" << sh.N << " acc=" << accumulate;
+    }
+  }
+  // The same contract for the int8 tier: streaming the quantized operand
+  // equals dequantizing it to an fp32 image (exact under a power-of-two
+  // scale) and running the fp32 dispatch.
+  const float scale = std::ldexp(1.0f, -6);
+  for (const Shape& sh : decode_shapes({1, 64})) {
+    for (const bool accumulate : {false, true}) {
+      const auto A = random_fp16_values(sh.M * sh.K, seed++);
+      const auto B8 = random_i8(sh.K * sh.N, seed++);
+      std::vector<float> Bf(sh.K * sh.N);
+      fn::dequantize_i8_to_f32(B8.data(), Bf.data(), Bf.size(), scale);
+      const auto C0 = random_fp16_values(sh.M * sh.N, seed++);
+      std::vector<float> c_fused = C0, c_image = C0;
+      fn::gemm_f32_nn_i8(A.data(), sh.M, sh.K, B8.data(), sh.N, scale,
+                         c_fused.data(), sh.N, accumulate);
+      fn::gemm_f32_nn(A.data(), sh.M, sh.K, Bf.data(), sh.N, c_image.data(),
+                      sh.N, accumulate);
+      ASSERT_EQ(0, std::memcmp(c_fused.data(), c_image.data(),
+                               sh.M * sh.N * sizeof(float)))
+          << "fused int8 kernel diverged from dequantize-then-gemm at M="
+          << sh.M << " N=" << sh.N << " acc=" << accumulate;
+    }
   }
 }
 
