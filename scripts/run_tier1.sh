@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification, exactly as the CI tier1 job runs it — one script so
 # local runs and CI cannot drift: configure (warnings-as-errors), build,
-# ctest, then smoke-run the serving demo and the decode-throughput bench.
+# ctest, then smoke-run the serving demo, the decode-throughput bench and
+# the parity digest.
 #
 # Knobs (all optional, same names CI uses):
 #   BUILD_DIR   - build tree (default: build-tier1)
@@ -68,8 +69,11 @@ FTT_KV_QUANT=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
 echo "== chaos soak (FTT_CHAOS_SOAK=1: test_recovery chaos sweep) =="
 FTT_CHAOS_SOAK=1 "$BUILD_DIR"/test_recovery --gtest_filter='Recovery.Chaos*'
 
-echo "== smoke: serving demo + decode throughput bench =="
+echo "== smoke: serving demo + decode throughput bench + parity digest =="
 "$BUILD_DIR"/serving
 "$BUILD_DIR"/bench_serve_throughput
+# One digest line per protected-kernel family; compare them across a
+# change that must not move a bit (see bench/parity_digest.cpp).
+"$BUILD_DIR"/parity_digest
 
 echo "tier1 OK"

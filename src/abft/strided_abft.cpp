@@ -2,12 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "numeric/gemm_simd.hpp"
 #include "sim/mma.hpp"
+
+#if defined(FTT_SIMD) && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define FTT_SIMD_VERIFY 1
+#include <immintrin.h>
+#endif
 
 namespace ftt::abft {
 
@@ -176,136 +183,224 @@ MatrixH StridedAbft::encode_cols_strided(const MatrixH& X, int s, bool weighted,
 
 namespace {
 
+#ifdef FTT_SIMD_VERIFY
+
+bool avx2_active() noexcept {
+  static const bool active = __builtin_cpu_supports("avx2");
+  return active;
+}
+
+/// Pass test of eight residue classes in lanes: the scalar body's finite
+/// sum1, d1 = k1 - sum1, rel = |d1| / (norm + 1e-4f) and its two compares,
+/// op for op.  Only adds (and |.|, -, /, compares) touch the lanes, so there
+/// is no multiply-add pair a compiler could contract on one side only.
+__attribute__((target("avx2"))) std::uint64_t pass8(
+    const float* row, const float* k1, std::size_t s, std::size_t loops,
+    float thr) noexcept {
+  const __m256 absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
+  __m256 sum1 = _mm256_setzero_ps(), norm = _mm256_setzero_ps();
+  for (std::size_t l = 0; l < loops; ++l) {
+    const __m256 v = _mm256_loadu_ps(row + l * s);
+    sum1 = _mm256_add_ps(sum1, v);
+    norm = _mm256_add_ps(norm, _mm256_and_ps(v, absmask));
+  }
+  const __m256 d1 =
+      _mm256_and_ps(_mm256_sub_ps(_mm256_loadu_ps(k1), sum1), absmask);
+  const __m256 rel =
+      _mm256_div_ps(d1, _mm256_add_ps(norm, _mm256_set1_ps(1e-4f)));
+  const __m256 finite = _mm256_cmp_ps(_mm256_and_ps(sum1, absmask),
+                                      _mm256_set1_ps(INFINITY), _CMP_LT_OQ);
+  const __m256 ok =
+      _mm256_or_ps(_mm256_cmp_ps(rel, _mm256_set1_ps(thr), _CMP_LE_OQ),
+                   _mm256_cmp_ps(d1, _mm256_set1_ps(1e-6f), _CMP_LT_OQ));
+  return static_cast<std::uint64_t>(
+      _mm256_movemask_ps(_mm256_and_ps(finite, ok)));
+}
+
+/// pass8 over four classes (the s % 8 == 4 remainder).
+__attribute__((target("avx2"))) std::uint64_t pass4(
+    const float* row, const float* k1, std::size_t s, std::size_t loops,
+    float thr) noexcept {
+  const __m128 absmask = _mm_castsi128_ps(_mm_set1_epi32(0x7FFFFFFF));
+  __m128 sum1 = _mm_setzero_ps(), norm = _mm_setzero_ps();
+  for (std::size_t l = 0; l < loops; ++l) {
+    const __m128 v = _mm_loadu_ps(row + l * s);
+    sum1 = _mm_add_ps(sum1, v);
+    norm = _mm_add_ps(norm, _mm_and_ps(v, absmask));
+  }
+  const __m128 d1 = _mm_and_ps(_mm_sub_ps(_mm_loadu_ps(k1), sum1), absmask);
+  const __m128 rel = _mm_div_ps(d1, _mm_add_ps(norm, _mm_set1_ps(1e-4f)));
+  const __m128 finite = _mm_cmp_ps(_mm_and_ps(sum1, absmask),
+                                   _mm_set1_ps(INFINITY), _CMP_LT_OQ);
+  const __m128 ok = _mm_or_ps(_mm_cmp_ps(rel, _mm_set1_ps(thr), _CMP_LE_OQ),
+                              _mm_cmp_ps(d1, _mm_set1_ps(1e-6f), _CMP_LT_OQ));
+  return static_cast<std::uint64_t>(_mm_movemask_ps(_mm_and_ps(finite, ok)));
+}
+
+#endif  // FTT_SIMD_VERIFY
+
+/// The verify screen: bit jc set when residue class jc of one payload row
+/// (lanes row[jc + l * s]) passes verify_class without a flag.  The lanes
+/// repeat the scalar body's float operations in its order, so a set bit is
+/// exactly the scalar pass; 0 (no SIMD, or s not a multiple of 4 or above
+/// 64) sends every class to the scalar body.
+std::uint64_t verify_screen(const float* row, const float* k1, std::size_t s,
+                            std::size_t loops, float thr) noexcept {
+#ifdef FTT_SIMD_VERIFY
+  if (s % 4 != 0 || s > 64 || !avx2_active()) return 0;
+  std::uint64_t pass = 0;
+  std::size_t g = 0;
+  for (; g + 8 <= s; g += 8) {
+    pass |= pass8(row + g, k1 + g, s, loops, thr) << g;
+  }
+  if (g < s) pass |= pass4(row + g, k1 + g, s, loops, thr) << g;
+  return pass;
+#else
+  (void)row, (void)k1, (void)s, (void)loops, (void)thr;
+  return 0;
+#endif
+}
+
+/// The scalar body of verify_correct for residue class jc of row i.
+void verify_class(MatrixF& S, std::size_t i, std::size_t jc, float k1,
+                  float k2, std::size_t s, float relative_threshold,
+                  std::size_t col0, std::size_t loops, Report& rep) {
+  float sum1 = 0.0f, sum2 = 0.0f, norm = 0.0f;
+  for (std::size_t l = 0; l < loops; ++l) {
+    const float v = S(i, col0 + jc + l * s);
+    sum1 += v;
+    sum2 += static_cast<float>(l + 1) * v;
+    norm += std::fabs(v);
+  }
+
+  if (!std::isfinite(sum1)) {
+    // A NaN/Inf in the residue class (exponent-field flip): locate it
+    // directly and reconstruct the value from the checksum.
+    ++rep.flagged;
+    std::size_t bad = loops;
+    std::size_t bad_count = 0;
+    float others = 0.0f;
+    for (std::size_t l = 0; l < loops; ++l) {
+      const float v = S(i, col0 + jc + l * s);
+      if (!std::isfinite(v)) {
+        bad = l;
+        ++bad_count;
+      } else {
+        others += v;
+      }
+    }
+    if (bad_count == 1 && std::isfinite(k1)) {
+      S(i, col0 + jc + bad * s) = k1 - others;
+      ++rep.corrected;
+    } else {
+      ++rep.uncorrectable;
+    }
+    return;
+  }
+
+  // Residual relative to the class L1 norm: robust to cancellation in the
+  // plain sum and scale-invariant, so the check works equally on raw scores
+  // and on normalized (small-magnitude) outputs.  The tiny absolute floor
+  // mutes all-zero classes.
+  const float d1 = k1 - sum1;
+  const float rel = std::fabs(d1) / (norm + 1e-4f);
+  if (rel <= relative_threshold || std::fabs(d1) < 1e-6f) return;
+  ++rep.flagged;
+
+  const float d2 = k2 - sum2;
+  const float ratio = d2 / d1;  // = l* + 1 for a single payload error
+  const float lstar = ratio - 1.0f;
+  if (std::isfinite(lstar) && near_integer(lstar, 0.1f) && lstar >= -0.5f &&
+      lstar < static_cast<float>(loops) - 0.5f) {
+    // Reconstruct from the checksum (exact for arbitrarily large errors,
+    // unlike adding the residual, which cancels in fp32).
+    const auto lbad = static_cast<std::size_t>(std::lround(lstar));
+    float others = 0.0f;
+    for (std::size_t l = 0; l < loops; ++l) {
+      if (l != lbad) others += S(i, col0 + jc + l * s);
+    }
+    const float old = S(i, col0 + jc + lbad * s);
+    S(i, col0 + jc + lbad * s) = k1 - others;
+    // Reconstruction forces the c1 residual to zero, so validate the repair
+    // against the *weighted* checksum: a mislocated correction leaves the
+    // c2 residual large, and we revert.
+    float sum2_new = 0.0f, norm2 = 0.0f;
+    for (std::size_t l = 0; l < loops; ++l) {
+      const float w = static_cast<float>(l + 1);
+      sum2_new += w * S(i, col0 + jc + l * s);
+      norm2 += w * std::fabs(S(i, col0 + jc + l * s));
+    }
+    // Accept only if the c2 residual collapsed to rounding scale: a
+    // mislocated repair leaves it comparable to the error magnitude.
+    if (std::fabs(k2 - sum2_new) <=
+        0.02f * std::fabs(d1) + 2.0f * numeric::kHalfEps * norm2 + 1e-3f) {
+      ++rep.corrected;
+    } else {
+      S(i, col0 + jc + lbad * s) = old;
+      ++rep.uncorrectable;
+    }
+  } else if (std::fabs(d1) > 1e30f) {
+    // The corrupted value is so large the weighted sum overflowed (or the
+    // ratio lost all precision): the culprit dominates the class by
+    // magnitude, so locate it directly and reconstruct.
+    std::size_t bad = loops, bad_count = 0;
+    for (std::size_t l = 0; l < loops; ++l) {
+      if (std::fabs(S(i, col0 + jc + l * s)) > 0.25f * std::fabs(d1)) {
+        bad = l;
+        ++bad_count;
+      }
+    }
+    if (bad_count == 1) {
+      float others = 0.0f;
+      for (std::size_t l = 0; l < loops; ++l) {
+        if (l != bad) others += S(i, col0 + jc + l * s);
+      }
+      S(i, col0 + jc + bad * s) = k1 - others;
+      ++rep.corrected;
+    } else {
+      ++rep.uncorrectable;
+    }
+  } else if (std::isfinite(ratio) && std::fabs(ratio) < 0.5f) {
+    // c2 residual is ~0 while c1 residual is not: the flip hit the c1
+    // checksum pipeline itself; payload is intact.
+    ++rep.checksum_repairs;
+  } else {
+    // Two or more errors in the same residue class, or a weighted-checksum
+    // flip: detectable, not locatable.
+    ++rep.uncorrectable;
+  }
+}
+
 /// verify_correct's body over raw checksum rows: chk1 row i starts at
 /// c1 + i * ld1, chk2 row i at c2 + i * ld2.  Callers validate shapes.
+/// With `screen`, each row's classes go through verify_screen first and
+/// only the classes it does not pass run the scalar body.
 Report verify_rows(MatrixF& S, const float* c1, std::size_t ld1,
                    const float* c2, std::size_t ld2, std::size_t s,
                    float relative_threshold, std::size_t col0,
-                   std::size_t cols) {
+                   std::size_t cols, bool screen = true) {
   Report rep;
-  const std::size_t R = S.rows();
   const std::size_t loops = cols / s;
-
-  for (std::size_t i = 0; i < R; ++i) {
+  for (std::size_t i = 0; i < S.rows(); ++i) {
+    const float* k1 = c1 + i * ld1;
+    const std::uint64_t pass =
+        screen ? verify_screen(S.data() + i * S.cols() + col0, k1, s, loops,
+                               relative_threshold)
+               : 0;
     for (std::size_t jc = 0; jc < s; ++jc) {
-      const float k1 = c1[i * ld1 + jc];
-      const float k2 = c2[i * ld2 + jc];
-      float sum1 = 0.0f, sum2 = 0.0f, norm = 0.0f;
-      for (std::size_t l = 0; l < loops; ++l) {
-        const float v = S(i, col0 + jc + l * s);
-        sum1 += v;
-        sum2 += static_cast<float>(l + 1) * v;
-        norm += std::fabs(v);
-      }
       ++rep.checks;
-
-      if (!std::isfinite(sum1)) {
-        // A NaN/Inf in the residue class (exponent-field flip): locate it
-        // directly and reconstruct the value from the checksum.
-        ++rep.flagged;
-        std::size_t bad = loops;
-        std::size_t bad_count = 0;
-        float others = 0.0f;
-        for (std::size_t l = 0; l < loops; ++l) {
-          const float v = S(i, col0 + jc + l * s);
-          if (!std::isfinite(v)) {
-            bad = l;
-            ++bad_count;
-          } else {
-            others += v;
-          }
-        }
-        if (bad_count == 1 && std::isfinite(k1)) {
-          S(i, col0 + jc + bad * s) = k1 - others;
-          ++rep.corrected;
-        } else {
-          ++rep.uncorrectable;
-        }
-        continue;
-      }
-
-      // Residual relative to the class L1 norm: robust to cancellation in
-      // the plain sum and scale-invariant, so the check works equally on
-      // raw scores and on normalized (small-magnitude) outputs.  The tiny
-      // absolute floor mutes all-zero classes.
-      const float d1 = k1 - sum1;
-      const float rel = std::fabs(d1) / (norm + 1e-4f);
-      if (rel <= relative_threshold || std::fabs(d1) < 1e-6f) continue;
-      ++rep.flagged;
-
-      const float d2 = k2 - sum2;
-      const float ratio = d2 / d1;  // = l* + 1 for a single payload error
-      const float lstar = ratio - 1.0f;
-      if (std::isfinite(lstar) && near_integer(lstar, 0.1f) &&
-          lstar >= -0.5f && lstar < static_cast<float>(loops) - 0.5f) {
-        // Reconstruct from the checksum (exact for arbitrarily large errors,
-        // unlike adding the residual, which cancels in fp32).
-        const auto lbad = static_cast<std::size_t>(std::lround(lstar));
-        float others = 0.0f;
-        for (std::size_t l = 0; l < loops; ++l) {
-          if (l != lbad) others += S(i, col0 + jc + l * s);
-        }
-        const float old = S(i, col0 + jc + lbad * s);
-        S(i, col0 + jc + lbad * s) = k1 - others;
-        // Reconstruction forces the c1 residual to zero, so validate the
-        // repair against the *weighted* checksum: a mislocated correction
-        // leaves the c2 residual large, and we revert.
-        float sum2_new = 0.0f, norm2 = 0.0f;
-        for (std::size_t l = 0; l < loops; ++l) {
-          const float w = static_cast<float>(l + 1);
-          sum2_new += w * S(i, col0 + jc + l * s);
-          norm2 += w * std::fabs(S(i, col0 + jc + l * s));
-        }
-        // Accept only if the c2 residual collapsed to rounding scale: a
-        // mislocated repair leaves it comparable to the error magnitude.
-        if (std::fabs(k2 - sum2_new) <=
-            0.02f * std::fabs(d1) + 2.0f * numeric::kHalfEps * norm2 + 1e-3f) {
-          ++rep.corrected;
-        } else {
-          S(i, col0 + jc + lbad * s) = old;
-          ++rep.uncorrectable;
-        }
-      } else if (std::fabs(d1) > 1e30f) {
-        // The corrupted value is so large the weighted sum overflowed (or
-        // the ratio lost all precision): the culprit dominates the class by
-        // magnitude, so locate it directly and reconstruct.
-        std::size_t bad = loops, bad_count = 0;
-        for (std::size_t l = 0; l < loops; ++l) {
-          if (std::fabs(S(i, col0 + jc + l * s)) > 0.25f * std::fabs(d1)) {
-            bad = l;
-            ++bad_count;
-          }
-        }
-        if (bad_count == 1) {
-          float others = 0.0f;
-          for (std::size_t l = 0; l < loops; ++l) {
-            if (l != bad) others += S(i, col0 + jc + l * s);
-          }
-          S(i, col0 + jc + bad * s) = k1 - others;
-          ++rep.corrected;
-        } else {
-          ++rep.uncorrectable;
-        }
-      } else if (std::isfinite(ratio) && std::fabs(ratio) < 0.5f) {
-        // c2 residual is ~0 while c1 residual is not: the flip hit the c1
-        // checksum pipeline itself; payload is intact.
-        ++rep.checksum_repairs;
-      } else {
-        // Two or more errors in the same residue class, or a weighted-
-        // checksum flip: detectable, not locatable.
-        ++rep.uncorrectable;
-      }
+      if ((pass >> jc) & 1u) continue;
+      verify_class(S, i, jc, k1[jc], c2[i * ld2 + jc], s, relative_threshold,
+                   col0, loops, rep);
     }
   }
   return rep;
 }
 
-}  // namespace
-
-Report StridedAbft::verify_correct(MatrixF& S, const MatrixF& chk1,
-                                   const MatrixF& chk2, int s,
-                                   float relative_threshold, std::size_t col0,
-                                   std::size_t cols) {
+/// verify_correct's argument checks; returns the resolved column count.
+std::size_t check_verify_args(const MatrixF& S, const MatrixF& chk1,
+                              const MatrixF& chk2, int s, std::size_t col0,
+                              std::size_t cols) {
   if (s <= 0) throw std::invalid_argument("verify_correct: stride <= 0");
   const auto su = static_cast<std::size_t>(s);
   if (col0 > S.cols()) {
@@ -323,8 +418,29 @@ Report StridedAbft::verify_correct(MatrixF& S, const MatrixF& chk1,
     throw std::invalid_argument(
         "verify_correct: checksums must be at least S.rows() x stride");
   }
+  return cols;
+}
+
+}  // namespace
+
+Report StridedAbft::verify_correct(MatrixF& S, const MatrixF& chk1,
+                                   const MatrixF& chk2, int s,
+                                   float relative_threshold, std::size_t col0,
+                                   std::size_t cols) {
+  cols = check_verify_args(S, chk1, chk2, s, col0, cols);
   return verify_rows(S, chk1.data(), chk1.cols(), chk2.data(), chk2.cols(),
-                     su, relative_threshold, col0, cols);
+                     static_cast<std::size_t>(s), relative_threshold, col0,
+                     cols);
+}
+
+Report StridedAbft::verify_correct_scalar(MatrixF& S, const MatrixF& chk1,
+                                          const MatrixF& chk2, int s,
+                                          float relative_threshold,
+                                          std::size_t col0, std::size_t cols) {
+  cols = check_verify_args(S, chk1, chk2, s, col0, cols);
+  return verify_rows(S, chk1.data(), chk1.cols(), chk2.data(), chk2.cols(),
+                     static_cast<std::size_t>(s), relative_threshold, col0,
+                     cols, /*screen=*/false);
 }
 
 namespace {

@@ -88,10 +88,23 @@ struct StridedAbft {
   /// c2/c1 residual ratio and correct in place.  `col0` offsets the check
   /// into a wider matrix (for per-tile verification of a big GEMM).  Shape
   /// mismatches throw std::invalid_argument.
+  ///
+  /// Each row's residue classes first go through the verify screen (AVX2
+  /// lanes, compiled under FTT_SIMD): it forms every class's sum and L1 norm
+  /// with the scalar body's float adds in the same order, so it passes
+  /// exactly the classes the scalar body passes without a flag; the rest
+  /// run that body.  Reports and repairs equal verify_correct_scalar's.
   static Report verify_correct(tensor::MatrixF& S, const tensor::MatrixF& chk1,
                                const tensor::MatrixF& chk2, int s,
                                float relative_threshold, std::size_t col0 = 0,
                                std::size_t cols = 0);
+  /// The scalar reference: every class through the scalar body.
+  static Report verify_correct_scalar(tensor::MatrixF& S,
+                                      const tensor::MatrixF& chk1,
+                                      const tensor::MatrixF& chk2, int s,
+                                      float relative_threshold,
+                                      std::size_t col0 = 0,
+                                      std::size_t cols = 0);
 
   /// An N x K GEMM operand B sealed once for repeated protected products
   /// C = A * B^T, the way TilePool seals KV tiles: the k-major fp16 image

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "attention/kv_stage.hpp"
@@ -28,8 +30,22 @@ void store_slice(const MatrixF& m, Tensor4F& T, std::size_t b, std::size_t h) {
 
 }  // namespace
 
+void check_shapes(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
+                  const Tensor4F& O, const char* fn) {
+  const auto same = [&Q](const auto& T) {
+    return T.batch() == Q.batch() && T.heads() == Q.heads() &&
+           T.seq() == Q.seq() && T.dim() == Q.dim();
+  };
+  if (!same(K) || !same(V) || !same(O)) {
+    throw std::invalid_argument(
+        std::string(fn) +
+        ": Q, K, V and O must share batch x heads x seq x dim");
+  }
+}
+
 void standard_attention(const Tensor4H& Q, const Tensor4H& K,
                         const Tensor4H& V, Tensor4F& O, bool causal) {
+  check_shapes(Q, K, V, O, "standard_attention");
   const float scale = 1.0f / std::sqrt(static_cast<float>(Q.dim()));
   const std::size_t slices = Q.batch() * Q.heads();
 
@@ -59,7 +75,12 @@ void standard_attention(const Tensor4H& Q, const Tensor4H& K,
 
 void flash_attention(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
                      Tensor4F& O, std::size_t block, bool causal) {
+  check_shapes(Q, K, V, O, "flash_attention");
+  if (block == 0) {
+    throw std::invalid_argument("flash_attention: block must be at least 1");
+  }
   const std::size_t seq = Q.seq(), dim = Q.dim();
+  if (seq == 0) return;
   const std::size_t B = std::min(block, seq);
   const std::size_t nblk = (seq + B - 1) / B;
   const float scale = 1.0f / std::sqrt(static_cast<float>(dim));
@@ -112,9 +133,7 @@ void flash_attention(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
 
           for (std::size_t r = 0; r < br; ++r) {
             float* srow = sij.data() + r * bc;
-            float bmax = -std::numeric_limits<float>::infinity();
-            for (std::size_t c = 0; c < bc; ++c) bmax = std::max(bmax, srow[c]);
-            const float mnew = std::max(m[r], bmax);
+            const float mnew = std::max(m[r], softmax::row_max(srow, bc));
             const float f = std::exp(m[r] - mnew);  // exp(-inf) == 0 first pass
             float rowsum = 0.0f;
             for (std::size_t c = 0; c < bc; ++c) {

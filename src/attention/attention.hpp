@@ -38,6 +38,13 @@ inline AttnShape paper_shape(std::size_t seq, std::size_t heads,
   return s;
 }
 
+/// Throws std::invalid_argument (prefixed with `fn`) unless K, V and O have
+/// Q's batch x heads x seq x dim shape.  Every attention entry point calls
+/// it before any parallel region, where a throw would terminate.
+void check_shapes(const tensor::Tensor4H& Q, const tensor::Tensor4H& K,
+                  const tensor::Tensor4H& V, const tensor::Tensor4F& O,
+                  const char* fn);
+
 /// Reference O(n^2) attention: materializes S = QK^T / sqrt(d) per slice,
 /// row softmax, O = PV.  Ground truth for every other kernel.  `causal`
 /// applies the decoder mask (position r attends to positions <= r).
@@ -49,6 +56,7 @@ void standard_attention(const tensor::Tensor4H& Q, const tensor::Tensor4H& K,
 /// and row-sum; O(block) on-chip state, never materializes S.  This is the
 /// unprotected baseline EFTA's overhead is measured against.  Causal masking
 /// skips the strictly-upper block column range and masks the diagonal block.
+/// block == 0 throws std::invalid_argument, as do mismatched shapes.
 void flash_attention(const tensor::Tensor4H& Q, const tensor::Tensor4H& K,
                      const tensor::Tensor4H& V, tensor::Tensor4F& O,
                      std::size_t block = 64, bool causal = false);

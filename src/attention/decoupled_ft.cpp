@@ -91,6 +91,7 @@ FtReport decoupled_ft_attention(const Tensor4H& Q, const Tensor4H& K,
                                 const Tensor4H& V, Tensor4F& O,
                                 const DecoupledFtOptions& opt,
                                 fault::FaultInjector* inj) {
+  check_shapes(Q, K, V, O, "decoupled_ft_attention");
   const float scale = 1.0f / std::sqrt(static_cast<float>(Q.dim()));
   const std::size_t slices = Q.batch() * Q.heads();
   FtReport total;

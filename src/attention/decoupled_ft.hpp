@@ -23,7 +23,8 @@ struct DecoupledFtOptions {
 
 /// Run the 3-kernel protected pipeline.  Faults are injected serially when
 /// `inj` is armed (the injector is deterministic and not thread-safe);
-/// otherwise slices run under OpenMP.
+/// otherwise slices run under OpenMP.  Mismatched Q/K/V/O shapes throw
+/// std::invalid_argument.
 FtReport decoupled_ft_attention(const tensor::Tensor4H& Q,
                                 const tensor::Tensor4H& K,
                                 const tensor::Tensor4H& V, tensor::Tensor4F& O,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -13,6 +14,7 @@
 #include "numeric/int8_simd.hpp"
 #include "sim/mma.hpp"
 #include "softmax/snvr.hpp"
+#include "softmax/softmax.hpp"
 
 namespace ftt::core {
 
@@ -151,6 +153,7 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
   std::vector<float> pf(R * B);
   std::vector<float> acc2(R * d);
   std::vector<float> tchk1(R * su), tchk2(R * su);
+  std::vector<double> rhs(su);  // EXP screen: per-class checksum side
   MatrixH ek1, ek2, ev1, ev2;  // fresh encodes when the memo can't serve
   for (std::size_t j = 0; j < nblk; ++j) {
     // Rows of this tile holding real context; the remainder is zero padding,
@@ -308,9 +311,8 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
 
       // Streaming softmax update, the single-row decode loop verbatim:
       // the running max sees only the row's visible lanes.
-      float bmax = -std::numeric_limits<float>::infinity();
-      for (std::size_t c = 0; c < vis; ++c) bmax = std::max(bmax, S(r, c));
-      bmax = fault::corrupt(inj, fault::Site::kReduceMax, bmax);
+      const float bmax = fault::corrupt(inj, fault::Site::kReduceMax,
+                                        softmax::row_max(&S(r, 0), vis));
       blockmax(r, j) = bmax;
       const float mnew = std::max(m[r], bmax);
 
@@ -327,9 +329,20 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
       // padded lanes participate in score space — decode's convention for
       // lanes that were never exponentiated.  A class's visible lanes are a
       // prefix of its l-order (columns jc + l*s ascend), so the product form
-      // covers lanes [0, nvis) and the masked remainder adds after it.
+      // covers lanes [0, nvis) and the masked remainder adds after it.  A
+      // full-width row first goes through the residue-class screen; a class
+      // it passes is one the scalar test below passes too.
+      for (std::size_t jc = 0; jc < su; ++jc) {
+        rhs[jc] =
+            static_cast<double>(schk1(r, jc)) - static_cast<double>(L) * mnew;
+      }
+      const std::uint64_t pass =
+          vis == B ? softmax::log_product_screen(&S(r, 0), su, L, rhs.data(),
+                                                 opt.exp_log_threshold)
+                   : 0;
       for (std::size_t jc = 0; jc < su; ++jc) {
         ++rep.exp_check.checks;
+        if ((pass >> jc) & 1u) continue;
         const std::size_t nvis = vis > jc ? (vis - jc + su - 1) / su : 0;
         const auto lg = softmax::log_product(&S(r, jc), su, nvis);
         const bool bad = !lg;
@@ -337,9 +350,7 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
         for (std::size_t ll = nvis; ll < L && !bad; ++ll) {
           lhs += static_cast<double>(spre(r, jc + ll * su)) - mnew;
         }
-        const double rhs =
-            static_cast<double>(schk1(r, jc)) - static_cast<double>(L) * mnew;
-        if (bad || std::fabs(lhs - rhs) > opt.exp_log_threshold) {
+        if (bad || std::fabs(lhs - rhs[jc]) > opt.exp_log_threshold) {
           ++rep.exp_check.flagged;
           // Repair the scores via the linear checksum, then re-exponentiate
           // the visible lanes (per-row temporaries: this path only runs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "numeric/gemm_simd.hpp"
 #include "sim/mma.hpp"
 #include "softmax/snvr.hpp"
+#include "softmax/softmax.hpp"
 
 namespace ftt::core {
 
@@ -52,11 +54,21 @@ abft::Report verify_exp_block(MatrixF& P, MatrixF& Spre, const MatrixF& Schk1,
   const auto su = static_cast<std::size_t>(s);
   const std::size_t L = C / su;
   const double w2sum = static_cast<double>(L) * (L + 1) / 2.0;
+  std::vector<double> rhs(su);
 
   for (std::size_t r = 0; r < R; ++r) {
     const double m = mnew[r];
+    // The checksum side of every class, then the residue-class screen: a
+    // class it passes is one the scalar test below passes too; the others
+    // run that test unchanged.
+    for (std::size_t jc = 0; jc < su; ++jc) {
+      rhs[jc] = static_cast<double>(Schk1(r, jc)) - static_cast<double>(L) * m;
+    }
+    const std::uint64_t pass = softmax::log_product_screen(
+        &P(r, 0), su, L, rhs.data(), exp_log_threshold);
     for (std::size_t jc = 0; jc < su; ++jc) {
       ++rep.checks;
+      if ((pass >> jc) & 1u) continue;
       const auto lhs1 = softmax::log_product(&P(r, jc), su, L);
       if (!lhs1) {
         // exp output must be a positive finite value: a sign/exponent flip
@@ -85,11 +97,9 @@ abft::Report verify_exp_block(MatrixF& P, MatrixF& Spre, const MatrixF& Schk1,
         continue;
       }
 
-      const double rhs1 = static_cast<double>(Schk1(r, jc)) -
-                          static_cast<double>(L) * m;
       // The log-domain residual equals the score-space perturbation, so an
       // absolute threshold directly bounds the undetected error magnitude.
-      const double d1 = *lhs1 - rhs1;
+      const double d1 = *lhs1 - rhs[jc];
       if (std::fabs(d1) <= exp_log_threshold) {
         continue;
       }
@@ -187,6 +197,26 @@ std::size_t dmr_exp_block(MatrixF& S, const std::vector<float>& mnew,
   return recomputes;
 }
 
+/// sums[r] = P(r, 0) + P(r, 1) + ... in ascending order, for eight rows at a
+/// time: independent chains side by side instead of one latency-bound chain.
+void row_sums(const MatrixF& P, std::vector<float>& sums) {
+  const std::size_t R = P.rows(), C = P.cols();
+  constexpr std::size_t kRows = 8;
+  std::size_t r = 0;
+  for (; r + kRows <= R; r += kRows) {
+    float acc[kRows] = {};
+    for (std::size_t c = 0; c < C; ++c) {
+      for (std::size_t k = 0; k < kRows; ++k) acc[k] += P(r + k, c);
+    }
+    std::copy_n(acc, kRows, sums.begin() + static_cast<std::ptrdiff_t>(r));
+  }
+  for (; r < R; ++r) {
+    float acc = 0.0f;
+    for (std::size_t c = 0; c < C; ++c) acc += P(r, c);
+    sums[r] = acc;
+  }
+}
+
 /// Per-thread staging for efta_slice, reused across the slices one thread
 /// runs.
 struct SliceStage {
@@ -269,7 +299,7 @@ FtReport efta_slice(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
   const float* qf = st.qf.data();
   const float* pf = st.pf.data();
 
-  std::vector<float> m(B), mnew(B), l(B), f(B);
+  std::vector<float> m(B), mnew(B), l(B), f(B), rowsums(B);
   MatrixF oacc(B, dim), oc1(B, su), oc2(B, su);
   MatrixF blockmax(B, nblk);  // per-row history of block maxima (SNVR)
   MatrixF S(B, B), schk1(B, su), schk2(B, su), spre;
@@ -348,17 +378,7 @@ FtReport efta_slice(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
           // EXP check could see it.  Range violations trigger an immediate
           // checksum repair (scores from post-layernorm fp16 inputs are
           // bounded far below score_bound).
-          bool out_of_range = false;
-          for (std::size_t r = 0; r < B && !out_of_range; ++r) {
-            for (std::size_t c = 0; c < B; ++c) {
-              const float sv = S(r, c);
-              if (!std::isfinite(sv) || std::fabs(sv) > opt.score_bound) {
-                out_of_range = true;
-                break;
-              }
-            }
-          }
-          if (out_of_range) {
+          if (!softmax::scores_in_range(S.data(), B * B, opt.score_bound)) {
             rep.gemm1 += abft::StridedAbft::verify_correct(
                 S, schk1, schk2, s, opt.abft_rel_threshold);
           }
@@ -377,9 +397,8 @@ FtReport efta_slice(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
 
       // ---- reduce-max (Case 1: errors cancel through the rescale) ----
       for (std::size_t r = 0; r < B; ++r) {
-        float bmax = -std::numeric_limits<float>::infinity();
-        for (std::size_t c = 0; c < B; ++c) bmax = std::max(bmax, S(r, c));
-        bmax = fault::corrupt(inj, fault::Site::kReduceMax, bmax);
+        const float bmax = fault::corrupt(inj, fault::Site::kReduceMax,
+                                          softmax::row_max(&S(r, 0), B));
         blockmax(r, j) = bmax;
         mnew[r] = std::max(m[r], bmax);
       }
@@ -404,6 +423,10 @@ FtReport efta_slice(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
       }
 
       // ---- rescale + reduce-sum ----
+      // The row sums run first, eight rows' serial chains side by side (each
+      // still adds its lanes in ascending order); their hooks fire below in
+      // the per-row order.
+      row_sums(S, rowsums);
       for (std::size_t r = 0; r < B; ++r) {
         f[r] = std::exp(m[r] - mnew[r]);  // exp(-inf) == 0 on first block
         for (std::size_t c = 0; c < dim; ++c) {
@@ -418,9 +441,8 @@ FtReport efta_slice(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
                                         f[r] * oc2(r, jc));
           }
         }
-        float rowsum = 0.0f;
-        for (std::size_t c = 0; c < B; ++c) rowsum += S(r, c);
-        rowsum = fault::corrupt(inj, fault::Site::kReduceSum, rowsum);
+        const float rowsum =
+            fault::corrupt(inj, fault::Site::kReduceSum, rowsums[r]);
         l[r] = f[r] * l[r] + rowsum;
         m[r] = mnew[r];
       }
@@ -553,6 +575,12 @@ FtReport efta_slice(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
 FtReport efta_attention(const Tensor4H& Q, const Tensor4H& K,
                         const Tensor4H& V, Tensor4F& O, const EftaOptions& opt,
                         fault::FaultInjector* inj) {
+  attention::check_shapes(Q, K, V, O, "efta_attention");
+  if (opt.block == 0 || opt.stride <= 0) {
+    throw std::invalid_argument(
+        "efta_attention: block and stride must be at least 1");
+  }
+  if (Q.seq() == 0) return {};
   const float scale = 1.0f / std::sqrt(static_cast<float>(Q.dim()));
   const std::size_t slices = Q.batch() * Q.heads();
   const std::size_t B = std::min(opt.block, Q.seq());
@@ -663,8 +691,10 @@ EftaOverheadByTarget efta_overhead_by_target(const AttnShape& shape,
       // residue-class products, one exp per class for the checksum side,
       // and s compares per row.  This is what makes SNVR far cheaper than
       // DMR's full EXP replica.  (The host implementation evaluates the
-      // same product scheme, closing each class with one log in double
-      // instead of one exp: softmax::log_product.)
+      // same product scheme in double and closes it with a log instead of
+      // an exp: every class of a row at once in AVX2 lanes,
+      // softmax::log_product_screen, and the scalar softmax::log_product
+      // only for the classes the screen does not pass.)
       v.fp32_flops += slices * pairs * (B * B + 2.0 * B * s);
       v.sfu_ops += slices * pairs * B * s;
       v.syncs += slices * pairs;

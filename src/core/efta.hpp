@@ -70,7 +70,9 @@ struct EftaOptions {
 
 /// Run EFTA.  O receives the normalized attention output in fp32.  When
 /// `inj` is armed the kernel runs serially (the injector is deterministic and
-/// stateful); otherwise slices are OpenMP-parallel.
+/// stateful); otherwise slices are OpenMP-parallel.  Mismatched Q/K/V/O
+/// shapes, block or stride below 1, and a seq / block / dim that does not
+/// tile evenly throw std::invalid_argument before any slice runs.
 attention::FtReport efta_attention(const tensor::Tensor4H& Q,
                                    const tensor::Tensor4H& K,
                                    const tensor::Tensor4H& V,

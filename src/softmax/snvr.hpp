@@ -14,6 +14,7 @@
 // concentrates at the per-block maxima.
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 
@@ -47,5 +48,27 @@ SnvrRangeResult snvr_check_rowsum(float rowsum,
 /// with the direct sum of logs within 1e-12, far below any check threshold.
 std::optional<double> log_product(const float* p, std::size_t stride,
                                   std::size_t n) noexcept;
+
+/// The EXP product check's residue-class screen: one call covers all `s`
+/// classes of a row, where class jc holds lanes p[jc + l·s] for l < n.  The
+/// lanes of one l are contiguous, so classes run in vector lanes: each
+/// forms log_product's significand product and exponent sum with the same
+/// double multiplies, then takes its log in lanes.  Bit jc of the result is
+/// set only when |log_product(p + jc, s, n) − rhs[jc]| ≤ thr is certain:
+/// the lane residual must clear the threshold by the derived bound on the
+/// lane log's distance from std::log (docs/KERNELS.md, "Residue-class
+/// screens").  A clear bit decides nothing; the caller runs its scalar body
+/// for that class.  Returns 0 — every class to the scalar body — when the
+/// row holds a zero, subnormal, negative or non-finite lane, when s is not
+/// a multiple of 4 or above 64, when n ≥ 2^22, or when AVX2 is not
+/// compiled in (FTT_SIMD) or not supported by the CPU.
+std::uint64_t log_product_screen(const float* p, std::size_t s,
+                                 std::size_t n, const double* rhs,
+                                 double thr) noexcept;
+
+/// The score NVR scan: true when every x[i] is finite and not above bound
+/// in magnitude (a NaN bound rejects nothing finite).  The AVX2 lanes and
+/// the scalar loop make the same compares, so both return the same answer.
+bool scores_in_range(const float* x, std::size_t n, float bound) noexcept;
 
 }  // namespace ftt::softmax

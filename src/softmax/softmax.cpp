@@ -1,13 +1,49 @@
 #include "softmax/softmax.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+
+#if defined(FTT_SIMD) && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define FTT_SIMD_ROWMAX 1
+#include <immintrin.h>
+#endif
 
 namespace ftt::softmax {
 
 using tensor::MatrixF;
 
 namespace {
+
+float row_max_scalar(const float* x, std::size_t n) noexcept {
+  float m = -std::numeric_limits<float>::infinity();
+  for (std::size_t i = 0; i < n; ++i) m = std::max(m, x[i]);
+  return m;
+}
+
+#ifdef FTT_SIMD_ROWMAX
+
+bool avx2_active() noexcept {
+  static const bool active = __builtin_cpu_supports("avx2");
+  return active;
+}
+
+/// Eight interleaved serial chains: vmaxps(x, acc) is (x > acc) ? x : acc,
+/// exactly std::max(acc, x) per lane.
+__attribute__((target("avx2"))) float row_max_avx2(const float* x,
+                                                   std::size_t n) noexcept {
+  __m256 acc = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) acc = _mm256_max_ps(_mm256_loadu_ps(x + i), acc);
+  alignas(32) float lanes[8];
+  _mm256_store_ps(lanes, acc);
+  float m = row_max_scalar(lanes, 8);
+  for (; i < n; ++i) m = std::max(m, x[i]);
+  return m;
+}
+
+#endif  // FTT_SIMD_ROWMAX
 
 /// One softmax evaluation of `src` into `dst` with fault hooks.
 void eval_softmax(const MatrixF& src, MatrixF& dst, fault::FaultInjector* inj) {
@@ -48,6 +84,16 @@ bool rowsums_near_one(const MatrixF& p, float eps) {
 }
 
 }  // namespace
+
+float row_max(const float* x, std::size_t n) noexcept {
+#ifdef FTT_SIMD_ROWMAX
+  if (n >= 8 && avx2_active()) {
+    const float m = row_max_avx2(x, n);
+    if (m != 0.0f) return m;
+  }
+#endif
+  return row_max_scalar(x, n);
+}
 
 void row_softmax(MatrixF& S, fault::FaultInjector* inj) {
   MatrixF out(S.rows(), S.cols());

@@ -14,6 +14,15 @@
 
 namespace ftt::softmax {
 
+/// The serial reduce-max max(...max(max(-inf, x[0]), x[1])..., x[n-1]) with
+/// std::max: NaN lanes are skipped, and among equal values the first one
+/// wins (so +0 vs -0 ties keep the earlier sign).  The AVX2 path keeps one
+/// such chain per lane (vmaxps keeps its accumulator on NaN and on ties)
+/// and re-runs the serial chain when the maximum is a zero, the only value
+/// whose bits the lane split could change, so both paths return the same
+/// bits.  Shared by flash_attention, efta_attention and the decode kernel.
+float row_max(const float* x, std::size_t n) noexcept;
+
 /// Numerically stable row softmax of S in place: p_ij = exp(s_ij - max_i) /
 /// sum_k exp(s_ik - max_i).  Fault hooks at reduce-max, EXP and reduce-sum.
 void row_softmax(tensor::MatrixF& S, fault::FaultInjector* inj = nullptr);

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "attention/attention.hpp"
+#include "attention/decoupled_ft.hpp"
 #include "tensor/random.hpp"
 
 namespace fa = ftt::attention;
@@ -171,4 +172,42 @@ TEST(CausalAttention, FutureTokensDoNotInfluencePast) {
       EXPECT_EQ(O1.at(0, 0, r, d), O2.at(0, 0, r, d)) << r << "," << d;
     }
   }
+}
+
+// --- misuse: typed errors raised before any parallel region ---
+
+TEST(AttentionMisuse, FlashRejectsZeroBlock) {
+  auto [Q, K, V] = make(1, 1, 64, 64, 61);
+  ft::Tensor4F O(1, 1, 64, 64);
+  EXPECT_THROW(fa::flash_attention(Q, K, V, O, 0), std::invalid_argument);
+}
+
+TEST(AttentionMisuse, FlashRejectsShortK) {
+  auto [Q, K, V] = make(1, 1, 128, 64, 62);
+  ft::Tensor4H Kshort(1, 1, 64, 64), Vshort(1, 1, 64, 64);
+  ft::Tensor4F O(1, 1, 128, 64);
+  EXPECT_THROW(fa::flash_attention(Q, Kshort, Vshort, O),
+               std::invalid_argument);
+}
+
+TEST(AttentionMisuse, StandardRejectsMismatchedShapes) {
+  // Before the check, the score GEMM threw inside the OpenMP region, which
+  // terminates the process instead of reaching the caller.
+  auto [Q, K, V] = make(2, 2, 64, 64, 63);
+  ft::Tensor4H Kshort(2, 2, 32, 64);
+  ft::Tensor4F O(2, 2, 64, 64), Onarrow(2, 2, 64, 32);
+  EXPECT_THROW(fa::standard_attention(Q, Kshort, V, O),
+               std::invalid_argument);
+  EXPECT_THROW(fa::standard_attention(Q, K, V, Onarrow),
+               std::invalid_argument);
+}
+
+TEST(AttentionMisuse, DecoupledRejectsMismatchedShapes) {
+  // Before the check, a short V tripped a Matrix bounds assert (UB under
+  // NDEBUG) in the PV kernel.
+  auto [Q, K, V] = make(1, 1, 64, 64, 64);
+  ft::Tensor4H Vshort(1, 1, 32, 64);
+  ft::Tensor4F O(1, 1, 64, 64);
+  EXPECT_THROW(fa::decoupled_ft_attention(Q, K, Vshort, O),
+               std::invalid_argument);
 }

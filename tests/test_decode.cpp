@@ -1,14 +1,19 @@
 // Protected single-token decode (KV-cache inference step).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <random>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "attention/attention.hpp"
 #include "core/decode.hpp"
+#include "paged_kv_fixture.hpp"
 #include "tensor/random.hpp"
 
 namespace fa = ftt::attention;
@@ -18,6 +23,43 @@ namespace ft = ftt::tensor;
 using ftt::numeric::Half;
 
 namespace {
+
+/// Every FtReport counter that a campaign can move, in a fixed order: per
+/// verifier (GEMM I, EXP, GEMM II) checks, flagged, corrected, recomputed,
+/// checksum repairs and uncorrectable, then range corrections and flips
+/// placed.  (range_violations and dmr_recomputes stay 0 in these modes.)
+using Counters = std::array<std::size_t, 20>;
+Counters counters(const fa::FtReport& r) {
+  Counters c{};
+  std::size_t i = 0;
+  for (const ftt::abft::Report* x : {&r.gemm1, &r.exp_check, &r.gemm2}) {
+    for (const std::size_t v : {x->checks, x->flagged, x->corrected,
+                                x->recomputed, x->checksum_repairs,
+                                x->uncorrectable}) {
+      c[i++] = v;
+    }
+  }
+  c[i++] = r.range_corrections;
+  c[i++] = r.faults_injected;
+  return c;
+}
+
+/// The pinned campaign's flips: one call index per site, bits 30, 26, 3.
+struct CampaignFlip {
+  ff::Site site;
+  std::uint64_t index;
+  unsigned bit;
+};
+std::vector<CampaignFlip> campaign_flips(
+    std::initializer_list<std::pair<ff::Site, std::uint64_t>> sites) {
+  std::vector<CampaignFlip> flips;
+  for (const auto& [site, index] : sites) {
+    for (const unsigned bit : {30u, 26u, 3u}) {
+      flips.push_back({site, index, bit});
+    }
+  }
+  return flips;
+}
 
 struct DecodeEnv {
   static constexpr std::size_t kN = 256, kD = 64;
@@ -302,5 +344,79 @@ TEST(Decode, ProbeCallCountsPinned) {
     std::uint32_t bits = 0;
     std::memcpy(&bits, &inj.events()[0].before, sizeof(bits));
     EXPECT_EQ(bits, f.before_bits) << ff::site_name(f.site);
+  }
+}
+
+TEST(Decode, CampaignReportsPinned) {
+  // The block kernel's analogue of EftaFaultModes.CampaignReportsPinned: a
+  // 64-row block at n = 200 (3 full tiles plus an 8-row tail) on a raw
+  // contiguous slice and on a sealed kF16T pool slice, every report counter
+  // recorded before the residue-class screens existed.
+  constexpr std::size_t kN = 200, kD = 64, kRows = 64;
+  constexpr std::size_t kB = fc::KvSlice::kTileRows;
+  ft::MatrixH K(kN, kD), V(kN, kD);
+  ft::fill_normal(K, 91);
+  ft::fill_normal(V, 92);
+  std::vector<Half> q(kRows * kD);
+  std::mt19937_64 rng(93);
+  std::normal_distribution<float> dist(0.0f, 1.0f);
+  for (auto& v : q) v = Half(dist(rng));
+  std::vector<const Half*> kt, vt;
+  for (std::size_t r = 0; r < kN; r += kB) {
+    kt.push_back(K.data() + r * kD);
+    vt.push_back(V.data() + r * kD);
+  }
+  const fc::KvSlice raw{kt.data(), vt.data(), kN, kD};
+  ftt::testing::PagedKv pool(1, kD, fc::TileFmt::kF16,
+                             fc::ImagePolicy::kF16T);
+  pool.append({K.data(), kN * kD}, {V.data(), kN * kD}, kN);
+  const fc::KvSlice f16t = pool.slice(0);
+
+  const auto flips = campaign_flips({{ff::Site::kGemm1, 5003},
+                                     {ff::Site::kExp, 7777},
+                                     {ff::Site::kGemm2, 12485},
+                                     {ff::Site::kChecksum, 4097}});
+  // Rows: GEMM I, EXP, GEMM II, checksum; bits 30, 26, 3 within each.
+  const Counters kRaw[] = {
+      {2048, 1, 1, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 1, 1, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 0, 0, 0, 0, 0, 1594, 1, 0, 1, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 0, 0, 0, 0, 0, 1594, 1, 0, 1, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 1, 1, 0, 0, 0, 0, 1},
+      {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 1, 1, 0, 0, 0, 0, 1},
+      {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 64, 0, 0, 0, 64, 1152, 64, 0, 64, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 13, 0, 0, 13, 0, 1481, 17, 0, 17, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+  };
+  const Counters kF16T[] = {
+      {2048, 1, 1, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 1, 1, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 0, 0, 0, 0, 0, 1594, 1, 0, 1, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 0, 0, 0, 0, 0, 1594, 1, 0, 1, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 1, 1, 0, 0, 0, 0, 1},
+      {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 1, 1, 0, 0, 0, 0, 1},
+      {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 64, 0, 0, 0, 64, 1152, 64, 0, 64, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 13, 0, 0, 13, 0, 1481, 17, 0, 17, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+  };
+  ASSERT_EQ(flips.size(), std::size(kRaw));
+  for (const auto& [kv, pinned, name] :
+       {std::tuple{raw, kRaw, "raw"}, std::tuple{f16t, kF16T, "kF16T"}}) {
+    for (std::size_t i = 0; i < flips.size(); ++i) {
+      auto inj = ff::FaultInjector::single(flips[i].site, flips[i].index,
+                                           flips[i].bit);
+      std::vector<float> out(kRows * kD);
+      const auto rep = fc::efta_decode_block(
+          fc::DecodeWorkItem{kv, q.data(), out.data(), kRows}, {}, &inj);
+      EXPECT_EQ(counters(rep), pinned[i])
+          << name << " " << ff::site_name(flips[i].site) << " bit "
+          << flips[i].bit;
+    }
   }
 }

@@ -259,3 +259,26 @@ TEST(EftaCausal, PerStepAlsoMatches) {
   fc::efta_attention(Q, K, V, Oe, opt);
   EXPECT_LT(max_diff(Os, Oe), 2e-3f);
 }
+
+// --- misuse: typed errors raised before any slice runs ---
+
+TEST(EftaMisuse, RejectsZeroStrideAndBlock) {
+  auto [Q, K, V] = make(1, 1, 64, 64, 71);
+  ft::Tensor4F O(1, 1, 64, 64);
+  fc::EftaOptions zero_stride;
+  zero_stride.stride = 0;
+  EXPECT_THROW(fc::efta_attention(Q, K, V, O, zero_stride),
+               std::invalid_argument);
+  fc::EftaOptions zero_block;
+  zero_block.block = 0;
+  EXPECT_THROW(fc::efta_attention(Q, K, V, O, zero_block),
+               std::invalid_argument);
+}
+
+TEST(EftaMisuse, RejectsKShorterThanQ) {
+  auto [Q, K, V] = make(1, 1, 128, 64, 72);
+  ft::Tensor4H Kshort(1, 1, 64, 64), Vshort(1, 1, 64, 64);
+  ft::Tensor4F O(1, 1, 128, 64);
+  EXPECT_THROW(fc::efta_attention(Q, Kshort, Vshort, O, {}),
+               std::invalid_argument);
+}

@@ -3,7 +3,12 @@
 // positions and call offsets.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
+#include <utility>
+#include <vector>
 
 #include "attention/attention.hpp"
 #include "core/efta.hpp"
@@ -54,6 +59,43 @@ struct Env {
   }
 };
 
+/// Every FtReport counter that a campaign can move, in a fixed order: per
+/// verifier (GEMM I, EXP, GEMM II) checks, flagged, corrected, recomputed,
+/// checksum repairs and uncorrectable, then range corrections and flips
+/// placed.  (range_violations and dmr_recomputes stay 0 in these modes.)
+using Counters = std::array<std::size_t, 20>;
+Counters counters(const fa::FtReport& r) {
+  Counters c{};
+  std::size_t i = 0;
+  for (const ftt::abft::Report* x : {&r.gemm1, &r.exp_check, &r.gemm2}) {
+    for (const std::size_t v : {x->checks, x->flagged, x->corrected,
+                                x->recomputed, x->checksum_repairs,
+                                x->uncorrectable}) {
+      c[i++] = v;
+    }
+  }
+  c[i++] = r.range_corrections;
+  c[i++] = r.faults_injected;
+  return c;
+}
+
+/// The pinned campaign's flips: one call index per site, bits 30, 26, 3.
+struct CampaignFlip {
+  ff::Site site;
+  std::uint64_t index;
+  unsigned bit;
+};
+std::vector<CampaignFlip> campaign_flips(
+    std::initializer_list<std::pair<ff::Site, std::uint64_t>> sites) {
+  std::vector<CampaignFlip> flips;
+  for (const auto& [site, index] : sites) {
+    for (const unsigned bit : {30u, 26u, 3u}) {
+      flips.push_back({site, index, bit});
+    }
+  }
+  return flips;
+}
+
 fc::EftaOptions mode(bool unified) {
   fc::EftaOptions o;
   o.unified_verification = unified;
@@ -82,6 +124,65 @@ TEST_P(EftaFaultModes, ProbeCallCountsPinned) {
   EXPECT_EQ(probe.calls(ff::Site::kGemm2), 16384u);
   EXPECT_EQ(probe.calls(ff::Site::kChecksum), 20480u);
   EXPECT_EQ(probe.injected(), 0u);
+}
+
+TEST_P(EftaFaultModes, CampaignReportsPinned) {
+  // Every report counter of a fixed single-flip campaign at seq 256 (4 x 4
+  // tile pairs), recorded before the residue-class screens existed: a screen
+  // that passed a class the scalar check flags, or flagged one it passes,
+  // moves a counter here.
+  const std::size_t kSeq = 256;
+  ft::Tensor4H Q(1, 1, kSeq, 64), K(1, 1, kSeq, 64), V(1, 1, kSeq, 64);
+  ft::fill_normal(Q, 21);
+  ft::fill_normal(K, 22);
+  ft::fill_normal(V, 23);
+  const auto flips = campaign_flips({{ff::Site::kGemm1, 21011},
+                                     {ff::Site::kExp, 33333},
+                                     {ff::Site::kGemm2, 47777},
+                                     {ff::Site::kChecksum, 40961}});
+  // Rows: GEMM I, EXP, GEMM II, checksum; bits 30, 26, 3 within each.
+  const Counters kUnified[] = {
+      {512, 1, 1, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {0, 0, 0, 0, 0, 0, 8192, 1, 1, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {0, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {0, 0, 0, 0, 0, 0, 8192, 1, 0, 1, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {0, 0, 0, 0, 0, 0, 8192, 1, 0, 1, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {0, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {0, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 1, 1, 0, 0, 0, 0, 1},
+      {0, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 1, 1, 0, 0, 0, 0, 1},
+      {0, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {0, 0, 0, 0, 0, 0, 8192, 57, 0, 0, 57, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {0, 0, 0, 0, 0, 0, 8192, 64, 0, 0, 64, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {0, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+  };
+  const Counters kPerStep[] = {
+      {8192, 1, 1, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 1, 1, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8192, 1, 0, 1, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8192, 1, 0, 1, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 10240, 1, 1, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 10240, 1, 1, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 52, 0, 0, 52, 0, 8192, 57, 0, 0, 57, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 64, 0, 0, 64, 0, 8192, 64, 0, 0, 64, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
+  };
+  const Counters* pinned = GetParam() ? kUnified : kPerStep;
+  ASSERT_EQ(flips.size(), std::size(kUnified));
+  for (std::size_t i = 0; i < flips.size(); ++i) {
+    auto inj = ff::FaultInjector::single(flips[i].site, flips[i].index,
+                                         flips[i].bit);
+    ft::Tensor4F O(1, 1, kSeq, 64);
+    const auto rep = fc::efta_attention(Q, K, V, O, mode(GetParam()), &inj);
+    EXPECT_EQ(counters(rep), pinned[i])
+        << ff::site_name(flips[i].site) << " bit " << flips[i].bit;
+    EXPECT_EQ(rep.dmr_recomputes, 0u);
+    EXPECT_EQ(rep.gemm1.range_violations + rep.exp_check.range_violations +
+                  rep.gemm2.range_violations,
+              0u);
+  }
 }
 
 TEST_P(EftaFaultModes, Gemm1HighBitCorrected) {

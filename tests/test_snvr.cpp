@@ -7,6 +7,7 @@
 #include <random>
 #include <vector>
 
+#include "numeric/int8_simd.hpp"
 #include "softmax/snvr.hpp"
 
 namespace fm = ftt::softmax;
@@ -213,4 +214,167 @@ TEST(SnvrLogProduct, RejectsImpossibleExpOutputs) {
     EXPECT_FALSE(fm::log_product(row.data() + 2, 8, 8).has_value()) << bad;
     EXPECT_TRUE(fm::log_product(row.data() + 3, 8, 8).has_value()) << bad;
   }
+}
+
+// --- the residue-class screen (log_product_screen) ---
+
+namespace {
+
+/// The scalar decision the screen must never overrule: class jc of a row
+/// passes when log_product exists and |log_product - rhs| <= thr.
+bool scalar_pass(const float* row, std::size_t s, std::size_t n, double rhs,
+                 double thr) {
+  const auto lp = fm::log_product(row, s, n);
+  return lp && std::fabs(*lp - rhs) <= thr;
+}
+
+/// Screen the row and count passes; fail on any class the screen passes
+/// that the scalar test fails.
+std::size_t check_screen(const std::vector<float>& row, std::size_t s,
+                         std::size_t n, const std::vector<double>& rhs,
+                         double thr) {
+  const std::uint64_t pass =
+      fm::log_product_screen(row.data(), s, n, rhs.data(), thr);
+  std::size_t passed = 0;
+  for (std::size_t jc = 0; jc < s; ++jc) {
+    if (!((pass >> jc) & 1u)) continue;
+    ++passed;
+    EXPECT_TRUE(scalar_pass(row.data() + jc, s, n, rhs[jc], thr))
+        << "s=" << s << " n=" << n << " jc=" << jc << " rhs=" << rhs[jc];
+  }
+  return passed;
+}
+
+/// True when the build and CPU run the AVX2 screen: the int8 kernels
+/// dispatch on the same two conditions (FTT_SIMD compiled in, AVX2 present).
+bool screen_active() { return ftt::numeric::simd_int8_active(); }
+
+}  // namespace
+
+TEST(SnvrLogProductScreen, NeverPassesAClassTheScalarTestFails) {
+  // Residuals placed at the threshold +- {1e-15 .. 1e-3}, at strides 4, 8
+  // and 16, for n = 8 and for n past the 512-lane fold.
+  const double thr = 0.1;
+  std::size_t passed = 0, far_below = 0;
+  for (const std::size_t s : {4u, 8u, 16u}) {
+    for (const std::size_t n : {8u, 600u}) {
+      for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        const auto row = softmax_row(s * n, seed * 131 + s + n,
+                                     seed % 2 ? 8.0f : 2.0f);
+        for (const double delta : {1e-15, 1e-13, 1e-9, 1e-6, 1e-3}) {
+          for (const double side : {-1.0, 1.0}) {
+            for (const double sign : {-1.0, 1.0}) {
+              std::vector<double> rhs(s);
+              for (std::size_t jc = 0; jc < s; ++jc) {
+                const double lp = *fm::log_product(row.data() + jc, s, n);
+                rhs[jc] = lp - sign * (thr + side * delta);
+              }
+              const std::size_t p = check_screen(row, s, n, rhs, thr);
+              passed += p;
+              if (side < 0 && delta >= 1e-9) far_below += s;
+            }
+          }
+        }
+      }
+    }
+  }
+  if (screen_active()) {
+    // Every class at least 1e-9 inside the threshold clears the bound.
+    EXPECT_GE(passed, far_below);
+  } else {
+    EXPECT_EQ(passed, 0u);
+  }
+}
+
+TEST(SnvrLogProductScreen, RandomResidualsAgreeWithScalar) {
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> off(-0.3, 0.3);
+  std::size_t passed = 0, scalar_passed = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const auto row = softmax_row(64, seed, 6.0f);
+    std::vector<double> rhs(8);
+    for (std::size_t jc = 0; jc < 8; ++jc) {
+      rhs[jc] = *fm::log_product(row.data() + jc, 8, 8) + off(rng);
+      scalar_passed += scalar_pass(row.data() + jc, 8, 8, rhs[jc], 0.1);
+    }
+    passed += check_screen(row, 8, 8, rhs, 0.1);
+  }
+  if (screen_active()) {
+    EXPECT_EQ(passed, scalar_passed);
+  }
+}
+
+TEST(SnvrLogProductScreen, SpecialLanesSendTheRowToTheScalarBody) {
+  for (const float bad : {0.0f, -0.0f, -0.5f, 1e-40f,
+                          std::numeric_limits<float>::denorm_min(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()}) {
+    auto row = softmax_row(64, 13);
+    row[42] = bad;
+    std::vector<double> rhs(8);
+    for (std::size_t jc = 0; jc < 8; ++jc) {
+      const auto lp = fm::log_product(row.data() + jc, 8, 8);
+      rhs[jc] = lp ? *lp : 0.0;
+    }
+    EXPECT_EQ(fm::log_product_screen(row.data(), 8, 8, rhs.data(), 0.1), 0u)
+        << bad;
+  }
+}
+
+TEST(SnvrLogProductScreen, NonFiniteRightHandSideNeverPasses) {
+  const auto row = softmax_row(64, 17);
+  std::vector<double> rhs(8);
+  for (std::size_t jc = 0; jc < 8; ++jc) {
+    rhs[jc] = *fm::log_product(row.data() + jc, 8, 8);
+  }
+  rhs[1] = std::numeric_limits<double>::quiet_NaN();
+  rhs[4] = std::numeric_limits<double>::infinity();
+  rhs[6] = -std::numeric_limits<double>::infinity();
+  const std::uint64_t pass =
+      fm::log_product_screen(row.data(), 8, 8, rhs.data(), 0.1);
+  EXPECT_EQ(pass & ((1u << 1) | (1u << 4) | (1u << 6)), 0u);
+  if (screen_active()) {
+    EXPECT_EQ(pass, 0xFFu & ~0x52u);
+  }
+  check_screen(row, 8, 8, rhs, 0.1);
+}
+
+TEST(SnvrLogProductScreen, UnsupportedStridesDecideNothing) {
+  const auto row = softmax_row(64, 19);
+  std::vector<double> rhs(64, 0.0);
+  for (const std::size_t s : {1u, 2u, 6u}) {
+    EXPECT_EQ(fm::log_product_screen(row.data(), s, 64 / s, rhs.data(), 1e9),
+              0u)
+        << s;
+  }
+}
+
+TEST(SnvrScoresInRange, MatchesTheScalarScan) {
+  const float kBound = 1e4f;
+  std::vector<float> x(4096);
+  std::mt19937_64 rng(23);
+  std::normal_distribution<float> d(0.0f, 30.0f);
+  for (float& v : x) v = d(rng);
+  EXPECT_TRUE(fm::scores_in_range(x.data(), x.size(), kBound));
+  for (const std::size_t at : {0u, 7u, 8u, 4093u, 4095u}) {
+    for (const float bad : {1.0001e4f, -2e4f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()}) {
+      auto y = x;
+      y[at] = bad;
+      EXPECT_FALSE(fm::scores_in_range(y.data(), y.size(), kBound))
+          << at << " " << bad;
+      // Ragged lengths reach the scalar tail.
+      EXPECT_EQ(fm::scores_in_range(y.data(), at, kBound), true) << at;
+    }
+  }
+  x[5] = kBound;  // the bound itself is in range
+  EXPECT_TRUE(fm::scores_in_range(x.data(), x.size(), kBound));
+  // A NaN bound: |x| > NaN is false, so only non-finite scores fail.
+  const float nan_bound = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_TRUE(fm::scores_in_range(x.data(), x.size(), nan_bound));
+  x[4093] = std::numeric_limits<float>::infinity();
+  EXPECT_FALSE(fm::scores_in_range(x.data(), x.size(), nan_bound));
 }

@@ -1,7 +1,13 @@
 // Row softmax + DMR protection (Eqs. 10-11).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include "softmax/softmax.hpp"
 #include "tensor/random.hpp"
@@ -121,4 +127,67 @@ TEST(SoftmaxCosts, DmrOverheadAtLeastOneReplica) {
   const auto dmr = fm::dmr_overhead_costs(64, 64).total();
   EXPECT_GE(dmr.sfu_ops, base.sfu_ops);
   EXPECT_GT(dmr.fp32_flops, base.fp32_flops);
+}
+
+// --- row_max: the shared reduce-max, bitwise the serial std::max chain ---
+
+namespace {
+
+float serial_max(const float* x, std::size_t n) {
+  float m = -std::numeric_limits<float>::infinity();
+  for (std::size_t i = 0; i < n; ++i) m = std::max(m, x[i]);
+  return m;
+}
+
+std::uint32_t bits_of(float v) {
+  std::uint32_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+}  // namespace
+
+TEST(RowMax, MatchesTheSerialChainBitwise) {
+  // Random rows with NaN lanes (skipped), +-0 ties (the first one wins),
+  // -inf lanes and ragged lengths around the 8-lane width.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float ninf = -std::numeric_limits<float>::infinity();
+  std::mt19937_64 rng(3);
+  std::uniform_int_distribution<int> pick(0, 9);
+  std::normal_distribution<float> d(0.0f, 4.0f);
+  for (std::size_t n = 0; n <= 70; ++n) {
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<float> x(n);
+      const bool nonpositive = trial % 3 == 0;  // max is often a zero
+      for (float& v : x) {
+        switch (pick(rng)) {
+          case 0: v = nan; break;
+          case 1: v = 0.0f; break;
+          case 2: v = -0.0f; break;
+          case 3: v = ninf; break;
+          default: v = nonpositive ? -std::fabs(d(rng)) : d(rng);
+        }
+      }
+      ASSERT_EQ(bits_of(fm::row_max(x.data(), n)),
+                bits_of(serial_max(x.data(), n)))
+          << "n=" << n << " trial=" << trial;
+    }
+  }
+}
+
+TEST(RowMax, SpecialRows) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float ninf = -std::numeric_limits<float>::infinity();
+  std::vector<float> all_ninf(19, ninf), all_nan(19, nan);
+  EXPECT_EQ(fm::row_max(all_ninf.data(), 19), ninf);
+  EXPECT_EQ(fm::row_max(all_nan.data(), 19), ninf);
+  EXPECT_EQ(fm::row_max(all_nan.data(), 0), ninf);
+  // +-0 ties keep the first zero's sign, wherever the lanes split them.
+  for (std::size_t first = 0; first < 16; ++first) {
+    std::vector<float> x(16, -1.0f);
+    x[first] = -0.0f;
+    x[(first + 5) % 16] = 0.0f;
+    const float want = first < (first + 5) % 16 ? -0.0f : 0.0f;
+    EXPECT_EQ(bits_of(fm::row_max(x.data(), 16)), bits_of(want)) << first;
+  }
 }

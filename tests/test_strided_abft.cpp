@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "abft/element_abft.hpp"
@@ -316,4 +321,120 @@ TEST(StridedAbftMisuse, VerifyRejectsColumnRangePastPayload) {
                std::invalid_argument);
   EXPECT_THROW(fb::StridedAbft::verify_correct(S, chk1, chk2, kS, kThr, 72),
                std::invalid_argument);
+}
+
+// --- the verify screen: verify_correct == verify_correct_scalar ---
+
+namespace {
+
+void expect_same(const fb::Report& a, const fb::Report& b,
+                 const std::string& what) {
+  EXPECT_EQ(a.checks, b.checks) << what;
+  EXPECT_EQ(a.flagged, b.flagged) << what;
+  EXPECT_EQ(a.corrected, b.corrected) << what;
+  EXPECT_EQ(a.recomputed, b.recomputed) << what;
+  EXPECT_EQ(a.checksum_repairs, b.checksum_repairs) << what;
+  EXPECT_EQ(a.uncorrectable, b.uncorrectable) << what;
+  EXPECT_EQ(a.range_violations, b.range_violations) << what;
+}
+
+bool same_bits(const ft::MatrixF& a, const ft::MatrixF& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// One randomized verify case: payload rows with checksums that sit on
+/// every side of the scalar body's decisions — exact, |d1| below and above
+/// the 1e-6 floor, rel a hair below and above the threshold, located and
+/// unlocatable errors, NaN/inf lanes and non-finite checksums.
+void run_case(std::size_t rows, std::size_t width, int s, std::size_t col0,
+              std::size_t cols, std::uint64_t seed, std::size_t& flagged) {
+  const auto su = static_cast<std::size_t>(s);
+  const std::size_t loops = cols / su;
+  std::mt19937_64 rng(seed);
+  std::normal_distribution<float> dist(0.0f, 1.0f);
+  std::uniform_int_distribution<int> pick(0, 13);
+  ft::MatrixF S(rows, width), chk1(rows, su + 3), chk2(rows, su + 3);
+  for (std::size_t i = 0; i < S.size(); ++i) {
+    S.data()[i] = dist(rng) * (seed % 3 == 0 ? 1e-3f : 1.0f);
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t jc = 0; jc < su; ++jc) {
+      float sum1 = 0.0f, sum2 = 0.0f, norm = 0.0f;
+      for (std::size_t l = 0; l < loops; ++l) {
+        const float v = S(i, col0 + jc + l * su);
+        sum1 += v;
+        sum2 += static_cast<float>(l + 1) * v;
+        norm += std::fabs(v);
+      }
+      const float edge = kThr * (norm + 1e-4f);
+      float d = 0.0f;
+      float& lane = S(i, col0 + jc + (rng() % loops) * su);
+      switch (pick(rng)) {
+        case 1: d = 5e-7f; break;
+        case 2: d = -2e-6f; break;
+        case 3: d = edge * (1.0f - 1e-6f); break;
+        case 4: d = -edge * (1.0f + 1e-6f); break;
+        case 5: d = edge; break;
+        case 6: lane += 37.0f; break;  // a located payload error
+        case 7: lane = nan; break;
+        case 8: lane = -inf; break;
+        case 9: d = 1e31f; break;
+        case 10: chk2(i, jc) = nan; break;
+        case 11: d = nan; break;
+        case 12: d = 3.0f * edge; break;  // unlocatable: c2 unchanged
+        default: break;
+      }
+      chk1(i, jc) = sum1 + d;
+      if (chk2(i, jc) == chk2(i, jc)) chk2(i, jc) = sum2;
+    }
+  }
+  ft::MatrixF A = S, B = S;
+  const auto ra = fb::StridedAbft::verify_correct(A, chk1, chk2, s, kThr, col0,
+                                                  cols);
+  const auto rb = fb::StridedAbft::verify_correct_scalar(B, chk1, chk2, s,
+                                                         kThr, col0, cols);
+  const std::string what = "s=" + std::to_string(s) +
+                           " col0=" + std::to_string(col0) +
+                           " seed=" + std::to_string(seed);
+  expect_same(ra, rb, what);
+  EXPECT_TRUE(same_bits(A, B)) << what;
+  flagged += ra.flagged;
+}
+
+}  // namespace
+
+TEST(StridedVerifyScreen, MatchesTheScalarBody) {
+  std::size_t flagged = 0;
+  std::uint64_t seed = 1;
+  for (const int s : {4, 8, 16}) {
+    const auto su = static_cast<std::size_t>(s);
+    // Whole rows, and column windows into a wider payload.
+    for (const auto& [col0, cols] :
+         {std::pair<std::size_t, std::size_t>{0, 64},
+          {64, 64},
+          {su, 8 * su},
+          {3, 4 * su}}) {
+      for (int rep = 0; rep < 20; ++rep) {
+        run_case(7, 192, s, col0, cols, seed++, flagged);
+      }
+    }
+  }
+  EXPECT_GT(flagged, 0u);  // the cases reach the scalar body's flag paths
+}
+
+TEST(StridedVerifyScreen, CleanGemmPassesEveryClass) {
+  // The sealed-operand path (StridedAbft::apply) verifies through the same
+  // screen: a clean protected GEMM flags nothing at any stride.
+  for (const int s : {4, 8, 16}) {
+    ft::MatrixH A(56, 128), B(128, 128);
+    ft::fill_normal(A, 31, 0.0f, 0.125f);
+    ft::fill_normal(B, 32);
+    ft::MatrixF C(56, 128);
+    const auto rep = fb::StridedAbft::gemm_nt(A, B, C, s, kThr, nullptr);
+    EXPECT_EQ(rep.flagged, 0u) << s;
+    EXPECT_EQ(rep.checks, 56u * 2u * static_cast<std::size_t>(s)) << s;
+  }
 }
