@@ -134,12 +134,11 @@ void flash_attention(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
           for (std::size_t r = 0; r < br; ++r) {
             float* srow = sij.data() + r * bc;
             const float mnew = std::max(m[r], softmax::row_max(srow, bc));
-            const float f = std::exp(m[r] - mnew);  // exp(-inf) == 0 first pass
+            // exp(-inf) == 0 on the first pass.
+            const float f = softmax::exp_shifted(m[r], mnew);
+            softmax::exp_shifted(srow, mnew, srow, bc);
             float rowsum = 0.0f;
-            for (std::size_t c = 0; c < bc; ++c) {
-              srow[c] = std::exp(srow[c] - mnew);
-              rowsum += srow[c];
-            }
+            for (std::size_t c = 0; c < bc; ++c) rowsum += srow[c];
             l[r] = f * l[r] + rowsum;
             for (std::size_t c = 0; c < dim; ++c) oacc(r, c) *= f;
             m[r] = mnew;

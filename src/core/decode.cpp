@@ -138,7 +138,9 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
   MatrixF oc1(R, su, 0.0f), oc2(R, su, 0.0f);
   MatrixF blockmax(R, nblk);
 
-  MatrixF S(R, B), spre(R, B), schk1(R, su), schk2(R, su);
+  // Scores and softmax weights side by side: S stays the pre-EXP row the
+  // product check and its repair read.
+  MatrixF S(R, B), P(R, B), schk1(R, su), schk2(R, su);
   // fp16 scratch for the ragged tail only; full tiles are read in place.
   std::vector<Half> ktail(B * d), vtail(B * d);
   // Per-tile fp32 operand images (one bulk conversion each per tile).
@@ -316,14 +318,16 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
       blockmax(r, j) = bmax;
       const float mnew = std::max(m[r], bmax);
 
-      for (std::size_t c = 0; c < B; ++c) spre(r, c) = S(r, c);
-      for (std::size_t c = 0; c < vis; ++c) {
-        S(r, c) = fault::corrupt(inj, fault::Site::kExp,
-                                 std::exp(S(r, c) - mnew));
+      // The EXP hooks fire after the bulk exp, per lane in order.
+      softmax::exp_shifted(&S(r, 0), mnew, &P(r, 0), vis);
+      if (inj) {
+        for (std::size_t c = 0; c < vis; ++c) {
+          P(r, c) = inj->corrupt(fault::Site::kExp, P(r, c));
+        }
       }
       // Lanes past the causal horizon carry zero softmax weight, exactly
       // like decode's padded lanes.
-      for (std::size_t c = vis; c < B; ++c) S(r, c) = 0.0f;
+      for (std::size_t c = vis; c < B; ++c) P(r, c) = 0.0f;
 
       // Case-2 product check on the row (log domain, double).  Masked and
       // padded lanes participate in score space — decode's convention for
@@ -337,18 +341,18 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
             static_cast<double>(schk1(r, jc)) - static_cast<double>(L) * mnew;
       }
       const std::uint64_t pass =
-          vis == B ? softmax::log_product_screen(&S(r, 0), su, L, rhs.data(),
+          vis == B ? softmax::log_product_screen(&P(r, 0), su, L, rhs.data(),
                                                  opt.exp_log_threshold)
                    : 0;
       for (std::size_t jc = 0; jc < su; ++jc) {
         ++rep.exp_check.checks;
         if ((pass >> jc) & 1u) continue;
         const std::size_t nvis = vis > jc ? (vis - jc + su - 1) / su : 0;
-        const auto lg = softmax::log_product(&S(r, jc), su, nvis);
+        const auto lg = softmax::log_product(&P(r, jc), su, nvis);
         const bool bad = !lg;
         double lhs = bad ? 0.0 : *lg;
         for (std::size_t ll = nvis; ll < L && !bad; ++ll) {
-          lhs += static_cast<double>(spre(r, jc + ll * su)) - mnew;
+          lhs += static_cast<double>(S(r, jc + ll * su)) - mnew;
         }
         if (bad || std::fabs(lhs - rhs[jc]) > opt.exp_log_threshold) {
           ++rep.exp_check.flagged;
@@ -356,26 +360,24 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
           // the visible lanes (per-row temporaries: this path only runs
           // under a fault).
           MatrixF srow(1, B), c1row(1, su), c2row(1, su);
-          for (std::size_t c = 0; c < B; ++c) srow(0, c) = spre(r, c);
+          for (std::size_t c = 0; c < B; ++c) srow(0, c) = S(r, c);
           for (std::size_t c = 0; c < su; ++c) {
             c1row(0, c) = schk1(r, c);
             c2row(0, c) = schk2(r, c);
           }
           abft::StridedAbft::verify_correct(srow, c1row, c2row, s,
                                             opt.abft_rel_threshold);
-          for (std::size_t c = 0; c < vis; ++c) {
-            S(r, c) = std::exp(srow(0, c) - mnew);
-          }
+          softmax::exp_shifted(&srow(0, 0), mnew, &P(r, 0), vis);
           ++rep.exp_check.recomputed;
           break;
         }
       }
 
       float rowsum = 0.0f;
-      for (std::size_t c = 0; c < B; ++c) rowsum += S(r, c);
+      for (std::size_t c = 0; c < B; ++c) rowsum += P(r, c);
       rowsum = fault::corrupt(inj, fault::Site::kReduceSum, rowsum);
 
-      const float f = std::exp(m[r] - mnew);
+      const float f = softmax::exp_shifted(m[r], mnew);
       for (std::size_t c = 0; c < d; ++c) {
         oacc(r, c) = fault::corrupt(inj, fault::Site::kRescale,
                                     f * oacc(r, c));
@@ -397,7 +399,7 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
     // exactly dequantized V), and masked lanes contribute exact zeros: P is
     // exactly 0.0f there, and 0 * v adds a signed zero that cannot change
     // the accumulator.  Only the operand kernel differs per tier.
-    numeric::floats_to_halves(&S(r0, 0), ph.data(), rows * B);
+    numeric::floats_to_halves(&P(r0, 0), ph.data(), rows * B);
     numeric::halves_to_floats(ph.data(), pf.data(), rows * B);
     if (vsrc8 != nullptr) {
       numeric::gemm_f32_nn_i8(pf.data(), rows, B, vsrc8, d, vscale,

@@ -42,9 +42,9 @@ bool near_integer(double x, double tol = 0.05) {
 /// products, in product form (softmax::log_product: one multiply per
 /// element, one log per residue class).  Only a flagged class pays for the
 /// weighted log-residual that locates the column.
-/// `Spre` is the register-resident pre-EXP score block used for recovery:
-/// checksum-correctable flips repair Spre then re-exponentiate, EXP-unit
-/// flips are recomputed from Spre.
+/// `Spre` is the pre-EXP score block P was exponentiated from, used for
+/// recovery: checksum-correctable flips repair Spre then re-exponentiate,
+/// EXP-unit flips are recomputed from Spre.
 abft::Report verify_exp_block(MatrixF& P, MatrixF& Spre, const MatrixF& Schk1,
                               const MatrixF& Schk2,
                               const std::vector<float>& mnew, int s,
@@ -91,7 +91,7 @@ abft::Report verify_exp_block(MatrixF& P, MatrixF& Spre, const MatrixF& Schk1,
           ++rep.corrected;
         }
         for (std::size_t l = 0; l < L; ++l) {
-          P(r, jc + l * s) = std::exp(Spre(r, jc + l * s) - mnew[r]);
+          P(r, jc + l * s) = softmax::exp_shifted(Spre(r, jc + l * s), mnew[r]);
         }
         ++rep.recomputed;
         continue;
@@ -132,11 +132,11 @@ abft::Report verify_exp_block(MatrixF& P, MatrixF& Spre, const MatrixF& Schk1,
             if (ll != l) others += Spre(r, jc + ll * s);
           }
           Spre(r, col) = Schk1(r, jc) - others;
-          P(r, col) = std::exp(Spre(r, col) - mnew[r]);
+          P(r, col) = softmax::exp_shifted(Spre(r, col), mnew[r]);
           ++rep.corrected;
         } else {
           // EXP-unit error: recompute from the intact score.
-          P(r, col) = std::exp(Spre(r, col) - mnew[r]);
+          P(r, col) = softmax::exp_shifted(Spre(r, col), mnew[r]);
           ++rep.recomputed;
         }
       } else if (std::isfinite(ratio) && std::fabs(ratio) < 0.5) {
@@ -150,7 +150,8 @@ abft::Report verify_exp_block(MatrixF& P, MatrixF& Spre, const MatrixF& Schk1,
         for (std::size_t ll = 0; ll < L; ++ll) sum1 += Spre(r, jc + ll * s);
         const float dlin = Schk1(r, jc) - sum1;
         for (std::size_t ll = 0; ll < L; ++ll) {
-          P(r, jc + ll * s) = std::exp(Spre(r, jc + ll * s) - mnew[r]);
+          P(r, jc + ll * s) =
+              softmax::exp_shifted(Spre(r, jc + ll * s), mnew[r]);
         }
         if (std::fabs(dlin) > exp_log_threshold) {
           ++rep.uncorrectable;
@@ -163,37 +164,45 @@ abft::Report verify_exp_block(MatrixF& P, MatrixF& Spre, const MatrixF& Schk1,
   return rep;
 }
 
+/// The EXP stage: P = exp(S - mnew) row by row through the bulk lanes, then
+/// the EXP hooks per element in row-major order, so per-site call indices
+/// match an element-at-a-time loop.
+void exp_block(const MatrixF& S, const std::vector<float>& mnew, MatrixF& P,
+               fault::FaultInjector* inj) {
+  const std::size_t C = S.cols();
+  for (std::size_t r = 0; r < S.rows(); ++r) {
+    softmax::exp_shifted(&S(r, 0), mnew[r], &P(r, 0), C);
+  }
+  if (inj) {
+    for (std::size_t i = 0; i < P.size(); ++i) {
+      P.data()[i] = inj->corrupt(fault::Site::kExp, P.data()[i]);
+    }
+  }
+}
+
 /// DMR replication of the EXP stage (Eq. 10): evaluate twice through the
 /// fault hooks, retry until two consecutive evaluations agree.
-std::size_t dmr_exp_block(MatrixF& S, const std::vector<float>& mnew,
-                          float eps, fault::FaultInjector* inj,
+std::size_t dmr_exp_block(const MatrixF& S, MatrixF& P,
+                          const std::vector<float>& mnew, float eps,
+                          fault::FaultInjector* inj,
                           std::size_t max_rounds = 4) {
-  const std::size_t R = S.rows(), C = S.cols();
-  auto eval = [&](MatrixF& dst) {
-    for (std::size_t r = 0; r < R; ++r) {
-      for (std::size_t c = 0; c < C; ++c) {
-        dst(r, c) =
-            fault::corrupt(inj, fault::Site::kExp, std::exp(S(r, c) - mnew[r]));
-      }
-    }
-  };
-  MatrixF a(R, C), b(R, C);
-  eval(a);
+  MatrixF a(S.rows(), S.cols()), b(S.rows(), S.cols());
+  exp_block(S, mnew, a, inj);
   std::size_t recomputes = 0;
   for (std::size_t round = 1; round < max_rounds; ++round) {
-    eval(b);
+    exp_block(S, mnew, b, inj);
     ++recomputes;
     float diff = 0.0f;
     for (std::size_t i = 0; i < a.size(); ++i) {
       diff = std::max(diff, std::fabs(a.data()[i] - b.data()[i]));
     }
     if (diff < eps) {
-      S = b;
+      P = b;
       return recomputes - 1;  // agreement on the first re-evaluation is free
     }
     std::swap(a, b);
   }
-  S = a;
+  P = a;
   return recomputes;
 }
 
@@ -302,7 +311,7 @@ FtReport efta_slice(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
   std::vector<float> m(B), mnew(B), l(B), f(B), rowsums(B);
   MatrixF oacc(B, dim), oc1(B, su), oc2(B, su);
   MatrixF blockmax(B, nblk);  // per-row history of block maxima (SNVR)
-  MatrixF S(B, B), schk1(B, su), schk2(B, su), spre;
+  MatrixF S(B, B), P(B, B), schk1(B, su), schk2(B, su);
   MatrixF t, col_chk, p_chk;  // element-ABFT GEMM II scratch
   if (element) {
     t = MatrixF(B, dim);
@@ -404,21 +413,15 @@ FtReport efta_slice(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
       }
 
       // ---- EXP (with SNVR checksum reuse or DMR replication) ----
-      const bool keep_spre = strided && snvr && !diagonal;
-      if (keep_spre) spre = S;
-
+      // P is written beside the scores, so S stays the pre-EXP block the
+      // product check repairs from.
       if (opt.softmax == SoftmaxProtect::kDMR) {
-        rep.dmr_recomputes += dmr_exp_block(S, mnew, opt.dmr_eps, inj);
+        rep.dmr_recomputes += dmr_exp_block(S, P, mnew, opt.dmr_eps, inj);
       } else {
-        for (std::size_t r = 0; r < B; ++r) {
-          for (std::size_t c = 0; c < B; ++c) {
-            S(r, c) = fault::corrupt(inj, fault::Site::kExp,
-                                     std::exp(S(r, c) - mnew[r]));
-          }
-        }
+        exp_block(S, mnew, P, inj);
       }
-      if (keep_spre) {
-        rep.exp_check += verify_exp_block(S, spre, schk1, schk2, mnew, s,
+      if (strided && snvr && !diagonal) {
+        rep.exp_check += verify_exp_block(P, S, schk1, schk2, mnew, s,
                                           opt.exp_log_threshold);
       }
 
@@ -426,9 +429,10 @@ FtReport efta_slice(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
       // The row sums run first, eight rows' serial chains side by side (each
       // still adds its lanes in ascending order); their hooks fire below in
       // the per-row order.
-      row_sums(S, rowsums);
+      row_sums(P, rowsums);
       for (std::size_t r = 0; r < B; ++r) {
-        f[r] = std::exp(m[r] - mnew[r]);  // exp(-inf) == 0 on first block
+        // exp(-inf) == 0 on the first block.
+        f[r] = softmax::exp_shifted(m[r], mnew[r]);
         for (std::size_t c = 0; c < dim; ++c) {
           oacc(r, c) = fault::corrupt(inj, fault::Site::kRescale,
                                       f[r] * oacc(r, c));
@@ -450,7 +454,7 @@ FtReport efta_slice(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
       // ---- GEMM II ----
       // P rounds through fp16 at the tensor-core boundary once per pair;
       // the payload and both checksum products share the rounded operand.
-      numeric::floats_to_halves(&S(0, 0), st.ph.data(), B * B);
+      numeric::floats_to_halves(&P(0, 0), st.ph.data(), B * B);
       numeric::halves_to_floats(st.ph.data(), st.pf.data(), B * B);
       if (element) {
         // Classic checksums cannot ride the per-row rescale, so traditional
@@ -694,7 +698,10 @@ EftaOverheadByTarget efta_overhead_by_target(const AttnShape& shape,
       // same product scheme in double and closes it with a log instead of
       // an exp: every class of a row at once in AVX2 lanes,
       // softmax::log_product_screen, and the scalar softmax::log_product
-      // only for the classes the screen does not pass.)
+      // only for the classes the screen does not pass.  Its EXP runs
+      // beside the scores, softmax::exp_shifted writing P from S in AVX2
+      // lanes of glibc's expf, so the pre-EXP scores the repairs read are
+      // the GEMM I output itself, with no copy.)
       v.fp32_flops += slices * pairs * (B * B + 2.0 * B * s);
       v.sfu_ops += slices * pairs * B * s;
       v.syncs += slices * pairs;

@@ -137,7 +137,8 @@ __attribute__((target("avx2,fma"))) void axpy_avx2(float a, const float* x,
 /// registers across the whole K loop: each k step loads the P B-vectors once
 /// and broadcasts one A element per row, giving R*P independent FMA chains.
 /// A single row of an 8-column output (the s-wide checksum GEMMs) would
-/// serialize on one accumulator's FMA latency; stacking rows overlaps them.
+/// serialize on one accumulator's FMA latency; stacking rows overlaps them
+/// (8 rows cover the latency, 4 reach about half the FMA rate).
 /// Each accumulator lane still sums its own output's k-terms in ascending
 /// order, so the tile shape never changes a result bit.
 template <int R, int P>
@@ -192,13 +193,16 @@ __attribute__((target("avx2,fma"))) void gemm_rows_avx2(
   }
 }
 
-/// Output columns [n0, N) of C: 4-row tiles, then single rows.  The
-/// AVX-512 tier hands its sub-16-column remainder here.
+/// Output columns [n0, N) of C: 8-row tiles, then 4-row tiles, then single
+/// rows.  The AVX-512 tier hands its sub-16-column remainder here.
 __attribute__((target("avx2,fma"))) void gemm_avx2(
     const float* A, std::size_t M, std::size_t K, const float* B,
     std::size_t N, float* C, std::size_t ldc, bool accumulate,
     std::size_t n0 = 0) noexcept {
   std::size_t m = 0;
+  for (; m + 8 <= M; m += 8) {
+    gemm_rows_avx2<8>(A + m * K, K, B, N, C + m * ldc, ldc, accumulate, n0);
+  }
   for (; m + 4 <= M; m += 4) {
     gemm_rows_avx2<4>(A + m * K, K, B, N, C + m * ldc, ldc, accumulate, n0);
   }
@@ -288,6 +292,9 @@ __attribute__((target("avx2,fma,f16c"))) void gemm_h_avx2(
     std::size_t N, float* C, std::size_t ldc, bool accumulate,
     std::size_t n0 = 0) noexcept {
   std::size_t m = 0;
+  for (; m + 8 <= M; m += 8) {
+    gemm_rows_h_avx2<8>(A + m * K, K, B, N, C + m * ldc, ldc, accumulate, n0);
+  }
   for (; m + 4 <= M; m += 4) {
     gemm_rows_h_avx2<4>(A + m * K, K, B, N, C + m * ldc, ldc, accumulate, n0);
   }

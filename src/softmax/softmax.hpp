@@ -23,6 +23,21 @@ namespace ftt::softmax {
 /// bits.  Shared by flash_attention, efta_attention and the decode kernel.
 float row_max(const float* x, std::size_t n) noexcept;
 
+/// out[i] = exp(x[i] - m) for i < n: the float subtract, then glibc's expf
+/// (>= 2.27, the FMA variant libm picks on an AVX2+FMA CPU) bit for bit on
+/// every input, special values and NaN payloads included.  `out` may equal
+/// `x`.  AVX2+FMA lanes run the libm op sequence in double; lanes outside
+/// expf's polynomial range, and NaN lanes, take the scalar reference.  The
+/// one exp behind every softmax: flash, the EFTA kernels, eval_softmax.
+void exp_shifted(const float* x, float m, float* out, std::size_t n) noexcept;
+/// exp(x - m) for one value (rescale factors, repairs): the same bits.
+float exp_shifted(float x, float m) noexcept;
+/// The scalar reference both forms equal: expf's algorithm written out with
+/// std::fma at libm's contractions.  The path of FTT_SIMD=OFF builds and
+/// pre-AVX2 CPUs.
+void exp_shifted_scalar(const float* x, float m, float* out,
+                        std::size_t n) noexcept;
+
 /// Numerically stable row softmax of S in place: p_ij = exp(s_ij - max_i) /
 /// sum_k exp(s_ik - max_i).  Fault hooks at reduce-max, EXP and reduce-sum.
 void row_softmax(tensor::MatrixF& S, fault::FaultInjector* inj = nullptr);

@@ -1,8 +1,8 @@
 #include "transformer/layers.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace ftt::transformer {
 
@@ -11,8 +11,16 @@ using tensor::MatrixF;
 void LayerNorm::forward(MatrixF& x) const { forward(x, 0, x.rows()); }
 
 void LayerNorm::forward(MatrixF& x, std::size_t row0, std::size_t rows) const {
-  const std::size_t R = row0 + rows, C = x.cols();
-  assert(R <= x.rows());
+  const std::size_t C = x.cols();
+  if (C != gamma_.size() || C != beta_.size()) {
+    throw std::invalid_argument(
+        "LayerNorm: x.cols() must equal the feature count of gamma and beta");
+  }
+  // Written so that row0 + rows cannot wrap.
+  if (row0 > x.rows() || rows > x.rows() - row0) {
+    throw std::out_of_range("LayerNorm: row range past the end of x");
+  }
+  const std::size_t R = row0 + rows;
   for (std::size_t r = row0; r < R; ++r) {
     float* row = &x(r, 0);
     float mean = 0.0f;

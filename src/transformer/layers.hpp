@@ -15,10 +15,13 @@ class LayerNorm {
   explicit LayerNorm(std::size_t features, float eps = 1e-5f)
       : gamma_(features, 1.0f), beta_(features, 0.0f), eps_(eps) {}
 
+  /// Throws std::invalid_argument unless x.cols() equals the feature count
+  /// (the sizes of gamma and beta).
   void forward(tensor::MatrixF& x) const;
   /// Normalize only rows [row0, row0 + rows).  LayerNorm is strictly
   /// per-row, so a row-range partition across shard workers is bit-identical
-  /// to the whole-matrix call for any split.
+  /// to the whole-matrix call for any split.  Throws std::out_of_range when
+  /// the range runs past x's rows, and std::invalid_argument as above.
   void forward(tensor::MatrixF& x, std::size_t row0, std::size_t rows) const;
 
   std::vector<float>& gamma() noexcept { return gamma_; }

@@ -1,6 +1,7 @@
 // Protected single-token decode (KV-cache inference step).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -271,6 +272,58 @@ TEST(Decode, GrowingCacheStaysConsistent) {
       EXPECT_GE(out[c], lo - 1e-3f);
       EXPECT_LE(out[c], hi + 1e-3f);
     }
+  }
+}
+
+TEST(Decode, BlockRowsBitwiseStepsAtWideScoreSpreads) {
+  // A 64-row block at n = 200 against each of its rows run as a one-row
+  // step over that row's own prefix, with q and K scaled by 6 so that row
+  // score spreads pass 104: exp lanes flush to +0 and land on subnormal
+  // outputs, and the EXP check's repairs fire.  Both paths run the same
+  // per-row code, so the rows stay bitwise equal.
+  constexpr std::size_t kN = 200, kD = 64, kRows = 64;
+  constexpr std::size_t kB = fc::KvSlice::kTileRows;
+  ft::MatrixH K(kN, kD), V(kN, kD);
+  ft::fill_normal(K, 71, 0.0f, 6.0f);
+  ft::fill_normal(V, 72);
+  std::vector<Half> q(kRows * kD);
+  std::mt19937_64 rng(73);
+  std::normal_distribution<float> dist(0.0f, 6.0f);
+  for (auto& v : q) v = Half(dist(rng));
+  double widest = 0.0;
+  for (std::size_t r = 0; r < kRows; ++r) {
+    double lo = 1e300, hi = -1e300;
+    for (std::size_t c = 0; c < kN; ++c) {
+      double s = 0.0;
+      for (std::size_t k = 0; k < kD; ++k) {
+        s += static_cast<double>(q[r * kD + k].to_float()) * K(c, k).to_float();
+      }
+      s /= std::sqrt(static_cast<double>(kD));
+      lo = std::min(lo, s);
+      hi = std::max(hi, s);
+    }
+    widest = std::max(widest, hi - lo);
+  }
+  ASSERT_GT(widest, 104.0);
+
+  std::vector<const Half*> kt, vt;
+  for (std::size_t r = 0; r < kN; r += kB) {
+    kt.push_back(K.data() + r * kD);
+    vt.push_back(V.data() + r * kD);
+  }
+  const fc::KvSlice kv{kt.data(), vt.data(), kN, kD};
+  std::vector<float> block(kRows * kD), step(kD);
+  const auto rep = fc::efta_decode_block(
+      fc::DecodeWorkItem{kv, q.data(), block.data(), kRows});
+  EXPECT_GT(rep.exp_check.recomputed, 0u);
+  EXPECT_EQ(rep.exp_check.uncorrectable, 0u);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    fc::KvSlice prefix = kv;
+    prefix.n = kN - kRows + r + 1;
+    fc::efta_decode_step(prefix, {q.data() + r * kD, kD}, step);
+    ASSERT_EQ(0, std::memcmp(step.data(), block.data() + r * kD,
+                             kD * sizeof(float)))
+        << "row " << r;
   }
 }
 

@@ -3,6 +3,7 @@
 // with zero false corrections at the calibrated thresholds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -14,6 +15,7 @@
 namespace fa = ftt::attention;
 namespace fc = ftt::core;
 namespace ft = ftt::tensor;
+using ftt::numeric::Half;
 
 namespace {
 
@@ -39,6 +41,26 @@ Made make(std::size_t batch, std::size_t heads, std::size_t seq,
   ft::fill_normal(m.K, seed + 1);
   ft::fill_normal(m.V, seed + 2);
   return m;
+}
+
+/// The largest max − min over the score rows q·k/sqrt(d) of slice (0, 0).
+double widest_score_spread(const ft::Tensor4H& Q, const ft::Tensor4H& K) {
+  double widest = 0.0;
+  for (std::size_t r = 0; r < Q.seq(); ++r) {
+    double lo = 1e300, hi = -1e300;
+    for (std::size_t c = 0; c < K.seq(); ++c) {
+      double s = 0.0;
+      for (std::size_t k = 0; k < Q.dim(); ++k) {
+        s += static_cast<double>(Q.at(0, 0, r, k).to_float()) *
+             K.at(0, 0, c, k).to_float();
+      }
+      s /= std::sqrt(static_cast<double>(Q.dim()));
+      lo = std::min(lo, s);
+      hi = std::max(hi, s);
+    }
+    widest = std::max(widest, hi - lo);
+  }
+  return widest;
 }
 
 }  // namespace
@@ -149,32 +171,50 @@ TEST(Efta, CleanRunIsBitwiseFlash) {
   // Contract-chain link: with no fault and no detection, protection only
   // observes — every option combination computes exactly flash attention's
   // arithmetic (same GEMM order, same EXP, same fp16 rounding of P), so the
-  // outputs are memcmp-equal, not merely close.
-  auto [Q, K, V] = make(1, 2, 256, 64, 11);
-  ft::Tensor4F Of(1, 2, 256, 64), Oe(1, 2, 256, 64);
-  for (const bool causal : {false, true}) {
-    fa::flash_attention(Q, K, V, Of, 64, causal);
-    for (const auto gemm :
-         {fc::GemmProtect::kNone, fc::GemmProtect::kStrided}) {
-      for (const auto softmax :
-           {fc::SoftmaxProtect::kNone, fc::SoftmaxProtect::kSNVR,
-            fc::SoftmaxProtect::kDMR}) {
-        for (const bool unified : {false, true}) {
-          fc::EftaOptions opt;
-          opt.causal = causal;
-          opt.gemm = gemm;
-          opt.softmax = softmax;
-          opt.unified_verification = unified;
-          const auto rep = fc::efta_attention(Q, K, V, Oe, opt);
-          const std::string tag =
-              "causal=" + std::to_string(causal) +
-              " gemm=" + std::to_string(static_cast<int>(gemm)) +
-              " softmax=" + std::to_string(static_cast<int>(softmax)) +
-              " unified=" + std::to_string(unified);
-          EXPECT_EQ(rep.total_detected(), 0u) << tag;
-          EXPECT_EQ(0, std::memcmp(Of.data(), Oe.data(),
-                                   Of.size() * sizeof(float)))
-              << tag;
+  // outputs are memcmp-equal, not merely close.  The second pass scales Q
+  // and K by 6: row score spreads pass 104, so exp lanes flush to +0 and
+  // land on subnormal outputs (the lanes' scalar fallback and expf's bottom
+  // range).  The EXP check flags there, since a zero or subnormal P has no
+  // usable log, but each repair re-exponentiates the same scores, so the
+  // output stays flash's.
+  for (const float qk_scale : {1.0f, 6.0f}) {
+    auto [Q, K, V] = make(1, 2, 256, 64, 11);
+    if (qk_scale != 1.0f) {
+      for (ft::Tensor4H* t : {&Q, &K}) {
+        for (std::size_t i = 0; i < t->size(); ++i) {
+          t->data()[i] = Half(qk_scale * t->data()[i].to_float());
+        }
+      }
+      ASSERT_GT(widest_score_spread(Q, K), 104.0);
+    }
+    ft::Tensor4F Of(1, 2, 256, 64), Oe(1, 2, 256, 64);
+    for (const bool causal : {false, true}) {
+      fa::flash_attention(Q, K, V, Of, 64, causal);
+      for (const auto gemm :
+           {fc::GemmProtect::kNone, fc::GemmProtect::kStrided}) {
+        for (const auto softmax :
+             {fc::SoftmaxProtect::kNone, fc::SoftmaxProtect::kSNVR,
+              fc::SoftmaxProtect::kDMR}) {
+          for (const bool unified : {false, true}) {
+            fc::EftaOptions opt;
+            opt.causal = causal;
+            opt.gemm = gemm;
+            opt.softmax = softmax;
+            opt.unified_verification = unified;
+            const auto rep = fc::efta_attention(Q, K, V, Oe, opt);
+            const std::string tag =
+                "qk_scale=" + std::to_string(qk_scale) +
+                " causal=" + std::to_string(causal) +
+                " gemm=" + std::to_string(static_cast<int>(gemm)) +
+                " softmax=" + std::to_string(static_cast<int>(softmax)) +
+                " unified=" + std::to_string(unified);
+            if (qk_scale == 1.0f) {
+              EXPECT_EQ(rep.total_detected(), 0u) << tag;
+            }
+            EXPECT_EQ(0, std::memcmp(Of.data(), Oe.data(),
+                                     Of.size() * sizeof(float)))
+                << tag;
+          }
         }
       }
     }

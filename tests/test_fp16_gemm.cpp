@@ -201,14 +201,22 @@ TEST(Fp16Gemm, GemmHalfMatchesScalarBitwiseOnRaggedShapes) {
 TEST(Fp16Gemm, GemmHalfHonorsOutputStride) {
   // ldc > N: the fused kernel must leave the gutter columns untouched and
   // match the scalar reference on the written ones.  M = 6 runs one 4-row
-  // tile plus two single rows over the strided output.
+  // tile plus two single rows over the strided output; the grid after it
+  // puts M across the 8-row tiles, the 4-row tiles and the single-row
+  // remainder, and N across one to three 8-column panels and a 32-column
+  // panel plus one or two of them, at decode's K = 64.
   struct StridedShape {
     std::size_t M, K, N, ldc;
   };
+  std::vector<StridedShape> shapes = {
+      {5, 37, 29, 40}, {6, 64, 72, 80}, {6, 64, 8, 12}};
+  for (const std::size_t M : {7, 8, 9, 12, 15, 16, 17, 64, 65}) {
+    for (const std::size_t N : {8, 16, 24, 72, 80}) {
+      shapes.push_back({M, 64, N, N + 3});
+    }
+  }
   std::uint64_t seed = 7001;
-  for (const auto& sh :
-       {StridedShape{5, 37, 29, 40}, StridedShape{6, 64, 72, 80},
-        StridedShape{6, 64, 8, 12}}) {
+  for (const auto& sh : shapes) {
     for (const bool accumulate : {false, true}) {
       const auto A = random_fp16_values(sh.M * sh.K, seed++);
       const auto B = random_halves(sh.K * sh.N, seed++);

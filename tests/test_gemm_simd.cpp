@@ -102,21 +102,39 @@ TEST(GemmSimd, GemmMatchesScalarBitwiseOnRandomizedShapes) {
 
 TEST(GemmSimd, GemmHonorsOutputStride) {
   // ldc > N: rows of C are spaced apart, and the pad lanes between them
-  // must never be touched.
-  constexpr std::size_t M = 4, K = 33, N = 21, ldc = 40;
-  const auto A = random_fp16_values(M * K, 7);
-  const auto B = random_fp16_values(K * N, 8);
-  const auto C0 = random_fp16_values(M * ldc, 9);
-  std::vector<float> c_simd = C0, c_ref = C0;
-  fn::gemm_f32_nn(A.data(), M, K, B.data(), N, c_simd.data(), ldc, false);
-  fn::gemm_f32_nn_scalar(A.data(), M, K, B.data(), N, c_ref.data(), ldc,
-                         false);
-  ASSERT_EQ(0, std::memcmp(c_simd.data(), c_ref.data(),
-                           M * ldc * sizeof(float)));
-  // The inter-row gap is untouched by both paths.
-  for (std::size_t m = 0; m < M; ++m) {
-    for (std::size_t c = N; c < ldc; ++c) {
-      EXPECT_EQ(C0[m * ldc + c], c_simd[m * ldc + c]);
+  // must never be touched.  Beside one ragged shape, M straddles the 8-row
+  // tiles, the 4-row tiles and the single-row remainder, and N covers one
+  // to three 8-column panels and a 32-column panel plus one or two of
+  // them, at decode's K = 64, fresh and accumulating.
+  struct Shape {
+    std::size_t M, K, N, ldc;
+  };
+  std::vector<Shape> shapes = {{4, 33, 21, 40}};
+  for (const std::size_t M : {7, 8, 9, 12, 15, 16, 17, 64, 65}) {
+    for (const std::size_t N : {8, 16, 24, 72, 80}) {
+      shapes.push_back({M, 64, N, N + 5});
+    }
+  }
+  std::uint64_t seed = 7;
+  for (const Shape& sh : shapes) {
+    for (const bool accumulate : {false, true}) {
+      const auto A = random_fp16_values(sh.M * sh.K, seed++);
+      const auto B = random_fp16_values(sh.K * sh.N, seed++);
+      const auto C0 = random_fp16_values(sh.M * sh.ldc, seed++);
+      std::vector<float> c_simd = C0, c_ref = C0;
+      fn::gemm_f32_nn(A.data(), sh.M, sh.K, B.data(), sh.N, c_simd.data(),
+                      sh.ldc, accumulate);
+      fn::gemm_f32_nn_scalar(A.data(), sh.M, sh.K, B.data(), sh.N,
+                             c_ref.data(), sh.ldc, accumulate);
+      ASSERT_EQ(0, std::memcmp(c_simd.data(), c_ref.data(),
+                               sh.M * sh.ldc * sizeof(float)))
+          << "M=" << sh.M << " N=" << sh.N << " accumulate=" << accumulate;
+      // The inter-row gap is untouched by both paths.
+      for (std::size_t m = 0; m < sh.M; ++m) {
+        for (std::size_t c = sh.N; c < sh.ldc; ++c) {
+          ASSERT_EQ(C0[m * sh.ldc + c], c_simd[m * sh.ldc + c]);
+        }
+      }
     }
   }
 }

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
 
 #include "tensor/random.hpp"
 #include "transformer/layers.hpp"
@@ -41,6 +44,55 @@ TEST(LayerNorm, GammaBetaApplied) {
   double mean = 0.0;
   for (std::size_t c = 0; c < 4; ++c) mean += x(0, c);
   EXPECT_NEAR(mean / 4.0, 1.0, 1e-4);  // beta shifts the mean
+}
+
+TEST(LayerNorm, SubRangeMatchesWholeMatrixBitwise) {
+  // Rows normalize independently: a split into ranges, done in any order,
+  // gives the whole-matrix call's bits.
+  ftx::LayerNorm ln(64);
+  ln.gamma()[3] = 1.5f;
+  ln.beta()[7] = -0.25f;
+  ft::MatrixF whole(9, 64);
+  ft::fill_normal(whole, 7, 0.5f, 3.0f);
+  ft::MatrixF split = whole;
+  ln.forward(whole);
+  ln.forward(split, 5, 4);
+  ln.forward(split, 0, 2);
+  ln.forward(split, 2, 3);
+  ln.forward(split, 9, 0);  // an empty range at the end is valid
+  ASSERT_EQ(whole.size(), split.size());
+  EXPECT_EQ(0, std::memcmp(whole.data(), split.data(),
+                           whole.size() * sizeof(float)));
+}
+
+TEST(LayerNormMisuse, WrongFeatureCountThrows) {
+  ftx::LayerNorm ln(8);
+  ft::MatrixF wide(2, 9), narrow(2, 7);
+  EXPECT_THROW(ln.forward(wide), std::invalid_argument);
+  EXPECT_THROW(ln.forward(narrow), std::invalid_argument);
+  EXPECT_THROW(ln.forward(wide, 0, 1), std::invalid_argument);
+  // gamma and beta resized apart: neither length may be read past.
+  ftx::LayerNorm ln2(8);
+  ln2.beta().resize(4);
+  ft::MatrixF x(2, 8);
+  EXPECT_THROW(ln2.forward(x), std::invalid_argument);
+}
+
+TEST(LayerNormMisuse, RowRangePastTheEndThrows) {
+  ftx::LayerNorm ln(8);
+  ft::MatrixF x(4, 8);
+  ft::fill_normal(x, 9);
+  const ft::MatrixF before = x;
+  EXPECT_THROW(ln.forward(x, 0, 5), std::out_of_range);
+  EXPECT_THROW(ln.forward(x, 3, 2), std::out_of_range);
+  EXPECT_THROW(ln.forward(x, 5, 0), std::out_of_range);
+  // row0 + rows wraps to a small value: still rejected.
+  EXPECT_THROW(ln.forward(x, 2, std::numeric_limits<std::size_t>::max()),
+               std::out_of_range);
+  EXPECT_THROW(ln.forward(x, std::numeric_limits<std::size_t>::max(), 2),
+               std::out_of_range);
+  // The checks run before the loop: a rejected call writes nothing.
+  EXPECT_TRUE(x == before);
 }
 
 TEST(Gelu, MatchesKnownValues) {
