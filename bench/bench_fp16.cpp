@@ -18,6 +18,7 @@
 #include "bench_json.hpp"
 #include "bench_util.hpp"
 #include "numeric/fp16.hpp"
+#include "numeric/simd.hpp"
 
 namespace fn = ftt::numeric;
 using fn::Half;
@@ -25,9 +26,8 @@ using fn::Half;
 int main(int argc, char** argv) {
   const std::string json_path = bench::json_path_from_args(argc, argv);
   bench::header("fp16 conversion throughput (scalar vs SIMD dispatch)");
-  const bool simd = fn::simd_fp16_active();
-  std::printf("  simd dispatch: %s\n",
-              simd ? "F16C/AVX2 active" : "inactive (scalar fallback)");
+  const char* level = fn::simd_level_name(fn::simd_level());
+  std::printf("  simd_level: %s\n", level);
 
   constexpr std::size_t kN = 1u << 22;  // 4 Mi elements per pass
   constexpr int kReps = 5;
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
     w.begin_object();
     w.key("fp16");
     w.begin_object();
-    w.kv("simd_active", simd);
+    w.kv("simd_level", std::string(level));
     w.kv("elements", kN);
     w.kv("widen_scalar_melems_per_s", mel / widen_scalar);
     w.kv("widen_melems_per_s", widen_mel_s);

@@ -6,7 +6,7 @@
 // against the always-compiled scalar reference on the decode-shaped
 // workload (a query row against a 64-token tile, plus a square prefill-ish
 // shape), cross-checks bit-identity on the bench buffers, and emits the
-// gemm_simd_speedup CI gauge with --json.  On hosts without AVX2+FMA the
+// gemm_simd_speedup CI gauge with --json.  On hosts below the AVX2 tier the
 // dispatch IS the scalar path and the speedup reports ~1x — the baseline
 // floor is the tripwire for a lost dispatch on CI runners, which all have
 // AVX2.
@@ -21,6 +21,7 @@
 #include "bench_util.hpp"
 #include "numeric/fp16.hpp"
 #include "numeric/gemm_simd.hpp"
+#include "numeric/simd.hpp"
 
 namespace fn = ftt::numeric;
 using fn::Half;
@@ -48,10 +49,8 @@ struct Case {
 int main(int argc, char** argv) {
   const std::string json_path = bench::json_path_from_args(argc, argv);
   bench::header("GEMM microkernel throughput (scalar vs SIMD dispatch)");
-  std::printf("  simd dispatch: %s%s\n",
-              fn::simd_gemm_active() ? "AVX2/FMA active"
-                                     : "inactive (scalar fallback)",
-              fn::simd_gemm_avx512_active() ? " + AVX-512" : "");
+  const char* level = fn::simd_level_name(fn::simd_level());
+  std::printf("  simd_level: %s\n", level);
 
   // decode-tile: one query row vs a sealed 64-token tile (the per-tile
   // score/value shape).  block-64: a full 64-row query block (prefill
@@ -104,9 +103,7 @@ int main(int argc, char** argv) {
   // drops it to ~1x.  The cache-resident tile shape is printed for
   // reference but not gauged — at L1 residency the win is compute-bound
   // and hardware-dependent.
-  std::printf("\n  fp16-operand tier: %s\n",
-              fn::simd_gemm_f16c_active() ? "F16C active"
-                                          : "inactive (scalar widen)");
+  std::printf("\n  fp16-operand format\n");
   const Case hcases[] = {{"h-decode 1x8192x512", 1, 8192, 512, 4},
                          {"h-decode 1x16384x512", 1, 16384, 512, 2},
                          {"h-tile 1x64x64 (info)", 1, 64, 64, 4096}};
@@ -154,9 +151,7 @@ int main(int argc, char** argv) {
     w.begin_object();
     w.key("gemm");
     w.begin_object();
-    w.kv("simd_active", fn::simd_gemm_active());
-    w.kv("avx512_active", fn::simd_gemm_avx512_active());
-    w.kv("f16c_active", fn::simd_gemm_f16c_active());
+    w.kv("simd_level", std::string(level));
     w.kv("bit_identical_to_scalar", identical);
     w.end_object();
     // Both gauges are the WORST speedup across their shapes: a lost

@@ -2,12 +2,14 @@
 # Tier-1 verification, exactly as the CI tier1 job runs it — one script so
 # local runs and CI cannot drift: configure (warnings-as-errors), build,
 # ctest, then smoke-run the serving demo, the decode-throughput bench and
-# the parity digest.
+# the parity digest, and compare the digest against side builds of the
+# other SIMD tiers.
 #
 # Knobs (all optional, same names CI uses):
-#   BUILD_DIR   - build tree (default: build-tier1)
+#   BUILD_DIR   - build tree (default: build-tier1); the digest step builds
+#                 parity_digest into $BUILD_DIR-digest-<tier> side trees
 #   BUILD_TYPE  - CMake build type (default: Release)
-#   FTT_SIMD    - ON (default) or OFF: compile the F16C/AVX2 fp16 kernels
+#   FTT_SIMD    - ON (default) or OFF: compile the AVX2-tier SIMD kernels
 #                 (the CI matrix runs one OFF leg so the scalar fallback
 #                 stays tested)
 #   OMP_MATRIX  - space-separated OpenMP thread counts (default: "2"); the
@@ -74,6 +76,46 @@ echo "== smoke: serving demo + decode throughput bench + parity digest =="
 "$BUILD_DIR"/bench_serve_throughput
 # One digest line per protected-kernel family; compare them across a
 # change that must not move a bit (see bench/parity_digest.cpp).
-"$BUILD_DIR"/parity_digest
+main_digest=$("$BUILD_DIR"/parity_digest)
+echo "$main_digest"
+
+# No bit may depend on the SIMD tier.  Build parity_digest alone into a
+# side tree for each tier this build is not: the scalar references
+# (FTT_SIMD=OFF), the AVX2 tier (FTT_SIMD=ON), and the AVX-512 tier when
+# the CPU lists avx512f (the only step that executes that tier).  Same
+# compiler and build type; every tree must print the main build's lines.
+side_tiers=()
+if [[ "$FTT_SIMD" == "OFF" ]]; then
+  side_tiers+=("avx2:-DFTT_SIMD=ON")
+else
+  side_tiers+=("scalar:-DFTT_SIMD=OFF")
+fi
+if grep -qw avx512f /proc/cpuinfo 2> /dev/null; then
+  side_tiers+=("avx512:-DFTT_SIMD=ON -DFTT_SIMD_AVX512=ON")
+fi
+main_cxx=$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' "$BUILD_DIR/CMakeCache.txt")
+for entry in "${side_tiers[@]}"; do
+  tier=${entry%%:*}
+  read -r -a tier_args <<< "${entry#*:}"
+  side_dir="$BUILD_DIR-digest-$tier"
+  echo "== parity digest, $tier tier ($side_dir) =="
+  side_args=(-B "$side_dir" -S . -DCMAKE_BUILD_TYPE="$BUILD_TYPE"
+             -DCMAKE_CXX_COMPILER="$main_cxx" -DFTT_WERROR=ON
+             -DFTT_BUILD_TESTS=OFF -DFTT_BUILD_EXAMPLES=OFF "${tier_args[@]}")
+  if command -v ninja > /dev/null 2>&1; then
+    side_args+=(-G Ninja)
+  fi
+  if [[ -n "${CMAKE_CXX_COMPILER_LAUNCHER:-}" ]]; then
+    side_args+=(-DCMAKE_CXX_COMPILER_LAUNCHER="$CMAKE_CXX_COMPILER_LAUNCHER")
+  fi
+  cmake "${side_args[@]}" > /dev/null
+  cmake --build "$side_dir" -j "$(nproc)" --target parity_digest
+  side_digest=$("$side_dir"/parity_digest)
+  echo "$side_digest"
+  if [[ "$side_digest" != "$main_digest" ]]; then
+    echo "parity digest of the $tier tier differs from the main build" >&2
+    exit 1
+  fi
+done
 
 echo "tier1 OK"

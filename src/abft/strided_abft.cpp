@@ -4,17 +4,13 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "numeric/gemm_simd.hpp"
+#include "numeric/simd.hpp"
 #include "sim/mma.hpp"
-
-#if defined(FTT_SIMD) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define FTT_SIMD_VERIFY 1
-#include <immintrin.h>
-#endif
 
 namespace ftt::abft {
 
@@ -23,12 +19,10 @@ using tensor::MatrixF;
 using tensor::MatrixH;
 
 namespace {
+
 bool near_integer(float x, float tol = 0.02f) {
   return std::fabs(x - std::round(x)) < tol;
 }
-}  // namespace
-
-namespace {
 
 /// Widen a view into dense R x C fp32 scratch (bulk SIMD conversion).
 /// Exact, so the accumulations below stay bit-identical to per-element
@@ -39,6 +33,74 @@ std::vector<float> widen_view(tensor::MatrixHView X) {
   return xf;
 }
 
+/// y += a * x over n elements of an fp32 image or of the fp16 payload: the
+/// fp16 axpy widens exactly in registers, so both give the same sums.
+template <typename T>
+void axpy(float a, const T* x, float* y, std::size_t n) noexcept {
+  if constexpr (std::is_same_v<T, Half>) {
+    numeric::axpy_f32_h(a, x, y, n);
+  } else {
+    numeric::axpy_f32(a, x, y, n);
+  }
+}
+
+/// encode_rows_strided over a dense row-major fp32 image or fp16 payload.
+/// Accumulates a whole checksum row at a time: each output element is
+/// summed over ascending l exactly as a scalar l-inner loop would (each
+/// axpy adds one l-term to every column), so the vector and scalar paths
+/// and both element formats are bit-identical, and the fault hooks still
+/// fire once per output element in (jc, c) order after the accumulation.
+template <typename T>
+MatrixH encode_rows(const T* x, std::size_t rows, std::size_t cols, int s,
+                    bool weighted, fault::FaultInjector* inj) {
+  if (s <= 0 || rows % static_cast<std::size_t>(s) != 0) {
+    throw std::invalid_argument("encode_rows_strided: rows % stride != 0");
+  }
+  const std::size_t loops = rows / static_cast<std::size_t>(s);
+  MatrixH out(static_cast<std::size_t>(s), cols);
+  std::vector<float> acc(cols);
+  for (std::size_t jc = 0; jc < static_cast<std::size_t>(s); ++jc) {
+    for (std::size_t c = 0; c < cols; ++c) acc[c] = 0.0f;
+    for (std::size_t l = 0; l < loops; ++l) {
+      const float w = weighted ? static_cast<float>(l + 1) : 1.0f;
+      axpy(w, x + (jc + l * static_cast<std::size_t>(s)) * cols, acc.data(),
+           cols);
+    }
+    for (std::size_t c = 0; c < cols; ++c) {
+      out(jc, c) = Half(fault::corrupt(inj, fault::Site::kChecksum, acc[c]));
+    }
+  }
+  return out;
+}
+
+/// encode_cols_strided over the same two formats: the s outputs of a row
+/// accumulate their l-terms in ascending order (each axpy adds one
+/// contiguous s-wide group), hooks fire per element in (r, jc) order.
+template <typename T>
+MatrixH encode_cols(const T* x, std::size_t rows, std::size_t cols, int s,
+                    bool weighted, fault::FaultInjector* inj) {
+  if (s <= 0 || cols % static_cast<std::size_t>(s) != 0) {
+    throw std::invalid_argument("encode_cols_strided: cols % stride != 0");
+  }
+  const std::size_t loops = cols / static_cast<std::size_t>(s);
+  MatrixH out(rows, static_cast<std::size_t>(s));
+  std::vector<float> acc(static_cast<std::size_t>(s));
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t jc = 0; jc < static_cast<std::size_t>(s); ++jc) {
+      acc[jc] = 0.0f;
+    }
+    for (std::size_t l = 0; l < loops; ++l) {
+      const float w = weighted ? static_cast<float>(l + 1) : 1.0f;
+      axpy(w, x + r * cols + l * static_cast<std::size_t>(s), acc.data(),
+           static_cast<std::size_t>(s));
+    }
+    for (std::size_t jc = 0; jc < static_cast<std::size_t>(s); ++jc) {
+      out(r, jc) = Half(fault::corrupt(inj, fault::Site::kChecksum, acc[jc]));
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 MatrixH StridedAbft::encode_rows_strided_widened(const float* xf,
@@ -46,65 +108,21 @@ MatrixH StridedAbft::encode_rows_strided_widened(const float* xf,
                                                  std::size_t cols, int s,
                                                  bool weighted,
                                                  fault::FaultInjector* inj) {
-  if (s <= 0 || rows % static_cast<std::size_t>(s) != 0) {
-    throw std::invalid_argument("encode_rows_strided: rows % stride != 0");
-  }
-  const std::size_t loops = rows / static_cast<std::size_t>(s);
-  MatrixH out(static_cast<std::size_t>(s), cols);
-  // Accumulate a whole checksum row at a time: each output element is summed
-  // over ascending l exactly as the scalar l-inner loop did (axpy_f32 adds
-  // one l-term to every column per call), so the vector and scalar paths are
-  // bit-identical, and the fault hooks still fire once per output element in
-  // (jc, c) order after the accumulation.
-  std::vector<float> acc(cols);
-  for (std::size_t jc = 0; jc < static_cast<std::size_t>(s); ++jc) {
-    for (std::size_t c = 0; c < cols; ++c) acc[c] = 0.0f;
-    for (std::size_t l = 0; l < loops; ++l) {
-      const float w = weighted ? static_cast<float>(l + 1) : 1.0f;
-      numeric::axpy_f32(w, xf + (jc + l * static_cast<std::size_t>(s)) * cols,
-                        acc.data(), cols);
-    }
-    for (std::size_t c = 0; c < cols; ++c) {
-      out(jc, c) = Half(fault::corrupt(inj, fault::Site::kChecksum, acc[c]));
-    }
-  }
-  return out;
+  return encode_rows(xf, rows, cols, s, weighted, inj);
 }
 
 MatrixH StridedAbft::encode_rows_strided_h(const Half* x, std::size_t rows,
                                            std::size_t cols, int s,
                                            bool weighted,
                                            fault::FaultInjector* inj) {
-  if (s <= 0 || rows % static_cast<std::size_t>(s) != 0) {
-    throw std::invalid_argument("encode_rows_strided: rows % stride != 0");
-  }
-  const std::size_t loops = rows / static_cast<std::size_t>(s);
-  MatrixH out(static_cast<std::size_t>(s), cols);
-  // Same accumulation structure as the _widened overload, with the l-term
-  // rows streamed at half width: axpy_f32_h widens exactly in registers, so
-  // the sums (and hence the rounded checksums and fault-hook order) are
-  // bit-identical — minus the fp32 staging pass.
-  std::vector<float> acc(cols);
-  for (std::size_t jc = 0; jc < static_cast<std::size_t>(s); ++jc) {
-    for (std::size_t c = 0; c < cols; ++c) acc[c] = 0.0f;
-    for (std::size_t l = 0; l < loops; ++l) {
-      const float w = weighted ? static_cast<float>(l + 1) : 1.0f;
-      numeric::axpy_f32_h(w, x + (jc + l * static_cast<std::size_t>(s)) * cols,
-                          acc.data(), cols);
-    }
-    for (std::size_t c = 0; c < cols; ++c) {
-      out(jc, c) = Half(fault::corrupt(inj, fault::Site::kChecksum, acc[c]));
-    }
-  }
-  return out;
+  return encode_rows(x, rows, cols, s, weighted, inj);
 }
 
 MatrixH StridedAbft::encode_rows_strided(tensor::MatrixHView X, int s,
                                          bool weighted,
                                          fault::FaultInjector* inj) {
   const std::vector<float> xf = widen_view(X);
-  return encode_rows_strided_widened(xf.data(), X.rows, X.cols, s, weighted,
-                                     inj);
+  return encode_rows(xf.data(), X.rows, X.cols, s, weighted, inj);
 }
 
 MatrixH StridedAbft::encode_rows_strided(const MatrixH& X, int s, bool weighted,
@@ -117,63 +135,21 @@ MatrixH StridedAbft::encode_cols_strided_widened(const float* xf,
                                                  std::size_t cols, int s,
                                                  bool weighted,
                                                  fault::FaultInjector* inj) {
-  if (s <= 0 || cols % static_cast<std::size_t>(s) != 0) {
-    throw std::invalid_argument("encode_cols_strided: cols % stride != 0");
-  }
-  const std::size_t loops = cols / static_cast<std::size_t>(s);
-  MatrixH out(rows, static_cast<std::size_t>(s));
-  // Same vector/scalar bit-identity argument as encode_rows: the s outputs
-  // of a row accumulate their l-terms in ascending order (each axpy adds one
-  // contiguous s-wide group), hooks fire per element in (r, jc) order.
-  std::vector<float> acc(static_cast<std::size_t>(s));
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t jc = 0; jc < static_cast<std::size_t>(s); ++jc) {
-      acc[jc] = 0.0f;
-    }
-    for (std::size_t l = 0; l < loops; ++l) {
-      const float w = weighted ? static_cast<float>(l + 1) : 1.0f;
-      numeric::axpy_f32(w, xf + r * cols + l * static_cast<std::size_t>(s),
-                        acc.data(), static_cast<std::size_t>(s));
-    }
-    for (std::size_t jc = 0; jc < static_cast<std::size_t>(s); ++jc) {
-      out(r, jc) = Half(fault::corrupt(inj, fault::Site::kChecksum, acc[jc]));
-    }
-  }
-  return out;
+  return encode_cols(xf, rows, cols, s, weighted, inj);
 }
 
 MatrixH StridedAbft::encode_cols_strided_h(const Half* x, std::size_t rows,
                                            std::size_t cols, int s,
                                            bool weighted,
                                            fault::FaultInjector* inj) {
-  if (s <= 0 || cols % static_cast<std::size_t>(s) != 0) {
-    throw std::invalid_argument("encode_cols_strided: cols % stride != 0");
-  }
-  const std::size_t loops = cols / static_cast<std::size_t>(s);
-  MatrixH out(rows, static_cast<std::size_t>(s));
-  std::vector<float> acc(static_cast<std::size_t>(s));
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t jc = 0; jc < static_cast<std::size_t>(s); ++jc) {
-      acc[jc] = 0.0f;
-    }
-    for (std::size_t l = 0; l < loops; ++l) {
-      const float w = weighted ? static_cast<float>(l + 1) : 1.0f;
-      numeric::axpy_f32_h(w, x + r * cols + l * static_cast<std::size_t>(s),
-                          acc.data(), static_cast<std::size_t>(s));
-    }
-    for (std::size_t jc = 0; jc < static_cast<std::size_t>(s); ++jc) {
-      out(r, jc) = Half(fault::corrupt(inj, fault::Site::kChecksum, acc[jc]));
-    }
-  }
-  return out;
+  return encode_cols(x, rows, cols, s, weighted, inj);
 }
 
 MatrixH StridedAbft::encode_cols_strided(tensor::MatrixHView X, int s,
                                          bool weighted,
                                          fault::FaultInjector* inj) {
   const std::vector<float> xf = widen_view(X);
-  return encode_cols_strided_widened(xf.data(), X.rows, X.cols, s, weighted,
-                                     inj);
+  return encode_cols(xf.data(), X.rows, X.cols, s, weighted, inj);
 }
 
 MatrixH StridedAbft::encode_cols_strided(const MatrixH& X, int s, bool weighted,
@@ -183,20 +159,15 @@ MatrixH StridedAbft::encode_cols_strided(const MatrixH& X, int s, bool weighted,
 
 namespace {
 
-#ifdef FTT_SIMD_VERIFY
-
-bool avx2_active() noexcept {
-  static const bool active = __builtin_cpu_supports("avx2");
-  return active;
-}
+#ifdef FTT_SIMD_X86
 
 /// Pass test of eight residue classes in lanes: the scalar body's finite
 /// sum1, d1 = k1 - sum1, rel = |d1| / (norm + 1e-4f) and its two compares,
 /// op for op.  Only adds (and |.|, -, /, compares) touch the lanes, so there
 /// is no multiply-add pair a compiler could contract on one side only.
-__attribute__((target("avx2"))) std::uint64_t pass8(
-    const float* row, const float* k1, std::size_t s, std::size_t loops,
-    float thr) noexcept {
+FTT_TARGET_AVX2 std::uint64_t pass8(const float* row, const float* k1,
+                                    std::size_t s, std::size_t loops,
+                                    float thr) noexcept {
   const __m256 absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
   __m256 sum1 = _mm256_setzero_ps(), norm = _mm256_setzero_ps();
   for (std::size_t l = 0; l < loops; ++l) {
@@ -218,9 +189,9 @@ __attribute__((target("avx2"))) std::uint64_t pass8(
 }
 
 /// pass8 over four classes (the s % 8 == 4 remainder).
-__attribute__((target("avx2"))) std::uint64_t pass4(
-    const float* row, const float* k1, std::size_t s, std::size_t loops,
-    float thr) noexcept {
+FTT_TARGET_AVX2 std::uint64_t pass4(const float* row, const float* k1,
+                                    std::size_t s, std::size_t loops,
+                                    float thr) noexcept {
   const __m128 absmask = _mm_castsi128_ps(_mm_set1_epi32(0x7FFFFFFF));
   __m128 sum1 = _mm_setzero_ps(), norm = _mm_setzero_ps();
   for (std::size_t l = 0; l < loops; ++l) {
@@ -237,7 +208,7 @@ __attribute__((target("avx2"))) std::uint64_t pass4(
   return static_cast<std::uint64_t>(_mm_movemask_ps(_mm_and_ps(finite, ok)));
 }
 
-#endif  // FTT_SIMD_VERIFY
+#endif  // FTT_SIMD_X86
 
 /// The verify screen: bit jc set when residue class jc of one payload row
 /// (lanes row[jc + l * s]) passes verify_class without a flag.  The lanes
@@ -246,8 +217,11 @@ __attribute__((target("avx2"))) std::uint64_t pass4(
 /// 64) sends every class to the scalar body.
 std::uint64_t verify_screen(const float* row, const float* k1, std::size_t s,
                             std::size_t loops, float thr) noexcept {
-#ifdef FTT_SIMD_VERIFY
-  if (s % 4 != 0 || s > 64 || !avx2_active()) return 0;
+#ifdef FTT_SIMD_X86
+  if (s % 4 != 0 || s > 64 ||
+      numeric::simd_level() < numeric::SimdLevel::kAvx2) {
+    return 0;
+  }
   std::uint64_t pass = 0;
   std::size_t g = 0;
   for (; g + 8 <= s; g += 8) {

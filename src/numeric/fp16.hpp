@@ -32,15 +32,11 @@ class Half;
 // Bulk conversions — the decode hot path.  Software half<->float conversion
 // dominates host time, so the bulk entry points dispatch at runtime to F16C
 // (`_mm256_cvtph_ps` / `_mm256_cvtps_ph`, both RTNE like the scalar path)
-// when the binary was built with FTT_SIMD and the CPU supports AVX2+F16C.
+// on the AVX2 tier of numeric::simd_level() (numeric/simd.hpp).
 // SIMD and scalar paths are bit-identical for every input, NaNs included
 // (the SIMD narrow canonicalizes NaN payloads exactly like
 // float_bits_to_half_bits); tests/test_fp16.cpp proves it exhaustively.
 // ---------------------------------------------------------------------------
-
-/// True when the F16C/AVX2 conversion kernels are compiled in (FTT_SIMD)
-/// and this CPU supports them (checked once, then cached).
-bool simd_fp16_active() noexcept;
 
 /// dst[i] = float value of src[i] (exact widening).
 void halves_to_floats(const Half* src, float* dst, std::size_t n) noexcept;

@@ -1,29 +1,23 @@
 // Runtime-dispatched F16C/AVX2 bulk fp16 conversions.
 //
-// The kernels live in their own TU so the intrinsics can be compiled with a
-// per-function target attribute — the rest of the library keeps the default
-// architecture, and a binary built with FTT_SIMD still runs (via the scalar
-// path) on CPUs without F16C.  Both directions are round-to-nearest-even,
-// exactly like the scalar implementation in fp16.cpp; the narrow kernel
-// additionally canonicalizes NaN payloads to sign | 0x7E00 so every input,
-// NaNs included, converts bit-identically on both paths.
+// The kernels carry the AVX2 tier's target attribute (numeric/simd.hpp) —
+// the rest of the library keeps the default architecture, and a binary
+// built with FTT_SIMD still runs (via the scalar path) on CPUs below the
+// tier.  Both directions are round-to-nearest-even, exactly like the
+// scalar implementation in fp16.cpp; the narrow kernel additionally
+// canonicalizes NaN payloads to sign | 0x7E00 so every input, NaNs
+// included, converts bit-identically on both paths.
 
 #include "numeric/fp16.hpp"
-
-#if defined(FTT_SIMD) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define FTT_SIMD_F16C 1
-#include <immintrin.h>
-#endif
+#include "numeric/simd.hpp"
 
 namespace ftt::numeric {
 namespace {
 
-#ifdef FTT_SIMD_F16C
+#ifdef FTT_SIMD_X86
 
-__attribute__((target("avx2,f16c"))) void widen_f16c(const Half* src,
-                                                     float* dst,
-                                                     std::size_t n) noexcept {
+FTT_TARGET_AVX2 void widen_f16c(const Half* src, float* dst,
+                                std::size_t n) noexcept {
   // Half is a single uint16_t payload; vcvtph2ps widens 8 lanes at a time
   // (exact, every binary16 value is representable in binary32).
   const auto* in = reinterpret_cast<const std::uint16_t*>(src);
@@ -36,9 +30,8 @@ __attribute__((target("avx2,f16c"))) void widen_f16c(const Half* src,
   for (; i < n; ++i) dst[i] = src[i].to_float();
 }
 
-__attribute__((target("avx2,f16c"))) void narrow_f16c(const float* src,
-                                                      Half* dst,
-                                                      std::size_t n) noexcept {
+FTT_TARGET_AVX2 void narrow_f16c(const float* src, Half* dst,
+                                 std::size_t n) noexcept {
   auto* out = reinterpret_cast<std::uint16_t*>(dst);
   const __m128i abs_mask = _mm_set1_epi16(0x7FFF);
   const __m128i exp_all = _mm_set1_epi16(0x7C00);
@@ -63,26 +56,13 @@ __attribute__((target("avx2,f16c"))) void narrow_f16c(const float* src,
   for (; i < n; ++i) dst[i] = Half(src[i]);
 }
 
-bool cpu_has_f16c() noexcept {
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c");
-}
-
-#endif  // FTT_SIMD_F16C
+#endif  // FTT_SIMD_X86
 
 }  // namespace
 
-bool simd_fp16_active() noexcept {
-#ifdef FTT_SIMD_F16C
-  static const bool active = cpu_has_f16c();
-  return active;
-#else
-  return false;
-#endif
-}
-
 void halves_to_floats(const Half* src, float* dst, std::size_t n) noexcept {
-#ifdef FTT_SIMD_F16C
-  if (simd_fp16_active()) {
+#ifdef FTT_SIMD_X86
+  if (simd_level() >= SimdLevel::kAvx2) {
     widen_f16c(src, dst, n);
     return;
   }
@@ -91,8 +71,8 @@ void halves_to_floats(const Half* src, float* dst, std::size_t n) noexcept {
 }
 
 void floats_to_halves(const float* src, Half* dst, std::size_t n) noexcept {
-#ifdef FTT_SIMD_F16C
-  if (simd_fp16_active()) {
+#ifdef FTT_SIMD_X86
+  if (simd_level() >= SimdLevel::kAvx2) {
     narrow_f16c(src, dst, n);
     return;
   }

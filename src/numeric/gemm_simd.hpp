@@ -1,13 +1,12 @@
 #pragma once
-// Runtime-dispatched AVX2+FMA GEMM microkernels (optional AVX-512F variant).
+// Register-tile GEMM and axpy microkernels for fp32, fp16 and int8 B
+// operands, dispatched at runtime on numeric::simd_level() (numeric/simd.hpp).
 //
-// These are the MAC inner loops behind sim::gemm_fp16_nt / gemm_f32_nt and
-// the strided checksum encodes — the last scalar hot loops after PR 3
-// vectorized the fp16<->fp32 conversions.  Same dispatch contract as
-// fp16_simd.cpp: compiled only under FTT_SIMD (plus FTT_SIMD_AVX512 for the
-// wide variant), per-function target attributes so the rest of the library
-// keeps the default architecture, a CPUID check at runtime, and a scalar
-// reference path that is always present and always the semantic definition.
+// These are the MAC inner loops behind sim::gemm_fp16_nt / gemm_f32_nt, the
+// decode block kernel's products on every tile format and the strided
+// checksum encodes.  Each entry point has a scalar reference that is always
+// compiled and always the semantic definition; the AVX2 and AVX-512 tiers
+// are tested against it.
 //
 // Bit-identity contract.  Every kernel fixes the per-output-element
 // accumulation order to ascending k — exactly the sequential-K scalar dot
@@ -20,31 +19,20 @@
 // fp32, so fl(a*b) == a*b and fma(a,b,c) == fl(c + fl(a*b)).  That holds
 // because all GEMM operands here are fp16-valued (widened or fp16-rounded:
 // <= 11-bit significands, products need <= 22 bits and stay far inside the
-// fp32 exponent range) and checksum-encode weights are small integers
+// fp32 exponent range), int8 operands dequantize to <= 8-bit significands
+// (numeric/int8_simd.hpp) and checksum-encode weights are small integers
 // (<= 64, <= 7 bits against an fp16 operand).  Feeding arbitrary fp32
 // operands voids the scalar-bitwise guarantee — don't.
 //
-// tests/test_gemm_simd.cpp pins dispatch == scalar bit-for-bit on
-// randomized shapes, ragged tails and strided outputs.
+// tests/test_gemm_simd.cpp and tests/test_fp16_gemm.cpp pin dispatch ==
+// scalar bit-for-bit on randomized shapes, ragged tails and strided outputs.
 
 #include <cstddef>
+#include <cstdint>
 
 #include "numeric/fp16.hpp"
 
 namespace ftt::numeric {
-
-/// True when an AVX2+FMA (or AVX-512F) GEMM kernel is compiled in and this
-/// CPU supports it (checked once, then cached).
-bool simd_gemm_active() noexcept;
-
-/// True when the AVX-512F variant specifically is compiled in
-/// (FTT_SIMD_AVX512) and supported by this CPU.
-bool simd_gemm_avx512_active() noexcept;
-
-/// True when the fp16-operand kernels below can take the SIMD path: the
-/// AVX2 tier additionally needs F16C for the in-register widen (the
-/// AVX-512F tier gets vcvtph2ps from AVX512F itself).
-bool simd_gemm_f16c_active() noexcept;
 
 /// y[i] += a * x[i] for i ascending — the checksum-encode primitive.
 /// Dispatching entry point and scalar reference; bit-identical under the
@@ -66,16 +54,15 @@ void gemm_f32_nn_scalar(const float* A, std::size_t M, std::size_t K,
                         const float* B, std::size_t N, float* C,
                         std::size_t ldc, bool accumulate) noexcept;
 
-/// fp16-operand tier: same contracts as axpy_f32 / gemm_f32_nn with the
-/// B-side operand kept at half width and widened in registers
-/// (`_mm256_cvtph_ps`, 8 lanes at a time) inside the inner loop.  fp16->fp32
-/// widening is exact and the per-element accumulation order is unchanged
-/// (ascending k, lanes across output columns), so these are bit-identical to
-/// running the fp32 kernels over a pre-widened copy of B — at half the
-/// B-side bytes streamed.  The scalar references widen with
-/// half_bits_to_float, which quiets sNaNs exactly like hardware F16C, so
-/// scalar == SIMD on all 65536 half patterns (tests/test_fp16_gemm.cpp
-/// proves it exhaustively).
+/// fp16-operand format: same contracts as axpy_f32 / gemm_f32_nn with the
+/// B-side operand kept at half width and widened in registers (vcvtph2ps)
+/// inside the inner loop.  fp16->fp32 widening is exact and the per-element
+/// accumulation order is unchanged (ascending k, lanes across output
+/// columns), so these are bit-identical to running the fp32 kernels over a
+/// pre-widened copy of B — at half the B-side bytes streamed.  The scalar
+/// references widen with half_bits_to_float, which quiets sNaNs exactly
+/// like hardware F16C, so scalar == SIMD on all 65536 half patterns
+/// (tests/test_fp16_gemm.cpp proves it exhaustively).
 
 /// y[i] += a * widen(x[i]) for i ascending.
 void axpy_f32_h(float a, const Half* x, float* y, std::size_t n) noexcept;
@@ -91,6 +78,24 @@ void gemm_f32_nnh(const float* A, std::size_t M, std::size_t K, const Half* B,
 void gemm_f32_nnh_scalar(const float* A, std::size_t M, std::size_t K,
                          const Half* B, std::size_t N, float* C,
                          std::size_t ldc, bool accumulate) noexcept;
+
+/// int8-operand format, the int8 KV fast path (the decode block kernel's
+/// score GEMM and GEMM II): C (M x N, row stride ldc) = A (M x K fp32) *
+/// dequant(B8), B8 the K x N k-major int8 operand, += when `accumulate`.
+/// Every element dequantizes as scale * float(b8) — exact for the
+/// power-of-two scales choose_i8_scale produces — in registers, so the
+/// kernel streams the quantized payload directly (1 byte/element) with no
+/// dequantize-to-scratch pass.  Both paths form scale * float(b8) before
+/// the multiply-add, so the result is bit-identical to gemm_f32_nn over a
+/// dequantized image of B8 — the property that keeps int8 decode
+/// bit-identical to its fp16 twin.
+void gemm_f32_nn_i8(const float* A, std::size_t M, std::size_t K,
+                    const std::int8_t* B8, std::size_t N, float scale,
+                    float* C, std::size_t ldc, bool accumulate) noexcept;
+void gemm_f32_nn_i8_scalar(const float* A, std::size_t M, std::size_t K,
+                           const std::int8_t* B8, std::size_t N, float scale,
+                           float* C, std::size_t ldc,
+                           bool accumulate) noexcept;
 
 /// out (cols x rows) = transpose of in (rows x cols).  Pure data movement
 /// (no rounding), cache-blocked.  Used to pack the N x K operand of

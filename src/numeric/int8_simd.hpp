@@ -1,9 +1,11 @@
 #pragma once
 // Per-tile symmetric int8 quantization with a power-of-two scale, plus the
-// runtime-dispatched AVX2 bulk kernels the int8 KV tile format streams
-// through (`_mm256_cvtepi8_epi32` + `_mm256_cvtepi32_ps` widening, in the
-// caffe2/operators/quantized spirit, specialized to this repo's bit-identity
-// contracts).
+// runtime-dispatched AVX2 bulk quantize/dequantize kernels of the int8 KV
+// tile format (`_mm256_cvtepi8_epi32` + `_mm256_cvtepi32_ps` widening, in
+// the caffe2/operators/quantized spirit, specialized to this repo's
+// bit-identity contracts).  The fused dequantizing GEMM that streams the
+// payload is numeric::gemm_f32_nn_i8 (numeric/gemm_simd.hpp), on the shared
+// register tiles.
 //
 // Why a power-of-two scale (not amax/127):
 //
@@ -27,11 +29,11 @@
 // (the step is at most 2x the optimal step); the gain is that every
 // downstream exactness proof in the repo survives quantization untouched.
 //
-// Dispatch mirrors fp16_simd: kernels are compiled with per-function target
-// attributes in this TU, the public entry points check CPU support once,
-// and the scalar reference paths are bit-identical for every input —
-// including NaN (quantizes to 0) and +-Inf (saturates to +-127), so even
-// pathological payloads quantize deterministically on both paths.
+// Dispatch is numeric::simd_level() (numeric/simd.hpp): the AVX2 tier runs
+// the vector kernels, and the scalar reference paths are bit-identical for
+// every input — including NaN (quantizes to 0) and +-Inf (saturates to
+// +-127), so even pathological payloads quantize deterministically on both
+// paths.
 
 #include <cstddef>
 #include <cstdint>
@@ -45,10 +47,6 @@ struct I8Scale {
   float scale = 1.0f;
   float inv_scale = 1.0f;
 };
-
-/// True when the AVX2 int8 kernels are compiled in (FTT_SIMD) and this CPU
-/// supports them (checked once, then cached).
-bool simd_int8_active() noexcept;
 
 /// max |x| over n values, ignoring NaNs (a NaN payload element quantizes to
 /// zero and must not poison the tile's scale).  +-Inf yields +Inf.
@@ -69,27 +67,6 @@ void quantize_f32_to_i8(const float* src, std::int8_t* dst, std::size_t n,
 /// the SIMD widen (_mm256_cvtepi8_epi32 + _mm256_cvtepi32_ps) and scalar.
 void dequantize_i8_to_f32(const std::int8_t* src, float* dst, std::size_t n,
                           float scale) noexcept;
-
-/// Fused dequantizing GEMM: C (M x N, row stride ldc) = A (M x K, fp32
-/// row-major) * dequant(B8) where B8 is the K x N *k-major* int8 operand
-/// (i.e. the pre-transposed layout gemm_f32_nn consumes) and every element
-/// dequantizes as scale * float(b8) — exact for the power-of-two scales
-/// choose_i8_scale produces.  This is the int8 KV fast path (the decode
-/// block kernel's score GEMM and GEMM II): the kernel
-/// streams the quantized payload directly (1 byte/element) with no
-/// dequantize-to-scratch pass and no pack, widening in registers via
-/// _mm256_cvtepi8_epi32 + _mm256_cvtepi32_ps.  Accumulation order per
-/// output element is ascending k (axpy form, lanes across output columns),
-/// and scale * float(b8) is computed before the FMA in both paths, so the
-/// result is bit-identical to gemm_f32_nn over a dequantized image of B8 —
-/// the property that keeps int8 decode bit-identical to its fp16 twin.
-void gemm_f32_nn_i8(const float* A, std::size_t M, std::size_t K,
-                    const std::int8_t* B8, std::size_t N, float scale,
-                    float* C, std::size_t ldc, bool accumulate) noexcept;
-void gemm_f32_nn_i8_scalar(const float* A, std::size_t M, std::size_t K,
-                           const std::int8_t* B8, std::size_t N, float scale,
-                           float* C, std::size_t ldc,
-                           bool accumulate) noexcept;
 
 /// Scalar reference paths, always available; the dispatching entry points
 /// above must match them bit for bit (tests/test_int8_quant.cpp sweeps

@@ -89,39 +89,16 @@ int TiledMma64x16x16::thread_of_b(std::size_t k, std::size_t col) noexcept {
 
 void gemm_f32_nt(const float* A, std::size_t M, std::size_t K, const float* B,
                  std::size_t N, tensor::MatrixF& C, bool accumulate) {
-  if (M == 0 || N == 0 || K == 0) {
-    if (!accumulate) {
-      for (std::size_t m = 0; m < M; ++m) {
-        float* crow = &C(m, 0);
-        for (std::size_t n = 0; n < N; ++n) crow[n] = 0.0f;
-      }
-    }
-    return;
-  }
-  if (numeric::simd_gemm_active()) {
-    // Pack B (N x K, row-per-output) into the k-major layout the axpy-form
-    // microkernel consumes.  Packing is pure data movement, and the kernel
-    // accumulates each output element in the same ascending-k order as the
-    // scalar dot loop below, so the two paths are bit-identical (the
-    // exact-product FMA argument in numeric/gemm_simd.hpp).  thread_local
-    // scratch: this runs inside OpenMP decode batches and shard workers.
-    thread_local std::vector<float> bt;
-    if (bt.size() < K * N) bt.resize(K * N);
-    numeric::transpose_f32(B, N, K, bt.data());
-    numeric::gemm_f32_nn(A, M, K, bt.data(), N, &C(0, 0), C.cols(),
-                         accumulate);
-    return;
-  }
-  for (std::size_t m = 0; m < M; ++m) {
-    const float* arow = A + m * K;
-    float* crow = &C(m, 0);
-    for (std::size_t n = 0; n < N; ++n) {
-      const float* brow = B + n * K;
-      float acc = accumulate ? crow[n] : 0.0f;
-      for (std::size_t k = 0; k < K; ++k) acc += arow[k] * brow[k];
-      crow[n] = acc;
-    }
-  }
+  if (M == 0 || N == 0) return;
+  // Pack B (N x K, row-per-output) into the k-major layout the axpy-form
+  // microkernel consumes.  Packing is pure data movement, and every tier of
+  // the kernel (its scalar reference included) accumulates each output
+  // element in ascending k, the sequential dot order.  thread_local
+  // scratch: this runs inside OpenMP decode batches and shard workers.
+  thread_local std::vector<float> bt;
+  if (bt.size() < K * N) bt.resize(K * N);
+  numeric::transpose_f32(B, N, K, bt.data());
+  numeric::gemm_f32_nn(A, M, K, bt.data(), N, &C(0, 0), C.cols(), accumulate);
 }
 
 void gemm_f32_nn(const float* A, std::size_t M, std::size_t K, const float* B,
@@ -163,6 +140,12 @@ void gemm_fp16_nt(const tensor::MatrixH& A, const tensor::MatrixH& B,
 void gemm_f32h_nn(const tensor::MatrixF& A, const tensor::MatrixH& B,
                   tensor::MatrixF& C, bool accumulate) {
   const std::size_t M = A.rows(), K = A.cols(), N = B.cols();
+  if (B.rows() != K) {
+    throw std::invalid_argument("gemm_f32h_nn: A and B must share K");
+  }
+  if (C.rows() != M || C.cols() != N) {
+    throw std::invalid_argument("gemm_f32h_nn: C must be M x N");
+  }
   std::vector<float> b(K * N);
   numeric::halves_to_floats(B.data(), b.data(), K * N);
   // Pre-round A through fp16 once (two bulk conversions) instead of one

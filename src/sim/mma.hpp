@@ -122,7 +122,8 @@ void gemm_f32_nnh(const float* A, std::size_t M, std::size_t K,
 
 /// C = A (rows x K, fp32, pre-rounded or exact) * B (K x cols, fp16).
 /// Used for P * V where P is the fp32 softmax output rounded to fp16 before
-/// feeding the tensor core.
+/// feeding the tensor core.  B must have K rows and C must be rows x cols,
+/// else std::invalid_argument (thrown before any operand is read).
 void gemm_f32h_nn(const tensor::MatrixF& A, const tensor::MatrixH& B,
                   tensor::MatrixF& C, bool accumulate = false);
 

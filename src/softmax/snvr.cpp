@@ -4,11 +4,7 @@
 #include <cmath>
 #include <cstdint>
 
-#if defined(FTT_SIMD) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define FTT_SIMD_SCREEN 1
-#include <immintrin.h>
-#endif
+#include "numeric/simd.hpp"
 
 namespace ftt::softmax {
 
@@ -72,17 +68,11 @@ std::optional<double> log_product(const float* p, std::size_t stride,
 
 namespace {
 
-#ifdef FTT_SIMD_SCREEN
-
-bool avx2_active() noexcept {
-  static const bool active = __builtin_cpu_supports("avx2");
-  return active;
-}
+#ifdef FTT_SIMD_X86
 
 /// Biased exponent field of positive doubles, as exact doubles: OR the
 /// field into the significand of 2^52 and subtract 2^52.
-__attribute__((target("avx2"))) inline __m256d exponent_field(
-    __m256d x) noexcept {
+FTT_TARGET_AVX2 inline __m256d exponent_field(__m256d x) noexcept {
   const __m256d two52 = _mm256_set1_pd(4503599627370496.0);
   const __m256i e = _mm256_srli_epi64(_mm256_castpd_si256(x), 52);
   return _mm256_sub_pd(
@@ -91,8 +81,8 @@ __attribute__((target("avx2"))) inline __m256d exponent_field(
 }
 
 /// x's significand with the exponent field replaced by `field`.
-__attribute__((target("avx2"))) inline __m256d with_exponent(
-    __m256d x, long long field) noexcept {
+FTT_TARGET_AVX2 inline __m256d with_exponent(__m256d x,
+                                              long long field) noexcept {
   const __m256i mant = _mm256_set1_epi64x(0x000FFFFFFFFFFFFFLL);
   return _mm256_castsi256_pd(
       _mm256_or_si256(_mm256_and_si256(_mm256_castpd_si256(x), mant),
@@ -100,8 +90,8 @@ __attribute__((target("avx2"))) inline __m256d with_exponent(
 }
 
 /// a + b·z in lanes.
-__attribute__((target("avx2"))) inline __m256d poly_pair(double a, double b,
-                                                         __m256d z) noexcept {
+FTT_TARGET_AVX2 inline __m256d poly_pair(double a, double b,
+                                         __m256d z) noexcept {
   return _mm256_add_pd(_mm256_set1_pd(a), _mm256_mul_pd(_mm256_set1_pd(b), z));
 }
 
@@ -110,7 +100,7 @@ __attribute__((target("avx2"))) inline __m256d poly_pair(double a, double b,
 /// summed through t^19 (truncation < 1e-17).  Absolute error ≤ 1.5e-13
 /// for |ln x| ≤ 710 — dominated by k·ln2's rounding — against the
 /// screen's 2^-40 budget for the gap to std::log.
-__attribute__((target("avx2"))) inline __m256d log_pd(__m256d x) noexcept {
+FTT_TARGET_AVX2 inline __m256d log_pd(__m256d x) noexcept {
   const __m256d one = _mm256_set1_pd(1.0);
   __m256d k = _mm256_sub_pd(exponent_field(x), _mm256_set1_pd(1023.0));
   __m256d f = with_exponent(x, 1023);  // [1, 2)
@@ -142,8 +132,9 @@ __attribute__((target("avx2"))) inline __m256d log_pd(__m256d x) noexcept {
 /// rhs by more than the bound on its distance from the scalar lhs: 2^-40
 /// for the two logs (each within 1.5e-13 of ln for |ln| <= 710), plus 8u
 /// per magnitude for the rounding of the sums and of this comparison.
-__attribute__((target("avx2"))) inline std::uint64_t decide4(
-    __m256d mprod, __m256d esum, const double* rhs, double thr) noexcept {
+FTT_TARGET_AVX2 inline std::uint64_t decide4(__m256d mprod, __m256d esum,
+                                             const double* rhs,
+                                             double thr) noexcept {
   const __m256d absmask =
       _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL));
   const __m256d lg = log_pd(mprod);
@@ -163,8 +154,7 @@ __attribute__((target("avx2"))) inline std::uint64_t decide4(
 
 /// log_product's fold in lanes: frexp(mprod) = m·2^fe with m in [0.5, 1)
 /// and fe = field − 1022; fe adds into `efold`.
-__attribute__((target("avx2"))) inline void fold(__m256d& mprod,
-                                                 __m256d& efold) noexcept {
+FTT_TARGET_AVX2 inline void fold(__m256d& mprod, __m256d& efold) noexcept {
   efold = _mm256_add_pd(
       efold, _mm256_sub_pd(exponent_field(mprod), _mm256_set1_pd(1022.0)));
   mprod = with_exponent(mprod, 1022);
@@ -172,8 +162,8 @@ __attribute__((target("avx2"))) inline void fold(__m256d& mprod,
 
 /// Σ_l (e_l − 127) + folds, from the lanes' biased-exponent sum: integers
 /// below 2^53 throughout, so exactly log_product's double(esum).
-__attribute__((target("avx2"))) inline __m256d exponent_sum(
-    __m128i biased, std::size_t n, __m256d efold) noexcept {
+FTT_TARGET_AVX2 inline __m256d exponent_sum(__m128i biased, std::size_t n,
+                                            __m256d efold) noexcept {
   return _mm256_add_pd(
       _mm256_sub_pd(_mm256_cvtepi32_pd(biased),
                     _mm256_set1_pd(127.0 * static_cast<double>(n))),
@@ -184,10 +174,9 @@ __attribute__((target("avx2"))) inline __m256d exponent_sum(
 /// significand-product chains in double, the biased exponents summed in
 /// int32 lanes, their min/max kept to spot special lanes.  Returns false
 /// when any lane is zero, subnormal, negative or non-finite.
-__attribute__((target("avx2"))) bool screen8(const float* p, std::size_t s,
-                                             std::size_t n, const double* rhs,
-                                             double thr,
-                                             std::uint64_t& pass) noexcept {
+FTT_TARGET_AVX2 bool screen8(const float* p, std::size_t s, std::size_t n,
+                             const double* rhs, double thr,
+                             std::uint64_t& pass) noexcept {
   const __m256i mmask = _mm256_set1_epi32(0x7FFFFF);
   const __m256i one_bits = _mm256_set1_epi32(0x3F800000);
   __m256d lo = _mm256_set1_pd(1.0), hi = lo;
@@ -223,10 +212,9 @@ __attribute__((target("avx2"))) bool screen8(const float* p, std::size_t s,
 }
 
 /// screen8 over four classes (16 bytes per l): the s % 8 == 4 remainder.
-__attribute__((target("avx2"))) bool screen4(const float* p, std::size_t s,
-                                             std::size_t n, const double* rhs,
-                                             double thr,
-                                             std::uint64_t& pass) noexcept {
+FTT_TARGET_AVX2 bool screen4(const float* p, std::size_t s, std::size_t n,
+                             const double* rhs, double thr,
+                             std::uint64_t& pass) noexcept {
   const __m128i mmask = _mm_set1_epi32(0x7FFFFF);
   const __m128i one_bits = _mm_set1_epi32(0x3F800000);
   __m256d mprod = _mm256_set1_pd(1.0), efold = _mm256_setzero_pd();
@@ -252,9 +240,8 @@ __attribute__((target("avx2"))) bool screen4(const float* p, std::size_t s,
   return true;
 }
 
-__attribute__((target("avx2"))) bool in_range_avx2(const float* x,
-                                                   std::size_t n,
-                                                   float bound) noexcept {
+FTT_TARGET_AVX2 bool in_range_avx2(const float* x, std::size_t n,
+                                   float bound) noexcept {
   const __m256 absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
   const __m256 vb = _mm256_set1_ps(bound);
   const __m256 inf = _mm256_set1_ps(INFINITY);
@@ -273,16 +260,17 @@ __attribute__((target("avx2"))) bool in_range_avx2(const float* x,
   return true;
 }
 
-#endif  // FTT_SIMD_SCREEN
+#endif  // FTT_SIMD_X86
 
 }  // namespace
 
 std::uint64_t log_product_screen(const float* p, std::size_t s,
                                  std::size_t n, const double* rhs,
                                  double thr) noexcept {
-#ifdef FTT_SIMD_SCREEN
+#ifdef FTT_SIMD_X86
   // n bound: the int32 biased-exponent sums stay below 2^31.
-  if (s % 4 != 0 || s > 64 || n >= (std::size_t{1} << 22) || !avx2_active()) {
+  if (s % 4 != 0 || s > 64 || n >= (std::size_t{1} << 22) ||
+      numeric::simd_level() < numeric::SimdLevel::kAvx2) {
     return 0;
   }
   std::uint64_t pass = 0, bits = 0;
@@ -305,8 +293,10 @@ std::uint64_t log_product_screen(const float* p, std::size_t s,
 }
 
 bool scores_in_range(const float* x, std::size_t n, float bound) noexcept {
-#ifdef FTT_SIMD_SCREEN
-  if (avx2_active()) return in_range_avx2(x, n, bound);
+#ifdef FTT_SIMD_X86
+  if (numeric::simd_level() >= numeric::SimdLevel::kAvx2) {
+    return in_range_avx2(x, n, bound);
+  }
 #endif
   for (std::size_t i = 0; i < n; ++i) {
     if (!std::isfinite(x[i]) || std::fabs(x[i]) > bound) return false;

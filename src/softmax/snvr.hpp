@@ -60,8 +60,8 @@ std::optional<double> log_product(const float* p, std::size_t stride,
 /// screens").  A clear bit decides nothing; the caller runs its scalar body
 /// for that class.  Returns 0 — every class to the scalar body — when the
 /// row holds a zero, subnormal, negative or non-finite lane, when s is not
-/// a multiple of 4 or above 64, when n ≥ 2^22, or when AVX2 is not
-/// compiled in (FTT_SIMD) or not supported by the CPU.
+/// a multiple of 4 or above 64, when n ≥ 2^22, or below the AVX2 tier of
+/// numeric::simd_level().
 std::uint64_t log_product_screen(const float* p, std::size_t s,
                                  std::size_t n, const double* rhs,
                                  double thr) noexcept;

@@ -6,11 +6,7 @@
 #include <cstdint>
 #include <limits>
 
-#if defined(FTT_SIMD) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define FTT_SIMD_SOFTMAX 1
-#include <immintrin.h>
-#endif
+#include "numeric/simd.hpp"
 
 namespace ftt::softmax {
 
@@ -79,23 +75,11 @@ __attribute__((always_inline)) inline float expf_ref(float x) noexcept {
   return static_cast<float>(y * s);
 }
 
-#ifdef FTT_SIMD_SOFTMAX
-
-bool avx2_active() noexcept {
-  static const bool active = __builtin_cpu_supports("avx2");
-  return active;
-}
-
-bool avx2_fma_active() noexcept {
-  static const bool active =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  return active;
-}
+#ifdef FTT_SIMD_X86
 
 /// Eight interleaved serial chains: vmaxps(x, acc) is (x > acc) ? x : acc,
 /// exactly std::max(acc, x) per lane.
-__attribute__((target("avx2"))) float row_max_avx2(const float* x,
-                                                   std::size_t n) noexcept {
+FTT_TARGET_AVX2 float row_max_avx2(const float* x, std::size_t n) noexcept {
   __m256 acc = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) acc = _mm256_max_ps(_mm256_loadu_ps(x + i), acc);
@@ -107,13 +91,12 @@ __attribute__((target("avx2"))) float row_max_avx2(const float* x,
 }
 
 /// expf_ref compiled with FMA: the single-value entry.
-__attribute__((target("fma"))) float expf_fma(float x) noexcept {
+FTT_TARGET_AVX2 float expf_fma(float x) noexcept {
   return expf_ref(x);
 }
 
 /// expf_ref's polynomial path on four lanes, op for op in __m256d.
-__attribute__((target("avx2,fma"))) inline __m128 exp4_avx2(
-    __m128 x) noexcept {
+FTT_TARGET_AVX2 inline __m128 exp4_avx2(__m128 x) noexcept {
   const __m256d inv = _mm256_set1_pd(kInvLn2N);
   const __m256d shift = _mm256_set1_pd(kShift);
   const __m256d xd = _mm256_cvtps_pd(x);
@@ -133,8 +116,8 @@ __attribute__((target("avx2,fma"))) inline __m128 exp4_avx2(
 
 /// out[0..8) = exp(x[0..8) - m); `out` may equal `x`.  Lanes off the
 /// polynomial path are recomputed by the scalar reference.
-__attribute__((target("avx2,fma"))) inline void exp8_avx2(
-    const float* x, __m256 m, float* out) noexcept {
+FTT_TARGET_AVX2 inline void exp8_avx2(const float* x, __m256 m,
+                                      float* out) noexcept {
   const __m256 d = _mm256_sub_ps(_mm256_loadu_ps(x), m);
   const __m256 in_range =
       _mm256_and_ps(_mm256_cmp_ps(d, _mm256_set1_ps(kExpLo), _CMP_GE_OQ),
@@ -155,8 +138,8 @@ __attribute__((target("avx2,fma"))) inline void exp8_avx2(
 
 /// Full 8-lane groups, then the ragged tail padded with m (exp(0) lanes)
 /// through the same lanes.
-__attribute__((target("avx2,fma"))) void exp_shifted_avx2(
-    const float* x, float m, float* out, std::size_t n) noexcept {
+FTT_TARGET_AVX2 void exp_shifted_avx2(const float* x, float m, float* out,
+                                     std::size_t n) noexcept {
   const __m256 mv = _mm256_set1_ps(m);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) exp8_avx2(x + i, mv, out + i);
@@ -169,7 +152,7 @@ __attribute__((target("avx2,fma"))) void exp_shifted_avx2(
   }
 }
 
-#endif  // FTT_SIMD_SOFTMAX
+#endif  // FTT_SIMD_X86
 
 /// One softmax evaluation of `src` into `dst` with fault hooks.  The EXP
 /// hooks fire after the row's bulk exp, per element in column order.
@@ -213,8 +196,8 @@ bool rowsums_near_one(const MatrixF& p, float eps) {
 }  // namespace
 
 float row_max(const float* x, std::size_t n) noexcept {
-#ifdef FTT_SIMD_SOFTMAX
-  if (n >= 8 && avx2_active()) {
+#ifdef FTT_SIMD_X86
+  if (n >= 8 && numeric::simd_level() >= numeric::SimdLevel::kAvx2) {
     const float m = row_max_avx2(x, n);
     if (m != 0.0f) return m;
   }
@@ -228,15 +211,17 @@ void exp_shifted_scalar(const float* x, float m, float* out,
 }
 
 float exp_shifted(float x, float m) noexcept {
-#ifdef FTT_SIMD_SOFTMAX
-  if (avx2_fma_active()) return expf_fma(x - m);
+#ifdef FTT_SIMD_X86
+  if (numeric::simd_level() >= numeric::SimdLevel::kAvx2) {
+    return expf_fma(x - m);
+  }
 #endif
   return expf_ref(x - m);
 }
 
 void exp_shifted(const float* x, float m, float* out, std::size_t n) noexcept {
-#ifdef FTT_SIMD_SOFTMAX
-  if (avx2_fma_active()) {
+#ifdef FTT_SIMD_X86
+  if (numeric::simd_level() >= numeric::SimdLevel::kAvx2) {
     exp_shifted_avx2(x, m, out, n);
     return;
   }

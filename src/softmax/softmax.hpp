@@ -34,7 +34,7 @@ void exp_shifted(const float* x, float m, float* out, std::size_t n) noexcept;
 float exp_shifted(float x, float m) noexcept;
 /// The scalar reference both forms equal: expf's algorithm written out with
 /// std::fma at libm's contractions.  The path of FTT_SIMD=OFF builds and
-/// pre-AVX2 CPUs.
+/// of CPUs below the AVX2 tier (numeric/simd.hpp).
 void exp_shifted_scalar(const float* x, float m, float* out,
                         std::size_t n) noexcept;
 

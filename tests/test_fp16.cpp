@@ -8,6 +8,7 @@
 
 #include "numeric/bits.hpp"
 #include "numeric/fp16.hpp"
+#include "numeric/simd.hpp"
 
 namespace fn = ftt::numeric;
 
@@ -142,8 +143,8 @@ TEST(Fp16Bulk, ExhaustiveSimdMatchesScalarAllHalfPatterns) {
   // must round-trip identically through the scalar and SIMD paths: widening
   // bit-equal, and the widened values narrowing back bit-equal (the SIMD
   // narrow canonicalizes NaN payloads exactly like the scalar path).
-  if (!fn::simd_fp16_active()) {
-    GTEST_SKIP() << "F16C/AVX2 unavailable (or FTT_SIMD=OFF): SIMD leg skipped";
+  if (fn::simd_level() == fn::SimdLevel::kScalar) {
+    GTEST_SKIP() << "below the AVX2 tier (or FTT_SIMD=OFF): SIMD leg skipped";
   }
   std::vector<fn::Half> halves(65536);
   for (std::uint32_t h = 0; h < 65536; ++h) {
@@ -165,8 +166,8 @@ TEST(Fp16Bulk, ExhaustiveSimdMatchesScalarAllHalfPatterns) {
 }
 
 TEST(Fp16Bulk, SimdNarrowMatchesScalarOnHardFloats) {
-  if (!fn::simd_fp16_active()) {
-    GTEST_SKIP() << "F16C/AVX2 unavailable (or FTT_SIMD=OFF): SIMD leg skipped";
+  if (fn::simd_level() == fn::SimdLevel::kScalar) {
+    GTEST_SKIP() << "below the AVX2 tier (or FTT_SIMD=OFF): SIMD leg skipped";
   }
   // Random floats across the interesting magnitude range plus crafted
   // boundary patterns: RTNE ties, the overflow cliff, subnormal cliff,

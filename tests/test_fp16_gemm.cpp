@@ -18,9 +18,10 @@
 //
 // The single-pass sealed-tile encodes (abft::StridedAbft::*_strided_h) sit
 // on the same axpy_f32_h order, so their parity with the widened-image
-// encodes is proved here too.  The int8 tier's fused dequantizing GEMM
+// encodes is proved here too.  The int8 format's fused dequantizing GEMM
 // (numeric::gemm_f32_nn_i8), which carries the block kernel's GEMM II on
-// int8 tiles, gets the scalar and widen-then-dispatch checks at the block
+// int8 tiles, runs the same register tiles: it joins the ragged-shape and
+// output-stride grids, and gets the widen-then-dispatch check at the block
 // kernel's shapes.
 
 #include <gtest/gtest.h>
@@ -94,6 +95,33 @@ bool bits_equal(const MatrixH& a, const MatrixH& b) {
                      a.rows() * a.cols() * sizeof(Half)) == 0;
 }
 
+/// int8 as one more B-operand format of a shape: the dispatching
+/// dequantizing GEMM against its scalar reference over the same A and C0,
+/// with a random int8 B, at row stride ldc, leaving the gutter columns
+/// [N, ldc) untouched.
+void expect_i8_matches_scalar(const std::vector<float>& A, std::size_t M,
+                              std::size_t K, std::size_t N, std::size_t ldc,
+                              const std::vector<float>& C0, bool accumulate,
+                              std::uint64_t seed) {
+  const float scale = std::ldexp(1.0f, -6);
+  const auto B8 = random_i8(K * N, seed);
+  std::vector<float> c_simd = C0, c_ref = C0;
+  fn::gemm_f32_nn_i8(A.data(), M, K, B8.data(), N, scale, c_simd.data(), ldc,
+                     accumulate);
+  fn::gemm_f32_nn_i8_scalar(A.data(), M, K, B8.data(), N, scale, c_ref.data(),
+                            ldc, accumulate);
+  ASSERT_EQ(0, std::memcmp(c_simd.data(), c_ref.data(),
+                           M * ldc * sizeof(float)))
+      << "gemm_f32_nn_i8 diverged from scalar at M=" << M << " K=" << K
+      << " N=" << N << " ldc=" << ldc << " acc=" << accumulate;
+  for (std::size_t r = 0; r < M; ++r) {
+    for (std::size_t c = N; c < ldc; ++c) {
+      ASSERT_EQ(C0[r * ldc + c], c_ref[r * ldc + c])
+          << "int8 gutter column written at (" << r << ", " << c << ")";
+    }
+  }
+}
+
 }  // namespace
 
 TEST(Fp16Gemm, WideningBitParityExhaustiveOverAllPatterns) {
@@ -148,10 +176,12 @@ TEST(Fp16Gemm, AxpyHalfMatchesScalarBitwiseOnRaggedLengths) {
 }
 
 TEST(Fp16Gemm, GemmHalfMatchesScalarBitwiseOnRaggedShapes) {
-  // Shapes cover the tile structure of the fused kernel: M crossing the
+  // Shapes cover the tile structure of the fused kernels: M crossing the
   // 4-row tiles and their single-row remainder, N crossing the vector
   // panels and their scalar tails, K tiny and non-power-of-two, both fresh
-  // and accumulating outputs — plus the block kernel's decode shapes.
+  // and accumulating outputs — plus the block kernel's decode shapes.  The
+  // fp16 and int8 B-operand formats run the same tiles, so each shape runs
+  // both.
   std::vector<Shape> shapes = {{1, 64, 64},  {1, 64, 8},  {3, 16, 33},
                                {2, 1, 1},    {5, 7, 31},  {4, 64, 65},
                                {1, 48, 127}, {8, 13, 96}, {2, 100, 40},
@@ -174,11 +204,13 @@ TEST(Fp16Gemm, GemmHalfMatchesScalarBitwiseOnRaggedShapes) {
                                sh.M * sh.N * sizeof(float)))
           << "gemm_f32_nnh diverged from scalar at M=" << sh.M
           << " K=" << sh.K << " N=" << sh.N << " acc=" << accumulate;
+      ASSERT_NO_FATAL_FAILURE(expect_i8_matches_scalar(
+          A, sh.M, sh.K, sh.N, sh.N, C0, accumulate, 100000 + seed));
     }
   }
-  // The int8 tier's fused dequantizing GEMM carries the block kernel's
-  // GEMM II on int8 tiles: the same decode shapes at one row and a full
-  // 64-row block, against its scalar reference.
+  // The int8 format's fused dequantizing GEMM carries the block kernel's
+  // GEMM II on int8 tiles: the decode shapes at one row and a full 64-row
+  // block, against its scalar reference.
   const float scale = std::ldexp(1.0f, -6);
   for (const Shape& sh : decode_shapes({1, 64})) {
     for (const bool accumulate : {false, true}) {
@@ -199,12 +231,13 @@ TEST(Fp16Gemm, GemmHalfMatchesScalarBitwiseOnRaggedShapes) {
 }
 
 TEST(Fp16Gemm, GemmHalfHonorsOutputStride) {
-  // ldc > N: the fused kernel must leave the gutter columns untouched and
+  // ldc > N: the fused kernels must leave the gutter columns untouched and
   // match the scalar reference on the written ones.  M = 6 runs one 4-row
   // tile plus two single rows over the strided output; the grid after it
   // puts M across the 8-row tiles, the 4-row tiles and the single-row
   // remainder, and N across one to three 8-column panels and a 32-column
-  // panel plus one or two of them, at decode's K = 64.
+  // panel plus one or two of them, at decode's K = 64.  Each shape runs
+  // the fp16 and the int8 B-operand formats.
   struct StridedShape {
     std::size_t M, K, N, ldc;
   };
@@ -236,6 +269,8 @@ TEST(Fp16Gemm, GemmHalfHonorsOutputStride) {
               << "gutter column written at (" << r << ", " << c << ")";
         }
       }
+      ASSERT_NO_FATAL_FAILURE(expect_i8_matches_scalar(
+          A, sh.M, sh.K, sh.N, sh.ldc, C0, accumulate, 100000 + seed));
     }
   }
 }

@@ -27,6 +27,7 @@
 #include "fault/fault.hpp"
 #include "numeric/fp16.hpp"
 #include "numeric/gemm_simd.hpp"
+#include "numeric/simd.hpp"
 #include "sim/mma.hpp"
 #include "tensor/tensor.hpp"
 
@@ -154,18 +155,20 @@ TEST(GemmSimd, TransposeIsExactDataMovement) {
 }
 
 TEST(GemmSimd, SimGemmNtMatchesSequentialDotReference) {
-  // The sim::gemm_f32_nt entry point (pack-B + dispatch when SIMD is
-  // active) against the sequential-K dot loop it documents — the same
-  // reference test_mma pins gemm_fp16_nt to via the MMA atom chain.
+  // The sim::gemm_f32_nt entry point (pack B, then dispatch) against the
+  // sequential-K dot loop it documents — the same reference test_mma pins
+  // gemm_fp16_nt to via the MMA atom chain.  C starts nonzero, so a fresh
+  // product must overwrite it, K = 0 included.
   struct Shape {
     std::size_t M, K, N;
   };
-  const Shape shapes[] = {{1, 64, 64}, {3, 64, 8}, {64, 64, 64}, {5, 16, 9}};
+  const Shape shapes[] = {
+      {1, 64, 64}, {3, 64, 8}, {64, 64, 64}, {5, 16, 9}, {4, 0, 9}};
   std::uint64_t seed = 21;
   for (const auto& sh : shapes) {
     const auto A = random_fp16_values(sh.M * sh.K, seed++);
     const auto B = random_fp16_values(sh.N * sh.K, seed++);  // N x K
-    ftt::tensor::MatrixF C(sh.M, sh.N);
+    ftt::tensor::MatrixF C(sh.M, sh.N, 7.0f);
     ftt::sim::gemm_f32_nt(A.data(), sh.M, sh.K, B.data(), sh.N, C);
     for (std::size_t m = 0; m < sh.M; ++m) {
       for (std::size_t n = 0; n < sh.N; ++n) {
@@ -233,13 +236,20 @@ TEST(GemmSimd, StridedEncodesMatchScalarReferenceAndKeepHookOrder) {
 }
 
 TEST(GemmSimd, DispatchReportsConsistentState) {
-  // The AVX-512 predicate implies the general one, and on x86-64 CI with
-  // FTT_SIMD on, simd_gemm_active() should match the CPU's AVX2+FMA
-  // support (informational on other configs: the scalar fallback is the
-  // semantic definition either way).
-  if (fn::simd_gemm_avx512_active()) {
-    EXPECT_TRUE(fn::simd_gemm_active());
+  // simd_level() is the one tier every dispatcher reads.  On x86-64 builds
+  // with FTT_SIMD it must match the CPU: kAvx2 needs AVX2, FMA and F16C,
+  // and kAvx512 additionally AVX-512F on an FTT_SIMD_AVX512 build.  Every
+  // other build runs the scalar references.
+  fn::SimdLevel want = fn::SimdLevel::kScalar;
+#if defined(FTT_SIMD) && defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+      __builtin_cpu_supports("f16c")) {
+    want = fn::SimdLevel::kAvx2;
+#ifdef FTT_SIMD_AVX512
+    if (__builtin_cpu_supports("avx512f")) want = fn::SimdLevel::kAvx512;
+#endif
   }
-  SUCCEED() << "simd_gemm_active=" << fn::simd_gemm_active()
-            << " avx512=" << fn::simd_gemm_avx512_active();
+#endif
+  EXPECT_EQ(want, fn::simd_level())
+      << "simd_level=" << fn::simd_level_name(fn::simd_level());
 }

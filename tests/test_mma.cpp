@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/mma.hpp"
 #include "tensor/random.hpp"
@@ -205,6 +206,31 @@ TEST(GemmFp16, RejectsWrongOutputShape) {
   ft::MatrixH A(4, 64), B(64, 64);
   ft::MatrixF C(2, 8);
   EXPECT_THROW(fs::gemm_fp16_nt(A, B, C), std::invalid_argument);
+}
+
+TEST(GemmF32H, RejectsMismatchedK) {
+  // B has 32 rows against A's K = 64: the call must throw before it widens
+  // K x N halves of a B that holds fewer, and leave C as it was.
+  ft::MatrixF A(4, 64, 1.0f);
+  ft::MatrixH B(32, 8);
+  ft::MatrixF C(4, 8, 3.0f);
+  EXPECT_THROW(fs::gemm_f32h_nn(A, B, C), std::invalid_argument);
+  EXPECT_THROW(fs::gemm_f32h_nn(A, B, C, true), std::invalid_argument);
+  for (std::size_t i = 0; i < C.size(); ++i) EXPECT_EQ(C.data()[i], 3.0f);
+}
+
+TEST(GemmF32H, RejectsWrongOutputShape) {
+  // A 4 x 64 times B 64 x 8 needs a 4 x 8 C; a C of any other shape,
+  // shorter, narrower, taller or wider, must be rejected unwritten.
+  ft::MatrixF A(4, 64, 1.0f);
+  ft::MatrixH B(64, 8);
+  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{2, 8},
+                                   {4, 4}, {8, 8}, {4, 16}}) {
+    ft::MatrixF C(rows, cols, 3.0f);
+    EXPECT_THROW(fs::gemm_f32h_nn(A, B, C), std::invalid_argument)
+        << rows << " x " << cols;
+    for (std::size_t i = 0; i < C.size(); ++i) EXPECT_EQ(C.data()[i], 3.0f);
+  }
 }
 
 TEST(GemmF32H, RoundsLeftOperandThroughHalf) {

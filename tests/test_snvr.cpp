@@ -7,7 +7,7 @@
 #include <random>
 #include <vector>
 
-#include "numeric/int8_simd.hpp"
+#include "numeric/simd.hpp"
 #include "softmax/snvr.hpp"
 
 namespace fm = ftt::softmax;
@@ -245,9 +245,10 @@ std::size_t check_screen(const std::vector<float>& row, std::size_t s,
   return passed;
 }
 
-/// True when the build and CPU run the AVX2 screen: the int8 kernels
-/// dispatch on the same two conditions (FTT_SIMD compiled in, AVX2 present).
-bool screen_active() { return ftt::numeric::simd_int8_active(); }
+/// True when the build and CPU run the AVX2 screen.
+bool screen_active() {
+  return ftt::numeric::simd_level() >= ftt::numeric::SimdLevel::kAvx2;
+}
 
 }  // namespace
 
