@@ -13,6 +13,9 @@
 //   block   efta_decode_block: {kF16 raw slice, kF16T pool, kI8 pool}
 //           x n {1, 7, 63, 64, 65, 128, 129, 200, 300} x rows {1, 5, 37, 64}
 //   linear  sealed Linear::forward, protected, over 1, 7 and 56 rows
+//   batch   efta_decode_batch over one mixed batch: a raw slice, a kF16T
+//           pool, a kF16 pool without images (memo + widen) and a kI8 pool,
+//           with 1- to 64-row blocks
 // Every configuration runs clean, under an unarmed probe, under single flips
 // (each hook site, bits {30, 26, 20, 3, 31}, four call indices spread over
 // the probe's ordinal space) and under a Bernoulli 1e-4 campaign.
@@ -159,7 +162,8 @@ void efta_family(Family& fam) {
   }
 }
 
-/// A head's K/V context of n N(0, 1) tokens in one of three storages.
+/// A head's K/V context of n N(0, 1) tokens in one of four storages: raw
+/// contiguous rows, a kF16T pool, a kI8 pool, or a kF16 pool without images.
 struct Context {
   static constexpr std::size_t kD = 64;
   ft::MatrixH k, v;  ///< raw contiguous rows
@@ -180,7 +184,7 @@ struct Context {
     const bool i8 = storage == 2;
     pool = std::make_unique<fs::TilePool>(fs::TilePoolOptions{
         1, 1, kD, 0, fb::StridedAbft::kDefaultStride,
-        i8 ? fc::ImagePolicy::kNone : fc::ImagePolicy::kF16T});
+        storage == 1 ? fc::ImagePolicy::kF16T : fc::ImagePolicy::kNone});
     cache = std::make_unique<fs::PagedKvCache>(
         *pool, i8 ? fc::TileFmt::kI8 : fc::TileFmt::kF16);
     if (!cache->ensure_capacity(n)) std::abort();
@@ -220,6 +224,41 @@ void block_family(Family& fam) {
   }
 }
 
+void batch_family(Family& fam) {
+  constexpr std::size_t kD = Context::kD;
+  struct Item {
+    int storage;
+    std::size_t n, rows;
+  };
+  const Item spec[] = {{0, 300, 1}, {1, 200, 5}, {3, 129, 64}, {2, 300, 37},
+                       {1, 65, 1}};
+  std::vector<std::unique_ptr<Context>> ctx;
+  std::vector<std::vector<Half>> q;
+  for (const Item& s : spec) {
+    ctx.push_back(std::make_unique<Context>(s.n, s.storage, 600 + s.n));
+    q.emplace_back(s.rows * kD);
+    std::mt19937_64 rng(950 + s.n * 64 + s.rows);
+    std::normal_distribution<float> dist(0.0f, 1.0f);
+    for (Half& h : q.back()) h = Half(dist(rng));
+  }
+  campaign(fam, kAttentionSites, [&](ff::FaultInjector* inj) {
+    std::vector<std::vector<float>> out;
+    std::vector<fc::DecodeWorkItem> items;
+    for (std::size_t i = 0; i < std::size(spec); ++i) {
+      out.emplace_back(spec[i].rows * kD);
+      items.push_back(fc::DecodeWorkItem{ctx[i]->slice(), q[i].data(),
+                                         out[i].data(), spec[i].rows});
+    }
+    std::vector<fa::FtReport> per_item(items.size());
+    const fa::FtReport total = fc::efta_decode_batch(items, {}, inj, per_item);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      fam.fnv.floats(out[i].data(), out[i].size());
+      add(fam.fnv, per_item[i]);
+    }
+    add(fam.fnv, total);
+  });
+}
+
 void linear_family(Family& fam) {
   const fx::Linear lin(128, 128, 41);
   for (const std::size_t m : {1u, 7u, 56u}) {
@@ -242,12 +281,15 @@ void linear_family(Family& fam) {
 }  // namespace
 
 int main() {
-  Family efta{"efta", {}}, block{"block", {}}, linear{"linear", {}};
+  Family efta{"efta", {}}, block{"block", {}}, linear{"linear", {}},
+      batch{"batch", {}};
   efta_family(efta);
   block_family(block);
   linear_family(linear);
+  batch_family(batch);
   efta.print();
   block.print();
   linear.print();
+  batch.print();
   return 0;
 }

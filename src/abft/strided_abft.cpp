@@ -525,35 +525,36 @@ Report StridedAbft::apply(const float* A, std::size_t M, const Sealed& B,
   numeric::gemm_f32_nnh(A, M, K, B.checksums.data(), ld, chk.data(), ld,
                         /*accumulate=*/false);
 
-  // Under an injector, re-derive each tile's two encodings from the image
-  // so the checksum-pipeline hooks fire per call, in the per-call order (c1
-  // then c2, each jc-major over k), then the tile's checksum-GEMM hooks.
-  // Unflipped encodings equal the sealed columns, and so does their GEMM;
-  // a flip that lands in them recomputes the tile's GEMM from them.
-  std::vector<float> sums(inj ? K * w : 0), tile;
+  // The sealed columns are memory, so under an injector each tile skip()s
+  // the kChecksum hooks its two per-call encodings would fire (c1 then c2,
+  // each jc-major over k).  Only a tile one of whose encode hooks would flip
+  // re-derives the encodings from the image, passes them through the hooks
+  // and recomputes its checksum GEMM from them.  Then come the hooks on the
+  // tile's checksum-GEMM outputs.
+  std::vector<float> sums, tile;
   std::vector<Half> enc;
   Report rep;
   for (std::size_t t = 0; t < tiles; ++t) {
     float* ct = chk.data() + t * w;
     std::size_t ldt = ld;
-    if (inj) {
+    if (inj && !inj->skip(fault::Site::kChecksum, K * w)) {
+      sums.resize(K * w);
       tile_sums(B.image, t, s, sums.data());
-      const std::size_t flips = inj->injected();
       for (std::size_t col = 0; col < w; ++col) {
         for (std::size_t k = 0; k < K; ++k) {
           float& v = sums[k * w + col];
           v = inj->corrupt(fault::Site::kChecksum, v);
         }
       }
-      if (inj->injected() != flips) {
-        enc.resize(K * w);
-        tile.resize(M * w);
-        numeric::floats_to_halves(sums.data(), enc.data(), K * w);
-        numeric::gemm_f32_nnh(A, M, K, enc.data(), w, tile.data(), w,
-                              /*accumulate=*/false);
-        ct = tile.data();
-        ldt = w;
-      }
+      enc.resize(K * w);
+      tile.resize(M * w);
+      numeric::floats_to_halves(sums.data(), enc.data(), K * w);
+      numeric::gemm_f32_nnh(A, M, K, enc.data(), w, tile.data(), w,
+                            /*accumulate=*/false);
+      ct = tile.data();
+      ldt = w;
+    }
+    if (inj) {
       for (std::size_t i = 0; i < M; ++i) {
         float* row = ct + i * ldt;
         for (std::size_t j = 0; j < s; ++j) {

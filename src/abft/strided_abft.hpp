@@ -128,10 +128,12 @@ struct StridedAbft {
   /// Fully protected C = A * B^T over a sealed B.  A is M x K fp32 holding
   /// fp16 values (the widened tensor-core operand, dense); C must be M x N.
   /// One GEMM over the image, `gemm_site` hooks on every output, one GEMM
-  /// over the sealed checksum columns, then a per-tile verify.  Under any
-  /// injector (armed or a probe) each tile's two encodings are re-derived
-  /// from the image so the kChecksum hooks fire per call, in the per-call
-  /// order (tile; c1 then c2; jc; k; then the tile's checksum outputs).
+  /// over the sealed checksum columns, then a per-tile verify.  Under an
+  /// injector the sealed columns stand in for each tile's two per-call
+  /// encodings through FaultInjector::skip, in the per-call hook order
+  /// (tile; c1 then c2; jc; k; then the tile's checksum outputs); only a
+  /// tile one of whose encode hooks would flip re-derives its encodings
+  /// from the image and passes them through the kChecksum hooks.
   static Report apply(const float* A, std::size_t M, const Sealed& B,
                       tensor::MatrixF& C, float relative_threshold,
                       fault::FaultInjector* inj, fault::Site gemm_site);

@@ -28,6 +28,10 @@ std::size_t& tiles_materialized() noexcept {
   thread_local std::size_t count = 0;
   return count;
 }
+std::size_t& tiles_encoded() noexcept {
+  thread_local std::size_t count = 0;
+  return count;
+}
 }  // namespace testing
 
 namespace {
@@ -90,15 +94,18 @@ void validate_item(const DecodeWorkItem& it, const EftaOptions& opt) {
 /// which is bit-identical to the former memcpy-and-convert-per-GEMM path
 /// because fp16 -> fp32 widening is exact and the MAC order is unchanged.
 /// When the slice carries memoized per-tile checksum encodings (serve::
-/// TilePool seals them once per full tile), clean runs consume those instead
+/// TilePool seals them once per full tile), the kernel consumes those instead
 /// of re-deriving all four encodings per call, dropping the per-token encode
 /// cost from O(context) to O(tail).
 ///
 /// Three tiers per tile, fastest first: a sealed int8 tile streams its
 /// quantized payload through the fused dequantizing kernels; a sealed fp16
 /// tile with an f16t image streams Half operands through the fused
-/// fp16-operand kernels; everything else (the ragged tail, an armed
-/// injector, a memo built at another stride) widens the tile per call.
+/// fp16-operand kernels; everything else (the ragged tail, a memo built at
+/// another stride, a sealed tile whose encode hooks would flip) widens the
+/// tile per call.  An injector changes hooks, never a tier: a sealed tile
+/// stays on its tier whenever `skip` vouches that none of the encode hooks
+/// its memo stands in for would flip.
 FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
                      fault::FaultInjector* inj) {
   const std::size_t n = it.kv.n, d = it.kv.d, R = it.q_len;
@@ -112,12 +119,15 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
   const std::size_t os = it.out_stride == 0 ? d : it.out_stride;
   FtReport rep;
 
-  // Memoized encodings are only usable on clean runs — an armed (or call-
-  // counting) injector must observe the per-call encode hooks — and only
-  // when they were built with this call's checksum stride.
-  const bool cache_ok = inj == nullptr && it.kv.k_c1 != nullptr &&
-                        it.kv.k_c2 != nullptr && it.kv.v_c1 != nullptr &&
-                        it.kv.v_c2 != nullptr && it.kv.enc_stride == s;
+  // Memoized encodings are usable when they were built with this call's
+  // checksum stride.  They are sealed memory, which the fault model treats
+  // as ECC-protected; under an injector a tile's memo stands in for its four
+  // fresh encodes (2sd + 2Bs kChecksum hooks) only when skip() vouches that
+  // none of those hooks would flip.
+  const bool cache_ok = it.kv.k_c1 != nullptr && it.kv.k_c2 != nullptr &&
+                        it.kv.v_c1 != nullptr && it.kv.v_c2 != nullptr &&
+                        it.kv.enc_stride == s;
+  const std::uint64_t enc_calls = 2 * su * d + 2 * B * su;
 
   // Pre-scaled fp16 queries (the MMA operand rows), exactly as decode does
   // per token, then widened once: every GEMM below consumes the exact fp32
@@ -145,8 +155,9 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
   std::vector<Half> ktail(B * d), vtail(B * d);
   // Per-tile fp32 operand images (one bulk conversion each per tile).
   std::vector<float> kf(B * d), vf(B * d);
-  // k-major scratch for the int8 fallback path (injector armed): the stored
-  // K^T payload dequantizes here, then transposes to logical rows in kf.
+  // k-major scratch for the int8 fallback path (a flipping encode hook or a
+  // memo mismatch): the stored K^T payload dequantizes here, then
+  // transposes to logical rows in kf.
   std::vector<float> ktf;
   std::vector<float> kc1f(su * d), kc2f(su * d), vc1f(B * su), vc2f(B * su);
   // GEMM II scratch for one tile: the fp16-rounded softmax weights of the
@@ -165,13 +176,17 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
     const bool is_i8 = it.kv.fmt != nullptr && it.kv.fmt[j] == TileFmt::kI8;
     const Half* kt = is_i8 ? nullptr : it.kv.k_tiles[j];
     const Half* vt = is_i8 ? nullptr : it.kv.v_tiles[j];
+    // The skip sits where the tile's encode hooks would fire, before any
+    // other hook of the tile.
+    const bool sealed =
+        cache_ok && full && it.kv.k_c1[j] != nullptr &&
+        (inj == nullptr || inj->skip(fault::Site::kChecksum, enc_calls));
     // The kF16T image: K-side operands pre-transposed at seal but kept at
     // half width; the fused fp16-operand kernels widen them in registers.
     // V-side operands need no image — the slab's V tile and sealed column
     // checksums are already the k-major B operands GEMM II streams.
-    const Half* himg = (cache_ok && full && it.kv.f16t != nullptr)
-                           ? it.kv.f16t[j]
-                           : nullptr;
+    const Half* himg =
+        (sealed && it.kv.f16t != nullptr) ? it.kv.f16t[j] : nullptr;
     const float* vsrc = nullptr;   // GEMM II operand, B x d row-major fp32
     const float* vc1src = nullptr; // V column checksums, B x su fp32
     const float* vc2src = nullptr;
@@ -184,7 +199,7 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
     // quantized V rows directly instead of vsrc.
     const std::int8_t* vsrc8 = nullptr;
     float vscale = 1.0f;
-    if (is_i8 && cache_ok && it.kv.k_c1[j] != nullptr) {
+    if (is_i8 && sealed) {
       // Int8 fast path — the quantized analogue of the f16t-image tier.
       // The stored payload is already k-major on the K side and the Half
       // encodings' K blocks are stored transposed, so nothing is packed
@@ -220,12 +235,12 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
       vc2H = it.kv.v_c2[j];
     } else {
       if (is_i8) {
-        // Int8 fallback (armed injector, or a memo mismatch): materialize
-        // the exactly-dequantized fp32 image — the stored K^T transposes
-        // back to logical rows — and run the generic widen-per-tile path
-        // with fresh encodes over it, bit-identical to the fused fast path
-        // above (dequantization is exact and transposition is pure data
-        // movement).
+        // Int8 fallback (a flipping encode hook, or a memo mismatch):
+        // materialize the exactly-dequantized fp32 image — the stored K^T
+        // transposes back to logical rows — and run the generic
+        // widen-per-tile path with fresh encodes over it, bit-identical to
+        // the fused fast path above (dequantization is exact and
+        // transposition is pure data movement).
         if (ktf.empty()) ktf.resize(B * d);
         numeric::dequantize_i8_to_f32(it.kv.k_i8[j], ktf.data(), B * d,
                                       it.kv.k_scale[j]);
@@ -253,7 +268,7 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
       // (per block — single-token decode re-encodes the tail per token, the
       // residual O(tail) work).
       const Half *kc1, *kc2, *vc1, *vc2;
-      if (cache_ok && full && it.kv.k_c1[j] != nullptr) {
+      if (sealed) {
         kc1 = it.kv.k_c1[j];
         kc2 = it.kv.k_c2[j];
         vc1 = it.kv.v_c1[j];
@@ -273,6 +288,7 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
         kc2 = ek2.data();
         vc1 = ev1.data();
         vc2 = ev2.data();
+        ++testing::tiles_encoded();
       }
       numeric::halves_to_floats(kc1, kc1f.data(), su * d);
       numeric::halves_to_floats(kc2, kc2f.data(), su * d);
@@ -512,6 +528,28 @@ FtReport efta_decode_step(const MatrixH& k_cache, const MatrixH& v_cache,
   return efta_decode_step(kv, q, out, opt, inj);
 }
 
+namespace {
+
+/// Validate every item before any computes: an exception must not be raised
+/// inside an OpenMP worksharing region (that would terminate the process),
+/// and a malformed batch must throw before any item writes its output or
+/// fires a hook.  `owned(i)` picks the items to check.
+template <typename Owned>
+void validate_items(std::span<const DecodeWorkItem> items,
+                    const EftaOptions& opt, Owned owned) {
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (!owned(i)) continue;
+    try {
+      validate_item(items[i], opt);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("efta_decode_batch: item " +
+                                  std::to_string(i) + ": " + e.what());
+    }
+  }
+}
+
+}  // namespace
+
 FtReport efta_decode_batch(std::span<const DecodeWorkItem> items,
                            const EftaOptions& opt, fault::FaultInjector* inj,
                            std::span<FtReport> per_item) {
@@ -523,43 +561,30 @@ FtReport efta_decode_batch(std::span<const DecodeWorkItem> items,
   // costs a barrier per call, which a scheduler polling an empty queue pays
   // on every tick.
   if (items.empty()) return {};
-  // Validate every item up front: an exception must not be raised inside
-  // the OpenMP worksharing region (that would terminate the process).
+  validate_items(items, opt, [](std::size_t) { return true; });
+
+  // Every item runs in parallel.  An injector is stateful and call-order
+  // dependent, so under one each item speculates under its own unarmed
+  // probe; the walk below then replays the serial order.  Where none of an
+  // item's hook calls would flip, skip() advances the injector exactly as
+  // the serial run would have, and the speculative output and report are
+  // that run's bits (an unflipped hook returns its input).  Otherwise the
+  // item re-runs serially with the injector and overwrites both.
+  std::vector<FtReport> reps(items.size());
+  std::vector<fault::FaultInjector> probes(inj ? items.size() : 0);
+#pragma omp parallel for schedule(dynamic)
   for (std::size_t i = 0; i < items.size(); ++i) {
-    try {
-      validate_item(items[i], opt);
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument("efta_decode_batch: item " +
-                                  std::to_string(i) + ": " + e.what());
-    }
+    reps[i] = block_slice(items[i], opt, inj ? &probes[i] : nullptr);
   }
   FtReport total;
-
-  // Any non-null injector — armed or a calls()-counting probe — is
-  // deterministic, stateful, and not thread-safe, so it forces the serial
-  // path, exactly like efta_decode_block threading the same injector.
-  if (inj) {
-    for (std::size_t i = 0; i < items.size(); ++i) {
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (inj && !inj->skip(probes[i])) {
       const std::size_t before = inj->injected();
-      FtReport r = block_slice(items[i], opt, inj);
-      r.faults_injected = inj->injected() - before;
-      if (!per_item.empty()) per_item[i] = r;
-      total += r;
+      reps[i] = block_slice(items[i], opt, inj);
+      reps[i].faults_injected = inj->injected() - before;
     }
-    return total;
-  }
-
-#pragma omp parallel
-  {
-    FtReport local;
-#pragma omp for schedule(dynamic) nowait
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      FtReport r = block_slice(items[i], opt, nullptr);
-      if (!per_item.empty()) per_item[i] = r;
-      local += r;
-    }
-#pragma omp critical
-    total += local;
+    if (!per_item.empty()) per_item[i] = reps[i];
+    total += reps[i];
   }
   return total;
 }
@@ -595,18 +620,16 @@ FtReport efta_decode_batch(std::span<const DecodeWorkItem> items,
     throw std::invalid_argument(
         "efta_decode_batch: per_item size must match items");
   }
+  const auto owned = [&](std::size_t i) {
+    return shard.contains(item_heads[i]);
+  };
+  validate_items(items, opt, owned);
   // Serial over the shard's own items, in batch order — the same item order
-  // the unsharded serial path runs, so a stateful injector threaded through
+  // the unsharded batch replays, so a stateful injector threaded through
   // one shard observes its items exactly as the full batch would.
   FtReport total;
   for (std::size_t i = 0; i < items.size(); ++i) {
-    if (!shard.contains(item_heads[i])) continue;
-    try {
-      validate_item(items[i], opt);
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument("efta_decode_batch: item " +
-                                  std::to_string(i) + ": " + e.what());
-    }
+    if (!owned(i)) continue;
     const std::size_t before = inj ? inj->injected() : 0;
     FtReport r = block_slice(items[i], opt, inj);
     if (inj) r.faults_injected = inj->injected() - before;

@@ -94,9 +94,11 @@ struct KvSlice {
   /// array has tiles() entries; k_c1/k_c2 point at
   /// enc_stride x d row checksums and v_c1/v_c2 at kTileRows x enc_stride
   /// column checksums, all row-major fp16.  Entries for the unsealed ragged
-  /// tail are null.  The kernel consumes them on clean runs when enc_stride
-  /// matches its own stride option; an armed (or probing) fault injector
-  /// forces fresh per-call encodes so campaign hook counts stay stable.
+  /// tail are null.  The kernel consumes them when enc_stride matches its
+  /// own stride option.  They are sealed memory, not compute: under a fault
+  /// injector a tile's memo stands in for its per-call encode hooks
+  /// (FaultInjector::skip), and only a tile one of whose encode hooks would
+  /// flip is re-encoded per call, so campaign hook counts stay stable.
   const numeric::Half* const* k_c1 = nullptr;
   const numeric::Half* const* k_c2 = nullptr;
   const numeric::Half* const* v_c1 = nullptr;
@@ -111,8 +113,8 @@ struct KvSlice {
   /// registers (exact), so consuming the image is bit-identical to per-call
   /// widening; the V operands stream straight from v_tiles / v_c1 / v_c2,
   /// whose row-major layout is already GEMM II's k-major B operand.  Same
-  /// gating as the encodings: entries for unsealed tiles are null and an
-  /// armed injector bypasses the memo.
+  /// gating as the encodings: entries for unsealed tiles are null, and a
+  /// tile whose encode hooks would flip widens per call instead.
   const numeric::Half* const* f16t = nullptr;
 
   /// Optional per-tile storage formats (null == every tile is kF16, the
@@ -190,13 +192,18 @@ attention::FtReport efta_decode_step(const tensor::MatrixH& k_cache,
 /// Protected decode for a whole batch of independent (request, head) query
 /// blocks with heterogeneous context lengths and block sizes — single-token
 /// decode rows, speculative k-row blocks and 64-row prefill chunks mix
-/// freely in one call.  Items are OpenMP-parallel when `inj` is null; any
-/// injector — armed, or an unarmed probe counting per-site calls() — is
-/// stateful and forces the serial path, matching `efta_decode_block`.
+/// freely in one call.  Items are OpenMP-parallel, with or without an
+/// injector.  Under one, each item first runs under its own unarmed probe;
+/// the items are then replayed in batch order, keeping an item's result
+/// when FaultInjector::skip vouches that none of its hook calls would flip
+/// and re-running it serially with `inj` otherwise.  Outputs, reports,
+/// per-site calls() and events are therefore those of a serial loop of
+/// `efta_decode_block` over the items in order, bit for bit.
 /// Per-item reports are written to `per_item` when provided (size must
 /// match) and merged into the returned aggregate; each item's
-/// `faults_injected` counts only the flips placed while that item ran.  An
-/// empty batch returns a zeroed report without entering an OpenMP region.
+/// `faults_injected` counts only the flips placed while that item ran.
+/// Every item is validated before any runs.  An empty batch returns a
+/// zeroed report without entering an OpenMP region.
 attention::FtReport efta_decode_batch(
     std::span<const DecodeWorkItem> items, const EftaOptions& opt = {},
     fault::FaultInjector* inj = nullptr,
@@ -242,7 +249,7 @@ struct ShardSpec {
 /// uncovered slots are left untouched, so N shards with disjoint specs fill
 /// one shared per-item array without overlap and the slot-wise sum of their
 /// returned reports equals the unsharded batch report.  Item validation
-/// covers only the shard's own items.
+/// covers only the shard's own items, all of them before any runs.
 attention::FtReport efta_decode_batch(
     std::span<const DecodeWorkItem> items,
     std::span<const std::size_t> item_heads, const ShardSpec& shard,
@@ -255,6 +262,11 @@ namespace testing {
 /// tail tile may ever bump this — the property the zero-copy unit test pins
 /// down.  Test-only observability; not part of the serving API.
 std::size_t& tiles_materialized() noexcept;
+/// Thread-local count of KV tiles the kernel has checksum-encoded fresh
+/// since thread start: the ragged tail, plus any sealed tile whose memo
+/// cannot stand in for the encodes (another stride, or an encode hook that
+/// would flip).  Test-only observability, like tiles_materialized().
+std::size_t& tiles_encoded() noexcept;
 }  // namespace testing
 
 }  // namespace ftt::core

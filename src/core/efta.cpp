@@ -231,8 +231,9 @@ void row_sums(const MatrixF& P, std::vector<float>& sums) {
 struct SliceStage {
   attention::KvStage kv;  ///< K^T blocks + widened V, once per slice
   /// Widened checksum operands per KV block: Kc^T k-major (dim x s, block j
-  /// at j*dim*s) and Vc row-major (B x s, block j at j*B*s).  Clean runs
-  /// hold every block's; injected runs re-encode into block 0's slots.
+  /// at j*dim*s) and Vc row-major (B x s, block j at j*B*s), plus one spare
+  /// slot past the last block that a pair whose encode hooks would flip
+  /// re-encodes into.
   std::vector<float> kc1t, kc2t, vc1, vc2;
   std::vector<float> enc_tmp;  ///< s x dim widen scratch for the transposes
   std::vector<float> qf;       ///< current Q row block, widened
@@ -264,11 +265,12 @@ void encode_block(const Half* kb, const Half* vb, std::size_t B,
 }
 
 /// One (batch, head) slice.  The slice is staged once: K/V images via
-/// attention::KvStage, each Q row block widened once per row block, and —
-/// on clean runs — each KV block's checksum encodings derived once instead
-/// of once per (row-block, column-block) pair.  An armed (or call-counting)
-/// injector must observe the encode hooks of every pair, so injected runs
-/// re-encode per pair, keeping campaign call indices unchanged.  Every GEMM
+/// attention::KvStage, each Q row block widened once per row block, and
+/// each KV block's checksum encodings derived once instead of once per
+/// (row-block, column-block) pair.  The per-pair encode hooks still count:
+/// under an injector each pair skip()s them, and only a pair one of whose
+/// encode hooks would flip re-encodes through the hooks, into the spare
+/// slot, so campaign call indices do not move.  Every GEMM
 /// runs over the fp32 images through numeric::gemm_f32_nn in ascending-k
 /// order, and P rounds to fp16 once per pair for all of GEMM II's products,
 /// so the output is bit-identical to per-pair gemm_fp16_nt / gemm_f32h_nn.
@@ -290,14 +292,16 @@ FtReport efta_slice(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
   const Half* k = K.slice(bb, hh).data();
   const Half* v = V.slice(bb, hh).data();
   st.kv.stage(k, v, seq, dim, B);
-  const bool memo = strided && inj == nullptr;
+  // kChecksum hooks one pair's four encodes fire: Kc1, Kc2 (s x dim each)
+  // and Vc1, Vc2 (B x s each).
+  const std::uint64_t enc_calls = 2 * su * dim + 2 * B * su;
   if (strided) {
-    const std::size_t slots = memo ? nblk : 1;
+    const std::size_t slots = nblk + 1;
     st.kc1t.resize(slots * dim * su);
     st.kc2t.resize(slots * dim * su);
     st.vc1.resize(slots * B * su);
     st.vc2.resize(slots * B * su);
-    for (std::size_t j = 0; memo && j < nblk; ++j) {
+    for (std::size_t j = 0; j < nblk; ++j) {
       encode_block(k + j * B * dim, v + j * B * dim, B, dim, s, nullptr, st,
                    j);
     }
@@ -342,9 +346,9 @@ FtReport efta_slice(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
       const float *vc1 = nullptr, *vc2 = nullptr;
       if (strided) {
         std::size_t slot = j;
-        if (!memo) {
-          encode_block(k + c0 * dim, v + c0 * dim, B, dim, s, inj, st, 0);
-          slot = 0;
+        if (inj && !inj->skip(fault::Site::kChecksum, enc_calls)) {
+          encode_block(k + c0 * dim, v + c0 * dim, B, dim, s, inj, st, nblk);
+          slot = nblk;
         }
         kc1t = st.kc1t.data() + slot * dim * su;
         kc2t = st.kc2t.data() + slot * dim * su;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace ftt::fault {
 
@@ -29,13 +30,28 @@ const char* site_name(Site s) noexcept {
   return "?";
 }
 
+namespace {
+
+void check_site(Site site) {
+  if (static_cast<std::size_t>(site) >= kSiteCount) {
+    throw std::invalid_argument(
+        "FaultInjector: site is not one of the eight hook sites");
+  }
+}
+
+}  // namespace
+
 FaultInjector FaultInjector::single(Site site, std::uint64_t call_index,
                                     unsigned bit) {
+  check_site(site);
+  if (bit > 31) {
+    throw std::invalid_argument("FaultInjector::single: bit must be 0..31");
+  }
   FaultInjector f;
   f.mode_ = Mode::kSingle;
   f.single_site_ = site;
   f.single_index_ = call_index;
-  f.single_bit_ = bit & 31u;
+  f.single_bit_ = bit;
   f.next_hit_.fill(kNever);
   f.next_hit_[static_cast<std::size_t>(site)] =
       static_cast<std::int64_t>(call_index);
@@ -45,6 +61,7 @@ FaultInjector FaultInjector::single(Site site, std::uint64_t call_index,
 FaultInjector FaultInjector::bernoulli(double per_value_prob,
                                        std::uint64_t seed,
                                        std::vector<Site> sites) {
+  for (const Site s : sites) check_site(s);
   FaultInjector f;
   f.mode_ = Mode::kBernoulli;
   f.prob_ = std::clamp(per_value_prob, 0.0, 1.0);
@@ -58,6 +75,14 @@ FaultInjector FaultInjector::bernoulli(double per_value_prob,
     }
   }
   return f;
+}
+
+bool FaultInjector::skip(const FaultInjector& probe) noexcept {
+  for (std::size_t i = 0; i < kSiteCount; ++i) {
+    if (would_flip(i, probe.calls_[i])) return false;
+  }
+  for (std::size_t i = 0; i < kSiteCount; ++i) advance(i, probe.calls_[i]);
+  return true;
 }
 
 bool FaultInjector::site_armed(Site s) const noexcept {

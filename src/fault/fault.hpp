@@ -58,11 +58,14 @@ class FaultInjector {
   FaultInjector() { next_hit_.fill(kNever); }
 
   /// Flip bit `bit` of the `call_index`-th value produced at `site`.
+  /// Throws std::invalid_argument for a site outside the eight hook sites
+  /// or a bit past 31.
   static FaultInjector single(Site site, std::uint64_t call_index,
                               unsigned bit);
 
   /// Flip a uniformly random bit of each candidate value with probability
-  /// `per_value_prob`, at any of the `sites` (empty = all sites).
+  /// `per_value_prob`, at any of the `sites` (empty = all sites).  Throws
+  /// std::invalid_argument for a listed site outside the eight hook sites.
   static FaultInjector bernoulli(double per_value_prob, std::uint64_t seed,
                                  std::vector<Site> sites = {});
 
@@ -78,6 +81,23 @@ class FaultInjector {
     }
     return do_flip(site, v);
   }
+
+  /// Stand in for `n` corrupt() calls at `site` whose values the caller
+  /// already holds (a sealed checksum is memory, not compute): advance the
+  /// counters exactly as n calls that flip nothing would and return true.
+  /// When one of those calls would flip, change nothing and return false;
+  /// the caller then computes the values and passes each through corrupt().
+  bool skip(Site site, std::uint64_t n) noexcept {
+    const auto si = static_cast<std::size_t>(site);
+    if (would_flip(si, n)) return false;
+    advance(si, n);
+    return true;
+  }
+
+  /// skip(s, probe.calls(s)) for every site at once, all or nothing: replay
+  /// a computation that ran under the unarmed `probe` when none of its hook
+  /// calls would have flipped here.
+  bool skip(const FaultInjector& probe) noexcept;
 
   [[nodiscard]] bool armed() const noexcept { return mode_ != Mode::kNone; }
   [[nodiscard]] const std::vector<Event>& events() const noexcept {
@@ -98,6 +118,16 @@ class FaultInjector {
   enum class Mode { kNone, kSingle, kBernoulli };
   static constexpr std::int64_t kNever = -1;
 
+  /// Whether one of the next `n` calls at site index `si` flips.
+  [[nodiscard]] bool would_flip(std::size_t si,
+                                std::uint64_t n) const noexcept {
+    return next_hit_[si] >= 0 &&
+           static_cast<std::uint64_t>(next_hit_[si]) < n;
+  }
+  void advance(std::size_t si, std::uint64_t n) noexcept {
+    calls_[si] += n;
+    if (next_hit_[si] >= 0) next_hit_[si] -= static_cast<std::int64_t>(n);
+  }
   float do_flip(Site site, float v) noexcept;
   [[nodiscard]] std::int64_t draw_gap() noexcept;
   [[nodiscard]] bool site_armed(Site s) const noexcept;

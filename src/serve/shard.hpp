@@ -71,8 +71,9 @@ struct TickResult {
 };
 
 /// The solo tick body, extracted verbatim from the pre-shard engine: full
-/// linears, one OpenMP-parallel (or, under an injector, serial solo-ordered)
-/// efta_decode_batch per layer.  `per_item` must hold entries * heads
+/// linears, one OpenMP-parallel efta_decode_batch per layer (under an
+/// injector the batch replays its items in serial order, see
+/// core/decode.hpp).  `per_item` must hold entries * heads
 /// zeroed reports; each (entry, head) slot accumulates across layers.
 /// X is the residual stream (updated in place); y receives the final-LN
 /// output.  This is the reference the sharded path is bit-compared against,

@@ -11,7 +11,8 @@
 // slice_out), into an abft::StridedAbft::Sealed operand: the k-major fp16
 // image W^T plus every tile's strided checksum columns.  forward() then runs
 // one GEMM over the image and, when protected, one over the checksum columns
-// — no per-call widen, transpose or encode on clean runs.
+// — no per-call widen or transpose, and no per-call encode unless an
+// injector's flip lands in one (abft::StridedAbft::apply).
 
 #include <cstdint>
 #include <span>

@@ -3,16 +3,19 @@
 // accumulator ever crosses an item boundary — so its outputs and its
 // merged / per-item FtReports must be bit-identical for any OpenMP team
 // size.  This suite pins that down for OMP_NUM_THREADS in {1, 2, 8} at the
-// kernel level and at the full serving-engine level; scripts/run_tier1.sh
-// additionally re-runs it under an OMP_NUM_THREADS matrix from the outside.
+// kernel level and at the full serving-engine level, and pins an injected
+// batch to a serial loop over its items; scripts/run_tier1.sh additionally
+// re-runs it under an OMP_NUM_THREADS matrix from the outside.
 #include <gtest/gtest.h>
 
 #include <omp.h>
 
+#include <cstring>
 #include <random>
 #include <vector>
 
 #include "core/decode.hpp"
+#include "fault/fault.hpp"
 #include "paged_kv_fixture.hpp"
 #include "serve/engine.hpp"
 #include "tensor/random.hpp"
@@ -20,6 +23,7 @@
 
 namespace fa = ftt::attention;
 namespace fc = ftt::core;
+namespace ff = ftt::fault;
 namespace fs = ftt::serve;
 namespace ft = ftt::tensor;
 namespace fx = ftt::transformer;
@@ -131,6 +135,140 @@ TEST(OmpInvariance, DecodeBatchBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(total.gemm2.checks, ref_total.gemm2.checks);
     EXPECT_EQ(total.total_detected(), ref_total.total_detected());
     EXPECT_EQ(total.total_corrected(), ref_total.total_corrected());
+  }
+}
+
+TEST(OmpInvariance, InjectedBatchEqualsSerialItems) {
+  FTT_SKIP_UNDER_TSAN();
+  // Under an injector the batch runs its items in parallel under per-item
+  // probes, then replays them in batch order, re-running serially only the
+  // items a flip lands in.  The result must be a serial loop of
+  // efta_decode_block with the same injector, bit for bit: outputs,
+  // per-item reports, per-site calls() and events.  The batch mixes every
+  // tier: a raw slice (widen per tile), a kF16T pool (image tier), a kF16
+  // pool without images (memo + widen) and a kI8 pool (fused int8), with
+  // decode rows, a speculative block and a prefill chunk.
+  OmpGuard guard;
+  constexpr std::size_t kDim = 32;
+  struct Ctx {
+    std::size_t n, rows;
+    fc::TileFmt fmt;
+    fc::ImagePolicy images;
+  };
+  const Ctx ctxs[] = {{200, 1, fc::TileFmt::kF16, fc::ImagePolicy::kF16T},
+                      {130, 5, fc::TileFmt::kF16, fc::ImagePolicy::kNone},
+                      {256, 64, fc::TileFmt::kI8, fc::ImagePolicy::kNone},
+                      {129, 1, fc::TileFmt::kI8, fc::ImagePolicy::kNone},
+                      {300, 37, fc::TileFmt::kF16, fc::ImagePolicy::kF16T}};
+  std::vector<PagedKv> caches;
+  for (std::size_t i = 0; i < std::size(ctxs); ++i) {
+    caches.emplace_back(1, kDim, ctxs[i].fmt, ctxs[i].images);
+    fill_random(caches.back(), ctxs[i].n, 930 + i);
+  }
+  // The raw slice: contiguous rows, no memo.
+  ft::MatrixH rk(150, kDim), rv(150, kDim);
+  ft::fill_normal(rk, 941);
+  ft::fill_normal(rv, 942);
+  std::vector<const Half*> rkt, rvt;
+  for (std::size_t r = 0; r < rk.rows(); r += fc::KvSlice::kTileRows) {
+    rkt.push_back(&rk(r, 0));
+    rvt.push_back(&rv(r, 0));
+  }
+  std::vector<fc::KvSlice> slices;
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < caches.size(); ++i) {
+    slices.push_back(caches[i].slice(0));
+    rows.push_back(ctxs[i].rows);
+  }
+  slices.push_back(fc::KvSlice{rkt.data(), rvt.data(), rk.rows(), kDim});
+  rows.push_back(3);
+  const std::size_t items_n = slices.size();
+  std::vector<std::vector<Half>> queries(items_n);
+  for (std::size_t i = 0; i < items_n; ++i) {
+    queries[i].resize(rows[i] * kDim);
+    std::mt19937_64 rng(7300 + i);
+    std::normal_distribution<float> dist(0.0f, 1.0f);
+    for (auto& x : queries[i]) x = Half(dist(rng));
+  }
+  const auto items_into = [&](std::vector<std::vector<float>>& out) {
+    out.assign(items_n, {});
+    std::vector<fc::DecodeWorkItem> items;
+    for (std::size_t i = 0; i < items_n; ++i) {
+      out[i].assign(rows[i] * kDim, -3.0f);
+      items.push_back(fc::DecodeWorkItem{slices[i], queries[i].data(),
+                                         out[i].data(), rows[i]});
+    }
+    return items;
+  };
+  const auto serial = [&](ff::FaultInjector& inj,
+                          std::vector<std::vector<float>>& out,
+                          std::vector<fa::FtReport>& reps) {
+    const auto items = items_into(out);
+    reps.assign(items_n, {});
+    for (std::size_t i = 0; i < items_n; ++i) {
+      reps[i] = fc::efta_decode_block(items[i], {}, &inj);
+    }
+  };
+
+  ff::FaultInjector probe;
+  std::vector<std::vector<float>> probe_out;
+  std::vector<fa::FtReport> probe_reps;
+  serial(probe, probe_out, probe_reps);
+  std::vector<ff::FaultInjector> campaign;
+  for (std::size_t si = 0; si < ff::kSiteCount; ++si) {
+    const auto site = static_cast<ff::Site>(si);
+    if (site == ff::Site::kLinear) continue;
+    ASSERT_GT(probe.calls(site), 0u) << ff::site_name(site);
+    for (std::uint64_t k = 1; k <= 4; ++k) {
+      campaign.push_back(ff::FaultInjector::single(
+          site, probe.calls(site) * k / 5, k % 2 ? 30u : 26u));
+    }
+  }
+  const std::size_t singles = campaign.size();
+  campaign.push_back(ff::FaultInjector::bernoulli(2e-4, 17));
+  campaign.push_back(ff::FaultInjector{});
+
+  for (const int threads : kThreadCounts) {
+    omp_set_num_threads(threads);
+    for (std::size_t c = 0; c < campaign.size(); ++c) {
+      ff::FaultInjector want = campaign[c], got = campaign[c];
+      std::vector<std::vector<float>> want_out, got_out;
+      std::vector<fa::FtReport> want_reps, got_reps(items_n);
+      serial(want, want_out, want_reps);
+      const auto items = items_into(got_out);
+      const fa::FtReport total =
+          fc::efta_decode_batch(items, {}, &got, got_reps);
+
+      fa::FtReport want_total;
+      for (std::size_t i = 0; i < items_n; ++i) {
+        EXPECT_EQ(0, std::memcmp(got_out[i].data(), want_out[i].data(),
+                                 got_out[i].size() * sizeof(float)))
+            << threads << " threads, case " << c << ", item " << i;
+        ftt::testing::expect_same_report(got_reps[i], want_reps[i],
+                                         "per-item report");
+        want_total += want_reps[i];
+      }
+      ftt::testing::expect_same_report(total, want_total, "batch total");
+      for (std::size_t si = 0; si < ff::kSiteCount; ++si) {
+        const auto site = static_cast<ff::Site>(si);
+        EXPECT_EQ(got.calls(site), want.calls(site))
+            << threads << " threads, case " << c << " "
+            << ff::site_name(site);
+      }
+      ASSERT_EQ(got.events().size(), want.events().size())
+          << threads << " threads, case " << c;
+      for (std::size_t e = 0; e < got.events().size(); ++e) {
+        const ff::Event &x = got.events()[e], &y = want.events()[e];
+        EXPECT_EQ(x.site, y.site) << "case " << c << " event " << e;
+        EXPECT_EQ(x.call_index, y.call_index) << "case " << c;
+        EXPECT_EQ(x.bit, y.bit) << "case " << c;
+        EXPECT_EQ(0, std::memcmp(&x.before, &y.before, sizeof(float)));
+        EXPECT_EQ(0, std::memcmp(&x.after, &y.after, sizeof(float)));
+      }
+      if (c < singles) {
+        EXPECT_EQ(got.injected(), 1u) << "case " << c;
+      }
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 // the batched path, and the DecodeEngine submit/step/drain front-end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <random>
 #include <vector>
@@ -165,6 +167,66 @@ TEST(Serve, FullTileReadsAreZeroCopy) {
   before = count;
   fc::efta_decode_step(aligned.slice(0), q, out);
   EXPECT_EQ(count - before, 0u);  // fully zero-copy
+}
+
+TEST(Serve, InjectedStepKeepsSealedTiers) {
+  // Sealed encodings are memory, not compute: an injector changes hooks,
+  // never a tile's tier.  Under an unarmed probe a 1-row step over 32
+  // sealed tiles plus a 17-row tail encodes only the tail, on the kF16T
+  // image tier and on the fused int8 tier alike, and computes the clean
+  // bits.  A checksum flip aimed inside sealed tile 5's encode hooks costs
+  // that one tile a fresh encode, and lands on the same value, with the
+  // same result, as on a raw slice that encodes every tile per call.
+  constexpr std::size_t kDim = 64, kN = 2065;
+  const auto q = random_query(kDim, 31);
+  std::size_t& encoded = fc::testing::tiles_encoded();
+  for (const fc::TileFmt fmt : {kF16, fc::TileFmt::kI8}) {
+    PagedKv kv(1, kDim, fmt, fc::ImagePolicy::kF16T);
+    fill_random(kv, kN, 32);
+    const fc::KvSlice slice = kv.slice(0);
+    ASSERT_EQ(slice.tiles(), 33u);
+    std::vector<float> clean(kDim), out(kDim);
+    fc::efta_decode_step(slice, q, clean);
+
+    ff::FaultInjector probe;
+    std::size_t before = encoded;
+    fc::efta_decode_step(slice, q, out, {}, &probe);
+    EXPECT_EQ(encoded - before, 1u) << "fmt " << int(fmt);
+    EXPECT_EQ(0, std::memcmp(out.data(), clean.data(), kDim * sizeof(float)))
+        << "fmt " << int(fmt);
+
+    // Each tile's four encodes fire 2sd + 2Bs = 2048 checksum hooks.
+    const std::uint64_t per_tile = 2 * 8 * kDim + 2 * 64 * 8;
+    ASSERT_EQ(probe.calls(ff::Site::kChecksum), 33 * per_tile);
+    const std::uint64_t index = 5 * per_tile + 700;
+    auto inj = ff::FaultInjector::single(ff::Site::kChecksum, index, 30);
+    before = encoded;
+    const auto rep = fc::efta_decode_step(slice, q, out, {}, &inj);
+    EXPECT_EQ(encoded - before, 2u) << "fmt " << int(fmt);
+    ASSERT_EQ(inj.injected(), 1u);
+    EXPECT_EQ(inj.events()[0].call_index, index);
+    EXPECT_EQ(rep.faults_injected, 1u);
+    if (fmt != kF16) continue;
+
+    // The widen-per-tile reference: the same context as raw fp16 rows.
+    ft::MatrixH k(kN, kDim), v(kN, kDim);
+    for (std::size_t r = 0; r < kN; ++r) {
+      const std::size_t t = r / 64, row = r % 64;
+      std::copy_n(slice.k_tiles[t] + row * kDim, kDim, &k(r, 0));
+      std::copy_n(slice.v_tiles[t] + row * kDim, kDim, &v(r, 0));
+    }
+    std::vector<float> ref(kDim);
+    auto ref_inj = ff::FaultInjector::single(ff::Site::kChecksum, index, 30);
+    before = encoded;
+    const auto ref_rep = fc::efta_decode_step(k, v, q, ref, {}, &ref_inj);
+    EXPECT_EQ(encoded - before, 33u);
+    EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), kDim * sizeof(float)));
+    ftt::testing::expect_same_report(rep, ref_rep, "sealed vs raw");
+    ASSERT_EQ(ref_inj.injected(), 1u);
+    EXPECT_EQ(std::memcmp(&inj.events()[0].before, &ref_inj.events()[0].before,
+                          sizeof(float)),
+              0);
+  }
 }
 
 TEST(Serve, BatchedDecodeBitIdenticalToSerialLoop) {

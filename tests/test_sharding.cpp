@@ -269,6 +269,31 @@ TEST(Sharding, HeadRangeBatchUnionMatchesFullBatch) {
       std::invalid_argument);
 }
 
+TEST(Sharding, HeadRangeBatchValidatesBeforeItComputes) {
+  // A malformed owned item must throw before any owned item writes its
+  // output or fires a hook — the unsharded overload's up-front rule.
+  constexpr std::size_t kDim = 32;
+  PagedKv kv(1, kDim, fc::TileFmt::kF16);
+  fill_random(kv, 70, 4100);
+  std::vector<Half> q(kDim, Half(0.5f));
+  std::vector<float> out0(kDim, -7.0f), out1(kDim, -7.0f);
+  const std::vector<fc::DecodeWorkItem> items = {
+      fc::DecodeWorkItem{kv.slice(0), q.data(), out0.data()},
+      fc::DecodeWorkItem{kv.slice(0), q.data(), out1.data(), /*q_len=*/0}};
+  const std::vector<std::size_t> heads = {0, 0};
+  ff::FaultInjector probe;
+  EXPECT_THROW((void)fc::efta_decode_batch(items, heads, fc::ShardSpec{0, 1},
+                                           {}, &probe),
+               std::invalid_argument);
+  for (std::size_t c = 0; c < kDim; ++c) {
+    EXPECT_EQ(out0[c], -7.0f) << c;  // untouched sentinel
+  }
+  for (std::size_t si = 0; si < ff::kSiteCount; ++si) {
+    EXPECT_EQ(probe.calls(static_cast<ff::Site>(si)), 0u)
+        << ff::site_name(static_cast<ff::Site>(si));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // DeterministicCombiner
 // ---------------------------------------------------------------------------
