@@ -26,10 +26,10 @@
 //      rejected rows roll back — same stream as the serial engine, a
 //      fraction of the ticks;
 //   6. the same requests run through a 2-shard engine (attention heads
-//      split across worker threads, deterministically combined) and a
+//      split into two fault domains; the tick body is the solo one) and a
 //      2-replica router — both bit-identical to the solo engine, with the
 //      engine's per-shard fault reports attributing ABFT activity to the
-//      shard that did the work.
+//      shard owning each head.
 //
 // Along the way the demo prints pool occupancy, the shared-tile ratio,
 // preemption counters and speculation acceptance, and it exits nonzero if
@@ -231,11 +231,10 @@ int main() {
                        spec_ticks < serial_ticks;
   if (!spec_ok) std::printf("WARNING: speculation diverged or never fired.\n");
 
-  // 6. Shard-parallel engine + replica router.  Heads split across worker
-  //    threads, outputs recombined in fixed shard order — the
-  //    column-parallel split has no float reduction at all, so the
-  //    sharded run (and the routed run: placement never changes compute)
-  //    must match the solo engine bit for bit.
+  // 6. Sharded engine + replica router.  Shards split the heads into
+  //    fault domains for the per-shard reports and never change the
+  //    compute, so the sharded run (and the routed run: placement never
+  //    changes compute either) must match the solo engine bit for bit.
   const tensor::MatrixF fleet[3] = {prompt(90, cfg.hidden, 31),
                                     prompt(40, cfg.hidden, 32),
                                     prompt(129, cfg.hidden, 33)};
@@ -272,8 +271,8 @@ int main() {
     }
   }
   const auto& shard_reports = sharded.shard_reports();
-  std::printf("\nsharded + routed serving (2 shards, 2 replicas, 3 "
-              "requests): streams %s solo\n",
+  std::printf("\nsharded + routed serving (heads in 2 fault-domain shards, "
+              "2 replicas, 3 requests): streams %s solo\n",
               shard_ok ? "bit-identical to" : "DIVERGED from");
   for (std::size_t s = 0; s < shard_reports.size(); ++s) {
     std::printf("  shard %zu (its own heads only): %zu attention checks, "

@@ -481,25 +481,6 @@ StridedAbft::Sealed StridedAbft::seal(const MatrixH& B, int s) {
   return out;
 }
 
-StridedAbft::Sealed StridedAbft::slice(const Sealed& B, std::size_t n0,
-                                       std::size_t n) {
-  const std::size_t K = B.image.rows(), N = B.image.cols();
-  if (n0 % kTile != 0 || n % kTile != 0 || n0 + n > N) {
-    throw std::invalid_argument(
-        "StridedAbft::slice: column range must be 64-tile aligned and "
-        "within N");
-  }
-  const std::size_t w = 2 * static_cast<std::size_t>(B.s);
-  const std::size_t cw = B.checksums.cols(), sw = n / kTile * w;
-  Sealed out{MatrixH(K, n), MatrixH(K, sw), B.s};
-  for (std::size_t k = 0; k < K; ++k) {
-    std::copy_n(B.image.data() + k * N + n0, n, out.image.data() + k * n);
-    std::copy_n(B.checksums.data() + k * cw + n0 / kTile * w, sw,
-                out.checksums.data() + k * sw);
-  }
-  return out;
-}
-
 Report StridedAbft::apply(const float* A, std::size_t M, const Sealed& B,
                           MatrixF& C, float relative_threshold,
                           fault::FaultInjector* inj, fault::Site gemm_site) {
@@ -517,7 +498,7 @@ Report StridedAbft::apply(const float* A, std::size_t M, const Sealed& B,
   }
 
   // One checksum GEMM over every tile's sealed columns.  thread_local
-  // scratch: linears run inside shard workers.
+  // scratch: engines on different threads may run their linears at once.
   const auto s = static_cast<std::size_t>(B.s);
   const std::size_t w = 2 * s, tiles = N / kTile, ld = tiles * w;
   thread_local std::vector<float> chk;

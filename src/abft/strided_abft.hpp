@@ -121,9 +121,6 @@ struct StridedAbft {
   /// Seal B (N x K): cache-blocked transpose into the image, and each
   /// tile's encode_rows_strided pair stored k-major.
   static Sealed seal(const tensor::MatrixH& B, int s);
-  /// The sealed operand of output columns [n0, n0 + n) — both 64-tile
-  /// aligned, so the slice's checksum columns are a subset of B's.
-  static Sealed slice(const Sealed& B, std::size_t n0, std::size_t n);
 
   /// Fully protected C = A * B^T over a sealed B.  A is M x K fp32 holding
   /// fp16 values (the widened tensor-core operand, dense); C must be M x N.

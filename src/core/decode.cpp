@@ -533,12 +533,10 @@ namespace {
 /// Validate every item before any computes: an exception must not be raised
 /// inside an OpenMP worksharing region (that would terminate the process),
 /// and a malformed batch must throw before any item writes its output or
-/// fires a hook.  `owned(i)` picks the items to check.
-template <typename Owned>
+/// fires a hook.
 void validate_items(std::span<const DecodeWorkItem> items,
-                    const EftaOptions& opt, Owned owned) {
+                    const EftaOptions& opt) {
   for (std::size_t i = 0; i < items.size(); ++i) {
-    if (!owned(i)) continue;
     try {
       validate_item(items[i], opt);
     } catch (const std::invalid_argument& e) {
@@ -561,7 +559,7 @@ FtReport efta_decode_batch(std::span<const DecodeWorkItem> items,
   // costs a barrier per call, which a scheduler polling an empty queue pays
   // on every tick.
   if (items.empty()) return {};
-  validate_items(items, opt, [](std::size_t) { return true; });
+  validate_items(items, opt);
 
   // Every item runs in parallel.  An injector is stateful and call-order
   // dependent, so under one each item speculates under its own unarmed
@@ -605,38 +603,6 @@ ShardSpec ShardSpec::for_shard(std::size_t shard, std::size_t nshards,
                                std::size_t total_heads) {
   const auto [begin, end] = shard_range(shard, nshards, total_heads);
   return ShardSpec{begin, end};
-}
-
-FtReport efta_decode_batch(std::span<const DecodeWorkItem> items,
-                           std::span<const std::size_t> item_heads,
-                           const ShardSpec& shard, const EftaOptions& opt,
-                           fault::FaultInjector* inj,
-                           std::span<FtReport> per_item) {
-  if (item_heads.size() != items.size()) {
-    throw std::invalid_argument(
-        "efta_decode_batch: item_heads size must match items");
-  }
-  if (!per_item.empty() && per_item.size() != items.size()) {
-    throw std::invalid_argument(
-        "efta_decode_batch: per_item size must match items");
-  }
-  const auto owned = [&](std::size_t i) {
-    return shard.contains(item_heads[i]);
-  };
-  validate_items(items, opt, owned);
-  // Serial over the shard's own items, in batch order — the same item order
-  // the unsharded batch replays, so a stateful injector threaded through
-  // one shard observes its items exactly as the full batch would.
-  FtReport total;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (!owned(i)) continue;
-    const std::size_t before = inj ? inj->injected() : 0;
-    FtReport r = block_slice(items[i], opt, inj);
-    if (inj) r.faults_injected = inj->injected() - before;
-    if (!per_item.empty()) per_item[i] = r;
-    total += r;
-  }
-  return total;
 }
 
 }  // namespace ftt::core

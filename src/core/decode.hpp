@@ -209,52 +209,27 @@ attention::FtReport efta_decode_batch(
     fault::FaultInjector* inj = nullptr,
     std::span<attention::FtReport> per_item = {});
 
-/// Even contiguous split of `total` units (heads, rows, checksum tiles)
-/// across `nshards`: shard i owns [first, second) and range sizes differ by
-/// at most one, so any unit count — including total < nshards, where the
-/// trailing shards own empty ranges — partitions cleanly.  Throws when
-/// shard >= nshards or nshards == 0.
+/// Even contiguous split of `total` units across `nshards`: shard i owns
+/// [first, second) and range sizes differ by at most one, so any unit
+/// count — including total < nshards, where the trailing shards own empty
+/// ranges — partitions cleanly.  Throws when shard >= nshards or
+/// nshards == 0.
 [[nodiscard]] std::pair<std::size_t, std::size_t> shard_range(
     std::size_t shard, std::size_t nshards, std::size_t total);
 
 /// Contiguous attention-head range [begin_head, end_head) owned by one
-/// shard worker of a sharded serving tick.  Work items are per (request,
-/// head) and fully independent, so a head-range partition of a batch is
-/// bit-invariant: the union of the shards' outputs and the merge of their
-/// reports equal the unsharded batch exactly, for any shard count.
+/// shard of a serving engine: the fault domain its per-(request, head)
+/// attention reports are attributed to (serve::DecodeEngine's
+/// shard_reports() and quarantine rung).
 struct ShardSpec {
   std::size_t begin_head = 0;
   std::size_t end_head = 0;  ///< exclusive; == begin_head for an empty shard
-
-  [[nodiscard]] bool contains(std::size_t head) const noexcept {
-    return head >= begin_head && head < end_head;
-  }
-  [[nodiscard]] std::size_t heads() const noexcept {
-    return end_head - begin_head;
-  }
-  [[nodiscard]] bool empty() const noexcept { return end_head <= begin_head; }
 
   /// The even contiguous partition of `total_heads` across `nshards`
   /// (shard_range above); shards past the head count own empty ranges.
   static ShardSpec for_shard(std::size_t shard, std::size_t nshards,
                              std::size_t total_heads);
 };
-
-/// Head-range view of a batch: runs exactly the items whose owning head
-/// (item_heads[i], parallel to `items`) falls inside `shard`, serially on
-/// the calling thread — the thread-level parallelism of a sharded tick is
-/// the shard workers themselves, so the kernel must not open a nested
-/// OpenMP team (oversubscription, and raw-thread callers stay
-/// ThreadSanitizer-clean).  Covered items' `per_item` slots are written;
-/// uncovered slots are left untouched, so N shards with disjoint specs fill
-/// one shared per-item array without overlap and the slot-wise sum of their
-/// returned reports equals the unsharded batch report.  Item validation
-/// covers only the shard's own items, all of them before any runs.
-attention::FtReport efta_decode_batch(
-    std::span<const DecodeWorkItem> items,
-    std::span<const std::size_t> item_heads, const ShardSpec& shard,
-    const EftaOptions& opt = {}, fault::FaultInjector* inj = nullptr,
-    std::span<attention::FtReport> per_item = {});
 
 namespace testing {
 /// Thread-local count of KV tiles the kernel has pad-and-copied into scratch

@@ -8,7 +8,7 @@
 // loaded once per k step, serves several of them).  Lanes span output
 // columns, so every output element still receives its k-term additions in
 // ascending-k order — the property that keeps all three tiers (scalar,
-// AVX2, AVX-512) bit-identical and keeps the repo's chunk/batch/spec/shard
+// AVX2, AVX-512) bit-identical and keeps the repo's chunk/batch/spec
 // bit-identity proofs intact (see the header for the exact-product
 // precondition the FMA equivalence rests on).
 //

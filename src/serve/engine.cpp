@@ -82,29 +82,17 @@ DecodeEngine::DecodeEngine(const transformer::Model& model, EngineOptions opt)
   if (opt_.shards == 0) {
     throw std::invalid_argument("DecodeEngine: shards must be >= 1");
   }
-  if (opt_.shards > 1) {
-    // Throws if head_dim is not 64-tile aligned for head-column slicing.
-    sharded_ = std::make_unique<ShardedEngine>(model, opt_.shards);
-  }
-  // head -> owning shard, the attribution map for per-shard fault reports.
-  // Built for shards == 1 too, so attribution code has one shape.
-  head_owner_.resize(model.config().heads);
-  shard_attention_.resize(opt_.shards);
-  for (std::size_t s = 0; s < opt_.shards; ++s) {
-    const auto spec =
-        core::ShardSpec::for_shard(s, opt_.shards, model.config().heads);
-    for (std::size_t hd = spec.begin_head; hd < spec.end_head; ++hd) {
-      head_owner_[hd] = s;
-    }
-  }
   if (opt_.recovery.shard_quarantine_threshold > 0 &&
       opt_.recovery.shard_window_ticks == 0) {
     throw std::invalid_argument(
         "DecodeEngine: shard quarantine needs shard_window_ticks >= 1");
   }
+  // head -> owning shard, the attribution map for per-shard fault reports.
+  // Built for shards == 1 too, so attribution code has one shape.
+  head_owner_.resize(model.config().heads);
+  shard_attention_.resize(opt_.shards);
   shard_health_.resize(opt_.shards);
-  healthy_.resize(opt_.shards);
-  for (std::size_t s = 0; s < opt_.shards; ++s) healthy_[s] = s;
+  remap_heads();
 }
 
 DecodeEngine::RequestId DecodeEngine::submit(const MatrixF& prompt_hidden,
@@ -507,13 +495,10 @@ void DecodeEngine::advance(std::vector<TickEntry>& entries, MatrixF& X,
   const RecoveryPolicy& rp = opt_.recovery;
   const bool retry_enabled = rp.max_tick_retries > 0;
 
-  // The tick's compute lives in serve/shard.hpp: run_tick_solo is the
-  // extracted monolithic body (full linears, one efta_decode_batch per
-  // layer) and ShardedEngine::run_tick the barrier-stepped shard-parallel
-  // equivalent, bit-identical in the default column-parallel mode.  An
-  // injected tick always runs solo — a FaultInjector is call-order-
-  // dependent state, and the parallel slicing would relocate its faults —
-  // so fault experiments stay bit-comparable across shard counts.
+  // The tick's compute lives in serve/shard.hpp: run_tick_solo (full
+  // linears, one efta_decode_batch per layer) is the one body for every
+  // shard count, clean or injected, so shards only label fault domains
+  // and fault experiments stay bit-comparable across shard counts.
   std::vector<ShardTickEntry> sentries;
   sentries.reserve(entries.size());
   for (const TickEntry& e : entries) {
@@ -555,22 +540,17 @@ void DecodeEngine::advance(std::vector<TickEntry>& entries, MatrixF& X,
       std::fill(per_item.begin(), per_item.end(), FtReport{});
       ++stats.retried;
     }
-    ShardedEngine* exec = degraded_ ? degraded_.get() : sharded_.get();
-    tick = (exec != nullptr && inj == nullptr)
-               ? exec->run_tick(sentries, X, y, per_item, opt_.efta,
-                                opt_.protect_linear)
-               : run_tick_solo(*model_, sentries, X, y, per_item, opt_.efta,
-                               opt_.protect_linear, inj);
+    tick = run_tick_solo(*model_, sentries, X, y, per_item, opt_.efta,
+                         opt_.protect_linear, inj);
     stats.linear += tick.linear;
     stats.attention += tick.attention;
     stats.activations_clipped += tick.activations_clipped;
     // Roll the per-(entry, head) reports — accumulated across layers by the
     // tick body — into per-request lifetime reports and into the per-shard
-    // attribution (head_owner_ maps both the sharded and the solo path, so
-    // a poisoned head is pinned to its owning shard either way).  Every
-    // attempt rolls up: a faulty attempt's evidence must survive its
-    // successful retry — lifetime reports and the quarantine windows are
-    // how the fault remains visible at all.
+    // attribution (head_owner_, so a poisoned head is pinned to the shard
+    // that owns it this tick).  Every attempt rolls up: a faulty attempt's
+    // evidence must survive its successful retry — lifetime reports and
+    // the quarantine windows are how the fault remains visible at all.
     {
       std::size_t i = 0;
       for (const TickEntry& e : entries) {
@@ -804,28 +784,23 @@ void DecodeEngine::update_shard_health(
     ++stats.quarantined;
     changed = true;
   }
-  if (changed) rebuild_shard_executor();
+  if (changed) remap_heads();
 }
 
-void DecodeEngine::rebuild_shard_executor() {
+void DecodeEngine::remap_heads() {
   healthy_.clear();
   for (std::size_t s = 0; s < opt_.shards; ++s) {
     if (!shard_health_[s].quarantined) healthy_.push_back(s);
   }
-  // Remap head ownership over the healthy workers: internal worker w of the
-  // degraded executor owns ShardSpec::for_shard(w, healthy, heads), and its
-  // evidence is attributed to physical shard healthy_[w].  With every shard
-  // healthy this restores the constructor's map exactly.
+  // The w-th healthy shard owns ShardSpec::for_shard(w, healthy, heads), so
+  // a quarantined shard's heads are re-attributed to the healthy shards,
+  // and with every shard healthy this is the even split over all of them.
   const std::size_t heads = model_->config().heads;
   for (std::size_t w = 0; w < healthy_.size(); ++w) {
     const auto spec = core::ShardSpec::for_shard(w, healthy_.size(), heads);
     for (std::size_t hd = spec.begin_head; hd < spec.end_head; ++hd) {
       head_owner_[hd] = healthy_[w];
     }
-  }
-  degraded_.reset();  // join the old degraded workers before respawning
-  if (healthy_.size() < opt_.shards) {
-    degraded_ = std::make_unique<ShardedEngine>(*model_, healthy_.size());
   }
 }
 

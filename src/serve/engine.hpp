@@ -161,15 +161,12 @@ struct EngineOptions {
   /// shortest-job-first within a class) and the pool capacity
   /// (scheduler.max_kv_tiles, in context tiles; 0 = unbounded).
   SchedulerOptions scheduler;
-  /// Shard workers per tick (1 = the solo tick body).  With shards > 1 the
-  /// tick's compute runs on a barrier-stepped ShardedEngine: attention is
-  /// partitioned by head ranges, the linears column-parallel by 64-tile
-  /// column ranges, row phases by row ranges — all bit-identical to solo
-  /// for any shard count (see serve/shard.hpp).  Requires head_dim to be a
-  /// multiple of 64.  A tick given a FaultInjector always runs the solo
-  /// body regardless (injectors are call-order-dependent state; parallel
-  /// slicing would move the faults), so injected runs stay bit-comparable
-  /// with solo engines.
+  /// Fault domains, >= 1: the attention heads split into `shards`
+  /// contiguous ranges (core::ShardSpec).  The split decides only the
+  /// head -> shard map behind shard_reports() and the quarantine rung,
+  /// never threads or bits: every tick runs the same body
+  /// (serve/shard.hpp) for any shard count, clean or injected, so a
+  /// sharded engine is bit-identical to the solo one.
   std::size_t shards = 1;
   /// Serving-layer fault recovery (serve/recovery.hpp): tick retry, shard
   /// quarantine and KV scrubbing knobs.  All rungs default off — a
@@ -191,8 +188,8 @@ class DecodeEngine {
  public:
   using RequestId = std::size_t;
 
-  /// Per-tick counters; see serve/step_stats.hpp (extracted so shard
-  /// combiners and the replica Router merge the same type).
+  /// Per-tick counters; see serve/step_stats.hpp (extracted so tick loops
+  /// and the replica Router merge the same type).
   using StepStats = serve::StepStats;
 
   explicit DecodeEngine(const transformer::Model& model,
@@ -249,24 +246,22 @@ class DecodeEngine {
     return lifetime_;
   }
 
-  /// Shard workers the tick compute runs across (EngineOptions.shards).
-  [[nodiscard]] std::size_t shards() const noexcept {
-    return sharded_ ? sharded_->shards() : 1;
-  }
+  /// Fault domains the heads are split into (EngineOptions.shards).
+  [[nodiscard]] std::size_t shards() const noexcept { return opt_.shards; }
   /// Lifetime attention fault-tolerance reports attributed per shard by
   /// head ownership — size shards(), merged over every tick this engine
-  /// ever ran (including injected ticks, which run the solo body but are
-  /// attributed through the same head -> shard map).  A fault striking one
-  /// shard's heads lands in exactly that shard's report, so "a whole shard
-  /// went bad" reads directly off this vector.
+  /// ever ran, clean or injected.  A fault striking one shard's heads lands
+  /// in exactly that shard's report (or, while that shard is quarantined,
+  /// in the report of the healthy shard its head was re-attributed to), so
+  /// "a whole shard went bad" reads directly off this vector.
   [[nodiscard]] std::span<const attention::FtReport> shard_reports()
       const noexcept {
     return shard_attention_;
   }
-  /// True while physical shard `s` is quarantined (its heads remapped over
-  /// the healthy workers); throws std::out_of_range for s >= shards().
+  /// True while shard `s` is quarantined (its heads re-attributed to the
+  /// healthy shards); throws std::out_of_range for s >= shards().
   [[nodiscard]] bool shard_quarantined(std::size_t s) const;
-  /// Shard workers currently serving (shards() minus quarantined).
+  /// Shards currently owning heads (shards() minus quarantined).
   [[nodiscard]] std::size_t healthy_shards() const noexcept;
 
   [[nodiscard]] RequestState state(RequestId id) const;
@@ -357,7 +352,7 @@ class DecodeEngine {
     bool failed = false;
   };
 
-  /// Sliding-window fault accounting for one physical shard (quarantine).
+  /// Sliding-window fault accounting for one shard (quarantine).
   struct ShardHealth {
     std::deque<std::size_t> window;  ///< per-tick attributed detections
     std::size_t window_sum = 0;
@@ -389,9 +384,9 @@ class DecodeEngine {
   /// healthy one), count down probations and readmit.
   void update_shard_health(std::span<const std::size_t> tick_faults,
                            StepStats& stats);
-  /// Rebuild healthy_ / head_owner_ / the degraded executor after a
-  /// quarantine state change.
-  void rebuild_shard_executor();
+  /// Rebuild healthy_ and head_owner_ from the quarantine state: the
+  /// heads split evenly over the healthy shards.
+  void remap_heads();
 
   [[nodiscard]] const Request& checked(RequestId id) const;
 
@@ -401,22 +396,14 @@ class DecodeEngine {
   EngineOptions opt_;
   TilePool pool_;
   Scheduler scheduler_;
-  /// Non-null iff opt_.shards > 1: the barrier-stepped shard executor the
-  /// clean-path tick dispatches into (injected ticks run run_tick_solo).
-  std::unique_ptr<ShardedEngine> sharded_;
   std::vector<std::size_t> head_owner_;  ///< head -> owning shard index
   /// Lifetime per-shard attention reports (see shard_reports()).
   std::vector<attention::FtReport> shard_attention_;
-  /// Quarantine state per physical shard (size shards(); all-healthy and
-  /// inert unless the policy's quarantine rung is on).
+  /// Quarantine state per shard (size shards(); all-healthy and inert
+  /// unless the policy's quarantine rung is on).
   std::vector<ShardHealth> shard_health_;
-  /// Physical ids of the non-quarantined shards, ascending.
+  /// Ids of the non-quarantined shards, ascending.
   std::vector<std::size_t> healthy_;
-  /// Non-null while any shard is quarantined: the executor over the healthy
-  /// workers the tick dispatches into instead of sharded_ (the
-  /// column-parallel split is bitwise for any worker count, so degraded
-  /// ticks stay bit-identical to solo).
-  std::unique_ptr<ShardedEngine> degraded_;
   std::shared_ptr<TokenProposer> proposer_;  // non-null iff spec_tokens > 0
   std::vector<Request> requests_;
   /// Admitted, not-yet-retired ids, ascending (the tick's row-stack is in

@@ -5,7 +5,7 @@
 // The recovery ladder, bottom to top:
 //
 //   detect/correct (kernels)  ->  tick retry (engine)  ->  shard quarantine
-//   (engine/shard)  ->  KV tile scrubbing (tile pool)  ->  replica drain
+//   (engine)  ->  KV tile scrubbing (tile pool)  ->  replica drain
 //   (router; see RouterOptions' drain_* knobs)
 //
 // Every rung preserves the repo's bit-identity contract: replay is
@@ -14,13 +14,14 @@
 // re-running work after a transient fault lands on exactly the bits a clean
 // run produces.  Under the paper's single-event-upset assumption — at most
 // one transient flip per detection/correction cycle — a retried tick's
-// second attempt is clean, a quarantined shard's head range recomputes
-// bitwise on the remaining workers (the column-parallel split is bitwise
-// for ANY shard count), and a drained replica's requests replay bitwise on a
-// healthy replica.  RetryTrigger::kAnyDetection is the mode that carries
-// the full guarantee: ABFT *correction* is approximate (checksum
-// reconstruction, not bit-exact replay), so only a committed attempt with
-// zero detections is provably the clean-run bits.
+// second attempt is clean, a quarantined shard's heads keep computing the
+// same bits under the healthy shards' attribution (shards are fault-domain
+// labels; the tick body is the same for ANY shard count), and a drained
+// replica's requests replay bitwise on a healthy replica.
+// RetryTrigger::kAnyDetection is the mode that carries the full guarantee:
+// ABFT *correction* is approximate (checksum reconstruction, not bit-exact
+// replay), so only a committed attempt with zero detections is provably
+// the clean-run bits.
 //
 // All rungs default off: a default-constructed RecoveryPolicy reproduces
 // the pre-recovery engine exactly, tick for tick and bit for bit.
@@ -72,10 +73,10 @@ struct RecoveryPolicy {
   /// Shard quarantine: sliding-window attention-fault accounting per shard
   /// (attributed by head ownership, the shard_reports() map).  A shard
   /// whose detections over the last `shard_window_ticks` ticks exceed
-  /// `shard_quarantine_threshold` is quarantined: its head range is
-  /// remapped over the remaining healthy workers (the column-parallel split
-  /// is bitwise for any shard count, so degraded mode stays bit-identical
-  /// to solo).  The last healthy shard is never quarantined.
+  /// `shard_quarantine_threshold` is quarantined: its heads are
+  /// re-attributed to the remaining healthy shards (the compute never
+  /// reads the map, so degraded mode stays bit-identical to solo) until
+  /// probation readmits it.  The last healthy shard is never quarantined.
   /// threshold 0 = quarantine off.
   std::size_t shard_window_ticks = 16;
   std::size_t shard_quarantine_threshold = 0;

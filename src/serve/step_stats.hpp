@@ -1,15 +1,13 @@
 #pragma once
 // Per-tick serving counters, shared by every layer of the serving stack:
-// DecodeEngine ticks produce one StepStats, shard workers contribute partial
-// stats a combiner merges in fixed shard order, and the replica Router
-// merges one StepStats per replica per tick.  Extracted from DecodeEngine
-// so the merge is written once instead of re-accumulated ad hoc at each
-// layer.
+// DecodeEngine ticks produce one StepStats, the engine's drain loops fold
+// them, and the replica Router merges one StepStats per replica per tick.
+// Extracted from DecodeEngine so the merge is written once instead of
+// re-accumulated ad hoc at each layer.
 //
 // Every field is an integer counter or an integer-counter report, so
 // merging is associative and commutative — totals are independent of merge
-// order (per-shard, per-replica, or per-tick first).  The combiner still
-// merges in fixed shard order, matching the float-combine discipline.
+// order (per-replica or per-tick first).
 
 #include <cstddef>
 
@@ -59,7 +57,7 @@ struct StepStats {
                                   ///<   preempted onto recompute)
   std::size_t drained = 0;        ///< replica drain events (router layer)
 
-  /// Accumulate another tick's / shard's / replica's stats into this one.
+  /// Accumulate another tick's / replica's stats into this one.
   StepStats& merge(const StepStats& o) noexcept {
     active += o.active;
     admitted += o.admitted;

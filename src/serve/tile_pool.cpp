@@ -302,22 +302,6 @@ Half* TilePool::enc_block(TileId id, std::size_t layer,
   Half* v = v_tile(id, layer, head);
   return v == nullptr ? nullptr : v + kTileRows * dim_;
 }
-const Half* TilePool::k_tile(TileId id, std::size_t layer,
-                             std::size_t head) const noexcept {
-  const Half* slab = tiles_[id].slab.get();
-  return slab == nullptr ? nullptr : slab + offset(layer, head);
-}
-const Half* TilePool::v_tile(TileId id, std::size_t layer,
-                             std::size_t head) const noexcept {
-  const Half* k = k_tile(id, layer, head);
-  return k == nullptr ? nullptr : k + kTileRows * dim_;
-}
-const Half* TilePool::enc_block(TileId id, std::size_t layer,
-                                std::size_t head) const noexcept {
-  if (enc_stride_ == 0) return nullptr;
-  const Half* v = v_tile(id, layer, head);
-  return v == nullptr ? nullptr : v + kTileRows * dim_;
-}
 Half* TilePool::f16t_image(TileId id, std::size_t layer,
                            std::size_t head) noexcept {
   // Null for kI8 tiles (no hslab): the image is the fp16 fast path.
@@ -326,23 +310,10 @@ Half* TilePool::f16t_image(TileId id, std::size_t layer,
   return hslab +
          (layer * heads_ + head) * detail::f16t_image_halves(dim_, enc_stride_);
 }
-const Half* TilePool::f16t_image(TileId id, std::size_t layer,
-                                 std::size_t head) const noexcept {
-  const Half* hslab = tiles_[id].hslab.get();
-  if (images_ != core::ImagePolicy::kF16T || hslab == nullptr) return nullptr;
-  return hslab +
-         (layer * heads_ + head) * detail::f16t_image_halves(dim_, enc_stride_);
-}
 core::TileFmt TilePool::format(TileId id) const { return checked(id).format; }
 std::uint8_t* TilePool::i8_block(TileId id, std::size_t layer,
                                  std::size_t head) noexcept {
   std::uint8_t* q = tiles_[id].qslab.get();
-  return q == nullptr ? nullptr
-                      : q + (layer * heads_ + head) * i8_block_bytes_;
-}
-const std::uint8_t* TilePool::i8_block(TileId id, std::size_t layer,
-                                       std::size_t head) const noexcept {
-  const std::uint8_t* q = tiles_[id].qslab.get();
   return q == nullptr ? nullptr
                       : q + (layer * heads_ + head) * i8_block_bytes_;
 }
@@ -738,19 +709,6 @@ std::size_t TilePool::bytes_in_use() const noexcept {
     if (t.refs != 0) {
       b += tile_footprint(t, slab_halves_, qslab_bytes, hslab_halves);
     }
-  }
-  return b;
-}
-
-std::size_t TilePool::bytes_allocated() const noexcept {
-  const std::size_t qslab_bytes = layers_ * heads_ * i8_block_bytes_;
-  const std::size_t hslab_halves =
-      enc_stride_ == 0
-          ? 0
-          : layers_ * heads_ * detail::f16t_image_halves(dim_, enc_stride_);
-  std::size_t b = 0;
-  for (const Tile& t : tiles_) {
-    b += tile_footprint(t, slab_halves_, qslab_bytes, hslab_halves);
   }
   return b;
 }

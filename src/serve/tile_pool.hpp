@@ -329,21 +329,12 @@ class TilePool {
   /// memoization is disabled.
   [[nodiscard]] numeric::Half* enc_block(TileId id, std::size_t layer,
                                          std::size_t head) noexcept;
-  [[nodiscard]] const numeric::Half* k_tile(TileId id, std::size_t layer,
-                                            std::size_t head) const noexcept;
-  [[nodiscard]] const numeric::Half* v_tile(TileId id, std::size_t layer,
-                                            std::size_t head) const noexcept;
-  [[nodiscard]] const numeric::Half* enc_block(TileId id, std::size_t layer,
-                                               std::size_t head) const noexcept;
   /// The pre-transposed fp16 image of one (layer, head) tile
   /// (f16t_image_halves halves, written at seal time), or nullptr when the
   /// policy is not kF16T.  Contents are only meaningful once the tile's
   /// layer sealed.
   [[nodiscard]] numeric::Half* f16t_image(TileId id, std::size_t layer,
                                           std::size_t head) noexcept;
-  [[nodiscard]] const numeric::Half* f16t_image(TileId id, std::size_t layer,
-                                                std::size_t head)
-      const noexcept;
   /// Storage format the tile was acquired with (kF16 tiles never hold an i8
   /// slab; kI8 tiles hold one from acquisition and drop their fp16 staging
   /// slab at seal).
@@ -352,8 +343,6 @@ class TilePool {
   /// (detail::I8TileLayout), or nullptr for kF16 tiles.
   [[nodiscard]] std::uint8_t* i8_block(TileId id, std::size_t layer,
                                        std::size_t head) noexcept;
-  [[nodiscard]] const std::uint8_t* i8_block(TileId id, std::size_t layer,
-                                             std::size_t head) const noexcept;
   /// Bytes of one (layer, head) i8 block (0 when the encoding memo is
   /// disabled — the i8 format requires it).
   [[nodiscard]] std::size_t i8_block_bytes() const noexcept {
@@ -399,8 +388,6 @@ class TilePool {
   /// when a kI8 tile seals), f16t image, i8 — so a mixed-format pool
   /// reports the real mixed footprint.
   [[nodiscard]] std::size_t bytes_in_use() const noexcept;
-  /// Bytes of every materialized slab, cached/dead tiles included.
-  [[nodiscard]] std::size_t bytes_allocated() const noexcept;
   /// Steady-state bytes of one sealed tile of `fmt` in this pool's
   /// configuration (kF16: fp16 slab + optional f16t image; kI8: the i8
   /// slab alone — its staging slab is freed at seal).  The byte-capacity

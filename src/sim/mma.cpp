@@ -72,14 +72,6 @@ int TiledMma64x16x16::thread_of_c(std::size_t row, std::size_t col) noexcept {
   return warp * MmaAtom::kWarpSize + rc.lane;
 }
 
-int TiledMma64x16x16::thread_of_a(std::size_t row, std::size_t k) noexcept {
-  const int tile_row = static_cast<int>(row % kTileM);
-  const int warp = tile_row / MmaAtom::kM;
-  const RegCoord rc =
-      MmaAtom::a_coord(tile_row % MmaAtom::kM, static_cast<int>(k % MmaAtom::kK));
-  return warp * MmaAtom::kWarpSize + rc.lane;
-}
-
 int TiledMma64x16x16::thread_of_b(std::size_t k, std::size_t col) noexcept {
   // B is broadcast to all four warps; report the warp-0 owner.
   const RegCoord rc = MmaAtom::b_coord(static_cast<int>(k % MmaAtom::kK),
@@ -94,7 +86,7 @@ void gemm_f32_nt(const float* A, std::size_t M, std::size_t K, const float* B,
   // microkernel consumes.  Packing is pure data movement, and every tier of
   // the kernel (its scalar reference included) accumulates each output
   // element in ascending k, the sequential dot order.  thread_local
-  // scratch: this runs inside OpenMP decode batches and shard workers.
+  // scratch: this runs inside OpenMP decode batches.
   thread_local std::vector<float> bt;
   if (bt.size() < K * N) bt.resize(K * N);
   numeric::transpose_f32(B, N, K, bt.data());

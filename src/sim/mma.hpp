@@ -74,9 +74,6 @@ struct TiledMma64x16x16 {
   /// arbitrarily large output tile covered by repeating this TiledMMA.
   static int thread_of_c(std::size_t row, std::size_t col) noexcept;
 
-  /// Global thread id owning A element (row, k).
-  static int thread_of_a(std::size_t row, std::size_t k) noexcept;
-
   /// Global thread id owning B element (k, col).
   static int thread_of_b(std::size_t k, std::size_t col) noexcept;
 };

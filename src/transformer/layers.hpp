@@ -19,8 +19,8 @@ class LayerNorm {
   /// (the sizes of gamma and beta).
   void forward(tensor::MatrixF& x) const;
   /// Normalize only rows [row0, row0 + rows).  LayerNorm is strictly
-  /// per-row, so a row-range partition across shard workers is bit-identical
-  /// to the whole-matrix call for any split.  Throws std::out_of_range when
+  /// per-row, so a row-range partition is bit-identical to the
+  /// whole-matrix call for any split.  Throws std::out_of_range when
   /// the range runs past x's rows, and std::invalid_argument as above.
   void forward(tensor::MatrixF& x, std::size_t row0, std::size_t rows) const;
 
@@ -65,10 +65,9 @@ class FeedForward {
   [[nodiscard]] std::size_t hidden() const noexcept { return w1_.in_features(); }
   [[nodiscard]] std::size_t inner() const noexcept { return w1_.out_features(); }
 
-  // Sub-module access for shard workers: a sharded serving tick runs the
-  // two linears column-parallel (64-tile slices via Linear::slice_out) with
-  // the activation applied per shard on its own slice — GELU is elementwise,
-  // so the decomposition is bit-identical to forward().
+  // Sub-module access: the reference checks in tests/test_linear.cpp call
+  // the two linears and the GELU one by one (bit-identical to forward()),
+  // and the benchmark reads the weight sizes.
   [[nodiscard]] const Linear& w1() const noexcept { return w1_; }
   [[nodiscard]] const Linear& w2() const noexcept { return w2_; }
   [[nodiscard]] const RangeRestrictedGelu& act() const noexcept {

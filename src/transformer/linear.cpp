@@ -3,7 +3,6 @@
 #include <cmath>
 #include <random>
 #include <stdexcept>
-#include <utility>
 
 #include "numeric/fp16.hpp"
 #include "sim/mma.hpp"
@@ -35,20 +34,6 @@ Linear::Linear(std::size_t in_features, std::size_t out_features,
   }
 }
 
-Linear::Linear(abft::StridedAbft::Sealed w, std::vector<float> bias)
-    : w_(std::move(w)), bias_(std::move(bias)) {}
-
-Linear Linear::slice_out(std::size_t col0, std::size_t cols) const {
-  // slice() rejects ranges that are not 64-tile aligned or within out.
-  abft::StridedAbft::Sealed w = abft::StridedAbft::slice(w_, col0, cols);
-  std::vector<float> b;
-  if (!bias_.empty()) {
-    b.assign(bias_.begin() + static_cast<std::ptrdiff_t>(col0),
-             bias_.begin() + static_cast<std::ptrdiff_t>(col0 + cols));
-  }
-  return Linear(std::move(w), std::move(b));
-}
-
 abft::Report Linear::forward(const MatrixF& x, MatrixF& y,
                              LinearProtect protect, fault::FaultInjector* inj,
                              float rel_threshold) const {
@@ -56,11 +41,11 @@ abft::Report Linear::forward(const MatrixF& x, MatrixF& y,
   if (x.cols() != in) throw std::invalid_argument("Linear: in_features");
   const std::size_t M = x.rows();
   if (y.rows() != M || y.cols() != out) y = MatrixF(M, out);
-  if (out == 0) return {};  // empty slice_out shard: nothing to compute
+  if (out == 0) return {};  // zero-width layer: nothing to compute
 
   // Round activations to fp16 once (the tensor-core operand), held widened
-  // for the fp32-accumulate GEMMs.  thread_local scratch: linears run inside
-  // shard workers.
+  // for the fp32-accumulate GEMMs.  thread_local scratch: engines on
+  // different threads may run their linears at once.
   thread_local std::vector<Half> xh;
   thread_local std::vector<float> xa;
   if (xa.size() < x.size()) {

@@ -286,39 +286,6 @@ TEST(SealedLinear, FeedForwardMatchesPerCallUnderBernoulli) {
   }
 }
 
-TEST(SealedLinear, SliceOutShardsMatchFullLayerColumns) {
-  const ftx::Linear l(128, 256, 21);
-  ft::MatrixF x(37, 128);
-  ft::fill_normal(x, 22);
-  for (const bool protect : {false, true}) {
-    const auto mode = protect ? ftx::LinearProtect::kStridedAbft
-                              : ftx::LinearProtect::kNone;
-    ft::MatrixF full;
-    const fb::Report rfull = l.forward(x, full, mode);
-    fb::Report rsum;
-    for (std::size_t c0 = 0; c0 < 256; c0 += 128) {
-      const ftx::Linear shard = l.slice_out(c0, 128);
-      ft::MatrixF y;
-      rsum += shard.forward(x, y, mode);
-      for (std::size_t r = 0; r < x.rows(); ++r) {
-        EXPECT_EQ(0, std::memcmp(&y(r, 0), &full(r, c0), 128 * sizeof(float)))
-            << "clean shard c0 " << c0 << " row " << r;
-      }
-      // Injected: the shard is the per-call reference over its own columns.
-      const auto inj = ff::FaultInjector::bernoulli(5e-3, 5 + c0);
-      expect_parity(shard, x, protect, &inj,
-                    "injected shard c0 " + std::to_string(c0));
-    }
-    expect_same_report(rsum, rfull, "shard reports sum to the full layer's");
-  }
-  const ftx::Linear empty = l.slice_out(64, 0);
-  ft::MatrixF y;
-  EXPECT_EQ(empty.forward(x, y, ftx::LinearProtect::kStridedAbft).checks, 0u);
-  EXPECT_EQ(y.cols(), 0u);
-  EXPECT_THROW((void)l.slice_out(32, 64), std::invalid_argument);
-  EXPECT_THROW((void)l.slice_out(192, 128), std::invalid_argument);
-}
-
 TEST(SealedLinear, ProbeCallCountsPinned) {
   // An unarmed probe sees every hook the per-call encode fired: 5 x 256
   // payload outputs, and per 64-column tile 2 x 8 x 128 encode values plus

@@ -36,9 +36,8 @@ using ftt::testing::PagedKv;
 // TSan-instrumented, so its critical sections / barriers are invisible and
 // every properly-synchronized OMP reduction reads as a race.  The property
 // under test here is numeric (bit-invariance), already covered by the
-// plain and OMP-matrix ctest legs; under TSan the suite skips itself so
-// the sanitizer leg stays focused on the raw shard/router threads it can
-// actually check.
+// plain and OMP-matrix ctest legs; under TSan the suite skips itself,
+// since the sanitizer can check only threads that are not libgomp's.
 #if defined(__SANITIZE_THREAD__)
 #define FTT_TSAN_BUILD 1
 #elif defined(__has_feature)
@@ -319,9 +318,9 @@ TEST(OmpInvariance, EngineRunBitIdenticalAcrossThreadCounts) {
 
 TEST(OmpInvariance, ShardedEngineIndependentOfOmpTeamSize) {
   FTT_SKIP_UNDER_TSAN();
-  // Shard workers are raw threads; the head-range kernel they call is
-  // serial by design (no nested OpenMP team).  The ambient OpenMP setting
-  // therefore must not leak into a sharded run's results.
+  // Shards only label fault domains: a sharded engine runs the same tick
+  // body, with its one OpenMP attention batch per layer, as the solo one.
+  // The ambient OpenMP setting therefore must not leak into its results.
   OmpGuard guard;
   const fx::Model model(serving_config(), 0x0318);
   const std::size_t hidden = model.config().hidden;

@@ -212,9 +212,8 @@ void quarantine_roundtrip(std::size_t shards) {
   engine.drain(2);  // prefill + 1 clean decode tick
 
   // Hammer attention faults until one shard's evidence window crosses the
-  // threshold.  Every injected tick runs the solo body (injectors are
-  // call-order state) and retries to a clean commit, so the stream stays
-  // bit-clean while the quarantine evidence accumulates.
+  // threshold.  Every injected tick retries to a clean commit, so the
+  // stream stays bit-clean while the quarantine evidence accumulates.
   std::mt19937_64 rng(0x5eed);
   std::size_t injected_ticks = 0;
   while (engine.lifetime().quarantined == 0 && injected_ticks < 10 &&
@@ -233,9 +232,10 @@ void quarantine_roundtrip(std::size_t shards) {
   EXPECT_TRUE(any);
   EXPECT_THROW((void)engine.shard_quarantined(shards), std::out_of_range);
 
-  // Fault process gone: the remaining ticks run on the remapped healthy
-  // workers (column-parallel combine is bitwise for any worker count), and
-  // probation readmits the quarantined shard along the way.
+  // Fault process gone: the remaining ticks attribute the quarantined
+  // shard's heads to the healthy shards (the compute never reads the head
+  // map, so the bits stay solo's), and probation readmits the quarantined
+  // shard along the way.
   engine.run_until_idle();
   EXPECT_EQ(engine.healthy_shards(), shards) << "probation never readmitted";
   EXPECT_EQ(engine.lifetime().degraded, 0u);
@@ -253,6 +253,78 @@ TEST(Recovery, QuarantineRemapsAndReadmitsTwoShards) {
 
 TEST(Recovery, QuarantineRemapsAndReadmitsFourShards) {
   quarantine_roundtrip(4);
+}
+
+TEST(Recovery, QuarantinedShardHeadsAttributeToHealthyOwner) {
+  // tiny has 2 heads, so at 2 shards shard s owns head s.  Quarantining
+  // shard 1 re-attributes head 1 to shard 0; probation hands it back.
+  const fx::Model model(serving_config(), 0x77);
+  const std::size_t hidden = model.config().hidden;
+  const ft::MatrixF prompt = random_prompt(24, hidden, 0x1234);
+  const std::size_t budget = 30;
+  const auto clean = clean_final_hidden(model, prompt, budget,
+                                        recovery_options());
+
+  fs::EngineOptions opt = recovery_options();
+  opt.shards = 2;
+  opt.recovery.max_tick_retries = 2;
+  opt.recovery.shard_quarantine_threshold = 1;
+  opt.recovery.shard_window_ticks = 4;
+  // Longer than the window, so shard 0's window has slid past the flip it
+  // took for head 1 by the time shard 1 readmits.
+  opt.recovery.shard_probation_ticks = 8;
+  fs::DecodeEngine engine(model, opt);
+  const auto id = engine.submit(prompt, budget);
+  engine.drain(2);  // prefill + 1 clean decode tick
+
+  // One bit-30 GEMM I flip in `head` of layer 0 on the next decode tick:
+  // the single decode row sees n context lanes per (layer, head) item, and
+  // the items of one entry run head-major, so head h's calls are
+  // [h * n, (h + 1) * n).  Returns the per-shard injected-fault deltas.
+  const auto flip_head = [&](std::size_t head) {
+    const std::size_t n = engine.context_length(id) + 1;
+    std::array<std::size_t, 2> before{};
+    for (std::size_t s = 0; s < 2; ++s) {
+      before[s] = engine.shard_reports()[s].faults_injected;
+    }
+    auto inj = ff::FaultInjector::single(ff::Site::kGemm1,
+                                         head * n + n / 2, 30);
+    engine.step(&inj);
+    EXPECT_EQ(inj.injected(), 1u);
+    std::array<std::size_t, 2> delta{};
+    for (std::size_t s = 0; s < 2; ++s) {
+      delta[s] = engine.shard_reports()[s].faults_injected - before[s];
+    }
+    return delta;
+  };
+
+  for (int t = 0; t < 4 && !engine.shard_quarantined(1); ++t) {
+    EXPECT_EQ(flip_head(1)[1], 1u) << "healthy: head 1 is shard 1's";
+  }
+  ASSERT_TRUE(engine.shard_quarantined(1));
+  ASSERT_FALSE(engine.shard_quarantined(0));
+
+  // Quarantined: the flip in head 1 lands in shard 0's report.
+  const auto during = flip_head(1);
+  EXPECT_EQ(during[0], 1u);
+  EXPECT_EQ(during[1], 0u);
+  EXPECT_TRUE(engine.shard_quarantined(1));
+
+  // Clean ticks until probation readmits shard 1.
+  for (int t = 0; t < 16 && engine.shard_quarantined(1); ++t) engine.step();
+  ASSERT_FALSE(engine.shard_quarantined(1)) << "probation never readmitted";
+  ASSERT_FALSE(engine.shard_quarantined(0));
+  ASSERT_GT(engine.active(), 0u) << "budget ran out before readmission";
+
+  // Readmitted: the same flip lands in shard 1's own report again.
+  const auto after = flip_head(1);
+  EXPECT_EQ(after[0], 0u);
+  EXPECT_EQ(after[1], 1u);
+
+  // Every flipped tick retried clean, so the stream is the clean bits.
+  engine.run_until_idle();
+  EXPECT_EQ(engine.lifetime().degraded, 0u);
+  expect_bitwise(engine.hidden(id), clean, "re-attributed request");
 }
 
 // ---------------------------------------------------------------------------

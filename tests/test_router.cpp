@@ -124,7 +124,7 @@ TEST(Router, RoutedShardedReplicasMatchSolo) {
 
   fs::RouterOptions opt;
   opt.replicas = 2;
-  opt.engine.shards = 2;  // every replica runs a sharded tick body
+  opt.engine.shards = 2;  // every replica splits its heads into 2 shards
   fs::Router router(model, opt);
   const auto id = router.submit(prompt, 6);
   router.run_until_idle(nullptr, 10000);

@@ -1,17 +1,17 @@
-// Shard-parallel serving: ShardSpec head partitioning, the head-range
-// efta_decode_batch overload, the DeterministicCombiner, and engine-level
-// bit-parity of sharded ticks (N in {1, 2, 4}) against the solo engine —
-// on a mixed prefill/decode/speculative/preemption workload, under
-// identical injected faults, and with per-shard fault attribution.
+// Shards as fault domains: ShardSpec head partitioning, the tick body's
+// up-front entry checks, and engine-level bit-parity of sharded engines
+// (N in {1, 2, 4}) against the solo engine — on a mixed prefill/decode/
+// speculative/preemption workload, under identical injected faults, and
+// with per-shard fault attribution.
 #include <gtest/gtest.h>
 
-#include <random>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/decode.hpp"
 #include "fault/fault.hpp"
 #include "paged_kv_fixture.hpp"
-#include "serve/combiner.hpp"
 #include "serve/engine.hpp"
 #include "serve/shard.hpp"
 #include "tensor/random.hpp"
@@ -23,10 +23,7 @@ namespace ff = ftt::fault;
 namespace fs = ftt::serve;
 namespace ft = ftt::tensor;
 namespace fx = ftt::transformer;
-using ftt::numeric::Half;
 using ftt::testing::expect_same_report;
-using ftt::testing::fill_random;
-using ftt::testing::PagedKv;
 
 namespace {
 
@@ -171,152 +168,58 @@ TEST(ShardSpec, MoreShardsThanHeadsYieldsEmptyShards) {
   std::size_t owned = 0;
   for (std::size_t s = 0; s < 4; ++s) {
     const auto spec = fc::ShardSpec::for_shard(s, 4, 2);
-    owned += spec.heads();
+    owned += spec.end_head - spec.begin_head;
     if (s >= 2) {
-      EXPECT_TRUE(spec.empty());
+      EXPECT_EQ(spec.begin_head, spec.end_head);
     }
   }
   EXPECT_EQ(owned, 2u);
   const auto spec0 = fc::ShardSpec::for_shard(0, 4, 2);
-  EXPECT_TRUE(spec0.contains(0));
-  EXPECT_FALSE(spec0.contains(1));
+  EXPECT_EQ(spec0.begin_head, 0u);
+  EXPECT_EQ(spec0.end_head, 1u);
 }
 
 // ---------------------------------------------------------------------------
-// Head-range batch overload
+// Tick body
 // ---------------------------------------------------------------------------
 
-TEST(Sharding, HeadRangeBatchUnionMatchesFullBatch) {
-  const std::size_t lengths[] = {33, 100, 1};
-  constexpr std::size_t kHeads = 3, kDim = 32;
-  std::vector<PagedKv> caches;
-  for (std::size_t i = 0; i < std::size(lengths); ++i) {
-    caches.emplace_back(kHeads, kDim, fc::TileFmt::kF16);
-    fill_random(caches.back(), lengths[i], 4000 + i);
-  }
+TEST(TickBody, RejectsEntryRowsPastXBeforeAnyWork) {
+  // An entry whose rows [row0, row0 + rows) leave X must throw before the
+  // tick appends K/V or writes X or y: without the check the cache append
+  // reads past X's buffer.
+  const fx::Model model(serving_config(), 0x7e);
+  const auto& cfg = model.config();
+  const fs::EngineOptions eopt;
+  fs::TilePool pool(fs::TilePoolOptions{cfg.layers, cfg.heads, cfg.head_dim(),
+                                        0, eopt.efta.stride, eopt.images});
+  fs::PagedKvCache cache(pool, fc::TileFmt::kF16);
+  ASSERT_TRUE(cache.ensure_capacity(5));
+  ft::MatrixF X(2, cfg.hidden);
+  ft::fill_normal(X, 0x71);
+  const ft::MatrixF X0 = X;
+  ft::MatrixF y(2, cfg.hidden);
+  for (std::size_t i = 0; i < y.size(); ++i) y.data()[i] = -7.0f;
+  std::vector<fa::FtReport> per_item(cfg.heads);
 
-  const std::size_t items_n = caches.size() * kHeads;
-  std::vector<std::vector<Half>> queries;
-  for (std::size_t i = 0; i < items_n; ++i) {
-    queries.emplace_back(kDim);
-    std::mt19937_64 rng(5000 + i);
-    std::normal_distribution<float> dist(0.0f, 1.0f);
-    for (auto& x : queries.back()) x = Half(dist(rng));
-  }
-
-  auto build = [&](std::vector<std::vector<float>>& out,
-                   std::vector<std::size_t>& item_heads) {
-    std::vector<fc::DecodeWorkItem> items;
-    out.assign(items_n, std::vector<float>(kDim, -7.0f));
-    item_heads.clear();
-    for (std::size_t r = 0; r < caches.size(); ++r) {
-      for (std::size_t h = 0; h < kHeads; ++h) {
-        const std::size_t i = r * kHeads + h;
-        items.push_back(fc::DecodeWorkItem{caches[r].slice(h),
-                                           queries[i].data(),
-                                           out[i].data()});
-        item_heads.push_back(h);
-      }
+  const std::size_t bad[][2] = {{1, 4}, {2, 1}, {SIZE_MAX, 2}, {1, SIZE_MAX}};
+  for (const auto& [row0, rows] : bad) {
+    const fs::ShardTickEntry e{&cache, row0, rows};
+    EXPECT_THROW((void)fs::run_tick_solo(model, {&e, 1}, X, y, per_item,
+                                         eopt.efta, true, nullptr),
+                 std::invalid_argument)
+        << "row0 " << row0 << " rows " << rows;
+    EXPECT_EQ(0, std::memcmp(X.data(), X0.data(), X.size() * sizeof(float)));
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      ASSERT_EQ(y.data()[i], -7.0f) << "y written at " << i;
     }
-    return items;
-  };
-
-  // Reference: the unsharded batch.
-  std::vector<std::vector<float>> full_out;
-  std::vector<std::size_t> item_heads;
-  auto items = build(full_out, item_heads);
-  std::vector<fa::FtReport> full_item(items_n);
-  const fa::FtReport full =
-      fc::efta_decode_batch(items, {}, nullptr, full_item);
-
-  for (std::size_t nshards : {1u, 2u, 3u}) {
-    std::vector<std::vector<float>> out;
-    std::vector<std::size_t> heads2;
-    auto items2 = build(out, heads2);
-    std::vector<fa::FtReport> per_item(items_n);
-    fa::FtReport merged;
-    for (std::size_t s = 0; s < nshards; ++s) {
-      const auto spec = fc::ShardSpec::for_shard(s, nshards, kHeads);
-      merged += fc::efta_decode_batch(items2, heads2, spec, {}, nullptr,
-                                      per_item);
-    }
-    // Union of shard outputs == full batch, bit for bit.
-    for (std::size_t i = 0; i < items_n; ++i) {
-      for (std::size_t c = 0; c < kDim; ++c) {
-        EXPECT_EQ(out[i][c], full_out[i][c])
-            << nshards << " shards, item " << i << " c " << c;
-      }
-      EXPECT_EQ(per_item[i].gemm1.checks, full_item[i].gemm1.checks);
-      EXPECT_EQ(per_item[i].gemm2.checks, full_item[i].gemm2.checks);
-    }
-    expect_same_report(merged, full, "merged shard reports");
+    EXPECT_EQ(cache.length(), 0u);
   }
 
-  // An empty shard runs nothing and reports nothing.
-  std::vector<std::vector<float>> out;
-  std::vector<std::size_t> heads3;
-  auto items3 = build(out, heads3);
-  const fa::FtReport none = fc::efta_decode_batch(
-      items3, heads3, fc::ShardSpec{1, 1}, {}, nullptr, {});
-  EXPECT_EQ(none.gemm1.checks, 0u);
-  for (std::size_t i = 0; i < items_n; ++i) {
-    EXPECT_EQ(out[i][0], -7.0f);  // untouched sentinel
-  }
-
-  EXPECT_THROW(
-      (void)fc::efta_decode_batch(items3, std::span<const std::size_t>{},
-                                  fc::ShardSpec{0, 1}),
-      std::invalid_argument);
-}
-
-TEST(Sharding, HeadRangeBatchValidatesBeforeItComputes) {
-  // A malformed owned item must throw before any owned item writes its
-  // output or fires a hook — the unsharded overload's up-front rule.
-  constexpr std::size_t kDim = 32;
-  PagedKv kv(1, kDim, fc::TileFmt::kF16);
-  fill_random(kv, 70, 4100);
-  std::vector<Half> q(kDim, Half(0.5f));
-  std::vector<float> out0(kDim, -7.0f), out1(kDim, -7.0f);
-  const std::vector<fc::DecodeWorkItem> items = {
-      fc::DecodeWorkItem{kv.slice(0), q.data(), out0.data()},
-      fc::DecodeWorkItem{kv.slice(0), q.data(), out1.data(), /*q_len=*/0}};
-  const std::vector<std::size_t> heads = {0, 0};
-  ff::FaultInjector probe;
-  EXPECT_THROW((void)fc::efta_decode_batch(items, heads, fc::ShardSpec{0, 1},
-                                           {}, &probe),
-               std::invalid_argument);
-  for (std::size_t c = 0; c < kDim; ++c) {
-    EXPECT_EQ(out0[c], -7.0f) << c;  // untouched sentinel
-  }
-  for (std::size_t si = 0; si < ff::kSiteCount; ++si) {
-    EXPECT_EQ(probe.calls(static_cast<ff::Site>(si)), 0u)
-        << ff::site_name(static_cast<ff::Site>(si));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// DeterministicCombiner
-// ---------------------------------------------------------------------------
-
-TEST(Combiner, MergesReportsAndStatsInShardOrder) {
-  std::vector<fa::FtReport> reps(3);
-  reps[0].gemm1.checks = 5;
-  reps[1].gemm2.flagged = 2;
-  reps[2].faults_injected = 1;
-  const fa::FtReport m = fs::DeterministicCombiner::merge(reps);
-  EXPECT_EQ(m.gemm1.checks, 5u);
-  EXPECT_EQ(m.gemm2.flagged, 2u);
-  EXPECT_EQ(m.faults_injected, 1u);
-
-  std::vector<fs::StepStats> stats(2);
-  stats[0].decoded = 3;
-  stats[0].linear.checks = 7;
-  stats[1].decoded = 4;
-  stats[1].spec_accepted = 2;
-  const fs::StepStats s = fs::DeterministicCombiner::merge(stats);
-  EXPECT_EQ(s.decoded, 7u);
-  EXPECT_EQ(s.spec_accepted, 2u);
-  EXPECT_EQ(s.linear.checks, 7u);
+  // The same entry clipped to X's rows runs.
+  const fs::ShardTickEntry ok{&cache, 0, 2};
+  (void)fs::run_tick_solo(model, {&ok, 1}, X, y, per_item, eopt.efta, true,
+                          nullptr);
+  EXPECT_EQ(cache.length(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -401,9 +304,8 @@ TEST(ShardedEngine, FaultParityWithSoloUnderIdenticalInjection) {
     opt.shards = shards;
     fs::DecodeEngine engine(model, opt);
     const auto id = engine.submit(prompt, 8);
-    // An injected tick runs the solo body in both engines, so one
-    // identically-seeded fault process observes the identical call
-    // sequence.
+    // Both engines run the one tick body, so one identically-seeded
+    // fault process observes the identical call sequence.
     ff::FaultInjector inj = ff::FaultInjector::bernoulli(5e-6, 0x5eed11);
     engine.run_until_idle(&inj, 10000);
     struct Out {
@@ -471,16 +373,42 @@ TEST(ShardedEngine, RejectsUnshardableConfigurations) {
   opt.shards = 0;
   EXPECT_THROW(fs::DecodeEngine(model, opt), std::invalid_argument);
 
-  // head_dim 32 cannot land head-column slices on 64-wide ABFT tiles.
+  // head_dim 32 is not a multiple of the 64-column checksum tile.  Shards
+  // only label fault domains, so the model serves at any shard count,
+  // bitwise equal to solo.
   fx::ModelConfig narrow = serving_config();
   narrow.hidden = 64;
   narrow.heads = 2;
   narrow.ffn_inner = 128;
   const fx::Model narrow_model(narrow, 2);
-  fs::EngineOptions opt2;
-  opt2.shards = 2;
-  EXPECT_THROW(fs::DecodeEngine(narrow_model, opt2), std::invalid_argument);
-  // ...while the solo engine still serves it.
-  fs::DecodeEngine ok(narrow_model);
-  EXPECT_EQ(ok.shards(), 1u);
+  const ft::MatrixF prompt = random_prompt(70, narrow.hidden, 0x32);
+  struct Out {
+    fs::StepStats stats;
+    std::vector<float> hidden;
+    fa::FtReport report;
+  };
+  auto run = [&](std::size_t shards) {
+    fs::EngineOptions o;
+    o.shards = shards;
+    fs::DecodeEngine engine(narrow_model, o);
+    EXPECT_EQ(engine.shards(), shards);
+    const auto id = engine.submit(prompt, 6);
+    Out out;
+    out.stats = engine.run_until_idle(nullptr, 10000);
+    out.hidden.assign(engine.hidden(id).begin(), engine.hidden(id).end());
+    out.report = engine.report(id);
+    fa::FtReport merged;
+    for (const auto& r : engine.shard_reports()) merged += r;
+    expect_same_report(merged, engine.lifetime().attention,
+                       "shard_reports sum");
+    return out;
+  };
+  const Out solo = run(1);
+  const Out sharded = run(2);
+  EXPECT_EQ(solo.stats.decoded, 6u);
+  expect_stats_equal(sharded.stats, solo.stats);
+  expect_same_report(sharded.report, solo.report, "per-request report");
+  ASSERT_EQ(sharded.hidden.size(), solo.hidden.size());
+  EXPECT_EQ(0, std::memcmp(sharded.hidden.data(), solo.hidden.data(),
+                           solo.hidden.size() * sizeof(float)));
 }

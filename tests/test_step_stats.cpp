@@ -1,17 +1,15 @@
 // StepStats merge discipline and the recovery-era report helpers:
 // zero-init, merge()/operator+= accumulation and associativity over the
-// recovery-ladder counters, DeterministicCombiner::merge shard-order
-// invariance, FtReport/abft::Report::uncorrected() saturation, and
+// recovery-ladder counters, merge-order invariance,
+// FtReport/abft::Report::uncorrected() saturation, and
 // CampaignStats::silent_corruptions() inclusion-exclusion.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "fault/campaign.hpp"
-#include "serve/combiner.hpp"
 #include "serve/step_stats.hpp"
 
 namespace fa = ftt::attention;
@@ -130,8 +128,8 @@ TEST(StepStats, MergeAccumulatesRecoveryCounters) {
 
 TEST(StepStats, PlusEqualsIsAssociative) {
   // ((a += b) += c) must equal (a += (b += c)): integer counters make the
-  // merge associative, which is what lets shard combiners, tick loops and
-  // the replica router fold in any grouping.
+  // merge associative, which is what lets tick loops and the replica
+  // router fold in any grouping.
   fs::StepStats left = sample(1);
   left += sample(2);
   left += sample(3);
@@ -144,32 +142,29 @@ TEST(StepStats, PlusEqualsIsAssociative) {
   expect_stats_eq(left, right);
 }
 
-TEST(Combiner, StepStatsMergeIsShardOrderInvariant) {
-  const std::array<fs::StepStats, 4> shards = {sample(3), sample(11),
-                                               sample(7), sample(29)};
-  const fs::StepStats forward =
-      fs::DeterministicCombiner::merge(std::span<const fs::StepStats>(shards));
+TEST(StepStats, MergeIsOrderInvariant) {
+  // The replica router folds one StepStats per replica per tick with
+  // merge(); the totals must not depend on the replica order.
+  const std::array<fs::StepStats, 4> parts = {sample(3), sample(11),
+                                              sample(7), sample(29)};
+  fs::StepStats forward;
+  for (const fs::StepStats& s : parts) forward.merge(s);
 
-  // Every permutation of shard order produces the same totals.
-  std::array<fs::StepStats, 4> perm = {shards[2], shards[0], shards[3],
-                                       shards[1]};
-  const fs::StepStats shuffled =
-      fs::DeterministicCombiner::merge(std::span<const fs::StepStats>(perm));
+  // A permutation of the parts produces the same totals.
+  const std::array<fs::StepStats, 4> perm = {parts[2], parts[0], parts[3],
+                                             parts[1]};
+  fs::StepStats shuffled;
+  for (const fs::StepStats& s : perm) shuffled.merge(s);
   expect_stats_eq(forward, shuffled);
 
-  // And matches a plain sequential fold.
-  fs::StepStats fold;
-  for (const fs::StepStats& s : shards) fold.merge(s);
-  expect_stats_eq(forward, fold);
-
-  // Recovery counters survive the combine path specifically.
+  // Recovery counters survive the merge specifically.
   EXPECT_EQ(forward.retried, 3u + 14 + 11 + 14 + 7 + 14 + 29 + 14);
   EXPECT_EQ(forward.drained, 3u + 22 + 11 + 22 + 7 + 22 + 29 + 22);
 
-  // Empty input merges to zero.
-  const fs::StepStats none =
-      fs::DeterministicCombiner::merge(std::span<const fs::StepStats>{});
-  expect_stats_eq(none, fs::StepStats{});
+  // Merging a zeroed StepStats changes nothing.
+  fs::StepStats same = forward;
+  same.merge(fs::StepStats{});
+  expect_stats_eq(same, forward);
 }
 
 TEST(Report, UncorrectedSaturatesAndCountsEveryRepairKind) {

@@ -255,18 +255,6 @@ TEST(StridedAbftSeal, LayoutIsTransposeAndEncodedColumns) {
       }
     }
   }
-  // A slice is the matching columns of both images.
-  const auto sl = fb::StridedAbft::slice(sealed, 64, 64);
-  for (std::size_t k = 0; k < 48; ++k) {
-    for (std::size_t n = 0; n < 64; ++n) {
-      EXPECT_EQ(sl.image(k, n).bits(), sealed.image(k, 64 + n).bits());
-    }
-    for (std::size_t c = 0; c < 16; ++c) {
-      EXPECT_EQ(sl.checksums(k, c).bits(), sealed.checksums(k, 16 + c).bits());
-    }
-  }
-  EXPECT_THROW((void)fb::StridedAbft::slice(sealed, 32, 64),
-               std::invalid_argument);
   EXPECT_THROW((void)fb::StridedAbft::seal(ft::MatrixH(96, 8), kS),
                std::invalid_argument);
   EXPECT_THROW((void)fb::StridedAbft::seal(B, 3), std::invalid_argument);
