@@ -28,12 +28,6 @@
 //     in both configurations).  Gauges: spec_decode_speedup (same tokens,
 //     fewer block passes — KV tile loads, widenings and checksum work
 //     amortize over the accepted block) and spec_acceptance_rate,
-//   * the replica-routed configuration on the same mixed fleet: a
-//     2-replica router, whose decoded totals must match solo.  The router
-//     steps its replicas one after another, so its speedup gauge
-//     (router_replica_speedup) prices placement and two batch caps, not
-//     parallelism; CI gates it informationally (must be emitted, value not
-//     gated),
 //   * the recovery-ladder chaos config: the mixed fleet with one random
 //     bit-30 transient injected per tick and tick retry armed, vs an
 //     injection-free twin.  Gauges: recovery_overhead (chaos / clean
@@ -58,7 +52,6 @@
 #include "core/efta.hpp"
 #include "fault/fault.hpp"
 #include "serve/engine.hpp"
-#include "serve/router.hpp"
 #include "tensor/random.hpp"
 #include "transformer/model.hpp"
 
@@ -125,34 +118,6 @@ MixedRun run_mixed(const fx::Model& model, std::size_t chunk_rows,
   opt.prefill_chunk_rows = chunk_rows;
   opt.scheduler.max_batch_size = max_batch;
   return run_mixed_opt(model, opt);
-}
-
-// Same mixed fleet through a replica Router: requests spread across M
-// engines (sticky prefix + least-loaded), one merged StepStats per tick.
-MixedRun run_routed(const fx::Model& model, std::size_t replicas) {
-  fs::RouterOptions opt;
-  opt.replicas = replicas;
-  opt.engine.scheduler.max_batch_size = 8;
-  fs::Router router(model, opt);
-  const std::size_t hidden = model.config().hidden;
-
-  std::vector<MatrixF> prompts;
-  for (std::size_t i = 0; i < kRequests; ++i) {
-    prompts.emplace_back(kPrompts[i % std::size(kPrompts)], hidden);
-    ftt::tensor::fill_normal(prompts.back(), 0xbead + i);
-  }
-
-  MixedRun run;
-  run.seconds = bench::time_once([&] {
-    for (std::size_t i = 0; i < kRequests; ++i) {
-      router.submit(prompts[i], kBudgets[i % std::size(kBudgets)]);
-    }
-    while (router.queued() != 0 || router.active() != 0) {
-      run.stats += router.step();
-      ++run.ticks;
-    }
-  });
-  return run;
 }
 
 // Recovery-ladder chaos config: the same mixed fleet with one random
@@ -455,32 +420,6 @@ int main(int argc, char** argv) {
     std::printf("  UNEXPECTED: speculative/serial decode totals diverged\n");
   }
 
-  // --- replica router ----------------------------------------------------
-  // Same mixed fleet as the chunked run, through a 2-replica router.  The
-  // router steps its replicas serially, so the ratio prices placement and
-  // two batch caps against one, not parallelism, hence gated
-  // informationally, not by value.
-  const MixedRun routed = run_routed(model, 2);
-  const double router_speedup =
-      routed.seconds > 0.0 ? chunked.seconds / routed.seconds : 0.0;
-  std::printf("\n  routed serving (same %zu-request fleet)\n", kRequests);
-  std::printf("  %-26s %12s %8s %12s\n", "mode", "makespan", "ticks",
-              "decoded");
-  std::printf("  %-26s %9.2f ms %8zu %12zu\n", "solo engine",
-              chunked.seconds * 1e3, chunked.ticks, chunked.stats.decoded);
-  std::printf("  %-26s %9.2f ms %8zu %12zu\n", "2-replica router",
-              routed.seconds * 1e3, routed.ticks, routed.stats.decoded);
-  std::printf("  router speedup: %.2fx (informational: replicas step "
-              "serially)\n",
-              router_speedup);
-  // Routing changes placement (so ticks/preemptions may differ) but never
-  // the per-request budgets, so decoded totals match solo.
-  ok = ok && routed.stats.decoded == chunked.stats.decoded &&
-       routed.stats.retired == kRequests;
-  if (routed.stats.decoded != chunked.stats.decoded) {
-    std::printf("  UNEXPECTED: routed decode totals diverged\n");
-  }
-
   // --- OMP team scaling: the same mixed fleet at 1/2/4 threads -----------
   // Memory-stream headroom probe for the fp16-operand decode path: once the
   // kernels stream half-width operands, decode should scale further with
@@ -596,14 +535,6 @@ int main(int argc, char** argv) {
     w.kv("shared_prefill_rows", shared.stats.prefill_rows);
     w.kv("unshared_prefill_rows", unshared.stats.prefill_rows);
     w.end_object();
-    w.key("parallel_serving");
-    w.begin_object();
-    w.kv("replicas", std::size_t{2});
-    w.kv("solo_makespan_ms", chunked.seconds * 1e3);
-    w.kv("routed_makespan_ms", routed.seconds * 1e3);
-    w.kv("routed_ticks", routed.ticks);
-    w.kv("decoded_tokens", routed.stats.decoded);
-    w.end_object();
     w.key("scheduler");
     w.begin_object();
     w.kv("threads", omp_get_max_threads());
@@ -650,7 +581,6 @@ int main(int argc, char** argv) {
     w.kv("shared_prefix_capacity_ratio", capacity_ratio);
     w.kv("spec_decode_speedup", spec_speedup);
     w.kv("spec_acceptance_rate", acceptance);
-    w.kv("router_replica_speedup", router_speedup);
     w.kv("recovery_overhead", recovery_overhead);
     w.kv("recovered_bitwise_clean_rate", clean_rate);
     // Informational: core-count bound (≈1x on single-core CI runners).

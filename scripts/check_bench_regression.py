@@ -49,9 +49,9 @@ gauges; the baseline lists it as informational.
 
 "informational" gauges are never value-gated: the measured value is only
 reported.  This is the tier for gauges whose value is honest but
-meaningless on CI hardware — e.g. the shard/replica parallel speedups,
-which sit near or below 1.0 on the single-core runners and would be pure
-noise behind a floor.
+meaningless on CI hardware — e.g. the OpenMP core-scaling ratios, which
+sit near 1.0 on the single-core runners and would be pure noise behind a
+floor.
 
 --history FILE additionally appends this run's merged gauges + git SHA to a
 rolling JSON array (bench/BENCH_history.json in CI), so the perf trajectory

@@ -55,10 +55,12 @@ void validate_item(const DecodeWorkItem& it, const EftaOptions& opt) {
         "efta decode: cache must already hold the block's K/V rows "
         "(q_len <= n)");
   }
+  // The strided checksums tile both axes of a 64 x d KV tile.
   if (opt.stride <= 0 ||
-      it.kv.d % static_cast<std::size_t>(opt.stride) != 0) {
+      it.kv.d % static_cast<std::size_t>(opt.stride) != 0 ||
+      KvSlice::kTileRows % static_cast<std::size_t>(opt.stride) != 0) {
     throw std::invalid_argument(
-        "efta decode: d must be a multiple of the checksum stride");
+        "efta decode: the checksum stride must divide d and the 64-row tile");
   }
   const std::size_t d = it.kv.d;
   if ((it.q_stride != 0 && it.q_stride < d) ||
@@ -93,19 +95,19 @@ void validate_item(const DecodeWorkItem& it, const EftaOptions& opt) {
 /// conversions, and all GEMMs run over the pre-widened fp32 images — all of
 /// which is bit-identical to the former memcpy-and-convert-per-GEMM path
 /// because fp16 -> fp32 widening is exact and the MAC order is unchanged.
-/// When the slice carries memoized per-tile checksum encodings (serve::
-/// TilePool seals them once per full tile), the kernel consumes those instead
-/// of re-deriving all four encodings per call, dropping the per-token encode
-/// cost from O(context) to O(tail).
+/// When the slice carries sealed per-tile memos (serve::TilePool seals them
+/// once per full tile), the kernel consumes those instead of re-deriving all
+/// four encodings per call, dropping the per-token encode cost from
+/// O(context) to O(tail).
 ///
 /// Three tiers per tile, fastest first: a sealed int8 tile streams its
 /// quantized payload through the fused dequantizing kernels; a sealed fp16
-/// tile with an f16t image streams Half operands through the fused
-/// fp16-operand kernels; everything else (the ragged tail, a memo built at
-/// another stride, a sealed tile whose encode hooks would flip) widens the
-/// tile per call.  An injector changes hooks, never a tier: a sealed tile
-/// stays on its tier whenever `skip` vouches that none of the encode hooks
-/// its memo stands in for would flip.
+/// tile streams its f16t image and V operands as Half through the fused
+/// fp16-operand kernels; everything else (the ragged tail, a raw slice, a
+/// memo built at another stride, a sealed tile whose encode hooks would
+/// flip) widens the tile and encodes it fresh.  An injector changes hooks,
+/// never a tier: a sealed tile stays on its tier whenever `skip` vouches
+/// that none of the encode hooks its memo stands in for would flip.
 FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
                      fault::FaultInjector* inj) {
   const std::size_t n = it.kv.n, d = it.kv.d, R = it.q_len;
@@ -119,8 +121,8 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
   const std::size_t os = it.out_stride == 0 ? d : it.out_stride;
   FtReport rep;
 
-  // Memoized encodings are usable when they were built with this call's
-  // checksum stride.  They are sealed memory, which the fault model treats
+  // Sealed memos are usable when they were built with this call's checksum
+  // stride.  They are sealed memory, which the fault model treats
   // as ECC-protected; under an injector a tile's memo stands in for its four
   // fresh encodes (2sd + 2Bs kChecksum hooks) only when skip() vouches that
   // none of those hooks would flip.
@@ -156,7 +158,7 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
   // Per-tile fp32 operand images (one bulk conversion each per tile).
   std::vector<float> kf(B * d), vf(B * d);
   // k-major scratch for the int8 fallback path (a flipping encode hook or a
-  // memo mismatch): the stored K^T payload dequantizes here, then
+  // memo at another stride): the stored K^T payload dequantizes here, then
   // transposes to logical rows in kf.
   std::vector<float> ktf;
   std::vector<float> kc1f(su * d), kc2f(su * d), vc1f(B * su), vc2f(B * su);
@@ -167,7 +169,7 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
   std::vector<float> acc2(R * d);
   std::vector<float> tchk1(R * su), tchk2(R * su);
   std::vector<double> rhs(su);  // EXP screen: per-class checksum side
-  MatrixH ek1, ek2, ev1, ev2;  // fresh encodes when the memo can't serve
+  MatrixH ek1, ek2, ev1, ev2;  // fresh encodes when no memo can serve
   for (std::size_t j = 0; j < nblk; ++j) {
     // Rows of this tile holding real context; the remainder is zero padding,
     // exactly the view decode reconstructs per token.
@@ -176,17 +178,20 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
     const bool is_i8 = it.kv.fmt != nullptr && it.kv.fmt[j] == TileFmt::kI8;
     const Half* kt = is_i8 ? nullptr : it.kv.k_tiles[j];
     const Half* vt = is_i8 ? nullptr : it.kv.v_tiles[j];
-    // The skip sits where the tile's encode hooks would fire, before any
-    // other hook of the tile.
-    const bool sealed =
-        cache_ok && full && it.kv.k_c1[j] != nullptr &&
-        (inj == nullptr || inj->skip(fault::Site::kChecksum, enc_calls));
-    // The kF16T image: K-side operands pre-transposed at seal but kept at
-    // half width; the fused fp16-operand kernels widen them in registers.
-    // V-side operands need no image — the slab's V tile and sealed column
-    // checksums are already the k-major B operands GEMM II streams.
+    // The kF16T image of a sealed fp16 tile: K-side operands pre-transposed
+    // at seal but kept at half width; the fused fp16-operand kernels widen
+    // them in registers.  V-side operands need no image — the slab's V tile
+    // and sealed column checksums are already the k-major B operands GEMM
+    // II streams.
     const Half* himg =
-        (sealed && it.kv.f16t != nullptr) ? it.kv.f16t[j] : nullptr;
+        !is_i8 && it.kv.f16t != nullptr ? it.kv.f16t[j] : nullptr;
+    // A sealed tile's memo (its int8 block, or its image) stands in for the
+    // per-call encodes.  The skip sits where the tile's encode hooks would
+    // fire, before any other hook of the tile.
+    const bool sealed =
+        cache_ok && full &&
+        (is_i8 ? it.kv.k_c1[j] != nullptr : himg != nullptr) &&
+        (inj == nullptr || inj->skip(fault::Site::kChecksum, enc_calls));
     const float* vsrc = nullptr;   // GEMM II operand, B x d row-major fp32
     const float* vc1src = nullptr; // V column checksums, B x su fp32
     const float* vc2src = nullptr;
@@ -218,7 +223,7 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
       vscale = it.kv.v_scale[j];
       vc1src = vc1f.data();
       vc2src = vc2f.data();
-    } else if (himg != nullptr) {
+    } else if (sealed) {
       // kF16T fast tier: the score GEMMs stream the pre-transposed Half
       // image, widening in registers — exact, ascending-k order unchanged,
       // so bit-identical to the widen-per-block tier below.  GEMM II and the
@@ -235,9 +240,9 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
       vc2H = it.kv.v_c2[j];
     } else {
       if (is_i8) {
-        // Int8 fallback (a flipping encode hook, or a memo mismatch):
-        // materialize the exactly-dequantized fp32 image — the stored K^T
-        // transposes back to logical rows — and run the generic
+        // Int8 fallback (a flipping encode hook, or a memo at another
+        // stride): materialize the exactly-dequantized fp32 image — the
+        // stored K^T transposes back to logical rows — and run the generic
         // widen-per-tile path with fresh encodes over it, bit-identical to
         // the fused fast path above (dequantization is exact and
         // transposition is pure data movement).
@@ -264,36 +269,23 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
         numeric::halves_to_floats(vt, vf.data(), B * d);
       }
 
-      // Checksum encodings: memoized once per sealed tile, or derived fresh
-      // (per block — single-token decode re-encodes the tail per token, the
-      // residual O(tail) work).
-      const Half *kc1, *kc2, *vc1, *vc2;
-      if (sealed) {
-        kc1 = it.kv.k_c1[j];
-        kc2 = it.kv.k_c2[j];
-        vc1 = it.kv.v_c1[j];
-        vc2 = it.kv.v_c2[j];
-      } else {
-        // Encode from the fp32 images widened above — the four encodings
-        // must not re-convert the tile four more times.
-        ek1 = abft::StridedAbft::encode_rows_strided_widened(kf.data(), B, d,
-                                                             s, false, inj);
-        ek2 = abft::StridedAbft::encode_rows_strided_widened(kf.data(), B, d,
-                                                             s, true, inj);
-        ev1 = abft::StridedAbft::encode_cols_strided_widened(vf.data(), B, d,
-                                                             s, false, inj);
-        ev2 = abft::StridedAbft::encode_cols_strided_widened(vf.data(), B, d,
-                                                             s, true, inj);
-        kc1 = ek1.data();
-        kc2 = ek2.data();
-        vc1 = ev1.data();
-        vc2 = ev2.data();
-        ++testing::tiles_encoded();
-      }
-      numeric::halves_to_floats(kc1, kc1f.data(), su * d);
-      numeric::halves_to_floats(kc2, kc2f.data(), su * d);
-      numeric::halves_to_floats(vc1, vc1f.data(), B * su);
-      numeric::halves_to_floats(vc2, vc2f.data(), B * su);
+      // Fresh checksum encodings (per block — single-token decode
+      // re-encodes the tail per token, the residual O(tail) work), from the
+      // fp32 images widened above: the four encodings must not re-convert
+      // the tile four more times.
+      ek1 = abft::StridedAbft::encode_rows_strided_widened(kf.data(), B, d, s,
+                                                           false, inj);
+      ek2 = abft::StridedAbft::encode_rows_strided_widened(kf.data(), B, d, s,
+                                                           true, inj);
+      ev1 = abft::StridedAbft::encode_cols_strided_widened(vf.data(), B, d, s,
+                                                           false, inj);
+      ev2 = abft::StridedAbft::encode_cols_strided_widened(vf.data(), B, d, s,
+                                                           true, inj);
+      ++testing::tiles_encoded();
+      numeric::halves_to_floats(ek1.data(), kc1f.data(), su * d);
+      numeric::halves_to_floats(ek2.data(), kc2f.data(), su * d);
+      numeric::halves_to_floats(ev1.data(), vc1f.data(), B * su);
+      numeric::halves_to_floats(ev2.data(), vc2f.data(), B * su);
 
       sim::gemm_f32_nt(qf.data(), R, d, kf.data(), B, S);
       sim::gemm_f32_nt(qf.data(), R, d, kc1f.data(), su, schk1);

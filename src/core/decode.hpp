@@ -54,19 +54,17 @@ namespace ftt::core {
 /// (exactly) dequantized payload for the decode-time ABFT GEMMs.
 enum class TileFmt : std::uint8_t { kF16 = 0, kI8 = 1 };
 
-/// Seal-time image memo policy for fp16 (kF16) tiles.  An image is an
-/// operand layout pre-baked at seal so a clean decode tick does no per-call
-/// packing:
-///   kNone — no image; decode widens/packs per tile per call.
-///   kF16T — pre-transposed *fp16* image: [K^T d x 64 | Kc1^T d x s |
-///           Kc2^T d x s] halves.  The K side lands in the fused fp16-operand
-///           kernels' native k-major layout at half width (1.5x the bare
-///           slab); the V side needs no image at all — V and its column
-///           checksums are already the k-major B operands GEMM II
-///           streams through gemm_f32_nnh.
-/// The image is pure data movement and the fused kernels widen exactly, so
-/// both policies are bit-identical in decode output.
-enum class ImagePolicy : std::uint8_t { kNone = 0, kF16T = 1 };
+/// The one seal-time image layout of a sealed fp16 (kF16) tile, kF16T: a
+/// pre-transposed *fp16* image [K^T d x 64 | Kc1^T d x s | Kc2^T d x s]
+/// halves.  The K side lands in the fused fp16-operand kernels' native
+/// k-major layout at half width (1.5x the bare slab); the V side needs no
+/// image at all — V and its column checksums are already the k-major B
+/// operands GEMM II streams through gemm_f32_nnh.  The image is pure data
+/// movement and the fused kernels widen exactly, so decoding over it is
+/// bit-identical to widening and encoding the tile per call.  Every sealed
+/// fp16 tile of a serve::TilePool carries one; the tag survives only as
+/// TilePoolOptions::images' one value.
+enum class ImagePolicy : std::uint8_t { kF16T };
 
 /// Read-only tiled view of one (request, head) KV slice.  Tile t holds rows
 /// [64t, min(64(t+1), n)) of the logical n x d cache, row-major, in storage
@@ -94,27 +92,29 @@ struct KvSlice {
   /// array has tiles() entries; k_c1/k_c2 point at
   /// enc_stride x d row checksums and v_c1/v_c2 at kTileRows x enc_stride
   /// column checksums, all row-major fp16.  Entries for the unsealed ragged
-  /// tail are null.  The kernel consumes them when enc_stride matches its
-  /// own stride option.  They are sealed memory, not compute: under a fault
-  /// injector a tile's memo stands in for its per-call encode hooks
-  /// (FaultInjector::skip), and only a tile one of whose encode hooks would
-  /// flip is re-encoded per call, so campaign hook counts stay stable.
+  /// tail are null.  The kernel consumes a memo built with its own stride
+  /// option: an fp16 tile's through its f16t image (which carries the K
+  /// side) plus v_c1/v_c2, an int8 tile's through all four.  They are
+  /// sealed memory, not compute: under a fault injector a tile's memo
+  /// stands in for its per-call encode hooks (FaultInjector::skip), and
+  /// only a tile one of whose encode hooks would flip is re-encoded per
+  /// call, so campaign hook counts stay stable.
   const numeric::Half* const* k_c1 = nullptr;
   const numeric::Half* const* k_c2 = nullptr;
   const numeric::Half* const* v_c1 = nullptr;
   const numeric::Half* const* v_c2 = nullptr;
   int enc_stride = 0;  ///< checksum stride the encodings were built with
 
-  /// Optional memoized pre-transposed *fp16* image per sealed tile (the
-  /// kF16T policy, 1.5x slab bytes).  Entry j, when non-null, packs three
-  /// Half blocks back to back:
+  /// Optional memoized pre-transposed *fp16* image per sealed fp16 tile
+  /// (ImagePolicy::kF16T, 1.5x slab bytes).  Entry j, when non-null, packs
+  /// three Half blocks back to back:
   ///   [ K^T  d x 64 (k-major) | Kc1^T d x s | Kc2^T d x s ]
   /// with s == enc_stride.  The fused fp16-operand kernels widen these in
   /// registers (exact), so consuming the image is bit-identical to per-call
-  /// widening; the V operands stream straight from v_tiles / v_c1 / v_c2,
-  /// whose row-major layout is already GEMM II's k-major B operand.  Same
-  /// gating as the encodings: entries for unsealed tiles are null, and a
-  /// tile whose encode hooks would flip widens per call instead.
+  /// widening and encoding; the V operands stream straight from v_tiles /
+  /// v_c1 / v_c2, whose row-major layout is already GEMM II's k-major B
+  /// operand.  Entries for unsealed tiles are null, and a tile whose
+  /// encode hooks would flip widens and encodes per call instead.
   const numeric::Half* const* f16t = nullptr;
 
   /// Optional per-tile storage formats (null == every tile is kF16, the

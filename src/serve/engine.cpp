@@ -29,22 +29,13 @@ namespace {
 DecodeEngine::DecodeEngine(const transformer::Model& model, EngineOptions opt)
     : model_(&model),
       opt_(opt),
+      // The pool fails fast (std::invalid_argument) on a checksum stride
+      // that does not divide both the 64-row tile and head_dim — the
+      // stride every slice's kernel call would reject.
       pool_(TilePoolOptions{model.config().layers, model.config().heads,
                             model.config().head_dim(),
-                            opt.scheduler.max_kv_tiles, opt.efta.stride,
-                            opt.images}),
+                            opt.scheduler.max_kv_tiles, opt.efta.stride}),
       scheduler_(opt.scheduler) {
-  // Fail fast on a stride the kernels would reject per slice.
-  const auto stride = static_cast<std::size_t>(opt_.efta.stride);
-  if (stride == 0 || model.config().head_dim() % stride != 0) {
-    throw std::invalid_argument(
-        "DecodeEngine: head_dim must be a multiple of the checksum stride");
-  }
-  if (opt_.kv_quant && pool_.enc_stride() == 0) {
-    throw std::invalid_argument(
-        "DecodeEngine: kv_quant requires the sealed-tile encoding memo "
-        "(a stride dividing both the tile rows and head_dim)");
-  }
   // The cache-backed kernels are fixed to 64-row strided-ABFT tiles + SNVR;
   // reject knob values they would silently ignore.
   if (opt_.efta.gemm != core::GemmProtect::kStrided ||
@@ -108,11 +99,6 @@ DecodeEngine::RequestId DecodeEngine::submit_with_format(
     const MatrixF& prompt_hidden, core::TileFmt kv_fmt,
     std::size_t max_new_tokens, Priority priority) {
   const auto& cfg = model_->config();
-  if (kv_fmt == core::TileFmt::kI8 && pool_.enc_stride() == 0) {
-    throw std::logic_error(
-        "DecodeEngine: the int8 KV tile format requires the pool's encoding "
-        "memo (enc_stride)");
-  }
   if (prompt_hidden.rows() == 0 || prompt_hidden.cols() != cfg.hidden) {
     throw std::invalid_argument(
         "DecodeEngine::submit: prompt must be seq x hidden with seq >= 1");
@@ -121,8 +107,6 @@ DecodeEngine::RequestId DecodeEngine::submit_with_format(
     throw std::invalid_argument("DecodeEngine::submit: prompt exceeds "
                                 "max_context");
   }
-  const std::size_t budget =
-      max_new_tokens != 0 ? max_new_tokens : opt_.default_max_new_tokens;
   Request req;
   req.prompt = prompt_hidden;
   req.prompt_rows = prompt_hidden.rows();
@@ -131,9 +115,9 @@ DecodeEngine::RequestId DecodeEngine::submit_with_format(
   // Clamp overflow-safely: a huge budget (SIZE_MAX as an "unlimited"
   // sentinel) must saturate at max_context, not wrap below the prompt.
   const std::size_t headroom = opt_.max_context - req.prompt_rows;
-  req.max_tokens = (budget == 0 || budget >= headroom)
+  req.max_tokens = (max_new_tokens == 0 || max_new_tokens >= headroom)
                        ? opt_.max_context
-                       : req.prompt_rows + budget;
+                       : req.prompt_rows + max_new_tokens;
   if (opt_.share_prefix) {
     // Chain keys over the prompt's hidden rows, one per *shareable* tile.
     // The last prompt row is never shared — its forward pass seeds
@@ -510,7 +494,7 @@ void DecodeEngine::advance(std::vector<TickEntry>& entries, MatrixF& X,
         /*defer_seal=*/retry_enabled || (!e.prefill && e.rows > 1)});
   }
 
-  // Retry rung: re-run the tick's compute while the active trigger trips,
+  // Retry rung: re-run the tick's compute while any detection trips it,
   // bounded by max_tick_retries, before anything commits.  Rollback is
   // exact — appends truncate to the pre-tick context (every append this
   // tick deferred its seal, so nothing immutable is touched) and the
@@ -563,11 +547,8 @@ void DecodeEngine::advance(std::vector<TickEntry>& entries, MatrixF& X,
     }
     // The trigger reads THIS attempt's result, not the merged totals — a
     // recovered tick must stop retriggering on its own history.
-    attempt_bad =
-        retry_enabled &&
-        (rp.retry_on == RetryTrigger::kAnyDetection
-             ? tick.attention.total_detected() + tick.linear.flagged > 0
-             : tick.attention.uncorrected() + tick.linear.uncorrected() > 0);
+    attempt_bad = retry_enabled &&
+                  tick.attention.total_detected() + tick.linear.flagged > 0;
     if (!attempt_bad || attempt >= rp.max_tick_retries) break;
   }
   if (retry_enabled && attempt > 0 && !attempt_bad) ++stats.recovered;
@@ -577,17 +558,11 @@ void DecodeEngine::advance(std::vector<TickEntry>& entries, MatrixF& X,
   // single entry, so they mark every entry affected; attention detections
   // pin the exact (entry, head) slots of the final attempt.
   if (attempt_bad) {
-    const bool linear_bad = rp.retry_on == RetryTrigger::kAnyDetection
-                                ? tick.linear.flagged > 0
-                                : tick.linear.uncorrected() > 0;
     for (std::size_t ei = 0; ei < entries.size(); ++ei) {
       TickEntry& e = entries[ei];
-      bool affected = linear_bad;
+      bool affected = tick.linear.flagged > 0;
       for (std::size_t hd = 0; hd < heads && !affected; ++hd) {
-        const FtReport& r = per_item[ei * heads + hd];
-        affected = rp.retry_on == RetryTrigger::kAnyDetection
-                       ? r.total_detected() > 0
-                       : r.uncorrected() > 0;
+        affected = per_item[ei * heads + hd].total_detected() > 0;
       }
       if (!affected) continue;
       Request& req = requests_[e.id];

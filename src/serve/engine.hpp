@@ -92,8 +92,9 @@ struct EngineOptions {
   /// Attention protection knobs the decode/prefill kernels read: stride,
   /// abft_rel_threshold, exp_log_threshold, snvr_slack.  Both kernels are
   /// fixed to 64-row strided-ABFT tiles with SNVR softmax protection, so
-  /// the constructor rejects other gemm/softmax/block settings; causal and
-  /// unified_verification are implied by the cache-backed paths and
+  /// the constructor rejects other gemm/softmax/block settings, and a
+  /// stride that does not divide both the 64-row tile and head_dim; causal
+  /// and unified_verification are implied by the cache-backed paths and
   /// ignored.
   core::EftaOptions efta;
   bool protect_linear = true;  ///< strided ABFT on projections + FFN
@@ -113,35 +114,19 @@ struct EngineOptions {
   /// chunk instead of once per token.  1 reproduces serial token-by-token
   /// prefill; the bit-identity tests compare the two.
   std::size_t prefill_chunk_rows = 64;
-  /// Generation budget for submit() calls that don't pass one explicitly.
-  /// 0 = unbudgeted: the request decodes until finish() or max_context.
-  std::size_t default_max_new_tokens = 0;
   /// Register sealed fully-prompt tiles in the pool and attach matching
   /// prefixes at admission.  Sharing never changes results (sealed tiles
   /// are bit-identical to what a private prefill would compute); the knob
   /// exists for A/B benchmarking the capacity win.
   bool share_prefix = true;
-  /// Sealed-tile image policy (TilePoolOptions::images; core::ImagePolicy):
-  ///   * kF16T (default) — a pre-transposed fp16 image per sealed tile:
-  ///     clean decode ticks stream Half operands straight through the
-  ///     fp16-operand fused microkernels (widened 8 lanes at a time in
-  ///     register), at 0.5x extra KV tile memory (1.5x total with the
-  ///     fp16 slab).
-  ///   * kNone — no image; decode widens/packs per tile per call, which
-  ///     maximizes context capacity.
-  /// Both decode bit-identically — widening is exact and the accumulation
-  /// order is pinned.  Requires the encoding memo (auto-forced to kNone
-  /// without it).
-  core::ImagePolicy images = core::ImagePolicy::kF16T;
   /// Default sealed-tile storage format for submit(): true stores every
   /// sealed KV tile int8-quantized (core::TileFmt::kI8 — per-tile
   /// power-of-two scales, exact integer checksums at rest, fp16-derived
   /// decode memo; see docs/QUANTIZATION.md), 1.5x less sealed-tile memory
-  /// than the default fp16 + f16t-image configuration.  Per-request
+  /// than a sealed fp16 tile with its f16t image.  Per-request
   /// override: submit_with_format().  Both formats share the one pool —
   /// sealed-tile images apply only to fp16 tiles — and fp16 requests stay
-  /// bit-identical to a pure-fp16 run.  Requires the encoding memo
-  /// (constructor throws without it).  Defaults to the process-wide
+  /// bit-identical to a pure-fp16 run.  Defaults to the process-wide
   /// default_tile_format() — kF16 unless the FTT_KV_QUANT environment
   /// toggle flips the whole serve stack to int8 (the CI matrix leg).
   bool kv_quant = default_tile_format() == core::TileFmt::kI8;
@@ -199,7 +184,7 @@ class DecodeEngine {
   /// No compute happens here — the scheduler admits the request on a later
   /// step() and its prompt streams in as causal prefill chunks (minus any
   /// prefix tiles already cached in the pool).  `max_new_tokens` caps
-  /// generation (0 = EngineOptions default); once the cap or max_context is
+  /// generation (0 = unbudgeted); once the cap or max_context is
   /// reached the request retires on its own.  `priority` picks the
   /// scheduling class: high overtakes normal overtakes low, and preemption
   /// victims are drawn lowest class first.  Throws std::invalid_argument
@@ -212,8 +197,7 @@ class DecodeEngine {
   /// overriding EngineOptions::kv_quant.  Prefix chains are keyed per
   /// format (an i8 request can only ever attach i8 tiles), so mixing
   /// formats in one engine is safe — and an fp16 request's stream is
-  /// bit-identical to what a pure-fp16 engine would produce.  Throws
-  /// std::logic_error for kI8 when the pool's encoding memo is disabled.
+  /// bit-identical to what a pure-fp16 engine would produce.
   RequestId submit_with_format(const tensor::MatrixF& prompt_hidden,
                                core::TileFmt kv_fmt,
                                std::size_t max_new_tokens = 0,

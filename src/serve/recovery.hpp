@@ -17,11 +17,10 @@
 // second attempt is clean, a quarantined shard's heads keep computing the
 // same bits under the healthy shards' attribution (shards are fault-domain
 // labels; the tick body is the same for ANY shard count), and a drained
-// replica's requests replay bitwise on a healthy replica.
-// RetryTrigger::kAnyDetection is the mode that carries the full guarantee:
-// ABFT *correction* is approximate (checksum reconstruction, not bit-exact
-// replay), so only a committed attempt with zero detections is provably
-// the clean-run bits.
+// replica's requests replay bitwise on a healthy replica.  Tick retry
+// triggers on any detection, because ABFT *correction* is approximate
+// (checksum reconstruction, not bit-exact replay): only a committed attempt
+// with zero detections is provably the clean-run bits.
 //
 // All rungs default off: a default-constructed RecoveryPolicy reproduces
 // the pre-recovery engine exactly, tick for tick and bit for bit.
@@ -29,18 +28,6 @@
 #include <cstddef>
 
 namespace ftt::serve {
-
-/// What tick-level fault evidence triggers a re-run of the tick's compute.
-enum class RetryTrigger {
-  /// Retry on any detection (attention or linear ABFT flag).  The strict
-  /// mode: a committed attempt is guaranteed flag-free, so a run whose
-  /// every tick committed clean is bitwise-equal to a fault-free run.
-  kAnyDetection,
-  /// Retry only when detections exceed corrections (FtReport::uncorrected).
-  /// Cheaper — approximately-corrected faults commit without a re-run — but
-  /// committed bits may then deviate from clean by the correction error.
-  kUncorrected,
-};
 
 /// What happens to the affected requests when a tick is still faulty after
 /// max_tick_retries re-runs.
@@ -55,19 +42,21 @@ enum class EscalationPolicy {
 
 /// Per-request fault-recovery status, readable via DecodeEngine::health().
 enum class RequestHealth {
-  kClean,    ///< every committed tick passed the active retry trigger
+  kClean,    ///< no committed tick exhausted its retries
   kFlagged,  ///< served through an exhausted retry (kServeFlagged)
   kFailed,   ///< retired by an exhausted retry (kFailRequest)
 };
 
 struct RecoveryPolicy {
-  /// Tick retry: re-run a tick's compute (bounded attempts) when the merged
-  /// reports trip `retry_on`, before committing KV appends and proposer
-  /// history.  0 = off (commit whatever the kernels produced, the
-  /// pre-recovery behavior).  A single-transient fault is gone on the
-  /// re-run, so one retry normally recovers the clean-run bits.
+  /// Tick retry: re-run a tick's compute (bounded attempts) when its
+  /// reports hold any detection (attention or linear ABFT flag), before
+  /// committing KV appends and proposer history.  A committed attempt is
+  /// then flag-free, so a run whose every tick committed clean is
+  /// bitwise-equal to a fault-free run.  0 = off (commit whatever the
+  /// kernels produced, the pre-recovery behavior).  A single-transient
+  /// fault is gone on the re-run, so one retry normally recovers the
+  /// clean-run bits.
   std::size_t max_tick_retries = 0;
-  RetryTrigger retry_on = RetryTrigger::kAnyDetection;
   EscalationPolicy on_exhaustion = EscalationPolicy::kServeFlagged;
 
   /// Shard quarantine: sliding-window attention-fault accounting per shard

@@ -253,29 +253,23 @@ TilePool::TilePool(TilePoolOptions opt)
       heads_(opt.heads),
       dim_(opt.dim),
       enc_stride_(opt.enc_stride),
-      images_(opt.images),
       capacity_tiles_(opt.capacity_tiles) {
   if (layers_ == 0 || heads_ == 0 || dim_ == 0) {
     throw std::invalid_argument(
         "TilePool: layers, heads and dim must be positive");
   }
-  // A stride that cannot tile the checksum footprint disables the memo
-  // instead of rejecting the pool.
+  // The sealed encodings tile both axes of every 64 x dim block.
   if (enc_stride_ <= 0 ||
       kTileRows % static_cast<std::size_t>(enc_stride_) != 0 ||
       dim_ % static_cast<std::size_t>(enc_stride_) != 0) {
-    enc_stride_ = 0;
-    // The image layout embeds the sealed checksum blocks.
-    images_ = core::ImagePolicy::kNone;
+    throw std::invalid_argument(
+        "TilePool: enc_stride must divide both the 64-row tile and dim");
   }
   const auto su = static_cast<std::size_t>(enc_stride_);
-  enc_halves_ = enc_stride_ == 0 ? 0 : 2 * su * dim_ + 2 * kTileRows * su;
+  enc_halves_ = 2 * su * dim_ + 2 * kTileRows * su;
   per_lh_halves_ = 2 * kTileRows * dim_ + enc_halves_;
   slab_halves_ = layers_ * heads_ * per_lh_halves_;
-  // The int8 tile format's checksum shapes are the stride's, so it shares
-  // the memoization gate: no encoding memo, no i8 tiles.
-  i8_block_bytes_ =
-      enc_stride_ == 0 ? 0 : detail::i8_tile_layout(dim_, enc_stride_).bytes;
+  i8_block_bytes_ = detail::i8_tile_layout(dim_, enc_stride_).bytes;
 }
 
 std::size_t TilePool::offset(std::size_t layer,
@@ -284,8 +278,7 @@ std::size_t TilePool::offset(std::size_t layer,
 }
 
 // The fp16 accessors null out once a kI8 tile seals (its staging slab is
-// freed); callers branch on format() / nullptr, exactly like the encoding
-// accessors with the memo disabled.
+// freed); callers branch on format() / nullptr.
 Half* TilePool::k_tile(TileId id, std::size_t layer,
                        std::size_t head) noexcept {
   Half* slab = tiles_[id].slab.get();
@@ -298,7 +291,6 @@ Half* TilePool::v_tile(TileId id, std::size_t layer,
 }
 Half* TilePool::enc_block(TileId id, std::size_t layer,
                           std::size_t head) noexcept {
-  if (enc_stride_ == 0) return nullptr;
   Half* v = v_tile(id, layer, head);
   return v == nullptr ? nullptr : v + kTileRows * dim_;
 }
@@ -306,7 +298,7 @@ Half* TilePool::f16t_image(TileId id, std::size_t layer,
                            std::size_t head) noexcept {
   // Null for kI8 tiles (no hslab): the image is the fp16 fast path.
   Half* hslab = tiles_[id].hslab.get();
-  if (images_ != core::ImagePolicy::kF16T || hslab == nullptr) return nullptr;
+  if (hslab == nullptr) return nullptr;
   return hslab +
          (layer * heads_ + head) * detail::f16t_image_halves(dim_, enc_stride_);
 }
@@ -353,7 +345,7 @@ void TilePool::recycle(TileId id, core::TileFmt fmt) {
     }
   } else {
     t.qslab.reset();
-    if (images_ == core::ImagePolicy::kF16T && t.hslab == nullptr) {
+    if (t.hslab == nullptr) {
       t.hslab = std::unique_ptr<Half[]>(
           new Half[layers_ * heads_ *
                    detail::f16t_image_halves(dim_, enc_stride_)]);
@@ -408,17 +400,14 @@ ScrubOutcome scrub_block(TilePool& pool, TilePool::TileId id,
 
   Half* himg = pool.f16t_image(id, layer, head);
   if (mismatches == 0) {
-    // Payload and encodings agree bit for bit.  Cross-check the optional
-    // image; the fp16 slab is authoritative, so a disagreeing image is
-    // rebuilt from it (pure bit transposes, deterministic).
-    if (himg != nullptr) {
-      detail::build_f16t_image(k, enc, dim, s, himg_fresh.data());
-      if (std::memcmp(himg_fresh.data(), himg,
-                      himg_fresh.size() * sizeof(Half)) != 0) {
-        std::memcpy(himg, himg_fresh.data(),
-                    himg_fresh.size() * sizeof(Half));
-        return ScrubOutcome::kRepaired;
-      }
+    // Payload and encodings agree bit for bit.  Cross-check the image; the
+    // fp16 slab is authoritative, so a disagreeing image is rebuilt from it
+    // (pure bit transposes, deterministic).
+    detail::build_f16t_image(k, enc, dim, s, himg_fresh.data());
+    if (std::memcmp(himg_fresh.data(), himg,
+                    himg_fresh.size() * sizeof(Half)) != 0) {
+      std::memcpy(himg, himg_fresh.data(), himg_fresh.size() * sizeof(Half));
+      return ScrubOutcome::kRepaired;
     }
     return ScrubOutcome::kClean;
   }
@@ -427,15 +416,13 @@ ScrubOutcome scrub_block(TilePool& pool, TilePool::TileId id,
     // feeds at least a plain and a weighted sum); a single disagreement is
     // checksum-class corruption, and the fresh encode is the repair.
     std::memcpy(enc, enc_fresh.data(), enc_halves * sizeof(Half));
-    if (himg != nullptr) detail::build_f16t_image(k, enc, dim, s, himg);
+    detail::build_f16t_image(k, enc, dim, s, himg);
     return ScrubOutcome::kRepaired;
   }
   // Payload-class corruption: the f16t image is the only second copy, and
   // it covers K alone — the de-transpose restores K's Half bits verbatim,
   // but a corrupt V payload re-verifies dirty below and the tile drops (the
-  // durability trade for carrying no V image).  Without an image there is
-  // no second copy at all.
-  if (himg == nullptr) return ScrubOutcome::kUnrepairable;
+  // durability trade for carrying no V image).
   // Image layout: [K^T (dim x 64) | Kc1^T | Kc2^T] halves.
   for (std::size_t r = 0; r < TilePool::kTileRows; ++r) {
     for (std::size_t c = 0; c < dim; ++c) {
@@ -462,12 +449,9 @@ ScrubOutcome scrub_block(TilePool& pool, TilePool::TileId id,
 
 ScrubReport TilePool::scrub(std::size_t max_tiles) {
   ScrubReport rep;
-  if (enc_stride_ == 0 || max_tiles == 0 || tiles_.empty()) return rep;
+  if (max_tiles == 0 || tiles_.empty()) return rep;
   std::vector<Half> enc_fresh(enc_halves_);
-  std::vector<Half> himg_fresh;
-  if (images_ == core::ImagePolicy::kF16T) {
-    himg_fresh.resize(detail::f16t_image_halves(dim_, enc_stride_));
-  }
+  std::vector<Half> himg_fresh(detail::f16t_image_halves(dim_, enc_stride_));
   const std::size_t n = tiles_.size();
   std::size_t visited = 0;
   while (visited < n && rep.scanned < max_tiles) {
@@ -563,11 +547,6 @@ void flip_i8_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
 }  // namespace testing
 
 TilePool::TileId TilePool::acquire(core::TileFmt fmt) {
-  if (fmt == core::TileFmt::kI8 && enc_stride_ == 0) {
-    throw std::logic_error(
-        "TilePool: the int8 tile format requires the encoding memo "
-        "(enc_stride)");
-  }
   // 1. Dead tiles first: reclaiming one loses nothing.
   while (!dead_.empty()) {
     const TileId id = dead_.front();
@@ -589,7 +568,7 @@ TilePool::TileId TilePool::acquire(core::TileFmt fmt) {
       // i8 pointers are published only on seal).  Same for hslab below.
       t.qslab = std::unique_ptr<std::uint8_t[]>(
           new std::uint8_t[layers_ * heads_ * i8_block_bytes_]);
-    } else if (images_ == core::ImagePolicy::kF16T) {
+    } else {
       t.hslab = std::unique_ptr<Half[]>(
           new Half[layers_ * heads_ *
                    detail::f16t_image_halves(dim_, enc_stride_)]);
@@ -701,9 +680,7 @@ std::size_t tile_footprint(const TileT& t, std::size_t slab_halves,
 std::size_t TilePool::bytes_in_use() const noexcept {
   const std::size_t qslab_bytes = layers_ * heads_ * i8_block_bytes_;
   const std::size_t hslab_halves =
-      enc_stride_ == 0
-          ? 0
-          : layers_ * heads_ * detail::f16t_image_halves(dim_, enc_stride_);
+      layers_ * heads_ * detail::f16t_image_halves(dim_, enc_stride_);
   std::size_t b = 0;
   for (const Tile& t : tiles_) {
     if (t.refs != 0) {
@@ -717,12 +694,9 @@ std::size_t TilePool::tile_bytes(core::TileFmt fmt) const noexcept {
   if (fmt == core::TileFmt::kI8) {
     return layers_ * heads_ * i8_block_bytes_;
   }
-  std::size_t b = slab_halves_ * sizeof(Half);
-  if (images_ == core::ImagePolicy::kF16T) {
-    b += layers_ * heads_ * detail::f16t_image_halves(dim_, enc_stride_) *
+  return (slab_halves_ +
+          layers_ * heads_ * detail::f16t_image_halves(dim_, enc_stride_)) *
          sizeof(Half);
-  }
-  return b;
 }
 
 core::TileFmt default_tile_format() noexcept {
@@ -746,13 +720,7 @@ PagedKvCache::PagedKvCache(TilePool& pool, core::TileFmt fmt)
       layer_len_(pool.layers(), 0),
       sealed_tiles_(pool.layers(), 0),
       ptrs_(pool.layers() * pool.heads()),
-      layer_fmt_(pool.layers()) {
-  if (fmt_ == core::TileFmt::kI8 && pool.enc_stride() == 0) {
-    throw std::logic_error(
-        "PagedKvCache: the int8 tile format requires the pool's encoding "
-        "memo (enc_stride)");
-  }
-}
+      layer_fmt_(pool.layers()) {}
 
 PagedKvCache::~PagedKvCache() { release_all(); }
 
@@ -853,10 +821,9 @@ void PagedKvCache::seal_layer_tile(std::size_t layer, std::size_t tile_index) {
   const std::size_t heads = pool_->heads(), dim = pool_->dim();
   const TilePool::TileId id = table_[tile_index];
   if (fmt_ == core::TileFmt::kI8) {
-    // Quantize this layer's staged fp16 rows into the tile's i8 slab (the
-    // ctor guarantees s != 0 here).  The layer's slice streams i8 from this
-    // moment on; the fp16 staging rows die at the pool-wide seal below, so
-    // null the payload pointers now.
+    // Quantize this layer's staged fp16 rows into the tile's i8 slab.  The
+    // layer's slice streams i8 from this moment on; the fp16 staging rows
+    // die at the pool-wide seal below, so null the payload pointers now.
     const detail::I8TileLayout L = detail::i8_tile_layout(dim, s);
     for (std::size_t h = 0; h < heads; ++h) {
       std::uint8_t* block = pool_->i8_block(id, layer, h);
@@ -884,24 +851,20 @@ void PagedKvCache::seal_layer_tile(std::size_t layer, std::size_t tile_index) {
     }
     return;
   }
-  if (s != 0) {
-    const auto su = static_cast<std::size_t>(s);
-    const std::size_t kcn = su * dim, vcn = TilePool::kTileRows * su;
-    for (std::size_t h = 0; h < heads; ++h) {
-      Half* enc = pool_->enc_block(id, layer, h);
-      detail::encode_sealed_tile(pool_->k_tile(id, layer, h),
-                                 pool_->v_tile(id, layer, h), dim, s, enc);
-      HeadPtrs& hp = ptrs_[layer * heads + h];
-      hp.kc1[tile_index] = enc;
-      hp.kc2[tile_index] = enc + kcn;
-      hp.vc1[tile_index] = enc + 2 * kcn;
-      hp.vc2[tile_index] = enc + 2 * kcn + vcn;
-      if (Half* himg = pool_->f16t_image(id, layer, h)) {
-        detail::build_f16t_image(pool_->k_tile(id, layer, h), enc, dim, s,
-                                 himg);
-        hp.f16t[tile_index] = himg;
-      }
-    }
+  const auto su = static_cast<std::size_t>(s);
+  const std::size_t kcn = su * dim, vcn = TilePool::kTileRows * su;
+  for (std::size_t h = 0; h < heads; ++h) {
+    const Half* k = pool_->k_tile(id, layer, h);
+    Half* enc = pool_->enc_block(id, layer, h);
+    Half* himg = pool_->f16t_image(id, layer, h);
+    detail::encode_sealed_tile(k, pool_->v_tile(id, layer, h), dim, s, enc);
+    detail::build_f16t_image(k, enc, dim, s, himg);
+    HeadPtrs& hp = ptrs_[layer * heads + h];
+    hp.kc1[tile_index] = enc;
+    hp.kc2[tile_index] = enc + kcn;
+    hp.vc1[tile_index] = enc + 2 * kcn;
+    hp.vc2[tile_index] = enc + 2 * kcn + vcn;
+    hp.f16t[tile_index] = himg;
   }
   // The last layer fills last within a tick: its seal completes the tile.
   if (layer == pool_->layers() - 1) {
@@ -1029,8 +992,8 @@ core::KvSlice PagedKvCache::slice(std::size_t layer, std::size_t head) const {
     throw std::out_of_range("PagedKvCache: layer/head out of range");
   }
   const HeadPtrs& hp = ptrs_[layer * pool_->heads() + head];
-  // f16t entries are null unless the pool's policy is kF16T and the tile
-  // sealed, so exposing the array unconditionally is policy-correct.
+  // f16t entries are null until the tile seals (and for kI8 tiles), so the
+  // array is exposed unconditionally.
   core::KvSlice s{hp.k.data(),   hp.v.data(),   layer_len_[layer],
                   pool_->dim(),  hp.kc1.data(), hp.kc2.data(),
                   hp.vc1.data(), hp.vc2.data(), pool_->enc_stride(),

@@ -4,11 +4,11 @@
 // fault-tolerant decode kernel's checksum footprint).
 //
 // A *context tile* holds 64 tokens of K/V for every layer and head of the
-// model, plus — when checksum memoization is enabled — the four sealed
-// strided-ABFT encodings of each (layer, head) 64 x dim tile pair, all in
-// one contiguous slab.  Because the encodings live inside the tile, sharing
-// a tile shares its ABFT memo too: a prefix computed (and encoded) once is
-// verified from the same sealed checksums by every request that maps it.
+// model, plus the four sealed strided-ABFT encodings of each (layer, head)
+// 64 x dim tile pair, all in one contiguous slab.  Because the encodings
+// live inside the tile, sharing a tile shares its ABFT memo too: a prefix
+// computed (and encoded) once is verified from the same sealed checksums by
+// every request that maps it.
 //
 // Tiles are refcounted.  A request's PagedKvCache maps context positions to
 // pool tiles through a block table; sealed tiles are immutable, so sharing
@@ -39,9 +39,10 @@
 //
 // Full tiles are immutable once written, so sealing memoizes their four
 // strided checksum encodings (K row checksums c1/c2, V column checksums
-// c1/c2) once, ever: clean decode steps consume the sealed encodings
-// instead of re-deriving all four per token, dropping the per-token encode
-// cost from O(context) to O(tail).
+// c1/c2) once, ever, and a sealed fp16 tile also gets its kF16T image (the
+// K-side operands pre-transposed, detail::build_f16t_image): clean decode
+// steps stream the sealed memo instead of re-deriving all four encodings
+// per token, dropping the per-token encode cost from O(context) to O(tail).
 
 #include <cstddef>
 #include <cstdint>
@@ -68,7 +69,7 @@ void encode_sealed_tile(const numeric::Half* k_tile,
                         const numeric::Half* v_tile, std::size_t dim, int s,
                         numeric::Half* out);
 
-/// Number of halves in one sealed tile's pre-transposed fp16 image (the
+/// Number of halves in one sealed fp16 tile's pre-transposed image (the
 /// core::ImagePolicy::kF16T layout): only the K-side operands need
 /// re-laying-out, and they stay at half width —
 ///   [K^T (dim x 64) | Kc1^T (dim x s) | Kc2^T (dim x s)]
@@ -216,20 +217,15 @@ struct TilePoolOptions {
   /// the pool grows on demand and eviction only recycles dead/cached tiles
   /// that already exist.
   std::size_t capacity_tiles = 0;
-  /// Checksum stride for the sealed-tile encodings.  A stride that does not
-  /// divide both the 64-row tile and `dim` — or a value <= 0 — disables
-  /// memoization instead of rejecting the pool (enc_stride() reports 0);
-  /// decode then encodes fresh per call.
+  /// Checksum stride for the sealed-tile encodings.  Must be positive and
+  /// divide both the 64-row tile and `dim`; the constructor throws
+  /// std::invalid_argument otherwise.
   int enc_stride = abft::StridedAbft::kDefaultStride;
-  /// Sealed-tile image policy (core::ImagePolicy):
-  ///   * kF16T — pre-transposed fp16 image (detail::build_f16t_image
-  ///     layout, [K^T | Kc1^T | Kc2^T] halves): 0.5x extra memory, zero
-  ///     per-tile packing, operands widened 8 lanes at a time inside the
-  ///     fp16-operand microkernels.  Same decoded bits as kNone.
-  ///   * kNone — no image; decode widens/packs per call.
-  /// The image embeds the sealed checksum blocks, so it requires the
-  /// encoding memo; forced to kNone when enc_stride is disabled.
-  core::ImagePolicy images = core::ImagePolicy::kNone;
+  /// Sealed fp16 tile image layout; kF16T (detail::build_f16t_image,
+  /// [K^T | Kc1^T | Kc2^T] halves: 0.5x extra memory, zero per-tile
+  /// packing, operands widened 8 lanes at a time inside the fp16-operand
+  /// microkernels) is the only one, and every sealed fp16 tile carries it.
+  core::ImagePolicy images = core::ImagePolicy::kF16T;
 };
 
 /// Outcome of one incremental scrub pass (TilePool::scrub).
@@ -253,7 +249,7 @@ class TilePool {
   /// Incremental KV scrubber: walk up to `max_tiles` sealed tiles (a
   /// round-robin cursor persists across calls) and re-verify each (layer,
   /// head) block's in-slab strided-ABFT encodings against its fp16
-  /// payload, bit for bit.
+  /// payload, bit for bit (kI8 tiles: detail::scrub_i8_tile).
   ///
   ///   * payload and encodings consistent, but the f16t image disagrees ->
   ///     the image is rebuilt from the (authoritative) fp16 slab
@@ -261,11 +257,10 @@ class TilePool {
   ///   * exactly one encoding element disagrees with a fresh encode ->
   ///     checksum-class corruption, the sealed encodings (and image) are
   ///     rewritten in place (`repaired`);
-  ///   * two or more disagree -> payload-class corruption: with kF16T
-  ///     images the K payload is restored by de-transposing the image's
-  ///     Half bits verbatim and re-verified (`repaired`).  The f16t image
-  ///     carries no V copy, so V-payload corruption is unrepairable; so is
-  ///     any payload corruption without an image, or a failed re-verify.
+  ///   * two or more disagree -> payload-class corruption: the K payload is
+  ///     restored by de-transposing the image's Half bits verbatim and
+  ///     re-verified (`repaired`).  The f16t image carries no V copy, so
+  ///     V-payload corruption is unrepairable; so is a failed re-verify.
   ///     An unrepairable tile is unpublished, unsealed and reported in
   ///     `dropped` (refcount-0 tiles go straight to the dead list).
   ///
@@ -273,8 +268,6 @@ class TilePool {
   /// sub-threshold low-order payload flips that cancel in every checksum
   /// are indistinguishable from a checksum flip and repaired as such —
   /// the same precision floor the decode-time ABFT thresholds accept.
-  /// Requires the encoding memo; with enc_stride() == 0 there is no
-  /// redundancy to verify against and scrub() is a no-op.
   ///
   /// NOTE: memory faults are outside the paper's fault model (KV storage
   /// is assumed ECC-protected); the scrubber is the belt-and-braces rung
@@ -292,8 +285,7 @@ class TilePool {
   /// ragged tail is always fp16); at seal time each (layer, head) block is
   /// quantized into the tile's i8 slab (detail::quantize_sealed_tile — the
   /// owning PagedKvCache drives this per layer) and the pool-wide seal()
-  /// frees the staging slab, which is the capacity win.  Requires the
-  /// encoding memo: kI8 with enc_stride() == 0 throws std::logic_error.
+  /// frees the staging slab, which is the capacity win.
   [[nodiscard]] TileId acquire(core::TileFmt fmt = core::TileFmt::kF16);
 
   void retain(TileId id);
@@ -325,14 +317,13 @@ class TilePool {
                                       std::size_t head) noexcept;
   [[nodiscard]] numeric::Half* v_tile(TileId id, std::size_t layer,
                                       std::size_t head) noexcept;
-  /// The four-encoding block of one (layer, head) tile, or nullptr when
-  /// memoization is disabled.
+  /// The four-encoding block of one (layer, head) tile (nullptr once a kI8
+  /// tile seals, like k_tile()).
   [[nodiscard]] numeric::Half* enc_block(TileId id, std::size_t layer,
                                          std::size_t head) noexcept;
   /// The pre-transposed fp16 image of one (layer, head) tile
-  /// (f16t_image_halves halves, written at seal time), or nullptr when the
-  /// policy is not kF16T.  Contents are only meaningful once the tile's
-  /// layer sealed.
+  /// (f16t_image_halves halves, written at seal time), or nullptr for a
+  /// kI8 tile.  Contents are only meaningful once the tile's layer sealed.
   [[nodiscard]] numeric::Half* f16t_image(TileId id, std::size_t layer,
                                           std::size_t head) noexcept;
   /// Storage format the tile was acquired with (kF16 tiles never hold an i8
@@ -343,8 +334,7 @@ class TilePool {
   /// (detail::I8TileLayout), or nullptr for kF16 tiles.
   [[nodiscard]] std::uint8_t* i8_block(TileId id, std::size_t layer,
                                        std::size_t head) noexcept;
-  /// Bytes of one (layer, head) i8 block (0 when the encoding memo is
-  /// disabled — the i8 format requires it).
+  /// Bytes of one (layer, head) i8 block.
   [[nodiscard]] std::size_t i8_block_bytes() const noexcept {
     return i8_block_bytes_;
   }
@@ -353,8 +343,6 @@ class TilePool {
   [[nodiscard]] std::size_t heads() const noexcept { return heads_; }
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
   [[nodiscard]] int enc_stride() const noexcept { return enc_stride_; }
-  /// Sealed-tile image policy in effect (kNone when enc_stride disabled).
-  [[nodiscard]] core::ImagePolicy images() const noexcept { return images_; }
   /// Capacity in tiles (0 = unbounded).
   [[nodiscard]] std::size_t capacity() const noexcept {
     return capacity_tiles_;
@@ -389,9 +377,9 @@ class TilePool {
   /// reports the real mixed footprint.
   [[nodiscard]] std::size_t bytes_in_use() const noexcept;
   /// Steady-state bytes of one sealed tile of `fmt` in this pool's
-  /// configuration (kF16: fp16 slab + optional f16t image; kI8: the i8
-  /// slab alone — its staging slab is freed at seal).  The byte-capacity
-  /// planning hook for benches and the capacity gauges.
+  /// configuration (kF16: fp16 slab + f16t image; kI8: the i8 slab alone —
+  /// its staging slab is freed at seal).  The byte-capacity planning hook
+  /// for benches and the capacity gauges.
   [[nodiscard]] std::size_t tile_bytes(core::TileFmt fmt) const noexcept;
 
  private:
@@ -406,7 +394,7 @@ class TilePool {
     /// area for kI8 tiles (freed when a kI8 tile seals, reallocated on
     /// recycle).
     std::unique_ptr<numeric::Half[]> slab;
-    /// Pre-transposed fp16 image slab (kF16T policy, kF16 tiles only): one
+    /// Pre-transposed fp16 image slab (kF16 tiles only): one
     /// f16t_image_halves block per (layer, head).  Not zeroed on recycle —
     /// the image is fully overwritten at seal time and never read before.
     std::unique_ptr<numeric::Half[]> hslab;
@@ -432,12 +420,11 @@ class TilePool {
 
   std::size_t layers_, heads_, dim_;
   int enc_stride_;
-  core::ImagePolicy images_;
   std::size_t capacity_tiles_;
   std::size_t per_lh_halves_ = 0;  // K+V+enc of one (layer, head)
   std::size_t enc_halves_ = 0;     // the enc portion of the above
   std::size_t slab_halves_ = 0;
-  std::size_t i8_block_bytes_ = 0;  // one (layer, head) i8 block, 0 if no enc
+  std::size_t i8_block_bytes_ = 0;  // one (layer, head) i8 block
   std::size_t in_use_ = 0;
   std::size_t evictions_ = 0;
   std::size_t shared_hits_ = 0;
@@ -460,8 +447,8 @@ namespace testing {
 /// slab throws std::logic_error.
 void flip_slab_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
                    std::size_t head, std::size_t half_index, unsigned bit);
-/// Flip one bit of one half of a sealed tile's pre-transposed fp16 image
-/// block (kF16T pools; `half_index` < detail::f16t_image_halves).
+/// Flip one bit of one half of a sealed fp16 tile's pre-transposed image
+/// block (`half_index` < detail::f16t_image_halves).
 void flip_f16t_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
                    std::size_t head, std::size_t half_index, unsigned bit);
 /// i8-tile counterpart: flip one bit of one byte of a kI8 tile's
@@ -495,9 +482,10 @@ void flip_i8_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
 ///
 /// When a (layer, head) tile fills, its four checksum encodings are sealed
 /// into the tile slab (same bits as a fresh per-call encode — the shared
-/// encode_sealed_tile helper); when the *last* layer fills, the tile is
-/// sealed pool-wide and reported through take_newly_sealed() so the engine
-/// can publish fully-prompt tiles for prefix sharing.
+/// encode_sealed_tile helper) and its kF16T image is built from them (a kI8
+/// request quantizes the block instead); when the *last* layer fills, the
+/// tile is sealed pool-wide and reported through take_newly_sealed() so the
+/// engine can publish fully-prompt tiles for prefix sharing.
 class PagedKvCache {
  public:
   /// `fmt` is the request's sealed-tile format: kI8 quantizes every tile
@@ -505,9 +493,7 @@ class PagedKvCache {
   /// the moment that layer's rows complete the tile) and attaches only kI8
   /// shared tiles; the open ragged tail always stays fp16.  Both formats
   /// coexist in one pool; the engine keys prefix chains per format, and
-  /// attach_shared() enforces the no-cross-format rule besides.  kI8
-  /// requires the pool's encoding memo (throws std::logic_error without
-  /// it).
+  /// attach_shared() enforces the no-cross-format rule besides.
   explicit PagedKvCache(TilePool& pool,
                         core::TileFmt fmt = default_tile_format());
   ~PagedKvCache();
@@ -583,7 +569,7 @@ class PagedKvCache {
   struct HeadPtrs {
     std::vector<const numeric::Half*> k, v, kc1, kc2, vc1, vc2;
     // Per-tile pre-transposed fp16 image pointers (null until the layer
-    // tile seals, and always null when the pool's policy is not kF16T).
+    // tile seals, and always null for kI8 tiles).
     std::vector<const numeric::Half*> f16t;
     // Per-tile i8 payload pointers and power-of-two scales (kI8 caches
     // only; null/0 until the layer tile quantizes).

@@ -1,9 +1,10 @@
 #pragma once
 // One request's K/V for kernel-level tests: a single-layer serve::TilePool
 // plus the PagedKvCache that maps it — the same storage the serving engine
-// decodes from, one layer deep.  The fixture owns both (pool first, so the
-// cache releases its tiles before the pool dies) and is movable, so suites
-// can keep a vector of them.
+// decodes from, one layer deep, sealed tiles and their kF16T images
+// included.  The fixture owns both (pool first, so the cache releases its
+// tiles before the pool dies) and is movable, so suites can keep a vector
+// of them.
 //
 // The tile format is a required argument: PagedKvCache's own default
 // follows the FTT_KV_QUANT environment toggle, and a suite that pins fp16
@@ -30,10 +31,9 @@ namespace ftt::testing {
 class PagedKv {
  public:
   PagedKv(std::size_t heads, std::size_t dim, core::TileFmt fmt,
-          core::ImagePolicy images = core::ImagePolicy::kNone,
           int enc_stride = abft::StridedAbft::kDefaultStride)
       : pool_(std::make_unique<serve::TilePool>(
-            serve::TilePoolOptions{1, heads, dim, 0, enc_stride, images})),
+            serve::TilePoolOptions{1, heads, dim, 0, enc_stride})),
         cache_(std::make_unique<serve::PagedKvCache>(*pool_, fmt)) {}
 
   /// Append `rows` tokens: stacked head-major rows of heads*dim halves each

@@ -129,6 +129,43 @@ TEST(Decode, RejectsBadShapes) {
   }
 }
 
+TEST(Decode, RejectsStrideNotDividingTheTileBeforeAnyHook) {
+  // Stride 12 divides d = 96 but not the 64-row tile, so the strided
+  // checksums cannot tile a KV tile's rows.  Block, step and batch must all
+  // throw before any work, with no hook fired, instead of failing in the
+  // tile encoder mid-call (inside the batch's OpenMP loop, which ends the
+  // process).
+  constexpr std::size_t kN = 100, kD = 96;
+  ft::MatrixH K(kN, kD), V(kN, kD);
+  ft::fill_normal(K, 71);
+  ft::fill_normal(V, 72);
+  std::vector<const Half*> kt, vt;
+  for (std::size_t r = 0; r < kN; r += fc::KvSlice::kTileRows) {
+    kt.push_back(K.data() + r * kD);
+    vt.push_back(V.data() + r * kD);
+  }
+  const fc::KvSlice kv{kt.data(), vt.data(), kN, kD};
+  std::vector<Half> q(kD, Half(0.5f));
+  std::vector<float> out(kD);
+  fc::EftaOptions opt;
+  opt.stride = 12;
+  ff::FaultInjector probe;
+  const fc::DecodeWorkItem item{kv, q.data(), out.data()};
+  EXPECT_THROW(fc::efta_decode_block(item, opt, &probe),
+               std::invalid_argument);
+  EXPECT_THROW(fc::efta_decode_step(kv, q, out, opt, &probe),
+               std::invalid_argument);
+  EXPECT_THROW(fc::efta_decode_step(K, V, q, out, opt, &probe),
+               std::invalid_argument);
+  const fc::DecodeWorkItem items[] = {item, item};
+  EXPECT_THROW(fc::efta_decode_batch(items, opt, &probe),
+               std::invalid_argument);
+  EXPECT_THROW(fc::efta_decode_batch(items, opt), std::invalid_argument);
+  for (std::size_t s = 0; s < ff::kSiteCount; ++s) {
+    EXPECT_EQ(probe.calls(static_cast<ff::Site>(s)), 0u) << s;
+  }
+}
+
 TEST(Decode, RaggedContextMatchesStandardAttention) {
   // Context lengths that are not multiples of the 64-row checksum tile must
   // work: the ragged tail is zero-padded into a full checksum footprint.
@@ -420,8 +457,7 @@ TEST(Decode, CampaignReportsPinned) {
     vt.push_back(V.data() + r * kD);
   }
   const fc::KvSlice raw{kt.data(), vt.data(), kN, kD};
-  ftt::testing::PagedKv pool(1, kD, fc::TileFmt::kF16,
-                             fc::ImagePolicy::kF16T);
+  ftt::testing::PagedKv pool(1, kD, fc::TileFmt::kF16);
   pool.append({K.data(), kN * kD}, {V.data(), kN * kD}, kN);
   const fc::KvSlice f16t = pool.slice(0);
 

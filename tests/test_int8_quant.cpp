@@ -630,15 +630,13 @@ TEST(PagedKvQuant, DecodeDeterministicAndWithinQuantTolerance) {
 
 namespace {
 
-fs::TilePoolOptions pool_options(std::size_t capacity = 0,
-                                 bool images = false) {
+fs::TilePoolOptions pool_options(std::size_t capacity = 0) {
   fs::TilePoolOptions o;
   o.layers = 2;
   o.heads = kHeads;
   o.dim = kDim;
   o.capacity_tiles = capacity;
   o.enc_stride = kStride;
-  o.images = images ? fc::ImagePolicy::kF16T : fc::ImagePolicy::kNone;
   return o;
 }
 
@@ -663,17 +661,8 @@ void fill_paged(fs::PagedKvCache& cache, std::size_t layers,
 
 }  // namespace
 
-TEST(TilePoolQuant, I8FormatRequiresEncodingMemo) {
-  fs::TilePoolOptions o = pool_options();
-  o.enc_stride = 0;
-  fs::TilePool pool(o);
-  EXPECT_THROW((void)pool.acquire(fc::TileFmt::kI8), std::logic_error);
-  EXPECT_THROW(fs::PagedKvCache(pool, fc::TileFmt::kI8), std::logic_error);
-}
-
 TEST(TilePoolQuant, SealedI8TileFreesStagingSlabAndShrinksFootprint) {
-  // kF16T images on: the engine default the int8 format displaces.
-  fs::TilePool pool(pool_options(0, /*images=*/true));
+  fs::TilePool pool(pool_options());
   // Exact sealed bytes of one (layer, head) block at dim 64, stride 8: the
   // fp16 slab (K, V and the four encodings) 20,480 B, or 30,720 B with the
   // f16t image; the int8 block 20,504 B — 1.5x smaller than the default
@@ -727,11 +716,13 @@ TEST(TilePoolQuant, MixedFormatBytesAccountingIsPerTile) {
   fill_paged(b, pool.layers(), kRows, 33);  // one sealed fp16 tile
   EXPECT_EQ(pool.bytes_in_use(), pool.tile_bytes(fc::TileFmt::kI8) +
                                      pool.tile_bytes(fc::TileFmt::kF16));
-  // An OPEN kI8 tile charges both its fp16 staging slab and its
-  // (acquire-time) i8 slab; only the seal frees the staging slab.
+  // An OPEN kI8 tile charges both its fp16 staging slab (no image: kI8
+  // tiles never carry one) and its (acquire-time) i8 slab; only the seal
+  // frees the staging slab.
   fill_paged(a, pool.layers(), 5, 34);
   EXPECT_EQ(pool.bytes_in_use(), 2 * pool.tile_bytes(fc::TileFmt::kI8) +
-                                     2 * pool.tile_bytes(fc::TileFmt::kF16));
+                                     pool.tile_bytes(fc::TileFmt::kF16) +
+                                     pool.slab_halves() * sizeof(Half));
 }
 
 TEST(TilePoolQuant, RecycleConvertsFormatsBothWays) {

@@ -144,24 +144,23 @@ TEST(OmpInvariance, InjectedBatchEqualsSerialItems) {
   // items a flip lands in.  The result must be a serial loop of
   // efta_decode_block with the same injector, bit for bit: outputs,
   // per-item reports, per-site calls() and events.  The batch mixes every
-  // tier: a raw slice (widen per tile), a kF16T pool (image tier), a kF16
-  // pool without images (memo + widen) and a kI8 pool (fused int8), with
-  // decode rows, a speculative block and a prefill chunk.
+  // tier: a raw slice (widen and encode per tile), kF16 pools (image tier)
+  // and kI8 pools (fused int8), with decode rows, a speculative block and a
+  // prefill chunk.
   OmpGuard guard;
   constexpr std::size_t kDim = 32;
   struct Ctx {
     std::size_t n, rows;
     fc::TileFmt fmt;
-    fc::ImagePolicy images;
   };
-  const Ctx ctxs[] = {{200, 1, fc::TileFmt::kF16, fc::ImagePolicy::kF16T},
-                      {130, 5, fc::TileFmt::kF16, fc::ImagePolicy::kNone},
-                      {256, 64, fc::TileFmt::kI8, fc::ImagePolicy::kNone},
-                      {129, 1, fc::TileFmt::kI8, fc::ImagePolicy::kNone},
-                      {300, 37, fc::TileFmt::kF16, fc::ImagePolicy::kF16T}};
+  const Ctx ctxs[] = {{200, 1, fc::TileFmt::kF16},
+                      {130, 5, fc::TileFmt::kF16},
+                      {256, 64, fc::TileFmt::kI8},
+                      {129, 1, fc::TileFmt::kI8},
+                      {300, 37, fc::TileFmt::kF16}};
   std::vector<PagedKv> caches;
   for (std::size_t i = 0; i < std::size(ctxs); ++i) {
-    caches.emplace_back(1, kDim, ctxs[i].fmt, ctxs[i].images);
+    caches.emplace_back(1, kDim, ctxs[i].fmt);
     fill_random(caches.back(), ctxs[i].n, 930 + i);
   }
   // The raw slice: contiguous rows, no memo.

@@ -130,20 +130,6 @@ TEST(PagedKv, SealsEncodingsOncePerFullTile) {
   const Half* enc0 = sl.k_c1[0];
   fill_random(cache, 70, 13);
   EXPECT_EQ(cache.slice(1).k_c1[0], enc0);
-
-  // A stride that cannot tile the footprint (or an explicit 0) disables
-  // memoization instead of rejecting the cache; decode still works via the
-  // fresh-encode fallback.
-  PagedKv nomemo(1, 32, kF16, fc::ImagePolicy::kNone, 5);
-  EXPECT_EQ(nomemo.pool().enc_stride(), 0);
-  fill_random(nomemo, 70, 14);
-  EXPECT_EQ(nomemo.slice(0).enc_stride, 0);
-  EXPECT_EQ(nomemo.slice(0).k_c1[0], nullptr);
-  const auto q = random_query(32, 15);
-  std::vector<float> out(32);
-  fc::efta_decode_step(nomemo.slice(0), q, out, fc::EftaOptions{});
-  EXPECT_EQ(PagedKv(1, 32, kF16, fc::ImagePolicy::kNone, 0).pool().enc_stride(),
-            0);
 }
 
 TEST(Serve, FullTileReadsAreZeroCopy) {
@@ -181,7 +167,7 @@ TEST(Serve, InjectedStepKeepsSealedTiers) {
   const auto q = random_query(kDim, 31);
   std::size_t& encoded = fc::testing::tiles_encoded();
   for (const fc::TileFmt fmt : {kF16, fc::TileFmt::kI8}) {
-    PagedKv kv(1, kDim, fmt, fc::ImagePolicy::kF16T);
+    PagedKv kv(1, kDim, fmt);
     fill_random(kv, kN, 32);
     const fc::KvSlice slice = kv.slice(0);
     ASSERT_EQ(slice.tiles(), 33u);
@@ -397,9 +383,10 @@ struct TokenStream {
 }  // namespace
 
 TEST(Serve, MemoizedEncodingsBitIdenticalToFreshEncode) {
-  // A pool-backed decode consumes sealed per-tile encodings; the
-  // contiguous-cache overload re-encodes every tile per call.  The two must
-  // agree bit for bit — the memo is the same computation, done once.
+  // A pool-backed decode streams each sealed tile's kF16T image and sealed
+  // encodings; the contiguous-cache overload widens and re-encodes every
+  // tile per call.  The two must agree bit for bit — the memo is the same
+  // computation, done once.
   constexpr std::size_t kDim = 64, kN = 197;  // 3 full tiles + ragged tail
   const TokenStream ts(kN, kDim, 0xeca1);
   PagedKv cache(1, kDim, kF16);
@@ -856,6 +843,15 @@ TEST(Engine, RejectsBadOptionsAtConstruction) {
   fs::EngineOptions opt;
   opt.efta.stride = 3;  // head_dim 64 is not a multiple of 3
   EXPECT_THROW(fs::DecodeEngine(model, opt), std::invalid_argument);
+  // Stride 12 divides head_dim 96 but not the 64-row tile: the pool cannot
+  // seal the tile's checksums, and no slice's kernel call would accept it.
+  fx::ModelConfig wide = serving_config();
+  wide.hidden = 192;
+  const fx::Model wide_model(wide, 0x56);
+  ASSERT_EQ(wide_model.config().head_dim(), 96u);
+  fs::EngineOptions stride12;
+  stride12.efta.stride = 12;
+  EXPECT_THROW(fs::DecodeEngine(wide_model, stride12), std::invalid_argument);
 
   fs::EngineOptions chunk0;
   chunk0.prefill_chunk_rows = 0;

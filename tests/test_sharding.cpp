@@ -191,7 +191,7 @@ TEST(TickBody, RejectsEntryRowsPastXBeforeAnyWork) {
   const auto& cfg = model.config();
   const fs::EngineOptions eopt;
   fs::TilePool pool(fs::TilePoolOptions{cfg.layers, cfg.heads, cfg.head_dim(),
-                                        0, eopt.efta.stride, eopt.images});
+                                        0, eopt.efta.stride});
   fs::PagedKvCache cache(pool, fc::TileFmt::kF16);
   ASSERT_TRUE(cache.ensure_capacity(5));
   ft::MatrixF X(2, cfg.hidden);

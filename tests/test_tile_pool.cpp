@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -120,6 +121,28 @@ TEST(TilePool, RefcountingCapacityAndUnderflow) {
   EXPECT_EQ(grow.allocatable(), SIZE_MAX);
   for (int i = 0; i < 10; ++i) EXPECT_NE(grow.acquire(), fs::TilePool::kNoTile);
   EXPECT_EQ(grow.allocated(), 10u);
+}
+
+TEST(TilePool, RejectsStrideNotDividingTheTileOrDim) {
+  // Every sealed tile carries its checksum memo (and an fp16 tile its kF16T
+  // image), so a stride that cannot tile both axes of a 64 x dim block is
+  // rejected instead of silently dropping the memo.  At dim 96: 0 and -8
+  // are not strides, 5 divides neither axis, 12 divides dim but not 64, and
+  // 64 divides the tile but not dim.
+  fs::TilePoolOptions opt = pool_opts(1, 2, 96, 0);
+  for (const int bad : {0, -8, 5, 12, 64}) {
+    opt.enc_stride = bad;
+    EXPECT_THROW(fs::TilePool{opt}, std::invalid_argument) << bad;
+  }
+  opt.enc_stride = 32;
+  fs::TilePool pool(opt);
+  EXPECT_EQ(pool.enc_stride(), 32);
+  const auto f16 = pool.acquire(fc::TileFmt::kF16);
+  const auto i8 = pool.acquire(fc::TileFmt::kI8);
+  EXPECT_NE(pool.enc_block(f16, 0, 1), nullptr);
+  EXPECT_NE(pool.f16t_image(f16, 0, 1), nullptr);
+  EXPECT_NE(pool.i8_block(i8, 0, 1), nullptr);
+  EXPECT_EQ(pool.f16t_image(i8, 0, 1), nullptr);
 }
 
 TEST(TilePool, PrefixRegistryLruEvictionAndRescue) {
