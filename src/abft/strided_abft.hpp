@@ -42,10 +42,9 @@ struct StridedAbft {
   static tensor::MatrixH encode_rows_strided(const tensor::MatrixH& X, int s,
                                              bool weighted,
                                              fault::FaultInjector* inj);
-  /// Encode from a pre-widened dense fp32 image of the fp16 operand (exact
-  /// values, so bit-identical to the fp16 overloads): the decode hot path
-  /// already holds each tile's widened image and must not re-convert it
-  /// four times to derive the four encodings.
+  /// Encode from a dense fp32 image of fp16-valued rows (exact values, so
+  /// bit-identical to the fp16 overloads): an int8 KV tile's exactly
+  /// dequantized rows encode through it.
   static tensor::MatrixH encode_rows_strided_widened(const float* xf,
                                                      std::size_t rows,
                                                      std::size_t cols, int s,

@@ -37,11 +37,23 @@ std::size_t& tiles_encoded() noexcept {
 namespace {
 
 void validate_item(const DecodeWorkItem& it, const EftaOptions& opt) {
-  if (it.kv.k_tiles == nullptr || it.kv.v_tiles == nullptr) {
-    throw std::invalid_argument("efta decode: null KV tile pointers");
-  }
-  if (it.kv.n == 0) {
+  const KvSlice& kv = it.kv;
+  if (kv.n == 0) {
     throw std::invalid_argument("efta decode: empty context (n == 0)");
+  }
+  for (std::size_t j = 0; j < kv.tiles(); ++j) {
+    const bool ok =
+        kv.fmt != nullptr && kv.fmt[j] == TileFmt::kI8
+            ? kv.k_i8 != nullptr && kv.v_i8 != nullptr &&
+                  kv.k_scale != nullptr && kv.v_scale != nullptr &&
+                  kv.k_i8[j] != nullptr && kv.v_i8[j] != nullptr
+            : kv.k_tiles != nullptr && kv.v_tiles != nullptr &&
+                  kv.k_tiles[j] != nullptr && kv.v_tiles[j] != nullptr;
+    if (!ok) {
+      throw std::invalid_argument(
+          "efta decode: tile " + std::to_string(j) +
+          " lacks the payload pointers its format reads");
+    }
   }
   if (it.q == nullptr || it.out == nullptr) {
     throw std::invalid_argument("efta decode: null q/out pointers");
@@ -77,8 +89,8 @@ void validate_item(const DecodeWorkItem& it, const EftaOptions& opt) {
 /// fault hooks on the visible lanes — so each output row is bit-identical
 /// to efta_decode_step over a context of p+1 tokens, whether the block is a
 /// 1-row decode step, a speculative draft block or a 64-row prefill chunk.
-/// The block's win is amortization: K/V tiles are loaded, widened and
-/// checksum-encoded once per block instead of once per token, and the score
+/// The block's win is amortization: K/V tiles are loaded and checksum-
+/// encoded once per block instead of once per token, and the score
 /// GEMMs and GEMM II each cover all rows of a tile in one call.
 ///
 /// Per tile, the rows visiting it run in three phases: the per-row softmax
@@ -91,23 +103,19 @@ void validate_item(const DecodeWorkItem& it, const EftaOptions& opt) {
 ///
 /// Hot-path layout: full 64-row tiles are consumed zero-copy straight from
 /// the cache storage (only the ragged tail is pad-and-copied into scratch),
-/// every fp16 operand is widened exactly once per tile via the bulk (SIMD)
-/// conversions, and all GEMMs run over the pre-widened fp32 images — all of
-/// which is bit-identical to the former memcpy-and-convert-per-GEMM path
-/// because fp16 -> fp32 widening is exact and the MAC order is unchanged.
-/// When the slice carries sealed per-tile memos (serve::TilePool seals them
-/// once per full tile), the kernel consumes those instead of re-deriving all
-/// four encodings per call, dropping the per-token encode cost from
-/// O(context) to O(tail).
-///
-/// Three tiers per tile, fastest first: a sealed int8 tile streams its
-/// quantized payload through the fused dequantizing kernels; a sealed fp16
-/// tile streams its f16t image and V operands as Half through the fused
-/// fp16-operand kernels; everything else (the ragged tail, a raw slice, a
-/// memo built at another stride, a sealed tile whose encode hooks would
-/// flip) widens the tile and encodes it fresh.  An injector changes hooks,
-/// never a tier: a sealed tile stays on its tier whenever `skip` vouches
-/// that none of the encode hooks its memo stands in for would flip.
+/// and every tile runs one operand path, whatever its format.  The score
+/// GEMM and GEMM II stream the payload at storage width — an int8 tile
+/// through the fused dequantizing kernels, an fp16 tile through the fused
+/// fp16-operand kernels over its sealed K^T image, or over a per-call
+/// transpose where it has none (the ragged tail, a raw slice).  The four
+/// checksum GEMMs stream the tile's checksum block: its sealed one, or one
+/// encoded fresh through the hooks (the ragged tail, a raw slice, a block
+/// sealed at another stride, a sealed tile whose encode hooks would flip;
+/// an int8 tile's fresh encode reads its exactly dequantized rows).  Every
+/// kernel widens exactly and keeps the ascending-k order, and transposes
+/// are pure data movement, so all of these give the same bits.  An injector
+/// changes hooks, never operands: a sealed block stands in whenever `skip`
+/// vouches that none of the encode hooks it replaces would flip.
 FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
                      fault::FaultInjector* inj) {
   const std::size_t n = it.kv.n, d = it.kv.d, R = it.q_len;
@@ -121,15 +129,13 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
   const std::size_t os = it.out_stride == 0 ? d : it.out_stride;
   FtReport rep;
 
-  // Sealed memos are usable when they were built with this call's checksum
-  // stride.  They are sealed memory, which the fault model treats
-  // as ECC-protected; under an injector a tile's memo stands in for its four
-  // fresh encodes (2sd + 2Bs kChecksum hooks) only when skip() vouches that
-  // none of those hooks would flip.
-  const bool cache_ok = it.kv.k_c1 != nullptr && it.kv.k_c2 != nullptr &&
-                        it.kv.v_c1 != nullptr && it.kv.v_c2 != nullptr &&
-                        it.kv.enc_stride == s;
-  const std::uint64_t enc_calls = 2 * su * d + 2 * B * su;
+  // Sealed checksum blocks are usable when they were built with this call's
+  // stride.  They are sealed memory, which the fault model treats as
+  // ECC-protected; under an injector a tile's block stands in for its fresh
+  // encode (one kChecksum hook per block element) only when skip() vouches
+  // that none of those hooks would flip.
+  const bool sealed_ok = it.kv.enc != nullptr && it.kv.enc_stride == s;
+  const std::size_t enc_n = tile_checksum_halves(B, d, s);
 
   // Pre-scaled fp16 queries (the MMA operand rows), exactly as decode does
   // per token, then widened once: every GEMM below consumes the exact fp32
@@ -155,13 +161,12 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
   MatrixF S(R, B), P(R, B), schk1(R, su), schk2(R, su);
   // fp16 scratch for the ragged tail only; full tiles are read in place.
   std::vector<Half> ktail(B * d), vtail(B * d);
-  // Per-tile fp32 operand images (one bulk conversion each per tile).
-  std::vector<float> kf(B * d), vf(B * d);
-  // k-major scratch for the int8 fallback path (a flipping encode hook or a
-  // memo at another stride): the stored K^T payload dequantizes here, then
-  // transposes to logical rows in kf.
-  std::vector<float> ktf;
-  std::vector<float> kc1f(su * d), kc2f(su * d), vc1f(B * su), vc2f(B * su);
+  // K^T of an fp16 tile without a sealed image.
+  std::vector<Half> kt_fresh(B * d);
+  // A checksum block encoded fresh, when no sealed one can serve.
+  std::vector<Half> enc_fresh(enc_n);
+  // An int8 tile's exactly dequantized rows, for its fresh encode only.
+  std::vector<float> kdq, vdq, ktdq;
   // GEMM II scratch for one tile: the fp16-rounded softmax weights of the
   // rows visiting it (the A operand), their P·V and P·Vc products.
   std::vector<Half> ph(R * B);
@@ -169,7 +174,6 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
   std::vector<float> acc2(R * d);
   std::vector<float> tchk1(R * su), tchk2(R * su);
   std::vector<double> rhs(su);  // EXP screen: per-class checksum side
-  MatrixH ek1, ek2, ev1, ev2;  // fresh encodes when no memo can serve
   for (std::size_t j = 0; j < nblk; ++j) {
     // Rows of this tile holding real context; the remainder is zero padding,
     // exactly the view decode reconstructs per token.
@@ -178,122 +182,64 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
     const bool is_i8 = it.kv.fmt != nullptr && it.kv.fmt[j] == TileFmt::kI8;
     const Half* kt = is_i8 ? nullptr : it.kv.k_tiles[j];
     const Half* vt = is_i8 ? nullptr : it.kv.v_tiles[j];
-    // The kF16T image of a sealed fp16 tile: K-side operands pre-transposed
-    // at seal but kept at half width; the fused fp16-operand kernels widen
-    // them in registers.  V-side operands need no image — the slab's V tile
-    // and sealed column checksums are already the k-major B operands GEMM
-    // II streams.
-    const Half* himg =
-        !is_i8 && it.kv.f16t != nullptr ? it.kv.f16t[j] : nullptr;
-    // A sealed tile's memo (its int8 block, or its image) stands in for the
-    // per-call encodes.  The skip sits where the tile's encode hooks would
+    if (!full && !is_i8) {
+      // Only the ragged tail tile is materialized: its storage may hold
+      // fewer than 64 readable rows (contiguous-cache views), so pad-and-
+      // copy it into the zero-filled checksum footprint.
+      std::memcpy(ktail.data(), kt, tile_valid * d * sizeof(Half));
+      std::memcpy(vtail.data(), vt, tile_valid * d * sizeof(Half));
+      std::fill(ktail.begin() + tile_valid * d, ktail.end(), Half());
+      std::fill(vtail.begin() + tile_valid * d, vtail.end(), Half());
+      kt = ktail.data();
+      vt = vtail.data();
+      ++testing::tiles_materialized();
+    }
+    // The checksum block.  The skip sits where the tile's encode hooks would
     // fire, before any other hook of the tile.
-    const bool sealed =
-        cache_ok && full &&
-        (is_i8 ? it.kv.k_c1[j] != nullptr : himg != nullptr) &&
-        (inj == nullptr || inj->skip(fault::Site::kChecksum, enc_calls));
-    const float* vsrc = nullptr;   // GEMM II operand, B x d row-major fp32
-    const float* vc1src = nullptr; // V column checksums, B x su fp32
-    const float* vc2src = nullptr;
-    // Half GEMM II operands (kF16T fused path): when set, GEMM II streams
-    // the stored fp16 rows directly instead of vsrc/vc*src.
-    const Half* vsrcH = nullptr;
-    const Half* vc1H = nullptr;
-    const Half* vc2H = nullptr;
-    // Int8 GEMM II operand (fused path): when set, GEMM II streams the
-    // quantized V rows directly instead of vsrc.
-    const std::int8_t* vsrc8 = nullptr;
-    float vscale = 1.0f;
-    if (is_i8 && sealed) {
-      // Int8 fast path — the quantized analogue of the f16t-image tier.
-      // The stored payload is already k-major on the K side and the Half
-      // encodings' K blocks are stored transposed, so nothing is packed
-      // and nothing dequantizes to scratch: the fused kernels widen the
-      // int8 stream in registers (exact power-of-two scale), which is
-      // bit-identical to dequantizing first (see numeric/int8_simd.hpp).
-      numeric::halves_to_floats(it.kv.k_c1[j], kc1f.data(), d * su);
-      numeric::halves_to_floats(it.kv.k_c2[j], kc2f.data(), d * su);
-      numeric::halves_to_floats(it.kv.v_c1[j], vc1f.data(), B * su);
-      numeric::halves_to_floats(it.kv.v_c2[j], vc2f.data(), B * su);
+    const Half* enc =
+        sealed_ok && full && it.kv.enc[j] != nullptr &&
+                (inj == nullptr || inj->skip(fault::Site::kChecksum, enc_n))
+            ? it.kv.enc[j]
+            : nullptr;
+    if (enc == nullptr) {
+      if (is_i8) {
+        if (kdq.empty()) {
+          kdq.resize(B * d);
+          vdq.resize(B * d);
+          ktdq.resize(B * d);
+        }
+        numeric::dequantize_i8_to_f32(it.kv.k_i8[j], ktdq.data(), B * d,
+                                      it.kv.k_scale[j]);
+        numeric::transpose_f32(ktdq.data(), d, B, kdq.data());
+        numeric::dequantize_i8_to_f32(it.kv.v_i8[j], vdq.data(), B * d,
+                                      it.kv.v_scale[j]);
+        encode_tile_checksums(kdq.data(), vdq.data(), B, d, s, inj,
+                              enc_fresh.data());
+      } else {
+        encode_tile_checksums(kt, vt, B, d, s, inj, enc_fresh.data());
+      }
+      ++testing::tiles_encoded();
+      enc = enc_fresh.data();
+    }
+    // enc = [Kc1^T d x su | Kc2^T d x su | Vc1 B x su | Vc2 B x su]
+    const Half* kc2t = enc + d * su;
+    const Half* vc1 = kc2t + d * su;
+    const Half* vc2 = vc1 + B * su;
+
+    if (is_i8) {
       numeric::gemm_f32_nn_i8(qf.data(), R, d, it.kv.k_i8[j], B,
                               it.kv.k_scale[j], &S(0, 0), S.cols(), false);
-      sim::gemm_f32_nn(qf.data(), R, d, kc1f.data(), su, schk1);
-      sim::gemm_f32_nn(qf.data(), R, d, kc2f.data(), su, schk2);
-      vsrc8 = it.kv.v_i8[j];
-      vscale = it.kv.v_scale[j];
-      vc1src = vc1f.data();
-      vc2src = vc2f.data();
-    } else if (sealed) {
-      // kF16T fast tier: the score GEMMs stream the pre-transposed Half
-      // image, widening in registers — exact, ascending-k order unchanged,
-      // so bit-identical to the widen-per-block tier below.  GEMM II and the
-      // output checksums stream the slab's own fp16 V operands the same way
-      // — no fp32 staging for this tile at all.
-      const Half* ktimg = himg;                // K^T, d x B halves
-      const Half* kc1t = himg + d * B;         // Kc1^T, d x su halves
-      const Half* kc2t = kc1t + d * su;        // Kc2^T, d x su halves
-      sim::gemm_f32_nnh(qf.data(), R, d, ktimg, B, S);
-      sim::gemm_f32_nnh(qf.data(), R, d, kc1t, su, schk1);
-      sim::gemm_f32_nnh(qf.data(), R, d, kc2t, su, schk2);
-      vsrcH = it.kv.v_tiles[j];
-      vc1H = it.kv.v_c1[j];
-      vc2H = it.kv.v_c2[j];
     } else {
-      if (is_i8) {
-        // Int8 fallback (a flipping encode hook, or a memo at another
-        // stride): materialize the exactly-dequantized fp32 image — the
-        // stored K^T transposes back to logical rows — and run the generic
-        // widen-per-tile path with fresh encodes over it, bit-identical to
-        // the fused fast path above (dequantization is exact and
-        // transposition is pure data movement).
-        if (ktf.empty()) ktf.resize(B * d);
-        numeric::dequantize_i8_to_f32(it.kv.k_i8[j], ktf.data(), B * d,
-                                      it.kv.k_scale[j]);
-        numeric::transpose_f32(ktf.data(), d, B, kf.data());
-        numeric::dequantize_i8_to_f32(it.kv.v_i8[j], vf.data(), B * d,
-                                      it.kv.v_scale[j]);
-      } else {
-        if (!full) {
-          // Only the ragged tail tile is materialized: its storage may hold
-          // fewer than 64 readable rows (contiguous-cache views), so pad-and-
-          // copy it into the zero-filled checksum footprint.
-          std::memcpy(ktail.data(), kt, tile_valid * d * sizeof(Half));
-          std::memcpy(vtail.data(), vt, tile_valid * d * sizeof(Half));
-          std::fill(ktail.begin() + tile_valid * d, ktail.end(), Half());
-          std::fill(vtail.begin() + tile_valid * d, vtail.end(), Half());
-          kt = ktail.data();
-          vt = vtail.data();
-          ++testing::tiles_materialized();
-        }
-        numeric::halves_to_floats(kt, kf.data(), B * d);
-        numeric::halves_to_floats(vt, vf.data(), B * d);
+      const Half* kimg =
+          full && it.kv.f16t != nullptr ? it.kv.f16t[j] : nullptr;
+      if (kimg == nullptr) {
+        numeric::transpose_h(kt, B, d, kt_fresh.data());
+        kimg = kt_fresh.data();
       }
-
-      // Fresh checksum encodings (per block — single-token decode
-      // re-encodes the tail per token, the residual O(tail) work), from the
-      // fp32 images widened above: the four encodings must not re-convert
-      // the tile four more times.
-      ek1 = abft::StridedAbft::encode_rows_strided_widened(kf.data(), B, d, s,
-                                                           false, inj);
-      ek2 = abft::StridedAbft::encode_rows_strided_widened(kf.data(), B, d, s,
-                                                           true, inj);
-      ev1 = abft::StridedAbft::encode_cols_strided_widened(vf.data(), B, d, s,
-                                                           false, inj);
-      ev2 = abft::StridedAbft::encode_cols_strided_widened(vf.data(), B, d, s,
-                                                           true, inj);
-      ++testing::tiles_encoded();
-      numeric::halves_to_floats(ek1.data(), kc1f.data(), su * d);
-      numeric::halves_to_floats(ek2.data(), kc2f.data(), su * d);
-      numeric::halves_to_floats(ev1.data(), vc1f.data(), B * su);
-      numeric::halves_to_floats(ev2.data(), vc2f.data(), B * su);
-
-      sim::gemm_f32_nt(qf.data(), R, d, kf.data(), B, S);
-      sim::gemm_f32_nt(qf.data(), R, d, kc1f.data(), su, schk1);
-      sim::gemm_f32_nt(qf.data(), R, d, kc2f.data(), su, schk2);
-      vsrc = vf.data();
-      vc1src = vc1f.data();
-      vc2src = vc2f.data();
+      sim::gemm_f32_nnh(qf.data(), R, d, kimg, B, S);
     }
+    sim::gemm_f32_nnh(qf.data(), R, d, enc, su, schk1);
+    sim::gemm_f32_nnh(qf.data(), R, d, kc2t, su, schk2);
     // Rows [r0, R) visit this tile: row r (global position p = base + r)
     // sees lanes [0, min(B, p + 1 - jB)) of it once its causal prefix
     // reaches it.  A block never starts past the cache end, so visibility is
@@ -406,30 +352,20 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
     // the exact-product precondition: fp16 weights against fp16-valued or
     // exactly dequantized V), and masked lanes contribute exact zeros: P is
     // exactly 0.0f there, and 0 * v adds a signed zero that cannot change
-    // the accumulator.  Only the operand kernel differs per tier.
+    // the accumulator.  Only the V payload's operand kernel differs per
+    // format.
     numeric::floats_to_halves(&P(r0, 0), ph.data(), rows * B);
     numeric::halves_to_floats(ph.data(), pf.data(), rows * B);
-    if (vsrc8 != nullptr) {
-      numeric::gemm_f32_nn_i8(pf.data(), rows, B, vsrc8, d, vscale,
-                              acc2.data(), d, false);
-    } else if (vsrcH != nullptr) {
-      numeric::gemm_f32_nnh(pf.data(), rows, B, vsrcH, d, acc2.data(), d,
-                            false);
+    if (is_i8) {
+      numeric::gemm_f32_nn_i8(pf.data(), rows, B, it.kv.v_i8[j], d,
+                              it.kv.v_scale[j], acc2.data(), d, false);
     } else {
-      numeric::gemm_f32_nn(pf.data(), rows, B, vsrc, d, acc2.data(), d,
-                           false);
+      numeric::gemm_f32_nnh(pf.data(), rows, B, vt, d, acc2.data(), d, false);
     }
-    if (vc1H != nullptr) {
-      numeric::gemm_f32_nnh(pf.data(), rows, B, vc1H, su, tchk1.data(), su,
-                            false);
-      numeric::gemm_f32_nnh(pf.data(), rows, B, vc2H, su, tchk2.data(), su,
-                            false);
-    } else {
-      numeric::gemm_f32_nn(pf.data(), rows, B, vc1src, su, tchk1.data(), su,
-                           false);
-      numeric::gemm_f32_nn(pf.data(), rows, B, vc2src, su, tchk2.data(), su,
-                           false);
-    }
+    numeric::gemm_f32_nnh(pf.data(), rows, B, vc1, su, tchk1.data(), su,
+                          false);
+    numeric::gemm_f32_nnh(pf.data(), rows, B, vc2, su, tchk2.data(), su,
+                          false);
     for (std::size_t r = r0; r < R; ++r) {
       const std::size_t t = r - r0;
       for (std::size_t c = 0; c < d; ++c) {

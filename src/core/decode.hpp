@@ -9,8 +9,8 @@
 // per 64-row KV tile protect q·K^T, the checksum is reused through
 // subtract-max + EXP (log-domain product check), the rowsum is range
 // restricted, and the output rows carry V column checksums through the
-// final normalization — with the per-tile loads, widenings and checksum
-// encodes amortized across the whole block.
+// final normalization — with the per-tile loads and checksum encodes
+// amortized across the whole block.
 //
 // One kernel, three workloads, all the same DecodeWorkItem:
 //
@@ -50,20 +50,19 @@ namespace ftt::core {
 /// Storage format of one sealed KV context tile.  kF16 is the native fp16
 /// slab; kI8 is the quantized tile format (serve::TilePool seal-time
 /// quantization): int8 payload with a per-tile power-of-two scale, exact
-/// int32 integer checksums at rest, and sealed fp16 encodings of the
+/// int32 integer checksums at rest, and the sealed checksum block of the
 /// (exactly) dequantized payload for the decode-time ABFT GEMMs.
 enum class TileFmt : std::uint8_t { kF16 = 0, kI8 = 1 };
 
-/// The one seal-time image layout of a sealed fp16 (kF16) tile, kF16T: a
-/// pre-transposed *fp16* image [K^T d x 64 | Kc1^T d x s | Kc2^T d x s]
-/// halves.  The K side lands in the fused fp16-operand kernels' native
-/// k-major layout at half width (1.5x the bare slab); the V side needs no
-/// image at all — V and its column checksums are already the k-major B
-/// operands GEMM II streams through gemm_f32_nnh.  The image is pure data
-/// movement and the fused kernels widen exactly, so decoding over it is
-/// bit-identical to widening and encoding the tile per call.  Every sealed
-/// fp16 tile of a serve::TilePool carries one; the tag survives only as
-/// TilePoolOptions::images' one value.
+/// The one seal-time image of a sealed fp16 (kF16) tile, kF16T: K^T, the
+/// stored K rows transposed into the d x 64 k-major layout the score GEMM
+/// streams through gemm_f32_nnh (64 d halves, the K tile's own size).  The
+/// checksum block needs no image — it is already k-major (KvSlice::enc) —
+/// and neither does V, the k-major B operand of GEMM II as stored.  The
+/// image is pure data movement and the fused kernels widen exactly, so
+/// decoding over it is bit-identical to transposing the tile per call.
+/// Every sealed fp16 tile of a serve::TilePool carries one; the tag
+/// survives only as TilePoolOptions::images' one value.
 enum class ImagePolicy : std::uint8_t { kF16T };
 
 /// Read-only tiled view of one (request, head) KV slice.  Tile t holds rows
@@ -77,6 +76,10 @@ enum class ImagePolicy : std::uint8_t { kF16T };
 /// pooled or prefix-shared tiles, so paging and sharing are invisible to
 /// the verified decode path and cannot perturb its bit-identity
 /// guarantees.
+///
+/// Every tile reaches the kernel as one operand set, whatever its format:
+/// K^T for the score GEMM, V for GEMM II, both at storage width, and one
+/// checksum block for the four checksum GEMMs.
 struct KvSlice {
   static constexpr std::size_t kTileRows = 64;
 
@@ -85,36 +88,25 @@ struct KvSlice {
   std::size_t n = 0;  ///< valid context rows
   std::size_t d = 0;  ///< head dimension
 
-  /// Optional memoized per-tile checksum encodings (serve::TilePool
-  /// computes them once when a tile seals; full tiles are immutable so they
-  /// are never invalidated, and a prefix-shared pool tile shares its sealed
-  /// encodings with every request that maps it).  Each
-  /// array has tiles() entries; k_c1/k_c2 point at
-  /// enc_stride x d row checksums and v_c1/v_c2 at kTileRows x enc_stride
-  /// column checksums, all row-major fp16.  Entries for the unsealed ragged
-  /// tail are null.  The kernel consumes a memo built with its own stride
-  /// option: an fp16 tile's through its f16t image (which carries the K
-  /// side) plus v_c1/v_c2, an int8 tile's through all four.  They are
-  /// sealed memory, not compute: under a fault injector a tile's memo
-  /// stands in for its per-call encode hooks (FaultInjector::skip), and
-  /// only a tile one of whose encode hooks would flip is re-encoded per
-  /// call, so campaign hook counts stay stable.
-  const numeric::Half* const* k_c1 = nullptr;
-  const numeric::Half* const* k_c2 = nullptr;
-  const numeric::Half* const* v_c1 = nullptr;
-  const numeric::Half* const* v_c2 = nullptr;
-  int enc_stride = 0;  ///< checksum stride the encodings were built with
+  /// Optional sealed per-tile checksum blocks (serve::TilePool encodes them
+  /// once when a tile seals; full tiles are immutable so they are never
+  /// invalidated, and a prefix-shared pool tile shares its block with every
+  /// request that maps it).  Entry j, when non-null, points at the
+  /// encode_tile_checksums block of tile j built with stride enc_stride:
+  ///   [ Kc1^T d x s | Kc2^T d x s | Vc1 64 x s | Vc2 64 x s ]
+  /// halves, for an fp16 tile and an int8 tile alike.  Entries for the
+  /// unsealed ragged tail are null, and the kernel consumes only blocks
+  /// built with its own stride option.  They are sealed memory, not
+  /// compute: under a fault injector a tile's block stands in for its
+  /// per-call encode hooks (FaultInjector::skip), and only a tile one of
+  /// whose encode hooks would flip is re-encoded per call, so campaign hook
+  /// counts stay stable.
+  const numeric::Half* const* enc = nullptr;
+  int enc_stride = 0;  ///< checksum stride the blocks were built with
 
-  /// Optional memoized pre-transposed *fp16* image per sealed fp16 tile
-  /// (ImagePolicy::kF16T, 1.5x slab bytes).  Entry j, when non-null, packs
-  /// three Half blocks back to back:
-  ///   [ K^T  d x 64 (k-major) | Kc1^T d x s | Kc2^T d x s ]
-  /// with s == enc_stride.  The fused fp16-operand kernels widen these in
-  /// registers (exact), so consuming the image is bit-identical to per-call
-  /// widening and encoding; the V operands stream straight from v_tiles /
-  /// v_c1 / v_c2, whose row-major layout is already GEMM II's k-major B
-  /// operand.  Entries for unsealed tiles are null, and a tile whose
-  /// encode hooks would flip widens and encodes per call instead.
+  /// Optional kF16T image per sealed fp16 tile (ImagePolicy::kF16T): entry
+  /// j, when non-null, is K^T of tile j, d x 64 halves.  A full fp16 tile
+  /// without one (a raw slice, the ragged tail) is transposed per call.
   const numeric::Half* const* f16t = nullptr;
 
   /// Optional per-tile storage formats (null == every tile is kF16, the
@@ -124,13 +116,9 @@ struct KvSlice {
   /// power-of-two scales, so q * scale is exact and the decode GEMMs keep
   /// every bit-identity contract.  Layouts are GEMM-native: k_i8[j] is the
   /// *k-major* K^T (d x 64) the fused score GEMM consumes directly, v_i8[j]
-  /// is row-major V (64 x d) for GEMM II, and the tile's k_c1/k_c2
-  /// memo entries point at *transposed* (d x enc_stride) fp16 blocks —
-  /// mirroring the f16t image's Kc^T blocks — while v_c1/v_c2 keep the
-  /// row-major shape above.  The sealed encodings of an int8 tile are the
-  /// fp16 encodings of its dequantized payload (bit-equal to a fresh encode
-  /// of the dequantized image).  Only sealed full tiles are ever kI8; the
-  /// ragged open tail stays fp16.
+  /// is row-major V (64 x d) for GEMM II, and enc[j] is the checksum block
+  /// of the dequantized payload (bit-equal to a fresh encode of it).  Only
+  /// sealed full tiles are ever kI8; the ragged open tail stays fp16.
   const TileFmt* fmt = nullptr;
   const std::int8_t* const* k_i8 = nullptr;
   const std::int8_t* const* v_i8 = nullptr;
@@ -168,7 +156,9 @@ struct DecodeWorkItem {
 /// witnesses every row, exactly like the per-tile block verifies inside —
 /// and `faults_injected` counts only the flips placed during this call
 /// (delta, not the injector's lifetime total), matching the batch entry's
-/// per-item accounting.
+/// per-item accounting.  A malformed item — bad shapes or strides, or a
+/// tile lacking the payload pointers its format reads — throws
+/// std::invalid_argument before any work or hook.
 attention::FtReport efta_decode_block(const DecodeWorkItem& item,
                                       const EftaOptions& opt = {},
                                       fault::FaultInjector* inj = nullptr);
@@ -238,7 +228,7 @@ namespace testing {
 /// down.  Test-only observability; not part of the serving API.
 std::size_t& tiles_materialized() noexcept;
 /// Thread-local count of KV tiles the kernel has checksum-encoded fresh
-/// since thread start: the ragged tail, plus any sealed tile whose memo
+/// since thread start: the ragged tail, plus any sealed tile whose block
 /// cannot stand in for the encodes (another stride, or an encode hook that
 /// would flip).  Test-only observability, like tiles_materialized().
 std::size_t& tiles_encoded() noexcept;

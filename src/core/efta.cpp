@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include <omp.h>
@@ -230,38 +231,25 @@ void row_sums(const MatrixF& P, std::vector<float>& sums) {
 /// runs.
 struct SliceStage {
   attention::KvStage kv;  ///< K^T blocks + widened V, once per slice
-  /// Widened checksum operands per KV block: Kc^T k-major (dim x s, block j
-  /// at j*dim*s) and Vc row-major (B x s, block j at j*B*s), plus one spare
-  /// slot past the last block that a pair whose encode hooks would flip
-  /// re-encodes into.
-  std::vector<float> kc1t, kc2t, vc1, vc2;
-  std::vector<float> enc_tmp;  ///< s x dim widen scratch for the transposes
-  std::vector<float> qf;       ///< current Q row block, widened
-  std::vector<Half> ph;        ///< P rounded to fp16 ...
-  std::vector<float> pf;       ///< ... and widened back: GEMM II's A operand
+  /// Widened checksum blocks (encode_tile_checksums layout), block j at
+  /// j * tile_checksum_halves(B, dim, s), plus one spare slot past the last
+  /// block that a pair whose encode hooks would flip re-encodes into.
+  std::vector<float> enc;
+  std::vector<Half> enc_h;  ///< one block's fp16 encoder output
+  std::vector<float> qf;    ///< current Q row block, widened
+  std::vector<Half> ph;     ///< P rounded to fp16 ...
+  std::vector<float> pf;    ///< ... and widened back: GEMM II's A operand
 };
 
-/// Derive one KV block's four strided encodings from its stored fp16 rows —
-/// hooks fire in kc1, kc2, vc1, vc2 order — and widen them into the GEMM
-/// operand layouts.
+/// Derive one KV block's checksum block from its stored fp16 rows and widen
+/// it into staging slot `slot`.
 void encode_block(const Half* kb, const Half* vb, std::size_t B,
                   std::size_t dim, int s, fault::FaultInjector* inj,
                   SliceStage& st, std::size_t slot) {
-  using Enc = abft::StridedAbft;
-  const auto su = static_cast<std::size_t>(s);
-  const MatrixH k1 = Enc::encode_rows_strided_h(kb, B, dim, s, false, inj);
-  const MatrixH k2 = Enc::encode_rows_strided_h(kb, B, dim, s, true, inj);
-  const MatrixH v1 = Enc::encode_cols_strided_h(vb, B, dim, s, false, inj);
-  const MatrixH v2 = Enc::encode_cols_strided_h(vb, B, dim, s, true, inj);
-  st.enc_tmp.resize(su * dim);
-  numeric::halves_to_floats(k1.data(), st.enc_tmp.data(), su * dim);
-  numeric::transpose_f32(st.enc_tmp.data(), su, dim,
-                         st.kc1t.data() + slot * dim * su);
-  numeric::halves_to_floats(k2.data(), st.enc_tmp.data(), su * dim);
-  numeric::transpose_f32(st.enc_tmp.data(), su, dim,
-                         st.kc2t.data() + slot * dim * su);
-  numeric::halves_to_floats(v1.data(), st.vc1.data() + slot * B * su, B * su);
-  numeric::halves_to_floats(v2.data(), st.vc2.data() + slot * B * su, B * su);
+  const std::size_t n = tile_checksum_halves(B, dim, s);
+  st.enc_h.resize(n);
+  encode_tile_checksums(kb, vb, B, dim, s, inj, st.enc_h.data());
+  numeric::halves_to_floats(st.enc_h.data(), st.enc.data() + slot * n, n);
 }
 
 /// One (batch, head) slice.  The slice is staged once: K/V images via
@@ -292,15 +280,10 @@ FtReport efta_slice(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
   const Half* k = K.slice(bb, hh).data();
   const Half* v = V.slice(bb, hh).data();
   st.kv.stage(k, v, seq, dim, B);
-  // kChecksum hooks one pair's four encodes fire: Kc1, Kc2 (s x dim each)
-  // and Vc1, Vc2 (B x s each).
-  const std::uint64_t enc_calls = 2 * su * dim + 2 * B * su;
+  // One pair's encode fires one kChecksum hook per checksum-block element.
+  const std::size_t enc_n = tile_checksum_halves(B, dim, s);
   if (strided) {
-    const std::size_t slots = nblk + 1;
-    st.kc1t.resize(slots * dim * su);
-    st.kc2t.resize(slots * dim * su);
-    st.vc1.resize(slots * B * su);
-    st.vc2.resize(slots * B * su);
+    st.enc.resize((nblk + 1) * enc_n);
     for (std::size_t j = 0; j < nblk; ++j) {
       encode_block(k + j * B * dim, v + j * B * dim, B, dim, s, nullptr, st,
                    j);
@@ -346,14 +329,14 @@ FtReport efta_slice(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
       const float *vc1 = nullptr, *vc2 = nullptr;
       if (strided) {
         std::size_t slot = j;
-        if (inj && !inj->skip(fault::Site::kChecksum, enc_calls)) {
+        if (inj && !inj->skip(fault::Site::kChecksum, enc_n)) {
           encode_block(k + c0 * dim, v + c0 * dim, B, dim, s, inj, st, nblk);
           slot = nblk;
         }
-        kc1t = st.kc1t.data() + slot * dim * su;
-        kc2t = st.kc2t.data() + slot * dim * su;
-        vc1 = st.vc1.data() + slot * B * su;
-        vc2 = st.vc2.data() + slot * B * su;
+        kc1t = st.enc.data() + slot * enc_n;
+        kc2t = kc1t + dim * su;
+        vc1 = kc2t + dim * su;
+        vc2 = vc1 + B * su;
       }
       if (element) {
         rep.gemm1 += abft::ElementAbft::gemm_nn_widened(
@@ -578,7 +561,48 @@ FtReport efta_slice(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
   return rep;
 }
 
+template <typename T>
+void encode_tile(const T* k, const T* v, std::size_t rows, std::size_t d,
+                 int s, fault::FaultInjector* inj, Half* out) {
+  using Enc = abft::StridedAbft;
+  // The Half encoders widen in registers, so fp16 rows and exactly
+  // dequantized fp32 rows of equal value give equal sums.
+  const auto encode = [&](const T* x, bool along_rows, bool weighted) {
+    if constexpr (std::is_same_v<T, Half>) {
+      return along_rows
+                 ? Enc::encode_rows_strided_h(x, rows, d, s, weighted, inj)
+                 : Enc::encode_cols_strided_h(x, rows, d, s, weighted, inj);
+    } else {
+      return along_rows ? Enc::encode_rows_strided_widened(x, rows, d, s,
+                                                           weighted, inj)
+                        : Enc::encode_cols_strided_widened(x, rows, d, s,
+                                                           weighted, inj);
+    }
+  };
+  const auto su = static_cast<std::size_t>(s);
+  const std::size_t vcn = rows * su;
+  // Statement order is hook order: Kc1, Kc2, Vc1, Vc2.  The K row checksums
+  // (s x d) land transposed; the V column checksums are already k-major.
+  numeric::transpose_h(encode(k, true, false).data(), su, d, out);
+  numeric::transpose_h(encode(k, true, true).data(), su, d, out + d * su);
+  Half* vc = out + 2 * d * su;
+  std::copy_n(encode(v, false, false).data(), vcn, vc);
+  std::copy_n(encode(v, false, true).data(), vcn, vc + vcn);
+}
+
 }  // namespace
+
+void encode_tile_checksums(const Half* k, const Half* v, std::size_t rows,
+                           std::size_t d, int s, fault::FaultInjector* inj,
+                           Half* out) {
+  encode_tile(k, v, rows, d, s, inj, out);
+}
+
+void encode_tile_checksums(const float* k, const float* v, std::size_t rows,
+                           std::size_t d, int s, fault::FaultInjector* inj,
+                           Half* out) {
+  encode_tile(k, v, rows, d, s, inj, out);
+}
 
 FtReport efta_attention(const Tensor4H& Q, const Tensor4H& K,
                         const Tensor4H& V, Tensor4F& O, const EftaOptions& opt,

@@ -68,6 +68,33 @@ struct EftaOptions {
   float snvr_slack = 1e-3f;
 };
 
+/// Halves in one KV block's checksum block (encode_tile_checksums).
+[[nodiscard]] constexpr std::size_t tile_checksum_halves(std::size_t rows,
+                                                         std::size_t d,
+                                                         int s) noexcept {
+  return 2 * (d + rows) * static_cast<std::size_t>(s);
+}
+
+/// The strided checksums of one rows x d K/V block pair (rows % s == 0,
+/// d % s == 0), written to `out` as one block of
+/// tile_checksum_halves(rows, d, s) halves:
+///   [ Kc1^T d x s | Kc2^T d x s | Vc1 rows x s | Vc2 rows x s ]
+/// — the k-major B operands the four checksum GEMMs stream (Eq. 14): the K
+/// row checksums transposed for the score side, the V column checksums as
+/// they are for GEMM II.  The kChecksum hooks fire per element in the
+/// per-call encode order: Kc1 (jc, c), Kc2, Vc1 (r, jc), Vc2.  Every
+/// consumer derives the block here — EFTA's staged slices, the decode
+/// kernel's fresh tiles, and the serve pool's sealed fp16 and int8 tiles —
+/// so a sealed block equals a fresh encode bit for bit.  The fp32 overload
+/// takes exactly dequantized rows (an int8 tile): widening is exact, so
+/// equal values give equal bits in either overload.
+void encode_tile_checksums(const numeric::Half* k, const numeric::Half* v,
+                           std::size_t rows, std::size_t d, int s,
+                           fault::FaultInjector* inj, numeric::Half* out);
+void encode_tile_checksums(const float* k, const float* v, std::size_t rows,
+                           std::size_t d, int s, fault::FaultInjector* inj,
+                           numeric::Half* out);
+
 /// Run EFTA.  O receives the normalized attention output in fp32.  When
 /// `inj` is armed the kernel runs serially (the injector is deterministic and
 /// stateful); otherwise slices are OpenMP-parallel.  Mismatched Q/K/V/O

@@ -122,7 +122,7 @@ struct EngineOptions {
   /// Default sealed-tile storage format for submit(): true stores every
   /// sealed KV tile int8-quantized (core::TileFmt::kI8 — per-tile
   /// power-of-two scales, exact integer checksums at rest, fp16-derived
-  /// decode memo; see docs/QUANTIZATION.md), 1.5x less sealed-tile memory
+  /// decode memo; see docs/QUANTIZATION.md), 1.40x less sealed-tile memory
   /// than a sealed fp16 tile with its f16t image.  Per-request
   /// override: submit_with_format().  Both formats share the one pool —
   /// sealed-tile images apply only to fp16 tiles — and fp16 requests stay

@@ -13,34 +13,9 @@
 namespace ftt::serve {
 
 using numeric::Half;
-using tensor::MatrixH;
 using tensor::MatrixHView;
 
 namespace detail {
-
-void encode_sealed_tile(const Half* k_tile, const Half* v_tile,
-                        std::size_t dim, int s, Half* out) {
-  constexpr std::size_t kRows = TilePool::kTileRows;
-  const auto su = static_cast<std::size_t>(s);
-  const std::size_t kcn = su * dim;     // one K row-checksum block
-  const std::size_t vcn = kRows * su;   // one V column-checksum block
-  // Single-pass seal: the fp16-operand encoders widen 8 lanes at a time in
-  // register, so the 2x fp32 staging copies the old path materialised are
-  // gone.  Bit-identical: fp16 -> fp32 widening is exact and the per-class
-  // accumulation order (ascending l) is unchanged.
-  const MatrixH kc1 = abft::StridedAbft::encode_rows_strided_h(
-      k_tile, kRows, dim, s, false, nullptr);
-  const MatrixH kc2 = abft::StridedAbft::encode_rows_strided_h(
-      k_tile, kRows, dim, s, true, nullptr);
-  const MatrixH vc1 = abft::StridedAbft::encode_cols_strided_h(
-      v_tile, kRows, dim, s, false, nullptr);
-  const MatrixH vc2 = abft::StridedAbft::encode_cols_strided_h(
-      v_tile, kRows, dim, s, true, nullptr);
-  std::memcpy(out, kc1.data(), kcn * sizeof(Half));
-  std::memcpy(out + kcn, kc2.data(), kcn * sizeof(Half));
-  std::memcpy(out + 2 * kcn, vc1.data(), vcn * sizeof(Half));
-  std::memcpy(out + 2 * kcn + vcn, vc2.data(), vcn * sizeof(Half));
-}
 
 I8TileLayout i8_tile_layout(std::size_t dim, int s) noexcept {
   constexpr std::size_t kRows = TilePool::kTileRows;
@@ -53,7 +28,7 @@ I8TileLayout i8_tile_layout(std::size_t dim, int s) noexcept {
   L.kcni = su * kRows;     // ienc K block: row encode of the stored K^T
   L.vcn = kRows * su;
   const std::size_t ienc_n = 2 * L.kcni + 2 * L.vcn;
-  const std::size_t henc_n = 2 * L.kcn + 2 * L.vcn;
+  const std::size_t henc_n = core::tile_checksum_halves(kRows, dim, s);
   L.scale_off = 0;
   L.ienc_off = L.scale_off + 6 * sizeof(float);
   L.k_off = L.ienc_off + ienc_n * sizeof(std::int32_t);
@@ -61,28 +36,6 @@ I8TileLayout i8_tile_layout(std::size_t dim, int s) noexcept {
   L.henc_off = L.v_off + L.payload;  // even: payload offsets differ by 2*64*dim
   L.bytes = (L.henc_off + henc_n * sizeof(numeric::Half) + 3) & ~std::size_t{3};
   return L;
-}
-
-std::size_t f16t_image_halves(std::size_t dim, int s) noexcept {
-  constexpr std::size_t kRows = TilePool::kTileRows;
-  const auto su = static_cast<std::size_t>(s);
-  return kRows * dim + 2 * su * dim;
-}
-
-void build_f16t_image(const Half* k_tile, const Half* enc_block,
-                      std::size_t dim, int s, Half* out) {
-  constexpr std::size_t kRows = TilePool::kTileRows;
-  const auto su = static_cast<std::size_t>(s);
-  const std::size_t kcn = su * dim;
-  // Pure Half-bit transposes: the stored K rows land k-major for the fused
-  // score GEMM, the sealed K checksum blocks land k-major for the checksum
-  // GEMMs.  No arithmetic, so the image carries exactly the slab's bits.
-  Half* kt = out;                 // K^T, dim x kRows
-  Half* kc1t = out + dim * kRows; // Kc1^T, dim x su
-  Half* kc2t = kc1t + dim * su;   // Kc2^T, dim x su
-  numeric::transpose_h(k_tile, kRows, dim, kt);
-  numeric::transpose_h(enc_block, su, dim, kc1t);
-  numeric::transpose_h(enc_block + kcn, su, dim, kc2t);
 }
 
 void quantize_sealed_tile(const Half* k_tile, const Half* v_tile,
@@ -105,31 +58,16 @@ void quantize_sealed_tile(const Half* k_tile, const Half* v_tile,
   numeric::transpose_f32(kf.data(), kRows, dim, ktf.data());
   numeric::quantize_f32_to_i8(ktf.data(), kq, n, ks.inv_scale);
   numeric::quantize_f32_to_i8(vf.data(), vq, n, vs.inv_scale);
-  // The exactly-dequantized image — the fp32 operands every decode call
-  // over this tile will reconstruct (scale is a power of two: exponent
-  // shift only, no rounding).  kf is rebuilt row-major (logical K) for the
-  // encoders below.
+  // The checksum block of the exactly-dequantized rows (scale is a power of
+  // two: exponent shift only, no rounding) — bit-equal to the fresh encode
+  // a decode call runs over them, so the sealed and fresh paths agree bit
+  // for bit, exactly as they do for fp16 tiles.  kf is rebuilt row-major
+  // (logical K) for the encoder.
   numeric::dequantize_i8_to_f32(kq, ktf.data(), n, ks.scale);
   numeric::transpose_f32(ktf.data(), dim, kRows, kf.data());
   numeric::dequantize_i8_to_f32(vq, vf.data(), n, vs.scale);
-  // Half encodings of that image: bit-equal to the fresh per-call encode,
-  // so the decode kernel's memo path and injector-forced fresh path agree
-  // bit for bit, exactly as they do for fp16 tiles.  The K-side blocks are
-  // stored transposed (dim x s) like the f16t image's Kc^T blocks.
-  const MatrixH kc1 = abft::StridedAbft::encode_rows_strided_widened(
-      kf.data(), kRows, dim, s, false, nullptr);
-  const MatrixH kc2 = abft::StridedAbft::encode_rows_strided_widened(
-      kf.data(), kRows, dim, s, true, nullptr);
-  const MatrixH vc1 = abft::StridedAbft::encode_cols_strided_widened(
-      vf.data(), kRows, dim, s, false, nullptr);
-  const MatrixH vc2 = abft::StridedAbft::encode_cols_strided_widened(
-      vf.data(), kRows, dim, s, true, nullptr);
-  Half* he = i8_henc(block, L);
-  const auto su = static_cast<std::size_t>(s);
-  numeric::transpose_h(kc1.data(), su, dim, he);
-  numeric::transpose_h(kc2.data(), su, dim, he + L.kcn);
-  std::memcpy(he + 2 * L.kcn, vc1.data(), L.vcn * sizeof(Half));
-  std::memcpy(he + 2 * L.kcn + L.vcn, vc2.data(), L.vcn * sizeof(Half));
+  core::encode_tile_checksums(kf.data(), vf.data(), kRows, dim, s, nullptr,
+                              i8_henc(block, L));
   // Exact int32 checksums of the payload *as stored* (K's run over the
   // k-major array) — the at-rest redundancy the scrubber verifies by
   // equality.
@@ -192,32 +130,19 @@ I8ScrubResult scrub_i8_tile(std::uint8_t* block, std::size_t dim, int s) {
       vq, kRows, dim, s, ie + 2 * L.kcni, ie + 2 * L.kcni + L.vcn);
   if (kr.unrepairable || vr.unrepairable) return I8ScrubResult::kUnrepairable;
   repaired = repaired || !kr.clean() || !vr.clean();
-  // 3. The Half encodings are derived state: recompute them from the (now
-  //    verified) payload and scales, and rewrite on any mismatch — this
+  // 3. The checksum block is derived state: recompute it from the (now
+  //    verified) payload and scales, and rewrite it on any mismatch — this
   //    catches flips in the henc region itself and completes payload/scale
   //    repairs in one pass.  The stored K payload is k-major, so it
-  //    transposes back to logical rows for the encoders, and the fresh
-  //    K-side blocks transpose into the stored (dim x s) orientation.
+  //    transposes back to logical rows for the encoder.
   const std::size_t n = kRows * dim;
-  const auto su = static_cast<std::size_t>(s);
   std::vector<float> kf(n), vf(n), ktf(n);
   numeric::dequantize_i8_to_f32(kq, ktf.data(), n, sc[0]);
   numeric::transpose_f32(ktf.data(), dim, kRows, kf.data());
   numeric::dequantize_i8_to_f32(vq, vf.data(), n, sc[3]);
-  const MatrixH kc1 = abft::StridedAbft::encode_rows_strided_widened(
-      kf.data(), kRows, dim, s, false, nullptr);
-  const MatrixH kc2 = abft::StridedAbft::encode_rows_strided_widened(
-      kf.data(), kRows, dim, s, true, nullptr);
-  const MatrixH vc1 = abft::StridedAbft::encode_cols_strided_widened(
-      vf.data(), kRows, dim, s, false, nullptr);
-  const MatrixH vc2 = abft::StridedAbft::encode_cols_strided_widened(
-      vf.data(), kRows, dim, s, true, nullptr);
-  std::vector<Half> fresh(2 * L.kcn + 2 * L.vcn);
-  numeric::transpose_h(kc1.data(), su, dim, fresh.data());
-  numeric::transpose_h(kc2.data(), su, dim, fresh.data() + L.kcn);
-  std::memcpy(fresh.data() + 2 * L.kcn, vc1.data(), L.vcn * sizeof(Half));
-  std::memcpy(fresh.data() + 2 * L.kcn + L.vcn, vc2.data(),
-              L.vcn * sizeof(Half));
+  std::vector<Half> fresh(core::tile_checksum_halves(kRows, dim, s));
+  core::encode_tile_checksums(kf.data(), vf.data(), kRows, dim, s, nullptr,
+                              fresh.data());
   Half* he = i8_henc(block, L);
   if (std::memcmp(fresh.data(), he, fresh.size() * sizeof(Half)) != 0) {
     std::memcpy(he, fresh.data(), fresh.size() * sizeof(Half));
@@ -265,9 +190,8 @@ TilePool::TilePool(TilePoolOptions opt)
     throw std::invalid_argument(
         "TilePool: enc_stride must divide both the 64-row tile and dim");
   }
-  const auto su = static_cast<std::size_t>(enc_stride_);
-  enc_halves_ = 2 * su * dim_ + 2 * kTileRows * su;
-  per_lh_halves_ = 2 * kTileRows * dim_ + enc_halves_;
+  per_lh_halves_ = 2 * kTileRows * dim_ +
+                   core::tile_checksum_halves(kTileRows, dim_, enc_stride_);
   slab_halves_ = layers_ * heads_ * per_lh_halves_;
   i8_block_bytes_ = detail::i8_tile_layout(dim_, enc_stride_).bytes;
 }
@@ -296,11 +220,10 @@ Half* TilePool::enc_block(TileId id, std::size_t layer,
 }
 Half* TilePool::f16t_image(TileId id, std::size_t layer,
                            std::size_t head) noexcept {
-  // Null for kI8 tiles (no hslab): the image is the fp16 fast path.
+  // Null for kI8 tiles (no hslab).
   Half* hslab = tiles_[id].hslab.get();
   if (hslab == nullptr) return nullptr;
-  return hslab +
-         (layer * heads_ + head) * detail::f16t_image_halves(dim_, enc_stride_);
+  return hslab + (layer * heads_ + head) * kTileRows * dim_;
 }
 core::TileFmt TilePool::format(TileId id) const { return checked(id).format; }
 std::uint8_t* TilePool::i8_block(TileId id, std::size_t layer,
@@ -346,9 +269,7 @@ void TilePool::recycle(TileId id, core::TileFmt fmt) {
   } else {
     t.qslab.reset();
     if (t.hslab == nullptr) {
-      t.hslab = std::unique_ptr<Half[]>(
-          new Half[layers_ * heads_ *
-                   detail::f16t_image_halves(dim_, enc_stride_)]);
+      t.hslab = std::unique_ptr<Half[]>(new Half[image_halves()]);
     }
   }
   t.format = fmt;
@@ -367,15 +288,16 @@ enum class ScrubOutcome { kClean, kRepaired, kUnrepairable };
 
 // Re-verify one (layer, head) block of a sealed tile and repair in place
 // where the single-fault classification allows it (see TilePool::scrub docs).
-// `enc_fresh` / `himg_fresh` are caller-provided scratch.
+// `enc_fresh` / `img_fresh` are caller-provided scratch.
 ScrubOutcome scrub_block(TilePool& pool, TilePool::TileId id,
                          std::size_t layer, std::size_t head,
                          std::vector<Half>& enc_fresh,
-                         std::vector<Half>& himg_fresh) {
+                         std::vector<Half>& img_fresh) {
+  constexpr std::size_t kRows = TilePool::kTileRows;
   const std::size_t dim = pool.dim();
   const int s = pool.enc_stride();
   // The int8 arm: TMR scale vote, exact integer verify/correct (equality,
-  // zero threshold), Half-encoding rebuild — see detail::scrub_i8_tile.
+  // zero threshold), checksum-block rebuild — see detail::scrub_i8_tile.
   if (pool.format(id) == core::TileFmt::kI8) {
     switch (detail::scrub_i8_tile(pool.i8_block(id, layer, head), dim, s)) {
       case detail::I8ScrubResult::kClean:
@@ -390,58 +312,48 @@ ScrubOutcome scrub_block(TilePool& pool, TilePool::TileId id,
   Half* k = pool.k_tile(id, layer, head);
   Half* v = pool.v_tile(id, layer, head);
   Half* enc = pool.enc_block(id, layer, head);
-  const std::size_t enc_halves = enc_fresh.size();
+  Half* img = pool.f16t_image(id, layer, head);
+  const auto mismatches = [&] {
+    core::encode_tile_checksums(k, v, kRows, dim, s, nullptr,
+                                enc_fresh.data());
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < enc_fresh.size(); ++i) {
+      if (enc_fresh[i].bits() != enc[i].bits()) ++count;
+    }
+    return count;
+  };
 
-  detail::encode_sealed_tile(k, v, dim, s, enc_fresh.data());
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < enc_halves; ++i) {
-    if (enc_fresh[i].bits() != enc[i].bits()) ++mismatches;
-  }
-
-  Half* himg = pool.f16t_image(id, layer, head);
-  if (mismatches == 0) {
-    // Payload and encodings agree bit for bit.  Cross-check the image; the
+  const std::size_t bad = mismatches();
+  if (bad == 0) {
+    // Payload and checksums agree bit for bit.  Cross-check the image; the
     // fp16 slab is authoritative, so a disagreeing image is rebuilt from it
-    // (pure bit transposes, deterministic).
-    detail::build_f16t_image(k, enc, dim, s, himg_fresh.data());
-    if (std::memcmp(himg_fresh.data(), himg,
-                    himg_fresh.size() * sizeof(Half)) != 0) {
-      std::memcpy(himg, himg_fresh.data(), himg_fresh.size() * sizeof(Half));
+    // (a pure bit transpose, deterministic).
+    numeric::transpose_h(k, kRows, dim, img_fresh.data());
+    if (std::memcmp(img_fresh.data(), img,
+                    img_fresh.size() * sizeof(Half)) != 0) {
+      std::memcpy(img, img_fresh.data(), img_fresh.size() * sizeof(Half));
       return ScrubOutcome::kRepaired;
     }
     return ScrubOutcome::kClean;
   }
-  if (mismatches == 1) {
+  if (bad == 1) {
     // A payload flip perturbs several checksum elements (each K/V element
     // feeds at least a plain and a weighted sum); a single disagreement is
     // checksum-class corruption, and the fresh encode is the repair.
-    std::memcpy(enc, enc_fresh.data(), enc_halves * sizeof(Half));
-    detail::build_f16t_image(k, enc, dim, s, himg);
+    std::memcpy(enc, enc_fresh.data(), enc_fresh.size() * sizeof(Half));
+    numeric::transpose_h(k, kRows, dim, img);
     return ScrubOutcome::kRepaired;
   }
-  // Payload-class corruption: the f16t image is the only second copy, and
-  // it covers K alone — the de-transpose restores K's Half bits verbatim,
-  // but a corrupt V payload re-verifies dirty below and the tile drops (the
+  // Payload-class corruption: the K^T image is the only second copy, and it
+  // covers K alone — the de-transpose restores K's Half bits verbatim, but
+  // a corrupt V payload re-verifies dirty below and the tile drops (the
   // durability trade for carrying no V image).
-  // Image layout: [K^T (dim x 64) | Kc1^T | Kc2^T] halves.
-  for (std::size_t r = 0; r < TilePool::kTileRows; ++r) {
-    for (std::size_t c = 0; c < dim; ++c) {
-      k[r * dim + c] = himg[c * TilePool::kTileRows + r];
-    }
-  }
-  // Re-verify: the restored payload must reproduce the stored encodings
+  numeric::transpose_h(img, dim, kRows, k);
+  // Re-verify: the restored payload must reproduce the stored checksums
   // (clean under the single-fault assumption).  A residual mismatch means
   // the corruption was in V or the image was corrupt too — either way
   // beyond repair.
-  detail::encode_sealed_tile(k, v, dim, s, enc_fresh.data());
-  for (std::size_t i = 0; i < enc_halves; ++i) {
-    if (enc_fresh[i].bits() != enc[i].bits()) {
-      return ScrubOutcome::kUnrepairable;
-    }
-  }
-  // Refresh the image from the restored payload so both copies are coherent
-  // again (no-op bits when the image was clean, as assumed).
-  detail::build_f16t_image(k, enc, dim, s, himg);
+  if (mismatches() != 0) return ScrubOutcome::kUnrepairable;
   return ScrubOutcome::kRepaired;
 }
 
@@ -450,8 +362,9 @@ ScrubOutcome scrub_block(TilePool& pool, TilePool::TileId id,
 ScrubReport TilePool::scrub(std::size_t max_tiles) {
   ScrubReport rep;
   if (max_tiles == 0 || tiles_.empty()) return rep;
-  std::vector<Half> enc_fresh(enc_halves_);
-  std::vector<Half> himg_fresh(detail::f16t_image_halves(dim_, enc_stride_));
+  std::vector<Half> enc_fresh(
+      core::tile_checksum_halves(kTileRows, dim_, enc_stride_));
+  std::vector<Half> img_fresh(kTileRows * dim_);
   const std::size_t n = tiles_.size();
   std::size_t visited = 0;
   while (visited < n && rep.scanned < max_tiles) {
@@ -463,7 +376,7 @@ ScrubReport TilePool::scrub(std::size_t max_tiles) {
     bool unrepairable = false;
     for (std::size_t l = 0; l < layers_ && !unrepairable; ++l) {
       for (std::size_t h = 0; h < heads_ && !unrepairable; ++h) {
-        switch (scrub_block(*this, id, l, h, enc_fresh, himg_fresh)) {
+        switch (scrub_block(*this, id, l, h, enc_fresh, img_fresh)) {
           case ScrubOutcome::kClean:
             break;
           case ScrubOutcome::kRepaired:
@@ -525,7 +438,7 @@ void flip_f16t_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
   if (img == nullptr) {
     throw std::logic_error("flip_f16t_bit: tile holds no f16t image");
   }
-  if (half_index >= detail::f16t_image_halves(pool.dim(), pool.enc_stride())) {
+  if (half_index >= TilePool::kTileRows * pool.dim()) {
     throw std::out_of_range("flip_f16t_bit: half_index out of block");
   }
   Half& h = img[half_index];
@@ -569,9 +482,7 @@ TilePool::TileId TilePool::acquire(core::TileFmt fmt) {
       t.qslab = std::unique_ptr<std::uint8_t[]>(
           new std::uint8_t[layers_ * heads_ * i8_block_bytes_]);
     } else {
-      t.hslab = std::unique_ptr<Half[]>(
-          new Half[layers_ * heads_ *
-                   detail::f16t_image_halves(dim_, enc_stride_)]);
+      t.hslab = std::unique_ptr<Half[]>(new Half[image_halves()]);
     }
     t.refs = 1;
     tiles_.push_back(std::move(t));
@@ -679,12 +590,10 @@ std::size_t tile_footprint(const TileT& t, std::size_t slab_halves,
 
 std::size_t TilePool::bytes_in_use() const noexcept {
   const std::size_t qslab_bytes = layers_ * heads_ * i8_block_bytes_;
-  const std::size_t hslab_halves =
-      layers_ * heads_ * detail::f16t_image_halves(dim_, enc_stride_);
   std::size_t b = 0;
   for (const Tile& t : tiles_) {
     if (t.refs != 0) {
-      b += tile_footprint(t, slab_halves_, qslab_bytes, hslab_halves);
+      b += tile_footprint(t, slab_halves_, qslab_bytes, image_halves());
     }
   }
   return b;
@@ -694,9 +603,7 @@ std::size_t TilePool::tile_bytes(core::TileFmt fmt) const noexcept {
   if (fmt == core::TileFmt::kI8) {
     return layers_ * heads_ * i8_block_bytes_;
   }
-  return (slab_halves_ +
-          layers_ * heads_ * detail::f16t_image_halves(dim_, enc_stride_)) *
-         sizeof(Half);
+  return (slab_halves_ + image_halves()) * sizeof(Half);
 }
 
 core::TileFmt default_tile_format() noexcept {
@@ -727,8 +634,6 @@ PagedKvCache::~PagedKvCache() { release_all(); }
 void PagedKvCache::push_tile_ptrs(TilePool::TileId id, bool with_enc) {
   const std::size_t layers = pool_->layers(), heads = pool_->heads();
   const std::size_t dim = pool_->dim();
-  const auto su = static_cast<std::size_t>(pool_->enc_stride());
-  const std::size_t kcn = su * dim, vcn = TilePool::kTileRows * su;
   // Only a sealed shared tile can arrive already in i8 form; fresh tiles —
   // whatever format they were acquired as — stage in fp16 and flip per
   // layer in seal_layer_tile.
@@ -746,22 +651,14 @@ void PagedKvCache::push_tile_ptrs(TilePool::TileId id, bool with_enc) {
       hp.v.push_back(pool_->v_tile(id, l, h));
       if (i8) {
         const std::uint8_t* block = pool_->i8_block(id, l, h);
-        const Half* henc = detail::i8_henc(block, L);
         const float* scales = detail::i8_scales(block, L);
-        hp.kc1.push_back(henc);
-        hp.kc2.push_back(henc + kcn);
-        hp.vc1.push_back(henc + 2 * kcn);
-        hp.vc2.push_back(henc + 2 * kcn + vcn);
+        hp.enc.push_back(detail::i8_henc(block, L));
         hp.kq.push_back(detail::i8_k(block, L));
         hp.vq.push_back(detail::i8_v(block, L));
         hp.ks.push_back(scales[0]);
         hp.vs.push_back(scales[3]);
       } else {
-        const Half* enc = with_enc ? pool_->enc_block(id, l, h) : nullptr;
-        hp.kc1.push_back(enc);
-        hp.kc2.push_back(enc == nullptr ? nullptr : enc + kcn);
-        hp.vc1.push_back(enc == nullptr ? nullptr : enc + 2 * kcn);
-        hp.vc2.push_back(enc == nullptr ? nullptr : enc + 2 * kcn + vcn);
+        hp.enc.push_back(with_enc ? pool_->enc_block(id, l, h) : nullptr);
         hp.kq.push_back(nullptr);
         hp.vq.push_back(nullptr);
         hp.ks.push_back(0.0f);
@@ -830,13 +727,9 @@ void PagedKvCache::seal_layer_tile(std::size_t layer, std::size_t tile_index) {
       detail::quantize_sealed_tile(pool_->k_tile(id, layer, h),
                                    pool_->v_tile(id, layer, h), dim, s,
                                    block);
-      const Half* henc = detail::i8_henc(block, L);
       const float* scales = detail::i8_scales(block, L);
       HeadPtrs& hp = ptrs_[layer * heads + h];
-      hp.kc1[tile_index] = henc;
-      hp.kc2[tile_index] = henc + L.kcn;
-      hp.vc1[tile_index] = henc + 2 * L.kcn;
-      hp.vc2[tile_index] = henc + 2 * L.kcn + L.vcn;
+      hp.enc[tile_index] = detail::i8_henc(block, L);
       hp.kq[tile_index] = detail::i8_k(block, L);
       hp.vq[tile_index] = detail::i8_v(block, L);
       hp.ks[tile_index] = scales[0];
@@ -851,20 +744,16 @@ void PagedKvCache::seal_layer_tile(std::size_t layer, std::size_t tile_index) {
     }
     return;
   }
-  const auto su = static_cast<std::size_t>(s);
-  const std::size_t kcn = su * dim, vcn = TilePool::kTileRows * su;
   for (std::size_t h = 0; h < heads; ++h) {
     const Half* k = pool_->k_tile(id, layer, h);
     Half* enc = pool_->enc_block(id, layer, h);
-    Half* himg = pool_->f16t_image(id, layer, h);
-    detail::encode_sealed_tile(k, pool_->v_tile(id, layer, h), dim, s, enc);
-    detail::build_f16t_image(k, enc, dim, s, himg);
+    Half* img = pool_->f16t_image(id, layer, h);
+    core::encode_tile_checksums(k, pool_->v_tile(id, layer, h),
+                                TilePool::kTileRows, dim, s, nullptr, enc);
+    numeric::transpose_h(k, TilePool::kTileRows, dim, img);
     HeadPtrs& hp = ptrs_[layer * heads + h];
-    hp.kc1[tile_index] = enc;
-    hp.kc2[tile_index] = enc + kcn;
-    hp.vc1[tile_index] = enc + 2 * kcn;
-    hp.vc2[tile_index] = enc + 2 * kcn + vcn;
-    hp.f16t[tile_index] = himg;
+    hp.enc[tile_index] = enc;
+    hp.f16t[tile_index] = img;
   }
   // The last layer fills last within a tick: its seal completes the tile.
   if (layer == pool_->layers() - 1) {
@@ -966,10 +855,7 @@ void PagedKvCache::truncate(std::size_t tokens) {
     for (HeadPtrs& hp : ptrs_) {
       hp.k.pop_back();
       hp.v.pop_back();
-      hp.kc1.pop_back();
-      hp.kc2.pop_back();
-      hp.vc1.pop_back();
-      hp.vc2.pop_back();
+      hp.enc.pop_back();
       hp.f16t.pop_back();
       hp.kq.pop_back();
       hp.vq.pop_back();
@@ -994,9 +880,8 @@ core::KvSlice PagedKvCache::slice(std::size_t layer, std::size_t head) const {
   const HeadPtrs& hp = ptrs_[layer * pool_->heads() + head];
   // f16t entries are null until the tile seals (and for kI8 tiles), so the
   // array is exposed unconditionally.
-  core::KvSlice s{hp.k.data(),   hp.v.data(),   layer_len_[layer],
-                  pool_->dim(),  hp.kc1.data(), hp.kc2.data(),
-                  hp.vc1.data(), hp.vc2.data(), pool_->enc_stride(),
+  core::KvSlice s{hp.k.data(),   hp.v.data(),        layer_len_[layer],
+                  pool_->dim(),  hp.enc.data(),      pool_->enc_stride(),
                   hp.f16t.data()};
   // The i8 views are exposed only for kI8 requests: an fp16 request's
   // slices are bit-for-bit what a pure-fp16 pool would hand out, even when
@@ -1033,10 +918,7 @@ void PagedKvCache::release_all() {
   for (HeadPtrs& hp : ptrs_) {
     hp.k.clear();
     hp.v.clear();
-    hp.kc1.clear();
-    hp.kc2.clear();
-    hp.vc1.clear();
-    hp.vc2.clear();
+    hp.enc.clear();
     hp.f16t.clear();
     hp.kq.clear();
     hp.vq.clear();

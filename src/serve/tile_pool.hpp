@@ -4,8 +4,8 @@
 // fault-tolerant decode kernel's checksum footprint).
 //
 // A *context tile* holds 64 tokens of K/V for every layer and head of the
-// model, plus the four sealed strided-ABFT encodings of each (layer, head)
-// 64 x dim tile pair, all in one contiguous slab.  Because the encodings
+// model, plus the sealed strided-ABFT checksum block of each (layer, head)
+// 64 x dim tile pair, all in one contiguous slab.  Because the checksums
 // live inside the tile, sharing a tile shares its ABFT memo too: a prefix
 // computed (and encoded) once is verified from the same sealed checksums by
 // every request that maps it.
@@ -37,11 +37,11 @@
 // would silently splice the wrong KV into a context — is out of reach for
 // any realistic pool lifetime; lookups compare the full key.
 //
-// Full tiles are immutable once written, so sealing memoizes their four
-// strided checksum encodings (K row checksums c1/c2, V column checksums
-// c1/c2) once, ever, and a sealed fp16 tile also gets its kF16T image (the
-// K-side operands pre-transposed, detail::build_f16t_image): clean decode
-// steps stream the sealed memo instead of re-deriving all four encodings
+// Full tiles are immutable once written, so sealing derives each (layer,
+// head) block's checksum block once, ever (core::encode_tile_checksums:
+// [Kc1^T | Kc2^T | Vc1 | Vc2], the k-major operands of the checksum GEMMs,
+// in both tile formats), and a sealed fp16 tile also gets its kF16T image,
+// K^T: clean decode steps stream the sealed block instead of re-deriving it
 // per token, dropping the per-token encode cost from O(context) to O(tail).
 
 #include <cstddef>
@@ -59,35 +59,6 @@
 namespace ftt::serve {
 
 namespace detail {
-/// Encode the four sealed-tile checksum blocks of one 64 x dim K/V tile
-/// pair into `out`, laid out [kc1 (s x dim) | kc2 (s x dim) | vc1 (64 x s)
-/// | vc2 (64 x s)] — 2*s*dim + 2*64*s halves.  Exactly the encodes the
-/// decode kernel would run per call (no injector: memos are built outside
-/// any fault campaign), so the sealed bits equal a fresh encode bit for
-/// bit.
-void encode_sealed_tile(const numeric::Half* k_tile,
-                        const numeric::Half* v_tile, std::size_t dim, int s,
-                        numeric::Half* out);
-
-/// Number of halves in one sealed fp16 tile's pre-transposed image (the
-/// core::ImagePolicy::kF16T layout): only the K-side operands need
-/// re-laying-out, and they stay at half width —
-///   [K^T (dim x 64) | Kc1^T (dim x s) | Kc2^T (dim x s)]
-/// == 64*dim + 2*s*dim halves (0.5x the tile pair).  The V operands have
-/// no image: the slab's V tile (64 x dim) and sealed column checksums
-/// (64 x s) are already the k-major B operands of the fused fp16-operand
-/// GEMM II.
-[[nodiscard]] std::size_t f16t_image_halves(std::size_t dim, int s) noexcept;
-
-/// Build the kF16T image of one sealed tile from its fp16 K storage and its
-/// sealed encoding block (encode_sealed_tile layout) into `out`
-/// (f16t_image_halves(dim, s) halves).  Pure data movement — transposition
-/// of stored Half bits — so decode over the image (which widens in
-/// registers, exactly) is bit-identical to the widen-per-call path.
-void build_f16t_image(const numeric::Half* k_tile,
-                      const numeric::Half* enc_block, std::size_t dim, int s,
-                      numeric::Half* out);
-
 /// Byte layout of one (layer, head) block of an int8-format KV tile — the
 /// second, coexisting tile format (core::TileFmt::kI8).  One block packs
 /// everything the decode kernel and the scrubber need:
@@ -101,22 +72,22 @@ void build_f16t_image(const numeric::Half* k_tile,
 /// consume them in exactly this layout, so the fused dequantizing kernels
 /// (numeric::gemm_f32_nn_i8) stream the int8 payload directly with zero
 /// per-tile pack or dequantize-to-scratch pass — the int8 analogue of the
-/// fp16 format's f16t image.  V stays row-major because that is already
+/// fp16 format's K^T image.  V stays row-major because that is already
 /// GEMM II's k-major B operand.
 ///
 /// The int32 encodings are the at-rest redundancy: integer sums of the int8
 /// payload as stored (abft/int8_checksums.hpp; K's run over the k-major
 /// array), verified by EQUALITY — exact fault location and repair with zero
-/// threshold.  The Half encodings are the decode-time memo: the fp16
-/// strided encodings of the exactly-dequantized payload, bit-equal to the
-/// fresh encode the kernel would compute (K-side stored transposed, like
-/// the f16t image's Kc^T blocks), so a clean tick streams payload + henc
-/// and never touches the int32 block.  The per-operand scale is a power of
-/// two (numeric::choose_i8_scale), so dequantization is exact and both
-/// encoding families describe the same tile; the scales themselves are
-/// outside both checksum families, hence the 3-copy TMR.  Alignment: the
-/// float/int32 regions lead and `bytes` is rounded to a multiple of 4, so
-/// an array of blocks keeps every region naturally aligned.
+/// threshold.  henc is the decode-time checksum block, in the layout every
+/// tile shares (core::encode_tile_checksums) and encoded from the
+/// exactly-dequantized payload, so it is bit-equal to the fresh encode the
+/// kernel would compute and a clean tick streams payload + henc without
+/// touching the int32 block.  The per-operand scale is a power of two
+/// (numeric::choose_i8_scale), so dequantization is exact and both encoding
+/// families describe the same tile; the scales themselves are outside both
+/// checksum families, hence the 3-copy TMR.  Alignment: the float/int32
+/// regions lead and `bytes` is rounded to a multiple of 4, so an array of
+/// blocks keeps every region naturally aligned.
 struct I8TileLayout {
   std::size_t dim = 0;
   std::size_t s = 0;        ///< checksum stride the encodings use
@@ -173,9 +144,9 @@ struct I8TileLayout {
 
 /// Quantize one sealed 64 x dim fp16 K/V tile pair into an i8 block:
 /// choose the per-operand power-of-two scales, quantize the payload, then
-/// derive BOTH encoding families from the result — the Half encodings from
-/// the exactly-dequantized image (bit-equal to the fresh encode a decode
-/// call would run over that image) and the int32 encodings from the int8
+/// derive BOTH encoding families from the result — the checksum block from
+/// the exactly-dequantized rows (bit-equal to the fresh encode a decode
+/// call would run over them) and the int32 encodings from the int8
 /// payload — and write the TMR scale copies.  The block is fully
 /// overwritten; no zeroing is required beforehand.
 void quantize_sealed_tile(const numeric::Half* k_tile,
@@ -187,8 +158,8 @@ enum class I8ScrubResult { kClean, kRepaired, kUnrepairable };
 
 /// The i8 arm of the KV scrubber: majority-vote the TMR scale copies, run
 /// the exact integer verify/correct over both payloads (equality, zero
-/// threshold — abft::verify_correct_*_i8), then recompute the Half
-/// encodings from the repaired, dequantized payload and rewrite them on
+/// threshold — abft::verify_correct_*_i8), then recompute the checksum
+/// block from the repaired, dequantized payload and rewrite it on
 /// mismatch.  Repairs happen in place; kUnrepairable means >= 2 faults in
 /// one residue class (or a three-way scale disagreement) and the caller
 /// must drop the tile.
@@ -221,10 +192,10 @@ struct TilePoolOptions {
   /// divide both the 64-row tile and `dim`; the constructor throws
   /// std::invalid_argument otherwise.
   int enc_stride = abft::StridedAbft::kDefaultStride;
-  /// Sealed fp16 tile image layout; kF16T (detail::build_f16t_image,
-  /// [K^T | Kc1^T | Kc2^T] halves: 0.5x extra memory, zero per-tile
-  /// packing, operands widened 8 lanes at a time inside the fp16-operand
-  /// microkernels) is the only one, and every sealed fp16 tile carries it.
+  /// Sealed fp16 tile image layout; kF16T (K^T, 64 x dim halves: 0.4x
+  /// extra memory at dim 64, stride 8, zero per-tile packing, widened 8
+  /// lanes at a time inside the fp16-operand microkernels) is the only
+  /// one, and every sealed fp16 tile carries it.
   core::ImagePolicy images = core::ImagePolicy::kF16T;
 };
 
@@ -248,18 +219,18 @@ class TilePool {
 
   /// Incremental KV scrubber: walk up to `max_tiles` sealed tiles (a
   /// round-robin cursor persists across calls) and re-verify each (layer,
-  /// head) block's in-slab strided-ABFT encodings against its fp16
-  /// payload, bit for bit (kI8 tiles: detail::scrub_i8_tile).
+  /// head) block's in-slab checksum block against its fp16 payload, bit for
+  /// bit (kI8 tiles: detail::scrub_i8_tile).
   ///
-  ///   * payload and encodings consistent, but the f16t image disagrees ->
-  ///     the image is rebuilt from the (authoritative) fp16 slab
+  ///   * payload and checksum block consistent, but the K^T image disagrees
+  ///     -> the image is rebuilt from the (authoritative) fp16 slab
   ///     (`repaired`);
-  ///   * exactly one encoding element disagrees with a fresh encode ->
-  ///     checksum-class corruption, the sealed encodings (and image) are
+  ///   * exactly one checksum element disagrees with a fresh encode ->
+  ///     checksum-class corruption, the sealed block (and image) are
   ///     rewritten in place (`repaired`);
   ///   * two or more disagree -> payload-class corruption: the K payload is
   ///     restored by de-transposing the image's Half bits verbatim and
-  ///     re-verified (`repaired`).  The f16t image carries no V copy, so
+  ///     re-verified (`repaired`).  The image carries no V copy, so
   ///     V-payload corruption is unrepairable; so is a failed re-verify.
   ///     An unrepairable tile is unpublished, unsealed and reported in
   ///     `dropped` (refcount-0 tiles go straight to the dead list).
@@ -311,19 +282,20 @@ class TilePool {
   /// keeps its private tile; the earlier copy stays the shared one).
   bool publish(TileId id, const ChainKey& key);
 
-  // --- storage access (slab layout: per (layer, head):
-  //     [K 64*dim | V 64*dim | kc1 s*dim | kc2 s*dim | vc1 64*s | vc2 64*s])
+  // --- storage access (slab layout: per (layer, head): [K 64*dim |
+  //     V 64*dim | Kc1^T dim*s | Kc2^T dim*s | Vc1 64*s | Vc2 64*s])
   [[nodiscard]] numeric::Half* k_tile(TileId id, std::size_t layer,
                                       std::size_t head) noexcept;
   [[nodiscard]] numeric::Half* v_tile(TileId id, std::size_t layer,
                                       std::size_t head) noexcept;
-  /// The four-encoding block of one (layer, head) tile (nullptr once a kI8
-  /// tile seals, like k_tile()).
+  /// The checksum block of one (layer, head) tile
+  /// (core::encode_tile_checksums layout; nullptr once a kI8 tile seals,
+  /// like k_tile()).
   [[nodiscard]] numeric::Half* enc_block(TileId id, std::size_t layer,
                                          std::size_t head) noexcept;
-  /// The pre-transposed fp16 image of one (layer, head) tile
-  /// (f16t_image_halves halves, written at seal time), or nullptr for a
-  /// kI8 tile.  Contents are only meaningful once the tile's layer sealed.
+  /// The kF16T image of one (layer, head) tile — K^T, 64 * dim halves,
+  /// written at seal time — or nullptr for a kI8 tile.  Contents are only
+  /// meaningful once the tile's layer sealed.
   [[nodiscard]] numeric::Half* f16t_image(TileId id, std::size_t layer,
                                           std::size_t head) noexcept;
   /// Storage format the tile was acquired with (kF16 tiles never hold an i8
@@ -367,7 +339,7 @@ class TilePool {
   [[nodiscard]] std::size_t shared_hits() const noexcept {
     return shared_hits_;
   }
-  /// Halves per context-tile slab (K+V+encodings across all layers/heads).
+  /// Halves per context-tile slab (K+V+checksums across all layers/heads).
   [[nodiscard]] std::size_t slab_halves() const noexcept {
     return slab_halves_;
   }
@@ -394,9 +366,9 @@ class TilePool {
     /// area for kI8 tiles (freed when a kI8 tile seals, reallocated on
     /// recycle).
     std::unique_ptr<numeric::Half[]> slab;
-    /// Pre-transposed fp16 image slab (kF16 tiles only): one
-    /// f16t_image_halves block per (layer, head).  Not zeroed on recycle —
-    /// the image is fully overwritten at seal time and never read before.
+    /// kF16T image slab (kF16 tiles only): one K^T block of 64 * dim
+    /// halves per (layer, head).  Not zeroed on recycle — the image is
+    /// fully overwritten at seal time and never read before.
     std::unique_ptr<numeric::Half[]> hslab;
     /// i8 slab (kI8 tiles only): one detail::I8TileLayout block per
     /// (layer, head).  Not zeroed on recycle for the same reason.
@@ -417,12 +389,15 @@ class TilePool {
   void recycle(TileId id, core::TileFmt fmt);
   [[nodiscard]] std::size_t offset(std::size_t layer,
                                    std::size_t head) const noexcept;
+  /// Halves of one fp16 tile's image slab: K^T per (layer, head).
+  [[nodiscard]] std::size_t image_halves() const noexcept {
+    return layers_ * heads_ * kTileRows * dim_;
+  }
 
   std::size_t layers_, heads_, dim_;
   int enc_stride_;
   std::size_t capacity_tiles_;
-  std::size_t per_lh_halves_ = 0;  // K+V+enc of one (layer, head)
-  std::size_t enc_halves_ = 0;     // the enc portion of the above
+  std::size_t per_lh_halves_ = 0;  // K+V+checksums of one (layer, head)
   std::size_t slab_halves_ = 0;
   std::size_t i8_block_bytes_ = 0;  // one (layer, head) i8 block
   std::size_t in_use_ = 0;
@@ -447,8 +422,8 @@ namespace testing {
 /// slab throws std::logic_error.
 void flip_slab_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
                    std::size_t head, std::size_t half_index, unsigned bit);
-/// Flip one bit of one half of a sealed fp16 tile's pre-transposed image
-/// block (`half_index` < detail::f16t_image_halves).
+/// Flip one bit of one half of a sealed fp16 tile's K^T image block
+/// (`half_index` < 64 * dim).
 void flip_f16t_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
                    std::size_t head, std::size_t half_index, unsigned bit);
 /// i8-tile counterpart: flip one bit of one byte of a kI8 tile's
@@ -480,10 +455,10 @@ void flip_i8_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
 /// mid-tick state where layer L has appended this tick's rows but layer L+1
 /// has not; slice(layer, head) reads the per-layer length.
 ///
-/// When a (layer, head) tile fills, its four checksum encodings are sealed
-/// into the tile slab (same bits as a fresh per-call encode — the shared
-/// encode_sealed_tile helper) and its kF16T image is built from them (a kI8
-/// request quantizes the block instead); when the *last* layer fills, the
+/// When a (layer, head) tile fills, its checksum block is sealed into the
+/// tile slab (core::encode_tile_checksums, so the same bits as a fresh
+/// per-call encode) and its K^T image is written (a kI8 request quantizes
+/// the block instead); when the *last* layer fills, the
 /// tile is sealed pool-wide and reported through take_newly_sealed() so the
 /// engine can publish fully-prompt tiles for prefix sharing.
 class PagedKvCache {
@@ -567,9 +542,11 @@ class PagedKvCache {
 
  private:
   struct HeadPtrs {
-    std::vector<const numeric::Half*> k, v, kc1, kc2, vc1, vc2;
-    // Per-tile pre-transposed fp16 image pointers (null until the layer
-    // tile seals, and always null for kI8 tiles).
+    // Per-tile payload and checksum-block pointers (enc: null until the
+    // layer tile seals).
+    std::vector<const numeric::Half*> k, v, enc;
+    // Per-tile K^T image pointers (null until the layer tile seals, and
+    // always null for kI8 tiles).
     std::vector<const numeric::Half*> f16t;
     // Per-tile i8 payload pointers and power-of-two scales (kI8 caches
     // only; null/0 until the layer tile quantizes).

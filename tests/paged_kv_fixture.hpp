@@ -18,6 +18,7 @@
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "abft/strided_abft.hpp"
@@ -25,6 +26,7 @@
 #include "core/decode.hpp"
 #include "numeric/fp16.hpp"
 #include "serve/tile_pool.hpp"
+#include "tensor/tensor.hpp"
 
 namespace ftt::testing {
 
@@ -83,6 +85,33 @@ inline void fill_random(PagedKv& kv, std::size_t tokens, std::uint64_t seed) {
     }
     kv.append(k, v);
   }
+}
+
+/// The raw fp16 twin of a slice: its n logical rows as contiguous n x d
+/// matrices, an fp16 tile's rows copied and a kI8 tile's dequantized
+/// (q * scale has <= 7 significant bits, so narrowing to Half is exact).
+/// The contiguous efta_decode_step overload over the twin encodes every
+/// tile per call.
+inline std::pair<tensor::MatrixH, tensor::MatrixH> raw_twin(
+    const core::KvSlice& s) {
+  constexpr std::size_t kRows = core::KvSlice::kTileRows;
+  tensor::MatrixH k(s.n, s.d), v(s.n, s.d);
+  for (std::size_t r = 0; r < s.n; ++r) {
+    const std::size_t t = r / kRows, row = r % kRows;
+    const bool i8 = s.fmt != nullptr && s.fmt[t] == core::TileFmt::kI8;
+    for (std::size_t c = 0; c < s.d; ++c) {
+      // An int8 tile stores K k-major (K^T, d x 64); V stays row-major.
+      k(r, c) = i8 ? numeric::Half(static_cast<float>(
+                                       s.k_i8[t][c * kRows + row]) *
+                                   s.k_scale[t])
+                   : s.k_tiles[t][row * s.d + c];
+      v(r, c) = i8 ? numeric::Half(static_cast<float>(
+                                       s.v_i8[t][row * s.d + c]) *
+                                   s.v_scale[t])
+                   : s.v_tiles[t][row * s.d + c];
+    }
+  }
+  return {std::move(k), std::move(v)};
 }
 
 /// Two reports agree in every counter.

@@ -166,6 +166,60 @@ TEST(Decode, RejectsStrideNotDividingTheTileBeforeAnyHook) {
   }
 }
 
+TEST(Decode, RejectsTileMissingItsPayloadBeforeAnyHook) {
+  // Each tile must carry the payload pointers its format reads: K and V
+  // rows for an fp16 tile, the int8 payloads and scale arrays for a kI8
+  // tile.  Block, step and batch must all throw before any work, with no
+  // hook fired, instead of dereferencing a null tile inside the kernel —
+  // the batch even when a well-formed item precedes the bad one.
+  constexpr std::size_t kN = 100, kD = 64;
+  ft::MatrixH K(kN, kD), V(kN, kD);
+  ft::fill_normal(K, 73);
+  ft::fill_normal(V, 74);
+  std::vector<const Half*> kt, vt;
+  for (std::size_t r = 0; r < kN; r += fc::KvSlice::kTileRows) {
+    kt.push_back(K.data() + r * kD);
+    vt.push_back(V.data() + r * kD);
+  }
+  std::vector<Half> q(kD, Half(0.5f));
+  std::vector<float> out(kD);
+  const fc::KvSlice good{kt.data(), vt.data(), kN, kD};
+
+  // An fp16 slice whose first K tile is missing.
+  std::vector<const Half*> kt_hole = kt;
+  kt_hole[0] = nullptr;
+  const fc::KvSlice no_k{kt_hole.data(), vt.data(), kN, kD};
+  // A kI8 first tile without any int8 payload or scale arrays.
+  const fc::TileFmt fmt[] = {fc::TileFmt::kI8, fc::TileFmt::kF16};
+  fc::KvSlice no_i8 = good;
+  no_i8.fmt = fmt;
+  // A kI8 first tile whose arrays exist but hold no payload for it.
+  const std::vector<const std::int8_t*> i8_tiles(2, nullptr);
+  const float scales[] = {1.0f, 1.0f};
+  fc::KvSlice i8_hole = no_i8;
+  i8_hole.k_i8 = i8_tiles.data();
+  i8_hole.v_i8 = i8_tiles.data();
+  i8_hole.k_scale = scales;
+  i8_hole.v_scale = scales;
+
+  ff::FaultInjector probe;
+  for (const fc::KvSlice& kv : {no_k, no_i8, i8_hole}) {
+    const fc::DecodeWorkItem item{kv, q.data(), out.data()};
+    EXPECT_THROW(fc::efta_decode_block(item, {}, &probe),
+                 std::invalid_argument);
+    EXPECT_THROW(fc::efta_decode_step(kv, q, out, {}, &probe),
+                 std::invalid_argument);
+    const fc::DecodeWorkItem items[] = {
+        fc::DecodeWorkItem{good, q.data(), out.data()}, item};
+    EXPECT_THROW(fc::efta_decode_batch(items, {}, &probe),
+                 std::invalid_argument);
+    EXPECT_THROW(fc::efta_decode_batch(items), std::invalid_argument);
+  }
+  for (std::size_t s = 0; s < ff::kSiteCount; ++s) {
+    EXPECT_EQ(probe.calls(static_cast<ff::Site>(s)), 0u) << s;
+  }
+}
+
 TEST(Decode, RaggedContextMatchesStandardAttention) {
   // Context lengths that are not multiples of the 64-row checksum tile must
   // work: the ragged tail is zero-padded into a full checksum footprint.

@@ -12,11 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "abft/int8_checksums.hpp"
@@ -390,27 +392,30 @@ TEST(I8Tile, SealedHalfEncodingsBitEqualFreshEncodeOfDequantizedPayload) {
     vd[i] = Half(vf[i]);
     EXPECT_EQ(kd[i].to_float(), kf[i]);  // narrowing was exact
   }
-  std::vector<Half> fresh(2 * (t.L.kcn + t.L.vcn));
-  fs::detail::encode_sealed_tile(kd.data(), vd.data(), dim, kStride,
-                                 fresh.data());
-  // Sealed layout stores the K checksum blocks transposed (Kc^T, dim x s);
-  // encode_sealed_tile emits them row-major (s x dim).  V blocks match
-  // layout directly.
+  // The sealed block stores [Kc1^T (dim x s) | Kc2^T | Vc1 (64 x s) | Vc2]:
+  // the K row checksums (s x dim) transposed, the V column checksums as
+  // encoded.
+  const ft::MatrixHView kv{kd.data(), kRows, dim, dim};
+  const ft::MatrixHView vv{vd.data(), kRows, dim, dim};
   const Half* henc = fs::detail::i8_henc(t.block.data(), t.L);
   const std::size_t s = static_cast<std::size_t>(kStride);
-  for (std::size_t blk = 0; blk < 2; ++blk) {
-    const Half* sealed = henc + blk * t.L.kcn;
-    const Half* ref = fresh.data() + blk * t.L.kcn;
+  for (const bool weighted : {false, true}) {
+    const ft::MatrixH kref =
+        fa::StridedAbft::encode_rows_strided(kv, kStride, weighted, nullptr);
+    const Half* sealed = henc + (weighted ? t.L.kcn : 0);
     for (std::size_t j = 0; j < s; ++j) {
       for (std::size_t c = 0; c < dim; ++c) {
-        EXPECT_EQ(sealed[c * s + j].bits(), ref[j * dim + c].bits())
-            << blk << "," << j << "," << c;
+        EXPECT_EQ(sealed[c * s + j].bits(), kref(j, c).bits())
+            << weighted << "," << j << "," << c;
       }
     }
-  }
-  for (std::size_t i = 0; i < 2 * t.L.vcn; ++i) {
-    EXPECT_EQ(henc[2 * t.L.kcn + i].bits(), fresh[2 * t.L.kcn + i].bits())
-        << i;
+    const ft::MatrixH vref =
+        fa::StridedAbft::encode_cols_strided(vv, kStride, weighted, nullptr);
+    const Half* vsealed = henc + 2 * t.L.kcn + (weighted ? t.L.vcn : 0);
+    for (std::size_t i = 0; i < t.L.vcn; ++i) {
+      EXPECT_EQ(vsealed[i].bits(), vref.data()[i].bits())
+          << weighted << "," << i;
+    }
   }
 }
 
@@ -600,6 +605,38 @@ TEST(PagedKvQuant, DecodeBitIdenticalToDequantizedF16Twin) {
   }
 }
 
+TEST(PagedKvQuant, SealedChecksumBlocksMatchF16TwinBitwise) {
+  // One checksum-block layout for both formats: over the same exactly
+  // representable rows, a sealed int8 tile's block and a sealed fp16
+  // tile's block are the same halves, bit for bit.
+  PagedKv quant(kHeads, kDim, fc::TileFmt::kI8);
+  fill_random(quant, kRows, 24);  // exactly one sealed tile
+  PagedKv twin(kHeads, kDim, fc::TileFmt::kF16);
+  std::vector<Half> k(kHeads * kDim), v(kHeads * kDim);
+  std::vector<std::pair<ft::MatrixH, ft::MatrixH>> rows;
+  for (std::size_t h = 0; h < kHeads; ++h) {
+    rows.push_back(ftt::testing::raw_twin(quant.slice(h)));
+  }
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t h = 0; h < kHeads; ++h) {
+      std::copy_n(&rows[h].first(r, 0), kDim, k.begin() + h * kDim);
+      std::copy_n(&rows[h].second(r, 0), kDim, v.begin() + h * kDim);
+    }
+    twin.append(k, v);
+  }
+  const std::size_t halves = fc::tile_checksum_halves(kRows, kDim, kStride);
+  for (std::size_t h = 0; h < kHeads; ++h) {
+    const fc::KvSlice qs = quant.slice(h), ts = twin.slice(h);
+    ASSERT_EQ(qs.fmt[0], fc::TileFmt::kI8);
+    ASSERT_NE(qs.enc[0], nullptr);
+    ASSERT_NE(ts.enc[0], nullptr);
+    for (std::size_t i = 0; i < halves; ++i) {
+      ASSERT_EQ(qs.enc[0][i].bits(), ts.enc[0][i].bits())
+          << "head " << h << " half " << i;
+    }
+  }
+}
+
 TEST(PagedKvQuant, DecodeDeterministicAndWithinQuantTolerance) {
   PagedKv quant(kHeads, kDim, fc::TileFmt::kI8);
   PagedKv exact(kHeads, kDim, fc::TileFmt::kF16);
@@ -664,17 +701,16 @@ void fill_paged(fs::PagedKvCache& cache, std::size_t layers,
 TEST(TilePoolQuant, SealedI8TileFreesStagingSlabAndShrinksFootprint) {
   fs::TilePool pool(pool_options());
   // Exact sealed bytes of one (layer, head) block at dim 64, stride 8: the
-  // fp16 slab (K, V and the four encodings) 20,480 B, or 30,720 B with the
-  // f16t image; the int8 block 20,504 B — 1.5x smaller than the default
+  // fp16 slab (K, V and the checksum block) 20,480 B, or 28,672 B with the
+  // K^T image; the int8 block 20,504 B — 1.40x smaller than the default
   // format, and about the size of a bare fp16 slab.
   const auto su = static_cast<std::size_t>(kStride);
   const std::size_t slab_block =
       (2 * kRows * kDim + 2 * su * kDim + 2 * kRows * su) * sizeof(Half);
-  const std::size_t image_block =
-      fs::detail::f16t_image_halves(kDim, kStride) * sizeof(Half);
+  const std::size_t image_block = kRows * kDim * sizeof(Half);
   const std::size_t i8_block = fs::detail::i8_tile_layout(kDim, kStride).bytes;
   EXPECT_EQ(slab_block, 20480u);
-  EXPECT_EQ(slab_block + image_block, 30720u);
+  EXPECT_EQ(slab_block + image_block, 28672u);
   EXPECT_EQ(i8_block, 20504u);
   const std::size_t blocks = pool.layers() * pool.heads();
   const std::size_t i8_bytes = pool.tile_bytes(fc::TileFmt::kI8);

@@ -144,9 +144,9 @@ TEST(OmpInvariance, InjectedBatchEqualsSerialItems) {
   // items a flip lands in.  The result must be a serial loop of
   // efta_decode_block with the same injector, bit for bit: outputs,
   // per-item reports, per-site calls() and events.  The batch mixes every
-  // tier: a raw slice (widen and encode per tile), kF16 pools (image tier)
-  // and kI8 pools (fused int8), with decode rows, a speculative block and a
-  // prefill chunk.
+  // tile storage: a raw slice (transpose and encode per tile), kF16 pools
+  // (sealed K^T images and checksum blocks) and kI8 pools (fused int8),
+  // with decode rows, a speculative block and a prefill chunk.
   OmpGuard guard;
   constexpr std::size_t kDim = 32;
   struct Ctx {

@@ -109,27 +109,23 @@ TEST(PagedKv, SealsEncodingsOncePerFullTile) {
   fill_random(cache, 63, 11);
   {
     const fc::KvSlice sl = cache.slice(0);
-    ASSERT_NE(sl.k_c1, nullptr);
+    ASSERT_NE(sl.enc, nullptr);
     EXPECT_EQ(sl.enc_stride, 8);
-    EXPECT_EQ(sl.k_c1[0], nullptr);  // tail tile: not sealed yet
+    EXPECT_EQ(sl.enc[0], nullptr);  // tail tile: not sealed yet
   }
   fill_random(cache, 68, 12);  // 131 tokens: tiles 0 and 1 sealed, tail open
   const fc::KvSlice sl = cache.slice(1);
   ASSERT_EQ(sl.tiles(), 3u);
   for (std::size_t t = 0; t < 2; ++t) {
-    EXPECT_NE(sl.k_c1[t], nullptr) << t;
-    EXPECT_NE(sl.k_c2[t], nullptr) << t;
-    EXPECT_NE(sl.v_c1[t], nullptr) << t;
-    EXPECT_NE(sl.v_c2[t], nullptr) << t;
+    EXPECT_NE(sl.enc[t], nullptr) << t;
   }
-  EXPECT_EQ(sl.k_c1[2], nullptr);
-  EXPECT_EQ(sl.v_c2[2], nullptr);
+  EXPECT_EQ(sl.enc[2], nullptr);
 
-  // Sealed encodings are immutable: appending more tokens must not touch
-  // tile 0's encoding storage (pointers stay put, like the tiles).
-  const Half* enc0 = sl.k_c1[0];
+  // Sealed checksums are immutable: appending more tokens must not touch
+  // tile 0's checksum storage (pointers stay put, like the tiles).
+  const Half* enc0 = sl.enc[0];
   fill_random(cache, 70, 13);
-  EXPECT_EQ(cache.slice(1).k_c1[0], enc0);
+  EXPECT_EQ(cache.slice(1).enc[0], enc0);
 }
 
 TEST(Serve, FullTileReadsAreZeroCopy) {
@@ -156,13 +152,14 @@ TEST(Serve, FullTileReadsAreZeroCopy) {
 }
 
 TEST(Serve, InjectedStepKeepsSealedTiers) {
-  // Sealed encodings are memory, not compute: an injector changes hooks,
-  // never a tile's tier.  Under an unarmed probe a 1-row step over 32
-  // sealed tiles plus a 17-row tail encodes only the tail, on the kF16T
-  // image tier and on the fused int8 tier alike, and computes the clean
-  // bits.  A checksum flip aimed inside sealed tile 5's encode hooks costs
-  // that one tile a fresh encode, and lands on the same value, with the
-  // same result, as on a raw slice that encodes every tile per call.
+  // Sealed checksum blocks are memory, not compute: an injector changes
+  // hooks, never a tile's operands.  Under an unarmed probe a 1-row step
+  // over 32 sealed tiles plus a 17-row tail encodes only the tail, over
+  // fp16 and int8 tiles alike, and computes the clean bits.  A checksum
+  // flip aimed inside sealed tile 5's encode hooks costs that one tile a
+  // fresh encode (an int8 tile's from its dequantized rows), and lands on
+  // the same value, with the same result and report, as on the slice's raw
+  // fp16 twin, which encodes every tile per call.
   constexpr std::size_t kDim = 64, kN = 2065;
   const auto q = random_query(kDim, 31);
   std::size_t& encoded = fc::testing::tiles_encoded();
@@ -192,26 +189,21 @@ TEST(Serve, InjectedStepKeepsSealedTiers) {
     ASSERT_EQ(inj.injected(), 1u);
     EXPECT_EQ(inj.events()[0].call_index, index);
     EXPECT_EQ(rep.faults_injected, 1u);
-    if (fmt != kF16) continue;
 
-    // The widen-per-tile reference: the same context as raw fp16 rows.
-    ft::MatrixH k(kN, kDim), v(kN, kDim);
-    for (std::size_t r = 0; r < kN; ++r) {
-      const std::size_t t = r / 64, row = r % 64;
-      std::copy_n(slice.k_tiles[t] + row * kDim, kDim, &k(r, 0));
-      std::copy_n(slice.v_tiles[t] + row * kDim, kDim, &v(r, 0));
-    }
+    const auto [k, v] = ftt::testing::raw_twin(slice);
     std::vector<float> ref(kDim);
     auto ref_inj = ff::FaultInjector::single(ff::Site::kChecksum, index, 30);
     before = encoded;
     const auto ref_rep = fc::efta_decode_step(k, v, q, ref, {}, &ref_inj);
     EXPECT_EQ(encoded - before, 33u);
-    EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), kDim * sizeof(float)));
-    ftt::testing::expect_same_report(rep, ref_rep, "sealed vs raw");
+    EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), kDim * sizeof(float)))
+        << "fmt " << int(fmt);
+    ftt::testing::expect_same_report(rep, ref_rep, "sealed vs raw twin");
     ASSERT_EQ(ref_inj.injected(), 1u);
     EXPECT_EQ(std::memcmp(&inj.events()[0].before, &ref_inj.events()[0].before,
                           sizeof(float)),
-              0);
+              0)
+        << "fmt " << int(fmt);
   }
 }
 
@@ -383,10 +375,10 @@ struct TokenStream {
 }  // namespace
 
 TEST(Serve, MemoizedEncodingsBitIdenticalToFreshEncode) {
-  // A pool-backed decode streams each sealed tile's kF16T image and sealed
-  // encodings; the contiguous-cache overload widens and re-encodes every
-  // tile per call.  The two must agree bit for bit — the memo is the same
-  // computation, done once.
+  // A pool-backed decode streams each sealed tile's K^T image and sealed
+  // checksum block; the contiguous-cache overload transposes and re-encodes
+  // every tile per call.  The two must agree bit for bit — the memo is the
+  // same computation, done once.
   constexpr std::size_t kDim = 64, kN = 197;  // 3 full tiles + ragged tail
   const TokenStream ts(kN, kDim, 0xeca1);
   PagedKv cache(1, kDim, kF16);

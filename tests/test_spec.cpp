@@ -143,7 +143,7 @@ TEST(PagedKvTruncate, DeferredSealCommitAndRollback) {
   ASSERT_EQ(cache.block_table().size(), 2u);
   // Tile 0 filled mid-speculation: not sealed, no memo exposed.
   EXPECT_FALSE(pool.sealed(cache.block_table()[0]));
-  EXPECT_EQ(cache.slice(0, 0).k_c1[0], nullptr);
+  EXPECT_EQ(cache.slice(0, 0).enc[0], nullptr);
   EXPECT_TRUE(cache.take_newly_sealed().empty());
 
   // Commit 5 of the 7 rows (accept 4 drafts): context 65, tile 0 now fully
@@ -153,8 +153,8 @@ TEST(PagedKvTruncate, DeferredSealCommitAndRollback) {
   EXPECT_EQ(cache.layer_length(0), 65u);
   EXPECT_EQ(cache.layer_length(1), 65u);
   EXPECT_TRUE(pool.sealed(cache.block_table()[0]));
-  EXPECT_NE(cache.slice(0, 0).k_c1[0], nullptr);
-  EXPECT_NE(cache.slice(1, 0).v_c2[0], nullptr);
+  EXPECT_NE(cache.slice(0, 0).enc[0], nullptr);
+  EXPECT_NE(cache.slice(1, 0).enc[0], nullptr);
   const auto sealed = cache.take_newly_sealed();
   ASSERT_EQ(sealed.size(), 1u);
   EXPECT_EQ(sealed[0], 0u);

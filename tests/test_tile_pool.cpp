@@ -254,27 +254,36 @@ TEST(PagedKvCache, DecodesLikeContiguousTokenByTokenKernel) {
         }
         ftt::testing::expect_same_report(rep_paged, rep_ref, "paged decode");
 
-        // Every sealed tile's memoized encodings are the fresh encodes of
-        // its rows, bit for bit (a low-order memo error would pass the ABFT
-        // thresholds unseen, so the decode check alone cannot pin it).
+        // Every sealed tile's checksum block holds the fresh encodes of its
+        // rows, bit for bit, as [Kc1^T | Kc2^T | Vc1 | Vc2] (a low-order memo
+        // error would pass the ABFT thresholds unseen, so the decode check
+        // alone cannot pin it).
         const fc::KvSlice sl = paged.slice(l, h);
         const int s = sl.enc_stride;
-        for (std::size_t tile = 0; tile < base / fs::TilePool::kTileRows;
-             ++tile) {
-          const std::size_t r0 = tile * fs::TilePool::kTileRows;
-          const ft::MatrixHView kt{&kc(r0, 0), fs::TilePool::kTileRows, kDim,
-                                   kDim};
-          const ft::MatrixHView vt{&vc(r0, 0), fs::TilePool::kTileRows, kDim,
-                                   kDim};
-          const std::pair<const Half*, ft::MatrixH> memo[] = {
-              {sl.k_c1[tile], Abft::encode_rows_strided(kt, s, false, nullptr)},
-              {sl.k_c2[tile], Abft::encode_rows_strided(kt, s, true, nullptr)},
-              {sl.v_c1[tile], Abft::encode_cols_strided(vt, s, false, nullptr)},
-              {sl.v_c2[tile], Abft::encode_cols_strided(vt, s, true, nullptr)}};
-          for (const auto& [sealed, fresh] : memo) {
-            ASSERT_NE(sealed, nullptr) << "tile " << tile;
-            for (std::size_t i = 0; i < fresh.size(); ++i) {
-              ASSERT_EQ(sealed[i].bits(), fresh.data()[i].bits())
+        const auto su = static_cast<std::size_t>(s);
+        constexpr std::size_t kRows = fs::TilePool::kTileRows;
+        for (std::size_t tile = 0; tile < base / kRows; ++tile) {
+          const std::size_t r0 = tile * kRows;
+          const ft::MatrixHView kt{&kc(r0, 0), kRows, kDim, kDim};
+          const ft::MatrixHView vt{&vc(r0, 0), kRows, kDim, kDim};
+          const Half* enc = sl.enc[tile];
+          ASSERT_NE(enc, nullptr) << "tile " << tile;
+          for (const bool weighted : {false, true}) {
+            // The K row checksums (s x dim) are stored transposed.
+            const ft::MatrixH kref =
+                Abft::encode_rows_strided(kt, s, weighted, nullptr);
+            const Half* ks = enc + (weighted ? kDim * su : 0);
+            for (std::size_t jc = 0; jc < su; ++jc) {
+              for (std::size_t c = 0; c < kDim; ++c) {
+                ASSERT_EQ(ks[c * su + jc].bits(), kref(jc, c).bits())
+                    << "tile " << tile << " layer " << l << " head " << h;
+              }
+            }
+            const ft::MatrixH vref =
+                Abft::encode_cols_strided(vt, s, weighted, nullptr);
+            const Half* vs = enc + 2 * kDim * su + (weighted ? kRows * su : 0);
+            for (std::size_t i = 0; i < vref.size(); ++i) {
+              ASSERT_EQ(vs[i].bits(), vref.data()[i].bits())
                   << "tile " << tile << " layer " << l << " head " << h;
             }
           }
@@ -304,7 +313,7 @@ TEST(PagedKvCache, DecodesLikeContiguousTokenByTokenKernel) {
   EXPECT_EQ(sharer.shared_tiles(), 1u);
   const fc::KvSlice shared = sharer.slice(1, 1);
   EXPECT_EQ(shared.k_tiles[0], paged.slice(1, 1).k_tiles[0]);  // same storage
-  EXPECT_NE(shared.k_c1[0], nullptr);  // sharing a tile shares its memo
+  EXPECT_EQ(shared.enc[0], paged.slice(1, 1).enc[0]);  // and its memo
 
   // release_all drops every reference; the pool sees the tiles again.
   const std::size_t before = pool.in_use();
