@@ -8,8 +8,8 @@
 //   ./parity_digest      # one "<family> cases=<n> digest=<hex>" line each
 //
 // Families and their campaigns (each case hashes its own configuration too):
-//   efta    efta_attention: {optimized, per-iteration, ABFT-only, SNVR-only}
-//           x causal {off, on} x seq {64, 128, 512}
+//   efta    efta_attention: {optimized, per-iteration, ABFT-only, SNVR-only,
+//           element ABFT, DMR} x causal {off, on} x seq {64, 128, 512}
 //   block   efta_decode_block: {kF16 raw slice, kF16T pool, kI8 pool}
 //           x n {1, 7, 63, 64, 65, 128, 129, 200, 300} x rows {1, 5, 37, 64}
 //   linear  sealed Linear::forward, protected, over 1, 7 and 56 rows
@@ -138,9 +138,13 @@ void efta_family(Family& fam) {
   abft_only.softmax = fc::SoftmaxProtect::kNone;
   fc::EftaOptions snvr_only = optimized;
   snvr_only.gemm = fc::GemmProtect::kNone;
+  fc::EftaOptions element;
+  element.gemm = fc::GemmProtect::kElement;
+  fc::EftaOptions dmr;
+  dmr.softmax = fc::SoftmaxProtect::kDMR;
   const fc::EftaOptions variants[] = {optimized, fc::EftaOptions{}, abft_only,
-                                      snvr_only};
-  for (std::size_t v = 0; v < 4; ++v) {
+                                      snvr_only, element, dmr};
+  for (std::size_t v = 0; v < std::size(variants); ++v) {
     for (const bool causal : {false, true}) {
       for (const std::size_t seq : {64u, 128u, 512u}) {
         ft::Tensor4H Q(1, 1, seq, 64), K(1, 1, seq, 64), V(1, 1, seq, 64);

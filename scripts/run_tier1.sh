@@ -13,7 +13,8 @@
 #                 (the CI matrix runs one OFF leg so the scalar fallback
 #                 stays tested)
 #   OMP_MATRIX  - space-separated OpenMP thread counts (default: "2"); the
-#                 thread-sensitive suites (sharding, router, OMP invariance)
+#                 thread-sensitive suites (sharding, router, OMP invariance,
+#                 and the EFTA fault suite, whose injected runs use the team)
 #                 are re-run once per count, pinning bit-reproducibility
 #                 against whatever team size the host would pick
 #   CC/CXX      - compiler (default: toolchain default)
@@ -47,9 +48,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # Thread-count invariance: the parallel-serving suites must produce
 # bit-identical results whatever OpenMP team size the environment forces.
 for omp in $OMP_MATRIX; do
-  echo "== ctest (OMP_NUM_THREADS=$omp: sharding/router/invariance) =="
+  echo "== ctest (OMP_NUM_THREADS=$omp: sharding/router/invariance/efta faults) =="
   OMP_NUM_THREADS="$omp" ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'test_omp_invariance|test_sharding|test_router'
+    -R 'test_omp_invariance|test_sharding|test_router|test_efta_faults'
 done
 
 # Int8-KV leg: re-run the serving-stack suites with the process-wide

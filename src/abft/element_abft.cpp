@@ -55,39 +55,14 @@ Report ElementAbft::gemm_nt(const MatrixH& A, const MatrixH& B, MatrixF& C,
                             float relative_threshold,
                             fault::FaultInjector* inj, fault::Site gemm_site) {
   const std::size_t M = A.rows(), K = A.cols(), N = B.rows();
-  std::vector<float> af(M * K), bf(N * K), bt(K * N);
+  std::vector<float> af(M * K);
+  std::vector<numeric::Half> bt(K * N);
   numeric::halves_to_floats(A.data(), af.data(), M * K);
-  numeric::halves_to_floats(B.data(), bf.data(), N * K);
-  numeric::transpose_f32(bf.data(), N, K, bt.data());
-  return gemm_nn_widened(af.data(), M, K, bt.data(), N, C, relative_threshold,
-                         inj, gemm_site);
-}
-
-Report ElementAbft::gemm_nn_widened(const float* A, std::size_t M,
-                                    std::size_t K, const float* Bt,
-                                    std::size_t N, MatrixF& C,
-                                    float relative_threshold,
-                                    fault::FaultInjector* inj,
-                                    fault::Site gemm_site) {
-  // CCG: the two weighted column-sum rows of A, encoded in fp16 because they
-  // ride through the same tensor-core GEMM as the payload.  On real hardware
-  // this sum crosses thread boundaries (Fig. 6) — costed as shuffles.
-  std::vector<float> a_chk(2 * K);
-  for (std::size_t k = 0; k < K; ++k) {
-    float s1 = 0.0f, s2 = 0.0f;
-    for (std::size_t i = 0; i < M; ++i) {
-      const float v = A[i * K + k];
-      s1 += v;
-      s2 += static_cast<float>(i + 1) * v;
-    }
-    a_chk[k] = numeric::round_to_half(
-        fault::corrupt(inj, fault::Site::kChecksum, s1));
-    a_chk[K + k] = numeric::round_to_half(
-        fault::corrupt(inj, fault::Site::kChecksum, s2));
-  }
+  numeric::transpose_h(B.data(), N, K, bt.data());
+  const MatrixF a_chk = checksum_rows(af.data(), M, K, inj);
 
   // Payload GEMM with per-output fault hooks.
-  sim::gemm_f32_nn(A, M, K, Bt, N, C, /*accumulate=*/false);
+  sim::gemm_f32_nnh(af.data(), M, K, bt.data(), N, C);
   if (inj) {
     for (std::size_t i = 0; i < M; ++i) {
       for (std::size_t j = 0; j < N; ++j) {
@@ -95,10 +70,37 @@ Report ElementAbft::gemm_nn_widened(const float* A, std::size_t M,
       }
     }
   }
+  return verify_nnh(a_chk, bt.data(), N, C, relative_threshold, inj);
+}
 
+MatrixF ElementAbft::checksum_rows(const float* A, std::size_t M,
+                                   std::size_t K, fault::FaultInjector* inj) {
+  // CCG: on real hardware this sum crosses thread boundaries (Fig. 6) —
+  // costed as shuffles.
+  MatrixF out(2, K);
+  for (std::size_t k = 0; k < K; ++k) {
+    float s1 = 0.0f, s2 = 0.0f;
+    for (std::size_t i = 0; i < M; ++i) {
+      const float v = A[i * K + k];
+      s1 += v;
+      s2 += static_cast<float>(i + 1) * v;
+    }
+    out(0, k) = numeric::round_to_half(
+        fault::corrupt(inj, fault::Site::kChecksum, s1));
+    out(1, k) = numeric::round_to_half(
+        fault::corrupt(inj, fault::Site::kChecksum, s2));
+  }
+  return out;
+}
+
+Report ElementAbft::verify_nnh(const MatrixF& a_checksums,
+                               const numeric::Half* Bt, std::size_t N,
+                               MatrixF& C, float relative_threshold,
+                               fault::FaultInjector* inj) {
   // Checksum GEMM: 2 x N column checksums of C.
   MatrixF col_chk(2, N);
-  sim::gemm_f32_nn(a_chk.data(), 2, K, Bt, N, col_chk, /*accumulate=*/false);
+  sim::gemm_f32_nnh(a_checksums.data(), 2, a_checksums.cols(), Bt, N,
+                    col_chk);
   if (inj) {
     for (std::size_t r = 0; r < 2; ++r) {
       for (std::size_t j = 0; j < N; ++j) {
@@ -106,7 +108,6 @@ Report ElementAbft::gemm_nn_widened(const float* A, std::size_t M,
       }
     }
   }
-
   return verify_correct(C, col_chk, relative_threshold);
 }
 

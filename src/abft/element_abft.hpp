@@ -41,16 +41,21 @@ struct ElementAbft {
                         fault::FaultInjector* inj,
                         fault::Site gemm_site = fault::Site::kGemm1);
 
-  /// Same protected GEMM over pre-widened operands: A (M x K fp32, fp16-
-  /// valued) and B already transposed k-major (K x N) — the staged images
-  /// the fused attention kernels hold.  Bit-identical to gemm_nt over the
-  /// fp16 operands: widening is exact, transposition is pure data movement,
-  /// and every output keeps its ascending-k accumulation order.
-  static Report gemm_nn_widened(const float* A, std::size_t M, std::size_t K,
-                                const float* Bt, std::size_t N,
-                                tensor::MatrixF& C, float relative_threshold,
-                                fault::FaultInjector* inj,
-                                fault::Site gemm_site = fault::Site::kGemm1);
+  /// The two weighted column-sum rows of A (M x K, row-major fp32), c1·A
+  /// and c2·A (Eq. 8), as the 2 x K operand they ride the tensor-core GEMM
+  /// as: each sum passes one kChecksum hook (column by column, plain then
+  /// weighted) and rounds to fp16.
+  static tensor::MatrixF checksum_rows(const float* A, std::size_t M,
+                                       std::size_t K,
+                                       fault::FaultInjector* inj);
+
+  /// Verify + correct C = A * B, B k-major fp16 (K x N), against A's
+  /// checksum_rows carried through the same GEMM; each of the 2 x N
+  /// products passes one kChecksum hook before the compare.
+  static Report verify_nnh(const tensor::MatrixF& a_checksums,
+                           const numeric::Half* Bt, std::size_t N,
+                           tensor::MatrixF& C, float relative_threshold,
+                           fault::FaultInjector* inj);
 
   /// Verify + correct an M x N payload given its c1/c2 column-checksum rows
   /// (2 x N, computed through the encoded GEMM).  Exposed separately so tests

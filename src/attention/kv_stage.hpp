@@ -1,8 +1,7 @@
 #pragma once
-// Per-slice fp32 operand images for the full-sequence attention kernels
-// (flash_attention and core::efta_attention).
+// Per-slice fp32 operand images for flash_attention.
 //
-// Both kernels stream every K/V column block against every Q row block, so
+// Flash streams every K/V column block against every Q row block, so
 // copying and widening a block per (row-block, column-block) pair would
 // convert the same data nblk times.  Each (batch, head) slice is staged
 // once instead: K is widened and each column block transposed k-major — the

@@ -12,7 +12,7 @@
 // final normalization — with the per-tile loads and checksum encodes
 // amortized across the whole block.
 //
-// One kernel, three workloads, all the same DecodeWorkItem:
+// One kernel, three serving workloads, all the same DecodeWorkItem:
 //
 //   q_len = 1      single-token decode — the classic serving step;
 //   q_len = k+1    speculative decode — one committed row plus k drafted
@@ -20,11 +20,21 @@
 //                  longest bit-matching prefix and rolls the rest back);
 //   q_len = 64     chunked prefill — a prompt chunk absorbed per tick.
 //
+// It is also the kernel behind core::efta_attention, the paper's
+// full-sequence attention: each 64-row Q block of a staged slice runs as
+// one block, over all rows or causally over its prefix, and only that
+// entry point reaches the paper's protection variants (EftaOptions' gemm,
+// softmax, unified_verification and causal fields).  The entry points below
+// always run causal, strided ABFT + SNVR with unified verification,
+// whatever `opt` says; they read its stride and thresholds.
+//
 // Each output row is bit-identical to running efta_decode_step token by
 // token over the same prefix (tests/test_serve.cpp pins this down), which
 // is what makes engine-level speculation safe: an accepted draft's hidden
 // state *is* the serial result, verified through the same checksummed
-// arithmetic.
+// arithmetic.  It is also the same row of causal efta_attention and causal
+// flash_attention: GEMM II accumulates straight into the running output,
+// flash's grouping (tests/test_decode.cpp).
 //
 // Context lengths are arbitrary: a ragged final tile (n % 64 != 0) is
 // zero-padded to the full 64-row checksum footprint.  Padded K rows produce

@@ -19,11 +19,20 @@
 // 18-28), which classic column checksums cannot do (each row is scaled by a
 // different factor, breaking any sum across rows).
 //
-// `unified_verification = false` gives the per-iteration-verify EFTA of
-// Tables 1-2 (left columns); `true` gives EFTA-optimized: the P check stays
-// per-iteration (P is consumed in place by GEMM II, so its errors must not
-// propagate — Algorithm 1 line 13), but the O checksum and the rowsum range
-// are checked once after the loop.
+// The kernel is core/decode.hpp's query-block kernel: efta_attention runs
+// each 64-row Q block as one block over its slice's 64-row KV tiles, so the
+// paper's full-sequence attention and the serving decode, speculation and
+// prefill share one protected code path.
+//
+// What each mode verifies.  Both check GEMM I on every tile, before the
+// causal mask (a non-finite or huge score would otherwise poison the
+// running max before any later check could see it), and, under strided
+// ABFT + SNVR, P on every row of every tile (P is consumed in place by
+// GEMM II, so its errors must not propagate — Algorithm 1 line 13).
+// `unified_verification = true`, EFTA-optimized, then checks the O
+// checksum and the SNVR rowsum range once, after the last tile; `false`,
+// the per-iteration EFTA of Tables 1-2 (left columns), checks both on
+// every tile too.
 
 #include "attention/attention.hpp"
 #include "attention/ft_report.hpp"
@@ -45,12 +54,15 @@ enum class SoftmaxProtect {
   kDMR,   ///< duplicated block-softmax evaluation
 };
 
+/// The protection of efta_attention, whose Q and KV blocks are the kernel's
+/// 64-row tiles.  The serving entry points (core/decode.hpp) read only the
+/// stride and the thresholds: they always run causal, strided ABFT + SNVR,
+/// unified.
 struct EftaOptions {
-  std::size_t block = 64;  ///< B_r = B_c tile size along seq_len
-  int stride = 8;          ///< checksum width s (the MMA atom's N)
-  /// Decoder (causal) masking.  Off-diagonal blocks keep full protection;
-  /// the diagonal block is linearly verified *before* masking (the mask
-  /// breaks the checksum relation), and its EXP check is skipped.
+  int stride = 8;  ///< checksum width s (the MMA atom's N)
+  /// Decoder (causal) masking.  Masked lanes fire no GEMM I or EXP hook and
+  /// carry zero weight; GEMM I is verified before the mask, and the EXP
+  /// check counts masked lanes in score space.
   bool causal = false;
   GemmProtect gemm = GemmProtect::kStrided;
   SoftmaxProtect softmax = SoftmaxProtect::kSNVR;
@@ -60,10 +72,6 @@ struct EftaOptions {
   /// residual equals the score perturbation itself, so this bounds the
   /// worst undetected attention-weight distortion to e^threshold (Fig. 14).
   float exp_log_threshold = 0.1f;
-  /// NVR bound on |score|: post-layernorm fp16 inputs cannot produce scores
-  /// beyond a few hundred, so values past this are compute faults and trigger
-  /// checksum repair *before* the running max is poisoned.
-  float score_bound = 1e4f;
   float dmr_eps = 1e-3f;
   float snvr_slack = 1e-3f;
 };
@@ -95,11 +103,15 @@ void encode_tile_checksums(const float* k, const float* v, std::size_t rows,
                            std::size_t d, int s, fault::FaultInjector* inj,
                            numeric::Half* out);
 
-/// Run EFTA.  O receives the normalized attention output in fp32.  When
-/// `inj` is armed the kernel runs serially (the injector is deterministic and
-/// stateful); otherwise slices are OpenMP-parallel.  Mismatched Q/K/V/O
-/// shapes, block or stride below 1, and a seq / block / dim that does not
-/// tile evenly throw std::invalid_argument before any slice runs.
+/// Run EFTA.  O receives the normalized attention output in fp32.  Each
+/// (batch, head) slice is staged once as 64-row KV tiles with their K^T
+/// images and checksum blocks, and each 64-row Q block runs as one item of
+/// efta_decode_batch's runner: OpenMP-parallel with or without an injector,
+/// and bit for bit a serial loop over the blocks in slice order.
+/// Mismatched Q/K/V/O shapes, a stride that does not divide dim and the
+/// 64-row tile, and a seq past 64 that is not a multiple of 64 throw
+/// std::invalid_argument before any block runs.  (Defined beside the
+/// kernel, in decode.cpp.)
 attention::FtReport efta_attention(const tensor::Tensor4H& Q,
                                    const tensor::Tensor4H& K,
                                    const tensor::Tensor4H& V,

@@ -36,14 +36,12 @@ DecodeEngine::DecodeEngine(const transformer::Model& model, EngineOptions opt)
                             model.config().head_dim(),
                             opt.scheduler.max_kv_tiles, opt.efta.stride}),
       scheduler_(opt.scheduler) {
-  // The cache-backed kernels are fixed to 64-row strided-ABFT tiles + SNVR;
-  // reject knob values they would silently ignore.
+  // The cache-backed kernels are fixed to strided ABFT + SNVR; reject knob
+  // values they would silently ignore.
   if (opt_.efta.gemm != core::GemmProtect::kStrided ||
-      opt_.efta.softmax != core::SoftmaxProtect::kSNVR ||
-      opt_.efta.block != core::KvSlice::kTileRows) {
+      opt_.efta.softmax != core::SoftmaxProtect::kSNVR) {
     throw std::invalid_argument(
-        "DecodeEngine: serving supports only strided ABFT + SNVR with the "
-        "64-row tile");
+        "DecodeEngine: serving supports only strided ABFT + SNVR");
   }
   if (opt_.prefill_chunk_rows == 0 ||
       opt_.prefill_chunk_rows > core::KvSlice::kTileRows) {

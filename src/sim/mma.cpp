@@ -93,12 +93,6 @@ void gemm_f32_nt(const float* A, std::size_t M, std::size_t K, const float* B,
   numeric::gemm_f32_nn(A, M, K, bt.data(), N, &C(0, 0), C.cols(), accumulate);
 }
 
-void gemm_f32_nn(const float* A, std::size_t M, std::size_t K, const float* B,
-                 std::size_t N, tensor::MatrixF& C, bool accumulate) {
-  if (M == 0 || N == 0) return;
-  numeric::gemm_f32_nn(A, M, K, B, N, &C(0, 0), C.cols(), accumulate);
-}
-
 void gemm_f32_nnh(const float* A, std::size_t M, std::size_t K,
                   const numeric::Half* B, std::size_t N, tensor::MatrixF& C,
                   bool accumulate) {

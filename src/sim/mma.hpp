@@ -100,19 +100,12 @@ void gemm_fp16_nt(const tensor::MatrixH& A, tensor::MatrixHView B,
 void gemm_f32_nt(const float* A, std::size_t M, std::size_t K, const float* B,
                  std::size_t N, tensor::MatrixF& C, bool accumulate = false);
 
-/// Same contract with B already k-major (K x N) — a staged attention slice
-/// and a sealed int8 tile's Kc^T checksum blocks are laid out k-major once,
-/// so the GEMMs over them skip the per-call pack entirely.  Bit-identical to
-/// gemm_f32_nt over B^T (pure layout change; per-output accumulation order
-/// is unchanged).
-void gemm_f32_nn(const float* A, std::size_t M, std::size_t K, const float* B,
-                 std::size_t N, tensor::MatrixF& C, bool accumulate = false);
-
-/// Same contract as gemm_f32_nn with B kept at half width (K x N Half,
-/// k-major) and widened in registers by the fused fp16-operand microkernel —
-/// bit-identical to gemm_f32_nn over a pre-widened image of B (widening is
-/// exact, accumulation order unchanged) at half the B-side bytes streamed.
-/// The kF16T sealed-tile images feed decode through this entry point.
+/// Same contract with B k-major at half width (K x N Half), widened in
+/// registers by the fused fp16-operand microkernel — bit-identical to
+/// gemm_f32_nt over a widened B^T (pure layout change, exact widening,
+/// per-output accumulation order unchanged) at half the B-side bytes
+/// streamed.  The kF16T sealed-tile images and the checksum blocks feed the
+/// attention kernel through this entry point.
 void gemm_f32_nnh(const float* A, std::size_t M, std::size_t K,
                   const numeric::Half* B, std::size_t N, tensor::MatrixF& C,
                   bool accumulate = false);

@@ -240,26 +240,6 @@ FTT_TARGET_AVX2 bool screen4(const float* p, std::size_t s, std::size_t n,
   return true;
 }
 
-FTT_TARGET_AVX2 bool in_range_avx2(const float* x, std::size_t n,
-                                   float bound) noexcept {
-  const __m256 absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
-  const __m256 vb = _mm256_set1_ps(bound);
-  const __m256 inf = _mm256_set1_ps(INFINITY);
-  __m256 ok = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 a = _mm256_and_ps(_mm256_loadu_ps(x + i), absmask);
-    // !(|x| > bound), as the scalar loop tests it (a NaN bound passes).
-    ok = _mm256_and_ps(ok, _mm256_and_ps(_mm256_cmp_ps(a, vb, _CMP_NGT_UQ),
-                                         _mm256_cmp_ps(a, inf, _CMP_LT_OQ)));
-  }
-  if (_mm256_movemask_ps(ok) != 0xFF) return false;
-  for (; i < n; ++i) {
-    if (!std::isfinite(x[i]) || std::fabs(x[i]) > bound) return false;
-  }
-  return true;
-}
-
 #endif  // FTT_SIMD_X86
 
 }  // namespace
@@ -290,18 +270,6 @@ std::uint64_t log_product_screen(const float* p, std::size_t s,
   (void)p, (void)s, (void)n, (void)rhs, (void)thr;
   return 0;
 #endif
-}
-
-bool scores_in_range(const float* x, std::size_t n, float bound) noexcept {
-#ifdef FTT_SIMD_X86
-  if (numeric::simd_level() >= numeric::SimdLevel::kAvx2) {
-    return in_range_avx2(x, n, bound);
-  }
-#endif
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(x[i]) || std::fabs(x[i]) > bound) return false;
-  }
-  return true;
 }
 
 }  // namespace ftt::softmax

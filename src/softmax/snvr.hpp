@@ -66,9 +66,4 @@ std::uint64_t log_product_screen(const float* p, std::size_t s,
                                  std::size_t n, const double* rhs,
                                  double thr) noexcept;
 
-/// The score NVR scan: true when every x[i] is finite and not above bound
-/// in magnitude (a NaN bound rejects nothing finite).  The AVX2 lanes and
-/// the scalar loop make the same compares, so both return the same answer.
-bool scores_in_range(const float* x, std::size_t n, float bound) noexcept;
-
 }  // namespace ftt::softmax

@@ -418,6 +418,64 @@ TEST(Decode, BlockRowsBitwiseStepsAtWideScoreSpreads) {
   }
 }
 
+TEST(Decode, ChainRootBlockRowsEqualEftaAndFlash) {
+  // The contract chain's root: block-kernel row r == causal efta_attention
+  // row r == causal flash_attention row r, bitwise.  The block kernel reads
+  // a pool slice (sealed kF16T tiles, or kI8 tiles), one 64-row causal
+  // block per item, the way a prefill chunk runs; efta_attention and flash
+  // read the slice's raw fp16 twin, which for a kI8 tile is its exactly
+  // dequantized rows.  All three sum GEMM II straight into the running
+  // output in ascending k.  The 6x pass scales q and K so that row score
+  // spreads pass 104 and the EXP check's repairs fire.
+  constexpr std::size_t kD = 64, kB = fc::KvSlice::kTileRows;
+  for (const fc::TileFmt fmt : {fc::TileFmt::kF16, fc::TileFmt::kI8}) {
+    for (const float qk : {1.0f, 6.0f}) {
+      for (const std::size_t n : {64u, 128u, 512u, 2048u}) {
+        ft::MatrixH Q(n, kD), K(n, kD), V(n, kD);
+        ft::fill_normal(Q, 31 + n, 0.0f, qk);
+        ft::fill_normal(K, 32 + n, 0.0f, qk);
+        ft::fill_normal(V, 33 + n);
+        ftt::testing::PagedKv pool(1, kD, fmt);
+        pool.append({K.data(), n * kD}, {V.data(), n * kD}, n);
+        const fc::KvSlice kv = pool.slice(0);
+
+        std::vector<float> block(n * kD);
+        std::vector<fc::DecodeWorkItem> items;
+        for (std::size_t r0 = 0; r0 < n; r0 += kB) {
+          fc::KvSlice prefix = kv;
+          prefix.n = r0 + kB;
+          items.push_back(fc::DecodeWorkItem{prefix, Q.data() + r0 * kD,
+                                             block.data() + r0 * kD, kB});
+        }
+        fc::efta_decode_batch(items);
+
+        const auto [k, v] = ftt::testing::raw_twin(kv);
+        ft::Tensor4H Qt(1, 1, n, kD), Kt(1, 1, n, kD), Vt(1, 1, n, kD);
+        std::copy_n(Q.data(), n * kD, Qt.data());
+        std::copy_n(k.data(), n * kD, Kt.data());
+        std::copy_n(v.data(), n * kD, Vt.data());
+        ft::Tensor4F efta(1, 1, n, kD), flash(1, 1, n, kD);
+        fc::EftaOptions opt;
+        opt.causal = true;
+        opt.unified_verification = true;
+        fc::efta_attention(Qt, Kt, Vt, efta, opt);
+        fa::flash_attention(Qt, Kt, Vt, flash, 64, true);
+
+        std::size_t equal = 0;
+        for (std::size_t r = 0; r < n; ++r) {
+          const std::size_t bytes = kD * sizeof(float);
+          equal += std::memcmp(block.data() + r * kD, &efta.at(0, 0, r, 0),
+                               bytes) == 0 &&
+                   std::memcmp(&efta.at(0, 0, r, 0), &flash.at(0, 0, r, 0),
+                               bytes) == 0;
+        }
+        EXPECT_EQ(equal, n) << "fmt " << int(fmt) << " qk " << qk << " n "
+                            << n;
+      }
+    }
+  }
+}
+
 TEST(Decode, ProbeCallCountsPinned) {
   // Campaign indices address per-site hook ordinals.  Pin the ordinal space
   // an unarmed probe observes, and the value two single flips land on, so a
@@ -454,10 +512,13 @@ TEST(Decode, ProbeCallCountsPinned) {
   };
   // Block: 64 rows x 3 tiles + 8 rows x tile 3 = 200 (row, tile) visits,
   // 10784 visible score lanes.  Step: row 199 visits all 4 tiles.  Both
-  // encode all four checksums of each tile fresh under any injector.
+  // encode all four checksums of each tile fresh under any injector (2048
+  // hooks a tile), and each visit adds 48 checksum hooks: its S checksums,
+  // O checksum rescale and O checksum GEMM (2 x 8 each).  Rescale counts
+  // each visit's d rescales plus each row's d normalizations.
   for (const Pinned& p :
-       {Pinned{64, 10784, 200, 10784, 200, 12800, 12800, 8192},
-        Pinned{1, 200, 4, 200, 4, 256, 256, 8192}}) {
+       {Pinned{64, 10784, 200, 10784, 200, 16896, 12800, 17792},
+        Pinned{1, 200, 4, 200, 4, 320, 256, 8384}}) {
     ff::FaultInjector probe;
     run(p.rows, probe);
     EXPECT_EQ(probe.calls(ff::Site::kGemm1), p.gemm1) << p.rows;
@@ -480,7 +541,7 @@ TEST(Decode, ProbeCallCountsPinned) {
   };
   for (const Flip& f :
        {Flip{ff::Site::kGemm2, 12288 + 3 * kD + 5, 0x3f499505u},
-        Flip{ff::Site::kRescale, 12288 + 100, 0x4014b617u}}) {
+        Flip{ff::Site::kRescale, 12288 + 100, 0x4014b618u}}) {
     auto inj = ff::FaultInjector::single(f.site, f.index, 30);
     run(kRows, inj);
     ASSERT_EQ(inj.injected(), 1u) << ff::site_name(f.site);
@@ -495,7 +556,9 @@ TEST(Decode, CampaignReportsPinned) {
   // The block kernel's analogue of EftaFaultModes.CampaignReportsPinned: a
   // 64-row block at n = 200 (3 full tiles plus an 8-row tail) on a raw
   // contiguous slice and on a sealed kF16T pool slice, every report counter
-  // recorded before the residue-class screens existed.
+  // recorded before the residue-class screens existed.  The checksum flips
+  // land on entry 1 of tile 2's encode: tiles 0 and 1 each fire 2048
+  // encode hooks and 64 x 48 per-row checksum hooks first.
   constexpr std::size_t kN = 200, kD = 64, kRows = 64;
   constexpr std::size_t kB = fc::KvSlice::kTileRows;
   ft::MatrixH K(kN, kD), V(kN, kD);
@@ -518,7 +581,7 @@ TEST(Decode, CampaignReportsPinned) {
   const auto flips = campaign_flips({{ff::Site::kGemm1, 5003},
                                      {ff::Site::kExp, 7777},
                                      {ff::Site::kGemm2, 12485},
-                                     {ff::Site::kChecksum, 4097}});
+                                     {ff::Site::kChecksum, 10241}});
   // Rows: GEMM I, EXP, GEMM II, checksum; bits 30, 26, 3 within each.
   const Counters kRaw[] = {
       {2048, 1, 1, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},

@@ -302,17 +302,15 @@ TEST(EftaCausal, PerStepAlsoMatches) {
 
 // --- misuse: typed errors raised before any slice runs ---
 
-TEST(EftaMisuse, RejectsZeroStrideAndBlock) {
+TEST(EftaMisuse, RejectsBadStride) {
   auto [Q, K, V] = make(1, 1, 64, 64, 71);
   ft::Tensor4F O(1, 1, 64, 64);
-  fc::EftaOptions zero_stride;
-  zero_stride.stride = 0;
-  EXPECT_THROW(fc::efta_attention(Q, K, V, O, zero_stride),
-               std::invalid_argument);
-  fc::EftaOptions zero_block;
-  zero_block.block = 0;
-  EXPECT_THROW(fc::efta_attention(Q, K, V, O, zero_block),
-               std::invalid_argument);
+  for (const int stride : {0, -8, 3}) {
+    fc::EftaOptions opt;
+    opt.stride = stride;
+    EXPECT_THROW(fc::efta_attention(Q, K, V, O, opt), std::invalid_argument)
+        << stride;
+  }
 }
 
 TEST(EftaMisuse, RejectsKShorterThanQ) {

@@ -124,13 +124,43 @@ TEST_P(EftaFaultModes, ProbeCallCountsPinned) {
   EXPECT_EQ(probe.calls(ff::Site::kGemm2), 16384u);
   EXPECT_EQ(probe.calls(ff::Site::kChecksum), 20480u);
   EXPECT_EQ(probe.injected(), 0u);
+
+  // The ablation variants' ordinal spaces.  Element ABFT fires 384 checksum
+  // hooks a pair: Q's and P's two column-sum rows and S's two checksum rows
+  // (2 x 64 each).  DMR evaluates every EXP lane twice when the replicas
+  // agree.
+  struct Variant {
+    fc::GemmProtect gemm;
+    fc::SoftmaxProtect softmax;
+    std::uint64_t exp, checksum;
+  };
+  for (const Variant& v :
+       {Variant{fc::GemmProtect::kElement, fc::SoftmaxProtect::kSNVR, 16384,
+                1536},
+        Variant{fc::GemmProtect::kStrided, fc::SoftmaxProtect::kDMR, 32768,
+                20480}}) {
+    fc::EftaOptions opt = mode(GetParam());
+    opt.gemm = v.gemm;
+    opt.softmax = v.softmax;
+    ff::FaultInjector variant_probe;
+    env.run(opt, &variant_probe);
+    const int id = static_cast<int>(v.gemm) * 10 + static_cast<int>(v.softmax);
+    EXPECT_EQ(variant_probe.calls(ff::Site::kGemm1), 16384u) << id;
+    EXPECT_EQ(variant_probe.calls(ff::Site::kExp), v.exp) << id;
+    EXPECT_EQ(variant_probe.calls(ff::Site::kGemm2), 16384u) << id;
+    EXPECT_EQ(variant_probe.calls(ff::Site::kChecksum), v.checksum) << id;
+    EXPECT_EQ(variant_probe.injected(), 0u) << id;
+  }
 }
 
 TEST_P(EftaFaultModes, CampaignReportsPinned) {
   // Every report counter of a fixed single-flip campaign at seq 256 (4 x 4
-  // tile pairs), recorded before the residue-class screens existed: a screen
-  // that passed a class the scalar check flags, or flagged one it passes,
-  // moves a counter here.
+  // tile pairs): a residue-class screen that passed a class the scalar
+  // check flags, or flagged one it passes, moves a counter here.  Both modes
+  // verify GEMM I and check EXP per tile; they differ only in the per-tile
+  // O verifies (GEMM II checks).  An EXP check stops at a row's first
+  // flagged class and re-exponentiates the row, so a flipped checksum
+  // costs that row's remaining classes.
   const std::size_t kSeq = 256;
   ft::Tensor4H Q(1, 1, kSeq, 64), K(1, 1, kSeq, 64), V(1, 1, kSeq, 64);
   ft::fill_normal(Q, 21);
@@ -142,31 +172,31 @@ TEST_P(EftaFaultModes, CampaignReportsPinned) {
                                      {ff::Site::kChecksum, 40961}});
   // Rows: GEMM I, EXP, GEMM II, checksum; bits 30, 26, 3 within each.
   const Counters kUnified[] = {
-      {512, 1, 1, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
-      {0, 0, 0, 0, 0, 0, 8192, 1, 1, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
-      {0, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
-      {0, 0, 0, 0, 0, 0, 8192, 1, 0, 1, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
-      {0, 0, 0, 0, 0, 0, 8192, 1, 0, 1, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
-      {0, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
-      {0, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 1, 1, 0, 0, 0, 0, 1},
-      {0, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 1, 1, 0, 0, 0, 0, 1},
-      {0, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
-      {0, 0, 0, 0, 0, 0, 8192, 57, 0, 0, 57, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
-      {0, 0, 0, 0, 0, 0, 8192, 64, 0, 0, 64, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
-      {0, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 1, 1, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 1, 1, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8190, 1, 0, 1, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8190, 1, 0, 1, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 1, 1, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 1, 1, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 52, 0, 0, 52, 0, 7793, 57, 0, 57, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 64, 0, 0, 64, 0, 7744, 64, 0, 64, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 2048, 0, 0, 0, 0, 0, 0, 1},
   };
   const Counters kPerStep[] = {
       {8192, 1, 1, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
       {8192, 1, 1, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
       {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
-      {8192, 0, 0, 0, 0, 0, 8192, 1, 0, 1, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
-      {8192, 0, 0, 0, 0, 0, 8192, 1, 0, 1, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8190, 1, 0, 1, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 0, 0, 0, 0, 0, 8190, 1, 0, 1, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
       {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
       {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 10240, 1, 1, 0, 0, 0, 0, 1},
       {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 10240, 1, 1, 0, 0, 0, 0, 1},
       {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
-      {8192, 52, 0, 0, 52, 0, 8192, 57, 0, 0, 57, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
-      {8192, 64, 0, 0, 64, 0, 8192, 64, 0, 0, 64, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 52, 0, 0, 52, 0, 7793, 57, 0, 57, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
+      {8192, 64, 0, 0, 64, 0, 7744, 64, 0, 64, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
       {8192, 0, 0, 0, 0, 0, 8192, 0, 0, 0, 0, 0, 10240, 0, 0, 0, 0, 0, 0, 1},
   };
   const Counters* pinned = GetParam() ? kUnified : kPerStep;
@@ -388,8 +418,9 @@ TEST(EftaCausalFaults, OffDiagonalGemm1Corrected) {
   opt.unified_verification = true;
   ft::Tensor4F ref(1, 1, 128, 64);
   fc::efta_attention(Q, K, V, ref, opt);
-  // Calls 0..4095 are the diagonal block of row-block 0; 4096.. belong to
-  // the second row block's off-diagonal pass.
+  // GEMM I hooks fire on visible lanes only: calls 0..2079 are the causal
+  // triangle of row-block 0; the next 4096 belong to the second row block's
+  // off-diagonal tile.
   auto inj = ff::FaultInjector::single(ff::Site::kGemm1, 5000, 30);
   ft::Tensor4F O(1, 1, 128, 64);
   const auto rep = fc::efta_attention(Q, K, V, O, opt, &inj);
@@ -407,8 +438,8 @@ TEST(EftaCausalFaults, DiagonalBlockVerifiedPreMask) {
   opt.unified_verification = true;
   ft::Tensor4F ref(1, 1, 128, 64);
   fc::efta_attention(Q, K, V, ref, opt);
-  // Call 100 lands in the first (diagonal) block: the pre-mask linear
-  // verification must repair it even though the EXP check is skipped there.
+  // Call 100 lands in the first (diagonal) block, row 13: the pre-mask
+  // linear verification must repair it before the causal mask applies.
   auto inj = ff::FaultInjector::single(ff::Site::kGemm1, 100, 30);
   ft::Tensor4F O(1, 1, 128, 64);
   const auto rep = fc::efta_attention(Q, K, V, O, opt, &inj);

@@ -3,18 +3,21 @@
 // accumulator ever crosses an item boundary — so its outputs and its
 // merged / per-item FtReports must be bit-identical for any OpenMP team
 // size.  This suite pins that down for OMP_NUM_THREADS in {1, 2, 8} at the
-// kernel level and at the full serving-engine level, and pins an injected
-// batch to a serial loop over its items; scripts/run_tier1.sh additionally
-// re-runs it under an OMP_NUM_THREADS matrix from the outside.
+// kernel level and at the full serving-engine level, pins an injected
+// batch to a serial loop over its items, and pins efta_attention's injected
+// runs (the same batch runner) across team sizes; scripts/run_tier1.sh
+// additionally re-runs it under an OMP_NUM_THREADS matrix from the outside.
 #include <gtest/gtest.h>
 
 #include <omp.h>
 
 #include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/decode.hpp"
+#include "core/efta.hpp"
 #include "fault/fault.hpp"
 #include "paged_kv_fixture.hpp"
 #include "serve/engine.hpp"
@@ -265,6 +268,81 @@ TEST(OmpInvariance, InjectedBatchEqualsSerialItems) {
       }
       if (c < singles) {
         EXPECT_EQ(got.injected(), 1u) << "case " << c;
+      }
+    }
+  }
+}
+
+TEST(OmpInvariance, EftaAttentionInjectedRunsIndependentOfTeamSize) {
+  FTT_SKIP_UNDER_TSAN();
+  // efta_attention runs its 64-row query blocks through the batch runner,
+  // so under an injector its blocks speculate in parallel and the block a
+  // flip lands in replays serially.  Outputs, the report, per-site calls()
+  // and events must not depend on the team size: single flips at every
+  // attention site and a Bernoulli campaign, causal and non-causal.
+  OmpGuard guard;
+  constexpr std::size_t kHeads = 2, kSeq = 192, kDim = 32;
+  ft::Tensor4H Q(1, kHeads, kSeq, kDim), K(1, kHeads, kSeq, kDim),
+      V(1, kHeads, kSeq, kDim);
+  ft::fill_normal(Q, 951);
+  ft::fill_normal(K, 952);
+  ft::fill_normal(V, 953);
+  for (const bool causal : {false, true}) {
+    fc::EftaOptions opt;
+    opt.causal = causal;
+    opt.unified_verification = true;
+    ft::Tensor4F O(1, kHeads, kSeq, kDim);
+    ff::FaultInjector probe;
+    fc::efta_attention(Q, K, V, O, opt, &probe);
+    std::vector<ff::FaultInjector> campaign;
+    for (std::size_t si = 0; si < ff::kSiteCount; ++si) {
+      const auto site = static_cast<ff::Site>(si);
+      if (site == ff::Site::kLinear) continue;
+      ASSERT_GT(probe.calls(site), 0u) << ff::site_name(site);
+      for (std::uint64_t k = 1; k <= 2; ++k) {
+        campaign.push_back(ff::FaultInjector::single(
+            site, probe.calls(site) * k / 3, k % 2 ? 30u : 26u));
+      }
+    }
+    campaign.push_back(ff::FaultInjector::bernoulli(2e-4, 17));
+
+    for (std::size_t c = 0; c < campaign.size(); ++c) {
+      ft::Tensor4F want_out(1, kHeads, kSeq, kDim);
+      ff::FaultInjector want = campaign[c];
+      fa::FtReport want_rep;
+      for (const int threads : kThreadCounts) {
+        omp_set_num_threads(threads);
+        ft::Tensor4F out(1, kHeads, kSeq, kDim);
+        ff::FaultInjector got = campaign[c];
+        const fa::FtReport rep = fc::efta_attention(Q, K, V, out, opt, &got);
+        if (threads == kThreadCounts[0]) {
+          want_out = out;
+          want = got;
+          want_rep = rep;
+          EXPECT_GE(got.injected(), 1u) << "causal " << causal << " case " << c;
+          continue;
+        }
+        const std::string tag = std::to_string(threads) + " threads, causal " +
+                                std::to_string(causal) + ", case " +
+                                std::to_string(c);
+        EXPECT_EQ(0, std::memcmp(out.data(), want_out.data(),
+                                 out.size() * sizeof(float)))
+            << tag;
+        ftt::testing::expect_same_report(rep, want_rep, tag.c_str());
+        for (std::size_t si = 0; si < ff::kSiteCount; ++si) {
+          const auto site = static_cast<ff::Site>(si);
+          EXPECT_EQ(got.calls(site), want.calls(site))
+              << tag << " " << ff::site_name(site);
+        }
+        ASSERT_EQ(got.events().size(), want.events().size()) << tag;
+        for (std::size_t e = 0; e < got.events().size(); ++e) {
+          const ff::Event &x = got.events()[e], &y = want.events()[e];
+          EXPECT_EQ(x.site, y.site) << tag << " event " << e;
+          EXPECT_EQ(x.call_index, y.call_index) << tag;
+          EXPECT_EQ(x.bit, y.bit) << tag;
+          EXPECT_EQ(0, std::memcmp(&x.before, &y.before, sizeof(float)));
+          EXPECT_EQ(0, std::memcmp(&x.after, &y.after, sizeof(float)));
+        }
       }
     }
   }

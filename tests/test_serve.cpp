@@ -178,8 +178,10 @@ TEST(Serve, InjectedStepKeepsSealedTiers) {
     EXPECT_EQ(0, std::memcmp(out.data(), clean.data(), kDim * sizeof(float)))
         << "fmt " << int(fmt);
 
-    // Each tile's four encodes fire 2sd + 2Bs = 2048 checksum hooks.
-    const std::uint64_t per_tile = 2 * 8 * kDim + 2 * 64 * 8;
+    // Each tile's four encodes fire 2sd + 2Bs = 2048 checksum hooks, and
+    // the row's visit 3 x 2s more: its S checksums, O checksum rescale and
+    // O checksum GEMM.  A tile's encode hooks fire first.
+    const std::uint64_t per_tile = 2 * 8 * kDim + 2 * 64 * 8 + 3 * 2 * 8;
     ASSERT_EQ(probe.calls(ff::Site::kChecksum), 33 * per_tile);
     const std::uint64_t index = 5 * per_tile + 700;
     auto inj = ff::FaultInjector::single(ff::Site::kChecksum, index, 30);

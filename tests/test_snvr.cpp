@@ -350,32 +350,3 @@ TEST(SnvrLogProductScreen, UnsupportedStridesDecideNothing) {
         << s;
   }
 }
-
-TEST(SnvrScoresInRange, MatchesTheScalarScan) {
-  const float kBound = 1e4f;
-  std::vector<float> x(4096);
-  std::mt19937_64 rng(23);
-  std::normal_distribution<float> d(0.0f, 30.0f);
-  for (float& v : x) v = d(rng);
-  EXPECT_TRUE(fm::scores_in_range(x.data(), x.size(), kBound));
-  for (const std::size_t at : {0u, 7u, 8u, 4093u, 4095u}) {
-    for (const float bad : {1.0001e4f, -2e4f,
-                            std::numeric_limits<float>::infinity(),
-                            -std::numeric_limits<float>::infinity(),
-                            std::numeric_limits<float>::quiet_NaN()}) {
-      auto y = x;
-      y[at] = bad;
-      EXPECT_FALSE(fm::scores_in_range(y.data(), y.size(), kBound))
-          << at << " " << bad;
-      // Ragged lengths reach the scalar tail.
-      EXPECT_EQ(fm::scores_in_range(y.data(), at, kBound), true) << at;
-    }
-  }
-  x[5] = kBound;  // the bound itself is in range
-  EXPECT_TRUE(fm::scores_in_range(x.data(), x.size(), kBound));
-  // A NaN bound: |x| > NaN is false, so only non-finite scores fail.
-  const float nan_bound = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_TRUE(fm::scores_in_range(x.data(), x.size(), nan_bound));
-  x[4093] = std::numeric_limits<float>::infinity();
-  EXPECT_FALSE(fm::scores_in_range(x.data(), x.size(), nan_bound));
-}
