@@ -13,10 +13,12 @@
 #                 (the CI matrix runs one OFF leg so the scalar fallback
 #                 stays tested)
 #   OMP_MATRIX  - space-separated OpenMP thread counts (default: "2"); the
-#                 thread-sensitive suites (sharding, router, OMP invariance,
-#                 and the EFTA fault suite, whose injected runs use the team)
-#                 are re-run once per count, pinning bit-reproducibility
-#                 against whatever team size the host would pick
+#                 thread-sensitive suites (OMP invariance, the serving and
+#                 recovery suites whose engine ticks run the OpenMP
+#                 attention batch, and the EFTA fault suite, whose injected
+#                 runs use the team) are re-run once per count, pinning
+#                 bit-reproducibility against whatever team size the host
+#                 would pick
 #   CC/CXX      - compiler (default: toolchain default)
 #   CMAKE_CXX_COMPILER_LAUNCHER - e.g. ccache (forwarded when set)
 set -euo pipefail
@@ -48,9 +50,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # Thread-count invariance: the parallel-serving suites must produce
 # bit-identical results whatever OpenMP team size the environment forces.
 for omp in $OMP_MATRIX; do
-  echo "== ctest (OMP_NUM_THREADS=$omp: sharding/router/invariance/efta faults) =="
+  echo "== ctest (OMP_NUM_THREADS=$omp: invariance/serve/recovery/efta faults) =="
   OMP_NUM_THREADS="$omp" ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R 'test_omp_invariance|test_sharding|test_router|test_efta_faults'
+    -R 'test_omp_invariance|test_serve|test_recovery|test_efta_faults'
 done
 
 # Int8-KV leg: re-run the serving-stack suites with the process-wide
@@ -67,8 +69,8 @@ FTT_KV_QUANT=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # Chaos soak: the recovery ladder's randomized acceptance sweep (seeded,
 # seconds-scale).  FTT_CHAOS_SOAK=1 un-skips the heavier soak test on top
 # of the chaos test the plain ctest pass already ran: more seeds, longer
-# fleets, quarantine armed on the sharded topologies.  Every run the
-# ladder marks fully recovered must end bitwise-equal to its clean twin.
+# fleets.  Every run the ladder marks fully recovered must end
+# bitwise-equal to its clean twin.
 echo "== chaos soak (FTT_CHAOS_SOAK=1: test_recovery chaos sweep) =="
 FTT_CHAOS_SOAK=1 "$BUILD_DIR"/test_recovery --gtest_filter='Recovery.Chaos*'
 

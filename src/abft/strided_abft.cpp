@@ -235,10 +235,13 @@ std::uint64_t verify_screen(const float* row, const float* k1, std::size_t s,
 #endif
 }
 
-/// The scalar body of verify_correct for residue class jc of row i.
+/// The scalar body of verify_correct for residue class jc of row i.  With
+/// `fix1`, a class classified as a c1-path flip stores its recomputed sum
+/// there.
 void verify_class(MatrixF& S, std::size_t i, std::size_t jc, float k1,
                   float k2, std::size_t s, float relative_threshold,
-                  std::size_t col0, std::size_t loops, Report& rep) {
+                  std::size_t col0, std::size_t loops, Report& rep,
+                  float* fix1) {
   float sum1 = 0.0f, sum2 = 0.0f, norm = 0.0f;
   for (std::size_t l = 0; l < loops; ++l) {
     const float v = S(i, col0 + jc + l * s);
@@ -338,6 +341,7 @@ void verify_class(MatrixF& S, std::size_t i, std::size_t jc, float k1,
     // c2 residual is ~0 while c1 residual is not: the flip hit the c1
     // checksum pipeline itself; payload is intact.
     ++rep.checksum_repairs;
+    if (fix1 != nullptr) *fix1 = sum1;
   } else {
     // Two or more errors in the same residue class, or a weighted-checksum
     // flip: detectable, not locatable.
@@ -348,11 +352,13 @@ void verify_class(MatrixF& S, std::size_t i, std::size_t jc, float k1,
 /// verify_correct's body over raw checksum rows: chk1 row i starts at
 /// c1 + i * ld1, chk2 row i at c2 + i * ld2.  Callers validate shapes.
 /// With `screen`, each row's classes go through verify_screen first and
-/// only the classes it does not pass run the scalar body.
+/// only the classes it does not pass run the scalar body.  With `fix1`
+/// (laid out like c1), c1-path flips are rewritten there.
 Report verify_rows(MatrixF& S, const float* c1, std::size_t ld1,
                    const float* c2, std::size_t ld2, std::size_t s,
                    float relative_threshold, std::size_t col0,
-                   std::size_t cols, bool screen = true) {
+                   std::size_t cols, bool screen = true,
+                   float* fix1 = nullptr) {
   Report rep;
   const std::size_t loops = cols / s;
   for (std::size_t i = 0; i < S.rows(); ++i) {
@@ -365,7 +371,8 @@ Report verify_rows(MatrixF& S, const float* c1, std::size_t ld1,
       ++rep.checks;
       if ((pass >> jc) & 1u) continue;
       verify_class(S, i, jc, k1[jc], c2[i * ld2 + jc], s, relative_threshold,
-                   col0, loops, rep);
+                   col0, loops, rep,
+                   fix1 != nullptr ? fix1 + i * ld1 + jc : nullptr);
     }
   }
   return rep;
@@ -405,6 +412,15 @@ Report StridedAbft::verify_correct(MatrixF& S, const MatrixF& chk1,
   return verify_rows(S, chk1.data(), chk1.cols(), chk2.data(), chk2.cols(),
                      static_cast<std::size_t>(s), relative_threshold, col0,
                      cols);
+}
+
+Report StridedAbft::verify_correct_fix_c1(MatrixF& S, MatrixF& chk1,
+                                          const MatrixF& chk2, int s,
+                                          float relative_threshold) {
+  const std::size_t cols = check_verify_args(S, chk1, chk2, s, 0, 0);
+  return verify_rows(S, chk1.data(), chk1.cols(), chk2.data(), chk2.cols(),
+                     static_cast<std::size_t>(s), relative_threshold, 0, cols,
+                     /*screen=*/true, chk1.data());
 }
 
 Report StridedAbft::verify_correct_scalar(MatrixF& S, const MatrixF& chk1,

@@ -97,6 +97,15 @@ struct StridedAbft {
                                const tensor::MatrixF& chk2, int s,
                                float relative_threshold, std::size_t col0 = 0,
                                std::size_t cols = 0);
+  /// verify_correct over the whole payload, also mending chk1: a class
+  /// classified as a flip in the c1 path (payload intact, counted in
+  /// checksum_repairs) gets chk1(i, jc) rewritten with the recomputed
+  /// class sum, so a later reader of chk1 sees the payload's sum.  Classes
+  /// that do not flag are not touched.
+  static Report verify_correct_fix_c1(tensor::MatrixF& S,
+                                      tensor::MatrixF& chk1,
+                                      const tensor::MatrixF& chk2, int s,
+                                      float relative_threshold);
   /// The scalar reference: every class through the scalar body.
   static Report verify_correct_scalar(tensor::MatrixF& S,
                                       const tensor::MatrixF& chk1,

@@ -25,10 +25,10 @@ struct FtReport {
            gemm2.corrected + gemm2.checksum_repairs + range_corrections;
   }
   /// Detections that no correction accounted for (saturating: a correction
-  /// never counts against a different slice's detection below zero).  The
-  /// health signal the serving layers act on — tick retry, shard
-  /// quarantine and replica drain all read this instead of re-deriving the
-  /// subtraction at each call site.
+  /// never counts against a different slice's detection below zero).  A
+  /// read-out for reports and demos; tick retry does not read it — its
+  /// trigger is any detection, total_detected() + the linear flags, because
+  /// a checksum correction is approximate.
   [[nodiscard]] std::size_t uncorrected() const noexcept {
     const std::size_t d = total_detected();
     const std::size_t c = total_corrected();

@@ -370,7 +370,10 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
           }
         }
       }
-      rep.gemm1 += abft::StridedAbft::verify_correct(S, schk1, schk2, s, thr);
+      // The EXP check below reads schk1, so a flipped schk1 class is
+      // rewritten from the scores here rather than poisoning that check.
+      rep.gemm1 +=
+          abft::StridedAbft::verify_correct_fix_c1(S, schk1, schk2, s, thr);
     }
 
     for (std::size_t r = r0; r < R; ++r) {
@@ -753,24 +756,6 @@ FtReport efta_attention(const Tensor4H& Q, const Tensor4H& K,
         std::min(B, seq - r0)});
   }
   return run_items(items, opt, inj, {});
-}
-
-std::pair<std::size_t, std::size_t> shard_range(std::size_t shard,
-                                                std::size_t nshards,
-                                                std::size_t total) {
-  if (nshards == 0 || shard >= nshards) {
-    throw std::invalid_argument("shard_range: shard index out of range");
-  }
-  const std::size_t base = total / nshards;
-  const std::size_t rem = total % nshards;
-  const std::size_t begin = shard * base + std::min(shard, rem);
-  return {begin, begin + base + (shard < rem ? 1 : 0)};
-}
-
-ShardSpec ShardSpec::for_shard(std::size_t shard, std::size_t nshards,
-                               std::size_t total_heads) {
-  const auto [begin, end] = shard_range(shard, nshards, total_heads);
-  return ShardSpec{begin, end};
 }
 
 }  // namespace ftt::core

@@ -50,7 +50,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 
 #include "attention/ft_report.hpp"
 #include "core/efta.hpp"
@@ -208,28 +207,6 @@ attention::FtReport efta_decode_batch(
     std::span<const DecodeWorkItem> items, const EftaOptions& opt = {},
     fault::FaultInjector* inj = nullptr,
     std::span<attention::FtReport> per_item = {});
-
-/// Even contiguous split of `total` units across `nshards`: shard i owns
-/// [first, second) and range sizes differ by at most one, so any unit
-/// count — including total < nshards, where the trailing shards own empty
-/// ranges — partitions cleanly.  Throws when shard >= nshards or
-/// nshards == 0.
-[[nodiscard]] std::pair<std::size_t, std::size_t> shard_range(
-    std::size_t shard, std::size_t nshards, std::size_t total);
-
-/// Contiguous attention-head range [begin_head, end_head) owned by one
-/// shard of a serving engine: the fault domain its per-(request, head)
-/// attention reports are attributed to (serve::DecodeEngine's
-/// shard_reports() and quarantine rung).
-struct ShardSpec {
-  std::size_t begin_head = 0;
-  std::size_t end_head = 0;  ///< exclusive; == begin_head for an empty shard
-
-  /// The even contiguous partition of `total_heads` across `nshards`
-  /// (shard_range above); shards past the head count own empty ranges.
-  static ShardSpec for_shard(std::size_t shard, std::size_t nshards,
-                             std::size_t total_heads);
-};
 
 namespace testing {
 /// Thread-local count of KV tiles the kernel has pad-and-copied into scratch

@@ -68,20 +68,6 @@ DecodeEngine::DecodeEngine(const transformer::Model& model, EngineOptions opt)
         "DecodeEngine: a proposer was supplied but spec_tokens is 0 — "
         "speculation would be silently off");
   }
-  if (opt_.shards == 0) {
-    throw std::invalid_argument("DecodeEngine: shards must be >= 1");
-  }
-  if (opt_.recovery.shard_quarantine_threshold > 0 &&
-      opt_.recovery.shard_window_ticks == 0) {
-    throw std::invalid_argument(
-        "DecodeEngine: shard quarantine needs shard_window_ticks >= 1");
-  }
-  // head -> owning shard, the attribution map for per-shard fault reports.
-  // Built for shards == 1 too, so attribution code has one shape.
-  head_owner_.resize(model.config().heads);
-  shard_attention_.resize(opt_.shards);
-  shard_health_.resize(opt_.shards);
-  remap_heads();
 }
 
 DecodeEngine::RequestId DecodeEngine::submit(const MatrixF& prompt_hidden,
@@ -343,27 +329,7 @@ DecodeEngine::StepStats DecodeEngine::step(fault::FaultInjector* inj) {
     }
   }
 
-  // Snapshot per-shard detection totals so the quarantine rung can charge
-  // this tick's evidence (all retry attempts included) to owning shards.
-  const bool quarantine_on =
-      opt_.recovery.shard_quarantine_threshold > 0 && opt_.shards > 1;
-  std::vector<std::size_t> shard_det0;
-  if (quarantine_on) {
-    shard_det0.resize(opt_.shards);
-    for (std::size_t s = 0; s < opt_.shards; ++s) {
-      shard_det0[s] = shard_attention_[s].total_detected();
-    }
-  }
-
   advance(entries, X, inj, stats);
-
-  if (quarantine_on) {
-    std::vector<std::size_t> faults(opt_.shards);
-    for (std::size_t s = 0; s < opt_.shards; ++s) {
-      faults[s] = shard_attention_[s].total_detected() - shard_det0[s];
-    }
-    update_shard_health(faults, stats);
-  }
 
   // State transitions, speculative commits and prefix publication after
   // the compute.
@@ -477,17 +443,16 @@ void DecodeEngine::advance(std::vector<TickEntry>& entries, MatrixF& X,
   const RecoveryPolicy& rp = opt_.recovery;
   const bool retry_enabled = rp.max_tick_retries > 0;
 
-  // The tick's compute lives in serve/shard.hpp: run_tick_solo (full
-  // linears, one efta_decode_batch per layer) is the one body for every
-  // shard count, clean or injected, so shards only label fault domains
-  // and fault experiments stay bit-comparable across shard counts.
-  std::vector<ShardTickEntry> sentries;
-  sentries.reserve(entries.size());
+  // The tick's compute lives in serve/tick.hpp: run_tick_solo (full
+  // linears, one efta_decode_batch per layer) is the one body, clean or
+  // injected.
+  std::vector<TickRows> tick_rows;
+  tick_rows.reserve(entries.size());
   for (const TickEntry& e : entries) {
     // Speculative rows may be rejected — and under tick retry EVERY row
     // may be rolled back — so tiles such appends fill must not seal until
     // the commit (truncate) decides what stays.
-    sentries.push_back(ShardTickEntry{
+    tick_rows.push_back(TickRows{
         requests_[e.id].cache.get(), e.row0, e.rows,
         /*defer_seal=*/retry_enabled || (!e.prefill && e.rows > 1)});
   }
@@ -522,24 +487,21 @@ void DecodeEngine::advance(std::vector<TickEntry>& entries, MatrixF& X,
       std::fill(per_item.begin(), per_item.end(), FtReport{});
       ++stats.retried;
     }
-    tick = run_tick_solo(*model_, sentries, X, y, per_item, opt_.efta,
+    tick = run_tick_solo(*model_, tick_rows, X, y, per_item, opt_.efta,
                          opt_.protect_linear, inj);
     stats.linear += tick.linear;
     stats.attention += tick.attention;
     stats.activations_clipped += tick.activations_clipped;
     // Roll the per-(entry, head) reports — accumulated across layers by the
-    // tick body — into per-request lifetime reports and into the per-shard
-    // attribution (head_owner_, so a poisoned head is pinned to the shard
-    // that owns it this tick).  Every attempt rolls up: a faulty attempt's
-    // evidence must survive its successful retry — lifetime reports and
-    // the quarantine windows are how the fault remains visible at all.
+    // tick body — into per-request lifetime reports.  Every attempt rolls
+    // up: a faulty attempt's evidence must survive its successful retry —
+    // the lifetime reports are how the fault remains visible at all.
     {
       std::size_t i = 0;
       for (const TickEntry& e : entries) {
         Request& req = requests_[e.id];
         for (std::size_t hd = 0; hd < heads; ++hd, ++i) {
           req.attention += per_item[i];
-          shard_attention_[head_owner_[hd]] += per_item[i];
         }
       }
     }
@@ -718,74 +680,6 @@ void DecodeEngine::run_scrubber(StepStats& stats) {
     preempt_request(id);
     ++stats.preempted;
   }
-}
-
-void DecodeEngine::update_shard_health(
-    std::span<const std::size_t> tick_faults, StepStats& stats) {
-  bool changed = false;
-  // Probation countdown first: a shard readmits with a clean window, and a
-  // repeat offender re-quarantines only as fresh evidence rebuilds.
-  for (std::size_t s = 0; s < opt_.shards; ++s) {
-    ShardHealth& h = shard_health_[s];
-    if (!h.quarantined) continue;
-    if (h.probation > 0) --h.probation;
-    if (h.probation == 0) {
-      h.quarantined = false;
-      changed = true;
-    }
-  }
-  for (std::size_t s = 0; s < opt_.shards; ++s) {
-    ShardHealth& h = shard_health_[s];
-    if (h.quarantined) continue;
-    h.window.push_back(tick_faults[s]);
-    h.window_sum += tick_faults[s];
-    while (h.window.size() > opt_.recovery.shard_window_ticks) {
-      h.window_sum -= h.window.front();
-      h.window.pop_front();
-    }
-    if (h.window_sum <= opt_.recovery.shard_quarantine_threshold) continue;
-    // Never quarantine the last healthy shard: degraded service beats none.
-    std::size_t healthy_now = 0;
-    for (const ShardHealth& o : shard_health_) {
-      healthy_now += o.quarantined ? 0 : 1;
-    }
-    if (healthy_now <= 1) continue;
-    h.quarantined = true;
-    h.probation = opt_.recovery.shard_probation_ticks;
-    h.window.clear();
-    h.window_sum = 0;
-    ++stats.quarantined;
-    changed = true;
-  }
-  if (changed) remap_heads();
-}
-
-void DecodeEngine::remap_heads() {
-  healthy_.clear();
-  for (std::size_t s = 0; s < opt_.shards; ++s) {
-    if (!shard_health_[s].quarantined) healthy_.push_back(s);
-  }
-  // The w-th healthy shard owns ShardSpec::for_shard(w, healthy, heads), so
-  // a quarantined shard's heads are re-attributed to the healthy shards,
-  // and with every shard healthy this is the even split over all of them.
-  const std::size_t heads = model_->config().heads;
-  for (std::size_t w = 0; w < healthy_.size(); ++w) {
-    const auto spec = core::ShardSpec::for_shard(w, healthy_.size(), heads);
-    for (std::size_t hd = spec.begin_head; hd < spec.end_head; ++hd) {
-      head_owner_[hd] = healthy_[w];
-    }
-  }
-}
-
-bool DecodeEngine::shard_quarantined(std::size_t s) const {
-  if (s >= shard_health_.size()) {
-    throw std::out_of_range("DecodeEngine: unknown shard index");
-  }
-  return shard_health_[s].quarantined;
-}
-
-std::size_t DecodeEngine::healthy_shards() const noexcept {
-  return healthy_.size();
 }
 
 namespace testing {

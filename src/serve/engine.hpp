@@ -71,7 +71,6 @@
 // input, which exercises exactly the per-token compute the paper profiles.
 
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
@@ -81,8 +80,8 @@
 #include "serve/proposer.hpp"
 #include "serve/recovery.hpp"
 #include "serve/scheduler.hpp"
-#include "serve/shard.hpp"
 #include "serve/step_stats.hpp"
+#include "serve/tick.hpp"
 #include "serve/tile_pool.hpp"
 #include "transformer/model.hpp"
 
@@ -92,9 +91,9 @@ struct EngineOptions {
   /// Attention protection knobs the decode/prefill kernels read: stride,
   /// abft_rel_threshold, exp_log_threshold, snvr_slack.  Both kernels are
   /// fixed to 64-row strided-ABFT tiles with SNVR softmax protection, so
-  /// the constructor rejects other gemm/softmax/block settings, and a
-  /// stride that does not divide both the 64-row tile and head_dim; causal
-  /// and unified_verification are implied by the cache-backed paths and
+  /// the constructor rejects other gemm/softmax settings, and a stride
+  /// that does not divide both the 64-row tile and head_dim; causal and
+  /// unified_verification are implied by the cache-backed paths and
   /// ignored.
   core::EftaOptions efta;
   bool protect_linear = true;  ///< strided ABFT on projections + FFN
@@ -146,17 +145,9 @@ struct EngineOptions {
   /// shortest-job-first within a class) and the pool capacity
   /// (scheduler.max_kv_tiles, in context tiles; 0 = unbounded).
   SchedulerOptions scheduler;
-  /// Fault domains, >= 1: the attention heads split into `shards`
-  /// contiguous ranges (core::ShardSpec).  The split decides only the
-  /// head -> shard map behind shard_reports() and the quarantine rung,
-  /// never threads or bits: every tick runs the same body
-  /// (serve/shard.hpp) for any shard count, clean or injected, so a
-  /// sharded engine is bit-identical to the solo one.
-  std::size_t shards = 1;
-  /// Serving-layer fault recovery (serve/recovery.hpp): tick retry, shard
-  /// quarantine and KV scrubbing knobs.  All rungs default off — a
-  /// default-constructed policy reproduces the pre-recovery engine bit for
-  /// bit.  The replica-level rung (drain) lives in RouterOptions.
+  /// Serving-layer fault recovery (serve/recovery.hpp): tick retry and KV
+  /// scrubbing knobs.  Both rungs default off — a default-constructed
+  /// policy reproduces the pre-recovery engine bit for bit.
   RecoveryPolicy recovery;
 };
 
@@ -173,8 +164,7 @@ class DecodeEngine {
  public:
   using RequestId = std::size_t;
 
-  /// Per-tick counters; see serve/step_stats.hpp (extracted so tick loops
-  /// and the replica Router merge the same type).
+  /// Per-tick counters; see serve/step_stats.hpp.
   using StepStats = serve::StepStats;
 
   explicit DecodeEngine(const transformer::Model& model,
@@ -229,24 +219,6 @@ class DecodeEngine {
   [[nodiscard]] const StepStats& lifetime() const noexcept {
     return lifetime_;
   }
-
-  /// Fault domains the heads are split into (EngineOptions.shards).
-  [[nodiscard]] std::size_t shards() const noexcept { return opt_.shards; }
-  /// Lifetime attention fault-tolerance reports attributed per shard by
-  /// head ownership — size shards(), merged over every tick this engine
-  /// ever ran, clean or injected.  A fault striking one shard's heads lands
-  /// in exactly that shard's report (or, while that shard is quarantined,
-  /// in the report of the healthy shard its head was re-attributed to), so
-  /// "a whole shard went bad" reads directly off this vector.
-  [[nodiscard]] std::span<const attention::FtReport> shard_reports()
-      const noexcept {
-    return shard_attention_;
-  }
-  /// True while shard `s` is quarantined (its heads re-attributed to the
-  /// healthy shards); throws std::out_of_range for s >= shards().
-  [[nodiscard]] bool shard_quarantined(std::size_t s) const;
-  /// Shards currently owning heads (shards() minus quarantined).
-  [[nodiscard]] std::size_t healthy_shards() const noexcept;
 
   [[nodiscard]] RequestState state(RequestId id) const;
   /// Requests admitted and not yet retired (prefilling + decoding).
@@ -336,14 +308,6 @@ class DecodeEngine {
     bool failed = false;
   };
 
-  /// Sliding-window fault accounting for one shard (quarantine).
-  struct ShardHealth {
-    std::deque<std::size_t> window;  ///< per-tick attributed detections
-    std::size_t window_sum = 0;
-    bool quarantined = false;
-    std::size_t probation = 0;  ///< ticks left before readmission
-  };
-
   void retire(RequestId id);
   /// Preempt: release tiles, reset progress, re-queue at class front.
   void preempt_request(RequestId id);
@@ -363,14 +327,6 @@ class DecodeEngine {
   /// start and preempt the owners of any dropped tile onto the
   /// recompute-from-prompt path before this tick's compute can read it.
   void run_scrubber(StepStats& stats);
-  /// Quarantine rung: push this tick's per-shard attributed detections into
-  /// the sliding windows, quarantine over-threshold shards (never the last
-  /// healthy one), count down probations and readmit.
-  void update_shard_health(std::span<const std::size_t> tick_faults,
-                           StepStats& stats);
-  /// Rebuild healthy_ and head_owner_ from the quarantine state: the
-  /// heads split evenly over the healthy shards.
-  void remap_heads();
 
   [[nodiscard]] const Request& checked(RequestId id) const;
 
@@ -380,14 +336,6 @@ class DecodeEngine {
   EngineOptions opt_;
   TilePool pool_;
   Scheduler scheduler_;
-  std::vector<std::size_t> head_owner_;  ///< head -> owning shard index
-  /// Lifetime per-shard attention reports (see shard_reports()).
-  std::vector<attention::FtReport> shard_attention_;
-  /// Quarantine state per shard (size shards(); all-healthy and inert
-  /// unless the policy's quarantine rung is on).
-  std::vector<ShardHealth> shard_health_;
-  /// Ids of the non-quarantined shards, ascending.
-  std::vector<std::size_t> healthy_;
   std::shared_ptr<TokenProposer> proposer_;  // non-null iff spec_tokens > 0
   std::vector<Request> requests_;
   /// Admitted, not-yet-retired ids, ascending (the tick's row-stack is in

@@ -1,13 +1,11 @@
 #pragma once
-// Per-tick serving counters, shared by every layer of the serving stack:
-// DecodeEngine ticks produce one StepStats, the engine's drain loops fold
-// them, and the replica Router merges one StepStats per replica per tick.
-// Extracted from DecodeEngine so the merge is written once instead of
-// re-accumulated ad hoc at each layer.
+// Per-tick serving counters: each DecodeEngine tick produces one StepStats,
+// and the engine's lifetime() and its multi-tick loops fold them with
+// merge(), so the fold is written once.
 //
 // Every field is an integer counter or an integer-counter report, so
 // merging is associative and commutative — totals are independent of merge
-// order (per-replica or per-tick first).
+// order.
 
 #include <cstddef>
 
@@ -50,14 +48,12 @@ struct StepStats {
   std::size_t recovered = 0;  ///< ticks committed clean after >= 1 retry
   std::size_t degraded = 0;   ///< requests served flagged on retry exhaustion
   std::size_t failed = 0;     ///< requests failed/retired on retry exhaustion
-  std::size_t quarantined = 0;    ///< shard quarantine events
   std::size_t scrubbed = 0;       ///< sealed tiles scanned by the scrubber
   std::size_t repaired = 0;       ///< scrubber in-place repairs
   std::size_t scrub_dropped = 0;  ///< unrepairable tiles dropped (owners
                                   ///<   preempted onto recompute)
-  std::size_t drained = 0;        ///< replica drain events (router layer)
 
-  /// Accumulate another tick's / replica's stats into this one.
+  /// Accumulate another tick's stats into this one.
   StepStats& merge(const StepStats& o) noexcept {
     active += o.active;
     admitted += o.admitted;
@@ -78,11 +74,9 @@ struct StepStats {
     recovered += o.recovered;
     degraded += o.degraded;
     failed += o.failed;
-    quarantined += o.quarantined;
     scrubbed += o.scrubbed;
     repaired += o.repaired;
     scrub_dropped += o.scrub_dropped;
-    drained += o.drained;
     return *this;
   }
 

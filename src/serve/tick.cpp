@@ -1,4 +1,4 @@
-#include "serve/shard.hpp"
+#include "serve/tick.hpp"
 
 #include <stdexcept>
 
@@ -12,13 +12,13 @@ using transformer::LinearProtect;
 
 namespace {
 
-void check_per_item(std::span<const ShardTickEntry> entries, std::size_t heads,
+void check_per_item(std::span<const TickRows> entries, std::size_t heads,
                     std::size_t per_item_size, std::size_t x_rows) {
   if (per_item_size != entries.size() * heads) {
     throw std::invalid_argument(
         "run_tick: per_item must hold entries * heads reports");
   }
-  for (const ShardTickEntry& e : entries) {
+  for (const TickRows& e : entries) {
     if (e.cache == nullptr || e.rows == 0) {
       throw std::invalid_argument("run_tick: entry without cache or rows");
     }
@@ -32,7 +32,7 @@ void check_per_item(std::span<const ShardTickEntry> entries, std::size_t heads,
 }  // namespace
 
 TickResult run_tick_solo(const transformer::Model& model,
-                         std::span<const ShardTickEntry> entries,
+                         std::span<const TickRows> entries,
                          MatrixF& X, MatrixF& y,
                          std::span<FtReport> per_item,
                          const core::EftaOptions& efta, bool protect_linear,
@@ -76,7 +76,7 @@ TickResult run_tick_solo(const transformer::Model& model,
 
     MatrixF attn(T, hidden);
     items.clear();
-    for (const ShardTickEntry& e : entries) {
+    for (const TickRows& e : entries) {
       e.cache->append_chunk(layer, {&kh(e.row0, 0), e.rows * hidden},
                             {&vh(e.row0, 0), e.rows * hidden}, e.rows,
                             e.defer_seal);

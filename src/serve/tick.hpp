@@ -1,15 +1,7 @@
 #pragma once
 // The compute body of a DecodeEngine tick: layer norms, QKV/output
 // projections, cache-backed attention, FFN and the final LN over the tick's
-// stacked rows.  Every tick runs it, for any shard count, clean or injected.
-//
-// Shards are fault domains, not threads.  EngineOptions::shards splits the
-// attention heads into contiguous ranges (core::ShardSpec); the engine uses
-// that head -> shard map to attribute each (entry, head) attention report
-// to its owning shard (shard_reports()) and to quarantine a shard whose
-// heads keep faulting.  The compute never reads the map, so an engine at
-// any shard count is bit-identical to the solo engine by construction, and
-// a FaultInjector sees the same call sequence whatever the shard count.
+// stacked rows.  Every tick runs it, clean or injected.
 //
 // The tick's thread-level parallelism is the one OpenMP attention batch per
 // layer (core::efta_decode_batch); the linears, layer norms and GELU run on
@@ -32,7 +24,7 @@ namespace ftt::serve {
 /// and which paged cache its K/V rows append to.  The engine keeps the
 /// request bookkeeping (ids, drafts, commits); the tick body sees only
 /// the compute.
-struct ShardTickEntry {
+struct TickRows {
   PagedKvCache* cache = nullptr;
   std::size_t row0 = 0;  ///< first row in the stacked X
   std::size_t rows = 0;  ///< query-block rows (prefill chunk / 1 + drafts)
@@ -57,7 +49,7 @@ struct TickResult {
 /// the wrong size, or an entry has no cache, no rows, or rows
 /// [row0, row0 + rows) that do not lie inside X.
 TickResult run_tick_solo(const transformer::Model& model,
-                         std::span<const ShardTickEntry> entries,
+                         std::span<const TickRows> entries,
                          tensor::MatrixF& X, tensor::MatrixF& y,
                          std::span<attention::FtReport> per_item,
                          const core::EftaOptions& efta, bool protect_linear,

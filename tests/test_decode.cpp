@@ -594,7 +594,7 @@ TEST(Decode, CampaignReportsPinned) {
       {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 1, 1, 0, 0, 0, 0, 1},
       {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
       {2048, 64, 0, 0, 0, 64, 1152, 64, 0, 64, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
-      {2048, 13, 0, 0, 13, 0, 1481, 17, 0, 17, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 13, 0, 0, 13, 0, 1558, 6, 0, 6, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
       {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
   };
   const Counters kF16T[] = {
@@ -608,7 +608,7 @@ TEST(Decode, CampaignReportsPinned) {
       {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 1, 1, 0, 0, 0, 0, 1},
       {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
       {2048, 64, 0, 0, 0, 64, 1152, 64, 0, 64, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
-      {2048, 13, 0, 0, 13, 0, 1481, 17, 0, 17, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 13, 0, 0, 13, 0, 1558, 6, 0, 6, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
       {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
   };
   ASSERT_EQ(flips.size(), std::size(kRaw));

@@ -392,34 +392,3 @@ TEST(OmpInvariance, EngineRunBitIdenticalAcrossThreadCounts) {
     }
   }
 }
-
-TEST(OmpInvariance, ShardedEngineIndependentOfOmpTeamSize) {
-  FTT_SKIP_UNDER_TSAN();
-  // Shards only label fault domains: a sharded engine runs the same tick
-  // body, with its one OpenMP attention batch per layer, as the solo one.
-  // The ambient OpenMP setting therefore must not leak into its results.
-  OmpGuard guard;
-  const fx::Model model(serving_config(), 0x0318);
-  const std::size_t hidden = model.config().hidden;
-  ft::MatrixF prompt(50, hidden);
-  ft::fill_normal(prompt, 63);
-
-  std::vector<float> ref;
-  for (std::size_t t = 0; t < std::size(kThreadCounts); ++t) {
-    omp_set_num_threads(kThreadCounts[t]);
-    fs::EngineOptions opt;
-    opt.shards = 2;
-    fs::DecodeEngine engine(model, opt);
-    const auto id = engine.submit(prompt, 5);
-    engine.run_until_idle(nullptr, 10000);
-    std::vector<float> h(engine.hidden(id).begin(), engine.hidden(id).end());
-    if (t == 0) {
-      ref = h;
-      continue;
-    }
-    ASSERT_EQ(h.size(), ref.size());
-    for (std::size_t c = 0; c < h.size(); ++c) {
-      EXPECT_EQ(h[c], ref[c]) << kThreadCounts[t] << " threads, c " << c;
-    }
-  }
-}

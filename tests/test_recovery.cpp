@@ -1,13 +1,11 @@
-// Recovery-ladder chaos suite: tick retry, shard quarantine, KV tile
-// scrubbing and replica drain, each pinned against a clean twin bit for
-// bit.  The ladder's contract is that any run it reports fully recovered
-// (lifetime degraded == 0 && failed == 0; tick retry triggers on any
-// detection) committed only detection-free attempts, and a detection-free
-// attempt is exactly the clean-run bits — so every recovered run below must
-// end bitwise-equal to its fault-free twin.
+// Recovery-ladder chaos suite: tick retry and KV tile scrubbing, each
+// pinned against a clean twin bit for bit.  The ladder's contract is that
+// any run it reports fully recovered (lifetime degraded == 0 && failed ==
+// 0; tick retry triggers on any detection) committed only detection-free
+// attempts, and a detection-free attempt is exactly the clean-run bits — so
+// every recovered run below must end bitwise-equal to its fault-free twin.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <random>
@@ -16,7 +14,6 @@
 
 #include "fault/fault.hpp"
 #include "serve/engine.hpp"
-#include "serve/router.hpp"
 #include "tensor/random.hpp"
 #include "transformer/model.hpp"
 
@@ -187,148 +184,7 @@ TEST(Recovery, RetryExhaustionFailsRequest) {
 }
 
 // ---------------------------------------------------------------------------
-// Rung 2: shard quarantine.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void quarantine_roundtrip(std::size_t shards) {
-  const fx::Model model(serving_config(), 0x77);
-  const std::size_t hidden = model.config().hidden;
-  const ft::MatrixF prompt = random_prompt(24, hidden, 0x1234);
-  const std::size_t budget = 24;
-  const auto clean = clean_final_hidden(model, prompt, budget,
-                                        recovery_options());
-
-  fs::EngineOptions opt = recovery_options();
-  opt.shards = shards;
-  opt.recovery.max_tick_retries = 2;
-  opt.recovery.shard_quarantine_threshold = 1;
-  opt.recovery.shard_window_ticks = 4;
-  opt.recovery.shard_probation_ticks = 4;
-  fs::DecodeEngine engine(model, opt);
-  EXPECT_EQ(engine.healthy_shards(), shards);
-  const auto id = engine.submit(prompt, budget);
-  engine.drain(2);  // prefill + 1 clean decode tick
-
-  // Hammer attention faults until one shard's evidence window crosses the
-  // threshold.  Every injected tick retries to a clean commit, so the
-  // stream stays bit-clean while the quarantine evidence accumulates.
-  std::mt19937_64 rng(0x5eed);
-  std::size_t injected_ticks = 0;
-  while (engine.lifetime().quarantined == 0 && injected_ticks < 10 &&
-         engine.active() > 0) {
-    auto inj = ff::FaultInjector::single(ff::Site::kGemm1,
-                                         rng() % 120, 30);
-    engine.step(&inj);
-    ++injected_ticks;
-  }
-  ASSERT_GE(engine.lifetime().quarantined, 1u)
-      << shards << " shards: no quarantine after " << injected_ticks
-      << " injected ticks";
-  EXPECT_LT(engine.healthy_shards(), shards);
-  bool any = false;
-  for (std::size_t s = 0; s < shards; ++s) any |= engine.shard_quarantined(s);
-  EXPECT_TRUE(any);
-  EXPECT_THROW((void)engine.shard_quarantined(shards), std::out_of_range);
-
-  // Fault process gone: the remaining ticks attribute the quarantined
-  // shard's heads to the healthy shards (the compute never reads the head
-  // map, so the bits stay solo's), and probation readmits the quarantined
-  // shard along the way.
-  engine.run_until_idle();
-  EXPECT_EQ(engine.healthy_shards(), shards) << "probation never readmitted";
-  EXPECT_EQ(engine.lifetime().degraded, 0u);
-  EXPECT_EQ(engine.lifetime().failed, 0u);
-  EXPECT_EQ(engine.state(id), fs::RequestState::kRetired);
-  EXPECT_EQ(engine.health(id), fs::RequestHealth::kClean);
-  expect_bitwise(engine.hidden(id), clean, "quarantine-remapped request");
-}
-
-}  // namespace
-
-TEST(Recovery, QuarantineRemapsAndReadmitsTwoShards) {
-  quarantine_roundtrip(2);
-}
-
-TEST(Recovery, QuarantineRemapsAndReadmitsFourShards) {
-  quarantine_roundtrip(4);
-}
-
-TEST(Recovery, QuarantinedShardHeadsAttributeToHealthyOwner) {
-  // tiny has 2 heads, so at 2 shards shard s owns head s.  Quarantining
-  // shard 1 re-attributes head 1 to shard 0; probation hands it back.
-  const fx::Model model(serving_config(), 0x77);
-  const std::size_t hidden = model.config().hidden;
-  const ft::MatrixF prompt = random_prompt(24, hidden, 0x1234);
-  const std::size_t budget = 30;
-  const auto clean = clean_final_hidden(model, prompt, budget,
-                                        recovery_options());
-
-  fs::EngineOptions opt = recovery_options();
-  opt.shards = 2;
-  opt.recovery.max_tick_retries = 2;
-  opt.recovery.shard_quarantine_threshold = 1;
-  opt.recovery.shard_window_ticks = 4;
-  // Longer than the window, so shard 0's window has slid past the flip it
-  // took for head 1 by the time shard 1 readmits.
-  opt.recovery.shard_probation_ticks = 8;
-  fs::DecodeEngine engine(model, opt);
-  const auto id = engine.submit(prompt, budget);
-  engine.drain(2);  // prefill + 1 clean decode tick
-
-  // One bit-30 GEMM I flip in `head` of layer 0 on the next decode tick:
-  // the single decode row sees n context lanes per (layer, head) item, and
-  // the items of one entry run head-major, so head h's calls are
-  // [h * n, (h + 1) * n).  Returns the per-shard injected-fault deltas.
-  const auto flip_head = [&](std::size_t head) {
-    const std::size_t n = engine.context_length(id) + 1;
-    std::array<std::size_t, 2> before{};
-    for (std::size_t s = 0; s < 2; ++s) {
-      before[s] = engine.shard_reports()[s].faults_injected;
-    }
-    auto inj = ff::FaultInjector::single(ff::Site::kGemm1,
-                                         head * n + n / 2, 30);
-    engine.step(&inj);
-    EXPECT_EQ(inj.injected(), 1u);
-    std::array<std::size_t, 2> delta{};
-    for (std::size_t s = 0; s < 2; ++s) {
-      delta[s] = engine.shard_reports()[s].faults_injected - before[s];
-    }
-    return delta;
-  };
-
-  for (int t = 0; t < 4 && !engine.shard_quarantined(1); ++t) {
-    EXPECT_EQ(flip_head(1)[1], 1u) << "healthy: head 1 is shard 1's";
-  }
-  ASSERT_TRUE(engine.shard_quarantined(1));
-  ASSERT_FALSE(engine.shard_quarantined(0));
-
-  // Quarantined: the flip in head 1 lands in shard 0's report.
-  const auto during = flip_head(1);
-  EXPECT_EQ(during[0], 1u);
-  EXPECT_EQ(during[1], 0u);
-  EXPECT_TRUE(engine.shard_quarantined(1));
-
-  // Clean ticks until probation readmits shard 1.
-  for (int t = 0; t < 16 && engine.shard_quarantined(1); ++t) engine.step();
-  ASSERT_FALSE(engine.shard_quarantined(1)) << "probation never readmitted";
-  ASSERT_FALSE(engine.shard_quarantined(0));
-  ASSERT_GT(engine.active(), 0u) << "budget ran out before readmission";
-
-  // Readmitted: the same flip lands in shard 1's own report again.
-  const auto after = flip_head(1);
-  EXPECT_EQ(after[0], 0u);
-  EXPECT_EQ(after[1], 1u);
-
-  // Every flipped tick retried clean, so the stream is the clean bits.
-  engine.run_until_idle();
-  EXPECT_EQ(engine.lifetime().degraded, 0u);
-  expect_bitwise(engine.hidden(id), clean, "re-attributed request");
-}
-
-// ---------------------------------------------------------------------------
-// Rung 3: KV tile scrubbing.  Memory faults are OUTSIDE the paper's fault
+// Rung 2: KV tile scrubbing.  Memory faults are OUTSIDE the paper's fault
 // model (KV storage is assumed ECC-protected); the serve::testing flip
 // hooks exist purely to drive the scrubber's classification paths.
 // ---------------------------------------------------------------------------
@@ -456,92 +312,20 @@ TEST(Recovery, ScrubberDropsVPayloadCorruptionUnderF16tImages) {
 }
 
 // ---------------------------------------------------------------------------
-// Rung 4: replica drain.
-// ---------------------------------------------------------------------------
-
-TEST(Recovery, RouterDrainsFaultyReplicaAndReplaysBitwise) {
-  const fx::Model model(serving_config(), 0x99);
-  const std::size_t hidden = model.config().hidden;
-  const std::size_t lens[] = {12, 18, 24, 30};
-  const std::size_t budget = 16;
-
-  std::vector<ft::MatrixF> prompts;
-  std::vector<std::vector<float>> clean;
-  for (std::size_t i = 0; i < std::size(lens); ++i) {
-    prompts.push_back(random_prompt(lens[i], hidden, 0x4000 + i));
-    clean.push_back(clean_final_hidden(model, prompts.back(), budget,
-                                       recovery_options()));
-  }
-
-  fs::RouterOptions ropt;
-  ropt.replicas = 2;
-  ropt.sticky_prefix = false;  // pure least-loaded: alternates 0,1,0,1
-  ropt.engine = recovery_options();
-  ropt.drain_window_ticks = 8;
-  ropt.drain_fault_threshold = 1;
-  ropt.drain_probe_ticks = 3;
-  fs::Router router(model, ropt);
-
-  std::vector<fs::Router::RequestId> ids;
-  for (const auto& p : prompts) ids.push_back(router.submit(p, budget));
-  EXPECT_EQ(router.placement(ids[0]).replica, 0u);
-  EXPECT_EQ(router.placement(ids[1]).replica, 1u);
-
-  // Replica 0 develops a persistent uncorrected-fault stream (heavy
-  // Bernoulli corruption overwhelms the checksum correction); replica 1
-  // stays clean.  The router's health window must drain replica 0 and
-  // replay its in-flight requests on replica 1 from their prompts.
-  auto inj = ff::FaultInjector::bernoulli(0.2, 0xabcdef, {ff::Site::kGemm1});
-  const std::array<ff::FaultInjector*, 2> per = {&inj, nullptr};
-  std::size_t faulty_ticks = 0;
-  while (router.lifetime().drained == 0 && faulty_ticks < 12) {
-    router.step(std::span<ff::FaultInjector* const>(per));
-    ++faulty_ticks;
-  }
-  ASSERT_GE(router.lifetime().drained, 1u)
-      << "no drain after " << faulty_ticks << " faulty ticks";
-  EXPECT_TRUE(router.replica_drained(0));
-  EXPECT_FALSE(router.replica_drained(1));
-  EXPECT_EQ(router.healthy_replicas(), 1u);
-  EXPECT_THROW((void)router.replica_drained(5), std::out_of_range);
-  for (const auto id : ids) {
-    EXPECT_EQ(router.placement(id).replica, 1u) << "request " << id
-                                                << " not replayed";
-  }
-
-  // Fault process gone: everything completes on the healthy replica, and
-  // the probe readmits replica 0.
-  router.run_until_idle();
-  for (int t = 0; t < 4; ++t) router.step();  // let probation elapse
-  EXPECT_EQ(router.healthy_replicas(), 2u) << "probe never readmitted";
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(router.state(ids[i]), fs::RequestState::kRetired);
-    expect_bitwise(router.hidden(ids[i]), clean[i], "drained-replica request");
-  }
-
-  // Typed not-found accessors at the router layer (satellite).
-  EXPECT_EQ(router.find_report(ids[0]), &router.report(ids[0]));
-  EXPECT_EQ(router.find_report(9999), nullptr);
-  EXPECT_THROW((void)router.report(9999), std::out_of_range);
-}
-
-// ---------------------------------------------------------------------------
-// The acceptance gate: randomized single-transient-fault chaos per tick,
-// across topologies.  Every run the ladder marks fully recovered must be
-// bitwise-equal to its clean twin.
+// The acceptance gate: randomized single-transient-fault chaos per tick.
+// Every run the ladder marks fully recovered must be bitwise-equal to its
+// clean twin.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 /// One chaos run: submit the prompts, then inject one random (site, call,
-/// bit-30) transient per tick until idle.  Returns the engine for
-/// inspection; the caller asserts full recovery and bitwise equality.
-void chaos_run(const fx::Model& model, std::size_t shards,
-               std::uint64_t seed,
+/// bit-30) transient per tick until idle, and assert full recovery and
+/// bitwise equality with `clean`.
+void chaos_run(const fx::Model& model, std::uint64_t seed,
                const std::vector<ft::MatrixF>& prompts,
                const std::vector<std::size_t>& budgets,
-               const std::vector<std::vector<float>>& clean,
-               bool arm_quarantine) {
+               const std::vector<std::vector<float>>& clean) {
   fs::EngineOptions opt = recovery_options();
   // Bitwise equality with a no-retry clean twin is seal-timing dependent:
   // under retry every append defers its tile seals to the end-of-tick
@@ -549,13 +333,7 @@ void chaos_run(const fx::Model& model, std::size_t shards,
   // the clean twin already sees quantized ones.  Pin fp16 (lossless either
   // way); the int8 recovery arm has its own suite in test_int8_quant.
   opt.kv_quant = false;
-  opt.shards = shards;
   opt.recovery.max_tick_retries = 2;
-  if (arm_quarantine && shards > 1) {
-    opt.recovery.shard_quarantine_threshold = 2;
-    opt.recovery.shard_window_ticks = 4;
-    opt.recovery.shard_probation_ticks = 3;
-  }
   fs::DecodeEngine engine(model, opt);
   std::vector<fs::DecodeEngine::RequestId> ids;
   for (std::size_t i = 0; i < prompts.size(); ++i) {
@@ -576,7 +354,7 @@ void chaos_run(const fx::Model& model, std::size_t shards,
     ++ticks;
   }
   ASSERT_EQ(engine.active() + engine.queued(), 0u)
-      << shards << " shards, seed " << seed << ": chaos run never drained";
+      << "seed " << seed << ": chaos run never drained";
 
   // The run must be meaningful (faults landed, retries happened) and fully
   // recovered (no escalations) — which makes bitwise equality mandatory.
@@ -592,7 +370,7 @@ void chaos_run(const fx::Model& model, std::size_t shards,
 
 }  // namespace
 
-TEST(Recovery, ChaosSingleFaultPerTickBitwiseAcrossTopologies) {
+TEST(Recovery, ChaosSingleFaultPerTickBitwise) {
   const fx::Model model(serving_config(), 0xabc);
   const std::size_t hidden = model.config().hidden;
   const std::size_t lens[] = {10, 33, 70};
@@ -607,18 +385,17 @@ TEST(Recovery, ChaosSingleFaultPerTickBitwiseAcrossTopologies) {
     clean.push_back(clean_final_hidden(model, prompts[i], budgets[i], copt));
   }
 
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{4}}) {
-    chaos_run(model, shards, 1000 + shards, prompts, budgets, clean,
-              /*arm_quarantine=*/false);
+  // The seed set is historical; keeping it keeps every run comparable
+  // with earlier versions of this suite.
+  for (const std::uint64_t seed : {1001u, 1002u, 1004u}) {
+    chaos_run(model, seed, prompts, budgets, clean);
   }
 }
 
 TEST(Recovery, ChaosSoak) {
-  // The CI chaos-soak leg (scripts/run_tier1.sh --chaos-soak): a heavier
-  // randomized sweep with the quarantine rung armed on the sharded
-  // topologies.  Gated behind an env var so the default test pass stays
-  // fast.
+  // The CI chaos-soak leg (scripts/run_tier1.sh): a heavier randomized
+  // sweep — more seeds, longer fleets.  Gated behind an env var so the
+  // default test pass stays fast.
   if (std::getenv("FTT_CHAOS_SOAK") == nullptr) {
     GTEST_SKIP() << "set FTT_CHAOS_SOAK=1 to run the chaos soak";
   }
@@ -636,11 +413,10 @@ TEST(Recovery, ChaosSoak) {
     clean.push_back(clean_final_hidden(model, prompts[i], budgets[i], copt));
   }
 
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                     std::size_t{4}}) {
-      chaos_run(model, shards, 7000 * seed + shards, prompts, budgets, clean,
-                /*arm_quarantine=*/true);
+  // Nine seeds, 7000 * s + {1, 2, 4}: a historical set, kept as above.
+  for (const std::uint64_t s : {1u, 2u, 3u}) {
+    for (const std::uint64_t offset : {1u, 2u, 4u}) {
+      chaos_run(model, 7000 * s + offset, prompts, budgets, clean);
     }
   }
 }

@@ -1,10 +1,12 @@
 // Batched fault-tolerant serving: paged KV tiling (PagedKv fixture),
 // efta_decode_batch batch-vs-serial bit-identity, fault campaigns through
-// the batched path, and the DecodeEngine submit/step/drain front-end.
+// the batched path, the tick body's up-front entry checks, and the
+// DecodeEngine submit/step/drain front-end with its report accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -14,6 +16,7 @@
 #include "fault/campaign.hpp"
 #include "paged_kv_fixture.hpp"
 #include "serve/engine.hpp"
+#include "serve/tick.hpp"
 #include "tensor/random.hpp"
 #include "transformer/model.hpp"
 
@@ -24,6 +27,7 @@ namespace fs = ftt::serve;
 namespace ft = ftt::tensor;
 namespace fx = ftt::transformer;
 using ftt::numeric::Half;
+using ftt::testing::expect_same_report;
 using ftt::testing::fill_random;
 using ftt::testing::PagedKv;
 
@@ -598,7 +602,146 @@ ft::MatrixF random_prompt(std::size_t seq, std::size_t hidden,
   return m;
 }
 
+/// A mixed workload: a prefix-shared prompt pair and short decoders that
+/// outgrow a small pool (preemption).
+struct Workload {
+  std::vector<ft::MatrixF> prompts;
+  std::vector<std::size_t> budgets;
+};
+
+Workload mixed_workload(std::size_t hidden) {
+  Workload w;
+  // Two prompts sharing a 128-row prefix (2 shareable tiles) + unique tails.
+  ft::MatrixF common = random_prompt(128, hidden, 0xc0de);
+  for (std::size_t i = 0; i < 2; ++i) {
+    ft::MatrixF p(140, hidden);
+    for (std::size_t r = 0; r < 128; ++r) {
+      for (std::size_t c = 0; c < hidden; ++c) p(r, c) = common(r, c);
+    }
+    for (std::size_t r = 128; r < 140; ++r) {
+      for (std::size_t c = 0; c < hidden; ++c) {
+        p(r, c) = common(0, c) * 0.1f + static_cast<float>(i + r) * 1e-3f;
+      }
+    }
+    w.prompts.push_back(std::move(p));
+    w.budgets.push_back(6);
+  }
+  // Two prompts sitting just under a tile boundary: their generation grows
+  // them across it mid-run, so the admitted batch's demand (3 + 1 shared
+  // + 2 + 2 = 8 tiles) outgrows the 6-tile pool and forces preemption.
+  w.prompts.push_back(random_prompt(60, hidden, 0xaaa));
+  w.budgets.push_back(9);
+  w.prompts.push_back(random_prompt(62, hidden, 0xbbb));
+  w.budgets.push_back(12);
+  return w;
+}
+
+/// Drive an engine over the workload until idle, staggered so the shared
+/// prefix is sealed (ticks 0..2 prefill prompt 0's tiles) before the
+/// sharers are submitted.  With `fault_seed` != 0 every tick runs under one
+/// seeded bit-30 transient at GEMM I, GEMM II, EXP or a linear.
+std::vector<fs::DecodeEngine::RequestId> drive(fs::DecodeEngine& engine,
+                                               const Workload& w,
+                                               std::uint64_t fault_seed) {
+  const ff::Site sites[] = {ff::Site::kGemm1, ff::Site::kGemm2,
+                           ff::Site::kExp, ff::Site::kLinear};
+  std::mt19937_64 rng(fault_seed);
+  const auto tick = [&] {
+    if (fault_seed == 0) {
+      engine.step();
+      return;
+    }
+    auto inj = ff::FaultInjector::single(sites[rng() % std::size(sites)],
+                                         rng() % 400, 30);
+    engine.step(&inj);
+  };
+  std::vector<fs::DecodeEngine::RequestId> ids;
+  ids.push_back(engine.submit(w.prompts[0], w.budgets[0]));
+  for (int t = 0; t < 3; ++t) tick();
+  for (std::size_t i = 1; i < w.prompts.size(); ++i) {
+    ids.push_back(engine.submit(w.prompts[i], w.budgets[i]));
+  }
+  for (std::size_t t = 0;
+       t < 10000 && (engine.queued() > 0 || engine.active() > 0); ++t) {
+    tick();
+  }
+  EXPECT_EQ(engine.queued() + engine.active(), 0u) << "run never drained";
+  return ids;
+}
+
 }  // namespace
+
+TEST(TickBody, RejectsEntryRowsPastXBeforeAnyWork) {
+  // An entry whose rows [row0, row0 + rows) leave X must throw before the
+  // tick appends K/V or writes X or y: without the check the cache append
+  // reads past X's buffer.
+  const fx::Model model(serving_config(), 0x7e);
+  const auto& cfg = model.config();
+  const fs::EngineOptions eopt;
+  fs::TilePool pool(fs::TilePoolOptions{cfg.layers, cfg.heads, cfg.head_dim(),
+                                        0, eopt.efta.stride});
+  fs::PagedKvCache cache(pool, fc::TileFmt::kF16);
+  ASSERT_TRUE(cache.ensure_capacity(5));
+  ft::MatrixF X(2, cfg.hidden);
+  ft::fill_normal(X, 0x71);
+  const ft::MatrixF X0 = X;
+  ft::MatrixF y(2, cfg.hidden);
+  for (std::size_t i = 0; i < y.size(); ++i) y.data()[i] = -7.0f;
+  std::vector<fa::FtReport> per_item(cfg.heads);
+
+  const std::size_t bad[][2] = {{1, 4}, {2, 1}, {SIZE_MAX, 2}, {1, SIZE_MAX}};
+  for (const auto& [row0, rows] : bad) {
+    const fs::TickRows e{&cache, row0, rows};
+    EXPECT_THROW((void)fs::run_tick_solo(model, {&e, 1}, X, y, per_item,
+                                         eopt.efta, true, nullptr),
+                 std::invalid_argument)
+        << "row0 " << row0 << " rows " << rows;
+    EXPECT_EQ(0, std::memcmp(X.data(), X0.data(), X.size() * sizeof(float)));
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      ASSERT_EQ(y.data()[i], -7.0f) << "y written at " << i;
+    }
+    EXPECT_EQ(cache.length(), 0u);
+  }
+
+  // The same entry clipped to X's rows runs.
+  const fs::TickRows ok{&cache, 0, 2};
+  (void)fs::run_tick_solo(model, {&ok, 1}, X, y, per_item, eopt.efta, true,
+                          nullptr);
+  EXPECT_EQ(cache.length(), 2u);
+}
+
+TEST(Engine, RequestReportsSumToLifetimeAttention) {
+  // Every attention report the tick body produces lands in exactly one
+  // request's lifetime report, every retry attempt included, so the
+  // per-request reports sum to the engine's lifetime attention report.
+  const fx::Model model(serving_config(), 0x77);
+  const Workload w = mixed_workload(model.config().hidden);
+  for (const std::uint64_t fault_seed : {0ull, 0x5eedull}) {
+    SCOPED_TRACE(fault_seed == 0 ? "clean" : "one flip per tick, retry on");
+    fs::EngineOptions opt;
+    opt.spec_tokens = 4;  // drafts seldom match on this chaotic model
+    // 6 context tiles: every request fits alone (the 140-row prompts need
+    // 3), but the full batch grows to 8.
+    opt.scheduler.max_kv_tiles = 6;
+    opt.scheduler.max_batch_size = 4;
+    if (fault_seed != 0) opt.recovery.max_tick_retries = 2;
+    fs::DecodeEngine engine(model, opt);
+    const auto ids = drive(engine, w, fault_seed);
+    // The workload reaches the paths whose accounting could drift.
+    EXPECT_GT(engine.lifetime().preempted, 0u);
+    if (fault_seed == 0) {
+      EXPECT_GT(engine.lifetime().shared_tiles, 0u);
+    } else {
+      EXPECT_GT(engine.lifetime().retried, 0u);
+      EXPECT_GT(engine.lifetime().attention.faults_injected, 0u);
+      EXPECT_GT(engine.lifetime().attention.total_detected(), 0u);
+    }
+    fa::FtReport sum;
+    for (const auto id : ids) sum += engine.report(id);
+    expect_same_report(sum, engine.lifetime().attention,
+                       "sum of report(id)");
+  }
+}
 
 TEST(Engine, BatchedTickBitIdenticalToSingleRequestEngines) {
   const fx::Model model(serving_config(), 0xabc);
@@ -715,30 +858,39 @@ TEST(Engine, ChunkedPrefillBitIdenticalToSerialTokenByToken) {
 }
 
 TEST(Engine, CacheBackedGenerationMatchesFullRecompute) {
-  const fx::Model model(serving_config(), 0xdef);
-  const std::size_t hidden = model.config().hidden;
+  // The tiny model, and a head_dim-32 model (hidden 64, 2 heads): a head
+  // half the 64-column checksum tile wide.
+  fx::ModelConfig narrow = serving_config();
+  narrow.hidden = 64;
+  narrow.heads = 2;
+  narrow.ffn_inner = 128;
+  for (const fx::ModelConfig& cfg : {serving_config(), narrow}) {
+    SCOPED_TRACE(cfg.head_dim());
+    const fx::Model model(cfg, 0xdef);
+    const std::size_t hidden = model.config().hidden;
 
-  fs::EngineOptions opt;
-  opt.record_inputs = true;  // keep the replay history this test compares
-  // The from-scratch recompute below never touches the KV cache, so the
-  // comparison is only bitwise for the lossless fp16 format — pin it
-  // explicitly (the FTT_KV_QUANT leg flips the default to kI8).
-  opt.kv_quant = false;
-  fs::DecodeEngine engine(model, opt);
-  const auto id = engine.submit(random_prompt(40, hidden, 0xfeed));
-  engine.step();     // admit + one-chunk prefill of the 40 prompt rows
-  engine.drain(24);  // total context 64: a full efta_attention block
-  ASSERT_EQ(engine.context_length(id), 64u);
+    fs::EngineOptions opt;
+    opt.record_inputs = true;  // keep the replay history this test compares
+    // The from-scratch recompute below never touches the KV cache, so the
+    // comparison is only bitwise for the lossless fp16 format — pin it
+    // explicitly (the FTT_KV_QUANT leg flips the default to kI8).
+    opt.kv_quant = false;
+    fs::DecodeEngine engine(model, opt);
+    const auto id = engine.submit(random_prompt(40, hidden, 0xfeed));
+    engine.step();     // admit + one-chunk prefill of the 40 prompt rows
+    engine.drain(24);  // total context 64: a full efta_attention block
+    ASSERT_EQ(engine.context_length(id), 64u);
 
-  // A from-scratch protected forward over exactly the rows the engine fed
-  // must land on the same final hidden state (the KV cache only avoids
-  // recomputation, never changes the math beyond summation order).
-  ft::MatrixF x = engine.fed_inputs(id);
-  ASSERT_EQ(x.rows(), 64u);
-  model.forward(x, fx::AttentionKind::kEfta, /*protect_linear=*/true);
-  const auto h = engine.hidden(id);
-  for (std::size_t c = 0; c < hidden; ++c) {
-    EXPECT_NEAR(h[c], x(x.rows() - 1, c), 5e-3f) << c;
+    // A from-scratch protected forward over exactly the rows the engine fed
+    // must land on the same final hidden state (the KV cache only avoids
+    // recomputation, never changes the math beyond summation order).
+    ft::MatrixF x = engine.fed_inputs(id);
+    ASSERT_EQ(x.rows(), 64u);
+    model.forward(x, fx::AttentionKind::kEfta, /*protect_linear=*/true);
+    const auto h = engine.hidden(id);
+    for (std::size_t c = 0; c < hidden; ++c) {
+      EXPECT_NEAR(h[c], x(x.rows() - 1, c), 5e-3f) << c;
+    }
   }
 }
 

@@ -39,11 +39,9 @@ fs::StepStats sample(std::size_t k) {
   s.recovered = k + 15;
   s.degraded = k + 16;
   s.failed = k + 17;
-  s.quarantined = k + 18;
   s.scrubbed = k + 19;
   s.repaired = k + 20;
   s.scrub_dropped = k + 21;
-  s.drained = k + 22;
   s.attention.gemm1.checks = k + 23;
   s.attention.gemm1.flagged = k + 24;
   s.attention.faults_injected = k + 25;
@@ -70,11 +68,9 @@ void expect_stats_eq(const fs::StepStats& a, const fs::StepStats& b) {
   EXPECT_EQ(a.recovered, b.recovered);
   EXPECT_EQ(a.degraded, b.degraded);
   EXPECT_EQ(a.failed, b.failed);
-  EXPECT_EQ(a.quarantined, b.quarantined);
   EXPECT_EQ(a.scrubbed, b.scrubbed);
   EXPECT_EQ(a.repaired, b.repaired);
   EXPECT_EQ(a.scrub_dropped, b.scrub_dropped);
-  EXPECT_EQ(a.drained, b.drained);
   EXPECT_EQ(a.attention.gemm1.checks, b.attention.gemm1.checks);
   EXPECT_EQ(a.attention.gemm1.flagged, b.attention.gemm1.flagged);
   EXPECT_EQ(a.attention.faults_injected, b.attention.faults_injected);
@@ -91,11 +87,9 @@ TEST(StepStats, DefaultConstructedIsAllZero) {
   EXPECT_EQ(s.recovered, 0u);
   EXPECT_EQ(s.degraded, 0u);
   EXPECT_EQ(s.failed, 0u);
-  EXPECT_EQ(s.quarantined, 0u);
   EXPECT_EQ(s.scrubbed, 0u);
   EXPECT_EQ(s.repaired, 0u);
   EXPECT_EQ(s.scrub_dropped, 0u);
-  EXPECT_EQ(s.drained, 0u);
   EXPECT_EQ(s.attention.total_detected(), 0u);
   EXPECT_EQ(s.linear.flagged, 0u);
 
@@ -117,19 +111,16 @@ TEST(StepStats, MergeAccumulatesRecoveryCounters) {
   EXPECT_EQ(a.recovered, (0u + 15) + (50u + 15));
   EXPECT_EQ(a.degraded, (0u + 16) + (50u + 16));
   EXPECT_EQ(a.failed, (0u + 17) + (50u + 17));
-  EXPECT_EQ(a.quarantined, (0u + 18) + (50u + 18));
   EXPECT_EQ(a.scrubbed, (0u + 19) + (50u + 19));
   EXPECT_EQ(a.repaired, (0u + 20) + (50u + 20));
   EXPECT_EQ(a.scrub_dropped, (0u + 21) + (50u + 21));
-  EXPECT_EQ(a.drained, (0u + 22) + (50u + 22));
   EXPECT_EQ(a.attention.gemm1.checks, (0u + 23) + (50u + 23));
   EXPECT_EQ(a.linear.flagged, (0u + 27) + (50u + 27));
 }
 
 TEST(StepStats, PlusEqualsIsAssociative) {
   // ((a += b) += c) must equal (a += (b += c)): integer counters make the
-  // merge associative, which is what lets tick loops and the replica
-  // router fold in any grouping.
+  // merge associative, which is what lets tick loops fold in any grouping.
   fs::StepStats left = sample(1);
   left += sample(2);
   left += sample(3);
@@ -143,8 +134,8 @@ TEST(StepStats, PlusEqualsIsAssociative) {
 }
 
 TEST(StepStats, MergeIsOrderInvariant) {
-  // The replica router folds one StepStats per replica per tick with
-  // merge(); the totals must not depend on the replica order.
+  // Tick loops fold one StepStats per tick with merge(); the totals must
+  // not depend on the order the parts arrive in.
   const std::array<fs::StepStats, 4> parts = {sample(3), sample(11),
                                               sample(7), sample(29)};
   fs::StepStats forward;
@@ -159,7 +150,7 @@ TEST(StepStats, MergeIsOrderInvariant) {
 
   // Recovery counters survive the merge specifically.
   EXPECT_EQ(forward.retried, 3u + 14 + 11 + 14 + 7 + 14 + 29 + 14);
-  EXPECT_EQ(forward.drained, 3u + 22 + 11 + 22 + 7 + 22 + 29 + 22);
+  EXPECT_EQ(forward.scrub_dropped, 3u + 21 + 11 + 21 + 7 + 21 + 29 + 21);
 
   // Merging a zeroed StepStats changes nothing.
   fs::StepStats same = forward;
