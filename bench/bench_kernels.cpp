@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "abft/element_abft.hpp"
 #include "abft/strided_abft.hpp"
 #include "core/efta.hpp"
@@ -31,12 +33,18 @@ static void BM_GemmFp16(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmFp16)->Arg(64)->Arg(128)->Arg(256);
 
+// One 64 x 64 KV tile's checksum block (K^T and V given, stride 8): the
+// per-tile encode a fresh decode tile and every seal pay.
 static void BM_StridedEncode(benchmark::State& state) {
-  ft::MatrixH X(64, 64);
-  ft::fill_normal(X, 3);
+  ft::MatrixH KT(64, 64), V(64, 64);
+  ft::fill_normal(KT, 3);
+  ft::fill_normal(V, 7);
+  std::vector<ftt::numeric::Half> block(fc::tile_checksum_halves(64, 64, 8));
   for (auto _ : state) {
-    auto c = fb::StridedAbft::encode_rows_strided(X, 8, false, nullptr);
-    benchmark::DoNotOptimize(c.data());
+    fc::encode_tile_checksums(KT.data(), V.data(), 64, 64, 8, nullptr,
+                              block.data());
+    benchmark::DoNotOptimize(block.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_StridedEncode);

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "numeric/gemm_simd.hpp"
@@ -24,78 +23,79 @@ bool near_integer(float x, float tol = 0.02f) {
   return std::fabs(x - std::round(x)) < tol;
 }
 
-/// Widen a view into dense R x C fp32 scratch (bulk SIMD conversion).
-/// Exact, so the accumulations below stay bit-identical to per-element
-/// table conversion.
-std::vector<float> widen_view(tensor::MatrixHView X) {
-  std::vector<float> xf(X.rows * X.cols);
-  tensor::widen(X, xf.data());
-  return xf;
-}
-
-/// y += a * x over n elements of an fp32 image or of the fp16 payload: the
-/// fp16 axpy widens exactly in registers, so both give the same sums.
-template <typename T>
-void axpy(float a, const T* x, float* y, std::size_t n) noexcept {
-  if constexpr (std::is_same_v<T, Half>) {
-    numeric::axpy_f32_h(a, x, y, n);
-  } else {
-    numeric::axpy_f32(a, x, y, n);
-  }
-}
-
-/// encode_rows_strided over a dense row-major fp32 image or fp16 payload.
-/// Accumulates a whole checksum row at a time: each output element is
-/// summed over ascending l exactly as a scalar l-inner loop would (each
-/// axpy adds one l-term to every column), so the vector and scalar paths
-/// and both element formats are bit-identical, and the fault hooks still
-/// fire once per output element in (jc, c) order after the accumulation.
-template <typename T>
-MatrixH encode_rows(const T* x, std::size_t rows, std::size_t cols, int s,
-                    bool weighted, fault::FaultInjector* inj) {
-  if (s <= 0 || rows % static_cast<std::size_t>(s) != 0) {
-    throw std::invalid_argument("encode_rows_strided: rows % stride != 0");
-  }
-  const std::size_t loops = rows / static_cast<std::size_t>(s);
-  MatrixH out(static_cast<std::size_t>(s), cols);
-  std::vector<float> acc(cols);
-  for (std::size_t jc = 0; jc < static_cast<std::size_t>(s); ++jc) {
-    for (std::size_t c = 0; c < cols; ++c) acc[c] = 0.0f;
-    for (std::size_t l = 0; l < loops; ++l) {
-      const float w = weighted ? static_cast<float>(l + 1) : 1.0f;
-      axpy(w, x + (jc + l * static_cast<std::size_t>(s)) * cols, acc.data(),
-           cols);
-    }
-    for (std::size_t c = 0; c < cols; ++c) {
-      out(jc, c) = Half(fault::corrupt(inj, fault::Site::kChecksum, acc[c]));
-    }
-  }
-  return out;
-}
-
-/// encode_cols_strided over the same two formats: the s outputs of a row
-/// accumulate their l-terms in ascending order (each axpy adds one
-/// contiguous s-wide group), hooks fire per element in (r, jc) order.
-template <typename T>
-MatrixH encode_cols(const T* x, std::size_t rows, std::size_t cols, int s,
-                    bool weighted, fault::FaultInjector* inj) {
-  if (s <= 0 || cols % static_cast<std::size_t>(s) != 0) {
-    throw std::invalid_argument("encode_cols_strided: cols % stride != 0");
-  }
-  const std::size_t loops = cols / static_cast<std::size_t>(s);
-  MatrixH out(rows, static_cast<std::size_t>(s));
-  std::vector<float> acc(static_cast<std::size_t>(s));
+/// The encoder's body.  Half rows widen 64 elements (whole class groups,
+/// as s divides 64) at a time into stack scratch; fp32 rows are read in
+/// place.  Locals hold the sums, so the class loop vectorizes.  S is the
+/// stride when known at compile time (0: read `s`); the default stride's
+/// unrolled class loop is about twice as fast, same operations in order.
+template <int S, typename T>
+void class_sums_impl(const T* x, std::size_t rows, std::size_t cols,
+                     std::size_t ldx, std::size_t s, float* c1, float* c2,
+                     std::size_t ldc) noexcept {
+  if constexpr (S != 0) s = static_cast<std::size_t>(S);
+  constexpr auto kChunk = static_cast<std::size_t>(StridedAbft::kTile);
+  float a1[kChunk], a2[kChunk], buf[kChunk];
   for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t jc = 0; jc < static_cast<std::size_t>(s); ++jc) {
-      acc[jc] = 0.0f;
+    const T* row = x + r * ldx;
+    std::fill_n(a1, s, 0.0f);
+    std::fill_n(a2, s, 0.0f);
+    for (std::size_t c0 = 0; c0 < cols; c0 += kChunk) {
+      const std::size_t n = std::min(kChunk, cols - c0);
+      const float* v = buf;
+      if constexpr (std::is_same_v<T, Half>) {
+        numeric::halves_to_floats(row + c0, buf, n);
+      } else {
+        v = row + c0;
+      }
+      for (std::size_t j = 0; j < n; j += s) {
+        const auto wl = static_cast<float>((c0 + j) / s + 1);
+        for (std::size_t jc = 0; jc < s; ++jc) {
+          a1[jc] += v[j + jc];
+          a2[jc] += wl * v[j + jc];
+        }
+      }
     }
-    for (std::size_t l = 0; l < loops; ++l) {
-      const float w = weighted ? static_cast<float>(l + 1) : 1.0f;
-      axpy(w, x + r * cols + l * static_cast<std::size_t>(s), acc.data(),
-           static_cast<std::size_t>(s));
-    }
-    for (std::size_t jc = 0; jc < static_cast<std::size_t>(s); ++jc) {
-      out(r, jc) = Half(fault::corrupt(inj, fault::Site::kChecksum, acc[jc]));
+    std::copy_n(a1, s, c1 + r * ldc);
+    std::copy_n(a2, s, c2 + r * ldc);
+  }
+}
+
+}  // namespace
+
+template <typename T>
+void StridedAbft::class_sums(const T* x, std::size_t rows, std::size_t cols,
+                             std::size_t ldx, int s, float* c1, float* c2,
+                             std::size_t ldc) noexcept {
+  const auto su = static_cast<std::size_t>(s);
+  if (s == kDefaultStride) {
+    class_sums_impl<kDefaultStride>(x, rows, cols, ldx, su, c1, c2, ldc);
+  } else {
+    class_sums_impl<0>(x, rows, cols, ldx, su, c1, c2, ldc);
+  }
+}
+template void StridedAbft::class_sums(const Half*, std::size_t, std::size_t,
+                                      std::size_t, int, float*, float*,
+                                      std::size_t) noexcept;
+template void StridedAbft::class_sums(const float*, std::size_t, std::size_t,
+                                      std::size_t, int, float*, float*,
+                                      std::size_t) noexcept;
+
+namespace {
+
+/// The reference body: out(i, j) = sum_l w_l * X.data[i * X.stride + j +
+/// l * step], one ascending-l loop per element, hooks in (i, j) order.
+MatrixH reference_sums(tensor::MatrixHView X, std::size_t n1, std::size_t n2,
+                       std::size_t loops, std::size_t step, bool weighted,
+                       fault::FaultInjector* inj) {
+  MatrixH out(n1, n2);
+  for (std::size_t i = 0; i < n1; ++i) {
+    for (std::size_t j = 0; j < n2; ++j) {
+      float acc = 0.0f;
+      for (std::size_t l = 0; l < loops; ++l) {
+        acc += (weighted ? static_cast<float>(l + 1) : 1.0f) *
+               X.data[i * X.stride + j + l * step].to_float();
+      }
+      out(i, j) = Half(fault::corrupt(inj, fault::Site::kChecksum, acc));
     }
   }
   return out;
@@ -103,26 +103,15 @@ MatrixH encode_cols(const T* x, std::size_t rows, std::size_t cols, int s,
 
 }  // namespace
 
-MatrixH StridedAbft::encode_rows_strided_widened(const float* xf,
-                                                 std::size_t rows,
-                                                 std::size_t cols, int s,
-                                                 bool weighted,
-                                                 fault::FaultInjector* inj) {
-  return encode_rows(xf, rows, cols, s, weighted, inj);
-}
-
-MatrixH StridedAbft::encode_rows_strided_h(const Half* x, std::size_t rows,
-                                           std::size_t cols, int s,
-                                           bool weighted,
-                                           fault::FaultInjector* inj) {
-  return encode_rows(x, rows, cols, s, weighted, inj);
-}
-
 MatrixH StridedAbft::encode_rows_strided(tensor::MatrixHView X, int s,
                                          bool weighted,
                                          fault::FaultInjector* inj) {
-  const std::vector<float> xf = widen_view(X);
-  return encode_rows(xf.data(), X.rows, X.cols, s, weighted, inj);
+  const auto su = static_cast<std::size_t>(s);
+  if (s <= 0 || X.rows % su != 0) {
+    throw std::invalid_argument("encode_rows_strided: rows % stride != 0");
+  }
+  return reference_sums(X, su, X.cols, X.rows / su, su * X.stride, weighted,
+                        inj);
 }
 
 MatrixH StridedAbft::encode_rows_strided(const MatrixH& X, int s, bool weighted,
@@ -130,26 +119,14 @@ MatrixH StridedAbft::encode_rows_strided(const MatrixH& X, int s, bool weighted,
   return encode_rows_strided(tensor::view(X), s, weighted, inj);
 }
 
-MatrixH StridedAbft::encode_cols_strided_widened(const float* xf,
-                                                 std::size_t rows,
-                                                 std::size_t cols, int s,
-                                                 bool weighted,
-                                                 fault::FaultInjector* inj) {
-  return encode_cols(xf, rows, cols, s, weighted, inj);
-}
-
-MatrixH StridedAbft::encode_cols_strided_h(const Half* x, std::size_t rows,
-                                           std::size_t cols, int s,
-                                           bool weighted,
-                                           fault::FaultInjector* inj) {
-  return encode_cols(x, rows, cols, s, weighted, inj);
-}
-
 MatrixH StridedAbft::encode_cols_strided(tensor::MatrixHView X, int s,
                                          bool weighted,
                                          fault::FaultInjector* inj) {
-  const std::vector<float> xf = widen_view(X);
-  return encode_cols(xf.data(), X.rows, X.cols, s, weighted, inj);
+  const auto su = static_cast<std::size_t>(s);
+  if (s <= 0 || X.cols % su != 0) {
+    throw std::invalid_argument("encode_cols_strided: cols % stride != 0");
+  }
+  return reference_sums(X, X.rows, su, X.cols / su, su, weighted, inj);
 }
 
 MatrixH StridedAbft::encode_cols_strided(const MatrixH& X, int s, bool weighted,
@@ -316,6 +293,12 @@ void verify_class(MatrixF& S, std::size_t i, std::size_t jc, float k1,
       S(i, col0 + jc + lbad * s) = old;
       ++rep.uncorrectable;
     }
+  } else if (std::isfinite(ratio) && std::fabs(ratio) < 0.5f) {
+    // c2 residual is ~0 while c1 residual is not: the flip hit the c1
+    // checksum pipeline itself; payload is intact.  Ahead of the magnitude
+    // branch, which would find no dominant element for a c1 flip past 1e30.
+    ++rep.checksum_repairs;
+    if (fix1 != nullptr) *fix1 = sum1;
   } else if (std::fabs(d1) > 1e30f) {
     // The corrupted value is so large the weighted sum overflowed (or the
     // ratio lost all precision): the culprit dominates the class by
@@ -337,11 +320,6 @@ void verify_class(MatrixF& S, std::size_t i, std::size_t jc, float k1,
     } else {
       ++rep.uncorrectable;
     }
-  } else if (std::isfinite(ratio) && std::fabs(ratio) < 0.5f) {
-    // c2 residual is ~0 while c1 residual is not: the flip hit the c1
-    // checksum pipeline itself; payload is intact.
-    ++rep.checksum_repairs;
-    if (fix1 != nullptr) *fix1 = sum1;
   } else {
     // Two or more errors in the same residue class, or a weighted-checksum
     // flip: detectable, not locatable.
@@ -433,39 +411,6 @@ Report StridedAbft::verify_correct_scalar(MatrixF& S, const MatrixF& chk1,
                      cols, /*screen=*/false);
 }
 
-namespace {
-
-/// fp32 strided sums of tile t of a k-major image X^T (K x N), written
-/// k-major as [c1 | c2] rows of 2s: sums[k * 2s + jc] = sum_l
-/// X^T(k, t * kTile + jc + s * l) and sums[k * 2s + s + jc] the same with
-/// weights l + 1.  At fixed (k, l) the s residue classes are contiguous, so
-/// the inner loop runs across them over one widened 64-wide tile row, and
-/// every sum accumulates in ascending l from zero — exactly
-/// encode_rows_strided over the tile's rows of X, so the rounded checksums
-/// are bit-identical.
-void tile_sums(const MatrixH& image, std::size_t t, std::size_t s,
-               float* sums) {
-  constexpr auto kTile = static_cast<std::size_t>(StridedAbft::kTile);
-  const std::size_t K = image.rows(), N = image.cols(), loops = kTile / s;
-  float row[kTile];
-  for (std::size_t k = 0; k < K; ++k) {
-    numeric::halves_to_floats(image.data() + k * N + t * kTile, row, kTile);
-    float* a1 = sums + k * 2 * s;
-    float* a2 = a1 + s;
-    std::fill_n(a1, 2 * s, 0.0f);
-    for (std::size_t l = 0; l < loops; ++l) {
-      const float wl = static_cast<float>(l + 1);
-      const float* v = row + l * s;
-      for (std::size_t jc = 0; jc < s; ++jc) {
-        a1[jc] += v[jc];
-        a2[jc] += wl * v[jc];
-      }
-    }
-  }
-}
-
-}  // namespace
-
 StridedAbft::Sealed StridedAbft::seal(const MatrixH& B, int s) {
   const std::size_t N = B.rows(), K = B.cols();
   if (N % kTile != 0) {
@@ -480,20 +425,13 @@ StridedAbft::Sealed StridedAbft::seal(const MatrixH& B, int s) {
   const std::size_t w = 2 * su, tiles = N / kTile;
   Sealed out{MatrixH(K, N), MatrixH(K, tiles * w), s};
   numeric::transpose_h(B.data(), N, K, out.image.data());
-  // Each tile's two encodings exactly as the per-call path derives them
-  // (long ascending-l accumulations over the tile's rows), stored k-major.
+  // Tile t's sums at its sealed columns (c2 at +s), narrowed in one pass.
+  std::vector<float> sums(K * tiles * w);
   for (std::size_t t = 0; t < tiles; ++t) {
-    const Half* rows = B.data() + t * kTile * K;
-    const MatrixH c1 = encode_rows_strided_h(rows, kTile, K, s, false, nullptr);
-    const MatrixH c2 = encode_rows_strided_h(rows, kTile, K, s, true, nullptr);
-    for (std::size_t k = 0; k < K; ++k) {
-      Half* dst = &out.checksums(k, t * w);
-      for (std::size_t jc = 0; jc < su; ++jc) {
-        dst[jc] = c1(jc, k);
-        dst[su + jc] = c2(jc, k);
-      }
-    }
+    class_sums(out.image.data() + t * kTile, K, kTile, N, s,
+               sums.data() + t * w, sums.data() + t * w + su, tiles * w);
   }
+  numeric::floats_to_halves(sums.data(), out.checksums.data(), sums.size());
   return out;
 }
 
@@ -536,7 +474,8 @@ Report StridedAbft::apply(const float* A, std::size_t M, const Sealed& B,
     std::size_t ldt = ld;
     if (inj && !inj->skip(fault::Site::kChecksum, K * w)) {
       sums.resize(K * w);
-      tile_sums(B.image, t, s, sums.data());
+      class_sums(B.image.data() + t * kTile, K, kTile, N, B.s, sums.data(),
+                 sums.data() + s, w);
       for (std::size_t col = 0; col < w; ++col) {
         for (std::size_t k = 0; k < K; ++k) {
           float& v = sums[k * w + col];

@@ -31,55 +31,42 @@ struct StridedAbft {
   /// per tile so the c2 weights stay in [1, tile/s] and fit fp16 comfortably.
   static constexpr int kTile = 64;
 
-  /// Collapse the rows of X (R x C, R % s == 0) at stride `s` into an s x C
-  /// checksum: out(jc, c) = sum_l w_l * X(jc + s*l, c), w_l = 1 (unweighted)
-  /// or l+1 (weighted).  Encoded in fp16 — the checksum rides the same
-  /// tensor-core GEMM as the payload (Eq. 14).  The view overload consumes
-  /// a KV-cache tile in place (no owning-Matrix materialization).
+  /// The one strided checksum encoder, over fp16 rows (T = numeric::Half)
+  /// or exactly dequantized fp32 rows (T = float).  Row r of X (rows x cols,
+  /// row pitch ldx, s dividing cols and kTile) has s residue classes, class
+  /// jc holding X(r, jc + s*l) for l in [0, cols/s), whose sums land at
+  ///   c1[r * ldc + jc] = sum_l X(r, jc + s*l)
+  ///   c2[r * ldc + jc] = sum_l (l + 1) * X(r, jc + s*l)
+  /// in fp32, each from zero in ascending l, over k-major rows (K^T, V, a
+  /// sealed B^T image).  The products are exact — an integer weight below
+  /// 2^13 times a value of <= 11 significant bits needs <= 24 — so fusing a
+  /// multiply into its add cannot move a bit, and fp16 rows equal their
+  /// exact fp32 widening.  The kChecksum hooks and the fp16 narrowing are
+  /// the caller's.
+  template <typename T>
+  static void class_sums(const T* x, std::size_t rows, std::size_t cols,
+                         std::size_t ldx, int s, float* c1, float* c2,
+                         std::size_t ldc) noexcept;
+
+  /// The naive reference pair the encoder is tested against (production
+  /// never calls it): one ascending-l loop per element, narrowed to fp16
+  /// after its kChecksum hook.  Rows (R % s == 0): out(jc, c) = sum_l w_l *
+  /// X(jc + s*l, c), w_l = 1 or (weighted) l + 1, hooks in (jc, c) order.
   static tensor::MatrixH encode_rows_strided(tensor::MatrixHView X, int s,
                                              bool weighted,
                                              fault::FaultInjector* inj);
   static tensor::MatrixH encode_rows_strided(const tensor::MatrixH& X, int s,
                                              bool weighted,
                                              fault::FaultInjector* inj);
-  /// Encode from a dense fp32 image of fp16-valued rows (exact values, so
-  /// bit-identical to the fp16 overloads): an int8 KV tile's exactly
-  /// dequantized rows encode through it.
-  static tensor::MatrixH encode_rows_strided_widened(const float* xf,
-                                                     std::size_t rows,
-                                                     std::size_t cols, int s,
-                                                     bool weighted,
-                                                     fault::FaultInjector* inj);
-  /// Encode directly from the stored fp16 payload (dense row-major Half):
-  /// the accumulation streams the Half rows through axpy_f32_h, whose
-  /// in-register widen is exact and whose l-order matches the overloads
-  /// above, so the result is bit-identical to encoding a pre-widened image
-  /// — with no fp32 staging pass (the single-pass seal path).
-  static tensor::MatrixH encode_rows_strided_h(const numeric::Half* x,
-                                               std::size_t rows,
-                                               std::size_t cols, int s,
-                                               bool weighted,
-                                               fault::FaultInjector* inj);
 
-  /// Collapse the columns of X (R x C, C % s == 0) at stride `s` into an
-  /// R x s checksum: out(r, jc) = sum_l w_l * X(r, jc + s*l).  Used for the
-  /// V operand of GEMM II.
+  /// Columns (C % s == 0): out(r, jc) = sum_l w_l * X(r, jc + s*l), hooks
+  /// in (r, jc) order.
   static tensor::MatrixH encode_cols_strided(tensor::MatrixHView X, int s,
                                              bool weighted,
                                              fault::FaultInjector* inj);
   static tensor::MatrixH encode_cols_strided(const tensor::MatrixH& X, int s,
                                              bool weighted,
                                              fault::FaultInjector* inj);
-  static tensor::MatrixH encode_cols_strided_widened(const float* xf,
-                                                     std::size_t rows,
-                                                     std::size_t cols, int s,
-                                                     bool weighted,
-                                                     fault::FaultInjector* inj);
-  static tensor::MatrixH encode_cols_strided_h(const numeric::Half* x,
-                                               std::size_t rows,
-                                               std::size_t cols, int s,
-                                               bool weighted,
-                                               fault::FaultInjector* inj);
 
   /// Verify an R x C payload S against its two strided checksums chk1/chk2
   /// (each at least R x s): for every (row, residue class jc) compare chk1
@@ -126,8 +113,8 @@ struct StridedAbft {
     int s = kDefaultStride;
   };
 
-  /// Seal B (N x K): cache-blocked transpose into the image, and each
-  /// tile's encode_rows_strided pair stored k-major.
+  /// Seal B (N x K): cache-blocked transpose into the image, then each
+  /// tile's class_sums over it, narrowed into the tile's sealed columns.
   static Sealed seal(const tensor::MatrixH& B, int s);
 
   /// Fully protected C = A * B^T over a sealed B.  A is M x K fp32 holding

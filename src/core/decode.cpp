@@ -190,12 +190,13 @@ void row_sums(const MatrixF& P, std::size_t r0, float* sums) {
 /// transpose where it has none (the ragged tail, a raw slice).  The four
 /// checksum GEMMs stream the tile's checksum block: its sealed one, or one
 /// encoded fresh through the hooks (the ragged tail, a raw slice, a block
-/// sealed at another stride, a sealed tile whose encode hooks would flip;
-/// an int8 tile's fresh encode reads its exactly dequantized rows).  Every
-/// kernel widens exactly and keeps the ascending-k order, and transposes
-/// are pure data movement, so all of these give the same bits.  An injector
-/// changes hooks, never operands: a sealed block stands in whenever `skip`
-/// vouches that none of the encode hooks it replaces would flip.
+/// sealed at another stride, a sealed tile whose encode hooks would flip)
+/// from the k-major rows the score GEMM reads: K^T, or an int8 tile's
+/// exactly dequantized payload.  Every kernel widens exactly and keeps the
+/// ascending-k order, and transposes are pure data movement, so all of
+/// these give the same bits.  An injector changes hooks, never operands: a
+/// sealed block stands in whenever `skip` vouches that none of the encode
+/// hooks it replaces would flip.
 FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
                      fault::FaultInjector* inj) {
   const std::size_t n = it.kv.n, d = it.kv.d, R = it.q_len;
@@ -255,8 +256,8 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
   std::vector<Half> kt_fresh(B * d);
   // A checksum block encoded fresh, when no sealed one can serve.
   std::vector<Half> enc_fresh(enc_n);
-  // An int8 tile's exactly dequantized rows, for its fresh encode only.
-  std::vector<float> kdq, vdq, ktdq;
+  // An int8 tile's exactly dequantized K^T and V, for its fresh encode only.
+  std::vector<float> ktdq, vdq;
   // GEMM II's A operand: the fp16-rounded softmax weights of the rows
   // visiting a tile.
   std::vector<Half> ph(R * B);
@@ -283,6 +284,14 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
       vt = vtail.data();
       ++testing::tiles_materialized();
     }
+    // K^T (the sealed image, or a transpose of the tile or padded tail),
+    // resolved first so a fresh encode reads it; transposes fire no hooks.
+    const Half* kimg =
+        full && !is_i8 && it.kv.f16t != nullptr ? it.kv.f16t[j] : nullptr;
+    if (kimg == nullptr && !is_i8) {
+      numeric::transpose_h(kt, B, d, kt_fresh.data());
+      kimg = kt_fresh.data();
+    }
     // The checksum block, enc = [Kc1^T d x su | Kc2^T d x su | Vc1 B x su |
     // Vc2 B x su].  The skip sits where the tile's encode hooks would fire,
     // before any other hook of the tile.
@@ -293,20 +302,16 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
         enc = it.kv.enc[j];
       } else {
         if (is_i8) {
-          if (kdq.empty()) {
-            kdq.resize(B * d);
-            vdq.resize(B * d);
-            ktdq.resize(B * d);
-          }
+          ktdq.resize(B * d);
+          vdq.resize(B * d);
           numeric::dequantize_i8_to_f32(it.kv.k_i8[j], ktdq.data(), B * d,
                                         it.kv.k_scale[j]);
-          numeric::transpose_f32(ktdq.data(), d, B, kdq.data());
           numeric::dequantize_i8_to_f32(it.kv.v_i8[j], vdq.data(), B * d,
                                         it.kv.v_scale[j]);
-          encode_tile_checksums(kdq.data(), vdq.data(), B, d, s, inj,
+          encode_tile_checksums(ktdq.data(), vdq.data(), B, d, s, inj,
                                 enc_fresh.data());
         } else {
-          encode_tile_checksums(kt, vt, B, d, s, inj, enc_fresh.data());
+          encode_tile_checksums(kimg, vt, B, d, s, inj, enc_fresh.data());
         }
         ++testing::tiles_encoded();
         enc = enc_fresh.data();
@@ -333,16 +338,10 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
     if (element) {
       a_chk = abft::ElementAbft::checksum_rows(qf.data(), R, d, inj);
     }
-    const Half* kimg = nullptr;
     if (is_i8) {
       numeric::gemm_f32_nn_i8(qf.data(), R, d, it.kv.k_i8[j], B,
                               it.kv.k_scale[j], &S(0, 0), S.cols(), false);
     } else {
-      kimg = full && it.kv.f16t != nullptr ? it.kv.f16t[j] : nullptr;
-      if (kimg == nullptr) {
-        numeric::transpose_h(kt, B, d, kt_fresh.data());
-        kimg = kt_fresh.data();
-      }
       sim::gemm_f32_nnh(qf.data(), R, d, kimg, B, S);
     }
     if (inj) {
@@ -731,7 +730,7 @@ FtReport efta_attention(const Tensor4H& Q, const Tensor4H& K,
     numeric::transpose_h(kp[t], B, d, images.data() + t * B * d);
     img[t] = images.data() + t * B * d;
     if (strided) {
-      encode_tile_checksums(kp[t], vp[t], B, d, s, nullptr,
+      encode_tile_checksums(img[t], vp[t], B, d, s, nullptr,
                             blocks.data() + t * enc_n);
       enc[t] = blocks.data() + t * enc_n;
     }

@@ -65,11 +65,12 @@ enum class TileFmt : std::uint8_t { kF16 = 0, kI8 = 1 };
 
 /// The one seal-time image of a sealed fp16 (kF16) tile, kF16T: K^T, the
 /// stored K rows transposed into the d x 64 k-major layout the score GEMM
-/// streams through gemm_f32_nnh (64 d halves, the K tile's own size).  The
-/// checksum block needs no image — it is already k-major (KvSlice::enc) —
-/// and neither does V, the k-major B operand of GEMM II as stored.  The
-/// image is pure data movement and the fused kernels widen exactly, so
-/// decoding over it is bit-identical to transposing the tile per call.
+/// streams through gemm_f32_nnh (64 d halves, the K tile's own size) and
+/// the checksum encoder reads.  The checksum block needs no image — it is
+/// already k-major (KvSlice::enc) — and neither does V, the k-major B
+/// operand of GEMM II as stored.  The image is pure data movement and the
+/// fused kernels widen exactly, so decoding over it is bit-identical to
+/// transposing the tile per call.
 /// Every sealed fp16 tile of a serve::TilePool carries one; the tag
 /// survives only as TilePoolOptions::images' one value.
 enum class ImagePolicy : std::uint8_t { kF16T };

@@ -2,60 +2,47 @@
 
 #include <algorithm>
 #include <cmath>
-#include <type_traits>
+#include <vector>
 
 #include "abft/strided_abft.hpp"
-#include "numeric/gemm_simd.hpp"
 
 namespace ftt::core {
 
 using attention::AttnShape;
 using numeric::Half;
 
-namespace {
-
 template <typename T>
-void encode_tile(const T* k, const T* v, std::size_t rows, std::size_t d,
-                 int s, fault::FaultInjector* inj, Half* out) {
-  using Enc = abft::StridedAbft;
-  // The Half encoders widen in registers, so fp16 rows and exactly
-  // dequantized fp32 rows of equal value give equal sums.
-  const auto encode = [&](const T* x, bool along_rows, bool weighted) {
-    if constexpr (std::is_same_v<T, Half>) {
-      return along_rows
-                 ? Enc::encode_rows_strided_h(x, rows, d, s, weighted, inj)
-                 : Enc::encode_cols_strided_h(x, rows, d, s, weighted, inj);
-    } else {
-      return along_rows ? Enc::encode_rows_strided_widened(x, rows, d, s,
-                                                           weighted, inj)
-                        : Enc::encode_cols_strided_widened(x, rows, d, s,
-                                                           weighted, inj);
-    }
-  };
+void encode_tile_checksums(const T* kt, const T* v, std::size_t rows,
+                           std::size_t d, int s, fault::FaultInjector* inj,
+                           Half* out) {
   const auto su = static_cast<std::size_t>(s);
-  const std::size_t vcn = rows * su;
-  // Statement order is hook order: Kc1, Kc2, Vc1, Vc2.  The K row checksums
-  // (s x d) land transposed; the V column checksums are already k-major.
-  numeric::transpose_h(encode(k, true, false).data(), su, d, out);
-  numeric::transpose_h(encode(k, true, true).data(), su, d, out + d * su);
-  Half* vc = out + 2 * d * su;
-  std::copy_n(encode(v, false, false).data(), vcn, vc);
-  std::copy_n(encode(v, false, true).data(), vcn, vc + vcn);
+  const std::size_t n = tile_checksum_halves(rows, d, s);
+  // fp32 sums in the block's layout, thread_local: no allocation per call.
+  thread_local std::vector<float> sums;
+  if (sums.size() < n) sums.resize(n);
+  float* kc1 = sums.data();
+  float* vc1 = kc1 + 2 * d * su;
+  abft::StridedAbft::class_sums(kt, d, rows, rows, s, kc1, kc1 + d * su, su);
+  abft::StridedAbft::class_sums(v, rows, d, d, s, vc1, vc1 + rows * su, su);
+  if (inj) {
+    for (std::size_t q = 0; q < 2 * su; ++q) {  // Kc1 (jc, c), then Kc2
+      float* col = kc1 + q / su * d * su + q % su;
+      for (std::size_t c = 0; c < d; ++c) {
+        col[c * su] = inj->corrupt(fault::Site::kChecksum, col[c * su]);
+      }
+    }
+    for (std::size_t i = 0; i < 2 * rows * su; ++i) {
+      vc1[i] = inj->corrupt(fault::Site::kChecksum, vc1[i]);
+    }
+  }
+  numeric::floats_to_halves(sums.data(), out, n);
 }
-
-}  // namespace
-
-void encode_tile_checksums(const Half* k, const Half* v, std::size_t rows,
-                           std::size_t d, int s, fault::FaultInjector* inj,
-                           Half* out) {
-  encode_tile(k, v, rows, d, s, inj, out);
-}
-
-void encode_tile_checksums(const float* k, const float* v, std::size_t rows,
-                           std::size_t d, int s, fault::FaultInjector* inj,
-                           Half* out) {
-  encode_tile(k, v, rows, d, s, inj, out);
-}
+template void encode_tile_checksums(const Half*, const Half*, std::size_t,
+                                    std::size_t, int, fault::FaultInjector*,
+                                    Half*);
+template void encode_tile_checksums(const float*, const float*, std::size_t,
+                                    std::size_t, int, fault::FaultInjector*,
+                                    Half*);
 
 EftaOverheadByTarget efta_overhead_by_target(const AttnShape& shape,
                                              const EftaOptions& opt) {

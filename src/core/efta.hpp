@@ -84,22 +84,21 @@ struct EftaOptions {
 }
 
 /// The strided checksums of one rows x d K/V block pair (rows % s == 0,
-/// d % s == 0), written to `out` as one block of
+/// d % s == 0, s dividing 64), written to `out` as one block of
 /// tile_checksum_halves(rows, d, s) halves:
 ///   [ Kc1^T d x s | Kc2^T d x s | Vc1 rows x s | Vc2 rows x s ]
-/// — the k-major B operands the four checksum GEMMs stream (Eq. 14): the K
-/// row checksums transposed for the score side, the V column checksums as
-/// they are for GEMM II.  The kChecksum hooks fire per element in the
-/// per-call encode order: Kc1 (jc, c), Kc2, Vc1 (r, jc), Vc2.  Every
-/// consumer derives the block here — EFTA's staged slices, the decode
-/// kernel's fresh tiles, and the serve pool's sealed fp16 and int8 tiles —
-/// so a sealed block equals a fresh encode bit for bit.  The fp32 overload
-/// takes exactly dequantized rows (an int8 tile): widening is exact, so
-/// equal values give equal bits in either overload.
-void encode_tile_checksums(const numeric::Half* k, const numeric::Half* v,
-                           std::size_t rows, std::size_t d, int s,
-                           fault::FaultInjector* inj, numeric::Half* out);
-void encode_tile_checksums(const float* k, const float* v, std::size_t rows,
+/// — the k-major B operands the four checksum GEMMs stream (Eq. 14), from
+/// abft::StridedAbft::class_sums over `kt`, K^T (d x rows), and over V's
+/// rows.  The kChecksum hooks fire on the fp32 sums in the order Kc1
+/// (jc, c), Kc2, Vc1 (r, jc), Vc2; then the block narrows to fp16.  Every
+/// consumer derives the block here (EFTA's staged slices, the decode
+/// kernel's fresh tiles, the pool's sealed fp16 and int8 tiles), so a
+/// sealed block equals a fresh encode bit for bit.  T is numeric::Half, or
+/// float for an int8 tile's exactly dequantized payload (same bits as fp16
+/// rows of equal value).  No heap allocation once the calling thread has
+/// encoded a block of this size.
+template <typename T>
+void encode_tile_checksums(const T* kt, const T* v, std::size_t rows,
                            std::size_t d, int s, fault::FaultInjector* inj,
                            numeric::Half* out);
 

@@ -1,5 +1,5 @@
-// Register-tile GEMM and axpy microkernels, one body per ISA tier, shared
-// by the fp32, fp16 and int8 B-operand formats.
+// Register-tile GEMM microkernels, one body per ISA tier, shared by the
+// fp32, fp16 and int8 B-operand formats.
 //
 // Kernel shape: axpy-form register blocking.  The inner loops broadcast one
 // A element and FMA it against a contiguous row of the k-major B operand,
@@ -106,12 +106,6 @@ using ElemOf = typename L::Elem;
 // ---- scalar references: plain ascending-k loop nests ----
 
 template <class L>
-void axpy_scalar(float a, L ld, const ElemOf<L>* x, float* y,
-                 std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * ld.scalar(x + i);
-}
-
-template <class L>
 void gemm_scalar(const float* A, std::size_t M, std::size_t K, L ld,
                  const ElemOf<L>* B, std::size_t N, float* C, std::size_t ldc,
                  bool accumulate) noexcept {
@@ -132,20 +126,6 @@ void gemm_scalar(const float* A, std::size_t M, std::size_t K, L ld,
 #ifdef FTT_SIMD_X86
 
 // ---- AVX2 tier ----
-
-template <class L>
-FTT_TARGET_AVX2 void axpy_avx2(float a, L ld, const ElemOf<L>* x, float* y,
-                               std::size_t n) noexcept {
-  const __m256 av = _mm256_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        y + i, _mm256_fmadd_ps(av, ld.v8(x + i), _mm256_loadu_ps(y + i)));
-  }
-  // Tail: mul-then-add equals fma under the exact-product precondition, and
-  // is trivially bit-identical to the scalar reference.
-  for (; i < n; ++i) y[i] += a * ld.scalar(x + i);
-}
 
 /// Register tile of R rows x P 8-column panels, accumulators held in
 /// registers across the whole K loop: each k step loads the P B-vectors once
@@ -237,18 +217,6 @@ FTT_TARGET_AVX2 void gemm_avx2(const float* A, std::size_t M, std::size_t K,
 
 // ---- AVX-512 tier ----
 
-template <class L>
-FTT_TARGET_AVX512 void axpy_avx512(float a, L ld, const ElemOf<L>* x,
-                                   float* y, std::size_t n) noexcept {
-  const __m512 av = _mm512_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(
-        y + i, _mm512_fmadd_ps(av, ld.v16(x + i), _mm512_loadu_ps(y + i)));
-  }
-  for (; i < n; ++i) y[i] += a * ld.scalar(x + i);
-}
-
 /// P 16-column panels of one output row, accumulated across the whole K
 /// loop.
 template <int P, class L>
@@ -299,25 +267,6 @@ FTT_TARGET_AVX512 void gemm_avx512(const float* A, std::size_t M,
 // ---- dispatch ----
 
 template <class L>
-void axpy(float a, L ld, const ElemOf<L>* x, float* y,
-          std::size_t n) noexcept {
-#ifdef FTT_SIMD_X86
-  const SimdLevel level = simd_level();
-#ifdef FTT_SIMD_AVX512
-  if (level == SimdLevel::kAvx512) {
-    axpy_avx512(a, ld, x, y, n);
-    return;
-  }
-#endif
-  if (level == SimdLevel::kAvx2) {
-    axpy_avx2(a, ld, x, y, n);
-    return;
-  }
-#endif
-  axpy_scalar(a, ld, x, y, n);
-}
-
-template <class L>
 void gemm(const float* A, std::size_t M, std::size_t K, L ld,
           const ElemOf<L>* B, std::size_t N, float* C, std::size_t ldc,
           bool accumulate) noexcept {
@@ -361,15 +310,6 @@ void transpose_blocked(const T* in, std::size_t rows, std::size_t cols,
 
 }  // namespace
 
-void axpy_f32(float a, const float* x, float* y, std::size_t n) noexcept {
-  axpy(a, LoadF32{}, x, y, n);
-}
-
-void axpy_f32_scalar(float a, const float* x, float* y,
-                     std::size_t n) noexcept {
-  axpy_scalar(a, LoadF32{}, x, y, n);
-}
-
 void gemm_f32_nn(const float* A, std::size_t M, std::size_t K, const float* B,
                  std::size_t N, float* C, std::size_t ldc,
                  bool accumulate) noexcept {
@@ -380,15 +320,6 @@ void gemm_f32_nn_scalar(const float* A, std::size_t M, std::size_t K,
                         const float* B, std::size_t N, float* C,
                         std::size_t ldc, bool accumulate) noexcept {
   gemm_scalar(A, M, K, LoadF32{}, B, N, C, ldc, accumulate);
-}
-
-void axpy_f32_h(float a, const Half* x, float* y, std::size_t n) noexcept {
-  axpy(a, LoadF16{}, x, y, n);
-}
-
-void axpy_f32_h_scalar(float a, const Half* x, float* y,
-                       std::size_t n) noexcept {
-  axpy_scalar(a, LoadF16{}, x, y, n);
 }
 
 void gemm_f32_nnh(const float* A, std::size_t M, std::size_t K, const Half* B,

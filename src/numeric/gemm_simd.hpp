@@ -1,12 +1,12 @@
 #pragma once
-// Register-tile GEMM and axpy microkernels for fp32, fp16 and int8 B
-// operands, dispatched at runtime on numeric::simd_level() (numeric/simd.hpp).
+// Register-tile GEMM microkernels for fp32, fp16 and int8 B operands,
+// dispatched at runtime on numeric::simd_level() (numeric/simd.hpp).
 //
 // These are the MAC inner loops behind sim::gemm_fp16_nt / gemm_f32_nt, the
-// decode block kernel's products on every tile format and the strided
-// checksum encodes.  Each entry point has a scalar reference that is always
-// compiled and always the semantic definition; the AVX2 and AVX-512 tiers
-// are tested against it.
+// decode block kernel's products on every tile format and the checksum
+// GEMMs.  Each entry point has a scalar reference that is always compiled
+// and always the semantic definition; the AVX2 and AVX-512 tiers are tested
+// against it.
 //
 // Bit-identity contract.  Every kernel fixes the per-output-element
 // accumulation order to ascending k — exactly the sequential-K scalar dot
@@ -19,10 +19,9 @@
 // fp32, so fl(a*b) == a*b and fma(a,b,c) == fl(c + fl(a*b)).  That holds
 // because all GEMM operands here are fp16-valued (widened or fp16-rounded:
 // <= 11-bit significands, products need <= 22 bits and stay far inside the
-// fp32 exponent range), int8 operands dequantize to <= 8-bit significands
-// (numeric/int8_simd.hpp) and checksum-encode weights are small integers
-// (<= 64, <= 7 bits against an fp16 operand).  Feeding arbitrary fp32
-// operands voids the scalar-bitwise guarantee — don't.
+// fp32 exponent range) and int8 operands dequantize to <= 8-bit
+// significands (numeric/int8_simd.hpp).  Feeding arbitrary fp32 operands
+// voids the scalar-bitwise guarantee — don't.
 //
 // tests/test_gemm_simd.cpp and tests/test_fp16_gemm.cpp pin dispatch ==
 // scalar bit-for-bit on randomized shapes, ragged tails and strided outputs.
@@ -33,13 +32,6 @@
 #include "numeric/fp16.hpp"
 
 namespace ftt::numeric {
-
-/// y[i] += a * x[i] for i ascending — the checksum-encode primitive.
-/// Dispatching entry point and scalar reference; bit-identical under the
-/// exact-product precondition above.
-void axpy_f32(float a, const float* x, float* y, std::size_t n) noexcept;
-void axpy_f32_scalar(float a, const float* x, float* y,
-                     std::size_t n) noexcept;
 
 /// C (M x N, row stride ldc >= N) = A (M x K, dense row-major) * B (K x N,
 /// dense row-major — i.e. the k-major / pre-transposed operand), += when
@@ -54,24 +46,16 @@ void gemm_f32_nn_scalar(const float* A, std::size_t M, std::size_t K,
                         const float* B, std::size_t N, float* C,
                         std::size_t ldc, bool accumulate) noexcept;
 
-/// fp16-operand format: same contracts as axpy_f32 / gemm_f32_nn with the
-/// B-side operand kept at half width and widened in registers (vcvtph2ps)
-/// inside the inner loop.  fp16->fp32 widening is exact and the per-element
-/// accumulation order is unchanged (ascending k, lanes across output
-/// columns), so these are bit-identical to running the fp32 kernels over a
+/// fp16-operand format: C (M x N, row stride ldc >= N) = A (M x K fp32) *
+/// widen(B) (K x N Half, k-major), += when `accumulate` — gemm_f32_nn's
+/// contract with the B operand kept at half width and widened in registers
+/// (vcvtph2ps) inside the inner loop.  fp16->fp32 widening is exact and the
+/// per-element accumulation order is unchanged (ascending k, lanes across
+/// output columns), so this is bit-identical to gemm_f32_nn over a
 /// pre-widened copy of B — at half the B-side bytes streamed.  The scalar
-/// references widen with half_bits_to_float, which quiets sNaNs exactly
+/// reference widens with half_bits_to_float, which quiets sNaNs exactly
 /// like hardware F16C, so scalar == SIMD on all 65536 half patterns
 /// (tests/test_fp16_gemm.cpp proves it exhaustively).
-
-/// y[i] += a * widen(x[i]) for i ascending.
-void axpy_f32_h(float a, const Half* x, float* y, std::size_t n) noexcept;
-void axpy_f32_h_scalar(float a, const Half* x, float* y,
-                       std::size_t n) noexcept;
-
-/// C (M x N, row stride ldc >= N) = A (M x K fp32) * widen(B) (K x N Half,
-/// k-major), += when `accumulate`.  Bit-identical to gemm_f32_nn over the
-/// widened image of B.
 void gemm_f32_nnh(const float* A, std::size_t M, std::size_t K, const Half* B,
                   std::size_t N, float* C, std::size_t ldc,
                   bool accumulate) noexcept;

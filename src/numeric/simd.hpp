@@ -14,10 +14,10 @@
 // so no file-wide -m flag is needed and a binary still runs, through the
 // scalar references, on a CPU below the tier.  Helpers a tier's body calls
 // (the GEMM loaders, say) need the same attribute, or GCC will not inline
-// their intrinsics into it.  The AVX2 attribute includes FMA, so the
-// compiler may fuse a multiply with an add in any vector function; a
-// kernel whose bits rest on unfused operations must say why a fusion
-// cannot move them (docs/KERNELS.md).
+// their intrinsics into it.  The AVX2 attribute includes FMA, but the
+// library compiles with -ffp-contract=off: the compiler fuses no a * b + c,
+// only explicit FMA intrinsics and std::fma fuse, and a kernel that uses
+// them says why a fusion cannot move its bits (docs/KERNELS.md).
 
 #if defined(FTT_SIMD) && defined(__x86_64__) && \
     (defined(__GNUC__) || defined(__clang__))

@@ -58,15 +58,12 @@ void quantize_sealed_tile(const Half* k_tile, const Half* v_tile,
   numeric::transpose_f32(kf.data(), kRows, dim, ktf.data());
   numeric::quantize_f32_to_i8(ktf.data(), kq, n, ks.inv_scale);
   numeric::quantize_f32_to_i8(vf.data(), vq, n, vs.inv_scale);
-  // The checksum block of the exactly-dequantized rows (scale is a power of
-  // two: exponent shift only, no rounding) — bit-equal to the fresh encode
-  // a decode call runs over them, so the sealed and fresh paths agree bit
-  // for bit, exactly as they do for fp16 tiles.  kf is rebuilt row-major
-  // (logical K) for the encoder.
+  // The checksum block of the exactly-dequantized payload as stored (the
+  // scale is a power of two), bit-equal to the fresh encode a decode call
+  // runs over it, exactly as for fp16 tiles.
   numeric::dequantize_i8_to_f32(kq, ktf.data(), n, ks.scale);
-  numeric::transpose_f32(ktf.data(), dim, kRows, kf.data());
   numeric::dequantize_i8_to_f32(vq, vf.data(), n, vs.scale);
-  core::encode_tile_checksums(kf.data(), vf.data(), kRows, dim, s, nullptr,
+  core::encode_tile_checksums(ktf.data(), vf.data(), kRows, dim, s, nullptr,
                               i8_henc(block, L));
   // Exact int32 checksums of the payload *as stored* (K's run over the
   // k-major array) — the at-rest redundancy the scrubber verifies by
@@ -133,15 +130,14 @@ I8ScrubResult scrub_i8_tile(std::uint8_t* block, std::size_t dim, int s) {
   // 3. The checksum block is derived state: recompute it from the (now
   //    verified) payload and scales, and rewrite it on any mismatch — this
   //    catches flips in the henc region itself and completes payload/scale
-  //    repairs in one pass.  The stored K payload is k-major, so it
-  //    transposes back to logical rows for the encoder.
+  //    repairs in one pass.  The encoder reads the k-major K payload as
+  //    stored.
   const std::size_t n = kRows * dim;
-  std::vector<float> kf(n), vf(n), ktf(n);
+  std::vector<float> ktf(n), vf(n);
   numeric::dequantize_i8_to_f32(kq, ktf.data(), n, sc[0]);
-  numeric::transpose_f32(ktf.data(), dim, kRows, kf.data());
   numeric::dequantize_i8_to_f32(vq, vf.data(), n, sc[3]);
   std::vector<Half> fresh(core::tile_checksum_halves(kRows, dim, s));
-  core::encode_tile_checksums(kf.data(), vf.data(), kRows, dim, s, nullptr,
+  core::encode_tile_checksums(ktf.data(), vf.data(), kRows, dim, s, nullptr,
                               fresh.data());
   Half* he = i8_henc(block, L);
   if (std::memcmp(fresh.data(), he, fresh.size() * sizeof(Half)) != 0) {
@@ -313,8 +309,10 @@ ScrubOutcome scrub_block(TilePool& pool, TilePool::TileId id,
   Half* v = pool.v_tile(id, layer, head);
   Half* enc = pool.enc_block(id, layer, head);
   Half* img = pool.f16t_image(id, layer, head);
+  // Encodes from the slab's K^T, left in img_fresh.
   const auto mismatches = [&] {
-    core::encode_tile_checksums(k, v, kRows, dim, s, nullptr,
+    numeric::transpose_h(k, kRows, dim, img_fresh.data());
+    core::encode_tile_checksums(img_fresh.data(), v, kRows, dim, s, nullptr,
                                 enc_fresh.data());
     std::size_t count = 0;
     for (std::size_t i = 0; i < enc_fresh.size(); ++i) {
@@ -328,7 +326,6 @@ ScrubOutcome scrub_block(TilePool& pool, TilePool::TileId id,
     // Payload and checksums agree bit for bit.  Cross-check the image; the
     // fp16 slab is authoritative, so a disagreeing image is rebuilt from it
     // (a pure bit transpose, deterministic).
-    numeric::transpose_h(k, kRows, dim, img_fresh.data());
     if (std::memcmp(img_fresh.data(), img,
                     img_fresh.size() * sizeof(Half)) != 0) {
       std::memcpy(img, img_fresh.data(), img_fresh.size() * sizeof(Half));
@@ -341,7 +338,7 @@ ScrubOutcome scrub_block(TilePool& pool, TilePool::TileId id,
     // feeds at least a plain and a weighted sum); a single disagreement is
     // checksum-class corruption, and the fresh encode is the repair.
     std::memcpy(enc, enc_fresh.data(), enc_fresh.size() * sizeof(Half));
-    numeric::transpose_h(k, kRows, dim, img);
+    std::memcpy(img, img_fresh.data(), img_fresh.size() * sizeof(Half));
     return ScrubOutcome::kRepaired;
   }
   // Payload-class corruption: the K^T image is the only second copy, and it
@@ -745,12 +742,12 @@ void PagedKvCache::seal_layer_tile(std::size_t layer, std::size_t tile_index) {
     return;
   }
   for (std::size_t h = 0; h < heads; ++h) {
-    const Half* k = pool_->k_tile(id, layer, h);
     Half* enc = pool_->enc_block(id, layer, h);
     Half* img = pool_->f16t_image(id, layer, h);
-    core::encode_tile_checksums(k, pool_->v_tile(id, layer, h),
+    numeric::transpose_h(pool_->k_tile(id, layer, h), TilePool::kTileRows,
+                         dim, img);
+    core::encode_tile_checksums(img, pool_->v_tile(id, layer, h),
                                 TilePool::kTileRows, dim, s, nullptr, enc);
-    numeric::transpose_h(k, TilePool::kTileRows, dim, img);
     HeadPtrs& hp = ptrs_[layer * heads + h];
     hp.enc[tile_index] = enc;
     hp.f16t[tile_index] = img;

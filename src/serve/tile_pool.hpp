@@ -40,9 +40,10 @@
 // Full tiles are immutable once written, so sealing derives each (layer,
 // head) block's checksum block once, ever (core::encode_tile_checksums:
 // [Kc1^T | Kc2^T | Vc1 | Vc2], the k-major operands of the checksum GEMMs,
-// in both tile formats), and a sealed fp16 tile also gets its kF16T image,
-// K^T: clean decode steps stream the sealed block instead of re-deriving it
-// per token, dropping the per-token encode cost from O(context) to O(tail).
+// in both tile formats), from the kF16T image K^T a sealed fp16 tile gets
+// or an int8 tile's K^T payload: clean decode steps stream the sealed block
+// instead of re-deriving it per token, dropping the per-token encode cost
+// from O(context) to O(tail).
 
 #include <cstddef>
 #include <cstdint>
@@ -145,8 +146,8 @@ struct I8TileLayout {
 /// Quantize one sealed 64 x dim fp16 K/V tile pair into an i8 block:
 /// choose the per-operand power-of-two scales, quantize the payload, then
 /// derive BOTH encoding families from the result — the checksum block from
-/// the exactly-dequantized rows (bit-equal to the fresh encode a decode
-/// call would run over them) and the int32 encodings from the int8
+/// the exactly-dequantized k-major payload (bit-equal to the fresh encode a
+/// decode call would run over it) and the int32 encodings from the int8
 /// payload — and write the TMR scale copies.  The block is fully
 /// overwritten; no zeroing is required beforehand.
 void quantize_sealed_tile(const numeric::Half* k_tile,
@@ -455,12 +456,12 @@ void flip_i8_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
 /// mid-tick state where layer L has appended this tick's rows but layer L+1
 /// has not; slice(layer, head) reads the per-layer length.
 ///
-/// When a (layer, head) tile fills, its checksum block is sealed into the
-/// tile slab (core::encode_tile_checksums, so the same bits as a fresh
-/// per-call encode) and its K^T image is written (a kI8 request quantizes
-/// the block instead); when the *last* layer fills, the
-/// tile is sealed pool-wide and reported through take_newly_sealed() so the
-/// engine can publish fully-prompt tiles for prefix sharing.
+/// When a (layer, head) tile fills, its K^T image is written and its
+/// checksum block encoded from it (core::encode_tile_checksums, the bits of
+/// a fresh per-call encode; a kI8 request quantizes the block instead);
+/// when the *last* layer fills, the tile is sealed pool-wide and reported
+/// through take_newly_sealed() so the engine can publish fully-prompt tiles
+/// for prefix sharing.
 class PagedKvCache {
  public:
   /// `fmt` is the request's sealed-tile format: kI8 quantizes every tile

@@ -556,8 +556,10 @@ TEST(Decode, CampaignReportsPinned) {
   // The block kernel's analogue of EftaFaultModes.CampaignReportsPinned: a
   // 64-row block at n = 200 (3 full tiles plus an 8-row tail) on a raw
   // contiguous slice and on a sealed kF16T pool slice, every report counter
-  // recorded before the residue-class screens existed.  The checksum flips
-  // land on entry 1 of tile 2's encode: tiles 0 and 1 each fire 2048
+  // recorded before the residue-class screens existed (the checksum bit-30
+  // row since re-recorded: a c1 flip past 1e30 is a checksum repair, so
+  // GEMM I mends the class and the EXP check flags nothing).  The checksum
+  // flips land on entry 1 of tile 2's encode: tiles 0 and 1 each fire 2048
   // encode hooks and 64 x 48 per-row checksum hooks first.
   constexpr std::size_t kN = 200, kD = 64, kRows = 64;
   constexpr std::size_t kB = fc::KvSlice::kTileRows;
@@ -593,7 +595,7 @@ TEST(Decode, CampaignReportsPinned) {
       {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 1, 1, 0, 0, 0, 0, 1},
       {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 1, 1, 0, 0, 0, 0, 1},
       {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
-      {2048, 64, 0, 0, 0, 64, 1152, 64, 0, 64, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 64, 0, 0, 64, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
       {2048, 13, 0, 0, 13, 0, 1558, 6, 0, 6, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
       {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
   };
@@ -607,7 +609,7 @@ TEST(Decode, CampaignReportsPinned) {
       {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 1, 1, 0, 0, 0, 0, 1},
       {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 1, 1, 0, 0, 0, 0, 1},
       {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
-      {2048, 64, 0, 0, 0, 64, 1152, 64, 0, 64, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
+      {2048, 64, 0, 0, 64, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
       {2048, 13, 0, 0, 13, 0, 1558, 6, 0, 6, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
       {2048, 0, 0, 0, 0, 0, 1600, 0, 0, 0, 0, 0, 512, 0, 0, 0, 0, 0, 0, 1},
   };

@@ -1,28 +1,25 @@
-// Bit-identity of the fp16-operand fused microkernels (numeric::gemm_f32_nnh
-// and numeric::axpy_f32_h) against their scalar references and against the
-// widen-then-dispatch path they replace.
+// Bit-identity of the fp16-operand fused microkernel (numeric::gemm_f32_nnh)
+// against its scalar reference and against the widen-then-dispatch path it
+// replaces.
 //
-// These kernels carry the decode hot loop after the fp32-image retirement:
+// This kernel carries the decode hot loop after the fp32-image retirement:
 // sealed KV payload stays in binary16 and is widened 8 (or 16) lanes at a
-// time inside the kernel, so the bitwise chunk/batch/spec/shard proofs now
-// rest on two facts proved here exhaustively:
+// time inside the kernel, so the bitwise chunk/batch/spec proofs now rest
+// on two facts proved here exhaustively:
 //
 //   1. the in-kernel vcvtph2ps widen agrees with the scalar
 //      half_bits_to_float table on every one of the 65536 binary16 bit
 //      patterns (including subnormals, infinities, and NaNs — signaling
 //      NaNs are quieted identically on both paths), and
-//   2. with the widen exact and all operands fp16-valued, the fused kernels
-//      fix the same ascending-k accumulation order as gemm_f32_nn over a
+//   2. with the widen exact and all operands fp16-valued, the fused kernel
+//      fixes the same ascending-k accumulation order as gemm_f32_nn over a
 //      pre-widened image, so fusing the conversion changes no result bit
 //      on any shape, ragged tails and strided outputs included.
 //
-// The single-pass sealed-tile encodes (abft::StridedAbft::*_strided_h) sit
-// on the same axpy_f32_h order, so their parity with the widened-image
-// encodes is proved here too.  The int8 format's fused dequantizing GEMM
-// (numeric::gemm_f32_nn_i8), which carries the block kernel's GEMM II on
-// int8 tiles, runs the same register tiles: it joins the ragged-shape and
-// output-stride grids, and gets the widen-then-dispatch check at the block
-// kernel's shapes.
+// The int8 format's fused dequantizing GEMM (numeric::gemm_f32_nn_i8),
+// which carries the block kernel's GEMM II on int8 tiles, runs the same
+// register tiles: it joins the ragged-shape and output-stride grids, and
+// gets the widen-then-dispatch check at the block kernel's shapes.
 
 #include <gtest/gtest.h>
 
@@ -33,16 +30,13 @@
 #include <random>
 #include <vector>
 
-#include "abft/strided_abft.hpp"
 #include "numeric/fp16.hpp"
 #include "numeric/gemm_simd.hpp"
 #include "numeric/int8_simd.hpp"
 #include "tensor/tensor.hpp"
 
 namespace fn = ftt::numeric;
-using ftt::abft::StridedAbft;
 using ftt::numeric::Half;
-using ftt::tensor::MatrixH;
 
 namespace {
 
@@ -89,12 +83,6 @@ std::vector<Shape> decode_shapes(std::initializer_list<std::size_t> rows) {
   return out;
 }
 
-bool bits_equal(const MatrixH& a, const MatrixH& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(),
-                     a.rows() * a.cols() * sizeof(Half)) == 0;
-}
-
 /// int8 as one more B-operand format of a shape: the dispatching
 /// dequantizing GEMM against its scalar reference over the same A and C0,
 /// with a random int8 B, at row stride ldc, leaving the gutter columns
@@ -125,53 +113,36 @@ void expect_i8_matches_scalar(const std::vector<float>& A, std::size_t M,
 }  // namespace
 
 TEST(Fp16Gemm, WideningBitParityExhaustiveOverAllPatterns) {
-  // Every binary16 bit pattern flows through the in-kernel widen exactly
-  // once: y = 0 + 1.0 * widen(x) over all 65536 patterns in one call, so
-  // the SIMD tail handling and every vcvtph2ps lane position are exercised.
-  // The dispatch and scalar paths must agree bit for bit on the full
-  // output, NaN payloads included (cvtph quiets signaling NaNs exactly as
-  // half_bits_to_float does).
+  // Every binary16 bit pattern flows through the in-kernel widen: C = 1.0 *
+  // widen(B) for a 1 x 1 A and one B row of all 65536 patterns (plus seven
+  // repeats, so the column tails run too) in one call, which exercises
+  // every vcvtph2ps lane position.  The dispatch and scalar paths must
+  // agree bit for bit on the full output, NaN payloads included (cvtph
+  // quiets signaling NaNs exactly as half_bits_to_float does).
   constexpr std::size_t kPatterns = 1u << 16;
-  std::vector<Half> x(kPatterns);
-  for (std::size_t i = 0; i < kPatterns; ++i) {
-    x[i] = Half::from_bits(static_cast<std::uint16_t>(i));
+  constexpr std::size_t kN = kPatterns + 7;
+  std::vector<Half> x(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    x[i] = Half::from_bits(static_cast<std::uint16_t>(i % kPatterns));
   }
-  std::vector<float> y_simd(kPatterns, 0.0f), y_ref(kPatterns, 0.0f);
-  fn::axpy_f32_h(1.0f, x.data(), y_simd.data(), kPatterns);
-  fn::axpy_f32_h_scalar(1.0f, x.data(), y_ref.data(), kPatterns);
-  ASSERT_EQ(0,
-            std::memcmp(y_simd.data(), y_ref.data(), kPatterns * sizeof(float)))
+  const float one = 1.0f;
+  std::vector<float> y_simd(kN), y_ref(kN);
+  fn::gemm_f32_nnh(&one, 1, 1, x.data(), kN, y_simd.data(), kN, false);
+  fn::gemm_f32_nnh_scalar(&one, 1, 1, x.data(), kN, y_ref.data(), kN, false);
+  ASSERT_EQ(0, std::memcmp(y_simd.data(), y_ref.data(), kN * sizeof(float)))
       << "in-kernel widen diverged from scalar on some bit pattern";
   // On the numeric patterns (everything but NaNs; +/-0 fold to +0 under
-  // the *1.0 + 0.0 identity on both paths), the scalar reference must also
-  // equal the exact table widening — anchoring both paths to the binary16
-  // value, not merely to each other.
-  for (std::size_t i = 0; i < kPatterns; ++i) {
-    const auto h = static_cast<std::uint16_t>(i);
+  // the 0.0 + 1.0 * x identity on both paths), the scalar reference must
+  // also equal the exact table widening — anchoring both paths to the
+  // binary16 value, not merely to each other.
+  for (std::size_t i = 0; i < kN; ++i) {
+    const auto h = static_cast<std::uint16_t>(i % kPatterns);
     if (x[i].is_nan()) continue;
     const float expect = 1.0f * fn::half_bits_to_float(h) + 0.0f;
     std::uint32_t eb, rb;
     std::memcpy(&eb, &expect, sizeof(eb));
     std::memcpy(&rb, &y_ref[i], sizeof(rb));
     ASSERT_EQ(eb, rb) << "scalar widen wrong for pattern 0x" << std::hex << h;
-  }
-}
-
-TEST(Fp16Gemm, AxpyHalfMatchesScalarBitwiseOnRaggedLengths) {
-  // Lengths straddle the vector tails: below one AVX2 vector, below one
-  // AVX-512 vector, exact multiples, and off-by-one around them.
-  for (const std::size_t n :
-       {std::size_t{1}, std::size_t{3}, std::size_t{7}, std::size_t{8},
-        std::size_t{9}, std::size_t{15}, std::size_t{16}, std::size_t{17},
-        std::size_t{31}, std::size_t{64}, std::size_t{100}}) {
-    const auto x = random_halves(n, 100 + n);
-    const auto y0 = random_fp16_values(n, 200 + n);
-    const auto a = random_fp16_values(1, 300 + n);
-    std::vector<float> y_simd = y0, y_ref = y0;
-    fn::axpy_f32_h(a[0], x.data(), y_simd.data(), n);
-    fn::axpy_f32_h_scalar(a[0], x.data(), y_ref.data(), n);
-    ASSERT_EQ(0, std::memcmp(y_simd.data(), y_ref.data(), n * sizeof(float)))
-        << "axpy_f32_h diverged from scalar at n=" << n;
   }
 }
 
@@ -324,33 +295,6 @@ TEST(Fp16Gemm, FusedMatchesWidenThenDispatchBitwise) {
                                sh.M * sh.N * sizeof(float)))
           << "fused int8 kernel diverged from dequantize-then-gemm at M="
           << sh.M << " N=" << sh.N << " acc=" << accumulate;
-    }
-  }
-}
-
-TEST(Fp16Gemm, SinglePassStridedEncodesMatchWidenedImageEncodes) {
-  // The seal path encodes checksums straight off the Half tile now; the
-  // result must be bit-identical to the retired two-pass flow (widen the
-  // tile to fp32, then encode the image) for every stride and weighting.
-  constexpr std::size_t kRows = 64;
-  constexpr std::size_t kCols = 48;
-  const auto tile = random_halves(kRows * kCols, 0xabf7);
-  std::vector<float> image(kRows * kCols);
-  fn::halves_to_floats(tile.data(), image.data(), image.size());
-  for (const int s : {4, 8, 16}) {
-    for (const bool weighted : {false, true}) {
-      const MatrixH rows_h = StridedAbft::encode_rows_strided_h(
-          tile.data(), kRows, kCols, s, weighted, nullptr);
-      const MatrixH rows_w = StridedAbft::encode_rows_strided_widened(
-          image.data(), kRows, kCols, s, weighted, nullptr);
-      EXPECT_TRUE(bits_equal(rows_h, rows_w))
-          << "row encode diverged at s=" << s << " weighted=" << weighted;
-      const MatrixH cols_h = StridedAbft::encode_cols_strided_h(
-          tile.data(), kRows, kCols, s, weighted, nullptr);
-      const MatrixH cols_w = StridedAbft::encode_cols_strided_widened(
-          image.data(), kRows, kCols, s, weighted, nullptr);
-      EXPECT_TRUE(bits_equal(cols_h, cols_w))
-          << "col encode diverged at s=" << s << " weighted=" << weighted;
     }
   }
 }

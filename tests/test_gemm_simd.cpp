@@ -1,17 +1,17 @@
 // Bit-identity of the runtime-dispatched GEMM microkernels against their
 // scalar references (src/numeric/gemm_simd.cpp).
 //
-// The contract under test: every dispatching entry point — axpy_f32,
-// gemm_f32_nn, the sim::gemm_f32_nt pack-and-dispatch path and the
-// vectorized strided checksum encodes — produces results bit-for-bit equal
-// to the always-present scalar reference, on any shape, including ragged
-// tails (N, K not multiples of any vector width) and strided outputs
-// (ldc > N).  The equality must hold whether the dispatcher picked AVX2,
-// AVX-512 or the scalar fallback, which is exactly what lets the chunk/
-// batch/spec/shard bit-identity proofs survive the SIMD build: the kernels
-// fix the per-output-element accumulation order to ascending k, and FMA
-// equals mul-then-add because every operand is fp16-valued (exact products
-// in fp32 — see numeric/gemm_simd.hpp).
+// The contract under test: every dispatching entry point — gemm_f32_nn
+// and the sim::gemm_f32_nt pack-and-dispatch path — produces results
+// bit-for-bit equal to the always-present scalar reference, on any shape,
+// including ragged tails (N, K not multiples of any vector width) and
+// strided outputs (ldc > N); and the one strided checksum encoder equals
+// its naive reference, hooks included.  The equality must hold whether the
+// dispatcher picked AVX2, AVX-512 or the scalar fallback, which is exactly
+// what lets the chunk/batch/spec bit-identity proofs survive the SIMD
+// build: the kernels fix the per-output-element accumulation order to
+// ascending k, and FMA equals mul-then-add because every operand is
+// fp16-valued (exact products in fp32 — see numeric/gemm_simd.hpp).
 //
 // All random operands are therefore rounded through fp16 before use: that
 // is the precondition the production call sites satisfy, and the one the
@@ -19,11 +19,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <vector>
 
 #include "abft/strided_abft.hpp"
+#include "core/efta.hpp"
 #include "fault/fault.hpp"
 #include "numeric/fp16.hpp"
 #include "numeric/gemm_simd.hpp"
@@ -50,24 +52,6 @@ std::vector<float> random_fp16_values(std::size_t n, std::uint64_t seed) {
 }
 
 }  // namespace
-
-TEST(GemmSimd, AxpyMatchesScalarBitwiseOnRaggedLengths) {
-  // Lengths straddle every tail case: below one AVX2 vector, below one
-  // AVX-512 vector, exact multiples, and off-by-one around them.
-  for (const std::size_t n :
-       {std::size_t{1}, std::size_t{3}, std::size_t{7}, std::size_t{8},
-        std::size_t{9}, std::size_t{15}, std::size_t{16}, std::size_t{17},
-        std::size_t{31}, std::size_t{64}, std::size_t{100}}) {
-    const auto x = random_fp16_values(n, 100 + n);
-    const auto y0 = random_fp16_values(n, 200 + n);
-    const auto a = random_fp16_values(1, 300 + n);
-    std::vector<float> y_simd = y0, y_ref = y0;
-    fn::axpy_f32(a[0], x.data(), y_simd.data(), n);
-    fn::axpy_f32_scalar(a[0], x.data(), y_ref.data(), n);
-    ASSERT_EQ(0, std::memcmp(y_simd.data(), y_ref.data(), n * sizeof(float)))
-        << "axpy diverged from scalar at n=" << n;
-  }
-}
 
 TEST(GemmSimd, GemmMatchesScalarBitwiseOnRandomizedShapes) {
   // Shapes cover the panel structure: N crossing the 32-column AVX2 panel,
@@ -182,55 +166,113 @@ TEST(GemmSimd, SimGemmNtMatchesSequentialDotReference) {
   }
 }
 
-TEST(GemmSimd, StridedEncodesMatchScalarReferenceAndKeepHookOrder) {
-  // The vectorized encode_rows/cols_strided must (a) equal the scalar
-  // ascending-l accumulation bit for bit and (b) fire the per-output fault
-  // hooks exactly as before — one kChecksum call per output element — so
-  // fault-campaign call indices stay stable across the SIMD build.
-  constexpr std::size_t kRows = 64, kCols = 64;
-  constexpr int s = 8;
-  const auto xf = random_fp16_values(kRows * kCols, 31);
+namespace {
 
-  for (const bool weighted : {false, true}) {
-    const ftt::tensor::MatrixH rows_enc =
-        ftt::abft::StridedAbft::encode_rows_strided_widened(
-            xf.data(), kRows, kCols, s, weighted, nullptr);
-    for (std::size_t jc = 0; jc < static_cast<std::size_t>(s); ++jc) {
-      for (std::size_t c = 0; c < kCols; ++c) {
-        float acc = 0.0f;
-        for (std::size_t l = 0; l < kRows / s; ++l) {
-          const float w = weighted ? static_cast<float>(l + 1) : 1.0f;
-          acc += w * xf[(jc + l * s) * kCols + c];
-        }
-        ASSERT_EQ(Half(acc).bits(), rows_enc(jc, c).bits());
-      }
-    }
-    const ftt::tensor::MatrixH cols_enc =
-        ftt::abft::StridedAbft::encode_cols_strided_widened(
-            xf.data(), kRows, kCols, s, weighted, nullptr);
-    for (std::size_t r = 0; r < kRows; ++r) {
-      for (std::size_t jc = 0; jc < static_cast<std::size_t>(s); ++jc) {
-        float acc = 0.0f;
-        for (std::size_t l = 0; l < kCols / s; ++l) {
-          const float w = weighted ? static_cast<float>(l + 1) : 1.0f;
-          acc += w * xf[r * kCols + jc + l * s];
-        }
-        ASSERT_EQ(Half(acc).bits(), cols_enc(r, jc).bits());
-      }
+/// The naive reference pair assembled into encode_tile_checksums' block
+/// layout [Kc1^T | Kc2^T | Vc1 | Vc2], hooks firing in its order.
+std::vector<Half> reference_block(const ftt::tensor::MatrixH& K,
+                                  const ftt::tensor::MatrixH& V, int s,
+                                  ftt::fault::FaultInjector* inj) {
+  using Abft = ftt::abft::StridedAbft;
+  const std::size_t d = K.cols(), rows = K.rows();
+  const auto su = static_cast<std::size_t>(s);
+  const auto kc1 = Abft::encode_rows_strided(K, s, false, inj);
+  const auto kc2 = Abft::encode_rows_strided(K, s, true, inj);
+  const auto vc1 = Abft::encode_cols_strided(V, s, false, inj);
+  const auto vc2 = Abft::encode_cols_strided(V, s, true, inj);
+  std::vector<Half> block(ftt::core::tile_checksum_halves(rows, d, s));
+  for (std::size_t c = 0; c < d; ++c) {
+    for (std::size_t jc = 0; jc < su; ++jc) {
+      block[c * su + jc] = kc1(jc, c);
+      block[d * su + c * su + jc] = kc2(jc, c);
     }
   }
+  std::copy_n(vc1.data(), rows * su, block.begin() + 2 * d * su);
+  std::copy_n(vc2.data(), rows * su, block.begin() + (2 * d + rows) * su);
+  return block;
+}
 
-  // Unarmed probe: counts hook calls without changing values.
-  ftt::fault::FaultInjector probe;
-  const auto with_probe = ftt::abft::StridedAbft::encode_rows_strided_widened(
-      xf.data(), kRows, kCols, s, false, &probe);
-  EXPECT_EQ(static_cast<std::size_t>(s) * kCols,
-            probe.calls(ftt::fault::Site::kChecksum));
-  const auto without = ftt::abft::StridedAbft::encode_rows_strided_widened(
-      xf.data(), kRows, kCols, s, false, nullptr);
-  for (std::size_t jc = 0; jc < static_cast<std::size_t>(s); ++jc) {
-    for (std::size_t c = 0; c < kCols; ++c) {
-      ASSERT_EQ(without(jc, c).bits(), with_probe(jc, c).bits());
+bool same_bits(const std::vector<Half>& a, const std::vector<Half>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Half)) == 0;
+}
+
+}  // namespace
+
+TEST(GemmSimd, StridedEncodesMatchScalarReferenceAndKeepHookOrder) {
+  // The one encoder (abft::StridedAbft::class_sums, behind
+  // core::encode_tile_checksums) over k-major rows must (a) equal the naive
+  // ascending-l reference pair bit for bit, plain and weighted, on fp16
+  // rows and on exactly widened fp32 rows, at any row and output pitch, and
+  // (b) fire one kChecksum hook per output element in the reference's
+  // order, so a flip at any call index lands on the same value.
+  using Abft = ftt::abft::StridedAbft;
+  constexpr std::size_t kRows = 64;
+  for (const std::size_t d : {std::size_t{32}, std::size_t{64},
+                              std::size_t{128}}) {
+    const auto kf = random_fp16_values(kRows * d, 31 + d);
+    const auto vf = random_fp16_values(kRows * d, 37 + d);
+    ftt::tensor::MatrixH K(kRows, d), V(kRows, d), KT(d, kRows);
+    fn::floats_to_halves(kf.data(), K.data(), K.size());
+    fn::floats_to_halves(vf.data(), V.data(), V.size());
+    fn::transpose_h(K.data(), kRows, d, KT.data());
+    std::vector<float> ktf(KT.size());
+    fn::halves_to_floats(KT.data(), ktf.data(), ktf.size());
+
+    for (int s = 1; s <= static_cast<int>(kRows); s *= 2) {
+      if (d % static_cast<std::size_t>(s) != 0) continue;
+      const auto su = static_cast<std::size_t>(s);
+      const std::size_t n = ftt::core::tile_checksum_halves(kRows, d, s);
+      const std::vector<Half> ref = reference_block(K, V, s, nullptr);
+      std::vector<Half> h(n), w(n);
+      ftt::core::encode_tile_checksums(KT.data(), V.data(), kRows, d, s,
+                                       nullptr, h.data());
+      ftt::core::encode_tile_checksums(ktf.data(), vf.data(), kRows, d, s,
+                                       nullptr, w.data());
+      ASSERT_TRUE(same_bits(ref, h)) << "fp16 rows, d=" << d << " s=" << s;
+      ASSERT_TRUE(same_bits(ref, w)) << "fp32 rows, d=" << d << " s=" << s;
+
+      // The K half once more through class_sums alone, over K^T held at a
+      // wider row pitch and written c2-beside-c1 at pitch 2s (the sealed
+      // Linear columns' layout).
+      const std::size_t ldx = kRows + 16;
+      std::vector<Half> wide(d * ldx);
+      for (std::size_t c = 0; c < d; ++c) {
+        std::copy_n(KT.data() + c * kRows, kRows, wide.begin() + c * ldx);
+      }
+      std::vector<float> sums(d * 2 * su);
+      Abft::class_sums(wide.data(), d, kRows, ldx, s, sums.data(),
+                       sums.data() + su, 2 * su);
+      for (std::size_t c = 0; c < d; ++c) {
+        for (std::size_t jc = 0; jc < su; ++jc) {
+          ASSERT_EQ(ref[c * su + jc].bits(),
+                    Half(sums[c * 2 * su + jc]).bits());
+          ASSERT_EQ(ref[d * su + c * su + jc].bits(),
+                    Half(sums[c * 2 * su + su + jc]).bits());
+        }
+      }
+
+      // Unarmed probe: one hook per block element, values unchanged.
+      ftt::fault::FaultInjector probe;
+      ftt::core::encode_tile_checksums(KT.data(), V.data(), kRows, d, s,
+                                       &probe, h.data());
+      EXPECT_EQ(n, probe.calls(ftt::fault::Site::kChecksum));
+      ASSERT_TRUE(same_bits(ref, h));
+
+      // A bit-30 flip at every 37th call lands on the same element and
+      // value as under the reference.
+      for (std::size_t call = 0; call < n; call += 37) {
+        auto a = ftt::fault::FaultInjector::single(
+            ftt::fault::Site::kChecksum, call, 30);
+        auto b = a;
+        ftt::core::encode_tile_checksums(ktf.data(), vf.data(), kRows, d, s,
+                                         &a, w.data());
+        ASSERT_EQ(1u, a.injected());
+        ASSERT_TRUE(same_bits(reference_block(K, V, s, &b), w))
+            << "d=" << d << " s=" << s << " call=" << call;
+        ASSERT_EQ(1u, b.injected());
+        EXPECT_EQ(a.events()[0].before, b.events()[0].before);
+      }
     }
   }
 }

@@ -426,3 +426,49 @@ TEST(StridedVerifyScreen, CleanGemmPassesEveryClass) {
     EXPECT_EQ(rep.checks, 56u * 2u * static_cast<std::size_t>(s)) << s;
   }
 }
+
+TEST(StridedVerify, HugeChecksumFlipIsAChecksumRepair) {
+  // A c1 checksum flipped to +inf (a bit-30 flip of an encode narrows to
+  // fp16 inf) or just past 1e30, with c2 intact: the payload is intact, so
+  // the class counts one checksum repair and no uncorrectable, the payload
+  // is left alone, and verify_correct_fix_c1 rewrites c1 with the class
+  // sum.
+  for (const float bad : {std::numeric_limits<float>::infinity(), 2e30f}) {
+    ft::MatrixF S(4, 64);
+    ft::fill_normal(S, 7);
+    ft::MatrixF chk1(4, 8, 0.0f), chk2(4, 8, 0.0f);
+    for (std::size_t r = 0; r < 4; ++r) {
+      for (std::size_t jc = 0; jc < 8; ++jc) {
+        for (std::size_t l = 0; l < 8; ++l) {
+          chk1(r, jc) += S(r, jc + l * 8);
+          chk2(r, jc) += static_cast<float>(l + 1) * S(r, jc + l * 8);
+        }
+      }
+    }
+    const ft::MatrixF ref = S;
+    const float sum = chk1(1, 3);
+    chk1(1, 3) = bad;
+    for (const bool scalar : {false, true}) {
+      ft::MatrixF P = S;
+      const auto rep =
+          scalar ? fb::StridedAbft::verify_correct_scalar(P, chk1, chk2, kS,
+                                                          kThr)
+                 : fb::StridedAbft::verify_correct(P, chk1, chk2, kS, kThr);
+      EXPECT_EQ(rep.flagged, 1u) << bad;
+      EXPECT_EQ(rep.checksum_repairs, 1u) << bad;
+      EXPECT_EQ(rep.uncorrectable, 0u) << bad;
+      EXPECT_EQ(rep.corrected, 0u) << bad;
+      EXPECT_TRUE(same_bits(P, ref)) << bad;
+    }
+    ft::MatrixF P = S;
+    ft::MatrixF fixed = chk1;
+    const auto rep =
+        fb::StridedAbft::verify_correct_fix_c1(P, fixed, chk2, kS, kThr);
+    EXPECT_EQ(rep.checksum_repairs, 1u) << bad;
+    EXPECT_EQ(rep.uncorrectable, 0u) << bad;
+    EXPECT_TRUE(same_bits(P, ref)) << bad;
+    EXPECT_EQ(sum, fixed(1, 3)) << bad;
+    fixed(1, 3) = bad;
+    EXPECT_TRUE(same_bits(fixed, chk1)) << "only the flipped class changes";
+  }
+}
