@@ -102,7 +102,7 @@ struct StridedAbft {
                                       std::size_t cols = 0);
 
   /// An N x K GEMM operand B sealed once for repeated protected products
-  /// C = A * B^T, the way TilePool seals KV tiles: the k-major fp16 image
+  /// C = A * B^T, the way TilePool stores KV tiles: the k-major fp16 image
   /// B^T (K x N, the layout gemm_f32_nnh streams) and, for every 64-column
   /// tile t, the k-major strided checksum columns [c1^T | c2^T] (K x 2s)
   /// side by side in one K x (N / kTile * 2s) image — 2s / kTile = 0.25x

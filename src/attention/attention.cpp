@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "attention/kv_stage.hpp"
 #include "numeric/gemm_simd.hpp"
 #include "sim/mma.hpp"
 #include "softmax/softmax.hpp"
@@ -40,6 +39,9 @@ void check_shapes(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
     throw std::invalid_argument(
         std::string(fn) +
         ": Q, K, V and O must share batch x heads x seq x dim");
+  }
+  if (Q.dim() == 0) {
+    throw std::invalid_argument(std::string(fn) + ": dim must be positive");
   }
 }
 
@@ -88,10 +90,14 @@ void flash_attention(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
 
 #pragma omp parallel
   {
-    // Per-thread staging, reused across this thread's slices: the K/V
-    // images (see kv_stage.hpp), the widened Q row block, and the score /
-    // fp16-rounded probability tiles.
-    KvStage kv;
+    // Per-thread staging, reused across this thread's slices: K^T of every
+    // column block at half width (dim x bc from c0 * dim on, the k-major B
+    // operand gemm_f32_nnh widens in registers), the widened Q row block,
+    // and the score / fp16-rounded probability tiles.  V is read in place:
+    // row-major V already is GEMM II's k-major B operand.  Widening is
+    // exact and transposition is pure data movement, so the products are
+    // those of sim::gemm_fp16_nt / gemm_f32h_nn over the fp16 operands.
+    std::vector<Half> kt(seq * dim);
     std::vector<float> qf(B * dim), sij(B * B), pf(B * B);
     std::vector<Half> ph(B * B);
 #pragma omp for schedule(dynamic)
@@ -99,7 +105,12 @@ void flash_attention(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
       const std::size_t bb = sl / Q.heads();
       const std::size_t hh = sl % Q.heads();
       const MatrixH q = load_slice(Q, bb, hh, scale);
-      kv.stage(K.slice(bb, hh).data(), V.slice(bb, hh).data(), seq, dim, B);
+      const Half* k = K.slice(bb, hh).data();
+      const Half* v = V.slice(bb, hh).data();
+      for (std::size_t c0 = 0; c0 < seq; c0 += B) {
+        numeric::transpose_h(k + c0 * dim, std::min(B, seq - c0), dim,
+                             kt.data() + c0 * dim);
+      }
 
       for (std::size_t i = 0; i < nblk; ++i) {
         const std::size_t r0 = i * B;
@@ -117,8 +128,8 @@ void flash_attention(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
           if (causal && c0 > r0 + br - 1) break;
           const std::size_t bc = std::min(B, seq - c0);
           // Score tile, br x bc with row stride bc.
-          numeric::gemm_f32_nn(qf.data(), br, dim, kv.kt(c0), bc, sij.data(),
-                               bc, /*accumulate=*/false);
+          numeric::gemm_f32_nnh(qf.data(), br, dim, kt.data() + c0 * dim, bc,
+                                sij.data(), bc, /*accumulate=*/false);
           if (causal && c0 + bc > r0) {
             // Mask the diagonal block: column c0+c visible to row r0+r only
             // when c0+c <= r0+r.
@@ -146,8 +157,8 @@ void flash_attention(const Tensor4H& Q, const Tensor4H& K, const Tensor4H& V,
           // P rounds through fp16 at the tensor-core boundary, once.
           numeric::floats_to_halves(sij.data(), ph.data(), br * bc);
           numeric::halves_to_floats(ph.data(), pf.data(), br * bc);
-          numeric::gemm_f32_nn(pf.data(), br, bc, kv.v(c0), dim, &oacc(0, 0),
-                               dim, /*accumulate=*/true);
+          numeric::gemm_f32_nnh(pf.data(), br, bc, v + c0 * dim, dim,
+                                &oacc(0, 0), dim, /*accumulate=*/true);
         }
 
         for (std::size_t r = 0; r < br; ++r) {

@@ -39,8 +39,9 @@ inline AttnShape paper_shape(std::size_t seq, std::size_t heads,
 }
 
 /// Throws std::invalid_argument (prefixed with `fn`) unless K, V and O have
-/// Q's batch x heads x seq x dim shape.  Every attention entry point calls
-/// it before any parallel region, where a throw would terminate.
+/// Q's batch x heads x seq x dim shape and dim is positive.  Every attention
+/// entry point calls it before any parallel region, where a throw would
+/// terminate, and before any hook.
 void check_shapes(const tensor::Tensor4H& Q, const tensor::Tensor4H& K,
                   const tensor::Tensor4H& V, const tensor::Tensor4F& O,
                   const char* fn);
@@ -54,9 +55,11 @@ void standard_attention(const tensor::Tensor4H& Q, const tensor::Tensor4H& K,
 
 /// Flash attention (Eqs. 1-7): streaming block softmax with running row-max
 /// and row-sum; O(block) on-chip state, never materializes S.  This is the
-/// unprotected baseline EFTA's overhead is measured against.  Causal masking
-/// skips the strictly-upper block column range and masks the diagonal block.
-/// block == 0 throws std::invalid_argument, as do mismatched shapes.
+/// unprotected baseline EFTA's overhead is measured against, and it streams
+/// the same operand widths as the protected kernel: fp16 K^T and V through
+/// numeric::gemm_f32_nnh.  Causal masking skips the strictly-upper block
+/// column range and masks the diagonal block.  block == 0 throws
+/// std::invalid_argument, as do mismatched shapes and a zero dim.
 void flash_attention(const tensor::Tensor4H& Q, const tensor::Tensor4H& K,
                      const tensor::Tensor4H& V, tensor::Tensor4F& O,
                      std::size_t block = 64, bool causal = false);

@@ -44,14 +44,19 @@ void validate_item(const DecodeWorkItem& it, const EftaOptions& opt) {
   if (kv.n == 0) {
     throw std::invalid_argument("efta decode: empty context (n == 0)");
   }
+  if (kv.d == 0) {
+    throw std::invalid_argument("efta decode: zero head dimension (d == 0)");
+  }
   for (std::size_t j = 0; j < kv.tiles(); ++j) {
+    // An fp16 tile's K comes as K^T or as row-major rows.
     const bool ok =
         kv.fmt != nullptr && kv.fmt[j] == TileFmt::kI8
             ? kv.k_i8 != nullptr && kv.v_i8 != nullptr &&
                   kv.k_scale != nullptr && kv.v_scale != nullptr &&
                   kv.k_i8[j] != nullptr && kv.v_i8[j] != nullptr
-            : kv.k_tiles != nullptr && kv.v_tiles != nullptr &&
-                  kv.k_tiles[j] != nullptr && kv.v_tiles[j] != nullptr;
+            : kv.v_tiles != nullptr && kv.v_tiles[j] != nullptr &&
+                  ((kv.f16t != nullptr && kv.f16t[j] != nullptr) ||
+                   (kv.k_tiles != nullptr && kv.k_tiles[j] != nullptr));
     if (!ok) {
       throw std::invalid_argument(
           "efta decode: tile " + std::to_string(j) +
@@ -182,17 +187,19 @@ void row_sums(const MatrixF& P, std::size_t r0, float* sums) {
 /// RNG.
 ///
 /// Hot-path layout: full 64-row tiles are consumed zero-copy straight from
-/// the cache storage (only the ragged tail is pad-and-copied into scratch),
-/// and every tile runs one operand path, whatever its format.  The score
-/// GEMM and GEMM II stream the payload at storage width — an int8 tile
-/// through the fused dequantizing kernels, an fp16 tile through the fused
-/// fp16-operand kernels over its sealed K^T image, or over a per-call
-/// transpose where it has none (the ragged tail, a raw slice).  The four
-/// checksum GEMMs stream the tile's checksum block: its sealed one, or one
-/// encoded fresh through the hooks (the ragged tail, a raw slice, a block
-/// sealed at another stride, a sealed tile whose encode hooks would flip)
-/// from the k-major rows the score GEMM reads: K^T, or an int8 tile's
-/// exactly dequantized payload.  Every kernel widens exactly and keeps the
+/// the cache storage (only the ragged tail's V, and its K where it has no
+/// K^T, are pad-and-copied into scratch), and every tile runs one operand
+/// path, whatever its format.  The score GEMM and GEMM II stream the
+/// payload at storage width — an int8 tile through the fused dequantizing
+/// kernels, an fp16 tile through the fused fp16-operand kernels over its
+/// K^T (a pool tile's plane, the open tail's included, or efta_attention's
+/// staged image), or over a per-call transpose where it has none (a raw
+/// slice, efta_attention's sub-64 slice).  The four checksum GEMMs stream
+/// the tile's checksum block: its sealed one, or one encoded fresh through
+/// the hooks (the ragged tail, a raw slice, a block sealed at another
+/// stride, a sealed tile whose encode hooks would flip) from the k-major
+/// rows the score GEMM reads: K^T, or an int8 tile's exactly dequantized
+/// payload.  Every kernel widens exactly and keeps the
 /// ascending-k order, and transposes are pure data movement, so all of
 /// these give the same bits.  An injector changes hooks, never operands: a
 /// sealed block stands in whenever `skip` vouches that none of the encode
@@ -251,9 +258,10 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
   // product check and its repair read.
   MatrixF S(R, B), P(R, B), schk1(R, su), schk2(R, su);
   // fp16 scratch for the ragged tail only; full tiles are read in place.
-  std::vector<Half> ktail(B * d), vtail(B * d);
-  // K^T of an fp16 tile without a sealed image.
-  std::vector<Half> kt_fresh(B * d);
+  std::vector<Half> vtail(B * d);
+  // A raw tile's padded tail rows and K^T, for tiles that come as row-major
+  // rows only.
+  std::vector<Half> ktail, kt_fresh;
   // A checksum block encoded fresh, when no sealed one can serve.
   std::vector<Half> enc_fresh(enc_n);
   // An int8 tile's exactly dequantized K^T and V, for its fresh encode only.
@@ -270,25 +278,30 @@ FtReport block_slice(const DecodeWorkItem& it, const EftaOptions& opt,
     const std::size_t tile_valid = std::min(B, n - j * B);
     const bool full = tile_valid == B;
     const bool is_i8 = it.kv.fmt != nullptr && it.kv.fmt[j] == TileFmt::kI8;
-    const Half* kt = is_i8 ? nullptr : it.kv.k_tiles[j];
     const Half* vt = is_i8 ? nullptr : it.kv.v_tiles[j];
     if (!full && !is_i8) {
       // Only the ragged tail tile is materialized: its storage may hold
       // fewer than 64 readable rows (contiguous-cache views), so pad-and-
       // copy it into the zero-filled checksum footprint.
-      std::memcpy(ktail.data(), kt, tile_valid * d * sizeof(Half));
       std::memcpy(vtail.data(), vt, tile_valid * d * sizeof(Half));
-      std::fill(ktail.begin() + tile_valid * d, ktail.end(), Half());
       std::fill(vtail.begin() + tile_valid * d, vtail.end(), Half());
-      kt = ktail.data();
       vt = vtail.data();
       ++testing::tiles_materialized();
     }
-    // K^T (the sealed image, or a transpose of the tile or padded tail),
-    // resolved first so a fresh encode reads it; transposes fire no hooks.
+    // K^T — the tile's own (zero past the valid rows), or a transpose of
+    // its row-major K, padded first if it is the tail — resolved first so
+    // a fresh encode reads it; transposes fire no hooks.
     const Half* kimg =
-        full && !is_i8 && it.kv.f16t != nullptr ? it.kv.f16t[j] : nullptr;
+        is_i8 || it.kv.f16t == nullptr ? nullptr : it.kv.f16t[j];
     if (kimg == nullptr && !is_i8) {
+      const Half* kt = it.kv.k_tiles[j];
+      kt_fresh.resize(B * d);
+      if (!full) {
+        ktail.resize(B * d);
+        std::memcpy(ktail.data(), kt, tile_valid * d * sizeof(Half));
+        std::fill(ktail.begin() + tile_valid * d, ktail.end(), Half());
+        kt = ktail.data();
+      }
       numeric::transpose_h(kt, B, d, kt_fresh.data());
       kimg = kt_fresh.data();
     }
@@ -710,8 +723,8 @@ FtReport efta_attention(const Tensor4H& Q, const Tensor4H& K,
   if (seq == 0) return {};
 
   // Stage each (batch, head) slice once as a KV cache of 64-row tiles: a
-  // full tile gets its K^T image and its checksum block, the sealed
-  // operands of a serve::TilePool tile.  A slice shorter than one tile is
+  // full tile gets its K^T image and its checksum block, the operands a
+  // sealed serve::TilePool tile stores.  A slice shorter than one tile is
   // a ragged tail, which the kernel pads, transposes and encodes per call.
   const std::size_t heads = Q.heads(), slices = Q.batch() * heads;
   const std::size_t nblk = (seq + B - 1) / B, tiles = slices * nblk;

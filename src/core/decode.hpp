@@ -63,29 +63,25 @@ namespace ftt::core {
 /// (exactly) dequantized payload for the decode-time ABFT GEMMs.
 enum class TileFmt : std::uint8_t { kF16 = 0, kI8 = 1 };
 
-/// The one seal-time image of a sealed fp16 (kF16) tile, kF16T: K^T, the
-/// stored K rows transposed into the d x 64 k-major layout the score GEMM
-/// streams through gemm_f32_nnh (64 d halves, the K tile's own size) and
-/// the checksum encoder reads.  The checksum block needs no image — it is
-/// already k-major (KvSlice::enc) — and neither does V, the k-major B
-/// operand of GEMM II as stored.  The image is pure data movement and the
-/// fused kernels widen exactly, so decoding over it is bit-identical to
-/// transposing the tile per call.
-/// Every sealed fp16 tile of a serve::TilePool carries one; the tag
-/// survives only as TilePoolOptions::images' one value.
+/// The K layout of an fp16 (kF16) pool tile, kF16T: K^T, the d x 64
+/// k-major layout the score GEMM streams through gemm_f32_nnh and the
+/// checksum encoder reads (KvSlice::f16t).  A serve::TilePool stores every
+/// fp16 tile's K this way from its first append, so it is the only layout;
+/// the tag survives only as TilePoolOptions::images' one value.
 enum class ImagePolicy : std::uint8_t { kF16T };
 
 /// Read-only tiled view of one (request, head) KV slice.  Tile t holds rows
-/// [64t, min(64(t+1), n)) of the logical n x d cache, row-major, in storage
-/// of 64 x d halves; rows past the valid count must not be read (the kernel
-/// zero-pads its working tile instead).  This is the natural shape of a
-/// growable KV cache that appends in 64-row tiles without relocating old
-/// rows — and, just as deliberately, of a *paged* cache whose block table
-/// maps context tiles to pooled storage (serve::TilePool): the per-tile
-/// pointer indirection means the kernel never distinguishes private,
-/// pooled or prefix-shared tiles, so paging and sharing are invisible to
-/// the verified decode path and cannot perturb its bit-identity
-/// guarantees.
+/// [64t, min(64(t+1), n)) of the logical n x d cache.  V is row-major, in
+/// storage of 64 x d halves; rows past the valid count must not be read
+/// (the kernel zero-pads its working tile instead).  K comes as K^T
+/// (`f16t`) or as row-major rows (`k_tiles`), see below.  This is the
+/// natural shape of a growable KV cache that appends in 64-row tiles
+/// without relocating old rows — and, just as deliberately, of a *paged*
+/// cache whose block table maps context tiles to pooled storage
+/// (serve::TilePool): the per-tile pointer indirection means the kernel
+/// never distinguishes private, pooled or prefix-shared tiles, so paging
+/// and sharing are invisible to the verified decode path and cannot
+/// perturb its bit-identity guarantees.
 ///
 /// Every tile reaches the kernel as one operand set, whatever its format:
 /// K^T for the score GEMM, V for GEMM II, both at storage width, and one
@@ -93,6 +89,9 @@ enum class ImagePolicy : std::uint8_t { kF16T };
 struct KvSlice {
   static constexpr std::size_t kTileRows = 64;
 
+  /// Optional row-major K per tile, 64 x d halves like V — a raw slice's
+  /// layout.  The kernel pads (a ragged tail) and transposes such a tile
+  /// per call; it reads k_tiles[j] only for a tile without an f16t entry.
   const numeric::Half* const* k_tiles = nullptr;
   const numeric::Half* const* v_tiles = nullptr;
   std::size_t n = 0;  ///< valid context rows
@@ -114,14 +113,16 @@ struct KvSlice {
   const numeric::Half* const* enc = nullptr;
   int enc_stride = 0;  ///< checksum stride the blocks were built with
 
-  /// Optional kF16T image per sealed fp16 tile (ImagePolicy::kF16T): entry
-  /// j, when non-null, is K^T of tile j, d x 64 halves.  A full fp16 tile
-  /// without one (a raw slice, the ragged tail) is transposed per call.
+  /// Optional K^T per fp16 tile (ImagePolicy::kF16T): entry j, when
+  /// non-null, is K^T of tile j, d x 64 halves, whose columns past the
+  /// valid count must be zero.  A serve::TilePool slice passes one for
+  /// every fp16 tile, the open ragged tail included, and no k_tiles; the
+  /// kernel streams it in place.
   const numeric::Half* const* f16t = nullptr;
 
   /// Optional per-tile storage formats (null == every tile is kF16, the
   /// layout every field above describes).  A kI8 tile streams its payload
-  /// from k_i8/v_i8 instead of k_tiles/v_tiles (which are null for it) and
+  /// from k_i8/v_i8 instead of f16t/v_tiles (which are null for it) and
   /// widens by exact dequantization — k_scale/v_scale hold the per-tile
   /// power-of-two scales, so q * scale is exact and the decode GEMMs keep
   /// every bit-identity contract.  Layouts are GEMM-native: k_i8[j] is the
@@ -166,8 +167,9 @@ struct DecodeWorkItem {
 /// witnesses every row, exactly like the per-tile block verifies inside —
 /// and `faults_injected` counts only the flips placed during this call
 /// (delta, not the injector's lifetime total), matching the batch entry's
-/// per-item accounting.  A malformed item — bad shapes or strides, or a
-/// tile lacking the payload pointers its format reads — throws
+/// per-item accounting.  A malformed item — bad shapes or strides (d == 0
+/// included), or a tile lacking the payload pointers its format reads (an
+/// fp16 tile needs V and one of f16t[j] or k_tiles[j]) — throws
 /// std::invalid_argument before any work or hook.
 attention::FtReport efta_decode_block(const DecodeWorkItem& item,
                                       const EftaOptions& opt = {},
@@ -212,8 +214,9 @@ attention::FtReport efta_decode_batch(
 namespace testing {
 /// Thread-local count of KV tiles the kernel has pad-and-copied into scratch
 /// since thread start.  Full tiles are consumed zero-copy, so only a ragged
-/// tail tile may ever bump this — the property the zero-copy unit test pins
-/// down.  Test-only observability; not part of the serving API.
+/// tail tile may ever bump this (its V rows, and its K rows when it has no
+/// K^T entry) — the property the zero-copy unit test pins down.  Test-only
+/// observability; not part of the serving API.
 std::size_t& tiles_materialized() noexcept;
 /// Thread-local count of KV tiles the kernel has checksum-encoded fresh
 /// since thread start: the ragged tail, plus any sealed tile whose block

@@ -107,8 +107,8 @@ void encode_tile_checksums(const T* kt, const T* v, std::size_t rows,
 /// images and checksum blocks, and each 64-row Q block runs as one item of
 /// efta_decode_batch's runner: OpenMP-parallel with or without an injector,
 /// and bit for bit a serial loop over the blocks in slice order.
-/// Mismatched Q/K/V/O shapes, a stride that does not divide dim and the
-/// 64-row tile, and a seq past 64 that is not a multiple of 64 throw
+/// Mismatched Q/K/V/O shapes, a zero dim, a stride that does not divide dim
+/// and the 64-row tile, and a seq past 64 that is not a multiple of 64 throw
 /// std::invalid_argument before any block runs.  (Defined beside the
 /// kernel, in decode.cpp.)
 attention::FtReport efta_attention(const tensor::Tensor4H& Q,

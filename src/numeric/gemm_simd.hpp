@@ -83,13 +83,12 @@ void gemm_f32_nn_i8_scalar(const float* A, std::size_t M, std::size_t K,
 
 /// out (cols x rows) = transpose of in (rows x cols).  Pure data movement
 /// (no rounding), cache-blocked.  Used to pack the N x K operand of
-/// gemm_f32_nt into the k-major layout gemm_f32_nn consumes, and to lay a
-/// sealed int8 tile's K payload out k-major at quantization time.
+/// gemm_f32_nt into the k-major layout gemm_f32_nn consumes.
 void transpose_f32(const float* in, std::size_t rows, std::size_t cols,
                    float* out) noexcept;
-/// Same at half width: seals a Linear's N x K weights, and a sealed KV
-/// tile's K side (the kF16T image), into the k-major layout gemm_f32_nnh
-/// streams.
+/// Same at half width: seals a Linear's N x K weights, and stages raw K
+/// rows (efta_attention's and flash_attention's slices, a raw decode
+/// slice), into the k-major layout gemm_f32_nnh streams.
 void transpose_h(const Half* in, std::size_t rows, std::size_t cols,
                  Half* out) noexcept;
 

@@ -121,13 +121,15 @@ struct EngineOptions {
   /// Default sealed-tile storage format for submit(): true stores every
   /// sealed KV tile int8-quantized (core::TileFmt::kI8 — per-tile
   /// power-of-two scales, exact integer checksums at rest, fp16-derived
-  /// decode memo; see docs/QUANTIZATION.md), 1.40x less sealed-tile memory
-  /// than a sealed fp16 tile with its f16t image.  Per-request
-  /// override: submit_with_format().  Both formats share the one pool —
-  /// sealed-tile images apply only to fp16 tiles — and fp16 requests stay
-  /// bit-identical to a pure-fp16 run.  Defaults to the process-wide
-  /// default_tile_format() — kF16 unless the FTT_KV_QUANT environment
-  /// toggle flips the whole serve stack to int8 (the CI matrix leg).
+  /// decode memo; see docs/QUANTIZATION.md).  At head dim 64, stride 8 a
+  /// sealed int8 block (20,504 B) is 24 B larger than an fp16 one (20,480
+  /// B): the int32 at-rest encodings cost what the payload saves.  At dim
+  /// 128 it is smaller (30,744 against 38,912 B).  Per-request override:
+  /// submit_with_format().  Both formats share the one pool, and fp16
+  /// requests stay bit-identical to a pure-fp16 run.  Defaults to the
+  /// process-wide default_tile_format() — kF16 unless the FTT_KV_QUANT
+  /// environment toggle flips the whole serve stack to int8 (the CI matrix
+  /// leg).
   bool kv_quant = default_tile_format() == core::TileFmt::kI8;
   /// Speculative decode: maximum drafted tokens scored per decoding
   /// request per tick (0 = off, the serial q_len = 1 path).  Each tick

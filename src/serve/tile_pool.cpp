@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "abft/int8_checksums.hpp"
-#include "numeric/gemm_simd.hpp"
 #include "numeric/int8_simd.hpp"
 #include "tensor/tensor.hpp"
 
@@ -38,24 +37,23 @@ I8TileLayout i8_tile_layout(std::size_t dim, int s) noexcept {
   return L;
 }
 
-void quantize_sealed_tile(const Half* k_tile, const Half* v_tile,
+void quantize_sealed_tile(const Half* kt_tile, const Half* v_tile,
                           std::size_t dim, int s, std::uint8_t* block) {
   constexpr std::size_t kRows = TilePool::kTileRows;
   const I8TileLayout L = i8_tile_layout(dim, s);
   const std::size_t n = kRows * dim;
-  std::vector<float> kf(n), vf(n), ktf(n);
-  tensor::widen(MatrixHView{k_tile, kRows, dim, dim}, kf.data());
+  std::vector<float> ktf(n), vf(n);
+  tensor::widen(MatrixHView{kt_tile, dim, kRows, kRows}, ktf.data());
   tensor::widen(MatrixHView{v_tile, kRows, dim, dim}, vf.data());
   const numeric::I8Scale ks = numeric::choose_i8_scale(
-      numeric::amax_f32(kf.data(), n));
+      numeric::amax_f32(ktf.data(), n));
   const numeric::I8Scale vs = numeric::choose_i8_scale(
       numeric::amax_f32(vf.data(), n));
-  // K quantizes through its k-major (transposed) image: the stored payload
-  // is K^T, the layout the fused score GEMM streams directly.  V stays
-  // row-major: that is already GEMM II's k-major B operand.
+  // Both operands quantize in their stored layouts: K^T, the k-major
+  // payload the fused score GEMM streams directly, and row-major V, already
+  // GEMM II's k-major B operand.
   std::int8_t* kq = i8_k(block, L);
   std::int8_t* vq = i8_v(block, L);
-  numeric::transpose_f32(kf.data(), kRows, dim, ktf.data());
   numeric::quantize_f32_to_i8(ktf.data(), kq, n, ks.inv_scale);
   numeric::quantize_f32_to_i8(vf.data(), vq, n, vs.inv_scale);
   // The checksum block of the exactly-dequantized payload as stored (the
@@ -199,27 +197,20 @@ std::size_t TilePool::offset(std::size_t layer,
 
 // The fp16 accessors null out once a kI8 tile seals (its staging slab is
 // freed); callers branch on format() / nullptr.
-Half* TilePool::k_tile(TileId id, std::size_t layer,
-                       std::size_t head) noexcept {
+Half* TilePool::kt_tile(TileId id, std::size_t layer,
+                        std::size_t head) noexcept {
   Half* slab = tiles_[id].slab.get();
   return slab == nullptr ? nullptr : slab + offset(layer, head);
 }
 Half* TilePool::v_tile(TileId id, std::size_t layer,
                        std::size_t head) noexcept {
-  Half* k = k_tile(id, layer, head);
-  return k == nullptr ? nullptr : k + kTileRows * dim_;
+  Half* kt = kt_tile(id, layer, head);
+  return kt == nullptr ? nullptr : kt + kTileRows * dim_;
 }
 Half* TilePool::enc_block(TileId id, std::size_t layer,
                           std::size_t head) noexcept {
   Half* v = v_tile(id, layer, head);
   return v == nullptr ? nullptr : v + kTileRows * dim_;
-}
-Half* TilePool::f16t_image(TileId id, std::size_t layer,
-                           std::size_t head) noexcept {
-  // Null for kI8 tiles (no hslab).
-  Half* hslab = tiles_[id].hslab.get();
-  if (hslab == nullptr) return nullptr;
-  return hslab + (layer * heads_ + head) * kTileRows * dim_;
 }
 core::TileFmt TilePool::format(TileId id) const { return checked(id).format; }
 std::uint8_t* TilePool::i8_block(TileId id, std::size_t layer,
@@ -244,29 +235,24 @@ const TilePool::Tile& TilePool::checked(TileId id) const {
 
 void TilePool::recycle(TileId id, core::TileFmt fmt) {
   Tile& t = tiles_[id];
-  // Zero the whole fp16 slab: fresh K/V rows are the decode kernel's
-  // ragged-tail padding, and stale sealed encodings must never leak into a
-  // new tile.  A sealed kI8 tile freed its staging slab; reallocate
-  // (value-init: zeroed).
+  // Zero the whole fp16 slab: fresh K^T columns and V rows are the decode
+  // kernel's ragged-tail padding, and stale sealed encodings must never
+  // leak into a new tile.  A sealed kI8 tile freed its staging slab;
+  // reallocate (value-init: zeroed).
   if (t.slab == nullptr) {
     t.slab = std::make_unique<Half[]>(slab_halves_);
   } else {
     std::fill_n(t.slab.get(), slab_halves_, Half{});
   }
-  // Format conversion: each format carries exactly its own slabs.  The
-  // image and i8 slabs are never zeroed — both are fully written at seal
-  // time and never read before.
+  // Format conversion: only a kI8 tile carries an i8 slab, never zeroed —
+  // it is fully written at seal time and never read before.
   if (fmt == core::TileFmt::kI8) {
-    t.hslab.reset();
     if (t.qslab == nullptr) {
       t.qslab = std::unique_ptr<std::uint8_t[]>(
           new std::uint8_t[layers_ * heads_ * i8_block_bytes_]);
     }
   } else {
     t.qslab.reset();
-    if (t.hslab == nullptr) {
-      t.hslab = std::unique_ptr<Half[]>(new Half[image_halves()]);
-    }
   }
   t.format = fmt;
   t.sealed = false;
@@ -284,11 +270,10 @@ enum class ScrubOutcome { kClean, kRepaired, kUnrepairable };
 
 // Re-verify one (layer, head) block of a sealed tile and repair in place
 // where the single-fault classification allows it (see TilePool::scrub docs).
-// `enc_fresh` / `img_fresh` are caller-provided scratch.
+// `enc_fresh` is caller-provided scratch.
 ScrubOutcome scrub_block(TilePool& pool, TilePool::TileId id,
                          std::size_t layer, std::size_t head,
-                         std::vector<Half>& enc_fresh,
-                         std::vector<Half>& img_fresh) {
+                         std::vector<Half>& enc_fresh) {
   constexpr std::size_t kRows = TilePool::kTileRows;
   const std::size_t dim = pool.dim();
   const int s = pool.enc_stride();
@@ -305,53 +290,25 @@ ScrubOutcome scrub_block(TilePool& pool, TilePool::TileId id,
     }
     return ScrubOutcome::kUnrepairable;  // unreachable
   }
-  Half* k = pool.k_tile(id, layer, head);
-  Half* v = pool.v_tile(id, layer, head);
   Half* enc = pool.enc_block(id, layer, head);
-  Half* img = pool.f16t_image(id, layer, head);
-  // Encodes from the slab's K^T, left in img_fresh.
-  const auto mismatches = [&] {
-    numeric::transpose_h(k, kRows, dim, img_fresh.data());
-    core::encode_tile_checksums(img_fresh.data(), v, kRows, dim, s, nullptr,
-                                enc_fresh.data());
-    std::size_t count = 0;
-    for (std::size_t i = 0; i < enc_fresh.size(); ++i) {
-      if (enc_fresh[i].bits() != enc[i].bits()) ++count;
-    }
-    return count;
-  };
-
-  const std::size_t bad = mismatches();
-  if (bad == 0) {
-    // Payload and checksums agree bit for bit.  Cross-check the image; the
-    // fp16 slab is authoritative, so a disagreeing image is rebuilt from it
-    // (a pure bit transpose, deterministic).
-    if (std::memcmp(img_fresh.data(), img,
-                    img_fresh.size() * sizeof(Half)) != 0) {
-      std::memcpy(img, img_fresh.data(), img_fresh.size() * sizeof(Half));
-      return ScrubOutcome::kRepaired;
-    }
-    return ScrubOutcome::kClean;
+  core::encode_tile_checksums(pool.kt_tile(id, layer, head),
+                              pool.v_tile(id, layer, head), kRows, dim, s,
+                              nullptr, enc_fresh.data());
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < enc_fresh.size(); ++i) {
+    if (enc_fresh[i].bits() != enc[i].bits()) ++bad;
   }
+  if (bad == 0) return ScrubOutcome::kClean;
   if (bad == 1) {
     // A payload flip perturbs several checksum elements (each K/V element
     // feeds at least a plain and a weighted sum); a single disagreement is
     // checksum-class corruption, and the fresh encode is the repair.
     std::memcpy(enc, enc_fresh.data(), enc_fresh.size() * sizeof(Half));
-    std::memcpy(img, img_fresh.data(), img_fresh.size() * sizeof(Half));
     return ScrubOutcome::kRepaired;
   }
-  // Payload-class corruption: the K^T image is the only second copy, and it
-  // covers K alone — the de-transpose restores K's Half bits verbatim, but
-  // a corrupt V payload re-verifies dirty below and the tile drops (the
-  // durability trade for carrying no V image).
-  numeric::transpose_h(img, dim, kRows, k);
-  // Re-verify: the restored payload must reproduce the stored checksums
-  // (clean under the single-fault assumption).  A residual mismatch means
-  // the corruption was in V or the image was corrupt too — either way
-  // beyond repair.
-  if (mismatches() != 0) return ScrubOutcome::kUnrepairable;
-  return ScrubOutcome::kRepaired;
+  // Payload-class corruption: the slab holds each key and value once, so
+  // the tile drops and its owners replay.
+  return ScrubOutcome::kUnrepairable;
 }
 
 }  // namespace
@@ -361,7 +318,6 @@ ScrubReport TilePool::scrub(std::size_t max_tiles) {
   if (max_tiles == 0 || tiles_.empty()) return rep;
   std::vector<Half> enc_fresh(
       core::tile_checksum_halves(kTileRows, dim_, enc_stride_));
-  std::vector<Half> img_fresh(kTileRows * dim_);
   const std::size_t n = tiles_.size();
   std::size_t visited = 0;
   while (visited < n && rep.scanned < max_tiles) {
@@ -373,7 +329,7 @@ ScrubReport TilePool::scrub(std::size_t max_tiles) {
     bool unrepairable = false;
     for (std::size_t l = 0; l < layers_ && !unrepairable; ++l) {
       for (std::size_t h = 0; h < heads_ && !unrepairable; ++h) {
-        switch (scrub_block(*this, id, l, h, enc_fresh, img_fresh)) {
+        switch (scrub_block(*this, id, l, h, enc_fresh)) {
           case ScrubOutcome::kClean:
             break;
           case ScrubOutcome::kRepaired:
@@ -419,26 +375,12 @@ void flip_slab_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
   if (half_index >= per_lh) {
     throw std::out_of_range("flip_slab_bit: half_index out of block");
   }
-  Half* block = pool.k_tile(id, layer, head);  // [K | V | enc] contiguous
+  Half* block = pool.kt_tile(id, layer, head);  // [K^T | V | enc] contiguous
   if (block == nullptr) {
     throw std::logic_error(
         "flip_slab_bit: tile holds no fp16 slab (a sealed kI8 tile freed it)");
   }
   Half& h = block[half_index];
-  h = Half::from_bits(
-      static_cast<std::uint16_t>(h.bits() ^ (1u << (bit & 15u))));
-}
-
-void flip_f16t_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
-                   std::size_t head, std::size_t half_index, unsigned bit) {
-  Half* img = pool.f16t_image(id, layer, head);
-  if (img == nullptr) {
-    throw std::logic_error("flip_f16t_bit: tile holds no f16t image");
-  }
-  if (half_index >= TilePool::kTileRows * pool.dim()) {
-    throw std::out_of_range("flip_f16t_bit: half_index out of block");
-  }
-  Half& h = img[half_index];
   h = Half::from_bits(
       static_cast<std::uint16_t>(h.bits() ^ (1u << (bit & 15u))));
 }
@@ -475,11 +417,9 @@ TilePool::TileId TilePool::acquire(core::TileFmt fmt) {
     t.format = fmt;
     if (fmt == core::TileFmt::kI8) {
       // No value-init: fully written at seal time, never read before (the
-      // i8 pointers are published only on seal).  Same for hslab below.
+      // i8 pointers are published only on seal).
       t.qslab = std::unique_ptr<std::uint8_t[]>(
           new std::uint8_t[layers_ * heads_ * i8_block_bytes_]);
-    } else {
-      t.hslab = std::unique_ptr<Half[]>(new Half[image_halves()]);
     }
     t.refs = 1;
     tiles_.push_back(std::move(t));
@@ -568,30 +508,14 @@ std::size_t TilePool::allocatable() const noexcept {
 
 std::size_t TilePool::refcount(TileId id) const { return checked(id).refs; }
 
-namespace {
-
-// One tile's actual current footprint: formats differ per tile, and a kI8
-// tile's staging slab exists only until it seals.
-template <typename TileT>
-std::size_t tile_footprint(const TileT& t, std::size_t slab_halves,
-                           std::size_t qslab_bytes,
-                           std::size_t hslab_halves) noexcept {
-  std::size_t b = 0;
-  if (t.slab != nullptr) b += slab_halves * sizeof(Half);
-  if (t.hslab != nullptr) b += hslab_halves * sizeof(Half);
-  if (t.qslab != nullptr) b += qslab_bytes;
-  return b;
-}
-
-}  // namespace
-
 std::size_t TilePool::bytes_in_use() const noexcept {
-  const std::size_t qslab_bytes = layers_ * heads_ * i8_block_bytes_;
+  // Each tile's actual current footprint: formats differ per tile, and a
+  // kI8 tile's staging slab exists only until it seals.
   std::size_t b = 0;
   for (const Tile& t : tiles_) {
-    if (t.refs != 0) {
-      b += tile_footprint(t, slab_halves_, qslab_bytes, image_halves());
-    }
+    if (t.refs == 0) continue;
+    if (t.slab != nullptr) b += slab_halves_ * sizeof(Half);
+    if (t.qslab != nullptr) b += layers_ * heads_ * i8_block_bytes_;
   }
   return b;
 }
@@ -600,7 +524,7 @@ std::size_t TilePool::tile_bytes(core::TileFmt fmt) const noexcept {
   if (fmt == core::TileFmt::kI8) {
     return layers_ * heads_ * i8_block_bytes_;
   }
-  return (slab_halves_ + image_halves()) * sizeof(Half);
+  return slab_halves_ * sizeof(Half);
 }
 
 core::TileFmt default_tile_format() noexcept {
@@ -643,8 +567,9 @@ void PagedKvCache::push_tile_ptrs(TilePool::TileId id, bool with_enc) {
     for (std::size_t h = 0; h < heads; ++h) {
       HeadPtrs& hp = ptrs_[l * heads + h];
       // For a sealed kI8 tile these are null (its staging slab is freed) —
-      // the decode kernel never dereferences them when fmt says kI8.
-      hp.k.push_back(pool_->k_tile(id, l, h));
+      // the decode kernel never dereferences them when fmt says kI8.  Every
+      // fp16 tile, the open tail included, streams its K^T plane.
+      hp.f16t.push_back(pool_->kt_tile(id, l, h));
       hp.v.push_back(pool_->v_tile(id, l, h));
       if (i8) {
         const std::uint8_t* block = pool_->i8_block(id, l, h);
@@ -661,13 +586,6 @@ void PagedKvCache::push_tile_ptrs(TilePool::TileId id, bool with_enc) {
         hp.ks.push_back(0.0f);
         hp.vs.push_back(0.0f);
       }
-      // Sealed shared tiles arrive with their image already built (the
-      // sealing request wrote it); fresh tiles get theirs at seal time.
-      // Null for kI8 tiles — the image is the fp16-only fast path.
-      hp.f16t.push_back(with_enc
-                            ? static_cast<const Half*>(
-                                  pool_->f16t_image(id, l, h))
-                            : nullptr);
     }
   }
 }
@@ -721,7 +639,7 @@ void PagedKvCache::seal_layer_tile(std::size_t layer, std::size_t tile_index) {
     const detail::I8TileLayout L = detail::i8_tile_layout(dim, s);
     for (std::size_t h = 0; h < heads; ++h) {
       std::uint8_t* block = pool_->i8_block(id, layer, h);
-      detail::quantize_sealed_tile(pool_->k_tile(id, layer, h),
+      detail::quantize_sealed_tile(pool_->kt_tile(id, layer, h),
                                    pool_->v_tile(id, layer, h), dim, s,
                                    block);
       const float* scales = detail::i8_scales(block, L);
@@ -731,7 +649,7 @@ void PagedKvCache::seal_layer_tile(std::size_t layer, std::size_t tile_index) {
       hp.vq[tile_index] = detail::i8_v(block, L);
       hp.ks[tile_index] = scales[0];
       hp.vs[tile_index] = scales[3];
-      hp.k[tile_index] = nullptr;
+      hp.f16t[tile_index] = nullptr;
       hp.v[tile_index] = nullptr;
     }
     layer_fmt_[layer][tile_index] = core::TileFmt::kI8;
@@ -743,14 +661,10 @@ void PagedKvCache::seal_layer_tile(std::size_t layer, std::size_t tile_index) {
   }
   for (std::size_t h = 0; h < heads; ++h) {
     Half* enc = pool_->enc_block(id, layer, h);
-    Half* img = pool_->f16t_image(id, layer, h);
-    numeric::transpose_h(pool_->k_tile(id, layer, h), TilePool::kTileRows,
-                         dim, img);
-    core::encode_tile_checksums(img, pool_->v_tile(id, layer, h),
+    core::encode_tile_checksums(pool_->kt_tile(id, layer, h),
+                                pool_->v_tile(id, layer, h),
                                 TilePool::kTileRows, dim, s, nullptr, enc);
-    HeadPtrs& hp = ptrs_[layer * heads + h];
-    hp.enc[tile_index] = enc;
-    hp.f16t[tile_index] = img;
+    ptrs_[layer * heads + h].enc[tile_index] = enc;
   }
   // The last layer fills last within a tick: its seal completes the tile.
   if (layer == pool_->layers() - 1) {
@@ -785,13 +699,18 @@ void PagedKvCache::append_chunk(std::size_t layer,
         "PagedKvCache: append beyond ensured capacity — the engine's memory "
         "phase must run first");
   }
+  // Each row's K lands as one column of its tile's K^T plane, its V as
+  // one row.
   for (std::size_t r = 0; r < rows; ++r) {
     const std::size_t tile = (len + r) / TilePool::kTileRows;
     const std::size_t row = (len + r) % TilePool::kTileRows;
     const TilePool::TileId id = table_[tile];
     for (std::size_t h = 0; h < heads; ++h) {
-      std::memcpy(pool_->k_tile(id, layer, h) + row * dim,
-                  k.data() + (r * heads + h) * dim, dim * sizeof(Half));
+      const Half* kr = k.data() + (r * heads + h) * dim;
+      Half* kt = pool_->kt_tile(id, layer, h) + row;
+      for (std::size_t c = 0; c < dim; ++c) {
+        kt[c * TilePool::kTileRows] = kr[c];
+      }
       std::memcpy(pool_->v_tile(id, layer, h) + row * dim,
                   v.data() + (r * heads + h) * dim, dim * sizeof(Half));
     }
@@ -829,9 +748,10 @@ void PagedKvCache::truncate(std::size_t tokens) {
   }
   const std::size_t need =
       (tokens + TilePool::kTileRows - 1) / TilePool::kTileRows;
-  // Zero the rolled-back rows of the tiles we keep: later appends (and the
-  // kernel's ragged-tail checksums) rely on rows past the valid count being
-  // zero.  Dropped tail tiles skip this — the pool zeroes them on reuse.
+  // Zero the rolled-back rows (K^T columns, V rows) of the tiles we keep:
+  // later appends and the kernel's ragged tail rely on everything past the
+  // valid count being zero.  Dropped tail tiles skip this — the pool zeroes
+  // them on reuse.
   const std::size_t kept_rows = std::min(len, need * TilePool::kTileRows);
   for (std::size_t layer = 0; layer < pool_->layers(); ++layer) {
     for (std::size_t r = tokens; r < kept_rows; ++r) {
@@ -839,7 +759,10 @@ void PagedKvCache::truncate(std::size_t tokens) {
       const std::size_t row = r % TilePool::kTileRows;
       const TilePool::TileId id = table_[tile];
       for (std::size_t h = 0; h < heads; ++h) {
-        std::fill_n(pool_->k_tile(id, layer, h) + row * dim, dim, Half{});
+        Half* kt = pool_->kt_tile(id, layer, h) + row;
+        for (std::size_t c = 0; c < dim; ++c) {
+          kt[c * TilePool::kTileRows] = Half{};
+        }
         std::fill_n(pool_->v_tile(id, layer, h) + row * dim, dim, Half{});
       }
     }
@@ -850,10 +773,9 @@ void PagedKvCache::truncate(std::size_t tokens) {
     pool_->release(table_.back());
     table_.pop_back();
     for (HeadPtrs& hp : ptrs_) {
-      hp.k.pop_back();
+      hp.f16t.pop_back();
       hp.v.pop_back();
       hp.enc.pop_back();
-      hp.f16t.pop_back();
       hp.kq.pop_back();
       hp.vq.pop_back();
       hp.ks.pop_back();
@@ -875,9 +797,10 @@ core::KvSlice PagedKvCache::slice(std::size_t layer, std::size_t head) const {
     throw std::out_of_range("PagedKvCache: layer/head out of range");
   }
   const HeadPtrs& hp = ptrs_[layer * pool_->heads() + head];
-  // f16t entries are null until the tile seals (and for kI8 tiles), so the
-  // array is exposed unconditionally.
-  core::KvSlice s{hp.k.data(),   hp.v.data(),        layer_len_[layer],
+  // K reaches the kernel only as K^T: every fp16 tile, the open tail
+  // included, has its plane (zero past the valid rows) in f16t, and no
+  // row-major K exists to pass.
+  core::KvSlice s{nullptr,       hp.v.data(),        layer_len_[layer],
                   pool_->dim(),  hp.enc.data(),      pool_->enc_stride(),
                   hp.f16t.data()};
   // The i8 views are exposed only for kI8 requests: an fp16 request's
@@ -913,10 +836,9 @@ void PagedKvCache::release_all() {
   for (std::size_t& len : layer_len_) len = 0;
   for (std::size_t& sealed : sealed_tiles_) sealed = 0;
   for (HeadPtrs& hp : ptrs_) {
-    hp.k.clear();
+    hp.f16t.clear();
     hp.v.clear();
     hp.enc.clear();
-    hp.f16t.clear();
     hp.kq.clear();
     hp.vq.clear();
     hp.ks.clear();

@@ -37,13 +37,16 @@
 // would silently splice the wrong KV into a context — is out of reach for
 // any realistic pool lifetime; lookups compare the full key.
 //
-// Full tiles are immutable once written, so sealing derives each (layer,
-// head) block's checksum block once, ever (core::encode_tile_checksums:
+// Each key is stored once, k-major: an fp16 tile's K plane is K^T (dim x
+// 64) from the first append, the layout the score GEMM and the strided K
+// checksums both stream, so no tile — sealed or open — is ever transposed
+// again.  Full tiles are immutable once written, so sealing derives each
+// (layer, head) block's checksum block once, ever (core::encode_tile_checksums:
 // [Kc1^T | Kc2^T | Vc1 | Vc2], the k-major operands of the checksum GEMMs,
-// in both tile formats), from the kF16T image K^T a sealed fp16 tile gets
-// or an int8 tile's K^T payload: clean decode steps stream the sealed block
-// instead of re-deriving it per token, dropping the per-token encode cost
-// from O(context) to O(tail).
+// in both tile formats), straight from that K^T plane or an int8 tile's K^T
+// payload: clean decode steps stream the sealed block instead of
+// re-deriving it per token, dropping the per-token encode cost from
+// O(context) to O(tail).
 
 #include <cstddef>
 #include <cstdint>
@@ -73,7 +76,7 @@ namespace detail {
 /// consume them in exactly this layout, so the fused dequantizing kernels
 /// (numeric::gemm_f32_nn_i8) stream the int8 payload directly with zero
 /// per-tile pack or dequantize-to-scratch pass — the int8 analogue of the
-/// fp16 format's K^T image.  V stays row-major because that is already
+/// fp16 format's K^T plane.  V stays row-major because that is already
 /// GEMM II's k-major B operand.
 ///
 /// The int32 encodings are the at-rest redundancy: integer sums of the int8
@@ -143,14 +146,15 @@ struct I8TileLayout {
   return reinterpret_cast<const numeric::Half*>(b + L.henc_off);
 }
 
-/// Quantize one sealed 64 x dim fp16 K/V tile pair into an i8 block:
-/// choose the per-operand power-of-two scales, quantize the payload, then
-/// derive BOTH encoding families from the result — the checksum block from
-/// the exactly-dequantized k-major payload (bit-equal to the fresh encode a
+/// Quantize one sealed fp16 tile pair — K^T (dim x 64) and V (64 x dim),
+/// the slab's planes — into an i8 block: choose the per-operand
+/// power-of-two scales, quantize the payload, then derive BOTH encoding
+/// families from the result — the checksum block from the
+/// exactly-dequantized k-major payload (bit-equal to the fresh encode a
 /// decode call would run over it) and the int32 encodings from the int8
 /// payload — and write the TMR scale copies.  The block is fully
 /// overwritten; no zeroing is required beforehand.
-void quantize_sealed_tile(const numeric::Half* k_tile,
+void quantize_sealed_tile(const numeric::Half* kt_tile,
                           const numeric::Half* v_tile, std::size_t dim, int s,
                           std::uint8_t* block);
 
@@ -193,10 +197,8 @@ struct TilePoolOptions {
   /// divide both the 64-row tile and `dim`; the constructor throws
   /// std::invalid_argument otherwise.
   int enc_stride = abft::StridedAbft::kDefaultStride;
-  /// Sealed fp16 tile image layout; kF16T (K^T, 64 x dim halves: 0.4x
-  /// extra memory at dim 64, stride 8, zero per-tile packing, widened 8
-  /// lanes at a time inside the fp16-operand microkernels) is the only
-  /// one, and every sealed fp16 tile carries it.
+  /// The fp16 tile's K layout; kF16T (K^T, dim x 64 halves in the slab
+  /// itself, no extra memory) is the only one.
   core::ImagePolicy images = core::ImagePolicy::kF16T;
 };
 
@@ -220,21 +222,16 @@ class TilePool {
 
   /// Incremental KV scrubber: walk up to `max_tiles` sealed tiles (a
   /// round-robin cursor persists across calls) and re-verify each (layer,
-  /// head) block's in-slab checksum block against its fp16 payload, bit for
-  /// bit (kI8 tiles: detail::scrub_i8_tile).
+  /// head) block's in-slab checksum block against a fresh encode of its
+  /// stored K^T and V, bit for bit (kI8 tiles: detail::scrub_i8_tile).
   ///
-  ///   * payload and checksum block consistent, but the K^T image disagrees
-  ///     -> the image is rebuilt from the (authoritative) fp16 slab
-  ///     (`repaired`);
-  ///   * exactly one checksum element disagrees with a fresh encode ->
-  ///     checksum-class corruption, the sealed block (and image) are
-  ///     rewritten in place (`repaired`);
-  ///   * two or more disagree -> payload-class corruption: the K payload is
-  ///     restored by de-transposing the image's Half bits verbatim and
-  ///     re-verified (`repaired`).  The image carries no V copy, so
-  ///     V-payload corruption is unrepairable; so is a failed re-verify.
-  ///     An unrepairable tile is unpublished, unsealed and reported in
-  ///     `dropped` (refcount-0 tiles go straight to the dead list).
+  ///   * exactly one checksum element disagrees -> checksum-class
+  ///     corruption, the sealed block is rewritten in place (`repaired`);
+  ///   * two or more disagree -> payload-class corruption.  The slab holds
+  ///     each key and value once, so nothing can restore the payload: the
+  ///     tile is unpublished, unsealed and reported in `dropped`
+  ///     (refcount-0 tiles go straight to the dead list), and its owners
+  ///     replay to the clean bits.
   ///
   /// Classification is exact under a single-fault assumption per tile;
   /// sub-threshold low-order payload flips that cancel in every checksum
@@ -273,7 +270,7 @@ class TilePool {
   /// Mark a tile fully written (all layers appended and encoded).  Only
   /// sealed tiles may be attached by other requests.  Sealing a kI8 tile
   /// frees its fp16 staging slab — every (layer, head) block must already
-  /// be quantized into the i8 slab; k_tile()/v_tile()/enc_block() return
+  /// be quantized into the i8 slab; kt_tile()/v_tile()/enc_block() return
   /// nullptr for it from here on.
   void seal(TileId id);
   [[nodiscard]] bool sealed(TileId id) const;
@@ -283,22 +280,20 @@ class TilePool {
   /// keeps its private tile; the earlier copy stays the shared one).
   bool publish(TileId id, const ChainKey& key);
 
-  // --- storage access (slab layout: per (layer, head): [K 64*dim |
+  // --- storage access (slab layout: per (layer, head): [K^T dim*64 |
   //     V 64*dim | Kc1^T dim*s | Kc2^T dim*s | Vc1 64*s | Vc2 64*s])
-  [[nodiscard]] numeric::Half* k_tile(TileId id, std::size_t layer,
-                                      std::size_t head) noexcept;
+  /// K^T of one (layer, head) tile: row c holds feature c of the tile's 64
+  /// rows (KvSlice::f16t's layout), written column by column as rows
+  /// append and zero past the valid rows.  nullptr once a kI8 tile seals
+  /// (its staging slab is freed), like v_tile() and enc_block().
+  [[nodiscard]] numeric::Half* kt_tile(TileId id, std::size_t layer,
+                                       std::size_t head) noexcept;
   [[nodiscard]] numeric::Half* v_tile(TileId id, std::size_t layer,
                                       std::size_t head) noexcept;
   /// The checksum block of one (layer, head) tile
-  /// (core::encode_tile_checksums layout; nullptr once a kI8 tile seals,
-  /// like k_tile()).
+  /// (core::encode_tile_checksums layout).
   [[nodiscard]] numeric::Half* enc_block(TileId id, std::size_t layer,
                                          std::size_t head) noexcept;
-  /// The kF16T image of one (layer, head) tile — K^T, 64 * dim halves,
-  /// written at seal time — or nullptr for a kI8 tile.  Contents are only
-  /// meaningful once the tile's layer sealed.
-  [[nodiscard]] numeric::Half* f16t_image(TileId id, std::size_t layer,
-                                          std::size_t head) noexcept;
   /// Storage format the tile was acquired with (kF16 tiles never hold an i8
   /// slab; kI8 tiles hold one from acquisition and drop their fp16 staging
   /// slab at seal).
@@ -345,14 +340,14 @@ class TilePool {
     return slab_halves_;
   }
   /// Bytes held by *referenced* tiles (what live requests pin).  Format-
-  /// aware: sums each tile's actual current slabs — fp16 staging (freed
-  /// when a kI8 tile seals), f16t image, i8 — so a mixed-format pool
-  /// reports the real mixed footprint.
+  /// aware: sums each tile's actual current slabs — fp16 (freed when a kI8
+  /// tile seals), i8 — so a mixed-format pool reports the real mixed
+  /// footprint.
   [[nodiscard]] std::size_t bytes_in_use() const noexcept;
   /// Steady-state bytes of one sealed tile of `fmt` in this pool's
-  /// configuration (kF16: fp16 slab + f16t image; kI8: the i8 slab alone —
-  /// its staging slab is freed at seal).  The byte-capacity planning hook
-  /// for benches and the capacity gauges.
+  /// configuration (kF16: the fp16 slab; kI8: the i8 slab alone — its
+  /// staging slab is freed at seal).  The byte-capacity planning hook for
+  /// benches and the capacity gauges.
   [[nodiscard]] std::size_t tile_bytes(core::TileFmt fmt) const noexcept;
 
  private:
@@ -367,12 +362,9 @@ class TilePool {
     /// area for kI8 tiles (freed when a kI8 tile seals, reallocated on
     /// recycle).
     std::unique_ptr<numeric::Half[]> slab;
-    /// kF16T image slab (kF16 tiles only): one K^T block of 64 * dim
-    /// halves per (layer, head).  Not zeroed on recycle — the image is
-    /// fully overwritten at seal time and never read before.
-    std::unique_ptr<numeric::Half[]> hslab;
     /// i8 slab (kI8 tiles only): one detail::I8TileLayout block per
-    /// (layer, head).  Not zeroed on recycle for the same reason.
+    /// (layer, head).  Not zeroed on recycle — it is fully overwritten at
+    /// seal time and never read before.
     std::unique_ptr<std::uint8_t[]> qslab;
     core::TileFmt format = core::TileFmt::kF16;
     std::size_t refs = 0;
@@ -390,10 +382,6 @@ class TilePool {
   void recycle(TileId id, core::TileFmt fmt);
   [[nodiscard]] std::size_t offset(std::size_t layer,
                                    std::size_t head) const noexcept;
-  /// Halves of one fp16 tile's image slab: K^T per (layer, head).
-  [[nodiscard]] std::size_t image_halves() const noexcept {
-    return layers_ * heads_ * kTileRows * dim_;
-  }
 
   std::size_t layers_, heads_, dim_;
   int enc_stride_;
@@ -418,14 +406,10 @@ namespace testing {
 /// (KV storage is assumed ECC-protected), so these exist purely to exercise
 /// TilePool::scrub()'s classification/repair paths — never a serving API.
 /// `half_index` addresses the (layer, head) block's contiguous
-/// [K | V | encodings] halves.  Every hook validates its target: an index
+/// [K^T | V | encodings] halves.  Every hook validates its target: an index
 /// past the block throws std::out_of_range, a tile without the addressed
 /// slab throws std::logic_error.
 void flip_slab_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
-                   std::size_t head, std::size_t half_index, unsigned bit);
-/// Flip one bit of one half of a sealed fp16 tile's K^T image block
-/// (`half_index` < 64 * dim).
-void flip_f16t_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
                    std::size_t head, std::size_t half_index, unsigned bit);
 /// i8-tile counterpart: flip one bit of one byte of a kI8 tile's
 /// (layer, head) block — `byte_index` addresses the whole
@@ -456,9 +440,10 @@ void flip_i8_bit(TilePool& pool, TilePool::TileId id, std::size_t layer,
 /// mid-tick state where layer L has appended this tick's rows but layer L+1
 /// has not; slice(layer, head) reads the per-layer length.
 ///
-/// When a (layer, head) tile fills, its K^T image is written and its
-/// checksum block encoded from it (core::encode_tile_checksums, the bits of
-/// a fresh per-call encode; a kI8 request quantizes the block instead);
+/// Appends write each row's K as one column of the tile's K^T plane and its
+/// V as one row.  When a (layer, head) tile fills, its checksum block is
+/// encoded from those planes (core::encode_tile_checksums, the bits of a
+/// fresh per-call encode; a kI8 request quantizes the block instead);
 /// when the *last* layer fills, the tile is sealed pool-wide and reported
 /// through take_newly_sealed() so the engine can publish fully-prompt tiles
 /// for prefix sharing.
@@ -505,8 +490,9 @@ class PagedKvCache {
 
   /// Commit a speculative tick: roll the context back to `tokens` rows
   /// (the accepted prefix), then seal every tile the committed context
-  /// fully covers.  Rolled-back rows are zeroed in the kept open tile
-  /// (restoring the kernel's zero-padding convention); tail tiles left
+  /// fully covers.  Rolled-back rows (V rows, K^T columns) are zeroed in
+  /// the kept open tile (restoring the kernel's zero-padding convention);
+  /// tail tiles left
   /// entirely empty are released back to the pool (they were acquired
   /// fresh this tick and recycle zeroed).  Requires every layer to have
   /// appended the same row count (the post-compute state of a tick) and
@@ -543,12 +529,10 @@ class PagedKvCache {
 
  private:
   struct HeadPtrs {
-    // Per-tile payload and checksum-block pointers (enc: null until the
-    // layer tile seals).
-    std::vector<const numeric::Half*> k, v, enc;
-    // Per-tile K^T image pointers (null until the layer tile seals, and
-    // always null for kI8 tiles).
-    std::vector<const numeric::Half*> f16t;
+    // Per-tile fp16 payload pointers — the K^T plane and V — and checksum
+    // blocks (enc: null until the layer tile seals; f16t and v: null once
+    // a kI8 layer tile quantizes).
+    std::vector<const numeric::Half*> f16t, v, enc;
     // Per-tile i8 payload pointers and power-of-two scales (kI8 caches
     // only; null/0 until the layer tile quantizes).
     std::vector<const std::int8_t*> kq, vq;

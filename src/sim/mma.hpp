@@ -104,8 +104,8 @@ void gemm_f32_nt(const float* A, std::size_t M, std::size_t K, const float* B,
 /// registers by the fused fp16-operand microkernel — bit-identical to
 /// gemm_f32_nt over a widened B^T (pure layout change, exact widening,
 /// per-output accumulation order unchanged) at half the B-side bytes
-/// streamed.  The kF16T sealed-tile images and the checksum blocks feed the
-/// attention kernel through this entry point.
+/// streamed.  KV tiles' K^T planes and checksum blocks feed the attention
+/// kernel through this entry point.
 void gemm_f32_nnh(const float* A, std::size_t M, std::size_t K,
                   const numeric::Half* B, std::size_t N, tensor::MatrixF& C,
                   bool accumulate = false);

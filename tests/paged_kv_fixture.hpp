@@ -1,10 +1,10 @@
 #pragma once
 // One request's K/V for kernel-level tests: a single-layer serve::TilePool
 // plus the PagedKvCache that maps it — the same storage the serving engine
-// decodes from, one layer deep, sealed tiles and their kF16T images
-// included.  The fixture owns both (pool first, so the cache releases its
-// tiles before the pool dies) and is movable, so suites can keep a vector
-// of them.
+// decodes from, one layer deep, every fp16 tile's K^T plane included.
+// The fixture owns both (pool first, so the cache releases its tiles
+// before the pool dies) and is movable, so suites can keep a vector of
+// them.
 //
 // The tile format is a required argument: PagedKvCache's own default
 // follows the FTT_KV_QUANT environment toggle, and a suite that pins fp16
@@ -87,11 +87,12 @@ inline void fill_random(PagedKv& kv, std::size_t tokens, std::uint64_t seed) {
   }
 }
 
-/// The raw fp16 twin of a slice: its n logical rows as contiguous n x d
-/// matrices, an fp16 tile's rows copied and a kI8 tile's dequantized
+/// The raw fp16 twin of a pool slice: its n logical rows as contiguous
+/// n x d matrices, an fp16 tile's rows copied and a kI8 tile's dequantized
 /// (q * scale has <= 7 significant bits, so narrowing to Half is exact).
-/// The contiguous efta_decode_step overload over the twin encodes every
-/// tile per call.
+/// Both formats store K k-major (K^T, d x 64), so K reads transposed.  The
+/// contiguous efta_decode_step overload over the twin transposes and
+/// encodes every tile per call.
 inline std::pair<tensor::MatrixH, tensor::MatrixH> raw_twin(
     const core::KvSlice& s) {
   constexpr std::size_t kRows = core::KvSlice::kTileRows;
@@ -100,11 +101,11 @@ inline std::pair<tensor::MatrixH, tensor::MatrixH> raw_twin(
     const std::size_t t = r / kRows, row = r % kRows;
     const bool i8 = s.fmt != nullptr && s.fmt[t] == core::TileFmt::kI8;
     for (std::size_t c = 0; c < s.d; ++c) {
-      // An int8 tile stores K k-major (K^T, d x 64); V stays row-major.
+      // K is stored k-major (K^T, d x 64); V stays row-major.
       k(r, c) = i8 ? numeric::Half(static_cast<float>(
                                        s.k_i8[t][c * kRows + row]) *
                                    s.k_scale[t])
-                   : s.k_tiles[t][row * s.d + c];
+                   : s.f16t[t][c * kRows + row];
       v(r, c) = i8 ? numeric::Half(static_cast<float>(
                                        s.v_i8[t][row * s.d + c]) *
                                    s.v_scale[t])

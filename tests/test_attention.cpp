@@ -188,6 +188,10 @@ TEST(AttentionMisuse, FlashRejectsShortK) {
   ft::Tensor4F O(1, 1, 128, 64);
   EXPECT_THROW(fa::flash_attention(Q, Kshort, Vshort, O),
                std::invalid_argument);
+  // Matching shapes with a zero dim are rejected too.
+  auto [Q0, K0, V0] = make(1, 1, 64, 0, 62);
+  ft::Tensor4F O0(1, 1, 64, 0);
+  EXPECT_THROW(fa::flash_attention(Q0, K0, V0, O0), std::invalid_argument);
 }
 
 TEST(AttentionMisuse, StandardRejectsMismatchedShapes) {
@@ -200,6 +204,9 @@ TEST(AttentionMisuse, StandardRejectsMismatchedShapes) {
                std::invalid_argument);
   EXPECT_THROW(fa::standard_attention(Q, K, V, Onarrow),
                std::invalid_argument);
+  auto [Q0, K0, V0] = make(2, 2, 64, 0, 63);  // zero dim
+  ft::Tensor4F O0(2, 2, 64, 0);
+  EXPECT_THROW(fa::standard_attention(Q0, K0, V0, O0), std::invalid_argument);
 }
 
 TEST(AttentionMisuse, DecoupledRejectsMismatchedShapes) {
@@ -209,5 +216,9 @@ TEST(AttentionMisuse, DecoupledRejectsMismatchedShapes) {
   ft::Tensor4H Vshort(1, 1, 32, 64);
   ft::Tensor4F O(1, 1, 64, 64);
   EXPECT_THROW(fa::decoupled_ft_attention(Q, K, Vshort, O),
+               std::invalid_argument);
+  auto [Q0, K0, V0] = make(1, 1, 64, 0, 64);  // zero dim
+  ft::Tensor4F O0(1, 1, 64, 0);
+  EXPECT_THROW(fa::decoupled_ft_attention(Q0, K0, V0, O0),
                std::invalid_argument);
 }

@@ -127,6 +127,28 @@ TEST(Decode, RejectsBadShapes) {
     EXPECT_THROW(fc::efta_decode_step(K3, V3, q3, out3),
                  std::invalid_argument);
   }
+  {
+    // A zero head dimension: a hand-built slice whose every pointer is
+    // present (the tail pad would copy from it), and the contiguous
+    // overload, throw before any work or hook.
+    ft::MatrixH K0(100, 0), V0(100, 0);
+    std::vector<Half> one(1);
+    std::vector<float> sink(1);
+    const std::vector<const Half*> tiles(2, one.data());
+    const fc::KvSlice kv{tiles.data(), tiles.data(), 100, 0};
+    const fc::DecodeWorkItem item{kv, one.data(), sink.data()};
+    ff::FaultInjector probe;
+    EXPECT_THROW(fc::efta_decode_block(item, {}, &probe),
+                 std::invalid_argument);
+    const fc::DecodeWorkItem items[] = {item};
+    EXPECT_THROW(fc::efta_decode_batch(items, {}, &probe),
+                 std::invalid_argument);
+    EXPECT_THROW(fc::efta_decode_step(K0, V0, {}, {}, {}, &probe),
+                 std::invalid_argument);
+    for (std::size_t s = 0; s < ff::kSiteCount; ++s) {
+      EXPECT_EQ(probe.calls(static_cast<ff::Site>(s)), 0u) << s;
+    }
+  }
 }
 
 TEST(Decode, RejectsStrideNotDividingTheTileBeforeAnyHook) {
@@ -167,11 +189,11 @@ TEST(Decode, RejectsStrideNotDividingTheTileBeforeAnyHook) {
 }
 
 TEST(Decode, RejectsTileMissingItsPayloadBeforeAnyHook) {
-  // Each tile must carry the payload pointers its format reads: K and V
-  // rows for an fp16 tile, the int8 payloads and scale arrays for a kI8
-  // tile.  Block, step and batch must all throw before any work, with no
-  // hook fired, instead of dereferencing a null tile inside the kernel —
-  // the batch even when a well-formed item precedes the bad one.
+  // Each tile must carry the payload pointers its format reads: V rows and
+  // K (K^T or rows) for an fp16 tile, the int8 payloads and scale arrays
+  // for a kI8 tile.  Block, step and batch must all throw before any work,
+  // with no hook fired, instead of dereferencing a null tile inside the
+  // kernel — the batch even when a well-formed item precedes the bad one.
   constexpr std::size_t kN = 100, kD = 64;
   ft::MatrixH K(kN, kD), V(kN, kD);
   ft::fill_normal(K, 73);

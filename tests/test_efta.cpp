@@ -10,10 +10,12 @@
 
 #include "attention/attention.hpp"
 #include "core/efta.hpp"
+#include "fault/fault.hpp"
 #include "tensor/random.hpp"
 
 namespace fa = ftt::attention;
 namespace fc = ftt::core;
+namespace ff = ftt::fault;
 namespace ft = ftt::tensor;
 using ftt::numeric::Half;
 
@@ -157,6 +159,16 @@ TEST(Efta, RejectsMisalignedShapes) {
   auto [Q, K, V] = make(1, 1, 96, 64, 9);  // 96 % 64 != 0
   ft::Tensor4F O(1, 1, 96, 64);
   EXPECT_THROW(fc::efta_attention(Q, K, V, O, {}), std::invalid_argument);
+  // A zero dim passes every stride test (0 % s == 0); it must still throw,
+  // before any hook, instead of indexing empty staging.
+  auto [Q0, K0, V0] = make(1, 1, 64, 0, 9);
+  ft::Tensor4F O0(1, 1, 64, 0);
+  ff::FaultInjector probe;
+  EXPECT_THROW(fc::efta_attention(Q0, K0, V0, O0, {}, &probe),
+               std::invalid_argument);
+  for (std::size_t s = 0; s < ff::kSiteCount; ++s) {
+    EXPECT_EQ(probe.calls(static_cast<ff::Site>(s)), 0u) << s;
+  }
 }
 
 TEST(Efta, SmallSeqEqualsBlock) {

@@ -542,9 +542,10 @@ TEST(PagedKvQuant, SealedTilesFlipToI8AndTailStaysF16) {
   EXPECT_NE(s.k_i8[0], nullptr);
   EXPECT_EQ(s.k_i8[2], nullptr);  // open tail stays fp16
   EXPECT_NE(s.k_scale[0], 0.0f);
-  // A sealed kI8 tile freed its fp16 staging slab; the tail still stages.
-  EXPECT_EQ(s.k_tiles[0], nullptr);
-  EXPECT_NE(s.k_tiles[2], nullptr);
+  // A sealed kI8 tile freed its fp16 staging slab; the tail still stages,
+  // and streams its K^T staging plane.
+  EXPECT_EQ(s.f16t[0], nullptr);
+  EXPECT_NE(s.f16t[2], nullptr);
 }
 
 TEST(PagedKvQuant, DecodeBitIdenticalToDequantizedF16Twin) {
@@ -701,21 +702,20 @@ void fill_paged(fs::PagedKvCache& cache, std::size_t layers,
 TEST(TilePoolQuant, SealedI8TileFreesStagingSlabAndShrinksFootprint) {
   fs::TilePool pool(pool_options());
   // Exact sealed bytes of one (layer, head) block at dim 64, stride 8: the
-  // fp16 slab (K, V and the checksum block) 20,480 B, or 28,672 B with the
-  // K^T image; the int8 block 20,504 B — 1.40x smaller than the default
-  // format, and about the size of a bare fp16 slab.
+  // fp16 slab (K^T, V and the checksum block) 20,480 B; the int8 block
+  // 20,504 B — 24 B larger, because its int32 at-rest encodings cost what
+  // its payload saves at this dim (at dim 128 it is 30,744 B against
+  // 38,912 B).  Freeing the staging slab still is the seal's job.
   const auto su = static_cast<std::size_t>(kStride);
   const std::size_t slab_block =
       (2 * kRows * kDim + 2 * su * kDim + 2 * kRows * su) * sizeof(Half);
-  const std::size_t image_block = kRows * kDim * sizeof(Half);
   const std::size_t i8_block = fs::detail::i8_tile_layout(kDim, kStride).bytes;
   EXPECT_EQ(slab_block, 20480u);
-  EXPECT_EQ(slab_block + image_block, 28672u);
   EXPECT_EQ(i8_block, 20504u);
+  EXPECT_EQ(fs::detail::i8_tile_layout(128, kStride).bytes, 30744u);
   const std::size_t blocks = pool.layers() * pool.heads();
   const std::size_t i8_bytes = pool.tile_bytes(fc::TileFmt::kI8);
-  EXPECT_EQ(pool.tile_bytes(fc::TileFmt::kF16),
-            blocks * (slab_block + image_block));
+  EXPECT_EQ(pool.tile_bytes(fc::TileFmt::kF16), blocks * slab_block);
   EXPECT_EQ(i8_bytes, blocks * i8_block);
 
   fs::PagedKvCache cache(pool, fc::TileFmt::kI8);
@@ -725,9 +725,8 @@ TEST(TilePoolQuant, SealedI8TileFreesStagingSlabAndShrinksFootprint) {
   EXPECT_TRUE(pool.sealed(id));
   EXPECT_EQ(pool.format(id), fc::TileFmt::kI8);
   // Staging slab freed: fp16 accessors null out, i8 block present.
-  EXPECT_EQ(pool.k_tile(id, 0, 0), nullptr);
+  EXPECT_EQ(pool.kt_tile(id, 0, 0), nullptr);
   EXPECT_EQ(pool.enc_block(id, 0, 0), nullptr);
-  EXPECT_EQ(pool.f16t_image(id, 0, 0), nullptr);
   EXPECT_NE(pool.i8_block(id, 0, 0), nullptr);
   EXPECT_EQ(pool.bytes_in_use(), i8_bytes);
 }
@@ -752,9 +751,8 @@ TEST(TilePoolQuant, MixedFormatBytesAccountingIsPerTile) {
   fill_paged(b, pool.layers(), kRows, 33);  // one sealed fp16 tile
   EXPECT_EQ(pool.bytes_in_use(), pool.tile_bytes(fc::TileFmt::kI8) +
                                      pool.tile_bytes(fc::TileFmt::kF16));
-  // An OPEN kI8 tile charges both its fp16 staging slab (no image: kI8
-  // tiles never carry one) and its (acquire-time) i8 slab; only the seal
-  // frees the staging slab.
+  // An OPEN kI8 tile charges both its fp16 staging slab and its
+  // (acquire-time) i8 slab; only the seal frees the staging slab.
   fill_paged(a, pool.layers(), 5, 34);
   EXPECT_EQ(pool.bytes_in_use(), 2 * pool.tile_bytes(fc::TileFmt::kI8) +
                                      pool.tile_bytes(fc::TileFmt::kF16) +
@@ -773,7 +771,7 @@ TEST(TilePoolQuant, RecycleConvertsFormatsBothWays) {
   ASSERT_EQ(b.block_table()[0], id);  // same physical tile, recycled
   EXPECT_EQ(pool.format(id), fc::TileFmt::kF16);
   EXPECT_EQ(pool.i8_block(id, 0, 0), nullptr);
-  EXPECT_NE(pool.k_tile(id, 0, 0), nullptr);
+  EXPECT_NE(pool.kt_tile(id, 0, 0), nullptr);
 }
 
 TEST(TilePoolQuant, ScrubRepairsI8TileInPlace) {

@@ -148,7 +148,7 @@ TEST(OmpInvariance, InjectedBatchEqualsSerialItems) {
   // efta_decode_block with the same injector, bit for bit: outputs,
   // per-item reports, per-site calls() and events.  The batch mixes every
   // tile storage: a raw slice (transpose and encode per tile), kF16 pools
-  // (sealed K^T images and checksum blocks) and kI8 pools (fused int8),
+  // (K^T planes and sealed checksum blocks) and kI8 pools (fused int8),
   // with decode rows, a speculative block and a prefill chunk.
   OmpGuard guard;
   constexpr std::size_t kDim = 32;

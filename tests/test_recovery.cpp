@@ -201,8 +201,8 @@ struct ScrubRun {
   ScrubRun() {
     prompt = random_prompt(80, model.config().hidden, 0x7777);
     opt = recovery_options();
-    // These tests flip bits in the fp16 tile slab / image slab, so they pin
-    // the fp16 format explicitly (the int8 scrub arm has its own suite in
+    // These tests flip bits in the fp16 tile slab, so they pin the fp16
+    // format explicitly (the int8 scrub arm has its own suite in
     // test_int8_quant.cpp) — a sealed kI8 tile frees the staging slab the
     // flips target.  Keeps the suite green under the FTT_KV_QUANT leg.
     opt.kv_quant = false;
@@ -239,76 +239,35 @@ TEST(Recovery, ScrubberRepairsChecksumClassFlip) {
   expect_bitwise(engine.hidden(id), run.clean, "enc-repaired request");
 }
 
-TEST(Recovery, ScrubberRepairsCorruptF16tImageFromPayload) {
-  ScrubRun run;
-  fs::DecodeEngine engine(run.model, run.opt);
-  const auto id = engine.submit(run.prompt, run.budget);
-  engine.step();
+TEST(Recovery, ScrubberDropsPayloadCorruptionAndReplaysBitwise) {
+  // The slab holds each key and value once — K as its K^T plane — so a
+  // payload flip has no redundant source: the tile drops and the owner
+  // replays to the clean bits — degraded throughput, never a wrong answer.
+  // One flip lands in the K^T plane, one in V (slab index 5 of each).
+  for (const bool in_v : {false, true}) {
+    SCOPED_TRACE(in_v ? "V payload" : "K^T plane");
+    ScrubRun run;
+    fs::DecodeEngine engine(run.model, run.opt);
+    const auto id = engine.submit(run.prompt, run.budget);
+    engine.step();
 
-  const auto table = engine.kv_block_table(id);
-  ASSERT_GE(table.size(), 1u);
-  fs::TilePool& pool = fs::testing::engine_pool(engine);
-  ASSERT_TRUE(pool.sealed(table[0]));
-  // Corrupt the pre-transposed fp16 image only: payload and encodings
-  // agree, the image cross-check catches the divergence, and the fp16 slab
-  // (the authoritative copy) rebuilds the image by re-transposing.
-  fs::testing::flip_f16t_bit(pool, table[0], 0, 1, 7, 11);
+    const auto table = engine.kv_block_table(id);
+    ASSERT_GE(table.size(), 1u);
+    fs::TilePool& pool = fs::testing::engine_pool(engine);
+    ASSERT_TRUE(pool.sealed(table[0]));
+    const std::size_t base = in_v ? fs::TilePool::kTileRows * pool.dim() : 0;
+    fs::testing::flip_slab_bit(pool, table[0], 1, 0, base + 5, 13);
 
-  const auto stats = engine.step();
-  EXPECT_GE(stats.repaired, 1u);
-  EXPECT_EQ(stats.scrub_dropped, 0u);
+    const auto stats = engine.step();
+    EXPECT_GE(stats.scrub_dropped, 1u);
+    EXPECT_EQ(stats.repaired, 0u);
+    EXPECT_GE(stats.preempted, 1u);
 
-  engine.run_until_idle();
-  expect_bitwise(engine.hidden(id), run.clean, "f16t-image-repaired request");
-}
-
-TEST(Recovery, ScrubberRepairsKPayloadFromF16tImage) {
-  ScrubRun run;
-  fs::DecodeEngine engine(run.model, run.opt);
-  const auto id = engine.submit(run.prompt, run.budget);
-  engine.step();
-
-  const auto table = engine.kv_block_table(id);
-  ASSERT_GE(table.size(), 1u);
-  fs::TilePool& pool = fs::testing::engine_pool(engine);
-  // Flip an exponent bit of one K payload half (slab index 5 lies in the K
-  // block): payload-class corruption, and the f16t image — a verbatim bit
-  // transpose of K taken at seal time — restores the original halves.
-  fs::testing::flip_slab_bit(pool, table[0], 1, 0, 5, 13);
-
-  const auto stats = engine.step();
-  EXPECT_GE(stats.repaired, 1u);
-  EXPECT_EQ(stats.scrub_dropped, 0u);
-
-  engine.run_until_idle();
-  EXPECT_EQ(engine.preemption_count(id), 0u);
-  expect_bitwise(engine.hidden(id), run.clean, "K-payload-repaired request");
-}
-
-TEST(Recovery, ScrubberDropsVPayloadCorruptionUnderF16tImages) {
-  // The f16t image carries no V copy (V needs no re-layout), so a V-payload
-  // flip has no redundant source: the tile drops and the owner
-  // recomputes — degraded throughput, never a wrong answer.
-  ScrubRun run;
-  fs::DecodeEngine engine(run.model, run.opt);
-  const auto id = engine.submit(run.prompt, run.budget);
-  engine.step();
-
-  const auto table = engine.kv_block_table(id);
-  ASSERT_GE(table.size(), 1u);
-  fs::TilePool& pool = fs::testing::engine_pool(engine);
-  ASSERT_TRUE(pool.sealed(table[0]));
-  const std::size_t v_base = fs::TilePool::kTileRows * pool.dim();
-  fs::testing::flip_slab_bit(pool, table[0], 1, 0, v_base + 5, 13);
-
-  const auto stats = engine.step();
-  EXPECT_GE(stats.scrub_dropped, 1u);
-  EXPECT_GE(stats.preempted, 1u);
-
-  engine.run_until_idle();
-  EXPECT_EQ(engine.state(id), fs::RequestState::kRetired);
-  EXPECT_GE(engine.preemption_count(id), 1u);
-  expect_bitwise(engine.hidden(id), run.clean, "recomputed request");
+    engine.run_until_idle();
+    EXPECT_EQ(engine.state(id), fs::RequestState::kRetired);
+    EXPECT_GE(engine.preemption_count(id), 1u);
+    expect_bitwise(engine.hidden(id), run.clean, "replayed request");
+  }
 }
 
 // ---------------------------------------------------------------------------

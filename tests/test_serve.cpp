@@ -83,7 +83,7 @@ TEST(PagedKv, GrowsInAlignedTilesWithStableStorage) {
   EXPECT_EQ(cache.length(), 1u);
   EXPECT_EQ(cache.tiles(), 1u);
   const fc::KvSlice first = cache.slice(0);
-  const Half* tile0_k = first.k_tiles[0];
+  const Half* tile0_k = first.f16t[0];
   const float k000 = tile0_k[0].to_float();
 
   // Appending across a tile boundary must not relocate tile 0's rows.
@@ -91,18 +91,20 @@ TEST(PagedKv, GrowsInAlignedTilesWithStableStorage) {
   EXPECT_EQ(cache.length(), 131u);
   EXPECT_EQ(cache.tiles(), 3u);
   const fc::KvSlice after = cache.slice(0);
-  EXPECT_EQ(after.k_tiles[0], tile0_k);
+  EXPECT_EQ(after.f16t[0], tile0_k);
   EXPECT_EQ(tile0_k[0].to_float(), k000);
   EXPECT_EQ(after.n, 131u);
   EXPECT_EQ(after.tiles(), 3u);
 
-  // Rows past the valid count of the tail tile are zero-initialized — the
-  // padding convention the ragged-tail checksums assume.
+  // Rows past the valid count of the tail tile are zero-initialized — its
+  // K^T columns and V rows, the padding the kernel streams in place.
   const std::size_t tail_rows = 131u - 2u * 64u;
-  const Half* tail = after.k_tiles[2];
+  const Half* tail_kt = after.f16t[2];
+  const Half* tail_v = after.v_tiles[2];
   for (std::size_t r = tail_rows; r < fs::TilePool::kTileRows; ++r) {
     for (std::size_t c = 0; c < 32; ++c) {
-      EXPECT_EQ(tail[r * 32 + c].bits(), 0u);
+      EXPECT_EQ(tail_kt[c * fs::TilePool::kTileRows + r].bits(), 0u);
+      EXPECT_EQ(tail_v[r * 32 + c].bits(), 0u);
     }
   }
 }
@@ -381,7 +383,7 @@ struct TokenStream {
 }  // namespace
 
 TEST(Serve, MemoizedEncodingsBitIdenticalToFreshEncode) {
-  // A pool-backed decode streams each sealed tile's K^T image and sealed
+  // A pool-backed decode streams each tile's K^T plane and sealed
   // checksum block; the contiguous-cache overload transposes and re-encodes
   // every tile per call.  The two must agree bit for bit — the memo is the
   // same computation, done once.
@@ -443,7 +445,7 @@ TEST(PagedKv, AppendChunkMatchesPerTokenAppend) {
     const fc::KvSlice a = per_token.slice(h), b = chunked.slice(h);
     for (std::size_t j = 0; j < a.tiles(); ++j) {
       for (std::size_t i = 0; i < fs::TilePool::kTileRows * kDim; ++i) {
-        ASSERT_EQ(a.k_tiles[j][i].bits(), b.k_tiles[j][i].bits());
+        ASSERT_EQ(a.f16t[j][i].bits(), b.f16t[j][i].bits());
         ASSERT_EQ(a.v_tiles[j][i].bits(), b.v_tiles[j][i].bits());
       }
     }

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <random>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -127,6 +129,42 @@ TEST(PagedKvTruncate, DeferredSealCommitAndRollback) {
     for (auto& x : v) x = Half(dist(rng));
     return v;
   };
+  // Every K row the cache holds, per layer.  Each fp16 tile's K^T plane —
+  // the open tail's included, which is what the kernel streams — must
+  // equal their transpose and read zero past the valid rows, whatever mix
+  // of chunks, single rows and rollbacks built it.
+  std::vector<std::vector<Half>> ctx_k(kLayers);
+  const auto append = [&](std::size_t l, std::span<const Half> k,
+                          std::span<const Half> v, std::size_t rows,
+                          bool defer) {
+    cache.append_chunk(l, k, v, rows, defer);
+    ctx_k[l].insert(ctx_k[l].end(), k.begin(), k.end());
+  };
+  const auto rollback = [&](std::size_t tokens) {
+    cache.truncate(tokens);
+    for (auto& k : ctx_k) k.resize(tokens * kDim);
+  };
+  const auto expect_kt_planes = [&](const char* what) {
+    for (std::size_t l = 0; l < kLayers; ++l) {
+      const fc::KvSlice sl = cache.slice(l, 0);
+      const std::size_t tiles = cache.block_table().size();
+      ASSERT_EQ(ctx_k[l].size(), sl.n * kDim) << what;
+      for (std::size_t j = 0; j < tiles; ++j) {
+        if (sl.fmt != nullptr && sl.fmt[j] == fc::TileFmt::kI8) continue;
+        ASSERT_NE(sl.f16t[j], nullptr) << what << ": tile " << j;
+        for (std::size_t c = 0; c < kDim; ++c) {
+          for (std::size_t r = 0; r < fs::TilePool::kTileRows; ++r) {
+            const std::size_t row = j * fs::TilePool::kTileRows + r;
+            const std::uint16_t want =
+                row < sl.n ? ctx_k[l][row * kDim + c].bits() : 0u;
+            ASSERT_EQ(sl.f16t[j][c * fs::TilePool::kTileRows + r].bits(),
+                      want)
+                << what << ": layer " << l << " tile " << j << " row " << r;
+          }
+        }
+      }
+    }
+  };
 
   // 60 committed rows, then a 7-row speculative block crossing the tile
   // boundary with sealing deferred.
@@ -134,11 +172,13 @@ TEST(PagedKvTruncate, DeferredSealCommitAndRollback) {
   const auto spec_k = rows_of(7), spec_v = rows_of(7);
   ASSERT_TRUE(cache.ensure_capacity(67));
   for (std::size_t l = 0; l < kLayers; ++l) {
-    cache.append_chunk(l, base_k, base_v, 60);
+    append(l, base_k, base_v, 60, false);
   }
+  expect_kt_planes("prefill chunk");
   for (std::size_t l = 0; l < kLayers; ++l) {
-    cache.append_chunk(l, spec_k, spec_v, 7, /*defer_seal=*/true);
+    append(l, spec_k, spec_v, 7, /*defer=*/true);
   }
+  expect_kt_planes("speculative block");
   ASSERT_EQ(cache.layer_length(0), 67u);
   ASSERT_EQ(cache.block_table().size(), 2u);
   // Tile 0 filled mid-speculation: not sealed, no memo exposed.
@@ -149,7 +189,7 @@ TEST(PagedKvTruncate, DeferredSealCommitAndRollback) {
   // Commit 5 of the 7 rows (accept 4 drafts): context 65, tile 0 now fully
   // committed — sealed at commit, memo exposed, reported for publication.
   const std::size_t in_use_before = pool.in_use();
-  cache.truncate(65);
+  rollback(65);
   EXPECT_EQ(cache.layer_length(0), 65u);
   EXPECT_EQ(cache.layer_length(1), 65u);
   EXPECT_TRUE(pool.sealed(cache.block_table()[0]));
@@ -159,13 +199,16 @@ TEST(PagedKvTruncate, DeferredSealCommitAndRollback) {
   ASSERT_EQ(sealed.size(), 1u);
   EXPECT_EQ(sealed[0], 0u);
   EXPECT_EQ(pool.in_use(), in_use_before);  // tile 1 still holds row 64
-  // Rolled-back rows of the kept open tile read as zero padding.
+  // Rolled-back rows of the kept open tile read as zero padding: V rows,
+  // and K^T columns.
   const fc::KvSlice sl = cache.slice(0, 0);
   for (std::size_t r = 1; r < fs::TilePool::kTileRows; ++r) {
     for (std::size_t c = 0; c < kDim; ++c) {
-      ASSERT_EQ(sl.k_tiles[1][r * kDim + c].bits(), 0u) << r;
+      ASSERT_EQ(sl.f16t[1][c * fs::TilePool::kTileRows + r].bits(), 0u) << r;
+      ASSERT_EQ(sl.v_tiles[1][r * kDim + c].bits(), 0u) << r;
     }
   }
+  expect_kt_planes("speculative truncate");
 
   // Reject an entire follow-up draft that had opened a fresh tile: the
   // empty tail tile goes back to the pool.
@@ -173,9 +216,12 @@ TEST(PagedKvTruncate, DeferredSealCommitAndRollback) {
   ASSERT_TRUE(cache.ensure_capacity(65 + 64));
   ASSERT_EQ(cache.block_table().size(), 3u);
   for (std::size_t l = 0; l < kLayers; ++l) {
-    cache.append_chunk(l, spec2_k, spec2_v, 64, /*defer_seal=*/true);
+    append(l, spec2_k, spec2_v, 64, /*defer=*/true);
   }
-  cache.truncate(65);  // reject all 64 speculative rows
+  // Reject all 64 speculative rows: the same rollback a retried tick makes
+  // to its pre-tick context.
+  rollback(65);
+  expect_kt_planes("whole-tick rollback");
   EXPECT_EQ(cache.block_table().size(), 2u);
   EXPECT_EQ(pool.in_use(), in_use_before);
 
@@ -186,8 +232,9 @@ TEST(PagedKvTruncate, DeferredSealCommitAndRollback) {
   const auto real_k = rows_of(70), real_v = rows_of(70);
   ASSERT_TRUE(cache.ensure_capacity(65 + 70));
   for (std::size_t l = 0; l < kLayers; ++l) {
-    cache.append_chunk(l, real_k, real_v, 70);
+    append(l, real_k, real_v, 70, false);
   }
+  expect_kt_planes("chunk sealing tile 1");
   {
     fs::PagedKvCache twin(pool, cache.format());
     ASSERT_TRUE(twin.ensure_capacity(65 + 70));
@@ -209,6 +256,18 @@ TEST(PagedKvTruncate, DeferredSealCommitAndRollback) {
                                        "decode after rollback");
     }
   }
+
+  // Single rows, one tick each, then a retried tick's rollback of one.
+  for (std::size_t t = 0; t < 3; ++t) {
+    const auto k1 = rows_of(1), v1 = rows_of(1);
+    ASSERT_TRUE(cache.ensure_capacity(cache.length() + 1));
+    for (std::size_t l = 0; l < kLayers; ++l) {
+      append(l, k1, v1, 1, /*defer=*/t == 2);
+    }
+    expect_kt_planes("single row");
+  }
+  rollback(cache.length() - 1);
+  expect_kt_planes("retry rollback");
 
   // Rolling back into the sealed region is a logic error, not a rollback.
   EXPECT_THROW(cache.truncate(63), std::logic_error);

@@ -110,11 +110,11 @@ TEST(TilePool, RefcountingCapacityAndUnderflow) {
   EXPECT_THROW(pool.release(b), std::logic_error);  // underflow is corruption
 
   // The dead (unpublished) tile is reclaimed for the next acquire, zeroed.
-  pool.k_tile(a, 0, 0)[0] = Half(1.0f);  // dirty a referenced tile
+  pool.kt_tile(a, 0, 0)[0] = Half(1.0f);  // dirty a referenced tile
   const auto d = pool.acquire();
   EXPECT_EQ(d, b);  // reused, not freshly allocated
   EXPECT_EQ(pool.allocated(), 3u);
-  EXPECT_EQ(pool.k_tile(d, 1, 1)[5].bits(), 0u);  // recycled tiles are zeroed
+  EXPECT_EQ(pool.kt_tile(d, 1, 1)[5].bits(), 0u);  // recycled tiles are zeroed
 
   // Unbounded pools never fail.
   fs::TilePool grow(pool_opts(1, 1, 32, 0));
@@ -124,11 +124,11 @@ TEST(TilePool, RefcountingCapacityAndUnderflow) {
 }
 
 TEST(TilePool, RejectsStrideNotDividingTheTileOrDim) {
-  // Every sealed tile carries its checksum memo (and an fp16 tile its kF16T
-  // image), so a stride that cannot tile both axes of a 64 x dim block is
-  // rejected instead of silently dropping the memo.  At dim 96: 0 and -8
-  // are not strides, 5 divides neither axis, 12 divides dim but not 64, and
-  // 64 divides the tile but not dim.
+  // Every sealed tile carries its checksum memo, so a stride that cannot
+  // tile both axes of a 64 x dim block is rejected instead of silently
+  // dropping the memo.  At dim 96: 0 and -8 are not strides, 5 divides
+  // neither axis, 12 divides dim but not 64, and 64 divides the tile but
+  // not dim.
   fs::TilePoolOptions opt = pool_opts(1, 2, 96, 0);
   for (const int bad : {0, -8, 5, 12, 64}) {
     opt.enc_stride = bad;
@@ -140,9 +140,10 @@ TEST(TilePool, RejectsStrideNotDividingTheTileOrDim) {
   const auto f16 = pool.acquire(fc::TileFmt::kF16);
   const auto i8 = pool.acquire(fc::TileFmt::kI8);
   EXPECT_NE(pool.enc_block(f16, 0, 1), nullptr);
-  EXPECT_NE(pool.f16t_image(f16, 0, 1), nullptr);
+  EXPECT_NE(pool.kt_tile(f16, 0, 1), nullptr);
+  EXPECT_EQ(pool.i8_block(f16, 0, 1), nullptr);
   EXPECT_NE(pool.i8_block(i8, 0, 1), nullptr);
-  EXPECT_EQ(pool.f16t_image(i8, 0, 1), nullptr);
+  EXPECT_NE(pool.kt_tile(i8, 0, 1), nullptr);  // staging plane until sealed
 }
 
 TEST(TilePool, PrefixRegistryLruEvictionAndRescue) {
@@ -312,7 +313,7 @@ TEST(PagedKvCache, DecodesLikeContiguousTokenByTokenKernel) {
   EXPECT_EQ(sharer.length(), 64u);
   EXPECT_EQ(sharer.shared_tiles(), 1u);
   const fc::KvSlice shared = sharer.slice(1, 1);
-  EXPECT_EQ(shared.k_tiles[0], paged.slice(1, 1).k_tiles[0]);  // same storage
+  EXPECT_EQ(shared.f16t[0], paged.slice(1, 1).f16t[0]);  // same storage
   EXPECT_EQ(shared.enc[0], paged.slice(1, 1).enc[0]);  // and its memo
 
   // release_all drops every reference; the pool sees the tiles again.
